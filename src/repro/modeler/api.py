@@ -269,6 +269,13 @@ class _CachedFetch:
     on refetch — so a repeated ``flow_info_many`` within the staleness
     window rebuilds its answers without touching paths or the
     allocator.
+
+    ``views`` memoizes the derived topology views of this entry's graph
+    the same way: ``"simplified"`` -> the one simplified view (its
+    ``protect`` set is this entry's sorted-host key, so every host
+    order shares it), ``("summary", hosts in request order)`` -> that
+    order's summary.  Views are frozen — many answers share one — and
+    live and die with the entry.
     """
 
     graph: TopologyGraph
@@ -276,6 +283,7 @@ class _CachedFetch:
     fetched_at: float
     meta: _FetchMeta
     flow_plans: dict = field(default_factory=dict)
+    views: dict = field(default_factory=dict)
 
 
 class Modeler:
@@ -364,10 +372,8 @@ class Modeler:
             graph, meta = self._fetch(
                 ips, include_dynamics, strict=strict, private=(detail == "raw")
             )
-            if detail == "simplified":
-                graph = simplify(graph, protect=set(ips))
-            elif detail == "summary":
-                graph = self._summarize(graph, ips)
+            if detail != "raw":
+                graph = self._derived_view(graph, ips, include_dynamics, detail)
             return TopologyAnswer(
                 graph,
                 unresolved=tuple(meta.unresolved),
@@ -377,6 +383,40 @@ class Modeler:
                 provenance=meta.provenance,
                 trace_id=sp.trace_id,
             )
+
+    def _derived_view(
+        self, graph: TopologyGraph, ips: list[str], include_dynamics: bool, detail: str
+    ) -> TopologyGraph:
+        """The frozen ``detail`` view of a fetched graph, computed once
+        per cache entry and shared by every answer served from it."""
+        entry = self._shared_entry(ips, include_dynamics, graph)
+        view_key = "simplified" if detail == "simplified" else (detail, tuple(ips))
+        if entry is not None:
+            view = entry.views.get(view_key)
+            if view is not None:
+                obs.counter("modeler.view_cache", result="hit").inc()
+                return view
+            obs.counter("modeler.view_cache", result="miss").inc()
+        if detail == "simplified":
+            view = simplify(graph, protect=set(ips))
+        else:
+            view = self._summarize(graph, ips)
+        view.freeze()
+        if entry is not None:
+            entry.views[view_key] = view
+        return view
+
+    def _shared_entry(
+        self, ips, include_dynamics: bool, graph: TopologyGraph
+    ) -> _CachedFetch | None:
+        """The cache entry whose graph ``_fetch(private=False)`` just
+        served as ``graph`` (cache hit or cached miss), else None:
+        results that are pure functions of that graph — which is
+        replaced, never mutated, on refetch — can be memoized on it."""
+        entry = self._query_cache.get((tuple(sorted(ips)), include_dynamics))
+        if entry is not None and entry.graph is graph:
+            return entry
+        return None
 
     @staticmethod
     def _summarize(graph: TopologyGraph, ips: list[str]) -> TopologyGraph:
@@ -506,15 +546,10 @@ class Modeler:
             if own:
                 self._credit_own_flows(graph, own)
             # When _fetch served the memoized graph itself (no own
-            # traffic, cache hit or cached miss), resolved predictions
-            # can be memoized right on the entry: the answers are a
-            # pure function of (graph, pairs), and the graph is
-            # replaced, never mutated, on refetch.
-            entry = None
-            if not own:
-                entry = self._query_cache.get((plan.involved, True))
-                if entry is not None and entry.graph is not graph:
-                    entry = None
+            # traffic), resolved predictions can be memoized right on
+            # the entry: the answers are a pure function of (graph,
+            # pairs).
+            entry = None if own else self._shared_entry(plan.involved, True, graph)
             memo_key = (plan.pairs, strict)
             cached_plan = (
                 entry.flow_plans.get(memo_key) if entry is not None else None
@@ -580,8 +615,8 @@ class Modeler:
     def _credit_own_flows(graph: TopologyGraph, own) -> None:
         """Subtract the application's declared traffic from measured
         utilization along each declared flow's path."""
-        from repro.common.errors import TopologyError
-
+        if graph.frozen:
+            raise TopologyError("cannot credit own flows on a frozen (shared) graph")
         for src, dst, rate in own:
             try:
                 nodes = graph.path(src, dst)

@@ -77,6 +77,25 @@ class TopoEdge:
         return max(0.0, self.capacity_bps - self.util_from(node_id))
 
 
+class GraphRecord(dict[str, object]):
+    """The wire record of a graph (what :meth:`TopologyGraph.to_dict`
+    returns): a plain dict plus one slot for its canonical JSON text.
+
+    ``encoded`` belongs to :func:`repro.service.wire.canonical_json`,
+    which fills it the first time the record is serialized and splices
+    it into every later answer carrying the same record — a frozen
+    graph hands out one record for its whole life, so a shared view is
+    encoded once.  The slot lives here because ``modeler`` may not
+    import ``service``.  A record is a snapshot: never edit one.
+    """
+
+    __slots__ = ("encoded",)
+
+    def __init__(self, nodes: list[dict[str, object]], edges: list[dict[str, object]]) -> None:
+        super().__init__(nodes=nodes, edges=edges)
+        self.encoded: str | None = None
+
+
 class TopologyGraph:
     """Nodes + edges with merge, path, and bottleneck operations.
 
@@ -108,6 +127,12 @@ class TopologyGraph:
 
     Edge *annotations* (utilization) may be updated in place without
     bumping the version — hop-count paths do not depend on them.
+
+    A graph shared between answers is **frozen** (:meth:`freeze`):
+    every structural mutator raises :class:`TopologyError`, and
+    ``to_dict`` memoizes its record.  Reads (including ``path``, which
+    only fills the internal cache) still work; ``copy()`` yields an
+    ordinary mutable graph.
     """
 
     def __init__(self) -> None:
@@ -121,13 +146,30 @@ class TopologyGraph:
         self._node_pairs: dict[str, set[tuple[str, str]]] = {}
         self._nodes_cache: list[TopoNode] | None = None
         self._edges_cache: list[TopoEdge] | None = None
+        self._frozen = False
+        #: a frozen graph's wire record, built on first ``to_dict``
+        self._record: GraphRecord | None = None
 
     @property
     def version(self) -> int:
         """Structural mutation counter (cache-invalidation token)."""
         return self._version
 
+    @property
+    def frozen(self) -> bool:
+        return self._frozen
+
+    def freeze(self) -> "TopologyGraph":
+        """Make this graph read-only for good; returns ``self``."""
+        self._frozen = True
+        return self
+
+    def _require_mutable(self) -> None:
+        if self._frozen:
+            raise TopologyError("graph is frozen (shared snapshot); copy() it to edit")
+
     def _touch(self) -> None:
+        self._require_mutable()
         self._version += 1
         self._nodes_cache = None
         self._edges_cache = None
@@ -163,6 +205,7 @@ class TopologyGraph:
 
     def merge(self, other: "TopologyGraph") -> None:
         """Fold another fragment into this graph in place."""
+        self._require_mutable()
         for n in other.nodes():
             self.add_node(n)
         for e in other.edges():
@@ -217,7 +260,7 @@ class TopologyGraph:
 
     # -- wire schema v1 (docs/service.md) ------------------------------
 
-    def to_dict(self) -> dict[str, object]:
+    def to_dict(self) -> GraphRecord:
         """Canonical wire form: sorted node and edge records.
 
         Nodes sort by id; edges by their normalized endpoint key (the
@@ -227,13 +270,19 @@ class TopologyGraph:
         regardless of insertion order.  Non-finite capacities
         (``inf`` for virtual elements) survive because both wire ends
         use Python's ``json`` module, which round-trips ``Infinity``.
+
+        A frozen graph builds its record once and returns that same
+        object every time (so its encoding can be reused too); a
+        mutable graph builds a fresh one per call.
         """
-        return {
-            "nodes": [
+        if self._record is not None:
+            return self._record
+        record = GraphRecord(
+            nodes=[
                 {"id": n.id, "kind": n.kind, "ips": list(n.ips)}
                 for n in self.nodes()
             ],
-            "edges": [
+            edges=[
                 {
                     "a": e.a,
                     "b": e.b,
@@ -245,7 +294,10 @@ class TopologyGraph:
                 }
                 for e in sorted(self.edges(), key=TopoEdge.key)
             ],
-        }
+        )
+        if self._frozen:
+            self._record = record
+        return record
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "TopologyGraph":

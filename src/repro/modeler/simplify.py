@@ -30,6 +30,11 @@ from repro.modeler.graph import (
 def prune(graph: TopologyGraph, protect: set[str]) -> TopologyGraph:
     """Remove leaf nodes not in ``protect`` until none remain."""
     g = graph.copy()
+    _prune_in_place(g, protect)
+    return g
+
+
+def _prune_in_place(g: TopologyGraph, protect: set[str]) -> None:
     changed = True
     while changed:
         changed = False
@@ -39,7 +44,6 @@ def prune(graph: TopologyGraph, protect: set[str]) -> TopologyGraph:
             if g.degree(node.id) <= 1:
                 g.remove_node(node.id)
                 changed = True
-    return g
 
 
 def collapse_chains(graph: TopologyGraph, protect: set[str]) -> TopologyGraph:
@@ -54,6 +58,11 @@ def collapse_chains(graph: TopologyGraph, protect: set[str]) -> TopologyGraph:
     original.
     """
     g = graph.copy()
+    _collapse_in_place(g, protect)
+    return g
+
+
+def _collapse_in_place(g: TopologyGraph, protect: set[str]) -> None:
     visited: set[str] = set()
     for node in list(g.nodes()):
         nid = node.id
@@ -109,7 +118,6 @@ def collapse_chains(graph: TopologyGraph, protect: set[str]) -> TopologyGraph:
         half_jitter = math.sqrt(jitter_sq / 2.0)
         g.add_edge(TopoEdge(left, vid, cap, util_lr, util_rl, lat / 2, half_jitter))
         g.add_edge(TopoEdge(vid, right, cap, util_lr, util_rl, lat / 2, half_jitter))
-    return g
 
 
 def simplify(graph: TopologyGraph, protect: set[str]) -> TopologyGraph:
@@ -117,14 +125,17 @@ def simplify(graph: TopologyGraph, protect: set[str]) -> TopologyGraph:
 
     Records how much structure the application was spared: the
     node/edge reduction ratios (``1 - after/before``, so 0 means
-    nothing removed) feed the "manageable form" claim of §2.2.
+    nothing removed) feed the "manageable form" claim of §2.2.  The
+    input is copied once; both passes then edit that private copy.
     """
-    nodes_before = sum(1 for _ in graph.nodes())
-    edges_before = sum(1 for _ in graph.edges())
+    nodes_before = len(graph)
+    edges_before = graph.num_edges()
     with obs.span("modeler.simplify"):
-        out = collapse_chains(prune(graph, protect), protect)
-    nodes_after = sum(1 for _ in out.nodes())
-    edges_after = sum(1 for _ in out.edges())
+        out = graph.copy()
+        _prune_in_place(out, protect)
+        _collapse_in_place(out, protect)
+    nodes_after = len(out)
+    edges_after = out.num_edges()
     if nodes_before:
         obs.histogram("modeler.simplify.node_reduction").observe(
             1.0 - nodes_after / nodes_before

@@ -73,6 +73,7 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "modeler.query_cache",
         "modeler.simplify.edge_reduction",
         "modeler.simplify.node_reduction",
+        "modeler.view_cache",
         "query.partial",
         # -- rps -------------------------------------------------------
         "rps.evaluator.abs_error",

@@ -101,7 +101,11 @@ async def _read_request(
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length") or "0"
+    # int() alone would also take "+5", "1_0" and " 5 "; HTTP allows digits only
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise WireError("bad_request", f"bad Content-Length {raw_length!r}")
+    length = int(raw_length)
     if length > MAX_BODY_BYTES:
         raise WireError("bad_request", f"body exceeds {MAX_BODY_BYTES} bytes")
     body = await reader.readexactly(length) if length else b""
@@ -180,7 +184,7 @@ async def start_server(
     host: str = "127.0.0.1",
     port: int = 8077,
     tick_interval_s: float = 0.0,
-) -> asyncio.AbstractServer:
+) -> asyncio.Server:
     """Bind and return the server (caller owns the loop).
 
     ``tick_interval_s > 0`` starts a background task polling the flow

@@ -24,6 +24,7 @@ import json
 from typing import Any
 
 from repro.modeler.api import WIRE_SCHEMA_VERSION, Answer
+from repro.modeler.graph import GraphRecord
 
 __all__ = [
     "WIRE_SCHEMA_VERSION",
@@ -67,14 +68,51 @@ class WireError(Exception):
         self.retry_after_s = retry_after_s
 
 
+#: one encoder for every message: ``json.dumps`` with non-default
+#: arguments builds a fresh ``JSONEncoder`` per call
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def canonical_json(obj: Any) -> str:
     """Serialize ``obj`` to the canonical wire form.
 
     Sorted keys and compact separators: the same dict always yields the
     same bytes, which the round-trip property tests (and the over-the-
     wire equivalence test) rely on.
+
+    The output is exactly ``json.dumps(obj, sort_keys=True,
+    separators=(",", ":"))``.  A :class:`GraphRecord` held by an answer
+    dict — ``obj`` itself, or the ``result`` of an envelope — is
+    encoded once, the text kept on the record, and spliced into every
+    later message that carries the same record, so an answer served
+    from a shared frozen view costs its envelope and scalar fields.
     """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    spliced = _splice(obj, nested=True) if type(obj) is dict else None
+    return _dumps(obj) if spliced is None else spliced
+
+
+def _splice(obj: dict[Any, Any], nested: bool) -> str | None:
+    """Canonical text of a dict built around the graph records among
+    its values (and, with ``nested``, among its dict values' values),
+    or None when there are none — or a key is not a string, which
+    ``json.dumps`` orders and coerces by its own rules: the caller then
+    encodes the dict whole."""
+    found: dict[str, str] = {}
+    for k, v in obj.items():
+        if type(v) is GraphRecord:
+            if v.encoded is None:
+                v.encoded = _dumps(v)
+            found[k] = v.encoded
+        elif nested and type(v) is dict:
+            text = _splice(v, nested=False)
+            if text is not None:
+                found[k] = text
+    if not found or not all(type(k) is str for k in obj):
+        return None
+    return "{%s}" % ",".join(
+        f"{_dumps(k)}:{found[k] if k in found else _dumps(obj[k])}"
+        for k in sorted(obj)
+    )
 
 
 def decode_body(raw: bytes) -> dict[str, Any]:

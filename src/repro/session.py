@@ -110,6 +110,9 @@ class RemosSession:
         ``detail`` is ``"raw"``, ``"simplified"``, or ``"summary"``;
         hosts no collector could cover are listed in
         ``answer.unresolved`` and reflected in ``answer.status``.
+        The graph of a derived level is a frozen snapshot shared with
+        other answers (``answer.graph.copy()`` to edit); ``"raw"`` is a
+        private mutable copy.
         """
         with obs.span("session.topology", detail=detail):
             answer = self.modeler._topology_answer(

@@ -31,8 +31,10 @@ STRICT_FILES = (
         REPO_ROOT / "src" / "repro" / "modeler" / "graph.py",
         REPO_ROOT / "src" / "repro" / "modeler" / "maxmin.py",
         REPO_ROOT / "src" / "repro" / "modeler" / "planner.py",
+        REPO_ROOT / "src" / "repro" / "modeler" / "simplify.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "flows.py",
         REPO_ROOT / "src" / "repro" / "service" / "admission.py",
+        REPO_ROOT / "src" / "repro" / "service" / "http.py",
         REPO_ROOT / "src" / "repro" / "service" / "wire.py",
     ]
     + sorted((REPO_ROOT / "src" / "repro" / "obs").rglob("*.py"))
@@ -50,8 +52,10 @@ STRICT_MODULES = [
     "repro.modeler.graph",
     "repro.modeler.maxmin",
     "repro.modeler.planner",
+    "repro.modeler.simplify",
     "repro.netsim.flows",
     "repro.service.admission",
+    "repro.service.http",
     "repro.service.wire",
     "repro.obs",
     "repro.obs.catalog",

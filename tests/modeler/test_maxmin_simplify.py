@@ -1,12 +1,14 @@
 """Tests for modeler flow math and topology simplification."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import QueryError
+from repro.deploy import deploy_wan
 from repro.modeler.graph import (
     HOST,
     SWITCH,
@@ -163,3 +165,40 @@ class TestSimplify:
             [b] = predict_flows(g, [pair])
             [a] = predict_flows(s, [pair])
             assert a.rate_bps == pytest.approx(b.rate_bps, rel=1e-9)
+
+
+class TestSimplifyCopiesOnce:
+    """``simplify`` prunes and collapses one private copy; the public
+    ``prune``/``collapse_chains`` each still copy on entry, and chaining
+    them is the two-copy pipeline ``simplify`` used to be."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_view_as_the_two_copy_pipeline(self, random_wan, seed):
+        # multi-switch sites are what gives the collapse pass chains
+        world = random_wan(
+            4 + seed % 3, seed=seed, hosts_per_site=(2, 4), multi_switch_fraction=0.7
+        )
+        every_host = [str(h.ip) for site in world.sites.values() for h in site.hosts]
+        raw = deploy_wan(world).session().topology(every_host, detail="raw")
+        assert raw.ok
+        rng = random.Random(seed)
+        vswitches = 0
+        for _ in range(4):
+            protect = set(rng.sample(every_host, rng.randint(2, len(every_host))))
+            before = raw.graph.to_dict()
+            got = simplify(raw.graph, protect)
+            want = collapse_chains(prune(raw.graph, protect), protect)
+            # nodes (with vswitch ids), edges and every annotation
+            assert got.to_dict() == want.to_dict()
+            assert got is not raw.graph and raw.graph.to_dict() == before
+            vswitches += sum(n.kind == VSWITCH for n in got.nodes())
+        assert vswitches, "no chain collapsed: the worlds no longer exercise the pass"
+
+    def test_public_passes_still_copy_on_entry(self):
+        g = _chain_graph(4)
+        g.add_node(TopoNode("stray", SWITCH))
+        g.add_edge(TopoEdge("s2", "stray", 1e6))
+        before = g.to_dict()
+        assert prune(g, {"h1", "h2"}) is not g
+        assert collapse_chains(g, {"h1", "h2"}) is not g
+        assert g.to_dict() == before

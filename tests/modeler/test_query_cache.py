@@ -10,10 +10,14 @@ import dataclasses
 
 import pytest
 
-from repro import obs
+from repro import faults, obs
+from repro.common.errors import TopologyError
+from repro.common.status import QueryStatus
 from repro.common.units import MBPS
+from repro.modeler.graph import HOST, TopoEdge, TopoNode, TopologyGraph
 from repro.netsim.builders import SiteSpec, build_multisite_wan, build_switched_lan
 from repro.deploy import deploy_lan, deploy_wan
+from repro.service.wire import canonical_json
 
 
 @pytest.fixture
@@ -31,6 +35,17 @@ def _hit_miss(snap):
         c.get("modeler.query_cache{result=hit}", 0),
         c.get("modeler.query_cache{result=miss}", 0),
     )
+
+
+def _small_wan(ttl_s, n_sites=4):
+    """A quiet ``n_sites``-site WAN, its deployment with the query cache
+    set to ``ttl_s``, and the first host of every site."""
+    w = build_multisite_wan(
+        [SiteSpec(f"s{i:02d}", access_bps=10 * MBPS, n_hosts=2) for i in range(n_sites)]
+    )
+    dep = deploy_wan(w)
+    dep.modeler.query_cache_ttl_s = ttl_s
+    return w, dep, [str(w.host(f"s{i:02d}", 0).ip) for i in range(n_sites)]
 
 
 class TestDisabledByDefault:
@@ -138,16 +153,8 @@ class TestSiteScopedInvalidation:
 
     @pytest.fixture
     def wan_dep(self):
-        w = build_multisite_wan(
-            [
-                SiteSpec(f"s{i:02d}", access_bps=10 * MBPS, n_hosts=2)
-                for i in range(4)
-            ]
-        )
-        dep = deploy_wan(w)
-        dep.modeler.query_cache_ttl_s = 600.0
-        pair_a = (w.host("s00", 0).ip, w.host("s01", 0).ip)
-        pair_b = (w.host("s02", 0).ip, w.host("s03", 0).ip)
+        w, dep, hosts = _small_wan(600.0)
+        pair_a, pair_b = tuple(hosts[:2]), tuple(hosts[2:])
         # fill both entries (discovery + memoisation)
         dep.session().flow_info_many([pair_a])
         dep.session().flow_info_many([pair_b])
@@ -200,11 +207,138 @@ class TestInvalidationShim:
 
     @pytest.fixture
     def wan_dep_shim(self):
-        w = build_multisite_wan(
-            [SiteSpec(f"s{i:02d}", access_bps=10 * MBPS, n_hosts=2) for i in range(2)]
-        )
-        dep = deploy_wan(w)
-        dep.modeler.query_cache_ttl_s = 600.0
-        pair_a = (w.host("s00", 0).ip, w.host("s01", 0).ip)
+        w, dep, hosts = _small_wan(600.0, n_sites=2)
+        pair_a = tuple(hosts)
         dep.session().flow_info_many([pair_a])
         return dep, pair_a
+
+
+def _view_hit_miss(snap):
+    c = snap["counters"]
+    return (
+        c.get("modeler.view_cache{result=hit}", 0),
+        c.get("modeler.view_cache{result=miss}", 0),
+    )
+
+
+class TestDerivedViewMemo:
+    """Derived topology views are computed once per cache entry, shared
+    frozen between the answers served from it, and gone with it."""
+
+    ORDERS = ([0, 1, 2, 3], [3, 1, 0, 2], [2, 3, 1, 0])
+
+    def test_host_orders_share_one_simplified_view(self):
+        w, dep, hosts = _small_wan(600.0)
+        s = dep.session()
+        with obs.scoped_registry() as reg:
+            answers = [s.topology([hosts[i] for i in order]) for order in self.ORDERS]
+            snap = obs.export.snapshot(reg)
+        assert all(a.graph is answers[0].graph for a in answers)
+        assert _view_hit_miss(snap) == (2, 1)
+        assert _hit_miss(snap) == (2, 1)
+        # simplify ran for the one fetched graph, not for each query
+        assert snap["histograms"]["modeler.simplify.node_reduction"]["count"] == 1
+
+    def test_memoized_answers_match_a_cacheless_twin(self):
+        """A hit replays its filling miss, so whatever order the hosts
+        come in, the answer carries the bytes a cache-less Modeler on a
+        twin world gives when asked that same question first."""
+        w, dep, hosts = _small_wan(600.0)
+        s = dep.session()
+        for detail in ("simplified", "summary"):
+            for order in self.ORDERS:
+                query = [hosts[i] for i in order]
+                twin = _small_wan(0.0)[1].session()
+                assert canonical_json(
+                    s.topology(query, detail=detail).to_dict()
+                ) == canonical_json(twin.topology(query, detail=detail).to_dict())
+
+    def test_summary_views_do_not_alias_across_orders(self):
+        w, dep, hosts = _small_wan(600.0)
+        s = dep.session()
+        fwd = s.topology(hosts, detail="summary")
+        rev = s.topology(hosts[::-1], detail="summary")
+        assert rev.graph is not fwd.graph
+        assert s.topology(hosts, detail="summary").graph is fwd.graph
+        # a summary edge is oriented by request order
+        assert {(e.a, e.b) for e in fwd.graph.edges()} == {
+            (e.b, e.a) for e in rev.graph.edges()
+        }
+        assert s.topology(hosts).graph is not fwd.graph
+
+    def test_nothing_memoized_without_ttl(self):
+        w, dep, hosts = _small_wan(0.0)
+        s = dep.session()
+        with obs.scoped_registry() as reg:
+            first, second = s.topology(hosts), s.topology(hosts)
+            snap = obs.export.snapshot(reg)
+        assert first.graph is not second.graph
+        assert _view_hit_miss(snap) == (0, 0)
+        assert dep.modeler._query_cache == {}
+
+    def test_view_dropped_on_ttl_lapse(self):
+        w, dep, hosts = _small_wan(2.0)
+        s = dep.session()
+        before = s.topology(hosts).graph
+        assert s.topology(hosts).graph is before
+        w.net.engine.advance(5.0)
+        assert s.topology(hosts).graph is not before
+
+    def test_view_dropped_on_version_bump(self):
+        w, dep, hosts = _small_wan(600.0)
+        s = dep.session()
+        before = s.topology(hosts).graph
+        (entry,) = dep.modeler._query_cache.values()
+        entry.graph.add_node(TopoNode("10.250.0.1", HOST, ("10.250.0.1",)))
+        assert s.topology(hosts).graph is not before
+
+    def test_view_dropped_on_scoped_invalidation(self):
+        w, dep, hosts = _small_wan(600.0)
+        s = dep.session()
+        near, far = hosts[:2], hosts[2:]
+        near_view, far_view = s.topology(near).graph, s.topology(far).graph
+        s.invalidate_cache(sites=["s00"])
+        assert s.topology(near).graph is not near_view
+        assert s.topology(far).graph is far_view
+
+    def test_view_dropped_on_degraded_refetch(self):
+        w, dep, hosts = _small_wan(2.0)
+        faults.install(dep, faults.FaultPlan())
+        s = dep.session()
+        before = s.topology(hosts)
+        assert before.ok
+        faults.crash_collector(dep.snmp_collectors["s01"], 30.0)
+        w.net.engine.advance(5.0)
+        degraded = s.topology(hosts)
+        assert degraded.status != QueryStatus.OK
+        assert degraded.graph is not before.graph
+        # the degraded fetch left no entry, so nothing was memoized for it
+        assert dep.modeler._query_cache == {}
+        assert s.topology(hosts).graph is not degraded.graph
+
+    def test_derived_views_are_frozen_raw_is_private(self):
+        w, dep, hosts = _small_wan(600.0)
+        s = dep.session()
+        node = TopoNode("10.250.0.1", HOST, ("10.250.0.1",))
+        for detail in ("simplified", "summary"):
+            view = s.topology(hosts, detail=detail).graph
+            assert view.frozen
+            with pytest.raises(TopologyError, match="frozen"):
+                view.add_node(node)
+            with pytest.raises(TopologyError, match="frozen"):
+                view.add_edge(TopoEdge(hosts[0], hosts[1]))
+            with pytest.raises(TopologyError, match="frozen"):
+                view.remove_node(hosts[0])
+            with pytest.raises(TopologyError, match="frozen"):
+                view.merge(TopologyGraph())
+            with pytest.raises(TopologyError, match="frozen"):
+                dep.modeler._credit_own_flows(view, [(hosts[0], hosts[1], 1e6)])
+            assert view.to_dict() is view.to_dict()
+            mine = view.copy()
+            assert not mine.frozen
+            mine.add_node(node)
+            assert mine.has_node(node.id) and not view.has_node(node.id)
+        raw = s.topology(hosts, detail="raw").graph
+        raw.add_node(node)
+        assert not s.topology(hosts, detail="raw").graph.has_node(node.id)
+        assert raw.to_dict() is not raw.to_dict()

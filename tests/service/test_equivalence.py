@@ -15,6 +15,8 @@ and grown data_age_s intact.
 """
 
 import asyncio
+import json
+import time
 
 from repro import faults
 from repro.common.status import QueryStatus
@@ -200,3 +202,48 @@ class TestHttpEquivalence:
         remote = asyncio.run(over_http())
         assert remote.ok
         assert wire_bytes(remote) == wire_bytes(direct)
+
+
+class TestShedTopologyEquivalence:
+    """A topology answer shed to last-known-good shares its graph record
+    (and that record's kept encoding) with the live answer it came
+    from; its status and age are its own."""
+
+    def test_lkg_shed_topology_is_stale_with_a_truthful_age(self):
+        w, dep = build_world()
+        dep.modeler.query_cache_ttl_s = 600.0
+        direct = dep.session().topology(list(hosts(w).values()))
+        assert direct.ok and direct.graph.frozen
+
+        w2, dep2 = build_world()
+        dep2.modeler.query_cache_ttl_s = 600.0
+        service = RemosService.from_deployment(dep2, ServiceConfig(max_inflight=1))
+        body = {"hosts": list(hosts(w2).values())}
+
+        async def overload():
+            warm = await service.dispatch("topology", dict(body))
+            wave = await asyncio.gather(
+                *(service.dispatch("topology", dict(body)) for _ in range(3))
+            )
+            return warm, wave
+
+        t0 = time.monotonic()
+        warm, wave = asyncio.run(overload())
+        elapsed = time.monotonic() - t0
+
+        live = warm["result"]
+        assert warm["served"] == "live"
+        assert canonical_json(live) == wire_bytes(direct)
+        assert [env["served"] for env in wave] == ["live", "shed_lkg", "shed_lkg"]
+        for env in wave[1:]:
+            shed = env["result"]
+            assert shed["status"] == QueryStatus.STALE.to_dict()
+            assert live["data_age_s"] <= shed["data_age_s"] <= live["data_age_s"] + elapsed
+            assert shed["graph"] is live["graph"]
+            # the spliced bytes are the plain encoding ...
+            assert canonical_json(env) == json.dumps(
+                env, sort_keys=True, separators=(",", ":")
+            )
+            # ... and, status and age apart, the in-process answer's
+            restored = dict(shed, status=live["status"], data_age_s=live["data_age_s"])
+            assert canonical_json(restored) == wire_bytes(direct)

@@ -138,6 +138,32 @@ class TestBadInput:
         assert status == 400
         assert body["error"]["code"] == "bad_request"
 
+    @pytest.mark.parametrize("length", ["abc", "-5", "+5", "1_0", "\xb2"])
+    def test_bad_content_length_400_and_close(self, length):
+        """A Content-Length that is not plain digits is answered 400 and
+        the connection closed — it used to escape as ValueError and drop
+        the connection without a response."""
+
+        async def go(port, hosts, service):
+            head = (
+                f"POST /v1/flow_info HTTP/1.1\r\nHost: t\r\n"
+                f"Content-Length: {length}\r\n\r\n"
+            ).encode("latin-1")
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                writer.write(head + b"{}")
+                await writer.drain()
+                response = await asyncio.wait_for(reader.read(), timeout=5.0)
+            finally:
+                writer.close()
+            return response
+
+        response = with_server(go)
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"]["code"] == "bad_request"
+
     def test_missing_arguments_400(self):
         async def go(port, hosts, service):
             return await raw_request(port, post("/v1/flow_info", {"src": "only"}))

@@ -12,6 +12,7 @@ as an in-process call") rests on two properties of the
   bytes.
 """
 
+import json
 import math
 
 import pytest
@@ -29,7 +30,8 @@ from repro.modeler.graph import (
     TopoNode,
     TopologyGraph,
 )
-from repro.service.wire import canonical_json
+from repro.service.admission import LastKnownGoodStore
+from repro.service.wire import canonical_json, result_body
 
 # -- strategies --------------------------------------------------------
 
@@ -165,6 +167,102 @@ class TestByteIdenticalReserialization:
     @given(answers)
     def test_serialization_is_deterministic(self, ans):
         assert canonical_json(ans.to_dict()) == canonical_json(ans.to_dict())
+
+
+def plain_json(obj) -> str:
+    """What ``canonical_json`` was before it learned to splice."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+#: text that looks like the JSON around a spliced graph
+json_lookalikes = st.sampled_from(
+    ['"graph":null', '{"graph":{"edges":[],"nodes":[]}}', '","graph":', "\\", '\u0000"}']
+)
+tricky_text = st.one_of(names, json_lookalikes, st.text(max_size=12))
+
+tricky_topology_answers = st.builds(
+    TopologyAnswer,
+    graph=topology_graphs().map(TopologyGraph.freeze),
+    unresolved=st.lists(tricky_text, max_size=3, unique=True).map(tuple),
+    site_status=st.dictionaries(
+        tricky_text,
+        st.builds(
+            SiteStatus,
+            site=tricky_text,
+            status=statuses,
+            detail=tricky_text,
+            data_age_s=nonneg,
+            attempts=st.integers(min_value=1, max_value=5),
+        ),
+        max_size=3,
+    ),
+    status=statuses,
+    data_age_s=nonneg,
+    provenance=st.lists(tricky_text, max_size=4, unique=True).map(tuple),
+    trace_id=st.one_of(trace_ids, json_lookalikes),
+)
+
+
+class TestSplicedEncodingIsPlainJson:
+    """``canonical_json`` reuses the encoding kept on a graph record;
+    its output must stay exactly what ``json.dumps`` gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(answers, tricky_topology_answers), st.sampled_from(["live", "shed_lkg"]))
+    def test_envelope_and_bare_answer(self, ans, served):
+        for obj in (ans.to_dict(), result_body(ans, served=served), [ans.to_dict()]):
+            want = plain_json(obj)
+            assert canonical_json(obj) == want
+            assert canonical_json(obj) == want  # now from the kept text
+
+    @settings(max_examples=100, deadline=None)
+    @given(tricky_topology_answers, trace_ids, nonneg)
+    def test_per_request_fields_are_never_cached(self, ans, trace_id, age):
+        """One frozen view, many answers: each carries its own trace
+        id, age and status around the shared record."""
+        first = canonical_json(result_body(ans))
+        later = TopologyAnswer(
+            ans.graph, status=QueryStatus.STALE, data_age_s=age, trace_id=trace_id
+        )
+        assert later.to_dict()["graph"] is ans.to_dict()["graph"]
+        assert canonical_json(result_body(later)) == plain_json(result_body(later))
+        assert canonical_json(result_body(ans)) == first
+
+    @settings(max_examples=50, deadline=None)
+    @given(tricky_topology_answers)
+    def test_lkg_restamp_reuses_the_record(self, ans):
+        ans.status = QueryStatus.OK
+        store = LastKnownGoodStore(clock=iter([10.0, 12.5]).__next__)
+        live = ans.to_dict()
+        canonical_json(result_body(live))
+        assert store.store("k", live)
+        shed = store.serve_stale("k")
+        assert shed["graph"] is live["graph"]
+        assert shed["status"] == QueryStatus.STALE.to_dict()
+        assert shed["data_age_s"] == ans.data_age_s + 2.5
+        body = result_body(shed, served="shed_lkg")
+        assert canonical_json(body) == plain_json(body)
+
+    def test_record_is_encoded_once(self):
+        graph = TopologyGraph()
+        graph.add_node(TopoNode("a", HOST, ("a",)))
+        graph.add_node(TopoNode("b", HOST))
+        graph.add_edge(TopoEdge("a", "b"))  # inf capacity
+        record = graph.freeze().to_dict()
+        assert record.encoded is None
+        canonical_json(result_body(TopologyAnswer(graph)))
+        assert record.encoded == plain_json(record)
+        assert "Infinity" in record.encoded
+        # the kept text is what gets spliced from now on
+        record.encoded = '"spliced"'
+        assert '"graph":"spliced"' in canonical_json(result_body(TopologyAnswer(graph)))
+
+    def test_non_string_keys_fall_back_to_plain_encoding(self):
+        record = TopologyGraph().freeze().to_dict()
+        for obj in ({2: record, 1: "x"}, {"result": {2: record, 1: record}}):
+            assert canonical_json(obj) == plain_json(obj)
+        with pytest.raises(TypeError):  # as json.dumps does on keys it cannot order
+            canonical_json({1: "x", "graph": record})
 
 
 class TestScalarWireForms:
