@@ -17,6 +17,7 @@ on-demand when stale.
 from __future__ import annotations
 
 import math
+import zlib
 from collections import deque
 from dataclasses import dataclass
 
@@ -180,7 +181,8 @@ class BenchmarkCollector:
         from repro.netsim.paths import path_latency
 
         if self._rng is None:
-            self._rng = make_rng(hash(self.site) & 0xFFFF)
+            # crc32, not hash(): str hashes are salted per interpreter
+            self._rng = make_rng(zlib.crc32(self.site.encode("utf-8")) & 0xFFFF)
         peer = self._peer(peer_site)
         flow = self.net.flows.start_flow(
             self.host, peer.host, label=f"pp:{self.site}->{peer_site}"

@@ -50,11 +50,19 @@ from repro.modeler.graph import TopoEdge, TopoNode, TopologyGraph
 
 log = obs.get_logger(__name__)
 
+#: a registration's identity for survival state: (site, collector
+#: name) — stable across re-registration, unlike ``id(reg)``, which the
+#: allocator may hand to a later, unrelated Registration
+RegKey = tuple[str, str]
 #: last-known-good fragment cache shapes (see MasterCollector._lkg)
-LkgKey = tuple[int, tuple[str, ...]]
+LkgKey = tuple[RegKey, tuple[str, ...]]
 LkgEntry = tuple[TopologyGraph, float, dict[str, str], tuple[str, ...]]
 #: (values, variances) series pair from a streaming predictor
 ForecastSeries = tuple[Any, Any]
+
+
+def _reg_key(reg: Registration) -> RegKey:
+    return (reg.site, reg.collector.name)
 
 
 class MasterCollector(Collector):
@@ -76,10 +84,10 @@ class MasterCollector(Collector):
         #: anchor node id -> site, learned from past stitched queries,
         #: so history requests can recognise logical WAN edges
         self._anchor_sites: dict[str, str] = {}
-        #: id(registration) -> sim time until which it is quarantined
+        #: registration key -> sim time until which it is quarantined
         #: (delegation failed recently; skip it, re-probe after)
-        self._quarantine: dict[int, float] = {}
-        #: last-known-good fragments: (id(reg), requested ips) ->
+        self._quarantine: dict[RegKey, float] = {}
+        #: last-known-good fragments: (registration key, requested ips) ->
         #: (graph copy, fetched_at, anchors, unresolved) — served,
         #: marked STALE, when a site stops answering
         self._lkg: dict[LkgKey, LkgEntry] = {}
@@ -111,16 +119,11 @@ class MasterCollector(Collector):
             self._quarantine.clear()
         else:
             wanted = set(sites)
-            doomed_regs = {
-                id(reg)
-                for reg in self.directory.registrations()
-                if reg.site in wanted
-            }
-            doomed = [k for k in self._lkg if k[0] in doomed_regs]
+            doomed = [k for k in self._lkg if k[0][0] in wanted]
             for key in doomed:
                 del self._lkg[key]
-            for rid in [r for r in self._quarantine if r in doomed_regs]:
-                del self._quarantine[rid]
+            for rkey in [r for r in self._quarantine if r[0] in wanted]:
+                del self._quarantine[rkey]
             dropped = len(doomed)
         if dropped:
             obs.counter("collectors.master.lkg_invalidated").inc(dropped)
@@ -301,7 +304,7 @@ class MasterCollector(Collector):
             anchor_ip=anchor,
         )
         survival = self._survival_on()
-        until = self._quarantine.get(id(reg), 0.0)
+        until = self._quarantine.get(_reg_key(reg), 0.0)
         if survival and engine.now < until:
             # known-dead collector: fail fast without an RPC, re-probe
             # only once the quarantine lapses
@@ -341,20 +344,20 @@ class MasterCollector(Collector):
                 )
                 continue
             if survival:
-                self._lkg[(id(reg), tuple(sorted(ips)))] = (
+                self._lkg[(_reg_key(reg), tuple(sorted(ips)))] = (
                     sub.graph.copy(),
                     engine.now,
                     dict(sub.anchors),
                     tuple(sub.unresolved),
                 )
-            self._quarantine.pop(id(reg), None)
+            self._quarantine.pop(_reg_key(reg), None)
             return sub, SiteStatus(
                 reg.site, sub.status,
                 data_age_s=sub.data_age_s, attempts=attempt + 1,
             )
 
         if survival and self.rpc.quarantine_s > 0:
-            self._quarantine[id(reg)] = engine.now + self.rpc.quarantine_s
+            self._quarantine[_reg_key(reg)] = engine.now + self.rpc.quarantine_s
         if isinstance(last_err, RemosError):
             detail = str(last_err)
         else:
@@ -375,7 +378,7 @@ class MasterCollector(Collector):
         the merged answer (own-flow crediting) cannot corrupt the
         cache; status becomes STALE with the fragment's true age.
         """
-        entry = self._lkg.get((id(reg), tuple(sorted(ips))))
+        entry = self._lkg.get((_reg_key(reg), tuple(sorted(ips))))
         if entry is None:
             return None, stat
         graph, fetched_at, lkg_anchors, lkg_unresolved = entry

@@ -329,7 +329,7 @@ def degrade_link(
         link.capacity_bps = cap
         for ch in link.channels():
             ch.capacity_bps = cap
-        net.flows._reallocate()
+        net.flows._reallocate(link.channels())
 
     _scale(original * factor)
     if duration_s is not None:

@@ -113,8 +113,10 @@ def run_spanning_tree(net: Network) -> list[Segment]:
     designated-port election.  A loop that cannot be broken at a switch
     port (pure hub/host loop) is a construction error.
     """
+    net._path_memo.clear()  # L2 forwarding changes under every memoized path
     segments = discover_segments(net)
     blocked: set[int] = set()
+    index: dict[object, Segment] = {}
     for seg in segments:
         g = nx.Graph()
         for ln in seg.links:
@@ -135,14 +137,17 @@ def run_spanning_tree(net: Network) -> list[Segment]:
             _block_link(ln, blocked)
             g.remove_edge(*worst)
         seg.tree = g
+        for point in g:
+            index[point] = seg
         for sw in seg.switches:
             sw.blocked_ports = {
                 i.index
                 for i in sw.interfaces
                 if i.link is not None and id(i.link) in blocked
             }
-    net._segments = segments  # type: ignore[attr-defined]
-    net._blocked_links = blocked  # type: ignore[attr-defined]
+    net._segments = segments
+    net._segment_index = index
+    net._blocked_links = blocked
     return segments
 
 
@@ -164,7 +169,7 @@ def _edge_sort_key(ln: Link) -> tuple:
 
 def populate_fdbs(net: Network) -> None:
     """Fill each switch's FDB with one entry per station on its segment."""
-    segments: list[Segment] = getattr(net, "_segments", None) or run_spanning_tree(net)
+    segments = net._segments or run_spanning_tree(net)
     for seg in segments:
         stations = seg.station_macs()
         for sw in seg.switches:
@@ -210,25 +215,21 @@ def _ports_toward(seg: Segment, sw: Switch) -> dict[object, int]:
 def l2_path(net: Network, src: Interface, dst: Interface) -> list[Channel]:
     """Directed channels traversed from ``src`` to ``dst`` along the
     segment's spanning tree.  Both interfaces must be on one segment."""
-    segments: list[Segment] = getattr(net, "_segments", None)
-    if segments is None:
+    if net._segments is None:
         raise TopologyError("network not frozen: no segments computed")
     ps, pd = _apoint(src), _apoint(dst)
-    for seg in segments:
-        if ps in seg.tree and pd in seg.tree:
-            try:
-                points = nx.shortest_path(seg.tree, ps, pd)
-            except nx.NetworkXNoPath:
-                continue
-            channels: list[Channel] = []
-            for a, b in zip(points, points[1:]):
-                ln: Link = seg.tree.edges[a, b]["link"]
-                # orient: transmit from the interface on the `a` side
-                if _apoint(ln.a) is a:
-                    channels.append(ln.channel_from(ln.a))
-                else:
-                    channels.append(ln.channel_from(ln.b))
-            return channels
+    seg = net._segment_index.get(ps)
+    if seg is not None and net._segment_index.get(pd) is seg:
+        points = nx.shortest_path(seg.tree, ps, pd)
+        channels: list[Channel] = []
+        for a, b in zip(points, points[1:]):
+            ln: Link = seg.tree.edges[a, b]["link"]
+            # orient: transmit from the interface on the `a` side
+            if _apoint(ln.a) is a:
+                channels.append(ln.channel_from(ln.a))
+            else:
+                channels.append(ln.channel_from(ln.b))
+        return channels
     if ps is pd:
         return []
     raise TopologyError(f"{src.fqname} and {dst.fqname} are not on one L2 segment")
@@ -236,14 +237,9 @@ def l2_path(net: Network, src: Interface, dst: Interface) -> list[Channel]:
 
 def segment_of(net: Network, iface: Interface) -> Segment:
     """The L2 segment an interface belongs to."""
-    segments: list[Segment] = getattr(net, "_segments", None)
-    if segments is None:
+    if net._segments is None:
         raise TopologyError("network not frozen: no segments computed")
-    p = _apoint(iface)
-    for seg in segments:
-        if p in seg.tree:
-            return seg
-        # single unlinked interface: degenerate segment
-        if isinstance(p, Interface) and p in seg.edge_ifaces:
-            return seg
-    raise TopologyError(f"{iface.fqname} is not on any segment")
+    seg = net._segment_index.get(_apoint(iface))
+    if seg is None:
+        raise TopologyError(f"{iface.fqname} is not on any segment")
+    return seg

@@ -30,12 +30,9 @@ def fail_link(net: Network, link: Link) -> list[Flow]:
     """
     if link not in net.links:
         raise TopologyError("link is not up")
-    broken: list[Flow] = []
-    channels = set(link.channels())
-    for flow in list(net.flows.active_flows()):
-        if channels & set(flow.path):
-            net.flows.stop_flow(flow)
-            broken.append(flow)
+    broken = net.flows.flows_on(*link.channels())
+    for flow in broken:
+        net.flows.stop_flow(flow)
     # sync counters to the failure instant before traffic ceases
     for ch in link.channels():
         ch.sync(net.now)

@@ -10,9 +10,13 @@ rate is constant.
 
 The :class:`FlowManager` recomputes the allocation whenever a flow
 starts, stops, or changes demand, synchronising all affected channel
-counters first so the integral stays exact.  Finite transfers
-(``total_bytes``) get completion events scheduled on the engine and
-re-scheduled whenever their allocated rate changes.
+counters first so the integral stays exact.  Max-min rates decouple
+across sets of flows that share no channel, so a change re-solves only
+the connected component of flows the changed one shares channels with
+(found through a channel -> flows index); the result equals a global
+solve.  Finite transfers (``total_bytes``) get completion events
+scheduled on the engine and re-scheduled whenever their component is
+re-solved.
 
 Progressive filling (Bertsekas & Gallager): grow all unfrozen flow
 rates at one common level; the first constraint to bind is either a
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -119,17 +123,13 @@ class FlowManager:
         self.flows: dict[int, Flow] = {}
         #: allocation recomputations performed (diagnostics)
         self.recomputes = 0
-        #: channel registry: id(channel) -> channel, for every channel
-        #: carrying a nonzero aggregate rate under the current
-        #: allocation.  Re-application after a recompute walks the old
-        #: and new allocation's channels only — never every channel in
-        #: the network — so the cost of a flow change scales with the
-        #: traffic it touches, not with topology size.
-        self._alloc_channels: "dict[int, Channel]" = {}
-        #: sim time of the last settle sweep; repeated recomputes within
-        #: one engine tick skip re-settling (zero elapsed time moves no
-        #: counter), batching the per-flow sync cost per tick.
-        self._settled_at = -math.inf
+        #: channel -> the active flows crossing it, keyed by flow id.
+        #: Two flows can only affect each other's max-min rate through a
+        #: chain of shared channels, so a change re-solves the connected
+        #: component this index spans from the changed flow's path and
+        #: nothing else: its cost scales with the traffic it can affect,
+        #: not with the flows or the links the network holds.
+        self._on_channel: "dict[Channel, dict[int, Flow]]" = {}
 
     # -- public API ------------------------------------------------------
 
@@ -158,7 +158,9 @@ class FlowManager:
         flow.start_time = net.now
         flow._last_settle = net.now
         self.flows[flow.id] = flow
-        self._reallocate()
+        for ch in path:
+            self._on_channel.setdefault(ch, {})[flow.id] = flow
+        self._reallocate(path)
         return flow
 
     def stop_flow(self, flow: Flow) -> None:
@@ -173,7 +175,14 @@ class FlowManager:
             flow._completion_timer.cancel()
             flow._completion_timer = None
         del self.flows[flow.id]
-        self._reallocate()
+        for ch in flow.path:
+            members = self._on_channel.get(ch)
+            if members is None:
+                continue  # the path crosses this channel twice
+            members.pop(flow.id, None)
+            if not members:
+                del self._on_channel[ch]
+        self._reallocate(flow.path)
 
     def set_demand(self, flow: Flow, demand_bps: float) -> None:
         """Change a flow's demand cap; rates are re-balanced."""
@@ -183,13 +192,17 @@ class FlowManager:
             raise ValueError("flow is not active")
         self._settle(flow)
         flow.demand_bps = demand_bps
-        self._reallocate()
+        self._reallocate(flow.path)
 
     def active_flows(self) -> list[Flow]:
         return list(self.flows.values())
 
-    def flows_on(self, channel: "Channel") -> list[Flow]:
-        return [f for f in self.flows.values() if channel in f.path]
+    def flows_on(self, *channels: "Channel") -> list[Flow]:
+        """Active flows crossing any of ``channels``, oldest first."""
+        found: dict[int, Flow] = {}
+        for ch in channels:
+            found.update(self._on_channel.get(ch, {}))
+        return [found[fid] for fid in sorted(found)]
 
     # -- allocation --------------------------------------------------------
 
@@ -206,58 +219,71 @@ class FlowManager:
                 flow.bytes_remaining = max(0.0, flow.bytes_remaining - moved)
         flow._last_settle = now
 
-    def _reallocate(self) -> None:
-        """Recompute the global max-min fair allocation.
+    def _component(
+        self, seed: "Iterable[Channel]"
+    ) -> "tuple[list[Flow], Iterable[Channel]]":
+        """Flows reachable from the ``seed`` channels through shared
+        channels, in flow-id order (the order a global solve would see
+        them in), and every channel visited, seed included."""
+        flows: dict[int, Flow] = {}
+        channels: "dict[Channel, None]" = dict.fromkeys(seed)
+        frontier = list(channels)
+        while frontier:
+            for fid, flow in self._on_channel.get(frontier.pop(), {}).items():
+                if fid in flows:
+                    continue
+                flows[fid] = flow
+                for ch in flow.path:
+                    if ch not in channels:
+                        channels[ch] = None
+                        frontier.append(ch)
+        return [flows[fid] for fid in sorted(flows)], channels
 
-        Per-flow progress is synchronised to `now` before any rate
-        changes so integrals remain exact; the settle sweep runs at most
-        once per engine tick (repeated recomputes at one sim instant
-        cannot move any counter).  Channel aggregates are re-applied
-        incrementally through the channel registry: only channels whose
-        membership or rate actually changed are synced and written.
+    def _reallocate(self, changed: "Iterable[Channel]") -> None:
+        """Recompute max-min fair rates around the ``changed`` channels.
+
+        ``changed`` is the path of the flow that started, stopped or
+        changed demand (or the channels whose capacity changed).  Only
+        the connected component of flows sharing channels with it,
+        transitively, is settled, re-solved and re-armed; max-min
+        allocation decouples across channel-disjoint components, so
+        every flow outside keeps the rate, the counters and the
+        completion timer it has.  Progress is synchronised to `now`
+        before any rate changes so integrals remain exact, and a
+        channel's counter is synced and written only when its aggregate
+        rate actually changed.
         """
         now = self.network.now
         self.recomputes += 1
-        flows = [f for f in self.flows.values() if f.active]
+        flows, channels = self._component(changed)
+        obs.histogram("netsim.flows.realloc_flows").observe(len(flows))
 
-        # Settle byte accounting at the old rates (once per tick).
-        if now != self._settled_at:
-            for f in flows:
-                self._settle(f)
-            self._settled_at = now
+        # Settle byte accounting at the old rates.
+        for f in flows:
+            self._settle(f)
 
         rates = max_min_allocation(
             [f.path for f in flows], [f.demand_bps for f in flows]
         )
+        if not flows:
+            # an empty solve observes nothing; keep one sample per recompute
+            obs.histogram("netsim.maxmin.rounds").observe(0)
 
-        # Apply new rates to flows and channel aggregates.  A channel
-        # needs a counter sync exactly when its aggregate rate changes:
-        # candidates are the channels of the new allocation plus the
-        # registry of channels the previous allocation loaded (those
-        # that lost their last flow need zeroing).
-        per_channel: dict[int, float] = {}
-        chan_by_id: "dict[int, Channel]" = {}
+        # Apply new rates to flows and channel aggregates.  The
+        # component is closed under channel sharing, so summing its
+        # flows gives each visited channel's whole aggregate (zero for a
+        # seed channel that just lost its last flow).
+        per_channel: "dict[Channel, float]" = dict.fromkeys(channels, 0.0)
         for f, r in zip(flows, rates):
             f.rate_bps = r
             for ch in f.path:
-                cid = id(ch)
-                per_channel[cid] = per_channel.get(cid, 0.0) + r
-                chan_by_id[cid] = ch
+                per_channel[ch] += r
         touched = 0
-        for cid, ch in chan_by_id.items():
-            new_rate = per_channel[cid]
+        for ch, new_rate in per_channel.items():
             if ch.rate_sum != new_rate:
                 ch.sync(now)
                 ch.rate_sum = new_rate
                 touched += 1
-        for cid, ch in self._alloc_channels.items():
-            if cid not in chan_by_id and ch.rate_sum != 0.0:
-                ch.sync(now)
-                ch.rate_sum = 0.0
-                touched += 1
-        self._alloc_channels = {
-            cid: ch for cid, ch in chan_by_id.items() if per_channel[cid] != 0.0
-        }
         obs.counter("netsim.flows.realloc_channels_touched").inc(touched)
 
         # Re-schedule completion events for finite transfers.

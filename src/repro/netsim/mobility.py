@@ -45,12 +45,9 @@ def rehome_host(
         return []  # already there
 
     # Tear down flows crossing the old attachment.
-    broken: list[Flow] = []
-    old_channels = set(old_link.channels())
-    for flow in list(net.flows.active_flows()):
-        if old_channels & set(flow.path):
-            net.flows.stop_flow(flow)
-            broken.append(flow)
+    broken = net.flows.flows_on(*old_link.channels())
+    for flow in broken:
+        net.flows.stop_flow(flow)
 
     # Detach: the old peer port stays on its device, but carries no link.
     cap = capacity_bps if capacity_bps is not None else old_link.capacity_bps

@@ -8,12 +8,16 @@ cross the subnet on the segment's spanning tree
 directed channels a fluid flow occupies — the ground truth that SNMP
 octet counters, and therefore everything the collectors see, derive
 from.
+
+Forwarding state only changes when ``routing.build_routing_tables`` or
+``bridging.run_spanning_tree`` rewrites it, so the walk is memoized per
+:class:`Network` between those calls; both clear the memo themselves.
 """
 
 from __future__ import annotations
 
+from repro import obs
 from repro.common.errors import TopologyError
-from repro.netsim.address import IPv4Address
 from repro.netsim.bridging import l2_path
 from repro.netsim.routing import resolve_l3_next_hop
 from repro.netsim.topology import Channel, Host, Network, Node, Router
@@ -27,7 +31,8 @@ def compute_path(net: Network, src: Host | str, dst: Host | str) -> list[Channel
 
     Accepts host objects or host names.  Raises
     :class:`~repro.common.errors.TopologyError` on unreachable
-    destinations or forwarding loops.
+    destinations or forwarding loops (a failed walk is not remembered).
+    Every call returns a list of its own.
     """
     if isinstance(src, str):
         src = net.host(src)
@@ -35,8 +40,19 @@ def compute_path(net: Network, src: Host | str, dst: Host | str) -> list[Channel
         dst = net.host(dst)
     if src is dst:
         return []
-    dst_ip = dst.ip
+    known = net._path_memo.get((src, dst))
+    if known is not None:
+        obs.counter("netsim.paths.cache", result="hit").inc()
+        return list(known)
+    obs.counter("netsim.paths.cache", result="miss").inc()
+    channels = _walk(net, src, dst)
+    net._path_memo[(src, dst)] = tuple(channels)
+    return channels
 
+
+def _walk(net: Network, src: Host, dst: Host) -> list[Channel]:
+    """Forward hop by hop from ``src`` until ``dst`` is reached."""
+    dst_ip = dst.ip
     channels: list[Channel] = []
     current: Node = src
     for _ in range(MAX_HOPS):

@@ -65,6 +65,7 @@ def _adjacency_graph(
 
 def build_routing_tables(net: Network) -> None:
     """Populate ``Router.routes`` for every router and host gateways."""
+    net._path_memo.clear()  # L3 forwarding changes under every memoized path
     attach = _router_attachments(net)
     routers = net.routers()
     g = _adjacency_graph(attach)

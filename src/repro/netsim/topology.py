@@ -27,6 +27,7 @@ from repro.netsim.address import (
 from repro.netsim.engine import Engine
 
 if TYPE_CHECKING:  # circular at runtime
+    from repro.netsim.bridging import Segment
     from repro.netsim.flows import Flow, FlowManager
 
 
@@ -344,6 +345,16 @@ class Network:
         self._mac_to_iface: dict[MacAddress, Interface] = {}
         self._ip_to_iface: dict[IPv4Address, Interface] = {}
         self._frozen = False
+        #: L2 state written by ``bridging.run_spanning_tree``: the
+        #: segments, attachment point -> its segment, ids of blocked links
+        self._segments: "list[Segment] | None" = None
+        self._segment_index: "dict[object, Segment]" = {}
+        self._blocked_links: set[int] = set()
+        #: (src, dst) -> channels of ``paths.compute_path``, valid for
+        #: the current forwarding state: cleared by the two functions
+        #: that write it (``routing.build_routing_tables``,
+        #: ``bridging.run_spanning_tree``)
+        self._path_memo: "dict[tuple[Host, Host], tuple[Channel, ...]]" = {}
         #: installed FaultInjector, or None (see repro.faults); kept on
         #: the network so the SNMP client and benchmark collectors can
         #: consult it without new plumbing through every constructor

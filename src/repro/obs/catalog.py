@@ -22,7 +22,9 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "netsim.engine.sim_advance_s",
         "netsim.engine.sim_time_s",
         "netsim.flows.realloc_channels_touched",
+        "netsim.flows.realloc_flows",
         "netsim.maxmin.rounds",
+        "netsim.paths.cache",
         # -- snmp ------------------------------------------------------
         "snmp.agent.dropped",
         "snmp.agent.requests",

@@ -15,6 +15,7 @@ Bridge Collector walks (dot1dBase, dot1dTpFdbTable).
 from __future__ import annotations
 
 import bisect
+from operator import attrgetter
 
 from repro.common.errors import NoSuchObjectError
 from repro.netsim.address import IPv4Address
@@ -23,25 +24,44 @@ from repro.snmp import oid as O
 from repro.snmp.oid import Oid
 
 
+#: sort key: comparing the int tuples runs in C, ``Oid.__lt__`` does not
+_PARTS = attrgetter("parts")
+
+
 class MibStore:
-    """Sorted OID -> provider map with GET / GETNEXT semantics."""
+    """Sorted OID -> provider map with GET / GETNEXT semantics.
+
+    A device MIB is loaded with hundreds of ``put`` calls and then only
+    read, so new OIDs are appended and the index is sorted once, by the
+    first operation that needs the order.
+    """
 
     def __init__(self) -> None:
         self._oids: list[Oid] = []
         self._values: dict[Oid, object] = {}
+        self._sorted = True
 
     def put(self, oid: Oid, provider: object) -> None:
         """Insert or replace an entry; callables are evaluated on read."""
         if oid not in self._values:
-            bisect.insort(self._oids, oid)
+            self._oids.append(oid)
+            self._sorted = False
         self._values[oid] = provider
+
+    def _index(self) -> list[Oid]:
+        """The OIDs in lexicographic order."""
+        if not self._sorted:
+            self._oids.sort(key=_PARTS)
+            self._sorted = True
+        return self._oids
 
     def remove(self, oid: Oid) -> None:
         if oid in self._values:
             del self._values[oid]
-            i = bisect.bisect_left(self._oids, oid)
-            if i < len(self._oids) and self._oids[i] == oid:
-                self._oids.pop(i)
+            oids = self._index()
+            i = bisect.bisect_left(oids, oid)
+            if i < len(oids) and oids[i] == oid:
+                oids.pop(i)
 
     def get(self, oid: Oid) -> object:
         """Exact read; raises NoSuchObjectError for missing OIDs."""
@@ -53,15 +73,16 @@ class MibStore:
 
     def get_next(self, oid: Oid) -> tuple[Oid, object]:
         """First entry strictly after ``oid``; raises at end of MIB."""
-        i = bisect.bisect_right(self._oids, oid)
-        if i >= len(self._oids):
+        oids = self._index()
+        i = bisect.bisect_right(oids, oid)
+        if i >= len(oids):
             raise NoSuchObjectError(f"end of MIB after {oid}")
-        nxt = self._oids[i]
+        nxt = oids[i]
         v = self._values[nxt]
         return nxt, (v() if callable(v) else v)
 
     def __len__(self) -> int:
-        return len(self._oids)
+        return len(self._values)
 
     def __contains__(self, oid: Oid) -> bool:
         return oid in self._values

@@ -39,9 +39,17 @@ class Oid:
         return self._parts
 
     def __add__(self, suffix: "str | Iterable[int] | int | Oid") -> "Oid":
+        # Only the suffix is new: this OID's own parts were validated
+        # when it was built, so the sum skips __init__.
         if isinstance(suffix, int):
-            return Oid(self._parts + (suffix,))
-        return Oid(self._parts + Oid(suffix)._parts)
+            if suffix < 0:
+                raise ValueError(f"OID components must be non-negative: {suffix}")
+            tail: tuple[int, ...] = (suffix,)
+        else:
+            tail = (suffix if isinstance(suffix, Oid) else Oid(suffix))._parts
+        out = Oid.__new__(Oid)
+        out._parts = self._parts + tail
+        return out
 
     def starts_with(self, prefix: "Oid") -> bool:
         return self._parts[: len(prefix._parts)] == prefix._parts

@@ -1,0 +1,112 @@
+"""Survival state follows a registration's (site, collector name), not
+the ``Registration`` object's ``id()``.
+
+``MasterCollector._lkg`` and ``_quarantine`` used to be keyed on
+``id(reg)``: once a directory replaced a site's Registration the old
+fragment could no longer be reached by ``invalidate_sites`` (stranded
+for the life of the Master), the same collector registered again lost
+the fragment it had earned, and a later, unrelated Registration could
+be handed the freed id and inherit somebody else's state.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import faults
+from repro.collectors.base import Collector, TopologyRequest, TopologyResponse
+from repro.collectors.directory import CollectorDirectory
+from repro.collectors.sharding import ShardingConfig
+from repro.common.errors import CollectorUnavailableError
+from repro.common.status import QueryStatus
+from repro.common.units import MBPS
+from repro.deploy import deploy_wan
+from repro.netsim.builders import SiteSpec, build_multisite_wan
+
+SITES = ("a", "b", "c", "d")
+VICTIM = "b"
+
+
+class _DeadCollector(Collector):
+    """A replacement that never manages to answer."""
+
+    def covers(self, ip) -> bool:
+        return True
+
+    def topology(self, request: TopologyRequest) -> TopologyResponse:
+        raise CollectorUnavailableError(f"collector {self.name} is down", agent=self.name)
+
+
+def _stack(sharded: bool):
+    world = build_multisite_wan(
+        [SiteSpec(name, access_bps=10 * MBPS, n_hosts=2) for name in SITES]
+    )
+    dep = deploy_wan(
+        world, sharding=ShardingConfig(n_shards=2) if sharded else None
+    )
+    faults.install(dep, faults.FaultPlan(quarantine_s=5.0))
+    request = TopologyRequest.of([str(world.host(s, 0).ip) for s in SITES])
+    return world, dep, request
+
+
+def _reregister(master, site: str, collector: Collector) -> None:
+    """Replace ``site``'s Registration in every directory of the plane
+    (a fresh object each time, everything else in its old order)."""
+    for m in master.iter_masters():
+        old = m.directory
+        new = CollectorDirectory()
+        for reg in old.registrations():
+            new.register(
+                collector if reg.site == site else reg.collector,
+                list(reg.prefixes), reg.site, reg.remote,
+            )
+        for name in old.sites():
+            bench = old.benchmark_for(name)
+            if bench is not None:
+                new.register_benchmark(bench)
+        m.directory = new
+
+
+def _lkg_fragments(master) -> int:
+    return sum(m.health()["lkg_fragments"] for m in master.iter_masters())
+
+
+@pytest.mark.parametrize("sharded", [False, True], ids=["flat", "sharded"])
+class TestReRegistration:
+    def test_same_collector_keeps_its_fragment(self, sharded):
+        world, dep, request = _stack(sharded)
+        assert dep.master.topology(request).status == QueryStatus.OK
+        collector = dep.snmp_collectors[VICTIM]
+        _reregister(dep.master, VICTIM, collector)
+        faults.crash_collector(collector, 600.0)
+        resp = dep.master.topology(request)
+        assert resp.status == QueryStatus.STALE
+        assert resp.site_status[VICTIM].status == QueryStatus.STALE
+        assert resp.site_status[VICTIM].data_age_s > 0
+
+    def test_replacement_does_not_inherit_the_old_fragment(self, sharded):
+        world, dep, request = _stack(sharded)
+        assert dep.master.topology(request).status == QueryStatus.OK
+        _reregister(dep.master, VICTIM, _DeadCollector(f"snmp-{VICTIM}-v2", world.net))
+        resp = dep.master.topology(request)
+        # its predecessor's data is not this collector's last-known-good
+        assert resp.status == QueryStatus.PARTIAL
+        assert resp.site_status[VICTIM].status == QueryStatus.FAILED
+        for site in SITES:
+            if site != VICTIM:
+                assert resp.site_status[site].status == QueryStatus.OK
+
+    def test_old_fragment_is_not_stranded(self, sharded):
+        world, dep, request = _stack(sharded)
+        dep.master.topology(request)
+        before = _lkg_fragments(dep.master)
+        assert before >= len(SITES)
+        _reregister(dep.master, VICTIM, _DeadCollector(f"snmp-{VICTIM}-v2", world.net))
+        dep.master.topology(request)  # quarantines the replacement
+        dep.master.invalidate_sites([VICTIM])
+        # the fragment fetched through the old Registration is gone ...
+        assert _lkg_fragments(dep.master) == before - 1
+        # ... and so is the quarantine mark: the next query re-probes
+        assert all(
+            m.health()["quarantined"] == 0 for m in dep.master.iter_masters()
+        )

@@ -1,5 +1,9 @@
 """Tests for the lightweight benchmark probe methods (§6.2)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.common.units import MBPS
@@ -78,3 +82,38 @@ class TestMethods:
         mean, std, n = a.statistics("b")
         assert n == 4
         assert mean > 0
+
+
+_PACKET_PAIR_SCRIPT = """
+from repro.collectors.benchmark_collector import BenchmarkCollector, BenchmarkConfig
+from repro.common.units import MBPS
+from repro.netsim.builders import SiteSpec, build_multisite_wan
+
+w = build_multisite_wan([
+    SiteSpec("a", access_bps=10 * MBPS, n_hosts=3),
+    SiteSpec("b", access_bps=50 * MBPS, n_hosts=3),
+])
+a = BenchmarkCollector("a", w.net, w.host("a", 2), BenchmarkConfig(method="packet_pair"))
+a.add_peer(BenchmarkCollector("b", w.net, w.host("b", 2)))
+for _ in range(8):
+    a.probe("b")
+print([m.throughput_bps.hex() for m in a.history["b"]])
+"""
+
+
+class TestPacketPairDeterminism:
+    def test_history_independent_of_hash_seed(self):
+        """The noise seed must not come from ``hash(str)``, which is
+        salted per interpreter: two interpreters with different
+        PYTHONHASHSEED read identical packet-pair histories."""
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.path.abspath(src))
+            done = subprocess.run(
+                [sys.executable, "-c", _PACKET_PAIR_SCRIPT],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("0x") == 8

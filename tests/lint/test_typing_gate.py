@@ -32,7 +32,9 @@ STRICT_FILES = (
         REPO_ROOT / "src" / "repro" / "modeler" / "maxmin.py",
         REPO_ROOT / "src" / "repro" / "modeler" / "planner.py",
         REPO_ROOT / "src" / "repro" / "modeler" / "simplify.py",
+        REPO_ROOT / "src" / "repro" / "netsim" / "failures.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "flows.py",
+        REPO_ROOT / "src" / "repro" / "netsim" / "paths.py",
         REPO_ROOT / "src" / "repro" / "service" / "admission.py",
         REPO_ROOT / "src" / "repro" / "service" / "http.py",
         REPO_ROOT / "src" / "repro" / "service" / "wire.py",
@@ -53,7 +55,9 @@ STRICT_MODULES = [
     "repro.modeler.maxmin",
     "repro.modeler.planner",
     "repro.modeler.simplify",
+    "repro.netsim.failures",
     "repro.netsim.flows",
+    "repro.netsim.paths",
     "repro.service.admission",
     "repro.service.http",
     "repro.service.wire",

@@ -91,6 +91,43 @@ class TestL3Failover:
         repair_link(d.net, middle)
         assert len(compute_path(d.net, d.h1, d.h2)) == 3
 
+    def test_memoized_paths_track_failure_and_repair(self, check_path_memo, random_wan):
+        w = random_wan(5, seed=4, hosts_per_site=(2, 2), n_cores=3)
+        net = w.net
+        assert check_path_memo(net) == 0
+        ring = next(
+            ln for ln in net.links
+            if ln.a.device in w.cores and ln.b.device in w.cores
+        )
+        access = next(
+            ln for ln in net.links
+            if (ln.a.device in w.cores) != (ln.b.device in w.cores)
+        )
+        fail_link(net, ring)
+        assert not net._path_memo, "reconvergence drops the memo whole"
+        assert check_path_memo(net) == 0  # the ring routes around
+        fail_link(net, access)
+        cut_off = check_path_memo(net)
+        assert cut_off > 0
+        repair_link(net, access)
+        repair_link(net, ring)
+        assert check_path_memo(net) == 0
+
+    def test_fail_link_tears_exactly_the_flows_on_it(self, random_wan):
+        w = random_wan(4, seed=2, hosts_per_site=(2, 2))
+        net = w.net
+        hosts = net.hosts()
+        flows = [
+            net.flows.start_flow(a, b, demand_bps=1 * MBPS)
+            for a in hosts[:4] for b in hosts[4:]
+        ]
+        victim = flows[0].path[2].link
+        crossing = [f for f in flows if set(victim.channels()) & set(f.path)]
+        assert 0 < len(crossing) < len(flows)
+        assert fail_link(net, victim) == crossing
+        assert all(not f.active for f in crossing)
+        assert net.flows.active_flows() == [f for f in flows if f not in crossing]
+
     def test_double_fail_rejected(self):
         d = build_dumbbell()
         ln = d.net.links[0]

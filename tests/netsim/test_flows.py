@@ -8,8 +8,17 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.common.units import MBPS
-from repro.netsim.builders import build_dumbbell, build_multisite_wan, SiteSpec
-from repro.netsim.flows import max_min_allocation
+from repro.netsim.builders import (
+    SiteSpec,
+    build_dumbbell,
+    build_multisite_wan,
+    build_random_wan,
+)
+from repro.netsim.flows import (
+    FlowManager,
+    max_min_allocation,
+    max_min_allocation_reference,
+)
 from repro.netsim.paths import compute_path
 from repro.netsim.topology import Network
 
@@ -291,3 +300,197 @@ class TestWanSharing:
         f2 = w.net.flows.start_flow(w.host("a", 1), w.host("c", 0))
         assert f1.rate_bps == pytest.approx(5 * MBPS)
         assert f2.rate_bps == pytest.approx(5 * MBPS)
+
+
+class _GlobalFlowManager(FlowManager):
+    """The from-scratch oracle: every change re-solves every flow.
+
+    Only the scoping differs from the manager under test, so a twin
+    world driven through it shows what a global solve would have done
+    to rates, counters and completion events.
+    """
+
+    def _component(self, seed):
+        flows = [self.flows[fid] for fid in sorted(self.flows)]
+        channels = dict.fromkeys(seed)
+        for f in flows:
+            channels.update(dict.fromkeys(f.path))
+        return flows, list(channels)
+
+
+#: one step of a traffic script: (kind, a, b, x, finite)
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["start", "start", "start", "stop", "demand", "advance"]),
+        st.integers(0, 10_000),
+        st.integers(0, 10_000),
+        st.floats(0.05, 1.0),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def _close(a, b):
+    if a is None or b is None:
+        return a is b
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return a == pytest.approx(b, rel=1e-9, abs=1e-9)
+
+
+class TestComponentScopedReallocation:
+    """A change re-solves the connected component of flows sharing a
+    channel with it; everything observable must equal a global solve."""
+
+    @staticmethod
+    def _twins(seed):
+        def build():
+            return build_random_wan(
+                6, seed=seed, hosts_per_site=(2, 3),
+                multi_switch_fraction=0.5, wireless_fraction=0.3,
+            )
+
+        scoped, oracle = build(), build()
+        oracle.net.flows = _GlobalFlowManager(oracle.net)
+        return scoped.net, oracle.net
+
+    @staticmethod
+    def _apply(net, flows, step):
+        kind, a, b, x, finite = step
+        hosts = net.hosts()
+        live = [f for f in flows if f.active]
+        if kind == "start":
+            src, dst = hosts[a % len(hosts)], hosts[b % len(hosts)]
+            if src is dst:
+                return
+            flows.append(
+                net.flows.start_flow(
+                    src, dst,
+                    demand_bps=math.inf if x > 0.6 else x * 20 * MBPS,
+                    total_bytes=x * 4e6 if finite else None,
+                )
+            )
+        elif kind == "stop" and live:
+            net.flows.stop_flow(live[a % len(live)])
+        elif kind == "demand" and live:
+            net.flows.set_demand(live[a % len(live)], x * 30 * MBPS)
+        elif kind == "advance":
+            net.engine.run_until(net.now + 4.0 * x)
+
+    @given(st.integers(0, 5), _steps)
+    @settings(max_examples=40, deadline=None)
+    def test_equals_a_global_solve(self, seed, steps):
+        net, oracle = self._twins(seed)
+        mine, theirs = [], []
+        for step in steps:
+            self._apply(net, mine, step)
+            self._apply(oracle, theirs, step)
+            assert net.now == pytest.approx(oracle.now, rel=1e-9, abs=1e-9)
+            # rates against the pure reference solver, from scratch
+            live = [f for f in mine if f.active]
+            want = max_min_allocation_reference(
+                [f.path for f in live], [f.demand_bps for f in live]
+            )
+            for f, r in zip(live, want):
+                assert _close(f.rate_bps, r)
+            # flows: rate, progress, completion instant
+            assert len(mine) == len(theirs)
+            for f, g in zip(mine, theirs):
+                assert f.active == g.active
+                assert _close(f.rate_bps, g.rate_bps)
+                assert _close(f.end_time, g.end_time)
+                net.flows._settle(f)
+                oracle.flows._settle(g)
+                assert _close(f.bytes_done, g.bytes_done)
+            # channels: aggregate rate and octet counter, network-wide
+            for ln, lo in zip(net.links, oracle.links):
+                for ch, co in zip(ln.channels(), lo.channels()):
+                    assert _close(ch.rate_sum, co.rate_sum)
+                    assert ch.rate_sum == pytest.approx(
+                        sum(f.rate_bps * f.path.count(ch) for f in live),
+                        rel=1e-9, abs=1e-9,
+                    )
+                    ch.sync(net.now)
+                    co.sync(oracle.now)
+                    assert _close(ch.bytes_total, co.bytes_total)
+        assert set(net.flows._on_channel) == {
+            ch for f in mine if f.active for ch in f.path
+        }
+
+    @staticmethod
+    def _wan():
+        return build_multisite_wan(
+            [SiteSpec(f"s{i}", access_bps=10 * MBPS, n_hosts=2) for i in range(6)]
+        )
+
+    @staticmethod
+    def _resolved(fn):
+        """Flows re-solved by each reallocation ``fn`` triggers."""
+        with obs.scoped_registry() as reg:
+            fn()
+            snap = obs.export.snapshot(reg)
+        h = snap["histograms"]["netsim.flows.realloc_flows"]
+        assert snap["histograms"]["netsim.maxmin.rounds"]["count"] == h["count"]
+        return h["count"], h["sum"]
+
+    def test_joining_flow_merges_components_and_leaving_splits_them(self):
+        w = self._wan()
+        fm = w.net.flows
+        f1 = fm.start_flow(w.host("s0", 0), w.host("s1", 0))
+        f2 = fm.start_flow(w.host("s2", 0), w.host("s3", 0))
+        assert self._resolved(lambda: fm.set_demand(f1, 4 * MBPS)) == (1, 1)
+        # s0 -> s3 shares s0's uplink with f1 and s3's downlink with f2
+        bridge = []
+        assert self._resolved(
+            lambda: bridge.append(fm.start_flow(w.host("s0", 1), w.host("s3", 1)))
+        ) == (1, 3)
+        assert f2.rate_bps == pytest.approx(5 * MBPS)
+        assert self._resolved(lambda: fm.set_demand(f1, 2 * MBPS)) == (1, 3)
+        # leaving re-solves both halves once, then they are apart again
+        assert self._resolved(lambda: fm.stop_flow(bridge[0])) == (1, 2)
+        assert f2.rate_bps == pytest.approx(10 * MBPS)
+        assert self._resolved(lambda: fm.set_demand(f1, 4 * MBPS)) == (1, 1)
+        assert fm.recomputes == 7
+
+    def test_flows_outside_the_component_are_left_alone(self):
+        w = self._wan()
+        fm = w.net.flows
+        far = fm.start_flow(w.host("s4", 0), w.host("s5", 0), total_bytes=50e6)
+        near = fm.start_flow(w.host("s0", 0), w.host("s1", 0), total_bytes=50e6)
+        w.net.engine.run_until(3.0)
+        timer, settled, done = far._completion_timer, far._last_settle, far.bytes_done
+        near_timer = near._completion_timer
+        with obs.scoped_registry() as reg:
+            rival = fm.start_flow(w.host("s0", 1), w.host("s1", 1))
+            snap = obs.export.snapshot(reg)
+        # the component was re-solved and re-armed ...
+        assert near.rate_bps == pytest.approx(5 * MBPS)
+        assert near._completion_timer is not near_timer and near_timer.cancelled
+        # ... the far flow saw no settle, no rate write, no timer churn
+        assert far._completion_timer is timer and not timer.cancelled
+        assert far._last_settle == settled and far.bytes_done == done
+        assert far.rate_bps == 10 * MBPS
+        # shared channels still carry 10 Mbps: only the private ones moved
+        assert snap["counters"]["netsim.flows.realloc_channels_touched"] == len(
+            set(rival.path) ^ set(near.path)
+        )
+        assert all(ch._last_sync == 0.0 for ch in far.path)
+        # and still completes exactly when a lone 10 Mbps transfer would
+        w.net.engine.run_until(100.0)
+        assert far.end_time == pytest.approx(50e6 * 8 / (10 * MBPS))
+
+    def test_flows_on_reads_the_index(self):
+        w = self._wan()
+        fm = w.net.flows
+        f1 = fm.start_flow(w.host("s0", 0), w.host("s1", 0))
+        f2 = fm.start_flow(w.host("s0", 1), w.host("s2", 0))
+        f3 = fm.start_flow(w.host("s3", 0), w.host("s2", 1))
+        for ln in w.net.links:
+            for ch in ln.channels():
+                assert fm.flows_on(ch) == [f for f in (f1, f2, f3) if ch in f.path]
+        shared = next(ch for ch in f1.path if ch in f2.path)
+        assert fm.flows_on(shared, f3.path[0]) == [f1, f2, f3]
+        fm.stop_flow(f2)
+        assert fm.flows_on(shared) == [f1]

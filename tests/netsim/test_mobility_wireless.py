@@ -33,6 +33,17 @@ class TestRehome:
         devices = [c.src.device.name for c in p]
         assert new_leaf.name in devices
 
+    def test_memoized_paths_follow_the_move(self, check_path_memo):
+        lan = build_switched_lan(8, fanout=4)
+        h = lan.hosts[0]
+        assert check_path_memo(lan.net) == 0
+        stale = compute_path(lan.net, h, lan.hosts[7])
+        new_leaf = lan.hosts[7].interfaces[0].peer().device
+        rehome_host(lan.net, h, new_leaf)
+        assert not lan.net._path_memo, "the spanning tree rebuild drops the memo"
+        assert check_path_memo(lan.net) == 0
+        assert compute_path(lan.net, h, lan.hosts[7]) != stale
+
     def test_move_breaks_active_flows(self):
         lan = build_switched_lan(8, fanout=4)
         h = lan.hosts[0]
@@ -111,6 +122,20 @@ class TestWireless:
         associate(wl.net, h, wl.basestations[0])
         p = compute_path(wl.net, h, wl.wired_hosts[0])
         assert p[0].src.device is h
+
+    def test_memoized_paths_follow_a_handoff(self, check_path_memo):
+        wl = build_wireless_lan(n_basestations=3, n_wireless_hosts=4)
+        h = wl.wireless_hosts[0]
+        assert check_path_memo(wl.net) == 0
+        before = compute_path(wl.net, h, wl.wired_hosts[0])
+        kept = wl.net.flows.start_flow(wl.wireless_hosts[1], wl.wired_hosts[0])
+        torn = wl.net.flows.start_flow(h, wl.wired_hosts[1])
+        assert associate(wl.net, h, wl.basestations[-1]) == [torn]
+        assert kept.active and not torn.active
+        assert check_path_memo(wl.net) == 0
+        after = compute_path(wl.net, h, wl.wired_hosts[0])
+        assert after != before
+        assert after[0].dst.device is wl.basestations[-1]
 
     def test_associate_requires_basestation(self):
         wl = build_wireless_lan()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.common.errors import TopologyError
 from repro.common.units import MBPS
 from repro.netsim.address import IPv4Address
@@ -118,6 +119,29 @@ class TestBridging:
         with pytest.raises(TopologyError):
             l2_path(d.net, d.h1.interfaces[0], d.h2.interfaces[0])
 
+    def test_attachment_index_agrees_with_a_scan(self):
+        w = build_multisite_wan(
+            [SiteSpec(n, access_bps=10 * MBPS, n_hosts=2) for n in "ab"]
+        )
+        segments = discover_segments(w.net)
+        for node in w.net.nodes.values():
+            for iface in node.interfaces:
+                if iface.link is None:
+                    continue
+                (scan,) = [
+                    s for s in segments
+                    if any(iface in (ln.a, ln.b) for ln in s.links)
+                ]
+                assert segment_of(w.net, iface).id == scan.id
+
+    def test_segment_of_unattached_interface_raises(self):
+        net = Network()
+        h = net.add_host("h")
+        h.add_interface()
+        net.freeze()
+        with pytest.raises(TopologyError):
+            segment_of(net, h.interfaces[0])
+
     def test_segment_of(self):
         lan = build_switched_lan(4)
         seg = segment_of(lan.net, lan.hosts[0].interfaces[0])
@@ -194,6 +218,56 @@ class TestPaths:
         d = build_dumbbell()
         p = compute_path(d.net, d.h1, d.h2)
         assert path_latency(p) == pytest.approx(3 * 0.0005)
+
+    def test_memo_hits_return_fresh_equal_lists(self):
+        w = build_multisite_wan(
+            [SiteSpec(n, access_bps=10 * MBPS, n_hosts=2) for n in "abc"]
+        )
+        a, b = w.host("a", 0), w.host("b", 0)
+        with obs.scoped_registry() as reg:
+            first = compute_path(w.net, a, b)
+            again = compute_path(w.net, a.name, b.name)  # names share the entry
+            back = compute_path(w.net, b, a)
+            snap = obs.export.snapshot(reg)
+        assert first == again and first is not again
+        assert [c.src.device for c in back] == [c.dst.device for c in reversed(first)]
+        assert snap["counters"]["netsim.paths.cache{result=miss}"] == 2
+        assert snap["counters"]["netsim.paths.cache{result=hit}"] == 1
+        # a flow's path is the caller's own list, not the memo
+        f = w.net.flows.start_flow(a, b)
+        f.path.append(None)
+        assert compute_path(w.net, a, b) == first
+
+    def test_memo_matches_fresh_walk_everywhere(self, check_path_memo):
+        lan = build_switched_lan(12, fanout=3)
+        assert check_path_memo(lan.net) == 0
+        w = build_multisite_wan(
+            [SiteSpec(n, access_bps=10 * MBPS, n_hosts=2) for n in "abc"]
+        )
+        assert check_path_memo(w.net) == 0
+        assert len(w.net._path_memo) == 6 * 5
+
+    def test_freeze_drops_the_memo(self):
+        d = build_dumbbell()
+        compute_path(d.net, d.h1, d.h2)
+        assert d.net._path_memo
+        d.net.freeze()
+        assert not d.net._path_memo
+
+    def test_unreachable_pair_is_never_cached(self):
+        net = Network()
+        h1, h2 = net.add_host("h1"), net.add_host("h2")
+        r1, r2 = net.add_router("r1"), net.add_router("r2")
+        la, lb = net.link(h1, r1, 10 * MBPS), net.link(h2, r2, 10 * MBPS)
+        net.assign_ip(la.a, "10.0.0.2", "10.0.0.0/24")
+        net.assign_ip(la.b, "10.0.0.1", "10.0.0.0/24")
+        net.assign_ip(lb.a, "10.1.0.2", "10.1.0.0/24")
+        net.assign_ip(lb.b, "10.1.0.1", "10.1.0.0/24")
+        net.freeze()
+        for _ in range(2):
+            with pytest.raises(TopologyError):
+                compute_path(net, h1, h2)
+        assert not net._path_memo
 
     @given(st.integers(0, 39), st.integers(0, 39))
     @settings(max_examples=30, deadline=None)
