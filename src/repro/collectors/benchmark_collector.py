@@ -120,12 +120,20 @@ class BenchmarkCollector:
                 f"benchmark probe {self.site} -> {peer_site} timed out",
                 site=peer_site,
             )
-        if self.config.method == "bulk":
-            throughput = self._probe_bulk(peer_site)
-        elif self.config.method == "packet_pair":
-            throughput = self._probe_packet_pair(peer_site)
-        else:
-            throughput = self._probe_one_way(peer_site)
+        try:
+            if self.config.method == "bulk":
+                throughput = self._probe_bulk(peer_site)
+            elif self.config.method == "packet_pair":
+                throughput = self._probe_packet_pair(peer_site)
+            else:
+                throughput = self._probe_one_way(peer_site)
+        except TopologyError as exc:
+            # the peer lost its route: one unanswerable probe, not a
+            # reason to take the caller (a periodic engine timer) down
+            obs.counter("collectors.benchmark.probe_failures").inc()
+            raise QueryError(
+                f"no route between {self.site} and {peer_site}: {exc}"
+            ) from exc
         meas = PairMeasurement(
             self.site, peer_site, throughput, self.net.now,
             rtt_s=self._measure_rtt(peer_site),
@@ -155,15 +163,18 @@ class BenchmarkCollector:
         flow = self.net.flows.start_flow(
             self.host, peer.host, label=f"bench:{self.site}->{peer_site}"
         )
-        rate = flow.rate_bps
-        if rate <= 0:
+        # the probe demands everything: whatever interrupts it, it must
+        # not be left holding a max-min share
+        try:
+            rate = flow.rate_bps
+            if rate <= 0:
+                raise QueryError(f"no bandwidth between {self.site} and {peer_site}")
+            duration = min(
+                self.config.probe_bytes * BITS_PER_BYTE / rate, self.config.max_probe_s
+            )
+            self.net.engine.advance(duration)
+        finally:
             self.net.flows.stop_flow(flow)
-            raise QueryError(f"no bandwidth between {self.site} and {peer_site}")
-        duration = min(
-            self.config.probe_bytes * BITS_PER_BYTE / rate, self.config.max_probe_s
-        )
-        self.net.engine.advance(duration)
-        self.net.flows.stop_flow(flow)
         # achieved throughput: what the fluid flow actually moved
         moved = flow.bytes_done
         self.bytes_injected += moved
@@ -187,10 +198,12 @@ class BenchmarkCollector:
         flow = self.net.flows.start_flow(
             self.host, peer.host, label=f"pp:{self.site}->{peer_site}"
         )
-        rate = flow.rate_bps
-        rtt = 2.0 * path_latency(flow.path)
-        self.net.engine.advance(max(4.0 * rtt, 0.01))
-        self.net.flows.stop_flow(flow)
+        try:
+            rate = flow.rate_bps
+            rtt = 2.0 * path_latency(flow.path)
+            self.net.engine.advance(max(4.0 * rtt, 0.01))
+        finally:
+            self.net.flows.stop_flow(flow)  # as in _probe_bulk
         self.bytes_injected += self.config.packet_pair_bytes
         if rate <= 0:
             raise QueryError(f"no bandwidth between {self.site} and {peer_site}")

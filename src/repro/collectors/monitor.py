@@ -7,14 +7,23 @@ interval is the counter delta — exactly what the paper's SNMP Collector
 computes every 5 seconds (§3.1.1), and what Figs. 4–5 evaluate against
 ground truth.  The retained history is also the input to RPS
 predictions of link bandwidth.
+
+A sample is turned into a rate once, when it is appended: the interval
+it closes goes into a bounded ring of ``(end time, in bps, out bps)``
+beside the raw samples, and every reader — the latest rate, the series
+handed to RPS, the jitter estimate — reads that ring.  A series only
+changes when a sample arrives, so nothing is re-derived per query.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from typing import cast
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.common.errors import SnmpError
 from repro.netsim.address import IPv4Address
@@ -30,6 +39,9 @@ class MonitorKey:
     ifindex: int
 
 
+#: one series (interval end times, or rates) as handed to RPS
+Series = npt.NDArray[np.float64]
+
 #: 32-bit octet counters (legacy agents) wrap at this modulus
 _WRAP32 = 2.0**32
 
@@ -44,11 +56,9 @@ def _counter_delta(prev: float, cur: float) -> float:
     wildly negative (or clamp-inflated) rate.
     """
     d = cur - prev
-    if d >= 0:
-        return d
-    if -d > _WRAP32 / 2:
-        return d + _WRAP32
-    return 0.0
+    if d < -_WRAP32 / 2:
+        d += _WRAP32
+    return d if d > 0.0 else 0.0
 
 
 class LinkMonitor:
@@ -58,44 +68,64 @@ class LinkMonitor:
         self.key = key
         #: (sim time, ifInOctets, ifOutOctets) samples
         self.samples: deque[tuple[float, float, float]] = deque(maxlen=history_len)
+        #: samples ever appended; unlike ``len(samples)`` it keeps
+        #: counting once the history is full, so a consumer that feeds on
+        #: new samples can tell how many arrived since it last looked
+        self.samples_appended = 0
         self.sample_failures = 0
+        #: the intervals between retained samples, flat: (end time,
+        #: in bps, out bps) per interval, oldest first
+        self._intervals = array("d")
+        self._intervals_max = 3 * max(history_len - 1, 0)
+        #: (capacity_bps, base_latency_s) -> jitter, until the next append
+        self._jitter: dict[tuple[float, float], float] = {}
 
     def sample(self, client: SnmpClient, now: float) -> bool:
         """Take one sample; returns False if the agent did not answer."""
         try:
-            inb, outb = client.get_many(
-                self.key.agent_ip,
-                [O.IF_IN_OCTETS + self.key.ifindex, O.IF_OUT_OCTETS + self.key.ifindex],
+            # octet counters are numeric, whatever else a GET may return
+            inb, outb = cast(
+                "list[float]",
+                client.get_many(
+                    self.key.agent_ip,
+                    [O.IF_IN_OCTETS + self.key.ifindex, O.IF_OUT_OCTETS + self.key.ifindex],
+                ),
             )
         except SnmpError:
             self.sample_failures += 1
             return False
-        self.samples.append((now, float(inb), float(outb)))
+        self.record(now, inb, outb)
         return True
 
     def record(self, now: float, in_octets: float, out_octets: float) -> None:
         """Store counter values fetched externally (batched polling:
         one multi-varbind PDU covers every link behind an agent, then
         the values are distributed to the monitors)."""
-        self.samples.append((now, float(in_octets), float(out_octets)))
+        in_octets, out_octets = float(in_octets), float(out_octets)
+        if self.samples:
+            t0, i0, o0 = self.samples[-1]
+            dt = now - t0
+            in_bps = out_bps = 0.0
+            if dt > 0:
+                in_bps = _counter_delta(i0, in_octets) * 8.0 / dt
+                out_bps = _counter_delta(o0, out_octets) * 8.0 / dt
+            self._intervals.extend((now, in_bps, out_bps))
+            if len(self._intervals) > self._intervals_max:
+                del self._intervals[: len(self._intervals) - self._intervals_max]
+        self.samples.append((now, in_octets, out_octets))
+        self.samples_appended += 1
+        self._jitter.clear()
 
     @property
     def ready(self) -> bool:
         """Two samples are needed before a rate can be reported."""
-        return len(self.samples) >= 2
+        return bool(self._intervals)
 
     def rates_bps(self) -> tuple[float, float]:
         """(in_bps, out_bps) over the most recent sampling interval."""
         if not self.ready:
             return (0.0, 0.0)
-        (t0, i0, o0), (t1, i1, o1) = self.samples[-2], self.samples[-1]
-        dt = t1 - t0
-        if dt <= 0:
-            return (0.0, 0.0)
-        return (
-            _counter_delta(i0, i1) * 8.0 / dt,
-            _counter_delta(o0, o1) * 8.0 / dt,
-        )
+        return (self._intervals[-2], self._intervals[-1])
 
     def jitter_estimate(self, capacity_bps: float, base_latency_s: float) -> float:
         """Delay-variation estimate from the utilization history.
@@ -109,35 +139,32 @@ class LinkMonitor:
         """
         if not np.isfinite(capacity_bps) or capacity_bps <= 0:
             return 0.0
-        delays = []
+        memo = (capacity_bps, base_latency_s)
+        jitter = self._jitter.get(memo)
+        if jitter is None:
+            jitter = self._jitter[memo] = self._jitter_now(capacity_bps, base_latency_s)
+        return jitter
+
+    def _jitter_now(self, capacity_bps: float, base_latency_s: float) -> float:
+        spreads: list[float] = []
         for direction in ("in", "out"):
             _, rates = self.rate_history(direction)
             if rates.size < 2:
                 continue
             rho = np.clip(rates / capacity_bps, 0.0, 0.95)
-            delays.append(base_latency_s * rho / (1.0 - rho))
-        if not delays:
-            return 0.0
-        return float(max(np.std(d) for d in delays))
+            spreads.append(float(np.std(base_latency_s * rho / (1.0 - rho))))
+        return max(spreads, default=0.0)
 
-    def rate_history(self, direction: str = "out") -> tuple[np.ndarray, np.ndarray]:
+    def rate_history(self, direction: str = "out") -> tuple[Series, Series]:
         """(times, rates) series of per-interval rates for prediction.
 
         ``direction`` is ``"in"`` or ``"out"``; times are interval
-        endpoints.
+        endpoints.  The arrays are the caller's own.
         """
         if direction not in ("in", "out"):
             raise ValueError("direction must be 'in' or 'out'")
-        col = 1 if direction == "in" else 2
-        arr = np.asarray(self.samples, dtype=float)
-        if arr.shape[0] < 2:
+        if not self.ready:
             return np.empty(0), np.empty(0)
-        dt = np.diff(arr[:, 0])
-        db = np.diff(arr[:, col])
-        # wrap-aware deltas: continue 32-bit wraps, zero out resets
-        db = np.where(db < -_WRAP32 / 2, db + _WRAP32, db)
-        db = np.maximum(db, 0.0)
-        good = dt > 0
-        rates = np.zeros(db.shape)
-        rates[good] = db[good] * 8.0 / dt[good]
-        return arr[1:, 0], rates
+        col = 1 if direction == "in" else 2
+        table = np.frombuffer(self._intervals).reshape(-1, 3)
+        return table[:, 0].copy(), table[:, col].copy()

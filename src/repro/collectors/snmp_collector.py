@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro import obs
 from repro.common.errors import (
@@ -156,8 +157,9 @@ class SnmpCollector(Collector):
         self.polls_done = 0
         #: callbacks run after every polling sweep (streaming predictors)
         self.post_poll_hooks: list = []
-        #: attached StreamingPredictionManager, if any
-        self.streaming = None
+        #: attached StreamingPredictionManager, if any (it lives above
+        #: this layer, in repro.rps, so its type is not named here)
+        self.streaming: Any = None
 
     # ------------------------------------------------------------------
     # Collector interface

@@ -23,15 +23,22 @@ rates at one common level; the first constraint to bind is either a
 flow's demand (freeze that flow) or a link's capacity (freeze every
 unfrozen flow crossing it).  Repeat until all flows are frozen.
 
+Only the tightest channel can bind: channels crossed by exactly the same
+flows constrain those flows identically except for capacity, so
+:func:`max_min_allocation` keeps the minimum-capacity channel of each
+such group and solves the reduced problem (:func:`_binding_channels`).
+A probe over six hops of which it shares one with cross traffic is a
+two-constraint problem, not a six-constraint one.
+
 The solver itself is a vectorised numpy kernel
 (:func:`max_min_allocation`): flows and channels become index spaces,
 the incidence matrix turns the per-channel active-count and frozen-load
 scans into two matrix-vector products, and each water-level step is a
 handful of array reductions instead of python loops.  The original
 pure-python solver is kept verbatim as
-:func:`max_min_allocation_reference`, the oracle the kernel is
-property-tested against (agreement within 1e-9 across randomised
-path/demand sets).
+:func:`max_min_allocation_reference`, the oracle the dispatcher is
+property-tested against on the *unreduced* paths (agreement within 1e-9
+across randomised path/demand sets).
 """
 
 from __future__ import annotations
@@ -53,11 +60,12 @@ if TYPE_CHECKING:
 #: freeze threshold shared by the kernel and the reference solver
 _EPS = 1e-12
 
-#: incidence entries (sum of path lengths) below which the scalar
-#: solver is dispatched instead of the numpy kernel.  Array-op fixed
-#: costs (~100us) dwarf the O(entries x rounds) python loop for small
-#: problems; the crossover sits around a hundred entries.  Equivalence
-#: tests pin this to 0 to force the kernel at every size.
+#: incidence entries (sum of path lengths, after the reduction to
+#: binding channels) below which the scalar solver is dispatched instead
+#: of the numpy kernel.  Array-op fixed costs (~100us) dwarf the
+#: O(entries x rounds) python loop for small problems; the crossover sits
+#: around a hundred entries.  Equivalence tests pin this to 0 to force
+#: the kernel at every size.
 _KERNEL_MIN_ENTRIES = 128
 
 
@@ -330,15 +338,17 @@ def max_min_allocation(
     fallback) mirror :func:`max_min_allocation_reference` exactly; the
     two agree within 1e-9 (property-tested).
 
-    Dispatch is size-aware: below :data:`_KERNEL_MIN_ENTRIES` incidence
-    entries the scalar reference solver is faster than numpy's fixed
-    per-op cost and is used directly; the dispatch depends only on
-    problem shape, so any given workload is deterministic about which
-    solver it sees.
+    The problem is first reduced to the channels that can bind
+    (:func:`_binding_channels`).  Dispatch is size-aware on the reduced
+    shape: below :data:`_KERNEL_MIN_ENTRIES` incidence entries the
+    scalar reference solver is faster than numpy's fixed per-op cost and
+    is used directly; the dispatch depends only on problem shape, so any
+    given workload is deterministic about which solver it sees.
     """
     n = len(paths)
     if n == 0:
         return []
+    paths = _binding_channels(paths)
     if sum(len(p) for p in paths) < _KERNEL_MIN_ENTRIES:
         return max_min_allocation_reference(paths, demands)
     rates = [0.0] * n
@@ -442,6 +452,51 @@ def max_min_allocation(
         rates[i] = float(rate[k])
     obs.histogram("netsim.maxmin.rounds").observe(rounds)
     return rates
+
+
+def _binding_channels(
+    paths: "Sequence[Sequence[CapacityLike]]",
+) -> "Sequence[Sequence[CapacityLike]]":
+    """``paths`` without the channels that can never bind.
+
+    Two channels crossed by the same list of flow indices (a path
+    crossing a channel twice lists its flow twice, so it is its own
+    list) see the same active count and the same frozen load in every
+    round of progressive filling; they differ only in capacity.  The
+    headroom ``(cap - frozen_load - level * n) / n`` is monotone in
+    ``cap`` under IEEE rounding, so the looser channel never sets the
+    next water level, and it can pass the saturation test only when the
+    tighter one does — which freezes the same flows at the same level.
+    Of each such group only the minimum-capacity channel is kept (the
+    first of equals); the order of the kept channels within each path is
+    the paths' own.
+
+    The scalar solver tests channels one after another within a round,
+    so two equal-capacity channels of a group can meet different
+    roundings of the same load; the reduction is therefore held to the
+    solvers' own 1e-9 against the oracle on unreduced paths, and to
+    bit-equality on whole simulated worlds (``tests/netsim``,
+    ``tests/integration/test_sim_clock_golden.py``).
+    """
+    crossed: "dict[int, tuple[CapacityLike, list[int]]]" = {}
+    for i, path in enumerate(paths):
+        for ch in path:
+            entry = crossed.get(id(ch))
+            if entry is None:
+                crossed[id(ch)] = (ch, [i])
+            else:
+                entry[1].append(i)
+    tightest: "dict[tuple[int, ...], CapacityLike]" = {}
+    for ch, members in crossed.values():
+        key = tuple(members)
+        best = tightest.get(key)
+        if best is None or ch.capacity_bps < best.capacity_bps:
+            tightest[key] = ch
+    obs.histogram("netsim.maxmin.constraints").observe(len(tightest))
+    if len(tightest) == len(crossed):
+        return paths
+    keep = {id(ch) for ch in tightest.values()}
+    return [[ch for ch in path if id(ch) in keep] for path in paths]
 
 
 def max_min_allocation_reference(

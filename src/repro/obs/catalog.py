@@ -23,6 +23,7 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "netsim.engine.sim_time_s",
         "netsim.flows.realloc_channels_touched",
         "netsim.flows.realloc_flows",
+        "netsim.maxmin.constraints",
         "netsim.maxmin.rounds",
         "netsim.paths.cache",
         # -- snmp ------------------------------------------------------

@@ -26,12 +26,11 @@ samples are observed, and renaming them would orphan dashboards.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import obs
 from repro.common.errors import PredictionError
 from repro.collectors.base import HistoryRequest
-from repro.collectors.monitor import MonitorKey
+from repro.collectors.monitor import MonitorKey, Series
+from repro.collectors.snmp_collector import SnmpCollector
 from repro.rps.predictor import StreamingPredictor
 
 
@@ -40,7 +39,7 @@ class StreamingPredictionManager:
 
     def __init__(
         self,
-        collector,
+        collector: SnmpCollector,
         spec: str = "AR(16)",
         horizon: int = 10,
         min_history: int = 32,
@@ -51,21 +50,22 @@ class StreamingPredictionManager:
         self.min_history = min_history
         #: (MonitorKey, direction) -> StreamingPredictor
         self.predictors: dict[tuple[MonitorKey, str], StreamingPredictor] = {}
+        #: (MonitorKey, direction) -> the monitor's ``samples_appended``
+        #: when the predictor was last fed.  Not an index into the rate
+        #: series: that stops growing once the monitor's ring is full.
         self._fed: dict[tuple[MonitorKey, str], int] = {}
         self.samples_fed = 0
         collector.post_poll_hooks.append(self.on_poll)
         collector.streaming = self
 
     def on_poll(self) -> None:
-        """Feed the newest sample of every ready monitor."""
+        """Feed every ready monitor's samples since the last poll."""
         for key, mon in self.collector.monitors.items():
             if not mon.ready:
                 continue
             for direction in ("in", "out"):
                 pkey = (key, direction)
                 _, rates = mon.rate_history(direction)
-                if rates.size == 0:
-                    continue
                 sp = self.predictors.get(pkey)
                 if sp is None:
                     if rates.size < self.min_history:
@@ -77,18 +77,18 @@ class StreamingPredictionManager:
                     except PredictionError:
                         continue
                     self.predictors[pkey] = sp
-                    self._fed[pkey] = rates.size - 1
-                fed = self._fed.get(pkey, 0)
-                for value in rates[fed:]:
+                    self._fed[pkey] = mon.samples_appended - 1
+                new = min(mon.samples_appended - self._fed[pkey], rates.size)
+                for value in rates[rates.size - new :]:
                     sp.observe(float(value))
                     self.samples_fed += 1
                     obs.counter("collectors.streaming.samples_fed").inc()
-                self._fed[pkey] = rates.size
+                self._fed[pkey] = mon.samples_appended
         obs.gauge("collectors.streaming.predictors").set(len(self.predictors))
 
     def forecast_edge(
         self, request: HistoryRequest, horizon: int
-    ) -> tuple[np.ndarray, np.ndarray] | None:
+    ) -> tuple[Series, Series] | None:
         """Forecast utilization for an edge (request direction), using
         the already-fitted streaming predictor — no fit at query time."""
         for rec in self.collector._paths.values():

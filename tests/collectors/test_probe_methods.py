@@ -84,6 +84,97 @@ class TestMethods:
         assert mean > 0
 
 
+def _three_sites(method):
+    """Sites a/b/c on a star WAN, a probing b and c periodically."""
+    w = build_multisite_wan(
+        [SiteSpec(s, access_bps=10 * MBPS, n_hosts=3) for s in "abc"]
+    )
+    cfg = BenchmarkConfig(method=method, probe_bytes=125_000, period_s=60.0)
+    a = BenchmarkCollector("a", w.net, w.host("a", 2), cfg)
+    for s in "bc":
+        a.add_peer(BenchmarkCollector(s, w.net, w.host(s, 2)))
+    return w, a
+
+
+def _wan_link(w, site):
+    """The link between ``site``'s gateway and the WAN core."""
+    gw = w.sites[site].router
+    [link] = [
+        l for l in w.net.links
+        if {l.a.device, l.b.device} == {gw, w.core}
+    ]
+    return link
+
+
+class TestPartitionedPeer:
+    """A peer that lost its route costs one skipped probe, never the
+    periodic timer (and with it the whole simulation)."""
+
+    @pytest.mark.parametrize("method", ["bulk", "packet_pair", "one_way"])
+    def test_probe_all_skips_the_partitioned_peer(self, method):
+        from repro.netsim.failures import fail_link
+
+        w, a = _three_sites(method)
+        fail_link(w.net, _wan_link(w, "b"))
+        measured = a.probe_all()
+        assert [m.dst_site for m in measured] == ["c"]
+        assert not w.net.flows.active_flows()
+
+    def test_probe_maps_routing_failure_to_query_error(self):
+        from repro.common.errors import QueryError
+        from repro.netsim.failures import fail_link
+
+        w, a = _three_sites("bulk")
+        fail_link(w.net, _wan_link(w, "b"))
+        with pytest.raises(QueryError, match="no route"):
+            a.probe("b")
+
+    def test_measurement_falls_back_to_last_known_good(self):
+        from repro.netsim.failures import fail_link
+
+        w, a = _three_sites("bulk")
+        good = a.probe("b")
+        fail_link(w.net, _wan_link(w, "b"))
+        w.net.engine.run_until(w.net.now + 2 * a.config.max_age_s)
+        stale = a.measurement("b")
+        assert stale.stale
+        assert stale.throughput_bps == good.throughput_bps
+        assert stale.measured_at == good.measured_at
+
+    def test_periodic_run_survives_and_resumes_after_repair(self):
+        from repro.netsim.failures import fail_link, repair_link
+
+        w, a = _three_sites("bulk")
+        link = _wan_link(w, "b")
+        a.start_periodic()
+        w.net.engine.run_until(w.net.now + 61.0)
+        assert len(a.history["b"]) == 1 and len(a.history["c"]) == 1
+        fail_link(w.net, link)
+        w.net.engine.run_until(w.net.now + 120.0)  # two rounds, b unreachable
+        assert len(a.history["b"]) == 1
+        assert len(a.history["c"]) == 3
+        repair_link(w.net, link)
+        w.net.engine.run_until(w.net.now + 60.0)
+        assert len(a.history["b"]) == 2
+        assert a.history["b"][-1].throughput_bps == pytest.approx(10 * MBPS, rel=0.01)
+        a.stop_periodic()
+        assert not w.net.flows.active_flows()
+
+    @pytest.mark.parametrize("method", ["bulk", "packet_pair"])
+    def test_interrupted_probe_leaves_no_flow_behind(self, method):
+        """An exception while the probe holds the clock must not strand
+        the infinite-demand probe flow with a max-min share."""
+        from unittest import mock
+
+        w, a = _three_sites(method)
+        with mock.patch.object(
+            w.net.engine, "advance", side_effect=RuntimeError("interrupted")
+        ):
+            with pytest.raises(RuntimeError):
+                a.probe("b")
+        assert not w.net.flows.active_flows()
+
+
 _PACKET_PAIR_SCRIPT = """
 from repro.collectors.benchmark_collector import BenchmarkCollector, BenchmarkConfig
 from repro.common.units import MBPS

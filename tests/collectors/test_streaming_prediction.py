@@ -72,3 +72,53 @@ class TestStreamingManagers:
         lan, dep, managers = streaming_lan
         again = dep.enable_streaming_prediction("AR(8)")
         assert again == []  # already attached
+
+
+class TestFeedingPastHistoryLen:
+    """Once a monitor's ring is full its rate series stops growing; the
+    manager must keep feeding by samples appended, not by series length."""
+
+    HISTORY_LEN = 64
+
+    def _deployment(self):
+        lan = build_switched_lan(8, fanout=8)
+        dep = deploy_lan(lan, poll_interval_s=2.0)
+        coll = dep.snmp_collectors["lan"]
+        coll.config.history_len = self.HISTORY_LEN
+        flow = lan.net.flows.start_flow(
+            lan.hosts[0], lan.hosts[7], demand_bps=30 * MBPS
+        )
+        dep.session().flow_info(lan.hosts[0], lan.hosts[7])  # discover
+        [mgr] = dep.enable_streaming_prediction("AR(8)", min_history=16)
+        return lan, coll, mgr, flow
+
+    def test_samples_keep_flowing_once_the_ring_is_full(self):
+        lan, coll, mgr, _ = self._deployment()
+        for _ in range(self.HISTORY_LEN + 8):
+            coll.poll_once()
+            lan.net.engine.advance(2.0)
+        ready = [m for m in coll.monitors.values() if m.ready]
+        assert ready and all(len(m.samples) == self.HISTORY_LEN for m in ready)
+        for _ in range(40):
+            before = mgr.samples_fed
+            coll.poll_once()
+            lan.net.engine.advance(2.0)
+            # one new interval per direction per ready monitor
+            assert mgr.samples_fed - before == 2 * len(ready)
+
+    def test_forecast_tracks_a_step_change_after_the_ring_filled(self):
+        from repro.collectors.base import HistoryRequest
+
+        lan, coll, mgr, flow = self._deployment()
+        dep_request = HistoryRequest(str(lan.hosts[0].ip), "sw0")
+        for _ in range(self.HISTORY_LEN + 8):
+            coll.poll_once()
+            lan.net.engine.advance(2.0)
+        preds, _ = coll.forecast_edge(dep_request, horizon=5)
+        assert preds[0] == pytest.approx(30 * MBPS, rel=0.2)
+        lan.net.flows.set_demand(flow, 60 * MBPS)
+        for _ in range(40):
+            coll.poll_once()
+            lan.net.engine.advance(2.0)
+        preds, _ = coll.forecast_edge(dep_request, horizon=5)
+        assert preds[0] == pytest.approx(60 * MBPS, rel=0.2)

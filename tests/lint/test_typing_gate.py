@@ -26,6 +26,7 @@ STRICT_FILES = (
     sorted((REPO_ROOT / "src" / "repro" / "common").rglob("*.py"))
     + [
         REPO_ROOT / "src" / "repro" / "collectors" / "master.py",
+        REPO_ROOT / "src" / "repro" / "collectors" / "monitor.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "sharding.py",
         REPO_ROOT / "src" / "repro" / "faults.py",
         REPO_ROOT / "src" / "repro" / "modeler" / "graph.py",
@@ -35,6 +36,7 @@ STRICT_FILES = (
         REPO_ROOT / "src" / "repro" / "netsim" / "failures.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "flows.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "paths.py",
+        REPO_ROOT / "src" / "repro" / "rps" / "streaming.py",
         REPO_ROOT / "src" / "repro" / "service" / "admission.py",
         REPO_ROOT / "src" / "repro" / "service" / "http.py",
         REPO_ROOT / "src" / "repro" / "service" / "wire.py",
@@ -49,6 +51,7 @@ STRICT_MODULES = [
     "repro.common.status",
     "repro.common.units",
     "repro.collectors.master",
+    "repro.collectors.monitor",
     "repro.collectors.sharding",
     "repro.faults",
     "repro.modeler.graph",
@@ -71,6 +74,7 @@ STRICT_MODULES = [
     "repro.obs.timebase",
     "repro.obs.traceview",
     "repro.obs.tracing",
+    "repro.rps.streaming",
 ]
 
 

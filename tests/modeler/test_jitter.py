@@ -18,7 +18,7 @@ class TestMonitorJitter:
         total = 0.0
         for i, r in enumerate(rates):
             total += r / 8.0  # 1-second intervals
-            mon.samples.append((float(i), 0.0, total))
+            mon.record(float(i), 0.0, total)
         return mon
 
     def test_steady_load_no_jitter(self):

@@ -1,12 +1,16 @@
-"""Equivalence of the numpy max-min kernel against the scalar oracle.
+"""Equivalence of the max-min dispatcher against the scalar oracle.
 
-:func:`repro.netsim.flows.max_min_allocation` dispatches small problems
-to :func:`repro.netsim.flows.max_min_allocation_reference` (the
-original pure-python solver, kept verbatim as ground truth).  These
-tests pin ``_KERNEL_MIN_ENTRIES`` to 0 so the vectorised kernel is
-exercised at every problem size, and check agreement within 1e-9 on
-randomised problems plus the documented corner cases: zero-length
-paths, infinite demands, and shared-bottleneck ladders.
+:func:`repro.netsim.flows.max_min_allocation` first drops the channels
+that can never bind (``_binding_channels``: of the channels crossed by
+the same flows only the tightest stays), then dispatches small reduced
+problems to :func:`repro.netsim.flows.max_min_allocation_reference`
+(the original pure-python solver, kept verbatim as ground truth) and
+large ones to the numpy kernel.  The oracle is always fed the
+*unreduced* paths.  These tests pin ``_KERNEL_MIN_ENTRIES`` to 0 so the
+vectorised kernel is exercised at every problem size, and check
+agreement within 1e-9 on randomised problems plus the documented corner
+cases: zero-length paths, infinite demands, shared-bottleneck ladders
+and path-redundant problems where most channels are dominated.
 """
 
 import math
@@ -17,7 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.netsim.flows as flows_mod
-from repro.netsim.flows import max_min_allocation, max_min_allocation_reference
+from repro.netsim.flows import (
+    _binding_channels,
+    max_min_allocation,
+    max_min_allocation_reference,
+)
 
 
 class FakeChannel:
@@ -124,10 +132,12 @@ class TestDispatch:
         assert ref.called
 
     def test_large_problem_uses_kernel(self):
-        # 65 flows x 2 channels = 130 incidence entries >= the 128-entry
+        # 65 flows, each over its own access channel and one shared
+        # trunk: every channel has its own member set, so nothing is
+        # dominated and the 130 incidence entries stay >= the 128-entry
         # dispatch floor: the kernel runs, and agrees with the oracle.
-        a, b = FakeChannel(100.0), FakeChannel(60.0)
-        paths = [[a, b] for _ in range(65)]
+        trunk = FakeChannel(60.0)
+        paths = [[FakeChannel(1.0 + i % 7), trunk] for i in range(65)]
         demands = [math.inf if i % 3 else 0.5 for i in range(65)]
         with mock.patch.object(
             flows_mod,
@@ -139,6 +149,141 @@ class TestDispatch:
         want = max_min_allocation_reference(paths, demands)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-9, abs=1e-9)
+
+    def test_large_redundant_problem_reduces_below_the_kernel_floor(self):
+        # The mirror case: 65 flows x the same 2 channels = 130 entries,
+        # but both channels carry the same flows, so only the tighter
+        # can bind.  The threshold applies to the reduced shape (65
+        # entries): the scalar solver runs, on one-channel paths.
+        a, b = FakeChannel(100.0), FakeChannel(60.0)
+        paths = [[a, b] for _ in range(65)]
+        demands = [math.inf if i % 3 else 0.5 for i in range(65)]
+        with mock.patch.object(
+            flows_mod,
+            "max_min_allocation_reference",
+            wraps=max_min_allocation_reference,
+        ) as ref:
+            got = max_min_allocation(paths, demands)
+        (solved_paths, _), _ = ref.call_args
+        assert [list(p) for p in solved_paths] == [[b]] * 65
+        assert got == max_min_allocation_reference(paths, demands)
+
+
+class TestBindingChannels:
+    """Of the channels crossed by the same flows only the tightest can
+    bind; the rest are dropped before the solve."""
+
+    def test_keeps_the_tightest_of_each_group_in_path_order(self):
+        # flows 0 and 1 share a, b, c (one group: b is tightest);
+        # d and e are flow 0's own (e tightest); f is flow 1's own
+        a, b, c = FakeChannel(30.0), FakeChannel(10.0), FakeChannel(20.0)
+        d, e, f = FakeChannel(8.0), FakeChannel(5.0), FakeChannel(math.inf)
+        reduced = _binding_channels([[d, a, b, c, e], [a, b, f, c]])
+        assert [list(p) for p in reduced] == [[b, e], [b, f]]
+
+    def test_dominated_channel_before_and_after_its_dominator(self):
+        lo, tight, hi = FakeChannel(9.0), FakeChannel(3.0), FakeChannel(7.0)
+        for path in ([lo, tight, hi], [tight, lo, hi], [hi, lo, tight]):
+            assert [list(p) for p in _binding_channels([path])] == [[tight]]
+
+    def test_first_of_equal_capacities_is_kept(self):
+        first, second = FakeChannel(4.0), FakeChannel(4.0)
+        assert [list(p) for p in _binding_channels([[first, second]])] == [[first]]
+
+    def test_a_channel_crossed_twice_is_its_own_group(self):
+        # the loop channel counts its flow twice per round: it is not
+        # the same constraint as a channel the flow crosses once
+        once, loop = FakeChannel(5.0), FakeChannel(8.0)
+        reduced = _binding_channels([[once, loop, loop]])
+        assert [list(p) for p in reduced] == [[once, loop, loop]]
+        assert max_min_allocation([[once, loop, loop]], [math.inf]) == [4.0]
+
+    def test_nothing_to_drop_returns_the_paths_themselves(self):
+        a, b = FakeChannel(1.0), FakeChannel(2.0)
+        paths = [[a], [a, b], []]
+        assert _binding_channels(paths) is paths
+
+    def test_observes_the_constraints_handed_to_the_solver(self):
+        from repro import obs
+
+        a, b, c = FakeChannel(3.0), FakeChannel(2.0), FakeChannel(1.0)
+        with obs.scoped_registry() as reg:
+            max_min_allocation([[a, b], [a, b, c]], [math.inf, math.inf])
+            snap = obs.export.snapshot(reg)
+        hist = snap["histograms"]["netsim.maxmin.constraints"]
+        assert hist["count"] == 1 and hist["sum"] == 2
+
+
+_CAPS = st.sampled_from([1.0, 2.0, 2.0, 5.0, 10.0, 1000.0, math.inf])
+
+
+@st.composite
+def _redundant_problem(draw):
+    """Problems in which dominated channels really occur.
+
+    Channels come in *segments* (an access tier, a trunk) that flows
+    cross whole, so every channel of a segment carries the same flows;
+    capacities are drawn from a handful of values (ties, ``inf``) and
+    segment order is random, so a dominated channel sits before and
+    after its dominator.  Some paths cross a channel twice, some are
+    zero-length, demands are finite, zero or infinite.
+    """
+    segments = [
+        [FakeChannel(draw(_CAPS)) for _ in range(draw(st.integers(1, 4)))]
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    paths, demands = [], []
+    for _ in range(draw(st.integers(1, 7))):
+        picked = draw(st.lists(st.integers(0, len(segments) - 1), max_size=3, unique=True))
+        path = [ch for k in picked for ch in segments[k]]
+        if path and draw(st.booleans()) and draw(st.booleans()):
+            path.insert(draw(st.integers(0, len(path))), draw(st.sampled_from(path)))
+        paths.append(path)
+        demands.append(draw(st.one_of(st.just(math.inf), st.just(0.0), st.floats(0.0, 20.0))))
+    return paths, demands
+
+
+class TestReductionEquivalence:
+    @given(_redundant_problem())
+    @settings(max_examples=300, deadline=None)
+    def test_dispatcher_matches_oracle_on_unreduced_paths(self, problem):
+        paths, demands = problem
+        want = max_min_allocation_reference(paths, demands)
+        for got in (max_min_allocation(paths, demands), kernel(paths, demands)):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                if math.isinf(w):
+                    assert math.isinf(g) and g > 0
+                else:
+                    assert g == pytest.approx(w, rel=1e-9, abs=1e-9)
+
+    @given(_redundant_problem())
+    @settings(max_examples=100, deadline=None)
+    def test_reduction_only_drops_dominated_channels(self, problem):
+        paths, _ = problem
+        reduced = _binding_channels(paths)
+
+        def members(of):
+            out = {}
+            for i, path in enumerate(of):
+                for ch in path:
+                    out.setdefault(id(ch), (ch, []))[1].append(i)
+            return out
+
+        before, after = members(paths), members(reduced)
+        groups = {}
+        for ch, flows in before.values():
+            groups.setdefault(tuple(flows), []).append(ch)
+        # one survivor per member list, a minimum-capacity one, with its
+        # member list intact
+        assert len(after) == len(groups)
+        for flows, chans in groups.items():
+            [kept] = [ch for ch in chans if id(ch) in after]
+            assert kept.capacity_bps == min(ch.capacity_bps for ch in chans)
+            assert tuple(after[id(kept)][1]) == flows
+        # path order is the paths' own
+        for path, short in zip(paths, reduced):
+            assert list(short) == [ch for ch in path if id(ch) in after]
 
 
 def _components(paths):
@@ -187,3 +332,65 @@ class TestDecouplesAcrossComponents:
     def test_disjoint_groups_are_found(self):
         a, b, c = FakeChannel(10.0), FakeChannel(20.0), FakeChannel(30.0)
         assert _components([[a], [b, c], [a], [c], []]) == [[0, 2], [1, 3], [4]]
+
+
+class TestUnprunedTwinOnTheChurnWorld:
+    """The benchmark's churn world — cross traffic walking on every
+    access link, periodic 1 MB probes between all sites, finite
+    transfers on top — run twice: once as shipped and once with the
+    reduction switched off.  Every rate, aggregate, octet counter and
+    completion instant must be the same floats, not merely close."""
+
+    @staticmethod
+    def _run():
+        from repro.collectors.benchmark_collector import BenchmarkCollector
+        from repro.netsim.builders import build_random_wan
+        from repro.netsim.traffic import RandomWalkTraffic
+
+        world = build_random_wan(8, 2, hosts_per_site=(3, 3))
+        net = world.net
+        sites = sorted(world.sites)
+        for i, name in enumerate(sites):
+            peer = sites[(i + 1) % len(sites)]
+            cap = min(world.sites[name].spec.access_bps, world.sites[peer].spec.access_bps)
+            RandomWalkTraffic(
+                net, world.host(name, 1), world.host(peer, 1),
+                lo_bps=0.30 * cap, hi_bps=0.40 * cap, sigma_bps=0.02 * cap,
+                seed=7000 + i,
+            ).start()
+        benches = [BenchmarkCollector(s, net, world.host(s, 2)) for s in sites]
+        for k, b in enumerate(benches):
+            for peer in benches[k + 1:]:
+                b.add_peer(peer)
+        for k, b in enumerate(benches):
+            b.start_periodic(stagger_s=0.5 * k)
+
+        seen = []
+
+        def done(flow):
+            seen.append(("done", flow.label, net.now, flow.bytes_done))
+
+        for step in range(40):
+            if step % 4 == 0:
+                a, b = sites[step % 8], sites[(step + 3) % 8]
+                net.flows.start_flow(
+                    world.host(a, 0), world.host(b, 0),
+                    total_bytes=2e6 + 1e5 * step, on_complete=done, label=f"xfer{step}",
+                )
+            net.engine.run_until(net.now + 5.0)
+            seen.append(("now", net.now))
+            for f in net.flows.active_flows():
+                seen.append((f.label, f.rate_bps))
+            for link in net.links:
+                for ch in link.channels():
+                    ch.sync(net.now)
+                    seen.append((ch.rate_sum, ch.bytes_total))
+        seen.extend(m.throughput_bps for b in benches for h in b.history.values() for m in h)
+        return seen
+
+    def test_pruned_run_is_bit_identical_to_unpruned(self):
+        pruned = self._run()
+        with mock.patch.object(flows_mod, "_binding_channels", lambda paths: paths):
+            unpruned = self._run()
+        assert any(entry[0] == "done" for entry in pruned if isinstance(entry, tuple))
+        assert pruned == unpruned
