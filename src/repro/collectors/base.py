@@ -52,6 +52,11 @@ class TopologyRequest:
     #: tier must run them — serially, on a monotonic clock — for
     #: answers to stay byte-identical to the flat Master's
     stitch: bool = True
+    #: host-address pairs whose connectivity the requester will read;
+    #: the stitching tier measures only the site pairs they span.
+    #: None = every pair of ``node_ips`` (the full mesh a topology
+    #: answer needs, and the safe reading of a request that cannot say)
+    pairs: frozenset[tuple[str, str]] | None = None
 
     def __post_init__(self) -> None:
         if not self.node_ips:

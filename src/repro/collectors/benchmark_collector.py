@@ -16,17 +16,23 @@ on-demand when stale.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import zlib
 from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.common.errors import CollectorUnavailableError, QueryError, TopologyError
 from repro.common.units import BITS_PER_BYTE
-from repro.netsim.address import IPv4Address
 from repro.netsim.topology import Host, Network
 from repro.collectors.base import PairMeasurement
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.netsim.engine import Timer
 
 
 #: probe methods, in decreasing intrusiveness (paper §6.2 asks for the
@@ -88,8 +94,9 @@ class BenchmarkCollector:
         self.probes_run = 0
         #: probe traffic injected into the network, in bytes
         self.bytes_injected = 0.0
-        self._rng = None  # lazily built, seeded per collector for determinism
-        self._timer = None
+        #: lazily built, seeded per collector for determinism
+        self._rng: np.random.Generator | None = None
+        self._timer: Timer | None = None
 
     # -- peering -----------------------------------------------------------
 
@@ -249,9 +256,13 @@ class BenchmarkCollector:
         if self._timer is None:
             self._timer = self.net.engine.every(
                 self.config.period_s,
-                self.probe_all,
+                self._probe_round,
                 start=self.net.now + self.config.period_s + stagger_s,
             )
+
+    def _probe_round(self) -> None:
+        """The periodic tick: a timer callback returns nothing."""
+        self.probe_all()
 
     def stop_periodic(self) -> None:
         if self._timer is not None:
@@ -261,44 +272,39 @@ class BenchmarkCollector:
     # -- queries ---------------------------------------------------------
 
     def measurement(
-        self, peer_site: str, allow_probe: bool = True
+        self,
+        peer_site: str,
+        allow_probe: bool = True,
+        as_of: float | None = None,
     ) -> PairMeasurement:
         """Latest measurement for a peer; probes on demand if the cache
-        is empty or stale (and ``allow_probe``)."""
+        is empty or stale (and ``allow_probe``).
+
+        Age is judged at ``as_of`` (default: now).  A Master passes the
+        instant its stitch started: the probes of one stitch advance
+        the clock, and judging each cached measurement against that
+        moving clock would let the stitch expire the very measurements
+        it is about to read.
+        """
         self._peer(peer_site)
         hist = self.history.get(peer_site)
         if hist:
             latest = hist[-1]
-            age = self.net.now - latest.measured_at
-            if age <= self.config.max_age_s:
+            now = self.net.now if as_of is None else as_of
+            if now - latest.measured_at <= self.config.max_age_s:
                 return latest
-            if not allow_probe:
-                return PairMeasurement(
-                    latest.src_site,
-                    latest.dst_site,
-                    latest.throughput_bps,
-                    latest.measured_at,
-                    rtt_s=latest.rtt_s,
-                    stale=True,
-                )
-        if not allow_probe:
+        if allow_probe:
+            try:
+                return self.probe(peer_site)
+            except QueryError:
+                if not hist:
+                    raise
+        if not hist:
             raise QueryError(f"no measurement {self.site} -> {peer_site}")
-        try:
-            return self.probe(peer_site)
-        except QueryError:
-            if hist:
-                # probe failed now, but the past is better than nothing:
-                # serve the last-known-good measurement, flagged stale
-                latest = hist[-1]
-                return PairMeasurement(
-                    latest.src_site,
-                    latest.dst_site,
-                    latest.throughput_bps,
-                    latest.measured_at,
-                    rtt_s=latest.rtt_s,
-                    stale=True,
-                )
-            raise
+        # no fresh measurement to be had (probing disallowed, or the
+        # probe failed just now), but the past is better than nothing:
+        # serve the last-known-good measurement, flagged stale
+        return dataclasses.replace(hist[-1], stale=True)
 
     def statistics(self, peer_site: str) -> tuple[float, float, int]:
         """(mean, stddev, n) of historical throughput to a peer, in bps."""

@@ -13,8 +13,10 @@ revealing that the response was obtained from multiple collectors"
   site's border router as *anchor*, so the fragment reaches the site
   edge.
 * Cross-site connectivity comes from Benchmark Collector measurements:
-  each involved site pair contributes one logical edge between the two
-  border routers whose capacity is the measured end-to-end throughput.
+  each site pair the request asks about — every involved pair, unless
+  the request names the host ``pairs`` it will read — contributes one
+  logical edge between the two border routers whose capacity is the
+  measured end-to-end throughput.
 * Masters are themselves collectors, so they stack: a remote "Master"
   registered here answers for its whole site mesh (the paper's
   master-of-masters arrangement).
@@ -22,6 +24,7 @@ revealing that the response was obtained from multiple collectors"
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from typing import Any
@@ -152,6 +155,7 @@ class MasterCollector(Collector):
         # 1. Partition addresses by responsible registration.
         groups: dict[int, list[str]] = defaultdict(list)
         regs: dict[int, Registration] = {}
+        site_of: dict[str, str] = {}
         unresolved: list[str] = []
         for ip_s in request.node_ips:
             try:
@@ -161,6 +165,7 @@ class MasterCollector(Collector):
                 continue
             groups[id(reg)].append(ip_s)
             regs[id(reg)] = reg
+            site_of[ip_s] = reg.site
 
         obs.histogram("collectors.master.fanout").observe(len(groups))
         if unresolved:
@@ -238,23 +243,40 @@ class MasterCollector(Collector):
 
         # 3. Stitch sites together with benchmark measurements (unless
         # a delegating master above claimed the stitching for itself).
+        wan_age_s = 0.0
         if multi_site and request.stitch:
-            sites = sorted(site_anchor_node)
-            for i in range(len(sites)):
-                for j in range(i + 1, len(sites)):
-                    a_site, b_site = sites[i], sites[j]
-                    self._add_wan_edge(
-                        merged,
-                        a_site,
-                        site_anchor_node[a_site],
-                        b_site,
-                        site_anchor_node[b_site],
-                    )
+            wan_age_s = self._stitch(
+                merged,
+                site_anchor_node,
+                self._wanted_site_pairs(request, site_of, site_anchor_node),
+            )
 
         obs.histogram("collectors.master.merge_wall_s").observe(merge_wall_s)
+        return self._respond(
+            request, merged, unresolved, pdu_cost, anchors, site_status,
+            data_age_s, wan_age_s,
+        )
+
+    def _respond(
+        self,
+        request: TopologyRequest,
+        merged: TopologyGraph,
+        unresolved: list[str],
+        pdu_cost: int,
+        anchors: dict[str, str],
+        site_status: dict[str, SiteStatus],
+        data_age_s: float,
+        wan_age_s: float,
+    ) -> TopologyResponse:
+        """The merged response and its answer-level status: the site
+        statuses combined, STALE at best when a WAN edge was built from
+        a measurement past its TTL (``wan_age_s``, see :meth:`_stitch`),
+        PARTIAL/FAILED when requested hosts dropped out."""
         obs.histogram("collectors.master.query_pdus").observe(pdu_cost)
         unresolved_t = tuple(dict.fromkeys(unresolved))
         status = combine(s.status for s in site_status.values())
+        if wan_age_s > 0:
+            status = combine([status, QueryStatus.STALE])
         missed = set(unresolved_t) & set(request.node_ips)
         if missed:
             if len(missed) == len(request.node_ips):
@@ -268,7 +290,7 @@ class MasterCollector(Collector):
             anchors=anchors,
             status=status,
             site_status=site_status,
-            data_age_s=data_age_s,
+            data_age_s=max(data_age_s, wan_age_s),
         )
 
     # -- delegation survival -------------------------------------------
@@ -302,6 +324,7 @@ class MasterCollector(Collector):
             tuple(ips),
             include_dynamics=request.include_dynamics,
             anchor_ip=anchor,
+            pairs=request.pairs,
         )
         survival = self._survival_on()
         until = self._quarantine.get(_reg_key(reg), 0.0)
@@ -398,14 +421,78 @@ class MasterCollector(Collector):
             stat,
         )
 
-    def _measure_direction(self, src_site: str, dst_site: str) -> PairMeasurement | None:
+    # -- WAN stitching ---------------------------------------------------
+
+    @staticmethod
+    def _wanted_site_pairs(
+        request: TopologyRequest,
+        site_of: dict[str, str],
+        site_anchor_node: dict[str, str],
+    ) -> list[tuple[str, str]]:
+        """The anchored site pairs ``request`` needs stitched, sorted.
+
+        Every pair when the request does not say (``pairs`` is None);
+        otherwise the unordered site pairs its host pairs span, through
+        the directory lookups the partition step already made.
+        """
+        every = itertools.combinations(sorted(site_anchor_node), 2)
+        if request.pairs is None:
+            return list(every)
+        asked: set[tuple[str, str]] = set()
+        for a_ip, b_ip in request.pairs:
+            a_site, b_site = site_of.get(a_ip), site_of.get(b_ip)
+            if a_site is not None and b_site is not None:
+                asked.add((a_site, b_site) if a_site < b_site else (b_site, a_site))
+        return [pair for pair in every if pair in asked]
+
+    def _stitch(
+        self,
+        merged: TopologyGraph,
+        site_anchor_node: dict[str, str],
+        wanted: list[tuple[str, str]],
+    ) -> float:
+        """Join site fragments with one logical WAN edge per wanted pair.
+
+        Probes are real flows that SNMP counters see, so exactly one
+        tier runs this (``TopologyRequest.stitch``), serially, in sorted
+        pair order, on a monotonic clock.  The clock is read once, here:
+        every cached measurement's age is judged at the instant the
+        stitch started, so the time its own probes take cannot expire
+        the measurements it is about to read.
+
+        Returns the age of the oldest *stale* measurement an edge was
+        built from (0.0 when every edge is within its TTL).
+        """
+        started = self.net.now
+        n = len(site_anchor_node)
+        skipped = n * (n - 1) // 2 - len(wanted)
+        if skipped:
+            obs.counter("collectors.master.stitch_pairs", result="skipped").inc(skipped)
+        stale_age_s = 0.0
+        for a_site, b_site in wanted:
+            stale_age_s = max(
+                stale_age_s,
+                self._add_wan_edge(
+                    merged,
+                    a_site,
+                    site_anchor_node[a_site],
+                    b_site,
+                    site_anchor_node[b_site],
+                    started,
+                ),
+            )
+        return stale_age_s
+
+    def _measure_direction(
+        self, src_site: str, dst_site: str, as_of: float
+    ) -> PairMeasurement | None:
         """Benchmark measurement src -> dst, if a collector provides it."""
         bench = self.directory.benchmark_for(src_site)
         if bench is None or dst_site not in bench.peers:
             return None
         self.net.engine.advance(self.rpc.local_s)
         try:
-            return bench.measurement(dst_site)
+            return bench.measurement(dst_site, as_of=as_of)
         except QueryError:
             return None
 
@@ -416,29 +503,41 @@ class MasterCollector(Collector):
         a_node: str,
         b_site: str,
         b_node: str,
-    ) -> None:
+        as_of: float,
+    ) -> float:
         """One logical edge carrying the measured site-to-site bandwidth.
 
         Bandwidth is direction-specific (access links are loaded
         asymmetrically), so both directions are measured and encoded as
         directional utilization on the logical edge: the residual seen
         from each end equals that direction's measured throughput.
+
+        Returns the age of the oldest stale measurement used (0.0 when
+        both directions are within their TTL, or no edge was built).
         """
         if not graph.has_node(a_node) or not graph.has_node(b_node):
             # Either anchor failed to materialise in the merged graph,
             # so no edge could be attached: skip the measurements (and
             # their RPC cost) outright instead of probing first.
             log.debug("anchor missing for %s--%s, skipping probe", a_site, b_site)
-            return
-        m_ab = self._measure_direction(a_site, b_site)
-        m_ba = self._measure_direction(b_site, a_site)
-        if m_ab is None and m_ba is None:
+            obs.counter("collectors.master.stitch_pairs", result="skipped").inc()
+            return 0.0
+        m_ab = self._measure_direction(a_site, b_site, as_of)
+        m_ba = self._measure_direction(b_site, a_site, as_of)
+        used = [m for m in (m_ab, m_ba) if m is not None]
+        if not used:
             log.debug("no benchmark data between %s and %s", a_site, b_site)
-            return  # no measurement available: sites stay unstitched
+            obs.counter("collectors.master.stitch_pairs", result="skipped").inc()
+            return 0.0  # no measurement available: sites stay unstitched
         obs.counter("collectors.master.wan_edges").inc()
-        ab = m_ab.throughput_bps if m_ab else m_ba.throughput_bps
-        ba = m_ba.throughput_bps if m_ba else m_ab.throughput_bps
-        rtts = [m.rtt_s for m in (m_ab, m_ba) if m is not None and m.rtt_s > 0]
+        probed = any(m.measured_at > as_of for m in used)
+        obs.counter(
+            "collectors.master.stitch_pairs", result="probed" if probed else "reused"
+        ).inc()
+        # a direction without a measurement borrows the other's
+        ab = (m_ab or used[0]).throughput_bps
+        ba = (m_ba or used[0]).throughput_bps
+        rtts = [m.rtt_s for m in used if m.rtt_s > 0]
         latency = max(rtts) / 2.0 if rtts else 0.05
         cap = max(ab, ba)
         graph.add_edge(
@@ -451,6 +550,7 @@ class MasterCollector(Collector):
                 latency_s=latency,
             )
         )
+        return max((self.net.now - m.measured_at for m in used if m.stale), default=0.0)
 
     def history(self, request: HistoryRequest) -> HistoryResponse | None:
         """Measurement history for an edge: delegate to whichever

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.common.errors import CollectorTimeoutError, RemosError, UnknownHostError
-from repro.common.status import QueryStatus, SiteStatus, combine
+from repro.common.status import QueryStatus, SiteStatus
 from repro.netsim.address import IPv4Address
 from repro.netsim.topology import Network
 from repro.collectors.base import RpcCostModel, TopologyRequest, TopologyResponse
@@ -234,7 +234,7 @@ class ShardedMaster(MasterCollector):
         # longest-prefix site resolution, then the hash assignment).
         groups: dict[int, list[str]] = defaultdict(list)
         shard_sites: dict[int, set[str]] = defaultdict(set)
-        involved_sites: set[str] = set()
+        site_of: dict[str, str] = {}
         unresolved: list[str] = []
         for ip_s in request.node_ips:
             try:
@@ -247,7 +247,8 @@ class ShardedMaster(MasterCollector):
                 idx = self.ring.assign(reg.site) % len(self.shards)
             groups[idx].append(ip_s)
             shard_sites[idx].add(reg.site)
-            involved_sites.add(reg.site)
+            site_of[ip_s] = reg.site
+        involved_sites = set(site_of.values())
 
         obs.histogram("collectors.sharded.fanout").observe(len(groups))
         if unresolved:
@@ -304,15 +305,16 @@ class ShardedMaster(MasterCollector):
             anchors.update(sub.anchors)
             data_age_s = max(data_age_s, sub.data_age_s)
 
-        # 4. Stitch every site pair, exactly as the flat Master does:
-        # serially, in sorted site order, on a monotonic clock.  Shard
-        # masters returned *unstitched* fragments (``stitch=False``)
-        # because benchmark probes inject real traffic — running them
-        # inside rewound overlap tasks would account probe bytes into
-        # SNMP counters differently than the flat plane and break
-        # byte-identity.  Only the outermost tier (``request.stitch``)
-        # measures; intermediate master-of-masters tiers pass through.
+        # 4. Stitch the wanted site pairs through the flat Master's own
+        # routine.  Shard masters returned *unstitched* fragments
+        # (``stitch=False``) because benchmark probes inject real
+        # traffic — running them inside rewound overlap tasks would
+        # account probe bytes into SNMP counters differently than the
+        # flat plane and break byte-identity.  Only the outermost tier
+        # (``request.stitch``) measures; intermediate master-of-masters
+        # tiers pass through.
         site_anchor_node: dict[str, str] = {}
+        wan_age_s = 0.0
         if multi_site:
             for site in involved_sites:
                 border = self.borders.get(site)
@@ -321,45 +323,21 @@ class ShardedMaster(MasterCollector):
                     site_anchor_node[site] = node
                     self._anchor_sites[node] = site
             if request.stitch:
-                sites = sorted(site_anchor_node)
+                wanted = self._wanted_site_pairs(request, site_of, site_anchor_node)
                 cross = sum(
                     1
-                    for i in range(len(sites))
-                    for j in range(i + 1, len(sites))
-                    if self._site_shard.get(sites[i]) != self._site_shard.get(sites[j])
+                    for a_site, b_site in wanted
+                    if self._site_shard.get(a_site) != self._site_shard.get(b_site)
                 )
                 if cross:
                     obs.counter("collectors.sharded.cross_edges").inc(cross)
                 with obs.span("collectors.sharded.stitch", collector=self.name):
-                    for i in range(len(sites)):
-                        for j in range(i + 1, len(sites)):
-                            a_site, b_site = sites[i], sites[j]
-                            self._add_wan_edge(
-                                merged,
-                                a_site,
-                                site_anchor_node[a_site],
-                                b_site,
-                                site_anchor_node[b_site],
-                            )
+                    wan_age_s = self._stitch(merged, site_anchor_node, wanted)
 
         obs.histogram("collectors.master.merge_wall_s").observe(merge_wall_s)
-        obs.histogram("collectors.master.query_pdus").observe(pdu_cost)
-        unresolved_t = tuple(dict.fromkeys(unresolved))
-        status = combine(s.status for s in site_status.values())
-        missed = set(unresolved_t) & set(request.node_ips)
-        if missed:
-            if len(missed) == len(request.node_ips):
-                status = QueryStatus.FAILED
-            else:
-                status = combine([status, QueryStatus.PARTIAL])
-        return TopologyResponse(
-            graph=merged,
-            unresolved=unresolved_t,
-            pdu_cost=pdu_cost,
-            anchors=anchors,
-            status=status,
-            site_status=site_status,
-            data_age_s=data_age_s,
+        return self._respond(
+            request, merged, unresolved, pdu_cost, anchors, site_status,
+            data_age_s, wan_age_s,
         )
 
     # -- shard delegation survival -------------------------------------

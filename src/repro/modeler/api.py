@@ -26,6 +26,7 @@ bandwidth instead of the last measurement (§2.3, §3.3).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -238,6 +239,26 @@ def _ip_of(host) -> str:
     return str(IPv4Address(host))
 
 
+def _pair_scope(
+    pairs: tuple[tuple[str, str], ...],
+    own: list[tuple[str, str, float]],
+    n_hosts: int,
+) -> frozenset[tuple[str, str]] | None:
+    """The unordered host pairs a flow query reads — the asked pairs
+    and the declared own flows, whose paths it also walks — or None
+    when they already cover every pair of its ``n_hosts`` hosts, as a
+    single pair always does: such a query is, and is cached as, the
+    full-mesh fetch it always was."""
+    if n_hosts <= 2:
+        return None
+    scope = frozenset(
+        (s, d) if s < d else (d, s)
+        for s, d in itertools.chain(pairs, ((s, d) for s, d, _ in own))
+        if s != d
+    )
+    return None if 2 * len(scope) == n_hosts * (n_hosts - 1) else scope
+
+
 @dataclass
 class _FetchMeta:
     """Quality bookkeeping for one Master fetch, threaded into answers."""
@@ -407,16 +428,37 @@ class Modeler:
         return view
 
     def _shared_entry(
-        self, ips, include_dynamics: bool, graph: TopologyGraph
+        self,
+        ips,
+        include_dynamics: bool,
+        graph: TopologyGraph,
+        scope: frozenset[tuple[str, str]] | None = None,
     ) -> _CachedFetch | None:
         """The cache entry whose graph ``_fetch(private=False)`` just
         served as ``graph`` (cache hit or cached miss), else None:
         results that are pure functions of that graph — which is
         replaced, never mutated, on refetch — can be memoized on it."""
-        entry = self._query_cache.get((tuple(sorted(ips)), include_dynamics))
-        if entry is not None and entry.graph is graph:
-            return entry
+        for key in self._cache_keys(ips, include_dynamics, scope):
+            entry = self._query_cache.get(key)
+            if entry is not None and entry.graph is graph:
+                return entry
         return None
+
+    @staticmethod
+    def _cache_keys(
+        ips, include_dynamics: bool, scope: frozenset[tuple[str, str]] | None
+    ) -> tuple[tuple, ...]:
+        """The cache keys that may serve a fetch, its own first.
+
+        An unscoped fetch (``scope`` None: every WAN edge among the
+        hosts) has the one key it always had.  A scoped fetch stores
+        under its own key and may also be served by the unscoped entry
+        over the same hosts — that graph has every edge the scope asks
+        for — but never the reverse: a scoped graph lacks edges a
+        topology answer must carry.
+        """
+        full = (tuple(sorted(ips)), include_dynamics)
+        return (full,) if scope is None else ((*full, scope), full)
 
     @staticmethod
     def _summarize(graph: TopologyGraph, ips: list[str]) -> TopologyGraph:
@@ -534,6 +576,10 @@ class Modeler:
             plan = plan_flow_pairs(
                 ip_pairs, [ip for s, d, _ in own for ip in (s, d)]
             )
+            # The only WAN edges read below are those on the paths of
+            # the asked pairs (and of declared own flows), so only those
+            # site pairs need measuring.
+            scope = _pair_scope(plan.unique_pairs, own, len(plan.involved))
             # Without own traffic to credit the fetched graph is only
             # read, so the memoized graph can be served as-is — and the
             # paths it resolves stay resolved for the next query.
@@ -542,6 +588,7 @@ class Modeler:
                 include_dynamics=True,
                 strict=strict,
                 private=bool(own),
+                scope=scope,
             )
             if own:
                 self._credit_own_flows(graph, own)
@@ -549,7 +596,9 @@ class Modeler:
             # traffic), resolved predictions can be memoized right on
             # the entry: the answers are a pure function of (graph,
             # pairs).
-            entry = None if own else self._shared_entry(plan.involved, True, graph)
+            entry = (
+                None if own else self._shared_entry(plan.involved, True, graph, scope)
+            )
             memo_key = (plan.pairs, strict)
             cached_plan = (
                 entry.flow_plans.get(memo_key) if entry is not None else None
@@ -679,8 +728,13 @@ class Modeler:
         include_dynamics: bool,
         strict: bool = True,
         private: bool = True,
+        scope: frozenset[tuple[str, str]] | None = None,
     ) -> tuple[TopologyGraph, _FetchMeta]:
         """Topology for ``ips``, served from the memo cache when fresh.
+
+        ``scope`` names the host pairs whose connectivity the caller
+        will read (see :func:`_pair_scope`); the Master then measures
+        only the site pairs they span.  None asks for the full mesh.
 
         ``private=True`` returns a copy the caller owns outright (flow
         queries credit own traffic by mutating edges in place; raw
@@ -692,24 +746,28 @@ class Modeler:
         """
         self.queries_made += 1
         caching = self.query_cache_ttl_s > 0
-        key = (tuple(sorted(ips)), include_dynamics)
+        keys = self._cache_keys(ips, include_dynamics, scope)
+        key = keys[0]
         if caching:
-            entry = self._query_cache.get(key)
-            if (
-                entry is not None
-                and self.net.now - entry.fetched_at <= self.query_cache_ttl_s
-                and entry.graph.version == entry.version
-            ):
-                obs.counter("modeler.query_cache", result="hit").inc()
-                self.net.engine.advance(self.rpc.local_s)
-                if private:
-                    return entry.graph.copy(), entry.meta
-                return entry.graph, entry.meta
+            for k in keys:
+                entry = self._query_cache.get(k)
+                if (
+                    entry is not None
+                    and self.net.now - entry.fetched_at <= self.query_cache_ttl_s
+                    and entry.graph.version == entry.version
+                ):
+                    obs.counter("modeler.query_cache", result="hit").inc()
+                    self.net.engine.advance(self.rpc.local_s)
+                    if private:
+                        return entry.graph.copy(), entry.meta
+                    return entry.graph, entry.meta
             obs.counter("modeler.query_cache", result="miss").inc()
         self.net.engine.advance(self.rpc.local_s)
         try:
             resp = self.master.topology(
-                TopologyRequest(tuple(ips), include_dynamics=include_dynamics)
+                TopologyRequest(
+                    tuple(ips), include_dynamics=include_dynamics, pairs=scope
+                )
             )
         except RemosError:
             # the Master itself is unreachable — nothing to serve

@@ -47,6 +47,7 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "collectors.master.overlap_saved_s",
         "collectors.master.quarantine_skips",
         "collectors.master.query_pdus",
+        "collectors.master.stitch_pairs",
         "collectors.master.unresolved_ips",
         "collectors.master.wan_edges",
         "collectors.sharded.cross_edges",

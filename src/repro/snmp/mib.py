@@ -116,13 +116,16 @@ def _put_if_table(store: MibStore, device, net: Network) -> None:
         store.put(O.IF_SPEED + idx, lambda i=iface: int(i.speed_bps))
         store.put(O.IF_PHYS_ADDRESS + idx, str(iface.mac))
         store.put(O.IF_OPER_STATUS + idx, lambda i=iface: 1 if i.link else 2)
+        # round, not truncate: the fluid byte count of a whole-byte
+        # transfer sits an ulp either side of the whole number depending
+        # on the instant it ran, and must read the same at any instant
         store.put(
             O.IF_IN_OCTETS + idx,
-            lambda i=iface, n=net: int(i.in_octets(n.now)),
+            lambda i=iface, n=net: round(i.in_octets(n.now)),
         )
         store.put(
             O.IF_OUT_OCTETS + idx,
-            lambda i=iface, n=net: int(i.out_octets(n.now)),
+            lambda i=iface, n=net: round(i.out_octets(n.now)),
         )
 
 

@@ -1,10 +1,16 @@
 """Tests for Benchmark Collector, directory, and Master Collector."""
 
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import obs
 from repro.common.errors import QueryError, UnknownHostError
+from repro.common.status import QueryStatus
 from repro.common.units import MBPS
-from repro.netsim.builders import SiteSpec, build_multisite_wan
+from repro.netsim.builders import SiteSpec, build_multisite_wan, build_random_wan
 from repro.netsim.traffic import RandomWalkTraffic
 from repro.netsim.address import IPv4Address
 from repro.collectors.base import TopologyRequest
@@ -189,3 +195,144 @@ class TestMasterCollector:
             str(wan.host("cmu", 0).ip), str(wan.host("eth", 0).ip)
         )
         assert "cmu-gw" in path and "eth-gw" in path
+
+
+def _probes_run(dep) -> int:
+    return sum(b.probes_run for b in dep.benchmarks.values())
+
+
+class _FullMeshMaster:
+    """A Master that forgets the question: every request it forwards
+    asks for every pair, which is what every request asked before
+    ``TopologyRequest.pairs`` existed."""
+
+    def __init__(self, master):
+        self._master = master
+
+    def topology(self, request):
+        return self._master.topology(dataclasses.replace(request, pairs=None))
+
+    def __getattr__(self, name):
+        return getattr(self._master, name)
+
+
+@st.composite
+def _world_and_pairs(draw):
+    """(n_sites, world seed, non-empty list of (site, host) index pairs)."""
+    n_sites = draw(st.integers(4, 10))
+    host = st.tuples(st.integers(0, n_sites - 1), st.integers(0, 1))
+    pair = st.tuples(host, host).filter(lambda p: p[0] != p[1])
+    return n_sites, draw(st.integers(0, 2**16)), draw(st.lists(pair, min_size=1, max_size=12))
+
+
+def _scoped_deploy(n_sites: int, seed: int):
+    world = build_random_wan(n_sites, seed=seed, hosts_per_site=(2, 3))
+    dep = deploy_wan(world, bench_config=BenchmarkConfig(probe_bytes=50_000))
+    names = sorted(world.sites)
+    return world, dep, names
+
+
+class TestScopedStitch:
+    """The stitch measures the site pairs a query asks about; what it
+    answers for those pairs is what the full mesh would have answered."""
+
+    @given(_world_and_pairs())
+    @settings(max_examples=25, deadline=None)
+    def test_scoped_answers_equal_full_mesh_answers(self, spec):
+        n_sites, seed, index_pairs = spec
+        answers = []
+        for full_mesh in (False, True):
+            world, dep, names = _scoped_deploy(n_sites, seed)
+            if full_mesh:
+                dep.modeler.master = _FullMeshMaster(dep.master)
+            pairs = [
+                (world.host(names[a], i), world.host(names[b], j))
+                for (a, i), (b, j) in index_pairs
+            ]
+            answers.append(dep.session().flow_info_many(pairs))
+            if not full_mesh:
+                site_pairs = {
+                    frozenset((a, b)) for (a, _), (b, _) in index_pairs if a != b
+                }
+                assert _probes_run(dep) == 2 * len(site_pairs)
+            assert world.net.flows.active_flows() == []
+        for scoped, full in zip(*answers):
+            assert scoped.available_bps == full.available_bps
+            assert scoped.path == full.path
+            assert scoped.status == full.status == QueryStatus.OK
+
+    def test_unasked_pairs_are_counted_not_probed(self, wan):
+        dep = deploy_wan(wan)
+        a, b, c = (wan.host(s, 0) for s in ("cmu", "eth", "dsl"))
+        with obs.scoped_registry() as reg:
+            dep.session().flow_info_many([(a, b), (a, c)])
+            first = obs.export.snapshot(reg)["counters"]
+            dep.session().flow_info_many([(a, b), (a, c)])
+            both = obs.export.snapshot(reg)["counters"]
+        assert first["collectors.master.stitch_pairs{result=probed}"] == 2
+        assert first["collectors.master.stitch_pairs{result=skipped}"] == 1
+        assert both["collectors.master.stitch_pairs{result=reused}"] == 2
+        assert _probes_run(dep) == 4
+        assert dep.benchmarks["eth"].probes_run == 1  # eth -> cmu only
+
+    def test_scope_reaches_a_master_behind_a_master(self, wan):
+        """The tier that probes may sit below the one that was asked."""
+        from repro.collectors.master import MasterCollector
+
+        dep = deploy_wan(wan)
+        top_dir = CollectorDirectory()
+        top_dir.register(
+            dep.master, ["10.0.0.0/8", "192.168.0.0/16"], site="everything", remote=True
+        )
+        top = MasterCollector("top", wan.net, top_dir)
+        ips = [str(wan.host(s, 0).ip) for s in ("cmu", "eth", "dsl")]
+        resp = top.topology(
+            TopologyRequest(tuple(ips), pairs=frozenset({(ips[0], ips[1])}))
+        )
+        assert resp.graph.has_edge("cmu-gw", "eth-gw")
+        assert not resp.graph.has_edge("cmu-gw", "dsl-gw")
+        assert _probes_run(dep) == 2
+
+
+class TestAgeJudgedWhenTheStitchStarts:
+    """One stitch reads the clock once: the time its own probes take
+    cannot expire the measurements it is about to read."""
+
+    #: three sites behind links so slow that every probe runs into
+    #: ``max_probe_s`` (30 s): one full stitch is 6 probes = 180 s
+    MAX_AGE_S = 170.0
+
+    @pytest.fixture
+    def slow(self):
+        w = build_multisite_wan(
+            [SiteSpec(n, access_bps=0.08 * MBPS, n_hosts=2) for n in ("a", "b", "c")]
+        )
+        dep = deploy_wan(w, bench_config=BenchmarkConfig(max_age_s=self.MAX_AGE_S))
+        req = TopologyRequest.of([w.host(n, 0).ip for n in ("a", "b", "c")])
+        t0 = w.net.now
+        dep.master.topology(req)
+        assert w.net.now - t0 > self.MAX_AGE_S
+        assert [dep.benchmarks[n].probes_run for n in ("a", "b", "c")] == [2, 2, 2]
+        return w, dep, req
+
+    def test_refresh_reuses_a_stitch_longer_than_max_age(self, slow):
+        w, dep, req = slow
+        w.net.engine.run_until(w.net.now + 10.0)
+        resp = dep.master.topology(req)
+        assert _probes_run(dep) == 6
+        assert resp.status == QueryStatus.OK
+
+    def test_query_after_max_age_reprobes_each_direction_once(self, slow):
+        w, dep, req = slow
+        w.net.engine.run_until(w.net.now + self.MAX_AGE_S + 1.0)
+        dep.master.topology(req)
+        assert [dep.benchmarks[n].probes_run for n in ("a", "b", "c")] == [4, 4, 4]
+
+    def test_one_lapsed_direction_does_not_cascade(self, slow):
+        """25 s on, only the first direction probed (then 175 s old) has
+        lapsed.  Judged against the moving clock, re-probing it (30 s)
+        would lapse the next, and so on through all six."""
+        w, dep, req = slow
+        w.net.engine.run_until(w.net.now + 25.0)
+        dep.master.topology(req)
+        assert _probes_run(dep) == 7

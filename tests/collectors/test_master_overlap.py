@@ -115,7 +115,7 @@ class TestWanEdgeOrdering:
         g = TopologyGraph()
         t0 = w.net.now
         with obs.scoped_registry() as reg:
-            dep.master._add_wan_edge(g, "s0", "ghost-a", "s1", "ghost-b")
+            dep.master._add_wan_edge(g, "s0", "ghost-a", "s1", "ghost-b", t0)
         assert w.net.now == t0
         assert reg.counter("collectors.master.wan_edges").value == 0.0
         assert g.num_edges() == 0

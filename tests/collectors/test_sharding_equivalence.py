@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import faults
 from repro.collectors.base import TopologyRequest
@@ -183,6 +185,55 @@ class TestFaultFreeByteIdentity:
             assert _q(fa.available_bps) == _q(sa.available_bps)
             assert _q(fa.latency_s) == _q(sa.latency_s)
             assert fa.status == sa.status
+
+
+@st.composite
+def _scoped_query(draw):
+    """(world seed, shard count, non-empty (site, host) index pairs)."""
+    host = st.tuples(st.integers(0, N_SITES - 1), st.integers(0, 1))
+    pair = st.tuples(host, host).filter(lambda p: p[0] != p[1])
+    return (
+        draw(st.integers(0, 2**16)),
+        draw(st.sampled_from([2, 4, 8])),
+        draw(st.lists(pair, min_size=1, max_size=12)),
+    )
+
+
+def _scoped_request(world, index_pairs) -> TopologyRequest:
+    """A request naming the host pairs ``((site, host), (site, host))``."""
+    names = sorted(world.sites)
+
+    def ip(site_idx, host_idx):
+        return str(world.sites[names[site_idx]].hosts[host_idx].interfaces[0].ip)
+
+    pairs = frozenset((ip(*a), ip(*b)) for a, b in index_pairs)
+    return TopologyRequest(
+        tuple(sorted({h for pair in pairs for h in pair})), pairs=pairs
+    )
+
+
+def _probes_run(dep) -> int:
+    return sum(b.probes_run for b in dep.benchmarks.values())
+
+
+class TestScopedStitchByteIdentity:
+    """A request that names the pairs it will read is stitched by the
+    same routine on both planes: same edges, same probes, same bytes."""
+
+    @given(_scoped_query())
+    @settings(max_examples=15, deadline=None)
+    def test_scoped_requests_identical_to_flat(self, spec):
+        seed, n_shards, index_pairs = spec
+        world_f, flat = _deploy(seed=seed)
+        world_s, sharded = _deploy(seed=seed, sharding=ShardingConfig(n_shards=n_shards))
+        req = _scoped_request(world_f, index_pairs)
+        site_pairs = {frozenset((a, b)) for (a, _), (b, _) in index_pairs if a != b}
+        # cold, then warm: the second answer reuses the first's
+        # measurements and reads its probe bytes in the SNMP counters
+        for turn in ("cold", "warm"):
+            a, b = _aligned(req, world_f, flat, world_s, sharded)
+            assert canonical(a) == canonical(b), f"{turn} answers diverged"
+            assert _probes_run(flat) == _probes_run(sharded) == 2 * len(site_pairs)
 
 
 class TestFaultedNoWorse:

@@ -272,6 +272,26 @@ class TestProbeFaults:
         assert w.net.now - t0 >= dep.net.faults.plan.probe_timeout_s
 
 
+    def test_answer_built_on_an_expired_wan_measurement_is_stale(self):
+        """Never OK on data older than its TTL, the WAN edge included:
+        when the re-probe fails and the stitch falls back to a lapsed
+        measurement, the answer says STALE and how old."""
+        w, dep = _wan()
+        s = dep.session()
+        first = s.flow_info(w.host("a", 0), w.host("b", 0))
+        assert first.status == QueryStatus.OK
+
+        faults.install(dep, faults.FaultPlan(probe_fail_prob=1.0))
+        w.net.engine.run_until(w.net.now + 1000.0)
+        ans = s.flow_info(w.host("a", 0), w.host("b", 0))
+        assert ans.status == QueryStatus.STALE
+        assert ans.data_age_s >= 1000.0
+        assert ans.available_bps == pytest.approx(first.available_bps)
+        top = s.topology([w.host("a", 0), w.host("b", 0)])
+        assert top.status == QueryStatus.STALE
+        assert top.data_age_s >= 1000.0
+
+
 class TestTargetedFaults:
     """The scalpel helpers: take down one named agent or one link,
     deterministically, instead of rolling probabilistic dice."""

@@ -4,12 +4,33 @@ The fluid core is deterministic: a fixed world, seeded cross traffic
 and a scripted query sequence reach one simulated time, run one number
 of probes, send one number of PDUs and give one ``available_bps`` per
 answer.  CI's ``cmp`` of two runs only proves a commit agrees with
-itself; the literals below were recorded on the parent of the PR that
-introduced dominated-channel pruning and the incremental monitor
-series, so a fluid-core or collector change that moves the simulation
-by one ulp fails here.  A PR that *means* to change simulated behaviour
-re-records them (``python tests/integration/test_sim_clock_golden.py``
-prints the new block) and says so.
+itself; the literals below pin a recording, so a fluid-core or
+collector change that moves the simulation by one ulp fails here.  A PR
+that *means* to change simulated behaviour re-records them (``python
+tests/integration/test_sim_clock_golden.py`` prints the new block) and
+says so.
+
+Recorded on the commit that made the WAN stitch judge a measurement's
+age at the instant the stitch starts (and scoped it to the pairs a
+query names — which this script never exercises: its ``flow_info``
+calls are single-pair, hence unscoped, and ``topology()`` always asks
+for the full mesh).  Against the previous recording, taken on the
+parent of the dominated-channel-pruning PR: ``GOLDEN_NOW``
+1848.2104811900094 -> 1728.6078080773116 and ``GOLDEN_PROBES`` 689 ->
+647, because the 8- and 4-site ``topology()`` stitches no longer lapse
+later pairs' measurements with the time their own earlier probes took;
+``GOLDEN_PDUS`` 242 -> 255, because from round 3 on (the first reuse)
+every query lands at another instant against the pollers' sweeps, and
+the ``flow_info`` calls of rounds 6-8, which used to find every site's
+counters freshly polled (0 query-time PDUs), now refetch (4-6 each);
+and 7 of the 30 ``GOLDEN_AVAILABLE_BPS`` (indices 15, 17, 18, 20, 24,
+26, 29, all from round 5 on) moved because those answers now read a
+measurement the old stitch would have re-probed, or meet the cross
+traffic at another instant.  The same commit made ``ifInOctets`` /
+``ifOutOctets`` round the fluid byte count where they used to truncate
+it (a whole-byte probe could read one octet short depending on the
+instant it ran); on its own that moves indices 24 and 26, in the ninth
+significant digit, and nothing else.
 """
 
 from repro.deploy import deploy_wan
@@ -19,9 +40,9 @@ from repro.rps.service import RpsPredictionService
 
 ROUNDS = 10
 
-GOLDEN_NOW = 1848.2104811900094
-GOLDEN_PROBES = 689
-GOLDEN_PDUS = 242
+GOLDEN_NOW = 1728.6078080773116
+GOLDEN_PROBES = 647
+GOLDEN_PDUS = 255
 GOLDEN_AVAILABLE_BPS = [
     6171243.067716197,
     6000000.0,
@@ -38,21 +59,21 @@ GOLDEN_AVAILABLE_BPS = [
     6359176.555194671,
     6062283.682254828,
     900000.0,
-    6580709.871707844,
+    6602256.413967082,
     41096949.29143556,
-    6383998.928449863,
-    6000000.0,
+    6289232.184146665,
+    6227867.432879499,
     900000.0,
-    934139.7497199399,
+    900000.0,
     6100705.272517656,
     30352645.690740265,
     27698856.443440083,
-    95636862.97962295,
+    95785303.41330753,
     922128.1187294567,
-    99122901.19126993,
+    99332749.33013985,
     935845.3711523595,
     31500000.0,
-    6026822.250619651,
+    6000000.0,
 ]
 
 

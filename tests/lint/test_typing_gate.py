@@ -25,6 +25,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 STRICT_FILES = (
     sorted((REPO_ROOT / "src" / "repro" / "common").rglob("*.py"))
     + [
+        REPO_ROOT / "src" / "repro" / "collectors" / "benchmark_collector.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "master.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "monitor.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "sharding.py",
@@ -50,6 +51,7 @@ STRICT_MODULES = [
     "repro.common.rng",
     "repro.common.status",
     "repro.common.units",
+    "repro.collectors.benchmark_collector",
     "repro.collectors.master",
     "repro.collectors.monitor",
     "repro.collectors.sharding",

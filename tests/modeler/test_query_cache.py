@@ -7,6 +7,7 @@ the simulated cost, and no Master RPC.  Past the window (or after
 """
 
 import dataclasses
+import itertools
 
 import pytest
 
@@ -342,3 +343,74 @@ class TestDerivedViewMemo:
         raw.add_node(node)
         assert not s.topology(hosts, detail="raw").graph.has_node(node.id)
         assert raw.to_dict() is not raw.to_dict()
+
+
+class TestScopedFetchKeys:
+    """The cache keys on what a fetch measured as well as on its hosts:
+    an entry holding every WAN edge may serve a query that reads a few
+    of them, never the other way round."""
+
+    @staticmethod
+    def _star(hosts):
+        return [(hosts[0], h) for h in hosts[1:]]
+
+    @staticmethod
+    def _probes(dep):
+        return sum(b.probes_run for b in dep.benchmarks.values())
+
+    @staticmethod
+    def _wan_edges(graph):
+        return sum(1 for e in graph.edges() if e.a.endswith("-gw") and e.b.endswith("-gw"))
+
+    def test_topology_after_scoped_flows_has_every_wan_edge(self):
+        _, dep, hosts = _small_wan(ttl_s=30.0)
+        s = dep.session()
+        s.flow_info_many(self._star(hosts))
+        assert self._probes(dep) == 2 * 3
+        with obs.scoped_registry() as reg:
+            top = s.topology(hosts, detail="raw")
+            snap = obs.export.snapshot(reg)
+        assert _hit_miss(snap) == (0, 1)
+        assert self._wan_edges(top.graph) == 6
+        assert self._probes(dep) == 2 * 6
+
+    def test_scoped_query_after_full_mesh_is_a_hit_without_probes(self):
+        w, dep, hosts = _small_wan(ttl_s=30.0)
+        s = dep.session()
+        s.topology(hosts)
+        probes = self._probes(dep)
+        t0 = w.net.now
+        with obs.scoped_registry() as reg:
+            answers = s.flow_info_many(self._star(hosts))
+            snap = obs.export.snapshot(reg)
+        assert _hit_miss(snap) == (1, 0)
+        assert self._probes(dep) == probes
+        assert w.net.now - t0 == pytest.approx(dep.modeler.rpc.local_s)
+        assert all(a.ok and a.available_bps > 0 for a in answers)
+
+    def test_single_pair_and_all_pairs_use_the_unscoped_key(self):
+        _, dep, hosts = _small_wan(ttl_s=30.0)
+        s = dep.session()
+        s.flow_info(hosts[0], hosts[1])
+        s.flow_info_many(list(itertools.combinations(hosts, 2)))
+        assert set(dep.modeler._query_cache) == {
+            ((hosts[0], hosts[1]), True),
+            (tuple(sorted(hosts)), True),
+        }
+        # ... so a topology over the same hosts is served by that entry
+        with obs.scoped_registry() as reg:
+            s.topology(hosts)
+            assert _hit_miss(obs.export.snapshot(reg)) == (1, 0)
+
+    def test_scoped_entries_replay_and_are_evicted_by_site(self):
+        _, dep, hosts = _small_wan(ttl_s=30.0)
+        s = dep.session()
+        first = s.flow_info_many(self._star(hosts))
+        (key,) = dep.modeler._query_cache
+        assert len(key) == 3  # hosts, dynamics, scope
+        with obs.scoped_registry() as reg:
+            again = s.flow_info_many(self._star(hosts))
+            assert _hit_miss(obs.export.snapshot(reg)) == (1, 0)
+        assert [a.available_bps for a in again] == [a.available_bps for a in first]
+        dep.modeler.invalidate_cache(sites=["s03"])
+        assert not dep.modeler._query_cache

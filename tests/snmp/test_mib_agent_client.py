@@ -114,6 +114,22 @@ class TestDeviceMibs:
         out1 = client.get("10.1.0.1", O.IF_OUT_OCTETS + 2)
         assert out1 == pytest.approx(8e6 * 10 / 8, rel=0.01)
 
+    def test_whole_byte_transfers_count_whole_octets(self, snmp_dumbbell):
+        """The fluid byte count of a 50 000-byte transfer lands an ulp
+        either side of 50 000 depending on the instant it ran; the
+        counter must not read that as 49 999 (two planes probing at
+        different instants would then disagree about the same probe)."""
+        d, world, client = snmp_dumbbell
+        engine = d.net.engine
+        reads = [0]
+        for _ in range(40):
+            engine.run_until(engine.now + 0.37)
+            f = d.net.flows.start_flow(d.h1, d.h2)
+            engine.advance(50_000 * 8 / f.rate_bps)
+            d.net.flows.stop_flow(f)
+            reads.append(client.get("10.1.0.1", O.IF_OUT_OCTETS + 2))
+        assert [b - a for a, b in zip(reads, reads[1:])] == [50_000] * 40
+
     def test_route_table_walk(self, snmp_dumbbell):
         d, world, client = snmp_dumbbell
         hops = client.table_column("10.1.0.1", O.IP_ROUTE_NEXT_HOP)
