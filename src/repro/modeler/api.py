@@ -26,6 +26,7 @@ bandwidth instead of the last measurement (§2.3, §3.3).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import warnings
@@ -67,6 +68,13 @@ WIRE_SCHEMA_VERSION = 1
 
 #: answer fields carried as JSON lists but reconstructed as tuples
 _TUPLE_FIELDS = frozenset({"path", "provenance", "unresolved"})
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """Dataclass field names of an answer class, looked up once per
+    class: ``dataclasses.fields`` rebuilds its tuple on every call."""
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 class Answer:
@@ -113,17 +121,17 @@ class Answer:
         under ``repro.service.wire.canonical_json``.
         """
         out: dict = {"schema": WIRE_SCHEMA_VERSION, "kind": self.KIND}
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
+        for name in _field_names(type(self)):
+            v = getattr(self, name)
             if isinstance(v, QueryStatus):
                 v = v.to_dict()
             elif isinstance(v, TopologyGraph):
                 v = v.to_dict()
-            elif f.name == "site_status":
+            elif name == "site_status":
                 v = {site: st.to_dict() for site, st in sorted(v.items())}
             elif isinstance(v, tuple):
                 v = list(v)
-            out[f.name] = v
+            out[name] = v
         return out
 
     @staticmethod
@@ -232,8 +240,18 @@ class TopologyAnswer(Answer):
     trace_id: str | None = None
 
 
+@functools.lru_cache(maxsize=4096)
+def _canonical_quad(addr: str) -> str:
+    """``addr`` parsed and rendered as its canonical dotted quad, kept:
+    a warm query names the same hosts as strings on every call.  A bad
+    address raises and is not remembered."""
+    return str(IPv4Address(addr))
+
+
 def _ip_of(host) -> str:
     """Accept Host objects, IPv4Address, or strings."""
+    if type(host) is str:
+        return _canonical_quad(host)
     if isinstance(host, Host):
         return str(host.ip)
     return str(IPv4Address(host))

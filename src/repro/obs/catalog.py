@@ -99,6 +99,7 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "service.retries",
         "service.shed",
         "service.subs_events",
+        "service.wire.answer_text",
         # -- faults ----------------------------------------------------
         "faults.injected",
         # -- obs itself ------------------------------------------------

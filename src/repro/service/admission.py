@@ -13,6 +13,9 @@ does the client see an ``overloaded`` error.
 The LKG store keeps answers in canonical wire form (plain dicts), so a
 shed response is isolated from later mutation of live answers and
 exercises exactly the serialization path a remote client sees.
+It is also the one place that sees each answer next to the last one
+served for the same query, so it is where a repeated answer inherits
+the text already encoded for it (:class:`~repro.service.wire.AnswerRecord`).
 Results containing any ``FAILED`` answer are never stored — a shed
 must not launder a failure into a plausible-looking STALE answer.
 Site-scoped invalidation mirrors ``RemosSession.invalidate_cache``:
@@ -26,7 +29,7 @@ from typing import Any, Callable, Iterable
 
 from repro.common.status import QueryStatus
 from repro.obs.timebase import wall_now
-from repro.service.wire import WireError
+from repro.service.wire import AnswerRecord
 
 __all__ = ["LastKnownGoodStore", "AdmissionController"]
 
@@ -66,12 +69,26 @@ class LastKnownGoodStore:
 
         Returns False (and stores nothing) if any answer in the payload
         is FAILED: shedding must never replay a failure as data.
+
+        An answer record that says what the record it replaces said
+        (:meth:`AnswerRecord.mark`: everything but ``trace_id``, type
+        for type) takes over that record's encoded text.
         """
         failed = QueryStatus.FAILED.to_dict()
         for d in _iter_answer_dicts(payload):
             if d.get("status") == failed:
                 return False
-        self._entries.pop(key, None)
+        replaced = self._entries.pop(key, None)
+        last = None if replaced is None else replaced[1]
+        if (
+            type(payload) is AnswerRecord
+            and type(last) is AnswerRecord
+            and last.encoded is not None  # never serialized: nothing to take over
+            and payload.encoded is None
+        ):
+            mark = payload.mark()
+            if mark and mark == last.mark():
+                payload.encoded = last.encoded
         self._entries[key] = (self._clock(), payload)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
@@ -154,15 +171,3 @@ class AdmissionController:
 
     def release(self) -> None:
         self._inflight = max(0, self._inflight - 1)
-
-    def shed(self, store: LastKnownGoodStore, key: str) -> Any:
-        """LKG payload for a rejected request, or ``overloaded``."""
-        payload = store.serve_stale(key)
-        if payload is None:
-            raise WireError(
-                "overloaded",
-                f"service at max_inflight={self.max_inflight} and no "
-                "last-known-good answer for this query",
-                retry_after_s=0.05,
-            )
-        return payload

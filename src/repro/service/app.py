@@ -40,7 +40,7 @@ from repro.service.breaker import CircuitBreaker
 from repro.service.ratelimit import TenantRateLimiter
 from repro.service.retrypolicy import RetryBudget, call_with_retry
 from repro.service.subs import FlowWatcher, SubscriptionHub, flow_channel
-from repro.service.wire import WireError, canonical_json, result_body
+from repro.service.wire import AnswerRecord, WireError, canonical_json, result_body
 
 __all__ = ["BackendFaultError", "RemosService", "ServiceConfig", "SessionBackend"]
 
@@ -113,7 +113,9 @@ class SessionBackend:
 class RemosService:
     """The Remos query plane: sessions as a shared, hardened service."""
 
-    def __init__(self, backend: SessionBackend, config: ServiceConfig | None = None):
+    def __init__(
+        self, backend: SessionBackend, config: ServiceConfig | None = None
+    ) -> None:
         self.backend = backend
         self.config = config or ServiceConfig()
         cfg = self.config
@@ -270,7 +272,12 @@ class RemosService:
                 return call_with_retry(run, self.retry_budget, on_retry)
 
     def _route(self, endpoint: str, body: dict[str, Any]) -> Any:
-        """Translate a wire body into the session call; returns wire dicts."""
+        """Translate a wire body into the session call; returns wire dicts.
+
+        A single answer is returned as an :class:`AnswerRecord`, so a
+        repeat of the last answer stored for the query is not encoded
+        again; lists of answers stay plain.
+        """
         session = self.backend.session
         try:
             if endpoint == "flow_info":
@@ -280,7 +287,7 @@ class RemosService:
                     predict=bool(body.get("predict", False)),
                     horizon_steps=int(body.get("horizon_steps", 1)),
                 )
-                return ans.to_dict()
+                return AnswerRecord(ans.to_dict())
             if endpoint == "flow_info_many":
                 pairs = [(p[0], p[1]) for p in body["pairs"]]
                 own = body.get("own_flows")
@@ -298,7 +305,7 @@ class RemosService:
                     detail=str(body.get("detail", "simplified")),
                     include_dynamics=bool(body.get("include_dynamics", True)),
                 )
-                return ans.to_dict()
+                return AnswerRecord(ans.to_dict())
             if endpoint == "node_info":
                 answers = session.node_info(
                     body["hosts"],

@@ -24,6 +24,7 @@ import json
 from typing import Any
 
 from repro.service.app import RemosService
+from repro.service.http import body_length, read_head
 from repro.service.wire import WireError, canonical_json, parse_result
 
 __all__ = ["ServiceError", "DirectClient", "HttpServiceClient"]
@@ -162,17 +163,13 @@ class HttpServiceClient(_BaseClient):
 
     async def _read_response(self) -> dict[str, Any]:
         assert self._reader is not None
-        status_line = await self._reader.readline()
-        if not status_line:
-            raise ServiceError("backend_error", "server closed the connection")
-        length = 0
-        while True:
-            line = await self._reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                length = int(value.strip())
+        try:
+            head = await read_head(self._reader)
+            if head is None:
+                raise ServiceError("backend_error", "server closed the connection")
+            length = body_length(head[1])
+        except ValueError as exc:
+            raise ServiceError("backend_error", f"malformed response: {exc}") from None
         raw = await self._reader.readexactly(length) if length else b""
         envelope = json.loads(raw.decode("utf-8"))
         if not isinstance(envelope, dict):

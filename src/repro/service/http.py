@@ -22,7 +22,11 @@ Routes (all bodies canonical JSON)::
     GET  /v1/metrics
 
 The tenant is the ``X-Remos-Tenant`` header (``anonymous`` when
-absent).
+absent).  A request is framed by ``Content-Length`` and CRLF line ends
+only; what cannot be framed (a head cut off or over 16 KiB, a bare LF,
+``Transfer-Encoding``, disagreeing lengths, a body over 1 MiB) is
+answered 400 / 413 and the connection closed, never dispatched
+(docs/service.md, "What the edge accepts").
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from repro import obs
 from repro.service.app import RemosService
 from repro.service.wire import WireError, canonical_json, decode_body, error_body
 
-__all__ = ["start_server", "serve_forever", "HTTP_STATUS"]
+__all__ = ["start_server", "serve_forever", "read_head", "body_length", "HTTP_STATUS"]
 
 log = obs.get_logger(__name__)
 
@@ -63,51 +67,103 @@ _REASONS = {
 MAX_BODY_BYTES = 1 << 20  # 1 MiB: topology requests list hosts, not graphs
 MAX_HEADER_BYTES = 16 << 10
 
+#: everything of a response head but the body length, per (status, keep-alive)
+_HEADS: dict[tuple[int, bool], bytes] = {
+    (status, keep_alive): (
+        f"HTTP/1.1 {status} {reason}\r\n"
+        "Content-Type: application/json\r\n"
+        "Content-Length: %d\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+        "\r\n"
+    ).encode("latin-1")
+    for status, reason in _REASONS.items()
+    for keep_alive in (True, False)
+}
+
 
 def _response(status: int, body: dict[str, Any], keep_alive: bool) -> bytes:
     payload = canonical_json(body).encode("utf-8")
-    head = (
-        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-        "Content-Type: application/json\r\n"
-        f"Content-Length: {len(payload)}\r\n"
-        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-        "\r\n"
-    )
-    return head.encode("latin-1") + payload
+    return _HEADS[status, keep_alive] % len(payload) + payload
+
+
+class _Refused(Exception):
+    """A request the edge answers itself, with ``bad_request`` and a
+    closed connection, because it cannot be framed: never dispatched."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+async def read_head(
+    reader: asyncio.StreamReader,
+) -> tuple[list[str], dict[str, str]] | None:
+    """One message head, read and split in one pass: the three fields
+    of its start line, and its headers under lower-cased names.
+
+    None on a clean EOF before the first byte.  ``ValueError`` for a
+    head that ends before its blank line, exceeds ``MAX_HEADER_BYTES``
+    (or the ``limit`` ``reader`` was created with, if that is less),
+    has a line not ended by CRLF, a start line of other than three
+    fields, or two ``Content-Length`` headers that disagree.  Shared by
+    the server (requests) and :class:`~repro.service.client.
+    HttpServiceClient` (responses).
+    """
+    try:
+        raw = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.IncompleteReadError as exc:
+        if exc.partial:
+            raise ValueError("message head cut off before its blank line") from None
+        return None
+    except asyncio.LimitOverrunError:
+        raise ValueError("headers too large") from None
+    if len(raw) > MAX_HEADER_BYTES:
+        raise ValueError("headers too large")
+    text = raw[:-4].decode("latin-1")
+    start, *lines = text.split("\r\n")
+    if text.count("\n") != len(lines) or text.count("\r") != len(lines):
+        raise ValueError("bare CR or LF in message head")
+    fields = start.split(None, 2)
+    if len(fields) != 3:
+        raise ValueError("malformed start line")
+    headers: dict[str, str] = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise ValueError("conflicting Content-Length headers")
+        headers[name] = value
+    return fields, headers
+
+
+def body_length(headers: dict[str, str]) -> int:
+    """The declared ``Content-Length`` (0 when absent); ``ValueError``
+    unless it is plain digits."""
+    raw_length = headers.get("content-length") or "0"
+    # int() alone would also take "+5", "1_0" and " 5 "; HTTP allows digits only
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise ValueError(f"bad Content-Length {raw_length!r}")
+    return int(raw_length)
 
 
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> tuple[str, str, dict[str, str], bytes] | None:
-    """Parse one request; None on clean EOF, WireError on junk."""
+    """Parse one request; None on clean EOF, ``_Refused`` on junk."""
     try:
-        request_line = await reader.readline()
-    except (ConnectionResetError, asyncio.IncompleteReadError):
-        return None
-    if not request_line:
-        return None
-    try:
-        method, target, _version = request_line.decode("latin-1").split(None, 2)
-    except ValueError:
-        raise WireError("bad_request", "malformed request line") from None
-    headers: dict[str, str] = {}
-    total = len(request_line)
-    while True:
-        line = await reader.readline()
-        total += len(line)
-        if total > MAX_HEADER_BYTES:
-            raise WireError("bad_request", "headers too large")
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    raw_length = headers.get("content-length") or "0"
-    # int() alone would also take "+5", "1_0" and " 5 "; HTTP allows digits only
-    if not (raw_length.isascii() and raw_length.isdigit()):
-        raise WireError("bad_request", f"bad Content-Length {raw_length!r}")
-    length = int(raw_length)
+        head = await read_head(reader)
+        if head is None:
+            return None
+        (method, target, _version), headers = head
+        length = body_length(headers)
+    except ValueError as exc:
+        raise _Refused(400, str(exc)) from None
+    if "transfer-encoding" in headers:
+        # a chunked body read as Content-Length 0 would be dispatched
+        # empty and its chunks parsed as the next request
+        raise _Refused(400, "Transfer-Encoding is not supported; send Content-Length")
     if length > MAX_BODY_BYTES:
-        raise WireError("bad_request", f"body exceeds {MAX_BODY_BYTES} bytes")
+        raise _Refused(413, f"body exceeds {MAX_BODY_BYTES} bytes")
     body = await reader.readexactly(length) if length else b""
     return method.upper(), target, headers, body
 
@@ -121,8 +177,9 @@ async def _handle_connection(
         while True:
             try:
                 parsed = await _read_request(reader)
-            except WireError as err:
-                writer.write(_response(400, error_body(err), keep_alive=False))
+            except _Refused as refused:
+                err = WireError("bad_request", str(refused))
+                writer.write(_response(refused.status, error_body(err), keep_alive=False))
                 await writer.drain()
                 return
             except asyncio.IncompleteReadError:
@@ -192,7 +249,10 @@ async def start_server(
     attached to the server object and cancelled when it closes.
     """
     server = await asyncio.start_server(
-        lambda r, w: _handle_connection(service, r, w), host, port
+        lambda r, w: _handle_connection(service, r, w),
+        host,
+        port,
+        limit=MAX_HEADER_BYTES,
     )
 
     if tick_interval_s > 0:

@@ -39,6 +39,8 @@ STRICT_FILES = (
         REPO_ROOT / "src" / "repro" / "netsim" / "paths.py",
         REPO_ROOT / "src" / "repro" / "rps" / "streaming.py",
         REPO_ROOT / "src" / "repro" / "service" / "admission.py",
+        REPO_ROOT / "src" / "repro" / "service" / "app.py",
+        REPO_ROOT / "src" / "repro" / "service" / "client.py",
         REPO_ROOT / "src" / "repro" / "service" / "http.py",
         REPO_ROOT / "src" / "repro" / "service" / "wire.py",
     ]
@@ -64,6 +66,8 @@ STRICT_MODULES = [
     "repro.netsim.flows",
     "repro.netsim.paths",
     "repro.service.admission",
+    "repro.service.app",
+    "repro.service.client",
     "repro.service.http",
     "repro.service.wire",
     "repro.obs",

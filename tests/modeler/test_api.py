@@ -96,3 +96,43 @@ class TestFlowQuery:
         dep.modeler.prediction_service = None
         with pytest.raises(QueryError):
             dep.modeler.flow_query(lan.hosts[0], lan.hosts[1], predict=True)
+
+
+class TestHostAddresses:
+    """``_ip_of`` keeps the canonical dotted quad of every address
+    string it has parsed; what it answers is what it always answered."""
+
+    def test_strings_are_canonicalised(self):
+        from repro.modeler.api import _ip_of
+
+        for _ in range(2):  # parsed, then remembered
+            assert _ip_of("010.1.2.3") == "10.1.2.3"
+            assert _ip_of("10.1.2.3") == "10.1.2.3"
+
+    def test_hosts_and_addresses_are_accepted_as_before(self, lan_dep):
+        from repro.modeler.api import _ip_of
+        from repro.netsim.address import IPv4Address
+
+        lan, _ = lan_dep
+        host = lan.hosts[3]
+        assert _ip_of(host) == _ip_of(host.ip) == _ip_of(str(host.ip)) == str(host.ip)
+        assert _ip_of(IPv4Address(0x0A010203)) == "10.1.2.3"
+        with pytest.raises(TypeError):
+            _ip_of(3.5)
+
+    @pytest.mark.parametrize("junk", ["", "10.1.2", "10.1.2.256", "a.b.c.d", "10.1.2.3.4"])
+    def test_a_bad_address_raises_every_time(self, junk):
+        from repro.modeler.api import _ip_of
+
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                _ip_of(junk)
+
+    def test_the_memo_is_bounded(self):
+        from repro.modeler.api import _canonical_quad, _ip_of
+
+        bound = _canonical_quad.cache_info().maxsize
+        assert bound is not None
+        for i in range(bound + 100):
+            _ip_of(f"10.{i >> 16 & 255}.{i >> 8 & 255}.{i & 255}")
+        assert _canonical_quad.cache_info().currsize == bound

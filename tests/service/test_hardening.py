@@ -10,8 +10,10 @@ import asyncio
 
 import pytest
 
+from repro.modeler.api import FlowAnswer
 from repro.obs.timebase import FixedTimebase
 from repro.service.admission import AdmissionController, LastKnownGoodStore
+from repro.service.app import RemosService, ServiceConfig, SessionBackend
 from repro.service.breaker import CircuitBreaker
 from repro.service.ratelimit import TenantRateLimiter, TokenBucket
 from repro.service.retrypolicy import RetryBudget, call_with_retry
@@ -229,18 +231,40 @@ class TestLastKnownGoodStore:
 
 
 class TestAdmissionController:
-    def test_admit_until_full_then_shed(self, clock):
-        adm = AdmissionController(max_inflight=2)
-        store = LastKnownGoodStore(clock=clock.now)
-        assert adm.try_admit() and adm.try_admit()
-        assert not adm.try_admit()
-        with pytest.raises(WireError) as exc:
-            adm.shed(store, "k")  # no LKG yet
-        assert exc.value.code == "overloaded"
-        store.store("k", {"status": "ok", "data_age_s": 0.0})
-        assert adm.shed(store, "k")["status"] == "stale"
-        adm.release()
-        assert adm.try_admit()
+    def test_admit_until_full_then_shed(self):
+        """At ``max_inflight`` the service sheds instead of queueing:
+        ``overloaded`` while the store has nothing for the query, the
+        stored answer served STALE once it has."""
+
+        class Session:
+            def flow_info(self, src, dst, **kw):
+                return FlowAnswer(
+                    src=src, dst=dst, available_bps=1.0, bottleneck_bps=1.0,
+                    capacity_bps=1.0, latency_s=0.0, jitter_s=0.0, path=(),
+                )
+
+        service = RemosService(SessionBackend(Session()), ServiceConfig(max_inflight=2))
+        adm = service.admission
+
+        async def run():
+            body = {"src": "a", "dst": "b"}
+            assert adm.try_admit() and adm.try_admit()
+            assert not adm.try_admit()
+            with pytest.raises(WireError) as exc:
+                await service.dispatch("flow_info", body)  # no LKG yet
+            assert exc.value.code == "overloaded"
+            adm.release()
+            live = await service.dispatch("flow_info", body)
+            assert adm.try_admit()  # full again
+            shed = await service.dispatch("flow_info", body)
+            adm.release()
+            assert adm.try_admit()
+            return live, shed
+
+        live, shed = asyncio.run(run())
+        assert (live["served"], live["result"]["status"]) == ("live", "ok")
+        assert (shed["served"], shed["result"]["status"]) == ("shed_lkg", "stale")
+        assert service.stats["overloaded"] == 1 and service.stats["shed_lkg"] == 1
 
     def test_release_never_goes_negative(self):
         adm = AdmissionController(max_inflight=1)

@@ -15,7 +15,7 @@ from repro.deploy import deploy_lan
 from repro.netsim.builders import build_switched_lan
 from repro.service import RemosService, ServiceConfig
 from repro.service.client import HttpServiceClient, ServiceError
-from repro.service.http import start_server
+from repro.service.http import MAX_BODY_BYTES, MAX_HEADER_BYTES, start_server
 
 
 def make_service(config=None):
@@ -42,30 +42,37 @@ def with_server(coro_fn, config=None):
     return asyncio.run(run())
 
 
-async def raw_request(port: int, payload: bytes) -> tuple[int, dict]:
-    """Send raw bytes, read one response; returns (status, body)."""
+async def exchange(port: int, payload: bytes, eof: bool = False) -> bytes:
+    """Send raw bytes (then half-close with ``eof``) and read until the
+    server closes the connection: everything it answered."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
         writer.write(payload)
         await writer.drain()
-        status_line = await reader.readline()
-        status = int(status_line.split()[1])
-        length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode().partition(":")
-            if name.strip().lower() == "content-length":
-                length = int(value.strip())
-        body = json.loads(await reader.readexactly(length)) if length else {}
-        return status, body
+        if eof:
+            writer.write_eof()
+        return await asyncio.wait_for(reader.read(), timeout=5.0)
     finally:
         writer.close()
-        try:
-            await writer.wait_closed()
-        except ConnectionResetError:
-            pass
+
+
+def responses(raw: bytes) -> list[tuple[int, bool, dict]]:
+    """Split a byte stream of responses: [(status, closes, body)]."""
+    out = []
+    while raw:
+        head, _, raw = raw.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.lower().split(": ", 1) for line in lines[1:])
+        length = int(headers["content-length"])
+        body, raw = raw[:length], raw[length:]
+        out.append((int(lines[0].split()[1]), headers["connection"] == "close", json.loads(body)))
+    return out
+
+
+async def raw_request(port: int, payload: bytes) -> tuple[int, dict]:
+    """Send one ``Connection: close`` request; returns (status, body)."""
+    ((status, _, body),) = responses(await exchange(port, payload))
+    return status, body
 
 
 def post(path: str, body: dict) -> bytes:
@@ -235,3 +242,174 @@ class TestTenancy:
                 return await cb.health()
 
         assert (with_server(go, config))["status"] == "ok"
+
+
+class TestRequestFraming:
+    """What the edge refuses before dispatch: a request it cannot frame
+    is answered 400 (or 413) with ``Connection: close`` and never
+    reaches the service — ``/v1/invalidate`` with an empty body flushes
+    every cache, so "dispatched anyway" is not harmless."""
+
+    @staticmethod
+    def refused(payload: bytes, eof: bool = False, status: int = 400):
+        async def go(port, hosts, service):
+            async with HttpServiceClient("127.0.0.1", port) as client:
+                await client.flow_info(hosts[0], hosts[5])  # one LKG entry to lose
+            before = service.stats["requests"]
+            raw = await exchange(port, payload, eof=eof)
+            return raw, service.stats["requests"] - before, len(service.lkg)
+
+        raw, dispatched, lkg_entries = with_server(go)
+        assert (dispatched, lkg_entries) == (0, 1)
+        ((got, closes, body),) = responses(raw)
+        assert (got, closes, body["error"]["code"]) == (status, True, "bad_request")
+        return body["error"]["message"]
+
+    def test_head_cut_off_before_its_blank_line_is_not_dispatched(self):
+        message = self.refused(b"POST /v1/invalidate HTTP/1.1\r\nHost: t\r\n", eof=True)
+        assert "cut off" in message
+
+    def test_clean_eof_between_requests_closes_silently(self):
+        async def go(port, hosts, service):
+            idle = await exchange(port, b"", eof=True)
+            after_one = await exchange(
+                port, b"GET /v1/health HTTP/1.1\r\nHost: t\r\n\r\n", eof=True
+            )
+            return idle, after_one
+
+        idle, after_one = with_server(go)
+        assert idle == b""
+        assert [(status, closes) for status, closes, _ in responses(after_one)] == [(200, False)]
+
+    def test_transfer_encoding_is_refused_not_read_as_an_empty_body(self):
+        message = self.refused(
+            b"POST /v1/invalidate HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"2\r\n{}\r\n0\r\n\r\n"
+        )
+        assert "Transfer-Encoding" in message
+
+    def test_conflicting_content_lengths_are_refused(self):
+        message = self.refused(
+            b"POST /v1/invalidate HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: 2\r\nContent-Length: 0\r\n\r\n{}"
+        )
+        assert "Content-Length" in message
+
+    def test_repeated_equal_content_lengths_are_one_length(self):
+        async def go(port, hosts, service):
+            return await exchange(
+                port,
+                b"POST /v1/health HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
+                b"Content-Length: 2\r\ncontent-length: 2\r\n\r\n{}",
+            )
+
+        assert [r[0] for r in responses(with_server(go))] == [200]
+
+    def test_declared_body_over_the_cap_is_413(self):
+        message = self.refused(
+            b"POST /v1/invalidate HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1),
+            status=413,
+        )
+        assert str(MAX_BODY_BYTES) in message
+
+    def test_bare_lf_line_endings_are_not_a_head(self):
+        self.refused(b"POST /v1/invalidate HTTP/1.1\nHost: t\n\n", eof=True)
+        self.refused(b"POST /v1/invalidate HTTP/1.1\r\nHost: t\nX-Remos-Tenant: a\r\n\r\n")
+
+    @pytest.mark.parametrize(
+        "headers",
+        [
+            b"X-Pad: " + b"a" * (MAX_HEADER_BYTES + 64) + b"\r\n",
+            b"".join(b"X-Pad-%d: %s\r\n" % (i, b"a" * 100) for i in range(160)),
+        ],
+        ids=["one-header", "many-headers"],
+    )
+    def test_head_over_16_kib_is_refused(self, headers):
+        assert len(headers) > MAX_HEADER_BYTES
+        message = self.refused(b"POST /v1/invalidate HTTP/1.1\r\n" + headers + b"\r\n")
+        assert "too large" in message
+
+    def test_malformed_request_line_is_refused(self):
+        self.refused(b"INVALIDATE\r\nHost: t\r\n\r\n")
+
+
+class TestOnePassHead:
+    def test_pipelined_requests_in_one_segment_are_answered_in_order(self):
+        async def go(port, hosts, service):
+            first = json.dumps({"src": hosts[0], "dst": hosts[5]}).encode()
+            return await exchange(
+                port,
+                b"POST /v1/flow_info HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n" % len(first)
+                + first
+                + b"GET /v1/health HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+            )
+
+        (s1, closes1, flow), (s2, closes2, health) = responses(with_server(go))
+        assert (s1, closes1, s2, closes2) == (200, False, 200, True)
+        assert flow["result"]["kind"] == "flow" and "breaker" in health["result"]
+
+    def test_header_names_match_case_insensitively(self):
+        config = ServiceConfig(rate=1.0, burst=1.0)
+
+        async def go(port, hosts, service):
+            def health(tenant_header: bytes) -> bytes:
+                return (
+                    b"POST /v1/health HTTP/1.1\r\nhOST: t\r\n" + tenant_header + b"\r\n"
+                    b"CONTENT-LENGTH: 2\r\nconnection: close\r\n\r\n{}"
+                )
+
+            return [
+                responses(await exchange(port, health(header)))[0][0]
+                for header in (b"X-REMOS-TENANT: a", b"x-remos-tenant: a", b"X-Remos-Tenant: b")
+            ]
+
+        # the second request drew on the first one's bucket; the body was read both times
+        assert with_server(go, config) == [200, 429, 200]
+
+    def test_body_at_the_cap_arrives_whole_under_the_reader_limit(self):
+        async def go(port, hosts, service):
+            frame = b'{"pad":"%s"}'
+            body = frame % (b"x" * (MAX_BODY_BYTES - len(frame % b"")))
+            assert len(body) == MAX_BODY_BYTES > 2 * MAX_HEADER_BYTES
+            return await exchange(
+                port,
+                b"POST /v1/health HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body) + body,
+            )
+
+        # a body cut short would not parse: 400, not 200
+        assert [r[0] for r in responses(with_server(go))] == [200]
+
+
+class TestClientReadsResponsesWithTheSameParser:
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"HTTP/1.1 200 OK\r\nContent-Length: +2\r\n\r\n{}",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n{}",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n",
+            b"HTTP/1.1 200 OK\nContent-Length: 2\n\n{}",
+        ],
+        ids=["signed-length", "conflicting-lengths", "cut-off", "bare-lf"],
+    )
+    def test_malformed_response_head_is_a_backend_error(self, head):
+        async def run():
+            async def answer(reader, writer):
+                await reader.readuntil(b"\r\n\r\n")
+                writer.write(head)
+                writer.close()
+
+            server = await asyncio.start_server(answer, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                async with HttpServiceClient("127.0.0.1", port, timeout_s=5.0) as client:
+                    with pytest.raises(ServiceError) as exc:
+                        await client.health()
+                    return exc.value
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        err = asyncio.run(run())
+        assert err.code == "backend_error" and "malformed response" in err.message

@@ -15,6 +15,7 @@ as an in-process call") rests on two properties of the
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +32,7 @@ from repro.modeler.graph import (
     TopologyGraph,
 )
 from repro.service.admission import LastKnownGoodStore
-from repro.service.wire import canonical_json, result_body
+from repro.service.wire import AnswerRecord, canonical_json, result_body
 
 # -- strategies --------------------------------------------------------
 
@@ -263,6 +264,161 @@ class TestSplicedEncodingIsPlainJson:
             assert canonical_json(obj) == plain_json(obj)
         with pytest.raises(TypeError):  # as json.dumps does on keys it cannot order
             canonical_json({1: "x", "graph": record})
+
+
+#: values ``==`` takes for one another and JSON does not
+near_equal = st.sampled_from(
+    [1, 1.0, True, 0, 0.0, -0.0, False, np.float64(1.0), np.float64(0.0)]
+)
+tricky_trace_ids = st.one_of(trace_ids, tricky_text)
+
+
+@st.composite
+def store_sequences(draw):
+    """Payloads stored one after another under one query key: mostly
+    the same answer again under another ``trace_id`` — what a warm
+    service sees — with the neighbours a loose comparison would take
+    for it mixed in."""
+    base = draw(st.one_of(answers, tricky_topology_answers))
+    payloads = []
+    while len(payloads) < draw(st.integers(min_value=2, max_value=6)):
+        d = base.to_dict()  # fresh containers; a frozen graph hands out its one record
+        edit = draw(
+            st.sampled_from(["same", "same", "same", "age", "retyped", "status", "regraphed", "other"])
+        )
+        if edit == "age":
+            d["data_age_s"] = draw(nonneg)
+        elif edit == "status":
+            d["status"] = draw(statuses).to_dict()
+        elif edit == "regraphed" and "graph" in d:
+            d["graph"] = TopologyGraph.from_dict(d["graph"]).freeze().to_dict()
+        elif edit == "other":
+            d = draw(answers).to_dict()
+        # "retyped": the same answer three times, equal under == each time
+        ages = draw(st.lists(near_equal, min_size=3, max_size=3)) if edit == "retyped" else [d["data_age_s"]]
+        payloads += [{**d, "data_age_s": age, "trace_id": draw(tricky_trace_ids)} for age in ages]
+    return payloads
+
+
+def flow_record(**fields) -> AnswerRecord:
+    ans = FlowAnswer(src="a", dst="b", available_bps=1.0, bottleneck_bps=1.0,
+                     capacity_bps=1.0, latency_s=0.0, jitter_s=0.0, path=("a", "b"))
+    return AnswerRecord({**ans.to_dict(), **fields})
+
+
+class TestRepeatedAnswerIsSplicedExactly:
+    """The LKG store hands the text of the answer it holds on to an
+    equal answer that replaces it; whatever it decides, the encoding
+    stays exactly what ``json.dumps`` gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(store_sequences(), st.sampled_from(["live", "shed_lkg"]))
+    def test_any_sequence_of_stores_encodes_as_plain_json(self, payloads, served):
+        store = LastKnownGoodStore()
+        for d in payloads:
+            stored = AnswerRecord(d)
+            store.store("k", stored)  # a FAILED one is refused; it is still served
+            body = result_body(stored, served=served)
+            want = plain_json(body)
+            assert canonical_json(body) == want  # first encode, or the text handed on
+            assert canonical_json(body) == want  # reuse
+            assert canonical_json(stored) == plain_json(d)
+            shed = store.serve_stale("k")
+            if shed is not None:  # nothing yet when every answer so far was FAILED
+                assert type(shed) is dict and shed["status"] != "failed"
+                shed_body = result_body(shed, served="shed_lkg")
+                assert canonical_json(shed_body) == plain_json(shed_body)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(answers, tricky_topology_answers), tricky_trace_ids, tricky_trace_ids)
+    def test_a_repeat_takes_the_text_over_and_keeps_its_own_trace_id(self, ans, tid1, tid2):
+        ans.status = QueryStatus.OK
+        store = LastKnownGoodStore()
+        first = AnswerRecord({**ans.to_dict(), "trace_id": tid1})
+        again = AnswerRecord({**ans.to_dict(), "trace_id": tid2})
+        assert store.store("k", first)
+        canonical_json(result_body(first))
+        assert store.store("k", again)
+        if isinstance(ans, TopologyAnswer) and ans.to_dict()["graph"] is not ans.to_dict()["graph"]:
+            assert again.encoded is None  # a mutable graph: a new record per answer
+        else:
+            assert again.encoded is first.encoded is not None
+        assert json.loads(canonical_json(result_body(again)))["result"]["trace_id"] == tid2
+        assert canonical_json(result_body(again)) == plain_json(result_body(again))
+
+    @pytest.mark.parametrize(
+        "values", [(1, 1.0, True), (0, 0.0, -0.0, False), (1.0, np.float64(1.0), 1.0)]
+    )
+    def test_near_equal_neighbours_are_not_taken_for_each_other(self, values):
+        store = LastKnownGoodStore()
+        seen = []
+        for v in values:
+            stored = flow_record(available_bps=v)
+            assert store.store("k", stored)
+            assert stored.encoded is None
+            assert canonical_json(stored) == plain_json(dict(stored))
+            seen.append(canonical_json(result_body(stored)))
+        assert len(set(seen)) == len({plain_json(v) for v in values})
+
+    def test_the_mark_is_blind_to_trace_id_and_to_nothing_else(self):
+        class Metres(float):
+            pass
+
+        assert flow_record().mark() == flow_record(trace_id="t0001").mark() != b""
+        assert flow_record().mark() != flow_record(available_bps=np.float64(1.0)).mark()
+        assert flow_record().mark() != flow_record(path=["a", "b", "c"]).mark()
+        # what marshal refuses is never taken for another answer
+        assert flow_record(available_bps=Metres(1.0)).mark() == b""
+
+    def test_nothing_is_taken_over_from_a_record_never_serialized(self):
+        """In-process callers never ask for the text, and never pay for
+        the comparison either."""
+        store = LastKnownGoodStore()
+        first, again = flow_record(), flow_record(trace_id="t0002")
+        store.store("k", first)
+        store.store("k", again)
+        assert again.encoded is None and again._mark is None
+
+    def test_lists_of_answers_and_shed_copies_stay_plain(self):
+        store = LastKnownGoodStore(clock=iter([1.0, 2.0, 3.0, 4.0]).__next__)
+        many = [dict(flow_record()), dict(flow_record(src="c"))]
+        store.store("many", many)
+        assert canonical_json(result_body(many)) == plain_json(result_body(many))
+        one = flow_record()
+        store.store("one", one)
+        text = canonical_json(result_body(one))
+        shed = store.serve_stale("one")
+        assert type(shed) is dict and shed["status"] == "stale" and shed["data_age_s"] == 1.0
+        # the stored record was not edited, nor was its text
+        assert one["status"] == "ok" and one["data_age_s"] == 0.0
+        assert canonical_json(result_body(one)) == text
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.dictionaries(
+            tricky_text,
+            st.one_of(finite, tricky_text, st.dictionaries(st.just("trace_id"), tricky_text)),
+            max_size=6,
+        ),
+        tricky_trace_ids,
+        tricky_trace_ids,
+    )
+    def test_a_record_of_any_members_is_cut_around_its_own_trace_id(self, members, tid1, tid2):
+        """Keys sorting before and after ``trace_id``, look-alike keys one
+        level down: the halves kept by the one-pass first encode are the
+        text before and after the top-level ``trace_id`` value."""
+        first = AnswerRecord({**members, "trace_id": tid1})
+        assert canonical_json(first) == plain_json(dict(first))
+        head, tail = first.encoded
+        assert head.endswith('"trace_id":') and head + plain_json(tid1) + tail == plain_json(dict(first))
+        again = AnswerRecord({**members, "trace_id": tid2})
+        again.encoded = first.encoded  # what the store does for an equal answer
+        assert canonical_json(again) == plain_json(dict(again))
+
+    def test_a_record_without_a_trace_id_is_encoded_as_a_plain_dict(self):
+        record = AnswerRecord({"b": 1, "a": [1.0]})
+        assert canonical_json(record) == plain_json({"a": [1.0], "b": 1})
+        assert record.encoded is None
 
 
 class TestScalarWireForms:
