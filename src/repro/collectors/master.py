@@ -25,8 +25,9 @@ revealing that the response was obtained from multiple collectors"
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+from collections import OrderedDict
 from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from typing import Any
 
 from repro import obs
@@ -37,7 +38,7 @@ from repro.common.errors import (
     UnknownHostError,
 )
 from repro.common.status import QueryStatus, SiteStatus, combine
-from repro.netsim.address import IPv4Address, IPv4Network
+from repro.netsim.address import IPv4Address
 from repro.netsim.topology import Network
 from repro.collectors.base import (
     Collector,
@@ -49,27 +50,77 @@ from repro.collectors.base import (
     TopologyResponse,
 )
 from repro.collectors.directory import CollectorDirectory, Registration
-from repro.modeler.graph import TopoEdge, TopoNode, TopologyGraph
+from repro.modeler.graph import TopoEdge, TopologyGraph
 
 log = obs.get_logger(__name__)
 
-#: a registration's identity for survival state: (site, collector
-#: name) — stable across re-registration, unlike ``id(reg)``, which the
-#: allocator may hand to a later, unrelated Registration
+#: a registration's identity for grouping and survival state: (site,
+#: collector name) — stable across re-registration and across
+#: directories that build a fresh ``Registration`` per lookup (SLP),
+#: unlike ``id(reg)``, which the allocator may also hand to a later,
+#: unrelated Registration
 RegKey = tuple[str, str]
+#: a delegate's identity for survival state: a :data:`RegKey` for a
+#: registration, the shard index for a shard
+DelegateKey = RegKey | int
 #: last-known-good fragment cache shapes (see MasterCollector._lkg)
-LkgKey = tuple[RegKey, tuple[str, ...]]
-LkgEntry = tuple[TopologyGraph, float, dict[str, str], tuple[str, ...]]
+LkgKey = tuple[DelegateKey, tuple[str, ...]]
+LkgEntry = tuple[TopologyGraph, float, dict[str, str], tuple[str, ...], tuple[str, ...]]
 #: (values, variances) series pair from a streaming predictor
 ForecastSeries = tuple[Any, Any]
+
+#: most last-known-good fragments one Master keeps; past it the least
+#: recently stored-or-served one is evicted
+LKG_MAX_FRAGMENTS = 1024
 
 
 def _reg_key(reg: Registration) -> RegKey:
     return (reg.site, reg.collector.name)
 
 
+@dataclass(frozen=True)
+class Delegate:
+    """One unit of a Master's fan-out: part of a request, the chain of
+    collectors that can answer it and — as data — everything in which
+    delegating to a shard of Masters differs from delegating to a site
+    collector (the defaults)."""
+
+    key: DelegateKey
+    #: how messages name it ("fragment for site cmu", "shard 3 fragment")
+    what: str
+    #: label of its delegation span
+    label: dict[str, str]
+    #: replica chain, tried in order; a registration is a chain of one
+    chain: tuple[Collector, ...]
+    request: TopologyRequest
+    #: the sites whose status the fragment carries
+    sites: tuple[str, ...]
+    #: every site the chain answers for (invalidating one of them
+    #: lifts the chain's quarantine)
+    owns: tuple[str, ...]
+    #: RPC cost of one call to a member of the chain ...
+    hop_s: float
+    #: ... charged on the reply path instead of before the call
+    reply_path_hop: bool = False
+    #: per-site statuses are the answer's own ``site_status`` (the chain
+    #: is of Masters) instead of being built from its ``status``
+    passthrough: bool = False
+    #: count an exhausted chain under ``collectors.sharded.shard_failures``
+    counts_failures: bool = False
+    #: ``SiteStatus.detail`` of a delegate skipped under quarantine
+    quarantined: str = "quarantined"
+    #: ``SiteStatus.detail`` of a fragment served from last-known-good
+    #: (None: the failure's own detail)
+    lkg_detail: str | None = None
+    #: what a non-Remos exception from the chain is reported as
+    error: str = "collector error"
+
+
 class MasterCollector(Collector):
     """See module docstring."""
+
+    #: prefix of this tier's own metric and span names
+    OBS = "collectors.master"
 
     def __init__(
         self,
@@ -87,13 +138,19 @@ class MasterCollector(Collector):
         #: anchor node id -> site, learned from past stitched queries,
         #: so history requests can recognise logical WAN edges
         self._anchor_sites: dict[str, str] = {}
-        #: registration key -> sim time until which it is quarantined
-        #: (delegation failed recently; skip it, re-probe after)
-        self._quarantine: dict[RegKey, float] = {}
-        #: last-known-good fragments: (registration key, requested ips) ->
-        #: (graph copy, fetched_at, anchors, unresolved) — served,
-        #: marked STALE, when a site stops answering
-        self._lkg: dict[LkgKey, LkgEntry] = {}
+        #: delegate key -> (sim time until which it is quarantined —
+        #: delegation failed recently; skip it, re-probe after —, the
+        #: sites it answers for)
+        self._quarantine: dict[DelegateKey, tuple[float, tuple[str, ...]]] = {}
+        #: last-known-good fragments, least recently stored-or-served
+        #: first: (delegate key, requested ips) -> fragment — served,
+        #: marked STALE, when a delegate stops answering
+        self._lkg: OrderedDict[LkgKey, LkgEntry] = OrderedDict()
+
+    @property
+    def fanout_parallel(self) -> int:
+        """Overlap width of the fragment fan-out (0 = unbounded)."""
+        return self.rpc.max_parallel
 
     def covers(self, ip: IPv4Address) -> bool:
         try:
@@ -105,7 +162,7 @@ class MasterCollector(Collector):
     def topology(self, request: TopologyRequest) -> TopologyResponse:
         """Answer a query (partition / delegate / merge, as a span)."""
         self.check_alive()
-        with obs.span("collectors.master.topology", collector=self.name):
+        with obs.span(f"{self.OBS}.topology", collector=self.name):
             return self._topology(request)
 
     def iter_masters(self) -> Iterator[MasterCollector]:
@@ -116,20 +173,19 @@ class MasterCollector(Collector):
         """Drop survival state (LKG fragments, quarantine marks) for the
         named sites — e.g. after a known topology change — or all state
         when ``sites`` is None.  The next query re-probes live."""
-        if sites is None:
-            dropped = len(self._lkg)
-            self._lkg.clear()
-            self._quarantine.clear()
-        else:
-            wanted = set(sites)
-            doomed = [k for k in self._lkg if k[0][0] in wanted]
-            for key in doomed:
-                del self._lkg[key]
-            for rkey in [r for r in self._quarantine if r[0] in wanted]:
-                del self._quarantine[rkey]
-            dropped = len(doomed)
-        if dropped:
-            obs.counter("collectors.master.lkg_invalidated").inc(dropped)
+        wanted = None if sites is None else set(sites)
+
+        def named(of: tuple[str, ...]) -> bool:
+            return wanted is None or not wanted.isdisjoint(of)
+
+        doomed = [key for key, (*_, held_sites) in self._lkg.items() if named(held_sites)]
+        for key in doomed:
+            del self._lkg[key]
+        for dkey in [k for k, (_, owns) in self._quarantine.items() if named(owns)]:
+            del self._quarantine[dkey]
+        if doomed:
+            obs.counter("collectors.master.lkg_invalidated").inc(len(doomed))
+            self._lkg_gauge()
 
     def health(self) -> dict[str, object]:
         """Backend-health snapshot for the service plane (``/v1/health``).
@@ -141,7 +197,7 @@ class MasterCollector(Collector):
         detail.
         """
         now = float(self.net.engine.now)
-        quarantined = sum(1 for until in self._quarantine.values() if until > now)
+        quarantined = sum(1 for until, _ in self._quarantine.values() if until > now)
         return {
             "kind": "master",
             "name": self.name,
@@ -152,83 +208,70 @@ class MasterCollector(Collector):
 
     def _topology(self, request: TopologyRequest) -> TopologyResponse:
         self.queries_served += 1
-        # 1. Partition addresses by responsible registration.
-        groups: dict[int, list[str]] = defaultdict(list)
-        regs: dict[int, Registration] = {}
-        site_of: dict[str, str] = {}
+        # 1. Find the registration responsible for each address and
+        # group the addresses into delegates.
+        located: list[tuple[str, Registration]] = []
         unresolved: list[str] = []
         for ip_s in request.node_ips:
             try:
-                reg = self.directory.lookup(ip_s)
+                located.append((ip_s, self.directory.lookup(ip_s)))
             except UnknownHostError:
                 unresolved.append(ip_s)
-                continue
-            groups[id(reg)].append(ip_s)
-            regs[id(reg)] = reg
-            site_of[ip_s] = reg.site
+        site_of = {ip_s: reg.site for ip_s, reg in located}
+        # fragments will have to be joined: anchor them at their borders
+        multi_site = len({_reg_key(r) for _, r in located}) > 1 or request.anchor_sites
+        delegates = list(self._delegates(request, located, multi_site))
 
-        obs.histogram("collectors.master.fanout").observe(len(groups))
+        obs.histogram(f"{self.OBS}.fanout").observe(len(delegates))
         if unresolved:
             obs.counter("collectors.master.unresolved_ips").inc(len(unresolved))
         log.debug(
-            "%s: partitioned %d addresses into %d site groups (%d unresolved)",
-            self.name, len(request.node_ips), len(groups), len(unresolved),
+            "%s: partitioned %d addresses into %d delegates (%d unresolved)",
+            self.name, len(request.node_ips), len(delegates), len(unresolved),
         )
 
+        # 2. Delegate.  Fragments go out concurrently: the master pays a
+        # small serial dispatch cost per fragment, then the makespan of
+        # the sub-queries on ``fanout_parallel`` workers rather than
+        # their sum.  Each delegation survives its chain: deadline,
+        # bounded retries, quarantine of repeat offenders, and a None
+        # result instead of an escaped exception (partial-merge
+        # semantics).
+        results: list[tuple[TopologyResponse | None, dict[str, SiteStatus]]] = []
+        # NB: the per-fragment dispatch cost is charged *after* the
+        # fan-out (on the reply path), not before.  Charging it first
+        # would shift every sub-collector's measurement instant by
+        # ``dispatch_s * len(delegates)`` — a query-width-dependent skew
+        # that makes counter windows (and thus utilization floats)
+        # differ between delegation topologies serving the same query.
+        # Totals are identical either way; measurement times are not.
+        with self.net.engine.overlap(self.fanout_parallel) as ov:
+            for d in delegates:
+                with ov.task():
+                    # one span per delegation, labelled with the site or
+                    # shard so trace attribution can answer "who
+                    # consumed the budget"; parentage survives the
+                    # overlap rewind because it is captured by span id,
+                    # not reconstructed from timestamps
+                    with obs.span(f"{self.OBS}.delegate", **d.label):
+                        results.append(self._delegate(d))
+        self.net.engine.advance(self.rpc.dispatch_s * len(delegates))
+        obs.histogram(f"{self.OBS}.overlap_saved_s").observe(ov.saved_s)
+
+        # 3. Merge the fragments (anchored, still unstitched).
         merged = TopologyGraph()
         anchors: dict[str, str] = {}
-        site_anchor_node: dict[str, str] = {}
         site_status: dict[str, SiteStatus] = {}
         pdu_cost = 0
         merge_wall_s = 0.0
         data_age_s = 0.0
-        multi_site = len(groups) > 1 or request.anchor_sites
-
-        # 2. Delegate each group to its collector.  Fragments go out
-        # concurrently: the master pays a small serial dispatch cost per
-        # fragment, then the makespan of the sub-queries on
-        # ``rpc.max_parallel`` workers rather than their sum.  Each
-        # delegation survives its collector: deadline, bounded retries,
-        # quarantine of repeat offenders, and a None result instead of
-        # an escaped exception (partial-merge semantics).
-        order = sorted(groups, key=lambda k: regs[k].site)
-        group_anchor: dict[int, str | None] = {}
-        subs: dict[int, TopologyResponse | None] = {}
-        # NB: the per-fragment dispatch cost is charged *after* the
-        # fan-out (on the reply path), not before.  Charging it first
-        # would shift every sub-collector's measurement instant by
-        # ``dispatch_s * len(order)`` — a query-width-dependent skew
-        # that makes counter windows (and thus utilization floats)
-        # differ between delegation topologies serving the same query.
-        # Totals are identical either way; measurement times are not.
-        with self.net.engine.overlap(self.rpc.max_parallel) as ov:
-            for key in order:
-                reg = regs[key]
-                anchor = None
-                if multi_site and reg.site in self.borders:
-                    anchor = str(self.borders[reg.site])
-                group_anchor[key] = anchor
-                with ov.task():
-                    # one span per fragment delegation, labelled with
-                    # the site so trace attribution can answer "which
-                    # site consumed the budget"; parentage survives the
-                    # overlap rewind because it is captured by span id,
-                    # not reconstructed from timestamps
-                    with obs.span("collectors.master.delegate", site=reg.site):
-                        subs[key], site_status[reg.site] = self._delegate(
-                            reg, groups[key], anchor, request
-                        )
-        self.net.engine.advance(self.rpc.dispatch_s * len(order))
-        obs.histogram("collectors.master.overlap_saved_s").observe(ov.saved_s)
-
-        for key in order:
-            reg = regs[key]
-            sub = subs[key]
-            anchor = group_anchor[key]
+        for d, (sub, statuses) in zip(delegates, results):
+            site_status.update(statuses)
             if sub is None:
-                # delegation failed outright: the site's addresses drop
-                # out of the answer, the rest of the query proceeds
-                unresolved.extend(groups[key])
+                # delegation failed outright and nothing is held for
+                # it: its addresses drop out of the answer, the rest of
+                # the query proceeds
+                unresolved.extend(d.request.node_ips)
                 continue
             t0 = obs.wall_now()
             merged.merge(sub.graph)
@@ -237,25 +280,62 @@ class MasterCollector(Collector):
             pdu_cost += sub.pdu_cost
             anchors.update(sub.anchors)
             data_age_s = max(data_age_s, sub.data_age_s)
-            if anchor is not None and anchor in sub.anchors:
-                site_anchor_node[reg.site] = sub.anchors[anchor]
-                self._anchor_sites[sub.anchors[anchor]] = reg.site
 
-        # 3. Stitch sites together with benchmark measurements (unless
+        # 4. Stitch sites together with benchmark measurements (unless
         # a delegating master above claimed the stitching for itself).
+        site_anchor_node: dict[str, str] = {}
         wan_age_s = 0.0
-        if multi_site and request.stitch:
-            wan_age_s = self._stitch(
-                merged,
-                site_anchor_node,
-                self._wanted_site_pairs(request, site_of, site_anchor_node),
-            )
+        if multi_site:
+            for site in set(site_of.values()) & self.borders.keys():
+                node = anchors.get(str(self.borders[site]))
+                if node is not None:
+                    site_anchor_node[site] = node
+                    self._anchor_sites[node] = site
+            if request.stitch:
+                wan_age_s = self._stitch(
+                    merged,
+                    site_anchor_node,
+                    self._wanted_site_pairs(request, site_of, site_anchor_node),
+                )
 
         obs.histogram("collectors.master.merge_wall_s").observe(merge_wall_s)
         return self._respond(
             request, merged, unresolved, pdu_cost, anchors, site_status,
             data_age_s, wan_age_s,
         )
+
+    def _delegates(
+        self,
+        request: TopologyRequest,
+        located: list[tuple[str, Registration]],
+        multi_site: bool,
+    ) -> Iterator[Delegate]:
+        """One delegate per registration, in site order: the site's
+        fragment is asked of its collector with the site's border
+        router as anchor, so the fragment reaches the site edge."""
+        groups: dict[RegKey, tuple[Registration, list[str]]] = {}
+        for ip_s, reg in located:
+            groups.setdefault(_reg_key(reg), (reg, []))[1].append(ip_s)
+        for key in sorted(groups, key=lambda k: k[0]):  # site order, ties as first seen
+            reg, ips = groups[key]
+            anchor = None
+            if multi_site and reg.site in self.borders:
+                anchor = str(self.borders[reg.site])
+            yield Delegate(
+                key=key,
+                what=f"fragment for site {reg.site}",
+                label={"site": reg.site},
+                chain=(reg.collector,),
+                request=TopologyRequest(
+                    tuple(ips),
+                    include_dynamics=request.include_dynamics,
+                    anchor_ip=anchor,
+                    pairs=request.pairs,
+                ),
+                sites=(reg.site,),
+                owns=(reg.site,),
+                hop_s=self.rpc.remote_s if reg.remote else self.rpc.local_s,
+            )
 
     def _respond(
         self,
@@ -306,109 +386,137 @@ class MasterCollector(Collector):
         )
 
     def _delegate(
-        self,
-        reg: Registration,
-        ips: list[str],
-        anchor: str | None,
-        request: TopologyRequest,
-    ) -> tuple[TopologyResponse | None, SiteStatus]:
-        """One fragment delegation, with deadline / retries / quarantine.
+        self, d: Delegate
+    ) -> tuple[TopologyResponse | None, dict[str, SiteStatus]]:
+        """One delegation through its chain, with deadline / retry
+        rounds / quarantine.
 
-        Returns ``(response, site status)``; the response is None when
-        the collector could not answer and no last-known-good fragment
-        exists — the caller merges what it got (partial semantics)
-        instead of aborting the whole query.
+        Returns ``(response, per-site statuses)``; the response is None
+        when no member of the chain could answer and no last-known-good
+        fragment exists — the caller merges what it got (partial
+        semantics) instead of aborting the whole query.
         """
         engine = self.net.engine
-        sub_request = TopologyRequest(
-            tuple(ips),
-            include_dynamics=request.include_dynamics,
-            anchor_ip=anchor,
-            pairs=request.pairs,
-        )
         survival = self._survival_on()
-        until = self._quarantine.get(_reg_key(reg), 0.0)
-        if survival and engine.now < until:
-            # known-dead collector: fail fast without an RPC, re-probe
-            # only once the quarantine lapses
+        if survival and engine.now < self._quarantine.get(d.key, (0.0, ()))[0]:
+            # known-dead chain: fail fast without an RPC, re-probe only
+            # once the quarantine lapses
             obs.counter("collectors.master.quarantine_skips").inc()
-            stat = SiteStatus(
-                reg.site, QueryStatus.FAILED, detail="quarantined", attempts=0
-            )
-            return self._serve_lkg(reg, ips, stat)
+            return self._serve_lkg(d, d.quarantined, 0)
 
         deadline = self.rpc.fragment_timeout_s
-        attempts = 1 + (self.rpc.fragment_retries if survival else 0)
+        rounds = 1 + (self.rpc.fragment_retries if survival else 0)
+        attempts = 0
         last_err: Exception | None = None
-        for attempt in range(attempts):
-            if attempt > 0:
+        for rnd in range(rounds):
+            if rnd > 0:
                 obs.counter("collectors.master.fragment_retries").inc()
                 engine.advance(self.rpc.fragment_backoff_s)
-            t0 = engine.now
-            engine.advance(self.rpc.remote_s if reg.remote else self.rpc.local_s)
-            try:
-                sub = reg.collector.topology(sub_request)
-            except RemosError as exc:
-                if deadline > 0:
-                    # the master stopped waiting at the deadline even
-                    # if the collector burned longer before failing
-                    engine.cap_since(t0, deadline)
-                last_err = exc
-                continue
-            except Exception as exc:  # collector bug: contain, don't abort
-                log.warning("%s: collector %s raised %r", self.name, reg.collector, exc)
-                last_err = exc
-                continue
-            if deadline > 0 and engine.cap_since(t0, deadline):
-                # answer arrived after the master gave up: discard it
-                obs.counter("master.fragment_timeouts").inc()
-                last_err = CollectorTimeoutError(
-                    f"fragment for site {reg.site} exceeded {deadline}s deadline"
-                )
-                continue
-            if survival:
-                self._lkg[(_reg_key(reg), tuple(sorted(ips)))] = (
-                    sub.graph.copy(),
-                    engine.now,
-                    dict(sub.anchors),
-                    tuple(sub.unresolved),
-                )
-            self._quarantine.pop(_reg_key(reg), None)
-            return sub, SiteStatus(
-                reg.site, sub.status,
-                data_age_s=sub.data_age_s, attempts=attempt + 1,
-            )
+            for k, collector in enumerate(d.chain):
+                attempts += 1
+                t0 = engine.now
+                # A hop to a Master one tier down is charged on the
+                # reply path, so its collectors measure at the same
+                # instants the flat plane's would (see _topology).
+                if not d.reply_path_hop:
+                    engine.advance(d.hop_s)
+                try:
+                    try:
+                        sub = collector.topology(d.request)
+                    finally:
+                        if d.reply_path_hop:
+                            engine.advance(d.hop_s)
+                except RemosError as exc:
+                    if deadline > 0:
+                        # the master stopped waiting at the deadline even
+                        # if the collector burned longer before failing
+                        engine.cap_since(t0, deadline)
+                    last_err = exc
+                    continue
+                except Exception as exc:  # collector bug: contain, don't abort
+                    log.warning("%s: %s: %s raised %r", self.name, d.what, collector, exc)
+                    last_err = exc
+                    continue
+                if deadline > 0 and engine.cap_since(t0, deadline):
+                    # answer arrived after the master gave up: discard it
+                    obs.counter("master.fragment_timeouts").inc()
+                    last_err = CollectorTimeoutError(
+                        f"{d.what} exceeded {deadline}s deadline"
+                    )
+                    continue
+                if k > 0:
+                    # a replica answered after the primary failed — the
+                    # answer is *fresh* (the replica re-queried the site
+                    # collectors), not a stale LKG serve
+                    obs.counter(f"{self.OBS}.replica_promotions").inc()
+                if survival:
+                    self._store_lkg(d, sub)
+                self._quarantine.pop(d.key, None)
+                if d.passthrough:
+                    return sub, dict(sub.site_status)
+                return sub, {
+                    site: SiteStatus(
+                        site, sub.status,
+                        data_age_s=sub.data_age_s, attempts=attempts,
+                    )
+                    for site in d.sites
+                }
 
+        if d.counts_failures:
+            obs.counter(f"{self.OBS}.shard_failures").inc()
         if survival and self.rpc.quarantine_s > 0:
-            self._quarantine[_reg_key(reg)] = engine.now + self.rpc.quarantine_s
+            self._quarantine[d.key] = (engine.now + self.rpc.quarantine_s, d.owns)
         if isinstance(last_err, RemosError):
             detail = str(last_err)
         else:
-            detail = f"collector error: {last_err!r}"
-        log.debug("%s: site %s failed after %d attempts: %s",
-                  self.name, reg.site, attempts, detail)
-        stat = SiteStatus(
-            reg.site, QueryStatus.FAILED, detail=detail, attempts=attempts
+            detail = f"{d.error}: {last_err!r}"
+        log.debug("%s: %s failed after %d attempts over %d replicas: %s",
+                  self.name, d.what, attempts, len(d.chain), detail)
+        return self._serve_lkg(d, detail, attempts)
+
+    def _store_lkg(self, d: Delegate, sub: TopologyResponse) -> None:
+        """Remember ``sub`` as the delegate's last-known-good fragment
+        for these addresses, evicting past :data:`LKG_MAX_FRAGMENTS`."""
+        key = (d.key, tuple(sorted(d.request.node_ips)))
+        self._lkg[key] = (
+            sub.graph.copy(),
+            self.net.engine.now,
+            dict(sub.anchors),
+            tuple(sub.unresolved),
+            d.sites,
         )
-        return self._serve_lkg(reg, ips, stat)
+        self._lkg.move_to_end(key)
+        while len(self._lkg) > LKG_MAX_FRAGMENTS:
+            self._lkg.popitem(last=False)
+        self._lkg_gauge()
+
+    def _lkg_gauge(self) -> None:
+        obs.gauge("collectors.master.lkg_fragments", collector=self.name).set(
+            len(self._lkg)
+        )
 
     def _serve_lkg(
-        self, reg: Registration, ips: list[str], stat: SiteStatus
-    ) -> tuple[TopologyResponse | None, SiteStatus]:
-        """Fall back to the site's last-known-good fragment, if any.
+        self, d: Delegate, detail: str, attempts: int
+    ) -> tuple[TopologyResponse | None, dict[str, SiteStatus]]:
+        """Fall back to the delegate's last-known-good fragment, if any.
 
         The stored graph is copied on the way out so callers mutating
         the merged answer (own-flow crediting) cannot corrupt the
         cache; status becomes STALE with the fragment's true age.
         """
-        entry = self._lkg.get((_reg_key(reg), tuple(sorted(ips))))
+        key = (d.key, tuple(sorted(d.request.node_ips)))
+        entry = self._lkg.get(key)
         if entry is None:
-            return None, stat
-        graph, fetched_at, lkg_anchors, lkg_unresolved = entry
-        obs.counter("collectors.master.lkg_served").inc()
+            return None, {
+                site: SiteStatus(
+                    site, QueryStatus.FAILED, detail=detail, attempts=attempts
+                )
+                for site in d.sites
+            }
+        self._lkg.move_to_end(key)
+        graph, fetched_at, lkg_anchors, lkg_unresolved, lkg_sites = entry
+        obs.counter(f"{self.OBS}.lkg_served").inc()
         age = self.net.now - fetched_at
-        stat.status = QueryStatus.STALE
-        stat.data_age_s = age
         return (
             TopologyResponse(
                 graph=graph.copy(),
@@ -418,7 +526,13 @@ class MasterCollector(Collector):
                 status=QueryStatus.STALE,
                 data_age_s=age,
             ),
-            stat,
+            {
+                site: SiteStatus(
+                    site, QueryStatus.STALE, data_age_s=age,
+                    detail=d.lkg_detail or detail, attempts=attempts,
+                )
+                for site in lkg_sites
+            },
         )
 
     # -- WAN stitching ---------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 
-from repro.common.errors import RemosError
+from repro.common.errors import RemosError, TopologyError
 from repro.netsim.address import IPv4Address, MacAddress
 from repro.collectors.bridge_collector import (
     Attachment,
@@ -23,6 +23,7 @@ from repro.collectors.bridge_collector import (
     L2Segment,
 )
 from repro.collectors.monitor import MonitorKey
+from repro.collectors.protocol import ProtocolError, _parse_num
 from repro.collectors.snmp_collector import (
     SnmpCollector,
     _EdgeRec,
@@ -42,10 +43,6 @@ _VERSION = 1
 
 def _num(x: float):
     return "inf" if math.isinf(x) else x
-
-
-def _parse_num(x) -> float:
-    return math.inf if x == "inf" else float(x)
 
 
 # -- SNMP collector -----------------------------------------------------------
@@ -105,41 +102,51 @@ def load_snmp_state(coll: SnmpCollector, text: str) -> None:
         raise PersistenceError(f"bad JSON: {exc}") from exc
     if doc.get("kind") != "snmp-collector" or doc.get("version") != _VERSION:
         raise PersistenceError("not a compatible snmp-collector state")
-    coll._paths = {}
-    for key, rec_doc in doc["paths"].items():
-        src, _, dst = key.partition("|")
-        nodes = [TopoNode(i, k, tuple(ips)) for i, k, ips in rec_doc["nodes"]]
-        edges = []
-        for a, b, agent_ip, ifindex, owner, cap, lat in rec_doc["edges"]:
-            mk = MonitorKey(agent_ip, int(ifindex)) if agent_ip is not None else None
-            edges.append(_EdgeRec(a, b, mk, owner, _parse_num(cap), lat))
-        coll._paths[(src, dst)] = _PathRec(nodes, edges)
-    coll._route_tables = {
-        ip: [
-            _RouteEntry(
-                IPv4Network(p),
-                IPv4Address(nh) if nh else None,
-                int(idx),
-            )
-            for p, nh, idx in entries
-        ]
-        for ip, entries in doc["route_tables"].items()
-    }
-    coll._sys_names = dict(doc["sys_names"])
-    coll._if_speeds = {
-        tuple_key(k): _parse_num(v) for k, v in doc["if_speeds"].items()
-    }
-    coll._if_macs = {
-        tuple_key(k): (MacAddress(v) if v else None)
-        for k, v in doc["if_macs"].items()
-    }
-    coll._arp = {
-        IPv4Network(subnet): {
-            ip: (MacAddress(mac) if mac else None) for ip, mac in table.items()
+    # parse everything before touching the collector: a document that
+    # turns out malformed halfway must leave a live collector as it was
+    try:
+        paths = {}
+        for key, rec_doc in doc["paths"].items():
+            src, _, dst = key.partition("|")
+            nodes = [TopoNode(i, k, tuple(ips)) for i, k, ips in rec_doc["nodes"]]
+            edges = []
+            for a, b, agent_ip, ifindex, owner, cap, lat in rec_doc["edges"]:
+                mk = MonitorKey(agent_ip, int(ifindex)) if agent_ip is not None else None
+                edges.append(_EdgeRec(a, b, mk, owner, _parse_num(cap), lat))
+            paths[(src, dst)] = _PathRec(nodes, edges)
+        route_tables = {
+            ip: [
+                _RouteEntry(
+                    IPv4Network(p),
+                    IPv4Address(nh) if nh else None,
+                    int(idx),
+                )
+                for p, nh, idx in entries
+            ]
+            for ip, entries in doc["route_tables"].items()
         }
-        for subnet, table in doc["arp"].items()
-    }
-    coll._unreachable_routers = set(doc["unreachable"])
+        sys_names = dict(doc["sys_names"])
+        if_speeds = {tuple_key(k): _parse_num(v) for k, v in doc["if_speeds"].items()}
+        if_macs = {
+            tuple_key(k): (MacAddress(v) if v else None)
+            for k, v in doc["if_macs"].items()
+        }
+        arp = {
+            IPv4Network(subnet): {
+                ip: (MacAddress(mac) if mac else None) for ip, mac in table.items()
+            }
+            for subnet, table in doc["arp"].items()
+        }
+        unreachable = set(doc["unreachable"])
+    except (KeyError, TypeError, ValueError, AttributeError, TopologyError, ProtocolError) as exc:
+        raise PersistenceError(f"malformed snmp-collector state: {exc!r}") from exc
+    coll._paths = paths
+    coll._route_tables = route_tables
+    coll._sys_names = sys_names
+    coll._if_speeds = if_speeds
+    coll._if_macs = if_macs
+    coll._arp = arp
+    coll._unreachable_routers = unreachable
     coll.monitors.clear()  # dynamics are always re-bootstrapped
 
 

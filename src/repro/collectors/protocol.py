@@ -24,9 +24,10 @@ framing; ``inf`` capacities serialise as the literal ``inf``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from urllib.parse import quote, unquote
 
-from repro.common.errors import RemosError
+from repro.common.errors import RemosError, TopologyError
 from repro.collectors.base import TopologyRequest
 from repro.modeler.graph import TopoEdge, TopoNode, TopologyGraph
 
@@ -60,6 +61,23 @@ def _parse_num(s: str) -> float:
         raise ProtocolError(f"bad number {s!r}") from None
 
 
+def build_graph(
+    nodes: Iterable[tuple[str, str, tuple[str, ...]]], edges: Iterable[tuple]
+) -> TopologyGraph:
+    """The graph of decoded ``(id, kind, ips)`` node records and
+    :class:`TopoEdge` field tuples.  What the graph refuses — an unknown
+    node kind, an edge to an undeclared node — is malformed wire data."""
+    graph = TopologyGraph()
+    try:
+        for nid, kind, ips in nodes:
+            graph.add_node(TopoNode(nid, kind, ips))
+        for fields in edges:
+            graph.add_edge(TopoEdge(*fields))
+    except TopologyError as exc:
+        raise ProtocolError(str(exc)) from exc
+    return graph
+
+
 # -- topology --------------------------------------------------------------
 
 
@@ -84,7 +102,7 @@ def decode_topology(text: str) -> TopologyGraph:
         raise ProtocolError("missing topology header")
     if lines[-1] != "END":
         raise ProtocolError("missing END")
-    graph = TopologyGraph()
+    nodes, edges = [], []
     for ln in lines[1:-1]:
         parts = ln.split()
         if parts[0] == "NODE":
@@ -93,13 +111,13 @@ def decode_topology(text: str) -> TopologyGraph:
             ips: tuple[str, ...] = ()
             if len(parts) == 4:
                 ips = tuple(p for p in parts[3].split(",") if p)
-            graph.add_node(TopoNode(_dec(parts[1]), parts[2], ips))
+            nodes.append((_dec(parts[1]), parts[2], ips))
         elif parts[0] == "EDGE":
             # 7 fields = protocol v1 (no jitter); 8 = with jitter
             if len(parts) not in (7, 8):
                 raise ProtocolError(f"bad EDGE line: {ln!r}")
-            graph.add_edge(
-                TopoEdge(
+            edges.append(
+                (
                     _dec(parts[1]),
                     _dec(parts[2]),
                     _parse_num(parts[3]),
@@ -111,7 +129,7 @@ def decode_topology(text: str) -> TopologyGraph:
             )
         else:
             raise ProtocolError(f"unknown record {parts[0]!r}")
-    return graph
+    return build_graph(nodes, edges)
 
 
 # -- queries ----------------------------------------------------------------

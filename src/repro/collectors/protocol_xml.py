@@ -34,27 +34,13 @@ Message shapes::
 
 from __future__ import annotations
 
-import math
 import xml.etree.ElementTree as ET
 
 from repro.collectors.base import HistoryRequest, HistoryResponse, TopologyRequest
-from repro.collectors.protocol import ProtocolError
-from repro.modeler.graph import TopoEdge, TopoNode, TopologyGraph
+from repro.collectors.protocol import ProtocolError, _num, _parse_num, build_graph
+from repro.modeler.graph import TopologyGraph
 
 VERSION = "2"
-
-
-def _num(x: float) -> str:
-    return "inf" if math.isinf(x) else repr(float(x))
-
-
-def _parse_num(s: str) -> float:
-    if s == "inf":
-        return math.inf
-    try:
-        return float(s)
-    except ValueError:
-        raise ProtocolError(f"bad number {s!r}") from None
 
 
 def _root(kind: str) -> ET.Element:
@@ -101,20 +87,19 @@ def encode_topology_xml(graph: TopologyGraph) -> str:
 
 def decode_topology_xml(text: str) -> TopologyGraph:
     topo = _parse_root(text, "topology")
-    graph = TopologyGraph()
+    nodes, edges = [], []
     for node_el in topo.findall("node"):
         nid = node_el.get("id")
         kind = node_el.get("kind")
         if nid is None or kind is None:
             raise ProtocolError("node needs id and kind")
-        ips = tuple(ip.text or "" for ip in node_el.findall("ip"))
-        graph.add_node(TopoNode(nid, kind, ips))
+        nodes.append((nid, kind, tuple(ip.text or "" for ip in node_el.findall("ip"))))
     for edge_el in topo.findall("edge"):
         attrs = {k: edge_el.get(k) for k in ("a", "b", "capacity", "utilAB", "utilBA", "latency")}
         if any(v is None for v in attrs.values()):
             raise ProtocolError("edge missing attributes")
-        graph.add_edge(
-            TopoEdge(
+        edges.append(
+            (
                 attrs["a"], attrs["b"],
                 _parse_num(attrs["capacity"]),
                 _parse_num(attrs["utilAB"]),
@@ -123,7 +108,7 @@ def decode_topology_xml(text: str) -> TopologyGraph:
                 _parse_num(edge_el.get("jitter", "0.0")),
             )
         )
-    return graph
+    return build_graph(nodes, edges)
 
 
 # -- queries ------------------------------------------------------------------
@@ -169,7 +154,10 @@ def decode_history_request_xml(text: str) -> HistoryRequest:
     a, b = h.get("a"), h.get("b")
     if a is None or b is None:
         raise ProtocolError("history query needs edge endpoints")
-    return HistoryRequest(a, b, int(h.get("max", "512")))
+    try:
+        return HistoryRequest(a, b, int(h.get("max", "512")))
+    except ValueError as exc:
+        raise ProtocolError(f"bad max: {exc}") from exc
 
 
 def encode_history_xml(resp: HistoryResponse, edge_a: str, edge_b: str) -> str:
@@ -235,6 +223,8 @@ def http_unframe(data: bytes) -> tuple[str, str]:
             for k, v in (ln.split(":", 1) for ln in lines[1:] if ":" in ln)
         )
         length = int(headers["content-length"])
+        if length < 0:
+            raise ValueError(f"negative Content-Length {length}")
         body = rest[:length].decode("utf-8")
     except (ValueError, KeyError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"malformed HTTP frame: {exc}") from exc

@@ -15,6 +15,7 @@ Master Collector can run off SLP without code changes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, cast
 
 from repro.common.errors import UnknownHostError
 from repro.netsim.address import IPv4Address, IPv4Network
@@ -35,7 +36,7 @@ class ServiceEntry:
     service_type: str
     url: str  # unique handle, e.g. "service:remos-topology://snmp-cmu"
     scopes: tuple[str, ...]
-    attributes: dict[str, object]
+    attributes: dict[str, Any]
     expires_at: float
     #: the live object behind the URL (in-process transport)
     provider: object = None
@@ -60,7 +61,7 @@ class DirectoryAgent:
         url: str,
         provider: object,
         scopes: tuple[str, ...] = ("default",),
-        attributes: dict[str, object] | None = None,
+        attributes: dict[str, Any] | None = None,
         lifetime_s: float | None = None,
     ) -> ServiceEntry:
         """SrvReg: (re-)register a service; refreshing resets the lease."""
@@ -102,7 +103,7 @@ class DirectoryAgent:
             key=lambda e: e.url,
         )
 
-    def attributes(self, url: str) -> dict[str, object]:
+    def attributes(self, url: str) -> dict[str, Any]:
         """AttrRqst for one service URL."""
         self._expire()
         entry = self._services.get(url)
@@ -171,24 +172,14 @@ class SlpCollectorDirectory:
     # -- lookup ------------------------------------------------------------
 
     def lookup(self, ip: IPv4Address | str) -> Registration:
-        ip = IPv4Address(ip)
+        addr = IPv4Address(ip)
         best: tuple[int, Registration] | None = None
-        for entry in self.da.find(SERVICE_TOPOLOGY, self.scope):
-            for p_str in entry.attributes.get("prefixes", ()):
-                p = IPv4Network(p_str)
-                if ip in p and (best is None or p.prefixlen > best[0]):
-                    reg = Registration(
-                        entry.provider,
-                        tuple(
-                            IPv4Network(x)
-                            for x in entry.attributes.get("prefixes", ())
-                        ),
-                        str(entry.attributes.get("site", "")),
-                        bool(entry.attributes.get("remote", False)),
-                    )
+        for reg in self.registrations():
+            for p in reg.prefixes:
+                if addr in p and (best is None or p.prefixlen > best[0]):
                     best = (p.prefixlen, reg)
         if best is None:
-            raise UnknownHostError(f"no collector covers {ip}")
+            raise UnknownHostError(f"no collector covers {addr}")
         return best[1]
 
     def benchmark_for(self, site: str) -> BenchmarkCollector | None:
@@ -198,19 +189,17 @@ class SlpCollectorDirectory:
         return None
 
     def registrations(self) -> list[Registration]:
-        out = []
-        for entry in self.da.find(SERVICE_TOPOLOGY, self.scope):
-            out.append(
-                Registration(
-                    entry.provider,
-                    tuple(
-                        IPv4Network(x) for x in entry.attributes.get("prefixes", ())
-                    ),
-                    str(entry.attributes.get("site", "")),
-                    bool(entry.attributes.get("remote", False)),
-                )
+        """The directory's view of the live topology service entries (a
+        fresh ``Registration`` per entry per call)."""
+        return [
+            Registration(
+                cast(Collector, entry.provider),
+                tuple(IPv4Network(x) for x in entry.attributes.get("prefixes", ())),
+                str(entry.attributes.get("site", "")),
+                bool(entry.attributes.get("remote", False)),
             )
-        return out
+            for entry in self.da.find(SERVICE_TOPOLOGY, self.scope)
+        ]
 
     def sites(self) -> list[str]:
         return sorted({r.site for r in self.registrations()})

@@ -6,7 +6,6 @@ from repro.lint.core import Rule
 from repro.lint.project import ProjectRule
 from repro.lint.rules.rml001_sim_clock import SimClockPurityRule
 from repro.lint.rules.rml002_rng import SeededRngRule
-from repro.lint.rules.rml003_deprecated_api import DeprecatedApiRule
 from repro.lint.rules.rml004_status import StatusDisciplineRule
 from repro.lint.rules.rml005_excepts import BlindExceptRule
 from repro.lint.rules.rml006_oid_literals import OidLiteralRule
@@ -21,7 +20,6 @@ from repro.lint.rules.rml105_dead_exports import DeadExportRule
 ALL_RULES: tuple[type[Rule], ...] = (
     SimClockPurityRule,
     SeededRngRule,
-    DeprecatedApiRule,
     StatusDisciplineRule,
     BlindExceptRule,
     OidLiteralRule,

@@ -30,15 +30,9 @@ such group and solves the reduced problem (:func:`_binding_channels`).
 A probe over six hops of which it shares one with cross traffic is a
 two-constraint problem, not a six-constraint one.
 
-The solver itself is a vectorised numpy kernel
-(:func:`max_min_allocation`): flows and channels become index spaces,
-the incidence matrix turns the per-channel active-count and frozen-load
-scans into two matrix-vector products, and each water-level step is a
-handful of array reductions instead of python loops.  The original
-pure-python solver is kept verbatim as
-:func:`max_min_allocation_reference`, the oracle the dispatcher is
-property-tested against on the *unreduced* paths (agreement within 1e-9
-across randomised path/demand sets).
+The solver is the scalar loop :func:`max_min_allocation_reference`,
+which tests also feed the *unreduced* paths as the oracle for the
+reduction (agreement within 1e-9 across randomised path/demand sets).
 """
 
 from __future__ import annotations
@@ -46,8 +40,6 @@ from __future__ import annotations
 import itertools
 import math
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
-
-import numpy as np
 
 from repro import obs
 from repro.common.errors import TopologyError
@@ -57,16 +49,8 @@ from repro.netsim.engine import Timer
 if TYPE_CHECKING:
     from repro.netsim.topology import Channel, Host, Network
 
-#: freeze threshold shared by the kernel and the reference solver
+#: freeze threshold of the progressive-filling solver
 _EPS = 1e-12
-
-#: incidence entries (sum of path lengths, after the reduction to
-#: binding channels) below which the scalar solver is dispatched instead
-#: of the numpy kernel.  Array-op fixed costs (~100us) dwarf the
-#: O(entries x rounds) python loop for small problems; the crossover sits
-#: around a hundred entries.  Equivalence tests pin this to 0 to force
-#: the kernel at every size.
-_KERNEL_MIN_ENTRIES = 128
 
 
 class CapacityLike(Protocol):
@@ -324,134 +308,16 @@ class FlowManager:
 def max_min_allocation(
     paths: "Sequence[Sequence[CapacityLike]]", demands: Sequence[float]
 ) -> list[float]:
-    """Max-min fair rates for flows over shared channels (numpy kernel).
-
-    Progressive filling: all unfrozen flows share one water level; at
-    each step the next binding constraint is either a flow demand or a
-    channel capacity.  The per-step scans over channels are expressed as
-    matrix-vector products against the flows×channels incidence matrix,
-    so one step costs a few vectorised reductions regardless of path
-    lengths; the step count is bounded by flows + channels.
-
-    Zero-length paths (src == dst within one node) get their full
-    demand.  Semantics (freeze thresholds, infinite demands, level
-    fallback) mirror :func:`max_min_allocation_reference` exactly; the
-    two agree within 1e-9 (property-tested).
+    """Max-min fair rates for flows over shared channels.
 
     The problem is first reduced to the channels that can bind
-    (:func:`_binding_channels`).  Dispatch is size-aware on the reduced
-    shape: below :data:`_KERNEL_MIN_ENTRIES` incidence entries the
-    scalar reference solver is faster than numpy's fixed per-op cost and
-    is used directly; the dispatch depends only on problem shape, so any
-    given workload is deterministic about which solver it sees.
+    (:func:`_binding_channels`), then solved by progressive filling
+    (:func:`max_min_allocation_reference`).  Zero-length paths (src ==
+    dst within one node) get their full demand.
     """
-    n = len(paths)
-    if n == 0:
+    if not paths:
         return []
-    paths = _binding_channels(paths)
-    if sum(len(p) for p in paths) < _KERNEL_MIN_ENTRIES:
-        return max_min_allocation_reference(paths, demands)
-    rates = [0.0] * n
-
-    # Kernel-local flow index over constrained flows only; zero-length
-    # paths are resolved immediately (full demand).
-    constrained: list[int] = []
-    for i, path in enumerate(paths):
-        if not path:
-            rates[i] = demands[i] if math.isfinite(demands[i]) else math.inf
-        else:
-            constrained.append(i)
-    if not constrained:
-        return rates
-
-    # Unique channels and (channel row, flow column) incidence entries.
-    chan_index: dict[int, int] = {}
-    caps: list[float] = []
-    rows: list[int] = []
-    cols: list[int] = []
-    for k, i in enumerate(constrained):
-        for ch in paths[i]:
-            cid = id(ch)
-            row = chan_index.get(cid)
-            if row is None:
-                row = chan_index[cid] = len(caps)
-                caps.append(ch.capacity_bps)
-            rows.append(row)
-            cols.append(k)
-
-    with obs.span("netsim.maxmin.kernel"):
-        nf = len(constrained)
-        nc = len(caps)
-        # bincount over flattened (row, col) indices builds the dense
-        # incidence matrix far faster than np.add.at for small problems
-        flat = np.asarray(rows, dtype=np.intp) * nf + np.asarray(cols, dtype=np.intp)
-        incidence = (
-            np.bincount(flat, minlength=nc * nf).reshape(nc, nf).astype(float)
-        )
-        cap = np.asarray(caps, dtype=float)
-        demand = np.asarray([demands[i] for i in constrained], dtype=float)
-        rate = np.zeros(nf)
-        frozen = np.zeros(nf, dtype=bool)
-        level = 0.0
-        rounds = 0
-        for _ in range(nf + nc + 1):
-            unfrozen = ~frozen
-            if not bool(unfrozen.any()):
-                break
-            rounds += 1
-            # Next demand bind.
-            delta_demand = float(np.min(demand[unfrozen])) - level
-            # Next capacity bind (np.divide's where-mask keeps channels
-            # with no unfrozen members out of contention without
-            # tripping warnings on 0/0).
-            active = incidence @ unfrozen.astype(float)
-            frozen_load = incidence @ np.where(frozen, rate, 0.0)
-            has_active = active > 0.0
-            headroom = np.divide(
-                cap - frozen_load - level * active,
-                active,
-                out=np.full(nc, math.inf),
-                where=has_active,
-            )
-            delta_cap = (
-                float(np.min(headroom[has_active])) if bool(has_active.any()) else math.inf
-            )
-            delta = min(delta_demand, delta_cap)
-            if not math.isfinite(delta):
-                # Only infinite demands remain and no capacity binds: the
-                # paths must be capacity-free (impossible for real links).
-                rate[unfrozen] = math.inf
-                frozen[unfrozen] = True
-                break
-            level += max(delta, 0.0)
-            # Freeze at binding constraints: demands first, then every
-            # unfrozen flow crossing a saturated channel.
-            at_demand = unfrozen & (demand - level <= _EPS)
-            rate = np.where(at_demand, demand, rate)
-            frozen = frozen | at_demand
-            unfrozen = ~frozen
-            active = incidence @ unfrozen.astype(float)
-            frozen_load = incidence @ np.where(frozen, rate, 0.0)
-            has_active = active > 0.0
-            headroom = np.divide(
-                cap - frozen_load - level * active,
-                active,
-                out=np.full(nc, math.inf),
-                where=has_active,
-            )
-            saturated = has_active & (headroom <= _EPS)
-            if bool(saturated.any()):
-                members = (incidence[saturated].sum(axis=0) > 0.0) & unfrozen
-                rate = np.where(members, level, rate)
-                frozen = frozen | members
-        leftover = ~frozen
-        if bool(leftover.any()):
-            rate = np.where(leftover, np.minimum(level, demand), rate)
-
-    for k, i in enumerate(constrained):
-        rates[i] = float(rate[k])
-    obs.histogram("netsim.maxmin.rounds").observe(rounds)
-    return rates
+    return max_min_allocation_reference(_binding_channels(paths), demands)
 
 
 def _binding_channels(
@@ -474,7 +340,7 @@ def _binding_channels(
     The scalar solver tests channels one after another within a round,
     so two equal-capacity channels of a group can meet different
     roundings of the same load; the reduction is therefore held to the
-    solvers' own 1e-9 against the oracle on unreduced paths, and to
+    solver's own 1e-9 against the oracle on unreduced paths, and to
     bit-equality on whole simulated worlds (``tests/netsim``,
     ``tests/integration/test_sim_clock_golden.py``).
     """
@@ -502,13 +368,12 @@ def _binding_channels(
 def max_min_allocation_reference(
     paths: "Sequence[Sequence[CapacityLike]]", demands: Sequence[float]
 ) -> list[float]:
-    """Pure-python progressive filling: the kernel's reference oracle.
+    """Pure-python progressive filling over the paths as given.
 
-    This is the original loop-over-dicts solver, kept verbatim as
-    ground truth for equivalence tests against the vectorised
-    :func:`max_min_allocation` — and as that function's small-problem
-    fast path.  Runs in O(iterations × flows × path length); the
-    iteration count is bounded by flows + channels.
+    :func:`max_min_allocation` calls it on the reduced paths; tests call
+    it on the unreduced ones as ground truth for the reduction.  Runs in
+    O(iterations × flows × path length); the iteration count is bounded
+    by flows + channels.
     """
     n = len(paths)
     if n == 0:

@@ -41,6 +41,7 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "collectors.benchmark.throughput_bps",
         "collectors.master.fanout",
         "collectors.master.fragment_retries",
+        "collectors.master.lkg_fragments",
         "collectors.master.lkg_invalidated",
         "collectors.master.lkg_served",
         "collectors.master.merge_wall_s",
@@ -122,8 +123,6 @@ SPAN_NAMES: frozenset[str] = frozenset(
         # -- modeler ---------------------------------------------------
         "modeler.flow_query",
         "modeler.maxmin",
-        # -- netsim ----------------------------------------------------
-        "netsim.maxmin.kernel",
         "modeler.node_query",
         "modeler.simplify",
         "modeler.topology_query",

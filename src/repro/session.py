@@ -7,12 +7,11 @@ with the status-carrying ``Answer`` family: every result reports a
 :class:`~repro.common.status.QueryStatus`, the age of the data behind
 it, and which sites contributed (provenance).
 
-Unlike the deprecated ``Modeler.flow_query`` / ``topology_query`` /
-``node_query`` methods, a session never raises just because part of
-the network stopped answering: failed pairs come back as ``FAILED``
-answers with zeroed bandwidths, partially-covered topologies come back
-``PARTIAL`` with the reachable fragments merged, and last-known-good
-data is served ``STALE``.  Exceptions are reserved for caller mistakes
+A session never raises just because part of the network stopped
+answering: failed pairs come back as ``FAILED`` answers with zeroed
+bandwidths, partially-covered topologies come back ``PARTIAL`` with the
+reachable fragments merged, and last-known-good data is served
+``STALE``.  Exceptions are reserved for caller mistakes
 (bad detail level, no provider configured) and for a completely
 unreachable Master.
 
@@ -35,7 +34,11 @@ dumps the trace evidence for post-mortem rendering with
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
+
 from repro import obs
+from repro.netsim.address import IPv4Address
+from repro.netsim.topology import Host
 from repro.modeler.api import (
     Answer,
     FlowAnswer,
@@ -46,6 +49,9 @@ from repro.modeler.api import (
 
 __all__ = ["RemosSession"]
 
+#: how a query may name a host: the object, its address, or a dotted quad
+HostLike = Host | IPv4Address | str
+
 
 class RemosSession:
     """One application's Remos handle, wrapping a Modeler."""
@@ -54,7 +60,7 @@ class RemosSession:
         self.modeler = modeler
 
     @staticmethod
-    def _finish(answers: list) -> None:
+    def _finish(answers: Sequence[Answer]) -> None:
         """Report degraded answers to the flight recorder, if attached.
 
         Called after the root span has closed, so the dump sees the
@@ -70,22 +76,20 @@ class RemosSession:
     # -- flows ---------------------------------------------------------
 
     def flow_info(
-        self, src, dst, predict: bool = False, horizon_steps: int = 1
+        self, src: HostLike, dst: HostLike, predict: bool = False, horizon_steps: int = 1
     ) -> FlowAnswer:
         """Expected bandwidth for one new flow src -> dst."""
         with obs.span("session.flow_info"):
-            answers = self.modeler._flow_answers(
-                [(src, dst)], predict, horizon_steps, None, strict=False
-            )
+            answers = self.modeler._flow_answers([(src, dst)], predict, horizon_steps, None)
         self._finish(answers)
         return answers[0]
 
     def flow_info_many(
         self,
-        pairs,
+        pairs: Iterable[tuple[HostLike, HostLike]],
         predict: bool = False,
         horizon_steps: int = 1,
-        own_flows=None,
+        own_flows: Iterable[tuple[HostLike, HostLike, float]] | None = None,
     ) -> list[FlowAnswer]:
         """Expected bandwidth for simultaneous new flows (joint max-min).
 
@@ -94,16 +98,17 @@ class RemosSession:
         competing load (see Modeler docs).
         """
         with obs.span("session.flow_info_many"):
-            answers = self.modeler._flow_answers(
-                pairs, predict, horizon_steps, own_flows, strict=False
-            )
+            answers = self.modeler._flow_answers(pairs, predict, horizon_steps, own_flows)
         self._finish(answers)
         return answers
 
     # -- topology ------------------------------------------------------
 
     def topology(
-        self, hosts, detail: str = "simplified", include_dynamics: bool = True
+        self,
+        hosts: Iterable[HostLike],
+        detail: str = "simplified",
+        include_dynamics: bool = True,
     ) -> TopologyAnswer:
         """The virtual topology spanning ``hosts``.
 
@@ -115,16 +120,14 @@ class RemosSession:
         private mutable copy.
         """
         with obs.span("session.topology", detail=detail):
-            answer = self.modeler._topology_answer(
-                hosts, detail, include_dynamics, strict=False
-            )
+            answer = self.modeler._topology_answer(hosts, detail, include_dynamics)
         self._finish([answer])
         return answer
 
     # -- nodes ---------------------------------------------------------
 
     def node_info(
-        self, hosts, predict: bool = False, horizon_steps: int = 1
+        self, hosts: Iterable[HostLike], predict: bool = False, horizon_steps: int = 1
     ) -> list[NodeAnswer]:
         """Current (and optionally forecast) load of compute nodes."""
         with obs.span("session.node_info"):
@@ -134,7 +137,7 @@ class RemosSession:
 
     # -- plumbing ------------------------------------------------------
 
-    def invalidate_cache(self, sites=None) -> None:
+    def invalidate_cache(self, sites: Iterable[str] | None = None) -> None:
         """Drop the Modeler's memoized Master responses.
 
         Pass ``sites`` (site names) to scope the eviction to answers

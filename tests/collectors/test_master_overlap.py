@@ -125,7 +125,7 @@ class TestWanEdgeOrdering:
 def monitored_lan():
     lan = build_switched_lan(8, fanout=4)  # several switches = several agents
     dep = deploy_lan(lan)
-    dep.modeler.flow_query(lan.hosts[0], lan.hosts[7])  # creates monitors
+    dep.session().flow_info(lan.hosts[0], lan.hosts[7])  # creates monitors
     coll = dep.snmp_collectors["lan"]
     assert coll.monitors
     return lan, dep, coll

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import faults
+from repro import faults, obs
+from repro.collectors import master as master_mod
 from repro.collectors.base import Collector, TopologyRequest, TopologyResponse
 from repro.collectors.directory import CollectorDirectory
 from repro.collectors.sharding import ShardingConfig
@@ -110,3 +111,28 @@ class TestReRegistration:
         assert all(
             m.health()["quarantined"] == 0 for m in dep.master.iter_masters()
         )
+
+
+class TestBoundedLastKnownGood:
+    def test_lru_cap_and_a_served_entry_is_recent(self, monkeypatch):
+        monkeypatch.setattr(master_mod, "LKG_MAX_FRAGMENTS", 3)
+        world, dep, _ = _stack(sharded=False)
+
+        def ask(site: str, i: int):
+            return dep.master.topology(TopologyRequest.of([str(world.host(site, i).ip)]))
+
+        with obs.scoped_registry() as reg:
+            for site in SITES:  # eight distinct host sets, each its own fragment
+                for i in range(2):
+                    assert ask(site, i).status == QueryStatus.OK
+            assert dep.master.health()["lkg_fragments"] == 3
+            # held, oldest first: (c, 1), (d, 0), (d, 1)
+            faults.crash_collector(dep.snmp_collectors["d"], 600.0)
+            assert ask("d", 0).status == QueryStatus.STALE  # served: now the newest
+            ask("a", 0)  # evicts (c, 1)
+            ask("a", 1)  # evicts (d, 1), not the just-served (d, 0)
+            assert ask("d", 0).status == QueryStatus.STALE
+            assert ask("d", 1).status == QueryStatus.FAILED
+            gauges = obs.export.snapshot(reg)["gauges"]
+        assert dep.master.health()["lkg_fragments"] == 3
+        assert gauges[f"collectors.master.lkg_fragments{{collector={dep.master.name}}}"] == 3

@@ -80,6 +80,23 @@ class TestSnmpPersistence:
         with pytest.raises(PersistenceError):
             load_snmp_state(fresh, '{"kind": "other", "version": 1}')
 
+    def test_malformed_state_leaves_the_collector_untouched(self, warm_world):
+        import json
+
+        lan, world, bc, bridges, coll, ips = warm_world
+        doc = json.loads(save_snmp_state(coll))
+        live = _fresh_collector(lan, world, bridges)
+        load_snmp_state(live, json.dumps(doc))
+        paths, routes = dict(live._paths), dict(live._route_tables)
+        assert paths
+        del doc["if_macs"]  # a section is missing
+        with pytest.raises(PersistenceError):
+            load_snmp_state(live, json.dumps(doc))
+        doc["if_macs"] = {"10.0.0.1|x": None}  # ... or does not parse
+        with pytest.raises(PersistenceError):
+            load_snmp_state(live, json.dumps(doc))
+        assert live._paths == paths and live._route_tables == routes
+
     def test_monitors_not_persisted(self, warm_world):
         lan, world, bc, bridges, coll, ips = warm_world
         restarted = _fresh_collector(lan, world, bridges)

@@ -71,6 +71,8 @@ class TestTopologyCodec:
             "REMOS/1 TOPOLOGY\nWHAT x\nEND",
             "REMOS/1 TOPOLOGY\nEDGE a b 1 2\nEND",  # short edge
             "REMOS/1 TOPOLOGY\nEDGE a b x 0 0 0\nEND",  # bad number
+            "REMOS/1 TOPOLOGY\nNODE a gizmo\nEND",  # unknown node kind
+            "REMOS/1 TOPOLOGY\nNODE a host\nEDGE a b 1 0 0 0\nEND",  # undeclared node
         ],
     )
     def test_malformed_rejected(self, bad):

@@ -56,6 +56,9 @@ class TestTopologyXml:
             "<remos version='2'><topology><node kind='host'/></topology></remos>",
             "<remos version='2'><topology><edge a='x' b='y'/></topology></remos>",
             "not xml at all",
+            "<remos version='2'><topology><node id='a' kind='gizmo'/></topology></remos>",
+            "<remos version='2'><topology><node id='a' kind='host'/><edge a='a' b='b'"
+            " capacity='1' utilAB='0' utilBA='0' latency='0'/></topology></remos>",
         ],
     )
     def test_malformed(self, bad):
@@ -85,6 +88,13 @@ class TestHistoryXml:
         req = HistoryRequest("gw", "core", 128)
         req2 = decode_history_request_xml(encode_history_request_xml(req))
         assert req2 == req
+
+    def test_bad_max_rejected(self):
+        text = encode_history_request_xml(HistoryRequest("a", "b")).replace(
+            'max="512"', 'max="abc"'
+        )
+        with pytest.raises(ProtocolError):
+            decode_history_request_xml(text)
 
     def test_response_roundtrip(self):
         resp = HistoryResponse("utilization", (1.0, 2.0, 3.0), (1e6, 2e6, 1.5e6))
@@ -147,7 +157,8 @@ class TestHttpFraming:
     @pytest.mark.parametrize(
         "bad",
         [b"", b"GET\r\n\r\n", b"POST /x HTTP/1.0\r\n\r\nbody",
-         b"POST /x HTTP/1.0\r\nContent-Length: 100\r\n\r\nshort"],
+         b"POST /x HTTP/1.0\r\nContent-Length: 100\r\n\r\nshort",
+         b"POST /x HTTP/1.0\r\nContent-Length: -1\r\n\r\nbody"],
     )
     def test_malformed_frames(self, bad):
         with pytest.raises(ProtocolError):
@@ -166,7 +177,7 @@ class TestEndToEndV2:
         lan = build_switched_lan(8, fanout=8)
         dep = deploy_lan(lan)
         lan.net.flows.start_flow(lan.hosts[0], lan.hosts[7], demand_bps=30 * MBPS)
-        dep.modeler.flow_query(lan.hosts[0], lan.hosts[7])
+        dep.session().flow_info(lan.hosts[0], lan.hosts[7])
         dep.start_monitoring()
         lan.net.engine.run_until(lan.net.now + 60.0)
 

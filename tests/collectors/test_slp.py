@@ -128,3 +128,28 @@ class TestSlpBackedMaster:
         w.net.engine.run_until(w.net.now + 100.0)  # lease expires
         gone = master.topology(TopologyRequest.of([w.host("a", 0).ip]))
         assert str(w.host("a", 0).ip) in gone.unresolved
+
+    def test_single_site_query_is_one_unanchored_delegation(self):
+        """SLP lookups build a fresh Registration per call; the Master
+        must still see one registration, not one per address."""
+        sites = [
+            SiteSpec("a", access_bps=10 * MBPS, n_hosts=3),
+            SiteSpec("b", access_bps=5 * MBPS, n_hosts=3),
+        ]
+        w_flat, w_slp = build_multisite_wan(sites), build_multisite_wan(sites)
+        flat = deploy_wan(w_flat).master
+        dep = deploy_wan(w_slp)
+        da, master = self._slp_master(w_slp, dep)
+
+        seen = []
+        collector = dep.snmp_collectors["a"]
+        answer = collector.topology
+        collector.topology = lambda request: seen.append(request) or answer(request)
+
+        def ask(m, w):
+            return m.topology(TopologyRequest.of([w.host("a", i).ip for i in range(3)]))
+
+        resp = ask(master, w_slp)
+        assert len(seen) == 1 and seen[0].anchor_ip is None
+        assert len(seen[0].node_ips) == 3
+        assert resp.graph.to_dict() == ask(flat, w_flat).graph.to_dict()

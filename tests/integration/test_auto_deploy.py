@@ -15,7 +15,7 @@ class TestAutoDeploy:
     def test_lan_auto(self):
         lan = build_switched_lan(8, fanout=8)
         dep = auto_deploy(lan.net)
-        ans = dep.modeler.flow_query(lan.hosts[0], lan.hosts[7])
+        ans = dep.session().flow_info(lan.hosts[0], lan.hosts[7])
         assert ans.available_bps == pytest.approx(100 * MBPS, rel=0.02)
         # the switched subnet got a bridge collector
         assert dep.bridge_collectors
@@ -23,7 +23,7 @@ class TestAutoDeploy:
     def test_campus_auto(self):
         c = build_campus(2, 3)
         dep = auto_deploy(c.net)
-        ans = dep.modeler.flow_query(c.host(0, 0), c.host(1, 1))
+        ans = dep.session().flow_info(c.host(0, 0), c.host(1, 1))
         assert ans.available_bps == pytest.approx(100 * MBPS, rel=0.02)
         coll = next(iter(dep.snmp_collectors.values()))
         assert len(coll.bridges) == 2  # one bridge collector per subnet
@@ -33,7 +33,7 @@ class TestAutoDeploy:
         rebuilt = network_from_json(network_to_json(lan.net))
         dep = auto_deploy(rebuilt)
         h = sorted(h.name for h in rebuilt.hosts())
-        ans = dep.modeler.flow_query(
+        ans = dep.session().flow_info(
             rebuilt.host(h[0]), rebuilt.host(h[-1])
         )
         assert ans.available_bps == pytest.approx(100 * MBPS, rel=0.02)

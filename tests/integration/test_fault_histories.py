@@ -1,0 +1,163 @@
+"""Generated fault *histories* against the one survivable delegation.
+
+``MasterCollector._delegate`` serves both tiers — a registration is a
+replica chain of one, a shard a longer one — so what the scripted chaos
+suites check for one hand-written crash is checked here for generated
+sequences of steps on a seeded ``build_random_wan`` world with
+``faults.install`` armed, run against a flat and a sharded plane:
+
+* crash / recover a site collector (both planes),
+* crash a shard's primary, or the whole shard (sharded plane),
+* let the clock run, past ``quarantine_s`` and past the crashes,
+
+each followed by a query.  Steps happen on a grid of ``SLOT`` seconds.
+Both simulations are run to the same grid instant before every step,
+crashes last and quarantine lapses an odd number of half slots, and a
+query takes a fraction of a slot — so no decision in either plane sits
+at a boundary that the small clock skew between two separate
+simulations could tip.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import faults
+from repro.collectors.base import TopologyRequest
+from repro.collectors.benchmark_collector import BenchmarkConfig
+from repro.collectors.sharding import ShardingConfig
+from repro.common.status import _RANK, QueryStatus
+from repro.deploy import deploy_wan
+from repro.netsim.builders import build_random_wan
+
+N_SITES, N_SHARDS = 6, 3
+SLOT = 60.0
+PLAN = faults.FaultPlan(
+    fragment_timeout_s=8.0, fragment_retries=1, quarantine_s=1.5 * SLOT
+)
+_site = st.integers(0, N_SITES - 1)
+_steps = st.lists(
+    st.tuples(
+        st.one_of(
+            st.tuples(st.just("crash_site"), _site, st.sampled_from([1.5, 2.5, 4.5])),
+            st.tuples(st.just("recover_site"), _site),
+            st.tuples(st.just("crash_primary"), st.integers(0, N_SHARDS - 1)),
+            st.tuples(st.just("crash_shard"), st.integers(0, N_SHARDS - 1)),
+            st.tuples(st.just("advance"), st.integers(0, 3)),
+        ),
+        st.integers(0, 2),  # which of _Plane.requests() to ask afterwards
+    ),
+    min_size=3,
+    max_size=9,
+)
+
+
+class _Plane:
+    """One deployed plane with every delegation of every tier watched."""
+
+    def __init__(self, seed: int, sharding: ShardingConfig | None) -> None:
+        self.world = build_random_wan(N_SITES, seed=seed, hosts_per_site=(2, 2))
+        self.dep = deploy_wan(
+            self.world,
+            bench_config=BenchmarkConfig(probe_bytes=50_000, max_age_s=3600.0),
+            sharding=sharding,
+        )
+        faults.install(self.dep, PLAN)
+        self.names = sorted(self.world.sites)
+        #: (master, delegate, held LKG entry, clock before, response, statuses)
+        self.delegations: list[tuple] = []
+        for master in self.dep.master.iter_masters():
+            self._watch(master)
+
+    def _watch(self, master) -> None:
+        inner = master._delegate
+
+        def watched(d):
+            held = master._lkg.get((d.key, tuple(sorted(d.request.node_ips))))
+            before = master.net.now
+            sub, statuses = inner(d)
+            self.delegations.append((master, d, held, before, sub, statuses))
+            return sub, statuses
+
+        master._delegate = watched
+
+    def collector(self, site_index: int):
+        return self.dep.snmp_collectors[self.names[site_index]]
+
+    def requests(self) -> list[TopologyRequest]:
+        def first_hosts(names):
+            return TopologyRequest.of(
+                [str(self.world.sites[n].hosts[0].interfaces[0].ip) for n in names]
+            )
+
+        return [
+            first_hosts(self.names),
+            first_hosts(self.names[:2]),
+            first_hosts(self.names[3:4]),
+        ]
+
+    def check_delegations(self) -> None:
+        """The delegation contract, at every tier that delegated."""
+        for master, d, held, before, sub, statuses in self.delegations:
+            if held is None:
+                continue
+            # a delegate that holds a last-known-good entry never drops
+            # out, and no site is FAILED by the tier that holds it (a
+            # shard's live answer passes its own masters' verdicts on)
+            assert sub is not None, (master, d.what)
+            if not d.passthrough:
+                assert all(s.status != QueryStatus.FAILED for s in statuses.values())
+            # a site this tier serves STALE from its own store (a
+            # shard's live answer may carry its masters' STALE sites) is
+            # exactly as old as the held fragment
+            for s in statuses.values():
+                if s.status == QueryStatus.STALE and (
+                    not d.passthrough or s.detail == d.lkg_detail
+                ):
+                    since = master.net.now - held[1]
+                    assert before - held[1] - 1e-9 <= s.data_age_s <= since + 1e-9, s
+        self.delegations.clear()
+
+
+@given(st.integers(0, 3), st.integers(0, 1), _steps)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_sharded_plane_is_no_worse_under_fault_histories(seed, replicas, steps):
+    flat = _Plane(seed, None)
+    sharded = _Plane(seed, ShardingConfig(n_shards=N_SHARDS, replicas=replicas))
+    shard_faults = False
+    slot = 0
+    for step, asked in steps:
+        slot += 1
+        if step[0] == "advance":
+            slot += step[1]
+        for plane in (flat, sharded):
+            assert plane.world.net.now < slot * SLOT  # a query fits its slot
+            plane.world.net.engine.run_until(slot * SLOT)
+        if step[0] == "crash_site":
+            for plane in (flat, sharded):
+                faults.crash_collector(plane.collector(step[1]), step[2] * SLOT)
+        elif step[0] == "recover_site":
+            for plane in (flat, sharded):
+                coll = plane.collector(step[1])
+                if coll.crashed_until is not None:  # what its restart does
+                    coll.crashed_until = None
+                    coll.flush_caches()
+        elif step[0] in ("crash_primary", "crash_shard"):
+            shard_faults = True
+            faults.crash_shard(
+                sharded.dep.master, step[1], 2.5 * SLOT,
+                include_replicas=step[0] == "crash_shard",
+            )
+        f = flat.dep.master.topology(flat.requests()[asked])
+        s = sharded.dep.master.topology(sharded.requests()[asked])
+        flat.check_delegations()
+        sharded.check_delegations()
+        if not shard_faults:
+            # the shard tier adds failover paths and takes none away:
+            # until a fault hits the tier itself, it answers what the
+            # flat Master answers, site by site
+            assert _RANK[s.status] <= _RANK[f.status]
+            assert {k: v.status for k, v in s.site_status.items()} == {
+                k: v.status for k, v in f.site_status.items()
+            }

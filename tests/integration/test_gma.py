@@ -52,7 +52,7 @@ class TestProducers:
     def test_history_events(self, stack):
         w, dep = stack
         # create history first
-        dep.modeler.flow_query(w.host("a", 0), w.host("a", 1))
+        dep.session().flow_info(w.host("a", 0), w.host("a", 1))
         dep.start_monitoring()
         w.net.engine.run_until(w.net.now + 60.0)
         producer = CollectorProducer(dep.snmp_collectors["a"])

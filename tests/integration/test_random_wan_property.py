@@ -45,7 +45,7 @@ class TestRandomWan:
                 w.host(dst, 1), w.host(src, 1), demand_bps=bg_demand
             )
             w.net.engine.run_until(w.net.now + 5.0)
-        ans = dep.modeler.flow_query(w.host(src, 0), w.host(dst, 0))
+        ans = dep.session().flow_info(w.host(src, 0), w.host(dst, 0))
         actual = w.net.flows.start_flow(w.host(src, 0), w.host(dst, 0))
         # prediction within 10% of ground truth, and never an
         # over-promise beyond measurement noise

@@ -277,7 +277,7 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for i in range(1, 8):
+        for i in (1, 2, 4, 5, 6, 7, 8):  # 3 was the deleted shim rule
             assert f"RML00{i}" in out
 
     def test_syntax_error_reported_not_crashed(self, tmp_path, capsys):

@@ -170,80 +170,6 @@ class TestRML002Rng:
         assert vs == []
 
 
-class TestRML003DeprecatedApi:
-    def test_shim_call_flagged(self):
-        vs = run(
-            """
-            def probe(modeler, a, b):
-                return modeler.flow_query(a, b)
-            """,
-            "src/repro/apps/thing.py",
-        )
-        assert [v.code for v in vs] == ["RML003"]
-        assert "RemosSession.flow_info" in vs[0].message
-
-    def test_all_shims_flagged(self):
-        vs = run(
-            """
-            def probe(m, hosts):
-                m.topology_query(hosts)
-                m.node_query(hosts)
-                m.flow_queries([])
-            """,
-            "src/repro/apps/thing.py",
-        )
-        assert [v.code for v in vs] == ["RML003"] * 3
-
-    def test_invalidation_shim_flagged(self):
-        vs = run(
-            """
-            def refresh(modeler, sites):
-                modeler.invalidate_query_cache(sites=sites)
-            """,
-            "src/repro/apps/thing.py",
-        )
-        assert [v.code for v in vs] == ["RML003"]
-        assert "Modeler.invalidate_cache" in vs[0].message
-
-    def test_unified_invalidation_sanctioned(self):
-        vs = run(
-            """
-            def refresh(session, sites):
-                session.invalidate_cache(sites=sites)
-            """,
-            "src/repro/apps/thing.py",
-        )
-        assert vs == []
-
-    def test_session_api_sanctioned(self):
-        vs = run(
-            """
-            def probe(session, a, b):
-                ans = session.flow_info(a, b)
-                return ans if ans.ok else None
-            """,
-            "src/repro/apps/thing.py",
-        )
-        assert vs == []
-
-    def test_pragma_suppresses(self):
-        vs = run(
-            """
-            def probe(modeler, a, b):
-                return modeler.flow_query(a, b)  # remoslint: disable=RML003
-            """,
-            "src/repro/apps/thing.py",
-        )
-        assert vs == []
-
-    def test_defining_module_exempt(self):
-        vs = run(
-            "def f(m, a, b):\n    return m.flow_query(a, b)\n",
-            "src/repro/modeler/api.py",
-        )
-        assert vs == []
-
-
 class TestRML004Status:
     def test_status_drop_flagged(self):
         vs = run(
@@ -571,6 +497,6 @@ class TestRML008SpanNames:
 
 
 class TestEveryRuleHasFixtureCoverage:
-    def test_all_eight_rules_exist(self):
+    def test_all_seven_rules_exist(self):
         codes = {r.code for r in make_rules()}
-        assert codes == {f"RML00{i}" for i in range(1, 9)}
+        assert codes == {f"RML00{i}" for i in (1, 2, 4, 5, 6, 7, 8)}

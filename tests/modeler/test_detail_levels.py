@@ -22,13 +22,13 @@ def lan_dep():
 class TestDetailLevels:
     def test_raw_has_switches(self, lan_dep):
         lan, dep = lan_dep
-        g = dep.modeler.topology_query([lan.hosts[0], lan.hosts[15]], detail="raw")
+        g = dep.session().topology([lan.hosts[0], lan.hosts[15]], detail="raw").graph
         assert any(n.kind == "switch" for n in g.nodes())
 
     def test_summary_is_hosts_only(self, lan_dep):
         lan, dep = lan_dep
         hosts = [lan.hosts[0], lan.hosts[7], lan.hosts[15]]
-        g = dep.modeler.topology_query(hosts, detail="summary")
+        g = dep.session().topology(hosts, detail="summary").graph
         assert len(g) == 3
         assert all(n.kind == "host" for n in g.nodes())
         assert g.num_edges() == 3  # all pairs
@@ -36,8 +36,8 @@ class TestDetailLevels:
     def test_summary_preserves_bottleneck(self, lan_dep):
         lan, dep = lan_dep
         a, b = lan.hosts[0], lan.hosts[15]
-        full = dep.modeler.topology_query([a, b], detail="raw")
-        summ = dep.modeler.topology_query([a, b], detail="summary")
+        full = dep.session().topology([a, b], detail="raw").graph
+        summ = dep.session().topology([a, b], detail="summary").graph
         full_avail = full.bottleneck_available(str(a.ip), str(b.ip))
         summ_avail = summ.bottleneck_available(str(a.ip), str(b.ip))
         assert summ_avail == pytest.approx(full_avail, rel=1e-6)
@@ -49,7 +49,7 @@ class TestDetailLevels:
     def test_summary_directional(self, lan_dep):
         lan, dep = lan_dep
         a, b = lan.hosts[0], lan.hosts[15]
-        g = dep.modeler.topology_query([a, b], detail="summary")
+        g = dep.session().topology([a, b], detail="summary").graph
         # 30 Mbps flows a -> b: less available that way
         assert g.bottleneck_available(str(a.ip), str(b.ip)) < g.bottleneck_available(
             str(b.ip), str(a.ip)
@@ -57,13 +57,13 @@ class TestDetailLevels:
 
     def test_simplified_is_default(self, lan_dep):
         lan, dep = lan_dep
-        g1 = dep.modeler.topology_query([lan.hosts[0], lan.hosts[15]])
-        g2 = dep.modeler.topology_query(
+        g1 = dep.session().topology([lan.hosts[0], lan.hosts[15]]).graph
+        g2 = dep.session().topology(
             [lan.hosts[0], lan.hosts[15]], detail="simplified"
-        )
+        ).graph
         assert sorted(n.id for n in g1.nodes()) == sorted(n.id for n in g2.nodes())
 
     def test_unknown_level_rejected(self, lan_dep):
         lan, dep = lan_dep
         with pytest.raises(QueryError):
-            dep.modeler.topology_query([lan.hosts[0]], detail="cubist")
+            dep.session().topology([lan.hosts[0]], detail="cubist")

@@ -22,12 +22,12 @@ def loaded_lan():
 class TestOwnFlows:
     def test_without_declaration_sees_own_traffic_as_load(self, loaded_lan):
         lan, dep, flow = loaded_lan
-        [ans] = dep.modeler.flow_queries([(lan.hosts[0], lan.hosts[7])])
+        [ans] = dep.session().flow_info_many([(lan.hosts[0], lan.hosts[7])])
         assert ans.available_bps == pytest.approx(60 * MBPS, rel=0.05)
 
     def test_declared_flow_credited_back(self, loaded_lan):
         lan, dep, flow = loaded_lan
-        [ans] = dep.modeler.flow_queries(
+        [ans] = dep.session().flow_info_many(
             [(lan.hosts[0], lan.hosts[7])],
             own_flows=[(lan.hosts[0], lan.hosts[7], 40 * MBPS)],
         )
@@ -36,7 +36,7 @@ class TestOwnFlows:
 
     def test_partial_declaration(self, loaded_lan):
         lan, dep, flow = loaded_lan
-        [ans] = dep.modeler.flow_queries(
+        [ans] = dep.session().flow_info_many(
             [(lan.hosts[0], lan.hosts[7])],
             own_flows=[(lan.hosts[0], lan.hosts[7], 15 * MBPS)],
         )
@@ -45,7 +45,7 @@ class TestOwnFlows:
     def test_unrelated_declared_flow_ignored(self, loaded_lan):
         lan, dep, flow = loaded_lan
         # a declared flow on a disjoint path must not change the answer
-        [ans] = dep.modeler.flow_queries(
+        [ans] = dep.session().flow_info_many(
             [(lan.hosts[0], lan.hosts[7])],
             own_flows=[(lan.hosts[2], lan.hosts[3], 20 * MBPS)],
         )
@@ -54,7 +54,7 @@ class TestOwnFlows:
     def test_credit_never_negative(self, loaded_lan):
         lan, dep, flow = loaded_lan
         # over-declaring cannot produce more than capacity
-        [ans] = dep.modeler.flow_queries(
+        [ans] = dep.session().flow_info_many(
             [(lan.hosts[0], lan.hosts[7])],
             own_flows=[(lan.hosts[0], lan.hosts[7], 500 * MBPS)],
         )
@@ -63,7 +63,7 @@ class TestOwnFlows:
     def test_direction_specific(self, loaded_lan):
         lan, dep, flow = loaded_lan
         # declaring the reverse direction must not free the forward one
-        [ans] = dep.modeler.flow_queries(
+        [ans] = dep.session().flow_info_many(
             [(lan.hosts[0], lan.hosts[7])],
             own_flows=[(lan.hosts[7], lan.hosts[0], 40 * MBPS)],
         )

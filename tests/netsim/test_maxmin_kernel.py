@@ -2,22 +2,22 @@
 
 :func:`repro.netsim.flows.max_min_allocation` first drops the channels
 that can never bind (``_binding_channels``: of the channels crossed by
-the same flows only the tightest stays), then dispatches small reduced
-problems to :func:`repro.netsim.flows.max_min_allocation_reference`
-(the original pure-python solver, kept verbatim as ground truth) and
-large ones to the numpy kernel.  The oracle is always fed the
-*unreduced* paths.  These tests pin ``_KERNEL_MIN_ENTRIES`` to 0 so the
-vectorised kernel is exercised at every problem size, and check
-agreement within 1e-9 on randomised problems plus the documented corner
-cases: zero-length paths, infinite demands, shared-bottleneck ladders
-and path-redundant problems where most channels are dominated.
+the same flows only the tightest stays), then solves what is left with
+:func:`repro.netsim.flows.max_min_allocation_reference` (the original
+pure-python solver, kept verbatim as ground truth).  The oracle is
+always fed the *unreduced* paths.  These tests check agreement within
+1e-9 on randomised problems — including ones past the 128 incidence
+entries above which a numpy kernel used to take over — plus the
+documented corner cases: zero-length paths, infinite demands,
+shared-bottleneck ladders and path-redundant problems where most
+channels are dominated.
 """
 
 import math
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.netsim.flows as flows_mod
@@ -33,14 +33,8 @@ class FakeChannel:
         self.capacity_bps = cap
 
 
-def kernel(paths, demands):
-    """Run the numpy kernel regardless of problem size."""
-    with mock.patch.object(flows_mod, "_KERNEL_MIN_ENTRIES", 0):
-        return max_min_allocation(paths, demands)
-
-
 def assert_equivalent(paths, demands):
-    got = kernel(paths, demands)
+    got = max_min_allocation(paths, demands)
     want = max_min_allocation_reference(paths, demands)
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -78,14 +72,14 @@ class TestKernelEquivalence:
         assert_equivalent(paths, demands)
 
     def test_empty(self):
-        assert kernel([], []) == []
+        assert max_min_allocation([], []) == []
 
     def test_all_zero_length_paths(self):
         # src == dst collapses to an empty path: full demand, and a
         # greedy (infinite-demand) flow stays infinite.
         paths = [[], [], []]
         demands = [7.0, 0.0, math.inf]
-        assert kernel(paths, demands) == [7.0, 0.0, math.inf]
+        assert max_min_allocation(paths, demands) == [7.0, 0.0, math.inf]
         assert_equivalent(paths, demands)
 
     def test_water_filling_example(self):
@@ -93,7 +87,7 @@ class TestKernelEquivalence:
         # link2 (cap 2), C on both.  Level freezes A and C at 0.5;
         # B takes the remaining 1.5.
         l1, l2 = FakeChannel(1.0), FakeChannel(2.0)
-        rates = kernel([[l1], [l2], [l1, l2]], [math.inf] * 3)
+        rates = max_min_allocation([[l1], [l2], [l1, l2]], [math.inf] * 3)
         assert rates[0] == pytest.approx(0.5)
         assert rates[1] == pytest.approx(1.5)
         assert rates[2] == pytest.approx(0.5)
@@ -118,55 +112,6 @@ class TestKernelEquivalence:
         # the tie between the two freeze rules.
         ch = FakeChannel(10.0)
         assert_equivalent([[ch], [ch]], [5.0, math.inf])
-
-
-class TestDispatch:
-    def test_small_problem_uses_reference_solver(self):
-        ch = FakeChannel(10.0)
-        with mock.patch.object(
-            flows_mod,
-            "max_min_allocation_reference",
-            wraps=max_min_allocation_reference,
-        ) as ref:
-            max_min_allocation([[ch], [ch]], [math.inf, math.inf])
-        assert ref.called
-
-    def test_large_problem_uses_kernel(self):
-        # 65 flows, each over its own access channel and one shared
-        # trunk: every channel has its own member set, so nothing is
-        # dominated and the 130 incidence entries stay >= the 128-entry
-        # dispatch floor: the kernel runs, and agrees with the oracle.
-        trunk = FakeChannel(60.0)
-        paths = [[FakeChannel(1.0 + i % 7), trunk] for i in range(65)]
-        demands = [math.inf if i % 3 else 0.5 for i in range(65)]
-        with mock.patch.object(
-            flows_mod,
-            "max_min_allocation_reference",
-            wraps=max_min_allocation_reference,
-        ) as ref:
-            got = max_min_allocation(paths, demands)
-        assert not ref.called
-        want = max_min_allocation_reference(paths, demands)
-        for g, w in zip(got, want):
-            assert g == pytest.approx(w, rel=1e-9, abs=1e-9)
-
-    def test_large_redundant_problem_reduces_below_the_kernel_floor(self):
-        # The mirror case: 65 flows x the same 2 channels = 130 entries,
-        # but both channels carry the same flows, so only the tighter
-        # can bind.  The threshold applies to the reduced shape (65
-        # entries): the scalar solver runs, on one-channel paths.
-        a, b = FakeChannel(100.0), FakeChannel(60.0)
-        paths = [[a, b] for _ in range(65)]
-        demands = [math.inf if i % 3 else 0.5 for i in range(65)]
-        with mock.patch.object(
-            flows_mod,
-            "max_min_allocation_reference",
-            wraps=max_min_allocation_reference,
-        ) as ref:
-            got = max_min_allocation(paths, demands)
-        (solved_paths, _), _ = ref.call_args
-        assert [list(p) for p in solved_paths] == [[b]] * 65
-        assert got == max_min_allocation_reference(paths, demands)
 
 
 class TestBindingChannels:
@@ -218,7 +163,7 @@ _CAPS = st.sampled_from([1.0, 2.0, 2.0, 5.0, 10.0, 1000.0, math.inf])
 
 
 @st.composite
-def _redundant_problem(draw):
+def _redundant_problem(draw, n_flows=st.integers(1, 7), seg_len=st.integers(1, 4), min_picked=0):
     """Problems in which dominated channels really occur.
 
     Channels come in *segments* (an access tier, a trunk) that flows
@@ -226,15 +171,22 @@ def _redundant_problem(draw):
     capacities are drawn from a handful of values (ties, ``inf``) and
     segment order is random, so a dominated channel sits before and
     after its dominator.  Some paths cross a channel twice, some are
-    zero-length, demands are finite, zero or infinite.
+    zero-length, demands are finite, zero or infinite.  ``n_flows``,
+    ``seg_len`` and ``min_picked`` (segments per path, at least) size
+    the problem.
     """
     segments = [
-        [FakeChannel(draw(_CAPS)) for _ in range(draw(st.integers(1, 4)))]
-        for _ in range(draw(st.integers(1, 5)))
+        [FakeChannel(draw(_CAPS)) for _ in range(draw(seg_len))]
+        for _ in range(draw(st.integers(max(1, min_picked), 5)))
     ]
     paths, demands = [], []
-    for _ in range(draw(st.integers(1, 7))):
-        picked = draw(st.lists(st.integers(0, len(segments) - 1), max_size=3, unique=True))
+    for _ in range(draw(n_flows)):
+        picked = draw(
+            st.lists(
+                st.integers(0, len(segments) - 1),
+                min_size=min_picked, max_size=3, unique=True,
+            )
+        )
         path = [ch for k in picked for ch in segments[k]]
         if path and draw(st.booleans()) and draw(st.booleans()):
             path.insert(draw(st.integers(0, len(path))), draw(st.sampled_from(path)))
@@ -248,14 +200,16 @@ class TestReductionEquivalence:
     @settings(max_examples=300, deadline=None)
     def test_dispatcher_matches_oracle_on_unreduced_paths(self, problem):
         paths, demands = problem
-        want = max_min_allocation_reference(paths, demands)
-        for got in (max_min_allocation(paths, demands), kernel(paths, demands)):
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                if math.isinf(w):
-                    assert math.isinf(g) and g > 0
-                else:
-                    assert g == pytest.approx(w, rel=1e-9, abs=1e-9)
+        assert_equivalent(paths, demands)
+
+    @given(_redundant_problem(st.integers(64, 72), st.integers(2, 4), min_picked=2))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle_past_the_old_kernel_floor(self, problem):
+        # the size class the numpy kernel used to own: 128 incidence
+        # entries or more *after* the reduction
+        paths, demands = problem
+        assume(sum(len(p) for p in _binding_channels(paths)) >= 128)
+        assert_equivalent(paths, demands)
 
     @given(_redundant_problem())
     @settings(max_examples=100, deadline=None)
@@ -310,14 +264,14 @@ def _components(paths):
 class TestDecouplesAcrossComponents:
     """What lets FlowManager re-solve one component at a time: solving
     each channel-disjoint group of flows alone gives the global answer,
-    with either solver."""
+    reduced or not."""
 
     @given(_problem())
     @settings(max_examples=200, deadline=None)
     def test_per_component_solve_equals_global(self, problem):
         paths, demands = problem
         want = max_min_allocation_reference(paths, demands)
-        for solve in (max_min_allocation_reference, kernel):
+        for solve in (max_min_allocation_reference, max_min_allocation):
             got = [None] * len(paths)
             for members in _components(paths):
                 part = solve([paths[i] for i in members], [demands[i] for i in members])
