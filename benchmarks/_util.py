@@ -25,9 +25,11 @@ def emit(name: str, lines: list[str]) -> None:
 def emit_json(name: str, payload: dict) -> Path:
     """Persist a machine-readable result as benchmarks/out/BENCH_<name>.json.
 
-    The payload conventionally carries the benchmark's headline numbers
-    plus an ``obs`` key holding ``repro.obs.export.snapshot(reg)`` of the
-    run's registry, so regressions are diffable without re-running.
+    The payload carries the benchmark's headline numbers — what the
+    regression gates read — and, for the query benchmarks, the small
+    :func:`trace_breakdown` of the run.  Whole registry snapshots
+    (wall-clock spans and histograms, different on every run and read
+    by no gate) stay out of these committed files.
     """
     OUT_DIR.mkdir(exist_ok=True)
     path = OUT_DIR / f"BENCH_{name}.json"
@@ -42,10 +44,9 @@ def fmt_row(cols, widths) -> str:
 def trace_breakdown(reg) -> dict:
     """Trace-derived attribution for a BENCH payload.
 
-    Computed over the registry's *full* span ring (the ``obs`` snapshot
-    truncates to the most recent spans): ``time_by_layer`` (self time
-    per layer), ``time_by_site`` (fragment delegation per site), and
-    retry/timeout tallies — so a BENCH diff shows not just that a run
+    Computed over the registry's full span ring: ``time_by_layer``
+    (self time per layer), ``time_by_site`` (fragment delegation per
+    site), and retry/timeout tallies — so a BENCH diff shows not just that a run
     got slower but which layer or site absorbed the time.
     """
     from repro.obs import traceview

@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.common.units import MBPS
 from repro.netsim.builders import SiteSpec, build_multisite_wan
 from repro.netsim.traffic import RandomWalkTraffic
@@ -37,13 +36,6 @@ OVERLOADED_RUNS = {7, 15}  # two experiments hit an overloaded server
 
 
 def run_fig10(consider_load: bool = False):
-    with obs.scoped_registry() as reg:
-        rows = _run_fig10(consider_load)
-        snap = obs.export.snapshot(reg)
-    return rows, snap
-
-
-def _run_fig10(consider_load: bool):
     world = build_multisite_wan(
         [
             SiteSpec("eth", access_bps=100 * MBPS, n_hosts=4),
@@ -113,7 +105,7 @@ def _run_fig10(consider_load: bool):
 
 
 def test_fig10_video_frames(benchmark):
-    rows, snap = benchmark.pedantic(run_fig10, rounds=1, iterations=1)
+    rows = benchmark.pedantic(run_fig10, rounds=1, iterations=1)
 
     widths = [5, 12, 8, 12, 9, 7]
     lines = [
@@ -158,7 +150,6 @@ def test_fig10_video_frames(benchmark):
                 {"picked": picked, "received": frames, "total": total}
                 for picked, frames, total in rows
             ],
-            "obs": snap,
         },
     )
 
@@ -184,7 +175,7 @@ def test_fig10_load_aware_extension(benchmark):
     selection ('other parameters … must be taken into account'), the
     two overload misses disappear — the client dodges the swamped
     server and lands on the best healthy one."""
-    rows, snap = benchmark.pedantic(
+    rows = benchmark.pedantic(
         lambda: run_fig10(consider_load=True), rounds=1, iterations=1
     )
     hits = 0
@@ -211,7 +202,6 @@ def test_fig10_load_aware_extension(benchmark):
             "experiments": len(rows),
             "hit_rate": rate,
             "overload_hits": overload_hits,
-            "obs": snap,
         },
     )
     assert overload_hits == len(OVERLOADED_RUNS), (

@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.common.units import MBPS
 from repro.netsim.builders import SiteSpec, build_multisite_wan
 from repro.apps.video import VideoSession, VideoSpec
@@ -30,13 +29,6 @@ REMOTE_BPS = 0.15 * MBPS
 
 
 def run_fig11():
-    with obs.scoped_registry() as reg:
-        reported, local, remote = _run_fig11()
-        snap = obs.export.snapshot(reg)
-    return reported, local, remote, snap
-
-
-def _run_fig11():
     world = build_multisite_wan(
         [
             SiteSpec("eth", access_bps=100 * MBPS, n_hosts=4),
@@ -66,7 +58,7 @@ def _run_fig11():
 
 
 def test_fig11_video_intervals(benchmark):
-    reported, local, remote, snap = benchmark.pedantic(
+    reported, local, remote = benchmark.pedantic(
         run_fig11, rounds=1, iterations=1
     )
 
@@ -110,7 +102,6 @@ def test_fig11_video_intervals(benchmark):
             },
             "local_frames": [local.frames_received, local.total_frames],
             "remote_frames": [remote.frames_received, remote.total_frames],
-            "obs": snap,
         },
     )
 

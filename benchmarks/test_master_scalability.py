@@ -119,7 +119,6 @@ def test_master_fanout_scalability(benchmark):
         fanout, large = benchmark.pedantic(
             lambda: (run_fanout(), run_large_topology()), rounds=1, iterations=1
         )
-        snap = obs.export.snapshot(reg)
         breakdown = trace_breakdown(reg)
 
     widths = [6, 10, 10, 10, 10, 8, 12, 12]
@@ -191,7 +190,6 @@ def test_master_fanout_scalability(benchmark):
                 for n in LARGE_COUNTS
             },
             "breakdown": breakdown,
-            "obs": snap,
         },
     )
 

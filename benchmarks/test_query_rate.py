@@ -10,7 +10,7 @@ full Modeler -> Master -> SNMP Collector stack, compare the added cost
 of predictive (RPS AR(16)) queries, and quantify the query-path
 optimisations (concurrent Master delegation + Modeler query caching)
 against an emulated pre-optimisation configuration.  Each run exports
-its ``repro.obs`` registry snapshot as ``BENCH_*.json``.
+its headline numbers and trace breakdown as ``BENCH_*.json``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ def test_query_rate_plain(warm_lan, benchmark):
 
     with obs.scoped_registry() as reg:
         ans = benchmark(one_query)
-        snap = obs.export.snapshot(reg)
         breakdown = trace_breakdown(reg)
     hz = 1.0 / benchmark.stats["mean"]
     emit(
@@ -71,7 +70,6 @@ def test_query_rate_plain(warm_lan, benchmark):
             "mean_s": benchmark.stats["mean"],
             "available_mbps": ans.available_bps / MBPS,
             "breakdown": breakdown,
-            "obs": snap,
         },
     )
     assert hz > 14, "must at least match the paper's 2001-era rate"
@@ -160,7 +158,6 @@ def test_multisite_warm_query_speedup():
         dep.master.rpc.max_parallel = 8
         dep.modeler.query_cache_ttl_s = 5.0
         opt_wall, opt_sim = _measure(w, dep, pairs)
-        snap = obs.export.snapshot(reg)
         breakdown = trace_breakdown(reg)
 
     sim_speedup = base_sim / opt_sim
@@ -186,7 +183,6 @@ def test_multisite_warm_query_speedup():
             "optimized": {"wall_s_per_query": opt_wall, "sim_s_per_query": opt_sim},
             "speedup": {"sim": sim_speedup, "wall": wall_speedup},
             "breakdown": breakdown,
-            "obs": snap,
         },
     )
     assert sim_speedup >= 2.0, "query-path optimisations must buy >= 2x in sim time"
@@ -217,16 +213,16 @@ def test_multisite_query_rate_under_chaos():
         with obs.scoped_registry() as reg:
             reg.use_sim_clock(w.net.engine)
             batches = [dep.session().flow_info_many(pairs) for _ in range(3)]
-            snap = obs.export.snapshot(reg)
+            partial = sum(c.value for c in reg.counters() if c.name == "query.partial")
             breakdown = trace_breakdown(reg)
         return (
             [dataclasses.asdict(a) for batch in batches for a in batch],
-            snap["counters"].get("query.partial", 0),
+            partial,
             inj.injected,
             w.net.now,
-        ), breakdown, snap
+        ), breakdown
 
-    first, breakdown, snap = run()
+    first, breakdown = run()
     assert first == run()[0], "same seed must reproduce the identical run"
     answers, partial, injected, _ = first
     assert injected > 0
@@ -252,6 +248,5 @@ def test_multisite_query_rate_under_chaos():
             ),
             "answers": len(answers),
             "breakdown": breakdown,
-            "obs": snap,
         },
     )

@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.common.units import MBPS
 from repro.netsim.builders import SiteSpec, build_multisite_wan
 from repro.netsim.traffic import RandomWalkTraffic
@@ -44,13 +43,6 @@ SAMPLE_GAP_S = 30.0
 
 
 def run_table1():
-    with obs.scoped_registry() as reg:
-        stats = _run_table1()
-        snap = obs.export.snapshot(reg)
-    return stats, snap
-
-
-def _run_table1():
     world = build_multisite_wan(
         [
             SiteSpec("eth", access_bps=100 * MBPS, n_hosts=5, lan_bps=100 * MBPS),
@@ -122,7 +114,7 @@ def _run_table1():
 
 
 def test_table1_site_bandwidth(benchmark):
-    stats, snap = benchmark.pedantic(run_table1, rounds=1, iterations=1)
+    stats = benchmark.pedantic(run_table1, rounds=1, iterations=1)
 
     widths = [12, 12, 10, 13, 11]
     lines = [
@@ -152,7 +144,6 @@ def test_table1_site_bandwidth(benchmark):
                 }
                 for site, (mean, sd) in stats.items()
             },
-            "obs": snap,
         },
     )
 

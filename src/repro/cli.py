@@ -212,8 +212,8 @@ def cmd_trace(args) -> int:
     """Render a recorded trace: waterfall, attribution, Chrome export.
 
     Reads any JSON file that carries spans — a flight-recorder dump, an
-    ``obs.export.snapshot`` / ``to_json`` payload, or a ``BENCH_*.json``
-    with an ``obs`` section.
+    ``obs.export.snapshot`` / ``to_json`` payload, or a document that
+    nests one under an ``obs`` key.
     """
     import json
     from pathlib import Path
@@ -417,8 +417,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser(
         "trace",
-        help="render a recorded trace (flight-recorder dump, snapshot, "
-             "or BENCH json): waterfall + latency attribution",
+        help="render a recorded trace (flight-recorder dump or "
+             "snapshot): waterfall + latency attribution",
     )
     tr.add_argument("file", help="JSON file carrying spans")
     tr.add_argument(

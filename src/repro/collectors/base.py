@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import CollectorUnavailableError
 from repro.common.status import QueryStatus, SiteStatus
@@ -68,6 +68,31 @@ class TopologyRequest:
             tuple(str(IPv4Address(ip)) for ip in ips), anchor_ip=anchor_ip
         )
 
+    def to_dict(self) -> dict[str, Any]:
+        """The request as a plain record: what every wire syntax
+        renders (``pairs`` sorted, so equal requests give equal text)."""
+        return {
+            "node_ips": list(self.node_ips),
+            "include_dynamics": self.include_dynamics,
+            "anchor_ip": self.anchor_ip,
+            "anchor_sites": self.anchor_sites,
+            "stitch": self.stitch,
+            "pairs": None if self.pairs is None else sorted(self.pairs),
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict[str, Any]) -> "TopologyRequest":
+        """The request of a record; a member left out takes its default."""
+        pairs = d.get("pairs")
+        return cls(
+            tuple(str(ip) for ip in d["node_ips"]),
+            include_dynamics=bool(d.get("include_dynamics", cls.include_dynamics)),
+            anchor_ip=d.get("anchor_ip"),
+            anchor_sites=bool(d.get("anchor_sites", cls.anchor_sites)),
+            stitch=bool(d.get("stitch", cls.stitch)),
+            pairs=None if pairs is None else frozenset((str(a), str(b)) for a, b in pairs),
+        )
+
 
 @dataclass
 class TopologyResponse:
@@ -104,6 +129,15 @@ class HistoryRequest:
     edge_b: str
     max_samples: int = 512
 
+    def to_dict(self) -> dict[str, Any]:
+        return {"edge_a": self.edge_a, "edge_b": self.edge_b, "max_samples": self.max_samples}
+
+    @classmethod
+    def from_dict(cls, d: dict[str, Any]) -> "HistoryRequest":
+        return cls(
+            str(d["edge_a"]), str(d["edge_b"]), int(d.get("max_samples", cls.max_samples))
+        )
+
 
 @dataclass
 class HistoryResponse:
@@ -123,6 +157,21 @@ class HistoryResponse:
             raise ValueError(f"bad history kind {self.kind!r}")
         if len(self.times) != len(self.rates_bps):
             raise ValueError("times/rates length mismatch")
+
+    def to_dict(self) -> dict[str, Any]:
+        return {"kind": self.kind, "times": list(self.times), "rates_bps": list(self.rates_bps)}
+
+    @classmethod
+    def from_dict(cls, d: dict[str, Any]) -> "HistoryResponse":
+        return cls(
+            str(d["kind"]),
+            tuple(float(t) for t in d["times"]),
+            tuple(float(r) for r in d["rates_bps"]),
+        )
+
+
+#: (values, variances) series pair from a streaming predictor
+ForecastSeries = tuple[Any, Any]
 
 
 @dataclass
@@ -196,6 +245,19 @@ class Collector(ABC):
 
     def history(self, request: HistoryRequest) -> HistoryResponse | None:
         """Measurement history for an edge, or None if unknown here."""
+        return None
+
+    def supports_forecast(self) -> bool:
+        """Could :meth:`forecast_edge` answer at all?  Costs no
+        simulated time, so a Master asks before it charges the RPC; a
+        collector that overrides one overrides both."""
+        return False
+
+    def forecast_edge(self, request: HistoryRequest, horizon: int) -> ForecastSeries | None:
+        """Streaming forecast of an edge's utilization, as (values,
+        variances) up to ``horizon`` steps ahead (the §2.3
+        shared-prediction path); None when no streaming predictor
+        covers the edge."""
         return None
 
     def __repr__(self) -> str:

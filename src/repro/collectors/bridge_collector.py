@@ -93,11 +93,6 @@ class L2Database:
         except (nx.NodeNotFound, nx.NetworkXNoPath):
             raise TopologyError(f"no L2 path {a} -> {b}") from None
 
-    def port_between(self, switch: str, neighbor: tuple) -> int:
-        """The ifIndex of ``switch``'s port on the edge toward a
-        neighboring graph node."""
-        return self.graph.edges[("sw", switch), neighbor]["port"]
-
 
 class BridgeCollector:
     """Serves L2 location and path queries backed by Bridge-MIB data."""

@@ -28,7 +28,6 @@ import itertools
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import Any
 
 from repro import obs
 from repro.common.errors import (
@@ -42,6 +41,7 @@ from repro.netsim.address import IPv4Address
 from repro.netsim.topology import Network
 from repro.collectors.base import (
     Collector,
+    ForecastSeries,
     HistoryRequest,
     HistoryResponse,
     PairMeasurement,
@@ -66,8 +66,6 @@ DelegateKey = RegKey | int
 #: last-known-good fragment cache shapes (see MasterCollector._lkg)
 LkgKey = tuple[DelegateKey, tuple[str, ...]]
 LkgEntry = tuple[TopologyGraph, float, dict[str, str], tuple[str, ...], tuple[str, ...]]
-#: (values, variances) series pair from a streaming predictor
-ForecastSeries = tuple[Any, Any]
 
 #: most last-known-good fragments one Master keeps; past it the least
 #: recently stored-or-served one is evicted
@@ -712,13 +710,9 @@ class MasterCollector(Collector):
         """Cheap capability probe: can any downstream collector serve a
         streaming forecast right now?  Costs no simulated time — the
         master knows this from registration state."""
-        for reg in self.directory.registrations():
-            if getattr(reg.collector, "forecast_edge", None) is None:
-                continue
-            probe = getattr(reg.collector, "supports_forecast", None)
-            if probe is None or probe():
-                return True
-        return False
+        return any(
+            reg.collector.supports_forecast() for reg in self.directory.registrations()
+        )
 
     def forecast_edge(
         self, request: HistoryRequest, horizon: int
@@ -729,11 +723,7 @@ class MasterCollector(Collector):
         out: ForecastSeries | None = None
         with self.net.engine.overlap(self.rpc.max_parallel) as ov:
             for reg in self.directory.registrations():
-                fn = getattr(reg.collector, "forecast_edge", None)
-                if fn is None:
-                    continue
-                probe = getattr(reg.collector, "supports_forecast", None)
-                if probe is not None and not probe():
+                if not reg.collector.supports_forecast():
                     # no streaming predictor behind this registration:
                     # there is no call to make, so charge no RPC
                     continue
@@ -742,18 +732,9 @@ class MasterCollector(Collector):
                         self.rpc.remote_s if reg.remote else self.rpc.local_s
                     )
                     try:
-                        out = fn(request, horizon)
+                        out = reg.collector.forecast_edge(request, horizon)
                     except RemosError:
                         out = None  # collector down: ask the others
                 if out is not None:
                     break
         return out
-
-    # -- site statistics (Table 1 support) ------------------------------
-
-    def site_bandwidth_stats(self, from_site: str, to_site: str) -> tuple[float, float, int]:
-        """(mean, stddev, n) of benchmark history between two sites."""
-        bench = self.directory.benchmark_for(from_site)
-        if bench is None:
-            raise QueryError(f"no benchmark collector at {from_site}")
-        return bench.statistics(to_site)

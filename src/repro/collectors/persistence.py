@@ -12,7 +12,6 @@ scenario does.
 from __future__ import annotations
 
 import json
-import math
 
 from repro.common.errors import RemosError, TopologyError
 from repro.netsim.address import IPv4Address, MacAddress
@@ -23,7 +22,7 @@ from repro.collectors.bridge_collector import (
     L2Segment,
 )
 from repro.collectors.monitor import MonitorKey
-from repro.collectors.protocol import ProtocolError, _parse_num
+from repro.collectors.protocol import ProtocolError, _num, _parse_num
 from repro.collectors.snmp_collector import (
     SnmpCollector,
     _EdgeRec,
@@ -39,10 +38,6 @@ class PersistenceError(RemosError):
 
 
 _VERSION = 1
-
-
-def _num(x: float):
-    return "inf" if math.isinf(x) else x
 
 
 # -- SNMP collector -----------------------------------------------------------

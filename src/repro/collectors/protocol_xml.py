@@ -17,12 +17,16 @@ Message shapes::
     <remos version="2">
       <topology>
         <node id=".." kind=".."> <ip>..</ip>* </node>*
-        <edge a=".." b=".." capacity=".." utilAB=".." utilBA=".." latency=".."/>*
+        <edge a=".." b=".." capacity=".." utilAB=".." utilBA=".." latency=".."
+              jitter=".."/>*
       </topology>
     </remos>
 
     <remos version="2">
-      <query dynamics="1" anchor="10.0.0.1"> <nodeip>..</nodeip>+ </query>
+      <query dynamics="1" anchor="10.0.0.1" anchorSites="0" stitch="1">
+        <nodeip>..</nodeip>+
+        <pairs> <pair a=".." b=".."/>* </pairs>?
+      </query>
     </remos>
 
     <remos version="2">
@@ -30,17 +34,33 @@ Message shapes::
         <sample t=".." bps=".."/>*
       </history>
     </remos>
+
+As in the ASCII codec, every message is rendered from and parsed to its
+type's plain record (``to_dict`` / ``from_dict``); this module only
+names the elements and attributes.  ``jitter`` may be missing from an
+``<edge>`` (v1 senders), and a ``<query>`` without ``<pairs>`` asks for
+every pair.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from typing import Any
 
 from repro.collectors.base import HistoryRequest, HistoryResponse, TopologyRequest
-from repro.collectors.protocol import ProtocolError, _num, _parse_num, build_graph
-from repro.modeler.graph import TopologyGraph
+from repro.collectors.protocol import ProtocolError, _num, _parse_num, graph_of_record
+from repro.modeler.graph import EDGE_NUMBERS, TopologyGraph
 
 VERSION = "2"
+
+#: ``<edge>`` attribute of each numeric member of an edge record
+_EDGE_ATTRS = dict(
+    zip(EDGE_NUMBERS, ("capacity", "utilAB", "utilBA", "latency", "jitter"), strict=True)
+)
+#: what an ``<edge>`` must carry (v1 senders know no jitter)
+_EDGE_REQUIRED = {"a", "b", *_EDGE_ATTRS.values()} - {"jitter"}
+#: ``<query>`` attribute of each yes/no member of a request record
+_QUERY_FLAGS = {"include_dynamics": "dynamics", "anchor_sites": "anchorSites", "stitch": "stitch"}
 
 
 def _root(kind: str) -> ET.Element:
@@ -66,107 +86,114 @@ def _parse_root(text: str, kind: str) -> ET.Element:
 
 
 def encode_topology_xml(graph: TopologyGraph) -> str:
+    record = graph.to_dict()
     root = _root("topology")
     topo = root[0]
-    for n in graph.nodes():
-        node_el = ET.SubElement(topo, "node", id=n.id, kind=n.kind)
-        for ip in n.ips:
+    for n in record["nodes"]:
+        node_el = ET.SubElement(topo, "node", id=n["id"], kind=n["kind"])
+        for ip in n["ips"]:
             ET.SubElement(node_el, "ip").text = ip
-    for e in graph.edges():
-        ET.SubElement(
-            topo, "edge",
-            a=e.a, b=e.b,
-            capacity=_num(e.capacity_bps),
-            utilAB=_num(e.util_ab_bps),
-            utilBA=_num(e.util_ba_bps),
-            latency=_num(e.latency_s),
-            jitter=_num(e.jitter_s),
-        )
+    for e in record["edges"]:
+        numbers = {attr: _num(e[key]) for key, attr in _EDGE_ATTRS.items()}
+        ET.SubElement(topo, "edge", a=e["a"], b=e["b"], **numbers)
     return ET.tostring(root, encoding="unicode")
 
 
 def decode_topology_xml(text: str) -> TopologyGraph:
     topo = _parse_root(text, "topology")
-    nodes, edges = [], []
+    nodes: list[dict[str, Any]] = []
+    edges: list[dict[str, Any]] = []
     for node_el in topo.findall("node"):
-        nid = node_el.get("id")
-        kind = node_el.get("kind")
-        if nid is None or kind is None:
+        if node_el.get("id") is None or node_el.get("kind") is None:
             raise ProtocolError("node needs id and kind")
-        nodes.append((nid, kind, tuple(ip.text or "" for ip in node_el.findall("ip"))))
+        ips = [ip.text or "" for ip in node_el.findall("ip")]
+        nodes.append({"id": node_el.get("id"), "kind": node_el.get("kind"), "ips": ips})
     for edge_el in topo.findall("edge"):
-        attrs = {k: edge_el.get(k) for k in ("a", "b", "capacity", "utilAB", "utilBA", "latency")}
-        if any(v is None for v in attrs.values()):
+        attrs = edge_el.attrib
+        if not attrs.keys() >= _EDGE_REQUIRED:
             raise ProtocolError("edge missing attributes")
-        edges.append(
-            (
-                attrs["a"], attrs["b"],
-                _parse_num(attrs["capacity"]),
-                _parse_num(attrs["utilAB"]),
-                _parse_num(attrs["utilBA"]),
-                _parse_num(attrs["latency"]),
-                _parse_num(edge_el.get("jitter", "0.0")),
-            )
+        edge: dict[str, Any] = {"a": attrs["a"], "b": attrs["b"]}
+        edge.update(
+            (key, _parse_num(attrs[attr])) for key, attr in _EDGE_ATTRS.items() if attr in attrs
         )
-    return build_graph(nodes, edges)
+        edges.append(edge)
+    return graph_of_record({"nodes": nodes, "edges": edges})
 
 
 # -- queries ------------------------------------------------------------------
 
 
 def encode_request_xml(req: TopologyRequest) -> str:
+    record = req.to_dict()
     root = _root("query")
     q = root[0]
-    q.set("dynamics", "1" if req.include_dynamics else "0")
-    if req.anchor_ip:
-        q.set("anchor", req.anchor_ip)
-    for ip in req.node_ips:
+    for key, attr in _QUERY_FLAGS.items():
+        q.set(attr, "1" if record[key] else "0")
+    if record["anchor_ip"]:
+        q.set("anchor", record["anchor_ip"])
+    for ip in record["node_ips"]:
         ET.SubElement(q, "nodeip").text = ip
+    if record["pairs"] is not None:
+        pairs_el = ET.SubElement(q, "pairs")
+        for a, b in record["pairs"]:
+            ET.SubElement(pairs_el, "pair", a=a, b=b)
     return ET.tostring(root, encoding="unicode")
 
 
 def decode_request_xml(text: str) -> TopologyRequest:
     q = _parse_root(text, "query")
-    ips = tuple(el.text or "" for el in q.findall("nodeip"))
-    if not ips:
+    record: dict[str, Any] = {
+        "node_ips": [el.text or "" for el in q.findall("nodeip")],
+        "anchor_ip": q.get("anchor"),
+    }
+    if not record["node_ips"]:
         raise ProtocolError("query without nodes")
-    return TopologyRequest(
-        ips,
-        include_dynamics=q.get("dynamics", "1") == "1",
-        anchor_ip=q.get("anchor"),
-    )
+    for key, attr in _QUERY_FLAGS.items():
+        if attr in q.attrib:
+            record[key] = q.get(attr) == "1"
+    pairs_el = q.find("pairs")
+    if pairs_el is not None:
+        pairs = [(el.get("a"), el.get("b")) for el in pairs_el.findall("pair")]
+        if any(a is None or b is None for a, b in pairs):
+            raise ProtocolError("pair needs both addresses")
+        record["pairs"] = pairs
+    return TopologyRequest.from_dict(record)
 
 
 # -- history ------------------------------------------------------------------
 
 
 def encode_history_request_xml(req: HistoryRequest) -> str:
+    record = req.to_dict()
     root = _root("historyquery")
     h = root[0]
-    h.set("a", req.edge_a)
-    h.set("b", req.edge_b)
-    h.set("max", str(req.max_samples))
+    h.set("a", record["edge_a"])
+    h.set("b", record["edge_b"])
+    h.set("max", str(record["max_samples"]))
     return ET.tostring(root, encoding="unicode")
 
 
 def decode_history_request_xml(text: str) -> HistoryRequest:
     h = _parse_root(text, "historyquery")
-    a, b = h.get("a"), h.get("b")
-    if a is None or b is None:
+    record = {"edge_a": h.get("a"), "edge_b": h.get("b")}
+    if None in record.values():
         raise ProtocolError("history query needs edge endpoints")
+    if "max" in h.attrib:
+        record["max_samples"] = h.get("max")
     try:
-        return HistoryRequest(a, b, int(h.get("max", "512")))
+        return HistoryRequest.from_dict(record)
     except ValueError as exc:
         raise ProtocolError(f"bad max: {exc}") from exc
 
 
 def encode_history_xml(resp: HistoryResponse, edge_a: str, edge_b: str) -> str:
+    record = resp.to_dict()
     root = _root("history")
     h = root[0]
-    h.set("kind", resp.kind)
+    h.set("kind", record["kind"])
     h.set("a", edge_a)
     h.set("b", edge_b)
-    for t, bps in zip(resp.times, resp.rates_bps):
+    for t, bps in zip(record["times"], record["rates_bps"]):
         ET.SubElement(h, "sample", t=_num(t), bps=_num(bps))
     return ET.tostring(root, encoding="unicode")
 
@@ -186,10 +213,9 @@ def decode_history_xml(text: str) -> tuple[HistoryResponse, str, str]:
         times.append(_parse_num(t))
         rates.append(_parse_num(bps))
     try:
-        resp = HistoryResponse(kind, tuple(times), tuple(rates))
+        return HistoryResponse.from_dict({"kind": kind, "times": times, "rates_bps": rates}), a, b
     except ValueError as exc:
         raise ProtocolError(str(exc)) from exc
-    return resp, a, b
 
 
 # -- HTTP-ish framing --------------------------------------------------------

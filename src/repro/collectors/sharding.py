@@ -66,23 +66,25 @@ def _hash64(key: str) -> int:
     return int.from_bytes(hashlib.md5(key.encode("utf-8")).digest()[:8], "big")
 
 
+#: virtual ring points per shard
+RING_VNODES = 64
+
+
 class ConsistentHashRing:
     """Consistent hashing of site names onto shard indices.
 
-    ``vnodes`` virtual points per shard keep the partition balanced;
-    adding or removing one shard moves only ~1/n of the sites, the
+    :data:`RING_VNODES` virtual points per shard keep the partition
+    balanced; adding or removing one shard moves only ~1/n of the sites, the
     property that lets a grown directory rebalance without a full
     re-registration storm.
     """
 
-    def __init__(self, shard_ids: Sequence[int], vnodes: int = 64) -> None:
+    def __init__(self, shard_ids: Sequence[int]) -> None:
         if not shard_ids:
             raise ValueError("ring needs at least one shard")
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
         points: list[tuple[int, int]] = []
         for sid in shard_ids:
-            for v in range(vnodes):
+            for v in range(RING_VNODES):
                 points.append((_hash64(f"shard-{sid}#{v}"), sid))
         points.sort()
         self._points = points
@@ -101,15 +103,10 @@ class ShardingConfig:
     n_shards: int = 4
     #: extra replica masters per shard beyond the primary
     replicas: int = 0
-    #: virtual ring points per shard
-    vnodes: int = 64
     #: hierarchy depth: 1 = shards under one root; >1 inserts
     #: master-of-masters tiers grouping ``group_fanout`` children each
     depth: int = 1
     group_fanout: int = 8
-    #: overlap width for shard fan-out and cross-shard stitching
-    #: (0 = unbounded — shards are independent servers)
-    shard_parallel: int = 0
 
 
 @dataclass(frozen=True)
@@ -126,7 +123,7 @@ class ShardedMaster(MasterCollector):
     """A Master whose delegation targets are shards of Masters.
 
     Inherits the whole query path from :class:`MasterCollector`
-    (history, forecasts, site statistics run against the full top-level
+    (history and forecasts run against the full top-level
     directory exactly as the flat Master would) and overrides one step
     of it: a request's addresses are grouped by shard, and each group's
     delegate is the shard's replica chain of Masters, asked for anchored
@@ -144,7 +141,6 @@ class ShardedMaster(MasterCollector):
         rpc_cost: RpcCostModel | None,
         shards: Sequence[Shard],
         ring: ConsistentHashRing,
-        shard_parallel: int = 0,
     ) -> None:
         super().__init__(name, net, directory, borders, rpc_cost)
         if not shards:
@@ -153,7 +149,6 @@ class ShardedMaster(MasterCollector):
             raise ValueError("shard indices must be 0..n-1 in order")
         self.shards = tuple(shards)
         self.ring = ring
-        self.shard_parallel = shard_parallel
         self._site_shard: dict[str, int] = {
             site: shard.index for shard in shards for site in shard.sites
         }
@@ -210,7 +205,8 @@ class ShardedMaster(MasterCollector):
 
     @property
     def fanout_parallel(self) -> int:
-        return self.shard_parallel
+        """Unbounded: shards are independent servers."""
+        return 0
 
     def _delegates(
         self,
@@ -305,7 +301,7 @@ def build_sharded_master(
         raise ValueError("group_fanout must be >= 2")
     rpc = rpc_cost or RpcCostModel()
     all_borders = {k: IPv4Address(v) for k, v in (borders or {}).items()}
-    ring = ConsistentHashRing(list(range(cfg.n_shards)), cfg.vnodes)
+    ring = ConsistentHashRing(list(range(cfg.n_shards)))
     assignment: dict[int, list[str]] = {i: [] for i in range(cfg.n_shards)}
     for site in directory.sites():
         assignment[ring.assign(site)].append(site)
@@ -361,11 +357,8 @@ def build_sharded_master(
                 rpc,
                 re_indexed,
                 ring,
-                cfg.shard_parallel,
             )
             grouped.append(Shard(g, tuple(g_sites), (mid,)))
         tier = grouped
 
-    return ShardedMaster(
-        name, net, directory, all_borders, rpc, tier, ring, cfg.shard_parallel
-    )
+    return ShardedMaster(name, net, directory, all_borders, rpc, tier, ring)

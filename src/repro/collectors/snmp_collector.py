@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -44,6 +45,7 @@ from repro.snmp.agent import SnmpWorld
 from repro.snmp.client import SnmpClient, SnmpCostModel
 from repro.collectors.base import (
     Collector,
+    ForecastSeries,
     HistoryRequest,
     HistoryResponse,
     TopologyRequest,
@@ -366,24 +368,31 @@ class SnmpCollector(Collector):
             return self._history(request)
 
     def _history(self, request: HistoryRequest) -> HistoryResponse | None:
+        for key, direction in self.edge_monitors(request):
+            mon = self.monitors.get(key)
+            if mon is None or not mon.ready:
+                continue
+            times, rates = mon.rate_history(direction)
+            if times.size == 0:
+                continue
+            n = min(request.max_samples, times.size)
+            return HistoryResponse(
+                "utilization",
+                tuple(float(t) for t in times[-n:]),
+                tuple(float(r) for r in rates[-n:]),
+            )
+        return None
+
+    def edge_monitors(self, request: HistoryRequest) -> Iterator[tuple[MonitorKey, str]]:
+        """Where the counters of the requested edge are polled: the
+        monitor key of every discovered link between its two ends, and
+        the counter direction (``"out"`` / ``"in"``) that carries the
+        traffic ``edge_a -> edge_b`` on the monitored interface."""
+        ends = {request.edge_a, request.edge_b}
         for rec in self._paths.values():
             for er in rec.edges:
-                if er.key is None or {er.a, er.b} != {request.edge_a, request.edge_b}:
-                    continue
-                mon = self.monitors.get(er.key)
-                if mon is None or not mon.ready:
-                    continue
-                direction = "out" if er.owner_id == request.edge_a else "in"
-                times, rates = mon.rate_history(direction)
-                if times.size == 0:
-                    continue
-                n = min(request.max_samples, times.size)
-                return HistoryResponse(
-                    "utilization",
-                    tuple(float(t) for t in times[-n:]),
-                    tuple(float(r) for r in rates[-n:]),
-                )
-        return None
+                if er.key is not None and {er.a, er.b} == ends:
+                    yield er.key, "out" if er.owner_id == request.edge_a else "in"
 
     # ------------------------------------------------------------------
     # Cache control (experiment support)
@@ -495,9 +504,12 @@ class SnmpCollector(Collector):
         Master skip the RPC when there is no streaming predictor)."""
         return self.streaming is not None
 
-    def forecast_edge(self, request: HistoryRequest, horizon: int):
+    def forecast_edge(self, request: HistoryRequest, horizon: int) -> ForecastSeries | None:
         """Streaming forecast for an edge, if a prediction manager is
-        attached and has seen enough samples (None otherwise)."""
+        attached and has seen enough samples (None otherwise).  Refused
+        while crashed, like :meth:`history`: a dead collector's last
+        samples are not a measurement."""
+        self.check_alive()
         if self.streaming is None:
             return None
         return self.streaming.forecast_edge(request, horizon)
@@ -641,7 +653,7 @@ class SnmpCollector(Collector):
                 self._if_macs[key] = None
         return self._if_macs[key]
 
-    def _station_mac_lookup(
+    def _station_mac(
         self, subnet: IPv4Network, gateway_ip: IPv4Address, ip: IPv4Address
     ) -> MacAddress | None:
         """One host's MAC from the gateway's ARP row (exact GET, cached).
@@ -667,9 +679,6 @@ class SnmpCollector(Collector):
     # ------------------------------------------------------------------
     # Path assembly
     # ------------------------------------------------------------------
-
-    def _host_known(self, graph: TopologyGraph, ip: IPv4Address) -> bool:
-        return graph.has_node(str(ip))
 
     def _add_host_only(self, graph: TopologyGraph, ip: IPv4Address) -> None:
         loc = self.config.gateway_for(ip)
@@ -824,11 +833,6 @@ class SnmpCollector(Collector):
             if e.next_hop is None and e.prefix == subnet:
                 return e.ifindex
         raise QueryError(f"router {router_ip} not attached to {subnet}")
-
-    def _station_mac(
-        self, subnet: IPv4Network, gateway: IPv4Address, ip: IPv4Address
-    ) -> MacAddress | None:
-        return self._station_mac_lookup(subnet, gateway, ip)
 
     # ------------------------------------------------------------------
     # L2 expansion

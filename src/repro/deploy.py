@@ -184,26 +184,6 @@ class RemosDeployment:
         load = iface.device.load(self.net.now)
         return load, (sensor.predictor if sensor is not None else None)
 
-    def history_for_edge(self, a: str, b: str) -> np.ndarray | None:
-        """Utilization history (bps, direction a->b) for a graph edge.
-
-        Searches every SNMP collector's discovered links for the edge
-        and returns the monitored rate series in the requested
-        direction — the data a predictive flow query feeds to RPS.
-        """
-        for coll in self.snmp_collectors.values():
-            for rec in coll._paths.values():
-                for er in rec.edges:
-                    if {er.a, er.b} != {a, b} or er.key is None:
-                        continue
-                    mon = coll.monitors.get(er.key)
-                    if mon is None or not mon.ready:
-                        continue
-                    direction = "out" if er.owner_id == a else "in"
-                    _, rates = mon.rate_history(direction)
-                    return rates
-        return None
-
 
 def deploy_remos(
     net: Network,
@@ -278,7 +258,6 @@ def deploy_remos(
         net, world, directory, master, modeler,
         snmp_collectors, bridge_collectors, benchmarks,
     )
-    modeler.history_provider = deployment.history_for_edge
     modeler.node_info_provider = deployment.node_info_for
     if sharding is not None:
         deployment.shard(sharding)

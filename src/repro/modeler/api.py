@@ -27,6 +27,7 @@ import dataclasses
 import functools
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import ClassVar, Protocol
 
@@ -37,7 +38,7 @@ from repro.common.errors import QueryError, RemosError, TopologyError
 from repro.common.status import QueryStatus, SiteStatus
 from repro.netsim.address import IPv4Address
 from repro.netsim.topology import Host, Network
-from repro.collectors.base import Collector, RpcCostModel, TopologyRequest
+from repro.collectors.base import Collector, HistoryRequest, RpcCostModel, TopologyRequest
 from repro.modeler.graph import TopologyGraph
 from repro.modeler.maxmin import FlowPrediction, predict_flows
 from repro.modeler.planner import plan_flow_pairs
@@ -57,6 +58,10 @@ class PredictionService(Protocol):
 #: wire schema version stamped into every serialized answer (bumped
 #: only on incompatible changes; see docs/service.md)
 WIRE_SCHEMA_VERSION = 1
+
+#: most memoized Master responses one Modeler keeps; past it the least
+#: recently stored-or-hit one is evicted
+QUERY_CACHE_MAX_ENTRIES = 1024
 
 #: answer fields carried as JSON lists but reconstructed as tuples
 _TUPLE_FIELDS = frozenset({"path", "provenance", "unresolved"})
@@ -326,7 +331,6 @@ class Modeler:
         net: Network,
         rpc_cost: RpcCostModel | None = None,
         prediction_service: "PredictionService | None" = None,
-        history_provider=None,
         query_cache_ttl_s: float = 0.0,
     ) -> None:
         self.master = master
@@ -340,10 +344,8 @@ class Modeler:
         #: collectors themselves only repoll every 5 s — set this to
         #: their tolerance and repeated queries are answered locally.
         self.query_cache_ttl_s = query_cache_ttl_s
-        self._query_cache: dict[tuple, _CachedFetch] = {}
-        #: callable (edge a, edge b) -> np.ndarray of rate history, used
-        #: for predictive flow queries (see repro.deploy)
-        self.history_provider = history_provider
+        #: memoized Master responses, least recently stored-or-hit first
+        self._query_cache: OrderedDict[tuple, _CachedFetch] = OrderedDict()
         #: callable (ip str) -> (load or None, StreamingPredictor or None),
         #: wired by the deployment for node queries
         self.node_info_provider = None
@@ -376,9 +378,11 @@ class Modeler:
             ips = [_ip_of(h) for h in hosts]
             # "raw" hands the graph itself to the application, which may
             # mutate it; the derived detail levels only read it.
-            graph, meta = self._fetch(ips, include_dynamics, private=(detail == "raw"))
+            graph, meta, entry = self._fetch(
+                ips, include_dynamics, private=(detail == "raw")
+            )
             if detail != "raw":
-                graph = self._derived_view(graph, ips, include_dynamics, detail)
+                graph = self._derived_view(graph, entry, ips, detail)
             return TopologyAnswer(
                 graph,
                 unresolved=tuple(meta.unresolved),
@@ -390,11 +394,11 @@ class Modeler:
             )
 
     def _derived_view(
-        self, graph: TopologyGraph, ips: list[str], include_dynamics: bool, detail: str
+        self, graph: TopologyGraph, entry: _CachedFetch | None, ips: list[str], detail: str
     ) -> TopologyGraph:
         """The frozen ``detail`` view of a fetched graph, computed once
-        per cache entry and shared by every answer served from it."""
-        entry = self._shared_entry(ips, include_dynamics, graph)
+        per cache entry (``entry``, when :meth:`_fetch` served one) and
+        shared by every answer served from it."""
         view_key = "simplified" if detail == "simplified" else (detail, tuple(ips))
         if entry is not None:
             view = entry.views.get(view_key)
@@ -410,23 +414,6 @@ class Modeler:
         if entry is not None:
             entry.views[view_key] = view
         return view
-
-    def _shared_entry(
-        self,
-        ips,
-        include_dynamics: bool,
-        graph: TopologyGraph,
-        scope: frozenset[tuple[str, str]] | None = None,
-    ) -> _CachedFetch | None:
-        """The cache entry whose graph ``_fetch(private=False)`` just
-        served as ``graph`` (cache hit or cached miss), else None:
-        results that are pure functions of that graph — which is
-        replaced, never mutated, on refetch — can be memoized on it."""
-        for key in self._cache_keys(ips, include_dynamics, scope):
-            entry = self._query_cache.get(key)
-            if entry is not None and entry.graph is graph:
-                return entry
-        return None
 
     @staticmethod
     def _cache_keys(
@@ -529,7 +516,7 @@ class Modeler:
             # Without own traffic to credit the fetched graph is only
             # read, so the memoized graph can be served as-is — and the
             # paths it resolves stay resolved for the next query.
-            graph, meta = self._fetch(
+            graph, meta, entry = self._fetch(
                 list(plan.involved),
                 include_dynamics=True,
                 private=bool(own),
@@ -541,9 +528,6 @@ class Modeler:
             # traffic), resolved predictions can be memoized right on
             # the entry: the answers are a pure function of (graph,
             # pairs).
-            entry = (
-                None if own else self._shared_entry(plan.involved, True, graph, scope)
-            )
             cached_plan = entry.flow_plans.get(plan.pairs) if entry is not None else None
             if cached_plan is not None:
                 preds, failed_spec = cached_plan
@@ -653,8 +637,12 @@ class Modeler:
         include_dynamics: bool,
         private: bool = True,
         scope: frozenset[tuple[str, str]] | None = None,
-    ) -> tuple[TopologyGraph, _FetchMeta]:
-        """Topology for ``ips``, served from the memo cache when fresh.
+    ) -> tuple[TopologyGraph, _FetchMeta, _CachedFetch | None]:
+        """Topology for ``ips``, served from the memo cache when fresh,
+        with the cache entry when — and only when — the graph returned
+        *is* that entry's graph: results that are pure functions of
+        that graph, which is replaced, never mutated, on refetch, can
+        be memoized on the entry.
 
         ``scope`` names the host pairs whose connectivity the caller
         will read (see :func:`_pair_scope`); the Master then measures
@@ -675,16 +663,19 @@ class Modeler:
         if caching:
             for k in keys:
                 entry = self._query_cache.get(k)
+                if entry is None:
+                    continue
                 if (
-                    entry is not None
-                    and self.net.now - entry.fetched_at <= self.query_cache_ttl_s
+                    self.net.now - entry.fetched_at <= self.query_cache_ttl_s
                     and entry.graph.version == entry.version
                 ):
                     obs.counter("modeler.query_cache", result="hit").inc()
+                    self._query_cache.move_to_end(k)
                     self.net.engine.advance(self.rpc.local_s)
                     if private:
-                        return entry.graph.copy(), entry.meta
-                    return entry.graph, entry.meta
+                        return entry.graph.copy(), entry.meta, None
+                    return entry.graph, entry.meta, entry
+                self._forget(k)  # expired: dropped where it is found
             obs.counter("modeler.query_cache", result="miss").inc()
         self.net.engine.advance(self.rpc.local_s)
         try:
@@ -695,12 +686,10 @@ class Modeler:
             )
         except RemosError:
             # the Master itself is unreachable — nothing to serve
-            self._query_cache.pop(key, None)
+            self._forget(key)
             meta = _FetchMeta(QueryStatus.FAILED, 0.0, (), tuple(ips), {})
-            return TopologyGraph(), meta
-        provenance = tuple(sorted(resp.site_status)) or (
-            getattr(self.master, "name", "master"),
-        )
+            return TopologyGraph(), meta, None
+        provenance = tuple(sorted(resp.site_status)) or (self.master.name,)
         meta = _FetchMeta(
             status=resp.status,
             data_age_s=resp.data_age_s,
@@ -712,17 +701,29 @@ class Modeler:
             obs.counter("query.partial").inc()
         if caching:
             if meta.status == QueryStatus.OK:
-                self._query_cache[key] = _CachedFetch(
-                    resp.graph, resp.graph.version, self.net.now, meta
-                )
+                entry = _CachedFetch(resp.graph, resp.graph.version, self.net.now, meta)
+                # a new key (whatever it held was served or dropped above),
+                # so it lands at the recent end
+                self._query_cache[key] = entry
+                while len(self._query_cache) > QUERY_CACHE_MAX_ENTRIES:
+                    self._query_cache.popitem(last=False)
+                self._cache_gauge()
                 if private:
-                    return resp.graph.copy(), meta
-                return resp.graph, meta
+                    return resp.graph.copy(), meta, None
+                return resp.graph, meta, entry
             # degraded response: never memoize it, and drop whatever the
             # cache held — it describes a world the collectors can no
             # longer confirm and would otherwise replay after recovery
-            self._query_cache.pop(key, None)
-        return resp.graph, meta
+            self._forget(key)
+        return resp.graph, meta, None
+
+    def _forget(self, key: tuple) -> None:
+        """Drop one memoized response, if held."""
+        if self._query_cache.pop(key, None) is not None:
+            self._cache_gauge()
+
+    def _cache_gauge(self) -> None:
+        obs.gauge("modeler.query_cache_entries").set(len(self._query_cache))
 
     def invalidate_cache(self, sites=None) -> None:
         """Drop memoized responses (e.g. after a known topology change).
@@ -743,6 +744,7 @@ class Modeler:
             drop(sites)
         if sites is None:
             self._query_cache.clear()
+            self._cache_gauge()
             return
         wanted = set(sites)
         doomed = [
@@ -756,6 +758,7 @@ class Modeler:
         obs.counter("modeler.query_cache", result="survived").inc(
             len(self._query_cache)
         )
+        self._cache_gauge()
 
     @staticmethod
     def _to_answer(
@@ -779,9 +782,7 @@ class Modeler:
         """Forecast the bottleneck edge's available bandwidth via RPS.
 
         History comes from the collectors through the Master's history
-        interface (the paper's planned XML-protocol path); a local
-        ``history_provider`` hook serves as fallback for deployments
-        whose master predates the interface.
+        interface (the paper's planned XML-protocol path).
         """
         if self.prediction_service is None:
             raise QueryError("no prediction service configured")
@@ -795,52 +796,28 @@ class Modeler:
         if best is None:
             return
         _, a, b = best
+        request = HistoryRequest(a, b)
         # Streaming predictors at the collectors answer without a fit
         # (§2.3's amortized path); fall back to history + client-server.
-        forecast_fn = getattr(self.master, "forecast_edge", None)
-        if callable(forecast_fn):
-            from repro.collectors.base import HistoryRequest
-
-            self.net.engine.advance(self.rpc.local_s)
-            out = forecast_fn(HistoryRequest(a, b), horizon_steps)
-            if out is not None:
-                preds, variances = out
-                cap = graph.edge(a, b).capacity_bps
-                predicted_util = float(preds[-1])
-                ans.predicted_bps = (
-                    max(0.0, min(cap, cap - predicted_util))
-                    if math.isfinite(cap)
-                    else math.inf
-                )
-                ans.predicted_var = float(variances[-1])
-                return
         kind = "utilization"
-        hist: np.ndarray | None = None
-        history_fn = getattr(self.master, "history", None)
-        if callable(history_fn):
-            from repro.collectors.base import HistoryRequest
-
+        self.net.engine.advance(self.rpc.local_s)
+        out = self.master.forecast_edge(request, horizon_steps)
+        if out is None:
             self.net.engine.advance(self.rpc.local_s)
-            resp = history_fn(HistoryRequest(a, b))
-            if resp is not None:
-                kind = resp.kind
-                hist = np.asarray(resp.rates_bps, dtype=float)
-        if (hist is None or hist.size < 8) and self.history_provider is not None:
-            fallback = self.history_provider(a, b)
-            if fallback is not None:
-                kind = "utilization"
-                hist = np.asarray(fallback, dtype=float)
-        if hist is None or hist.size < 8:
-            return  # not enough history: leave prediction unset
-        preds, variances = self.prediction_service.predict_series(hist, horizon_steps)
+            resp = self.master.history(request)
+            if resp is None or len(resp.rates_bps) < 8:
+                return  # not enough history: leave prediction unset
+            kind = resp.kind
+            out = self.prediction_service.predict_series(
+                np.asarray(resp.rates_bps, dtype=float), horizon_steps
+            )
+        preds, variances = out
+        predicted = float(preds[-1])
         if kind == "available":
-            ans.predicted_bps = max(0.0, float(preds[-1]))
+            ans.predicted_bps = max(0.0, predicted)
         else:
             cap = graph.edge(a, b).capacity_bps
-            predicted_util = float(preds[-1])
             ans.predicted_bps = (
-                max(0.0, min(cap, cap - predicted_util))
-                if math.isfinite(cap)
-                else math.inf
+                max(0.0, min(cap, cap - predicted)) if math.isfinite(cap) else math.inf
             )
         ans.predicted_var = float(variances[-1])

@@ -14,7 +14,7 @@ concrete data structure the whole architecture communicates with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 import networkx as nx
@@ -77,7 +77,13 @@ class TopoEdge:
         return max(0.0, self.capacity_bps - self.util_from(node_id))
 
 
-class GraphRecord(dict[str, object]):
+#: the numeric fields of a :class:`TopoEdge`, in declaration order:
+#: the members an edge record carries beside its endpoints, and the
+#: column order of the ASCII ``EDGE`` line
+EDGE_NUMBERS = tuple(f.name for f in fields(TopoEdge))[2:]
+
+
+class GraphRecord(dict[str, Any]):
     """The wire record of a graph (what :meth:`TopologyGraph.to_dict`
     returns): a plain dict plus one slot for its canonical JSON text.
 
@@ -103,27 +109,12 @@ class TopologyGraph:
     keyed to a **mutation version** (a counter bumped by every
     structural change — ``add_node``, ``add_edge``, ``remove_node``,
     ``merge`` — which downstream caches also use as a validity token).
-    The shortest-path cache is **scope-invalidated** instead of flushed
-    wholesale: each mutation drops only the cached pairs it could
-    affect, so one topology delta no longer re-derives every path the
-    Modeler has already resolved.
-
-    * ``add_node`` and annotation re-adds of an existing edge drop
-      nothing — an isolated new node or a utilization refresh cannot
-      change any hop-count path.
-    * a structurally **new edge** (a, b) drops exactly the pairs a
-      shortest route via that edge could reach: with BFS hop distances
-      ``d_a``/``d_b`` on the new graph, pair (x, y) is dropped iff
-      ``min(d_a[x]+d_b[y], d_b[x]+d_a[y]) + 1 <= len(cached path)``
-      (cached "no path" entries are dropped iff that bound is finite).
-      Survivors are provably byte-identical to a fresh recompute: any
-      changed answer must route via the new edge, which the bound
-      excludes.
-    * ``remove_node`` drops the pairs whose cached path traverses the
-      node, via a reverse index node -> cached pair keys.  A surviving
-      entry is still *a* correct shortest path (deletion cannot create
-      or shorten routes), though an equal-length tie may differ from
-      what a cold recompute would pick.
+    The shortest-path cache has one rule: a structurally **new edge**
+    or a **removed node** clears it, so a cached answer always equals a
+    fresh recompute, equal-length ties included.  ``add_node`` and an
+    annotation re-add of an existing edge (a merged fragment re-adds
+    edges it already has) drop nothing — an isolated new node or a
+    utilization refresh cannot change any hop-count path.
 
     Edge *annotations* (utilization) may be updated in place without
     bumping the version — hop-count paths do not depend on them.
@@ -139,11 +130,8 @@ class TopologyGraph:
         self._g = nx.Graph()
         self._version = 0
         #: (a, b) -> node path, or None for a cached "no path" result;
-        #: scope-invalidated by mutations (see class docstring)
+        #: cleared by a new edge or a removed node (see class docstring)
         self._paths_cache: dict[tuple[str, str], list[str] | None] = {}
-        #: reverse index: node id -> keys of cached positive paths
-        #: traversing it (negative entries are not indexed)
-        self._node_pairs: dict[str, set[tuple[str, str]]] = {}
         self._nodes_cache: list[TopoNode] | None = None
         self._edges_cache: list[TopoEdge] | None = None
         self._frozen = False
@@ -197,10 +185,9 @@ class TopologyGraph:
                 raise TopologyError(f"edge endpoint {end!r} not in graph")
         self._touch()
         a, b = edge.key()
-        structurally_new = not self._g.has_edge(a, b)
+        if not self._g.has_edge(a, b):
+            self._paths_cache.clear()
         self._g.add_edge(a, b, data=edge)
-        if structurally_new and self._paths_cache:
-            self._invalidate_paths_for_new_edge(a, b)
         return edge
 
     def merge(self, other: "TopologyGraph") -> None:
@@ -282,18 +269,8 @@ class TopologyGraph:
                 {"id": n.id, "kind": n.kind, "ips": list(n.ips)}
                 for n in self.nodes()
             ],
-            edges=[
-                {
-                    "a": e.a,
-                    "b": e.b,
-                    "capacity_bps": e.capacity_bps,
-                    "util_ab_bps": e.util_ab_bps,
-                    "util_ba_bps": e.util_ba_bps,
-                    "latency_s": e.latency_s,
-                    "jitter_s": e.jitter_s,
-                }
-                for e in sorted(self.edges(), key=TopoEdge.key)
-            ],
+            # an edge record is the edge's fields, whatever they are
+            edges=[dict(vars(e)) for e in sorted(self.edges(), key=TopoEdge.key)],
         )
         if self._frozen:
             self._record = record
@@ -307,92 +284,15 @@ class TopologyGraph:
                 TopoNode(str(nd["id"]), str(nd["kind"]), tuple(nd.get("ips", ())))
             )
         for ed in d.get("edges", []):
-            graph.add_edge(
-                TopoEdge(
-                    str(ed["a"]),
-                    str(ed["b"]),
-                    capacity_bps=float(ed.get("capacity_bps", math.inf)),
-                    util_ab_bps=float(ed.get("util_ab_bps", 0.0)),
-                    util_ba_bps=float(ed.get("util_ba_bps", 0.0)),
-                    latency_s=float(ed.get("latency_s", 0.0)),
-                    jitter_s=float(ed.get("jitter_s", 0.0)),
-                )
-            )
+            # a member left out takes the field's default
+            numbers = {k: float(ed[k]) for k in EDGE_NUMBERS if k in ed}
+            graph.add_edge(TopoEdge(str(ed["a"]), str(ed["b"]), **numbers))
         return graph
 
     def remove_node(self, node_id: str) -> None:
         self._touch()
-        if self._paths_cache:
-            before = len(self._paths_cache)
-            for key in self._node_pairs.pop(node_id, set()):
-                self._drop_path_entry(key)
-            self._report_invalidation(before)
+        self._paths_cache.clear()
         self._g.remove_node(node_id)
-
-    # -- scoped path-cache invalidation ----------------------------------
-
-    def _bfs_hops(self, source: str) -> dict[str, int]:
-        """Hop distance from ``source`` to every reachable node."""
-        dist = {source: 0}
-        frontier = [source]
-        adj = self._g.adj
-        d = 0
-        while frontier:
-            d += 1
-            nxt: list[str] = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in dist:
-                        dist[v] = d
-                        nxt.append(v)
-            frontier = nxt
-        return dist
-
-    def _invalidate_paths_for_new_edge(self, a: str, b: str) -> None:
-        """Drop cached pairs a shortest route via new edge (a, b) could
-        serve; see the class docstring for the bound and its proof
-        sketch.  Runs two BFS passes over the post-mutation graph, so a
-        mutation costs O(V + E + cached pairs) instead of re-deriving
-        every dropped pair from scratch later."""
-        dist_a = self._bfs_hops(a)
-        dist_b = self._bfs_hops(b)
-        inf = math.inf
-        before = len(self._paths_cache)
-        doomed: list[tuple[str, str]] = []
-        for key, nodes in self._paths_cache.items():
-            x, y = key
-            dax = dist_a.get(x, inf)
-            day = dist_a.get(y, inf)
-            dbx = dist_b.get(x, inf)
-            dby = dist_b.get(y, inf)
-            via = min(dax + dby, dbx + day) + 1
-            if nodes is None:
-                if via < inf:
-                    doomed.append(key)
-            elif via <= len(nodes) - 1:
-                doomed.append(key)
-        for key in doomed:
-            self._drop_path_entry(key)
-        self._report_invalidation(before)
-
-    def _drop_path_entry(self, key: tuple[str, str]) -> None:
-        nodes = self._paths_cache.pop(key, None)
-        if nodes:
-            for nid in nodes:
-                pairs = self._node_pairs.get(nid)
-                if pairs is not None:
-                    pairs.discard(key)
-                    if not pairs:
-                        del self._node_pairs[nid]
-
-    def _report_invalidation(self, before: int) -> None:
-        survived = len(self._paths_cache)
-        obs.counter("modeler.graph.scoped_invalidation", result="dropped").inc(
-            before - survived
-        )
-        obs.counter("modeler.graph.scoped_invalidation", result="survived").inc(
-            survived
-        )
 
     # -- path operations -------------------------------------------------
 
@@ -401,8 +301,7 @@ class TopologyGraph:
 
         Negative results ("no path") are cached too — the Modeler's
         all-pairs scans hit disconnected pairs as often as connected
-        ones.  Entries survive mutations that cannot affect them
-        (scoped invalidation; see the class docstring).
+        ones.
         """
         key = (a, b) if a <= b else (b, a)
         if key in self._paths_cache:
@@ -419,8 +318,6 @@ class TopologyGraph:
             raise TopologyError(f"no path {a!r} -> {b!r}") from None
         path = list(found)
         self._paths_cache[key] = path
-        for nid in path:
-            self._node_pairs.setdefault(nid, set()).add(key)
         return list(path)
 
     def path_edges(self, a: str, b: str) -> list[TopoEdge]:
@@ -444,21 +341,15 @@ class TopologyGraph:
     def copy(self) -> "TopologyGraph":
         out = TopologyGraph()
         for n in self.nodes():
-            out.add_node(TopoNode(n.id, n.kind, n.ips))
+            out.add_node(TopoNode(**vars(n)))
         for e in self.edges():
-            out.add_edge(
-                TopoEdge(
-                    e.a, e.b, e.capacity_bps, e.util_ab_bps, e.util_ba_bps,
-                    e.latency_s, e.jitter_s,
-                )
-            )
+            out.add_edge(TopoEdge(**vars(e)))
         # The copy is structurally identical, so every cached path (and
         # cached "no path") is valid for it too: carry the cache so the
         # copy does not pay shortest-path derivation again for pairs the
         # original already resolved.  Path lists are shared (treated as
         # immutable; ``path()`` always returns a fresh list).
         out._paths_cache = dict(self._paths_cache)
-        out._node_pairs = {nid: set(keys) for nid, keys in self._node_pairs.items()}
         return out
 
     def __repr__(self) -> str:

@@ -178,17 +178,6 @@ class IPv4Network:
         return hash((self._net, self._prefixlen))
 
 
-def longest_prefix_match(
-    addr: IPv4Address, prefixes: "list[IPv4Network]"
-) -> IPv4Network | None:
-    """Return the most specific prefix containing ``addr``, or None."""
-    best: IPv4Network | None = None
-    for p in prefixes:
-        if addr in p and (best is None or p.prefixlen > best.prefixlen):
-            best = p
-    return best
-
-
 class MacAddress:
     """A 48-bit MAC address; hashable, comparable, printable."""
 

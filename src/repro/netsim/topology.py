@@ -201,7 +201,6 @@ class Node:
         iface = Interface(self, name or f"eth{idx - 1}", idx)
         iface.mac = self.network.macs.allocate()
         self.interfaces.append(iface)
-        self.network._register_mac(iface)
         return iface
 
     def iface(self, index: int) -> Interface:
@@ -342,7 +341,6 @@ class Network:
         self.nodes: dict[str, Node] = {}
         self.links: list[Link] = []
         self.macs = MacAllocator()
-        self._mac_to_iface: dict[MacAddress, Interface] = {}
         self._ip_to_iface: dict[IPv4Address, Interface] = {}
         self._frozen = False
         #: L2 state written by ``bridging.run_spanning_tree``: the
@@ -419,10 +417,6 @@ class Network:
         iface.network = network
         self._ip_to_iface[ip] = iface
 
-    def _register_mac(self, iface: Interface) -> None:
-        assert iface.mac is not None
-        self._mac_to_iface[iface.mac] = iface
-
     # -- lookup ---------------------------------------------------------
 
     def node(self, name: str) -> Node:
@@ -443,9 +437,6 @@ class Network:
     def node_for_ip(self, ip: IPv4Address | str) -> Node | None:
         iface = self.iface_for_ip(ip)
         return iface.device if iface is not None else None
-
-    def iface_for_mac(self, mac: MacAddress) -> Interface | None:
-        return self._mac_to_iface.get(mac)
 
     def addressed_interfaces(self) -> list[Interface]:
         """All interfaces that carry an IP address."""

@@ -46,7 +46,7 @@ from repro.obs.timebase import (
     cpu_now,
     wall_now,
 )
-from repro.obs.tracing import SpanRecord, TraceContext
+from repro.obs.tracing import SpanRecord
 from repro.obs import flightrec, traceview  # noqa: F401
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "SpanRecord",
-    "TraceContext",
     "FixedTimebase",
     "SimTimebase",
     "WallTimebase",

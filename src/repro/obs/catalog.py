@@ -70,12 +70,12 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "master.fragment_timeouts",
         # -- modeler / query path --------------------------------------
         "modeler.graph.path_cache",
-        "modeler.graph.scoped_invalidation",
         "modeler.maxmin.constraints",
         "modeler.maxmin.flows",
         "modeler.planner.pairs",
         "modeler.queries",
         "modeler.query_cache",
+        "modeler.query_cache_entries",
         "modeler.simplify.edge_reduction",
         "modeler.simplify.node_reduction",
         "modeler.view_cache",

@@ -120,11 +120,6 @@ class MetricsRegistry:
         self._span_seq += 1
         return self._span_seq
 
-    def current_trace_id(self) -> str | None:
-        """The trace of the innermost open span, if any."""
-        stack = self._span_stack
-        return stack[-1].trace_id if stack else None
-
     def _record_span(self, record: SpanRecord) -> None:
         self.spans.append(record)
         # hot path: record.labels is already a canonical LabelsKey and
@@ -190,9 +185,6 @@ class NullRegistry:
 
     def span(self, name: str, **labels: object) -> NullSpan:
         return NULL_SPAN
-
-    def current_trace_id(self) -> None:
-        return None
 
     def counters(self) -> list[Counter]:
         return []

@@ -4,7 +4,7 @@ Everything here operates on *span dicts* — the JSON shape emitted by
 :func:`repro.obs.export.snapshot` (``snapshot(reg)["spans"]``) and by
 flight-recorder dumps — so the same code serves the ``repro trace``
 CLI, the benchmark breakdown sections, and offline analysis of a
-``BENCH_*.json`` file.  Live :class:`~repro.obs.tracing.SpanRecord`
+saved snapshot.  Live :class:`~repro.obs.tracing.SpanRecord`
 objects are converted with :func:`record_to_dict`.
 
 The three consumers:
@@ -69,8 +69,8 @@ def normalize_spans(obj: object) -> list[SpanDict]:
     """Find the span list inside any of the shapes we emit.
 
     Accepts a bare span list, a registry snapshot (``{"spans": ...}``),
-    a flight-recorder dump (same key), or a ``BENCH_*.json`` payload
-    (``{"obs": {"spans": ...}}``).
+    a flight-recorder dump (same key), or a document that nests a
+    snapshot under ``obs`` (``{"obs": {"spans": ...}}``).
     """
     if isinstance(obj, list):
         return [dict(s) for s in obj]

@@ -48,20 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.obs.registry import MetricsRegistry
 
 
-@dataclass(frozen=True)
-class TraceContext:
-    """The (trace, span) coordinates of one point in a causal tree.
-
-    Handed to code that needs to stamp results — an ``Answer`` records
-    the ``trace_id`` of the query span that produced it — without
-    holding a live :class:`Span` open.
-    """
-
-    trace_id: str
-    span_id: int
-    parent_id: int | None = None
-
-
 @dataclass(slots=True)
 class SpanRecord:
     """One completed span.
@@ -91,10 +77,6 @@ class SpanRecord:
     @property
     def duration_s(self) -> float:
         return self.end_s - self.start_s
-
-    @property
-    def context(self) -> TraceContext:
-        return TraceContext(self.trace_id, self.span_id, self.parent_id)
 
 
 class Span(SpanRecord):

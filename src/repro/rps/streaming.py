@@ -91,17 +91,13 @@ class StreamingPredictionManager:
     ) -> tuple[Series, Series] | None:
         """Forecast utilization for an edge (request direction), using
         the already-fitted streaming predictor — no fit at query time."""
-        for rec in self.collector._paths.values():
-            for er in rec.edges:
-                if er.key is None or {er.a, er.b} != {request.edge_a, request.edge_b}:
-                    continue
-                direction = "out" if er.owner_id == request.edge_a else "in"
-                sp = self.predictors.get((er.key, direction))
-                if sp is None:
-                    continue
-                fc = sp.forecast()
-                k = min(horizon, fc.values.size)
-                if k < 1:
-                    continue
-                return fc.values[:k], fc.variances[:k]
+        for pkey in self.collector.edge_monitors(request):
+            sp = self.predictors.get(pkey)
+            if sp is None:
+                continue
+            fc = sp.forecast()
+            k = min(horizon, fc.values.size)
+            if k < 1:
+                continue
+            return fc.values[:k], fc.variances[:k]
         return None

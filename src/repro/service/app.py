@@ -53,6 +53,10 @@ QUERY_ENDPOINTS: frozenset[str] = frozenset(
 )
 
 
+#: longest a subscription long-poll may ask to wait
+SUBS_MAX_POLL_S = 30.0
+
+
 class BackendFaultError(RuntimeError):
     """Transient backend failure injected by the service fault point."""
 
@@ -68,17 +72,12 @@ class ServiceConfig:
     max_inflight: int = 64
     lkg_entries: int = 4096
     # circuit breaker
-    breaker_window: int = 20
     breaker_threshold: float = 0.5
     breaker_min_calls: int = 5
     breaker_reset_s: float = 5.0
     # retry budget
     retry_deposit_ratio: float = 0.1
     retry_max_attempts: int = 3
-    # subscriptions
-    subs_capacity: int = 1024
-    subs_max_poll_s: float = 30.0
-    watch_epsilon_bps: float = 1.0
 
 
 @dataclass
@@ -123,7 +122,6 @@ class RemosService:
         self.admission = AdmissionController(max_inflight=cfg.max_inflight)
         self.lkg = LastKnownGoodStore(max_entries=cfg.lkg_entries)
         self.breaker = CircuitBreaker(
-            window=cfg.breaker_window,
             failure_threshold=cfg.breaker_threshold,
             min_calls=cfg.breaker_min_calls,
             reset_s=cfg.breaker_reset_s,
@@ -132,8 +130,8 @@ class RemosService:
             deposit_ratio=cfg.retry_deposit_ratio,
             max_attempts=cfg.retry_max_attempts,
         )
-        self.hub = SubscriptionHub(capacity=cfg.subs_capacity)
-        self.watcher = FlowWatcher(backend.session, epsilon_bps=cfg.watch_epsilon_bps)
+        self.hub = SubscriptionHub()
+        self.watcher = FlowWatcher(backend.session)
         #: service-side tallies, mirrored into obs counters; the
         #: ``/v1/metrics`` endpoint and the load benchmark read these
         self.stats: dict[str, int] = {
@@ -338,9 +336,7 @@ class RemosService:
         except (IndexError, TypeError) as exc:
             raise WireError("bad_request", f"bad pairs: {exc}") from exc
         since = int(body.get("since", 0))
-        timeout_s = min(
-            float(body.get("timeout_s", 0.0)), self.config.subs_max_poll_s
-        )
+        timeout_s = min(float(body.get("timeout_s", 0.0)), SUBS_MAX_POLL_S)
         resume_lost = self.hub.resume_lost(since)
         if timeout_s > 0 and not resume_lost:
             events = await self.hub.wait(channels, since, timeout_s)

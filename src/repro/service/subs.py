@@ -137,10 +137,6 @@ class FlowWatcher:
     def watch(self, src: str, dst: str) -> None:
         self._pairs.add((str(src), str(dst)))
 
-    def unwatch(self, src: str, dst: str) -> None:
-        self._pairs.discard((str(src), str(dst)))
-        self._last.pop((str(src), str(dst)), None)
-
     @property
     def pairs(self) -> list[tuple[str, str]]:
         return sorted(self._pairs)

@@ -166,12 +166,6 @@ class SnmpClient:
             self._counter_value(ip, Oid(o), agent.get(Oid(o))) for o in oids
         ]
 
-    def get_next(self, ip: IPv4Address | str, oid: Oid | str) -> tuple[Oid, object]:
-        """GETNEXT: the lexicographically next object."""
-        agent = self._agent(ip, "getnext")
-        self._charge(1, "getnext", ip)
-        return agent.get_next(Oid(oid))
-
     def walk(self, ip: IPv4Address | str, prefix: Oid | str) -> list[tuple[Oid, object]]:
         """All objects under ``prefix`` via repeated GETNEXT."""
         prefix = Oid(prefix)

@@ -218,3 +218,29 @@ class TestMonitoring:
         )
         # no cold bootstrap gap was paid
         assert d.net.now - t0 < coll.config.cold_sample_gap_s
+
+    def test_a_vanished_interface_does_not_starve_its_neighbours(self):
+        """One ``ifIndex`` leaves an agent's MIB between two sweeps: the
+        agent's one multi-varbind GET fails as a whole, and the sweep
+        falls back to asking for each of its links alone."""
+        from collections import Counter
+
+        from repro.snmp import oid as O
+
+        lan, coll = _lan_collector()
+        coll.topology(TopologyRequest.of([str(h.ip) for h in lan.hosts[:8]]))
+        agent_ip = Counter(k.agent_ip for k in coll.monitors).most_common(1)[0][0]
+        group = sorted((k for k in coll.monitors if k.agent_ip == agent_ip), key=lambda k: k.ifindex)
+        assert len(group) >= 3
+        gone, neighbours = group[1], [group[0], *group[2:]]
+        mib = coll.world.agent_at(agent_ip).mib
+        for column in (O.IF_IN_OCTETS, O.IF_OUT_OCTETS):
+            mib.remove(column + gone.ifindex)
+        before = {k: coll.monitors[k].samples_appended for k in group}
+        lan.net.engine.advance(5.0)
+        coll.poll_once()
+        for k in neighbours:
+            assert coll.monitors[k].samples_appended == before[k] + 1
+            assert coll.monitors[k].sample_failures == 0
+        assert coll.monitors[gone].samples_appended == before[gone]
+        assert coll.monitors[gone].sample_failures == 1

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro import faults
+from repro.collectors.base import HistoryRequest
+from repro.common.errors import CollectorUnavailableError
 from repro.common.units import MBPS
-from repro.deploy import deploy_lan
-from repro.netsim.builders import build_switched_lan
+from repro.deploy import deploy_lan, deploy_wan
+from repro.netsim.builders import build_random_wan, build_switched_lan
 from repro.rps.service import RpsPredictionService
 
 
@@ -30,8 +33,6 @@ class TestStreamingManagers:
 
     def test_forecast_edge_answers(self, streaming_lan):
         lan, dep, managers = streaming_lan
-        from repro.collectors.base import HistoryRequest
-
         coll = dep.snmp_collectors["lan"]
         out = coll.forecast_edge(
             HistoryRequest(str(lan.hosts[0].ip), "sw0"), horizon=5
@@ -107,8 +108,6 @@ class TestFeedingPastHistoryLen:
             assert mgr.samples_fed - before == 2 * len(ready)
 
     def test_forecast_tracks_a_step_change_after_the_ring_filled(self):
-        from repro.collectors.base import HistoryRequest
-
         lan, coll, mgr, flow = self._deployment()
         dep_request = HistoryRequest(str(lan.hosts[0].ip), "sw0")
         for _ in range(self.HISTORY_LEN + 8):
@@ -122,3 +121,72 @@ class TestFeedingPastHistoryLen:
             lan.net.engine.advance(2.0)
         preds, _ = coll.forecast_edge(dep_request, horizon=5)
         assert preds[0] == pytest.approx(60 * MBPS, rel=0.2)
+
+
+class TestCrashedCollectorPredictsNothing:
+    """One liveness rule for both reads of a collector's history: what
+    ``history()`` refuses while crashed, ``forecast_edge()`` refuses."""
+
+    def test_forecast_edge_is_refused_like_history(self, streaming_lan):
+        lan, dep, _ = streaming_lan
+        coll = dep.snmp_collectors["lan"]
+        request = HistoryRequest(str(lan.hosts[0].ip), "sw0")
+        assert dep.master.forecast_edge(request, 5) is not None
+        faults.crash_collector(coll, 600.0)
+        with pytest.raises(CollectorUnavailableError):
+            coll.history(request)
+        with pytest.raises(CollectorUnavailableError):
+            coll.forecast_edge(request, 5)
+        # the Master asks the others, and nobody else watches this edge
+        assert dep.master.forecast_edge(request, 5) is None
+        assert dep.master.history(request) is None
+
+    def test_a_memoized_topology_does_not_keep_a_dead_sites_prediction(self):
+        world = build_random_wan(4, seed=3, hosts_per_site=(2, 2))
+        dep = deploy_wan(world)
+        dep.modeler.prediction_service = RpsPredictionService("AR(8)")
+        site = sorted(world.sites)[0]
+        src, dst = world.sites[site].hosts[:2]
+        session = dep.session()
+        session.flow_info(src, dst)  # discover
+        dep.start_monitoring()
+        world.net.engine.run_until(world.net.now + 120.0)
+        dep.modeler.query_cache_ttl_s = 3600.0
+        assert session.flow_info(src, dst, predict=True).predicted_bps is not None
+        faults.crash_collector(dep.snmp_collectors[site], 600.0)
+        # the topology is still served from the memo, and says so ...
+        ans = session.flow_info(src, dst, predict=True)
+        assert ans.ok and ans.available_bps > 0
+        # ... but nobody alive can vouch for the edge's history
+        assert ans.predicted_bps is None and ans.predicted_var is None
+
+
+class TestMasterForecastFanout:
+    def test_a_collector_that_declares_no_forecast_is_charged_no_rpc(self):
+        """The base-class defaults answer what the Master used to probe
+        for with ``getattr``: nothing to ask, so no RPC to charge."""
+        from repro.collectors.base import Collector
+        from repro.collectors.directory import CollectorDirectory
+        from repro.collectors.master import MasterCollector
+        from repro.netsim.address import IPv4Network
+        from repro.netsim.topology import Network
+
+        class Plain(Collector):
+            def covers(self, ip):
+                return True
+
+            def topology(self, request):
+                raise NotImplementedError
+
+        assert "forecast_edge" not in vars(Plain) and "supports_forecast" not in vars(Plain)
+        net = Network()
+        directory = CollectorDirectory()
+        directory.register(Plain("plain", net), [IPv4Network("10.0.0.0/8")], "lan", remote=True)
+        master = MasterCollector("master", net, directory)
+        t0 = net.now
+        assert not master.supports_forecast()
+        assert master.forecast_edge(HistoryRequest("a", "b"), 5) is None
+        assert net.now == t0
+        # history has no capability probe: the one collector is asked
+        assert master.history(HistoryRequest("a", "b")) is None
+        assert net.now - t0 == pytest.approx(master.rpc.remote_s)

@@ -29,6 +29,9 @@ STRICT_FILES = (
         REPO_ROOT / "src" / "repro" / "collectors" / "directory.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "master.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "monitor.py",
+        REPO_ROOT / "src" / "repro" / "collectors" / "persistence.py",
+        REPO_ROOT / "src" / "repro" / "collectors" / "protocol.py",
+        REPO_ROOT / "src" / "repro" / "collectors" / "protocol_xml.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "sharding.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "slp.py",
         REPO_ROOT / "src" / "repro" / "faults.py",
@@ -60,6 +63,9 @@ STRICT_MODULES = [
     "repro.collectors.directory",
     "repro.collectors.master",
     "repro.collectors.monitor",
+    "repro.collectors.persistence",
+    "repro.collectors.protocol",
+    "repro.collectors.protocol_xml",
     "repro.collectors.sharding",
     "repro.collectors.slp",
     "repro.faults",

@@ -1,9 +1,9 @@
 """Mutation-versioned caching on :class:`TopologyGraph`.
 
-Paths, node views, and edge views are memoised; every mutation
-(add_node, add_edge, remove_node, merge) must invalidate the entries it
-could affect — and *only* those (scoped invalidation) — and cached
-answers must stay equal to recomputed ones.
+Paths, node views, and edge views are memoised; a mutation that can
+change a path (a structurally new edge, a removed node) clears the path
+cache, one that cannot (a new node, an annotation re-add) keeps it, and
+cached answers always equal recomputed ones.
 """
 
 import random
@@ -112,40 +112,8 @@ def _two_chains():
     return g
 
 
-def _cold_copy(g):
-    """Rebuild the same topology with an empty path cache."""
-    h = TopologyGraph()
-    for n in g.nodes():
-        h.add_node(TopoNode(n.id, n.kind, n.ips))
-    for e in g.edges():
-        h.add_edge(
-            TopoEdge(
-                e.a, e.b, e.capacity_bps, e.util_ab_bps, e.util_ba_bps,
-                e.latency_s, e.jitter_s,
-            )
-        )
-    return h
-
-
 class TestScopedInvalidation:
-    """Mutations drop only the cached pairs they could affect."""
-
-    def test_unrelated_new_edge_keeps_cached_paths(self):
-        g = _two_chains()
-        assert g.path("h1", "h2") == ["h1", "s1", "s2", "h2"]
-        assert g.path("h3", "h4") == ["h3", "s3", "s4", "h4"]
-        with obs.scoped_registry() as reg:
-            g.add_edge(TopoEdge("h3", "s4", 100e6))  # shortcut in chain 2
-            # chain 1's entry survived: answered without a recompute
-            assert g.path("h1", "h2") == ["h1", "s1", "s2", "h2"]
-            # chain 2's entry was dropped and re-derives the shorter route
-            assert g.path("h3", "h4") == ["h3", "s4", "h4"]
-            snap = obs.export.snapshot(reg)
-        c = snap["counters"]
-        assert c["modeler.graph.scoped_invalidation{result=dropped}"] == 1
-        assert c["modeler.graph.scoped_invalidation{result=survived}"] == 1
-        assert c["modeler.graph.path_cache{result=hit}"] == 1
-        assert c["modeler.graph.path_cache{result=miss}"] == 1
+    """Which mutations keep the path cache, and that it never lies."""
 
     def test_annotation_readd_drops_nothing(self):
         g = _two_chains()
@@ -161,41 +129,6 @@ class TestScopedInvalidation:
         assert "modeler.graph.path_cache{result=miss}" not in c
         assert g.edge("s1", "s2").util_ab_bps == 5e6
 
-    def test_new_edge_drops_connected_negatives_only(self):
-        g = _two_chains()
-        with pytest.raises(TopologyError):
-            g.path("h1", "h3")  # cross-chain: cached "no path"
-        g.add_node(TopoNode("h9", HOST))  # isolated third component
-        with pytest.raises(TopologyError):
-            g.path("h1", "h9")  # cached "no path" to the isolated node
-        g.add_edge(TopoEdge("s2", "s3", 100e6))  # bridge the two chains
-        with obs.scoped_registry() as reg:
-            # bridged pair was dropped and now resolves
-            assert g.path("h1", "h3") == ["h1", "s1", "s2", "s3", "h3"]
-            # the isolated node is still unreachable: entry survived
-            with pytest.raises(TopologyError):
-                g.path("h1", "h9")
-            snap = obs.export.snapshot(reg)
-        c = snap["counters"]
-        assert c["modeler.graph.path_cache{result=miss}"] == 1
-        assert c["modeler.graph.path_cache{result=hit}"] == 1
-
-    def test_remove_node_drops_only_traversing_pairs(self):
-        g = _two_chains()
-        assert g.path("h1", "h2")
-        assert g.path("h3", "h4")
-        with obs.scoped_registry() as reg:
-            g.remove_node("s3")
-            assert g.path("h1", "h2") == ["h1", "s1", "s2", "h2"]  # hit
-            with pytest.raises(TopologyError):
-                g.path("h3", "h4")  # dropped, and the route is gone
-            snap = obs.export.snapshot(reg)
-        c = snap["counters"]
-        assert c["modeler.graph.scoped_invalidation{result=dropped}"] == 1
-        assert c["modeler.graph.scoped_invalidation{result=survived}"] == 1
-        assert c["modeler.graph.path_cache{result=hit}"] == 1
-        assert c["modeler.graph.path_cache{result=miss}"] == 1
-
     def test_copy_carries_cache(self):
         g = _two_chains()
         assert g.path("h1", "h2")
@@ -208,22 +141,36 @@ class TestScopedInvalidation:
     def test_randomized_warm_equals_cold(self):
         """Soundness under arbitrary mutation/query interleavings.
 
-        After every mutation, warm (cached) answers must agree with a
-        cold rebuild on reachability and path *length*; exact node
-        sequences may differ after ``remove_node`` (a surviving entry is
-        a correct shortest path, but equal-length ties can fall
-        differently than a fresh recompute), so the path itself is
-        checked for validity edge by edge instead.
+        After every mutation — ``remove_node`` included — a warm
+        (cached) answer must equal, node for node, what a cold graph
+        with the same mutation history computes: the twin below takes
+        every mutation too and has its cache emptied before each read,
+        so equal-length ties fall the same way or the cache lied.  Pairs
+        are asked smaller id first: the cache is keyed by the unordered
+        pair and answers the reverse query with the reversed path.
         """
-        rng = random.Random(7)
+        # seeds 6 and 8 reach equal-length ties on which an entry kept
+        # across ``remove_node`` differs from the recompute
+        for seed in (7, 6, 8):
+            self._warm_equals_cold(random.Random(seed))
+
+    @staticmethod
+    def _warm_equals_cold(rng):
         ids = [f"n{i}" for i in range(9)]
-        g = TopologyGraph()
+        g, twin = TopologyGraph(), TopologyGraph()
         alive = set()
 
         def ensure(node_id):
             if node_id not in alive:
-                g.add_node(TopoNode(node_id, HOST, ()))
+                for graph in (g, twin):
+                    graph.add_node(TopoNode(node_id, HOST, ()))
                 alive.add(node_id)
+
+        def path_or_none(graph, x, y):
+            try:
+                return graph.path(x, y)
+            except TopologyError:
+                return None
 
         for i in ids[:4]:
             ensure(i)
@@ -233,30 +180,19 @@ class TestScopedInvalidation:
                 a, b = rng.sample(ids, 2)
                 ensure(a)
                 ensure(b)
-                g.add_edge(TopoEdge(a, b, 100e6))
+                for graph in (g, twin):
+                    graph.add_edge(TopoEdge(a, b, 100e6))
             elif op < 0.60 and len(alive) > 2:
                 victim = rng.choice(sorted(alive))
-                g.remove_node(victim)
+                for graph in (g, twin):
+                    graph.remove_node(victim)
                 alive.discard(victim)
             else:
                 ensure(rng.choice(ids))
-            cold = _cold_copy(g)
             for _ in range(3):
-                x, y = rng.sample(sorted(alive), 2) if len(alive) >= 2 else ("n0", "n1")
-                try:
-                    warm_path = g.path(x, y)
-                except TopologyError:
-                    warm_path = None
-                try:
-                    cold_path = cold.path(x, y)
-                except TopologyError:
-                    cold_path = None
-                assert (warm_path is None) == (cold_path is None), (x, y)
-                if warm_path is not None:
-                    assert len(warm_path) == len(cold_path), (x, y)
-                    assert warm_path[0] == x and warm_path[-1] == y
-                    for u, v in zip(warm_path, warm_path[1:]):
-                        assert g.has_edge(u, v), (warm_path, u, v)
+                x, y = sorted(rng.sample(sorted(alive), 2)) if len(alive) >= 2 else ("n0", "n1")
+                twin._paths_cache.clear()
+                assert path_or_none(g, x, y) == path_or_none(twin, x, y), (x, y)
 
 
 class TestViewCaches:

@@ -395,3 +395,44 @@ class TestScopedFetchKeys:
         assert [a.available_bps for a in again] == [a.available_bps for a in first]
         dep.modeler.invalidate_cache(sites=["s03"])
         assert not dep.modeler._query_cache
+
+
+class TestBoundedQueryCache:
+    def test_lru_cap_and_a_hit_entry_is_recent(self, lan_dep, monkeypatch):
+        from repro.modeler import api as api_mod
+
+        monkeypatch.setattr(api_mod, "QUERY_CACHE_MAX_ENTRIES", 3)
+        lan, dep = lan_dep
+        dep.modeler.query_cache_ttl_s = 3600.0
+        s = dep.session()
+
+        def ask(i: int) -> None:
+            assert s.flow_info(lan.hosts[0], lan.hosts[i]).ok
+
+        with obs.scoped_registry() as reg:
+            for i in range(1, 6):  # five host sets, each its own entry
+                ask(i)
+            assert len(dep.modeler._query_cache) == 3  # held, oldest first: 3, 4, 5
+            ask(3)  # a hit: now the newest
+            ask(6)  # evicts 4
+            ask(7)  # evicts 5, not the just-hit 3
+            ask(3)
+            snap = obs.export.snapshot(reg)
+        assert _hit_miss(snap) == (2, 7)
+        assert len(dep.modeler._query_cache) == 3
+        assert snap["gauges"]["modeler.query_cache_entries"] == 3
+
+    def test_an_expired_entry_is_dropped_where_it_is_found(self):
+        _, dep, hosts = _small_wan(ttl_s=5.0)
+        s = dep.session()
+        star = [(hosts[0], dst) for dst in hosts[1:]]
+        s.topology(hosts)  # the unscoped entry over these hosts
+        dep.net.engine.advance(6.0)
+        with obs.scoped_registry() as reg:
+            # a scoped query looks the lapsed unscoped entry up as its
+            # second key: it may not serve it, and does not keep it
+            s.flow_info_many(star)
+            snap = obs.export.snapshot(reg)
+        (key,) = dep.modeler._query_cache
+        assert len(key) == 3  # hosts, dynamics, scope
+        assert snap["gauges"]["modeler.query_cache_entries"] == 1

@@ -9,7 +9,6 @@ from repro.netsim.address import (
     IPv4Network,
     MacAddress,
     MacAllocator,
-    longest_prefix_match,
 )
 
 
@@ -104,17 +103,6 @@ class TestIPv4Network:
     def test_str_roundtrip(self):
         n = IPv4Network("172.16.0.0/12")
         assert IPv4Network(str(n)) == n
-
-    def test_longest_prefix_match(self):
-        prefixes = [
-            IPv4Network("0.0.0.0/0"),
-            IPv4Network("10.0.0.0/8"),
-            IPv4Network("10.1.0.0/16"),
-        ]
-        assert longest_prefix_match(IPv4Address("10.1.2.3"), prefixes) == prefixes[2]
-        assert longest_prefix_match(IPv4Address("10.2.0.1"), prefixes) == prefixes[1]
-        assert longest_prefix_match(IPv4Address("192.0.2.1"), prefixes) == prefixes[0]
-        assert longest_prefix_match(IPv4Address("192.0.2.1"), prefixes[1:]) is None
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 32))
     def test_network_contains_its_base(self, v, plen):
