@@ -590,13 +590,19 @@ class SnmpCollector(Collector):
         types = self.client.table_column(router_ip, O.IP_CIDR_ROUTE_TYPE)
         entries: list[_RouteEntry] = []
         for suffix, idx in ifidx.items():
-            if len(suffix) != 13:
-                continue  # malformed row on a buggy agent: skip
-            dest = bytes_tuple_to_ip(suffix[0:4])
-            mask = IPv4Address(bytes_tuple_to_ip(suffix[4:8]))
-            hop = IPv4Address(bytes_tuple_to_ip(suffix[9:13]))
-            prefixlen = bin(mask.value).count("1")
-            prefix = IPv4Network(dest, prefixlen)
+            # index = (dest, mask, tos, next hop), four octets each but tos
+            try:
+                if len(suffix) != 13:
+                    raise ValueError(f"ipCidrRouteTable index of {len(suffix)} sub-ids")
+                prefix = IPv4Network.from_netmask(
+                    IPv4Address.from_octets(suffix[0:4]),
+                    IPv4Address.from_octets(suffix[4:8]),
+                )
+                hop = IPv4Address.from_octets(suffix[9:13])
+            except ValueError:
+                # malformed row on a buggy agent: the rest still routes
+                obs.counter("collectors.snmp.malformed_rows", table="cidr").inc()
+                continue
             local = types.get(suffix) == O.CIDR_TYPE_LOCAL
             entries.append(
                 _RouteEntry(prefix, None if local else hop, int(idx))
@@ -615,10 +621,14 @@ class SnmpCollector(Collector):
             rtype = types.get(suffix)
             if mask is None or idx is None:
                 continue
-            dest = IPv4Address(bytes_tuple_to_ip(suffix))
-            prefixlen = bin(IPv4Address(mask).value).count("1")
-            prefix = IPv4Network(str(dest), prefixlen)
-            next_hop = None if rtype == O.ROUTE_TYPE_DIRECT else IPv4Address(hop)
+            try:
+                prefix = IPv4Network.from_netmask(
+                    IPv4Address.from_octets(suffix), IPv4Address(mask)
+                )
+                next_hop = None if rtype == O.ROUTE_TYPE_DIRECT else IPv4Address(hop)
+            except ValueError:
+                obs.counter("collectors.snmp.malformed_rows", table="legacy").inc()
+                continue
             entries.append(_RouteEntry(prefix, next_hop, int(idx)))
         return entries
 
@@ -962,8 +972,3 @@ class SnmpCollector(Collector):
             return db.graph.edges[("sw", switch_name), neighbor].get("port")
         except KeyError:
             return None
-
-
-def bytes_tuple_to_ip(suffix: tuple[int, ...]) -> str:
-    """(a, b, c, d) -> 'a.b.c.d'."""
-    return ".".join(str(x) for x in suffix)

@@ -10,6 +10,7 @@ directly convertible to OID index tuples.)
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import total_ordering
 
 
@@ -52,6 +53,16 @@ class IPv4Address:
             self._value = _parse_dotted(addr)
         else:
             raise TypeError(f"cannot make IPv4Address from {type(addr).__name__}")
+
+    @classmethod
+    def from_octets(cls, octets: Sequence[int]) -> "IPv4Address":
+        """The address spelled as four octets, most significant first
+        (an SNMP row index read back); anything else is a ValueError."""
+        if len(octets) == 4:
+            a, b, c, d = octets
+            if 0 <= a <= 255 and 0 <= b <= 255 and 0 <= c <= 255 and 0 <= d <= 255:
+                return cls((a << 24) | (b << 16) | (c << 8) | d)
+        raise ValueError(f"bad IPv4 octets {tuple(octets)!r}")
 
     @property
     def value(self) -> int:
@@ -97,25 +108,39 @@ class IPv4Network:
 
     __slots__ = ("_net", "_prefixlen")
 
-    def __init__(self, spec: "str | IPv4Network", prefixlen: int | None = None) -> None:
+    def __init__(
+        self, spec: "str | IPv4Address | IPv4Network", prefixlen: int | None = None
+    ) -> None:
         if isinstance(spec, IPv4Network):
             self._net, self._prefixlen = spec._net, spec._prefixlen
             return
+        addr: str | IPv4Address = spec
         if prefixlen is None:
-            if "/" not in spec:
+            if isinstance(spec, IPv4Address) or "/" not in spec:
                 raise ValueError(f"network needs a /prefixlen: {spec!r}")
-            addr_s, plen_s = spec.split("/", 1)
+            addr, plen_s = spec.split("/", 1)
             prefixlen = int(plen_s)
-        else:
-            addr_s = spec
         if not 0 <= prefixlen <= 32:
             raise ValueError(f"bad prefix length {prefixlen}")
-        base = _parse_dotted(addr_s)
+        base = addr.value if isinstance(addr, IPv4Address) else _parse_dotted(addr)
         mask = self._mask_for(prefixlen)
         if base & ~mask & 0xFFFFFFFF:
-            raise ValueError(f"{addr_s}/{prefixlen} has host bits set")
+            raise ValueError(f"{addr}/{prefixlen} has host bits set")
         self._net = base
         self._prefixlen = prefixlen
+
+    @classmethod
+    def from_netmask(cls, address: IPv4Address, netmask: IPv4Address) -> "IPv4Network":
+        """The prefix written as base address and dotted netmask.
+
+        ValueError for a mask whose one-bits are not contiguous from
+        the top (``255.0.255.0``) and, as in the constructor, for host
+        bits set under it.
+        """
+        hostmask = netmask.value ^ 0xFFFFFFFF
+        if hostmask & (hostmask + 1):
+            raise ValueError(f"netmask {netmask} is not contiguous")
+        return cls(address, 32 - hostmask.bit_length())
 
     @staticmethod
     def _mask_for(prefixlen: int) -> int:

@@ -58,6 +58,7 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "collectors.sharded.replica_promotions",
         "collectors.sharded.shard_failures",
         "collectors.snmp.cache_flush",
+        "collectors.snmp.malformed_rows",
         "collectors.snmp.monitored_links",
         "collectors.snmp.monitors_bootstrapped",
         "collectors.snmp.path_cache",

@@ -18,21 +18,21 @@ simulated network and registers them, returning the world.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.common.errors import (
-    AgentUnreachableError,
-    AuthorizationError,
-    NoSuchObjectError,
-)
+from repro.common.errors import AgentUnreachableError, AuthorizationError
 from repro.netsim.address import IPv4Address, IPv4Network
-from repro.netsim.topology import Network, Node, Router, Switch
+from repro.netsim.topology import Host, Network, Node, Router, Switch
+from repro.netsim.wireless import Basestation
 from repro.snmp.mib import (
     MibStore,
     build_basestation_mib,
+    build_host_mib,
     build_router_mib,
     build_switch_mib,
+    on_link_stations,
 )
 from repro.snmp.oid import Oid
 
@@ -87,14 +87,7 @@ class SnmpAgent:
     def get_bulk(self, oid: Oid, max_repetitions: int) -> list[tuple[Oid, object]]:
         """GetBulk: up to ``max_repetitions`` successive GETNEXT results
         in one exchange, stopping early at the end of the MIB."""
-        out: list[tuple[Oid, object]] = []
-        current = oid
-        for _ in range(max_repetitions):
-            try:
-                current, value = self.mib.get_next(current)
-            except NoSuchObjectError:
-                break
-            out.append((current, value))
+        out = self.mib.get_next_n(oid, max_repetitions)
         self.requests_served += len(out)
         obs.counter("snmp.agent.requests", device=self.device.name).inc(len(out))
         return out
@@ -129,8 +122,6 @@ class SnmpWorld:
         agent = self._by_device.get(device.name)
         if agent is None:
             return
-        from repro.netsim.wireless import Basestation
-
         if isinstance(device, Router):
             agent.mib = build_router_mib(device, self.net)
         elif isinstance(device, Basestation):
@@ -153,10 +144,11 @@ def instrument_network(
     """
     world = SnmpWorld(net)
     acl = list(allowed_sources or [])
+    stations = on_link_stations(net)
     for router in net.routers():
         agent = SnmpAgent(
             router,
-            build_router_mib(router, net),
+            build_router_mib(router, net, stations),
             community=community,
             allowed_sources=acl,
             reachable=router.snmp_reachable,
@@ -174,8 +166,6 @@ def instrument_network(
         )
         world.register(agent, [switch.management_ip])
     # basestations: wireless APs answering on their management address
-    from repro.netsim.wireless import Basestation
-
     for node in net.nodes.values():
         if isinstance(node, Basestation) and node.management_ip is not None:
             agent = SnmpAgent(
@@ -191,7 +181,7 @@ def instrument_network(
 
 def instrument_hosts(
     world: SnmpWorld,
-    hosts=None,
+    hosts: Iterable[Node] | None = None,
     community: str = "public",
     allowed_sources: list[IPv4Network] | None = None,
 ) -> int:
@@ -201,11 +191,8 @@ def instrument_hosts(
     separate from :func:`instrument_network`.  Returns how many agents
     were registered.
     """
-    from repro.netsim.topology import Host
-    from repro.snmp.mib import build_host_mib
-
     net = world.net
-    targets = list(hosts) if hosts is not None else net.hosts()
+    targets: Iterable[Node] = net.hosts() if hosts is None else hosts
     acl = list(allowed_sources or [])
     count = 0
     for host in targets:

@@ -17,12 +17,14 @@ that makes cold table walks cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro import obs
 from repro.common.errors import AgentUnreachableError, NoSuchObjectError
+from repro.faults import FaultInjector
 from repro.netsim.address import IPv4Address
 from repro.snmp import oid as O
-from repro.snmp.agent import SnmpWorld
+from repro.snmp.agent import SnmpAgent, SnmpWorld
 from repro.snmp.oid import Oid
 
 
@@ -77,10 +79,11 @@ class SnmpClient:
 
     # -- internals -------------------------------------------------------
 
-    def _injector(self):
-        return getattr(self.world.net, "faults", None)
+    def _injector(self) -> FaultInjector | None:
+        inj: FaultInjector | None = getattr(self.world.net, "faults", None)
+        return inj
 
-    def _charge(self, n_varbinds: int, op: str, ip=None) -> None:
+    def _charge(self, n_varbinds: int, op: str, ip: IPv4Address | str | None = None) -> None:
         self.pdu_count += 1
         obs.counter("snmp.client.pdus", op=op).inc()
         dt = self.cost.rtt_s + n_varbinds * self.cost.per_varbind_s
@@ -101,7 +104,7 @@ class SnmpClient:
         with obs.span("snmp.client.timeout", op=op):
             self.world.net.engine.advance(self.cost.timeout_s)
 
-    def _attempt(self, ip: IPv4Address | str, op: str):
+    def _attempt(self, ip: IPv4Address | str, op: str) -> SnmpAgent:
         """One request attempt: the agent, or an unreachable timeout."""
         agent = self.world.agent_at(ip)
         if agent is None:
@@ -118,7 +121,7 @@ class SnmpClient:
             raise
         return agent
 
-    def _agent(self, ip: IPv4Address | str, op: str):
+    def _agent(self, ip: IPv4Address | str, op: str) -> SnmpAgent:
         """The agent behind ``ip``, retrying timeouts per the cost model.
 
         Each retry waits an exponentially growing backoff on the sim
@@ -140,7 +143,7 @@ class SnmpClient:
                     raise
         raise AgentUnreachableError(f"no agent at {ip} (timeout)")
 
-    def _counter_value(self, ip, oid: Oid, value: object) -> object:
+    def _counter_value(self, ip: IPv4Address | str, oid: Oid, value: Any) -> object:
         """Pass octet-counter readings through the fault injector."""
         inj = self._injector()
         if inj is None:
@@ -162,9 +165,7 @@ class SnmpClient:
         """GET several objects in one PDU (missing OIDs raise)."""
         agent = self._agent(ip, "get")
         self._charge(len(oids), "get", ip)
-        return [
-            self._counter_value(ip, Oid(o), agent.get(Oid(o))) for o in oids
-        ]
+        return [self._counter_value(ip, o, agent.get(o)) for o in oids]
 
     def walk(self, ip: IPv4Address | str, prefix: Oid | str) -> list[tuple[Oid, object]]:
         """All objects under ``prefix`` via repeated GETNEXT."""
@@ -234,8 +235,6 @@ class SnmpClient:
         self, ip: IPv4Address | str, column: Oid | str
     ) -> dict[tuple[int, ...], object]:
         """A table column as {row-index-suffix: value} (bulk-walked)."""
-        column = Oid(column)
-        return {
-            oid.suffix_after(column): value
-            for oid, value in self.bulk_walk(ip, column)
-        }
+        # bulk_walk returns only OIDs under the column: slice, don't re-test
+        n = len(Oid(column))
+        return {oid.parts[n:]: value for oid, value in self.bulk_walk(ip, column)}

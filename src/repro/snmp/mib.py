@@ -15,92 +15,158 @@ Bridge Collector walks (dot1dBase, dot1dTpFdbTable).
 from __future__ import annotations
 
 import bisect
-from operator import attrgetter
+from collections.abc import Iterable, Sequence
 
 from repro.common.errors import NoSuchObjectError
-from repro.netsim.address import IPv4Address
-from repro.netsim.topology import Network, Router, Switch
+from repro.netsim.address import IPv4Network, MacAddress
+from repro.netsim.bridging import SELF_PORT
+from repro.netsim.topology import Host, Interface, Network, Node, Router, Switch
+from repro.netsim.wireless import Basestation
 from repro.snmp import oid as O
 from repro.snmp.oid import Oid
 
-
-#: sort key: comparing the int tuples runs in C, ``Oid.__lt__`` does not
-_PARTS = attrgetter("parts")
+#: a table row as the builders spell it: (row-index suffix, one
+#: provider per column)
+_Row = tuple[tuple[int, ...], Sequence[object]]
 
 
 class MibStore:
     """Sorted OID -> provider map with GET / GETNEXT semantics.
 
-    A device MIB is loaded with hundreds of ``put`` calls and then only
-    read, so new OIDs are appended and the index is sorted once, by the
-    first operation that needs the order.
+    Entries are keyed by the OID's int tuple, in the dict and in the
+    sorted index alike, so hashing, comparing and bisecting run in C; an
+    :class:`Oid` exists only for what a read returns.  A device MIB is
+    loaded with hundreds of cells and then only read, so new keys are
+    appended and the index is sorted once, by the first operation that
+    needs the order.
     """
 
     def __init__(self) -> None:
-        self._oids: list[Oid] = []
-        self._values: dict[Oid, object] = {}
+        self._keys: list[tuple[int, ...]] = []
+        self._values: dict[tuple[int, ...], object] = {}
         self._sorted = True
 
     def put(self, oid: Oid, provider: object) -> None:
         """Insert or replace an entry; callables are evaluated on read."""
-        if oid not in self._values:
-            self._oids.append(oid)
-            self._sorted = False
-        self._values[oid] = provider
+        self.put_column(oid, (((), provider),))
 
-    def _index(self) -> list[Oid]:
-        """The OIDs in lexicographic order."""
+    def put_column(
+        self, column: Oid, cells: Iterable[tuple[tuple[int, ...], object]]
+    ) -> None:
+        """Insert or replace the cells of one table column.
+
+        Each cell is ``(row-index suffix, provider)`` and lands at
+        ``column + suffix``, with no :class:`Oid` made for it.  A
+        negative component in a suffix raises :class:`ValueError`, as
+        ``Oid.__add__`` does; the cells before it stay loaded.
+        """
+        base = column.parts
+        keys, values = self._keys, self._values
+        for suffix, provider in cells:
+            if suffix and min(suffix) < 0:
+                raise ValueError(f"OID components must be non-negative: {suffix}")
+            key = base + suffix
+            if key not in values:
+                keys.append(key)
+                self._sorted = False
+            values[key] = provider
+
+    def _index(self) -> list[tuple[int, ...]]:
+        """The keys in lexicographic order."""
         if not self._sorted:
-            self._oids.sort(key=_PARTS)
+            self._keys.sort()
             self._sorted = True
-        return self._oids
+        return self._keys
 
     def remove(self, oid: Oid) -> None:
-        if oid in self._values:
-            del self._values[oid]
-            oids = self._index()
-            i = bisect.bisect_left(oids, oid)
-            if i < len(oids) and oids[i] == oid:
-                oids.pop(i)
+        key = oid.parts
+        if key in self._values:
+            del self._values[key]
+            keys = self._index()
+            keys.pop(bisect.bisect_left(keys, key))
 
     def get(self, oid: Oid) -> object:
         """Exact read; raises NoSuchObjectError for missing OIDs."""
         try:
-            v = self._values[oid]
+            v = self._values[oid.parts]
         except KeyError:
             raise NoSuchObjectError(str(oid)) from None
         return v() if callable(v) else v
 
     def get_next(self, oid: Oid) -> tuple[Oid, object]:
         """First entry strictly after ``oid``; raises at end of MIB."""
-        oids = self._index()
-        i = bisect.bisect_right(oids, oid)
-        if i >= len(oids):
+        found = self.get_next_n(oid, 1)
+        if not found:
             raise NoSuchObjectError(f"end of MIB after {oid}")
-        nxt = oids[i]
-        v = self._values[nxt]
-        return nxt, (v() if callable(v) else v)
+        return found[0]
+
+    def get_next_n(self, oid: Oid, n: int) -> list[tuple[Oid, object]]:
+        """What ``n`` successive :meth:`get_next` calls from ``oid``
+        return, stopping without error at the end of the MIB; nothing
+        for ``n <= 0``."""
+        if n <= 0:
+            return []
+        keys = self._index()
+        i = bisect.bisect_right(keys, oid.parts)
+        values = self._values
+        out: list[tuple[Oid, object]] = []
+        for key in keys[i : i + n]:
+            v = values[key]
+            out.append((Oid._of_key(key), v() if callable(v) else v))
+        return out
+
+    def oids(self) -> list[Oid]:
+        """Every OID held, in lexicographic order."""
+        return [Oid._of_key(key) for key in self._index()]
 
     def __len__(self) -> int:
         return len(self._values)
 
     def __contains__(self, oid: Oid) -> bool:
-        return oid in self._values
+        return oid.parts in self._values
 
 
-def _ip_suffix(ip: IPv4Address) -> tuple[int, ...]:
-    return ip.octets()
+def _put_rows(store: MibStore, columns: Sequence[Oid], rows: Sequence[_Row]) -> None:
+    """Load a table spelled row by row, a column at a time."""
+    for k, column in enumerate(columns):
+        store.put_column(column, [(index, values[k]) for index, values in rows])
 
 
-def _mac_suffix(mac) -> tuple[int, ...]:
-    return mac.octets()
+def _row_indexes(store: MibStore, column: Oid) -> list[tuple[int, ...]]:
+    """The row-index suffixes present under ``column``, in MIB order."""
+    return [o.suffix_after(column) for o in store.oids() if o.starts_with(column)]
 
 
 #: sysObjectID kind codes under :data:`repro.snmp.oid.SYS_OBJECT_ID_BASE`
 _KIND_CODE = {"host": 1, "router": 2, "switch": 3, "hub": 4, "basestation": 5}
 
+_IF_COLUMNS = (
+    O.IF_INDEX,
+    O.IF_DESCR,
+    O.IF_TYPE,
+    O.IF_SPEED,
+    O.IF_PHYS_ADDRESS,
+    O.IF_OPER_STATUS,
+    O.IF_IN_OCTETS,
+    O.IF_OUT_OCTETS,
+)
+_ROUTE_COLUMNS = (
+    O.IP_ROUTE_DEST,
+    O.IP_ROUTE_IF_INDEX,
+    O.IP_ROUTE_MASK,
+    O.IP_ROUTE_NEXT_HOP,
+    O.IP_ROUTE_TYPE,
+)
+_CIDR_ROUTE_COLUMNS = (O.IP_CIDR_ROUTE_IF_INDEX, O.IP_CIDR_ROUTE_TYPE)
+_ARP_COLUMNS = (
+    O.IP_NET_TO_MEDIA_IF_INDEX,
+    O.IP_NET_TO_MEDIA_PHYS_ADDRESS,
+    O.IP_NET_TO_MEDIA_NET_ADDRESS,
+)
+_FDB_COLUMNS = (O.DOT1D_TP_FDB_ADDRESS, O.DOT1D_TP_FDB_PORT, O.DOT1D_TP_FDB_STATUS)
 
-def _put_if_table(store: MibStore, device, net: Network) -> None:
+
+def _put_if_table(store: MibStore, device: Node, net: Network) -> None:
     """Populate system + ifTable rows for any device."""
     store.put(O.SYS_DESCR, f"repro simulated {device.kind}")
     # sysObjectID identifies the device model; point it at a synthetic
@@ -108,87 +174,115 @@ def _put_if_table(store: MibStore, device, net: Network) -> None:
     store.put(O.SYS_OBJECT_ID, str(O.SYS_OBJECT_ID_BASE + _KIND_CODE.get(device.kind, 0)))
     store.put(O.SYS_NAME, device.name)
     store.put(O.IF_NUMBER, len(device.interfaces))
-    for iface in device.interfaces:
-        idx = iface.index
-        store.put(O.IF_INDEX + idx, idx)
-        store.put(O.IF_DESCR + idx, iface.name)
-        store.put(O.IF_TYPE + idx, 6)  # ethernetCsmacd
-        store.put(O.IF_SPEED + idx, lambda i=iface: int(i.speed_bps))
-        store.put(O.IF_PHYS_ADDRESS + idx, str(iface.mac))
-        store.put(O.IF_OPER_STATUS + idx, lambda i=iface: 1 if i.link else 2)
-        # round, not truncate: the fluid byte count of a whole-byte
-        # transfer sits an ulp either side of the whole number depending
-        # on the instant it ran, and must read the same at any instant
-        store.put(
-            O.IF_IN_OCTETS + idx,
-            lambda i=iface, n=net: round(i.in_octets(n.now)),
+    rows: list[_Row] = [
+        (
+            (iface.index,),
+            (
+                iface.index,
+                iface.name,
+                6,  # ethernetCsmacd
+                lambda i=iface: int(i.speed_bps),
+                str(iface.mac),
+                lambda i=iface: 1 if i.link else 2,
+                # round, not truncate: the fluid byte count of a
+                # whole-byte transfer sits an ulp either side of the
+                # whole number depending on the instant it ran, and must
+                # read the same at any instant
+                lambda i=iface, n=net: round(i.in_octets(n.now)),
+                lambda i=iface, n=net: round(i.out_octets(n.now)),
+            ),
         )
-        store.put(
-            O.IF_OUT_OCTETS + idx,
-            lambda i=iface, n=net: round(i.out_octets(n.now)),
-        )
+        for iface in device.interfaces
+    ]
+    _put_rows(store, _IF_COLUMNS, rows)
 
 
-def build_router_mib(router: Router, net: Network) -> MibStore:
+def on_link_stations(net: Network) -> dict[IPv4Network, list[Interface]]:
+    """For each subnet in use, the attached interfaces addressed in it.
+
+    What a router's ARP table on that subnet holds; computed once per
+    network so that every router's MIB can be built from it.  A detached
+    interface (``link is None``) is in no list: its ARP entry has aged
+    out.
+    """
+    own: dict[IPv4Network, list[Interface]] = {}
+    for iface in net.addressed_interfaces():
+        if iface.network is None:
+            continue
+        members = own.setdefault(iface.network, [])
+        if iface.link is not None:
+            members.append(iface)
+    # Overlapping prefixes (10.0.0.0/8 beside 10.0.0.0/16): a station is
+    # on link in every subnet that contains its address, not only its
+    # own.  Sorted, the subnets inside one follow it without a gap.
+    subnets = sorted(own)
+    stations = {subnet: list(own[subnet]) for subnet in subnets}
+    for i, outer in enumerate(subnets):
+        for inner in subnets[i + 1 :]:
+            if not outer.overlaps(inner):
+                break
+            stations[outer].extend(own[inner])
+            stations[inner].extend(
+                s for s in own[outer] if s.ip is not None and s.ip in inner
+            )
+    return stations
+
+
+def build_router_mib(
+    router: Router,
+    net: Network,
+    stations: dict[IPv4Network, list[Interface]] | None = None,
+) -> MibStore:
     """MIB-II view of a router: system, ifTable, ipRouteTable.
 
     Route rows are indexed by destination network address, as in
     RFC 1213; the collector walks ``ipRouteNextHop`` /
     ``ipRouteIfIndex`` / ``ipRouteMask`` columns to rebuild the
     forwarding table and do its own longest-prefix matching.
+
+    ``stations`` is :func:`on_link_stations` of ``net``, for a caller
+    that builds many routers of one network; worked out here otherwise.
     """
     store = MibStore()
     _put_if_table(store, router, net)
     store.put(O.IP_FORWARDING, 1)  # acting as a gateway
-    supports_cidr = getattr(router, "supports_cidr_mib", True)
+    routes: list[_Row] = []
+    cidr_routes: list[_Row] = []
     for prefix, next_hop, out_iface in router.routes:
-        suffix = _ip_suffix(prefix.network_address)
-        store.put(O.IP_ROUTE_DEST + suffix, str(prefix.network_address))
-        store.put(O.IP_ROUTE_IF_INDEX + suffix, out_iface.index)
-        store.put(O.IP_ROUTE_MASK + suffix, str(prefix.netmask))
-        if next_hop is None:
-            # Direct route: next hop is the router's own interface address.
-            own = out_iface.ip
-            store.put(O.IP_ROUTE_NEXT_HOP + suffix, str(own) if own else "0.0.0.0")
-            store.put(O.IP_ROUTE_TYPE + suffix, O.ROUTE_TYPE_DIRECT)
-        else:
-            store.put(O.IP_ROUTE_NEXT_HOP + suffix, str(next_hop))
-            store.put(O.IP_ROUTE_TYPE + suffix, O.ROUTE_TYPE_INDIRECT)
-        if supports_cidr:
+        dest, mask = prefix.network_address, prefix.netmask
+        direct = next_hop is None
+        # Direct route: next hop is the router's own interface address.
+        hop = out_iface.ip if direct else next_hop
+        hop_text = str(hop) if hop is not None else "0.0.0.0"
+        route_type = O.ROUTE_TYPE_DIRECT if direct else O.ROUTE_TYPE_INDIRECT
+        routes.append(
+            (dest.octets(), (str(dest), out_iface.index, str(mask), hop_text, route_type))
+        )
+        if router.supports_cidr_mib:
             # RFC 2096 row: index = (dest, mask, tos=0, next hop)
-            own = out_iface.ip
-            hop = next_hop if next_hop is not None else None
-            hop_octets = (hop or (own if own else None))
-            hop_suffix = hop_octets.octets() if hop_octets else (0, 0, 0, 0)
-            cidr_idx = (
-                _ip_suffix(prefix.network_address)
-                + _ip_suffix(prefix.netmask)
-                + (0,)
-                + hop_suffix
+            hop_octets = hop.octets() if hop is not None else (0, 0, 0, 0)
+            cidr_type = O.CIDR_TYPE_LOCAL if direct else O.CIDR_TYPE_REMOTE
+            cidr_routes.append(
+                (dest.octets() + mask.octets() + (0,) + hop_octets, (out_iface.index, cidr_type))
             )
-            store.put(O.IP_CIDR_ROUTE_IF_INDEX + cidr_idx, out_iface.index)
-            store.put(
-                O.IP_CIDR_ROUTE_TYPE + cidr_idx,
-                O.CIDR_TYPE_LOCAL if next_hop is None else O.CIDR_TYPE_REMOTE,
-            )
+    _put_rows(store, _ROUTE_COLUMNS, routes)
+    _put_rows(store, _CIDR_ROUTE_COLUMNS, cidr_routes)
 
     # ipNetToMediaTable: the router's ARP view of its attached subnets.
     # A steady-state router has seen every on-link station, so one row
     # per addressed interface in each directly attached network.
+    if stations is None:
+        stations = on_link_stations(net)
+    arp: list[_Row] = []
     for iface in router.interfaces:
         if iface.network is None:
             continue
-        for other in net.addressed_interfaces():
-            if other.ip is None or other.ip not in iface.network:
+        for other in stations[iface.network]:
+            if other.device is router or other.ip is None:
                 continue
-            if other.device is router:
-                continue
-            if other.link is None:
-                continue  # detached station: its ARP entry has aged out
-            suffix = (iface.index,) + other.ip.octets()
-            store.put(O.IP_NET_TO_MEDIA_IF_INDEX + suffix, iface.index)
-            store.put(O.IP_NET_TO_MEDIA_PHYS_ADDRESS + suffix, str(other.mac))
-            store.put(O.IP_NET_TO_MEDIA_NET_ADDRESS + suffix, str(other.ip))
+            index = (iface.index,) + other.ip.octets()
+            arp.append((index, (iface.index, str(other.mac), str(other.ip))))
+    _put_rows(store, _ARP_COLUMNS, arp)
     return store
 
 
@@ -209,23 +303,21 @@ def build_switch_mib(switch: Switch, net: Network) -> MibStore:
 
 
 def _rebuild_fdb_rows(store: MibStore, switch: Switch) -> None:
-    from repro.netsim.bridging import SELF_PORT
-    from repro.snmp.oid import FDB_STATUS_LEARNED, FDB_STATUS_SELF
-
-    for mac, port in switch.fdb.items():
-        suffix = _mac_suffix(mac)
-        store.put(O.DOT1D_TP_FDB_ADDRESS + suffix, str(mac))
-        store.put(
-            O.DOT1D_TP_FDB_PORT + suffix,
-            lambda sw=switch, m=mac: sw.fdb.get(m, 0),
+    rows: list[_Row] = [
+        (
+            mac.octets(),
+            (
+                str(mac),
+                lambda sw=switch, m=mac: sw.fdb.get(m, 0),
+                O.FDB_STATUS_SELF if port == SELF_PORT else O.FDB_STATUS_LEARNED,
+            ),
         )
-        store.put(
-            O.DOT1D_TP_FDB_STATUS + suffix,
-            FDB_STATUS_SELF if port == SELF_PORT else FDB_STATUS_LEARNED,
-        )
+        for mac, port in switch.fdb.items()
+    ]
+    _put_rows(store, _FDB_COLUMNS, rows)
 
 
-def build_host_mib(host, net: Network) -> MibStore:
+def build_host_mib(host: Host, net: Network) -> MibStore:
     """Host Resources view of an end host: ifTable + hrProcessorLoad.
 
     ``hrProcessorLoad`` is "the average, over the last minute, of the
@@ -235,9 +327,9 @@ def build_host_mib(host, net: Network) -> MibStore:
     """
     store = MibStore()
     _put_if_table(store, host, net)
-    store.put(
-        O.HR_PROCESSOR_LOAD + 1,
-        lambda h=host, n=net: int(min(100.0, 100.0 * h.load(n.now))),
+    store.put_column(
+        O.HR_PROCESSOR_LOAD,
+        [((1,), lambda h=host, n=net: int(min(100.0, 100.0 * h.load(n.now))))],
     )
     # hrSystem scalars: a deterministic process count that tracks the
     # load average (a busier machine runs more processes), and a single
@@ -251,14 +343,12 @@ def build_host_mib(host, net: Network) -> MibStore:
     return store
 
 
-def build_basestation_mib(bs, net: Network) -> MibStore:
+def build_basestation_mib(bs: Basestation, net: Network) -> MibStore:
     """Wireless AP view: BSSID, air rate, and the association table.
 
-    The association table is rebuilt on every read (it is small and
-    roaming changes it often) by registering one row per *currently*
-    associated station; rows for stations that left are removed by
-    :func:`refresh_basestation_assoc`, which agents run lazily through
-    the read-through provider below.
+    The association table holds one row per station associated when the
+    MIB was built; :func:`refresh_basestation_assoc` re-syncs it after
+    stations roam.
     """
     store = MibStore()
     _put_if_table(store, bs, net)
@@ -268,28 +358,14 @@ def build_basestation_mib(bs, net: Network) -> MibStore:
     return store
 
 
-def refresh_basestation_assoc(store: MibStore, bs) -> None:
+def refresh_basestation_assoc(store: MibStore, bs: Basestation) -> None:
     """Re-sync the association table rows with live associations."""
-    live = {mac for mac in bs.associated_stations()}
+    live = set(bs.associated_stations())
     # drop rows for stations that roamed away
-    stale: list[tuple[int, ...]] = []
-    cur = O.WLAN_ASSOC_STATION
-    while True:
-        try:
-            cur, _ = store.get_next(cur)
-        except NoSuchObjectError:
-            break
-        if not cur.starts_with(O.WLAN_ASSOC_STATION):
-            break
-        suffix = cur.suffix_after(O.WLAN_ASSOC_STATION)
-        from repro.netsim.address import MacAddress
-
+    for suffix in _row_indexes(store, O.WLAN_ASSOC_STATION):
         if MacAddress(_suffix_to_int(suffix)) not in live:
-            stale.append(suffix)
-    for suffix in stale:
-        store.remove(O.WLAN_ASSOC_STATION + suffix)
-    for mac in sorted(live, key=lambda m: m.value):
-        store.put(O.WLAN_ASSOC_STATION + mac.octets(), str(mac))
+            store.remove(O.WLAN_ASSOC_STATION + suffix)
+    store.put_column(O.WLAN_ASSOC_STATION, [(mac.octets(), str(mac)) for mac in live])
 
 
 def refresh_switch_fdb(store: MibStore, switch: Switch) -> None:
@@ -299,27 +375,10 @@ def refresh_switch_fdb(store: MibStore, switch: Switch) -> None:
     a read-through callable); this handles row creation/deletion.
     """
     # Remove rows whose MAC vanished.
-    stale: list[Oid] = []
-    macs = set(switch.fdb)
-    i = 0
-    while True:
-        try:
-            nxt, _ = store.get_next(O.DOT1D_TP_FDB_ADDRESS if i == 0 else nxt)
-        except NoSuchObjectError:
-            break
-        if not nxt.starts_with(O.DOT1D_TP_FDB_ADDRESS):
-            break
-        i += 1
-        from repro.netsim.address import MacAddress
-
-        mac = MacAddress((_suffix_to_int(nxt.suffix_after(O.DOT1D_TP_FDB_ADDRESS))))
-        if mac not in macs:
-            stale.append(nxt)
-    for dead in stale:
-        suffix = dead.suffix_after(O.DOT1D_TP_FDB_ADDRESS)
-        store.remove(O.DOT1D_TP_FDB_ADDRESS + suffix)
-        store.remove(O.DOT1D_TP_FDB_PORT + suffix)
-        store.remove(O.DOT1D_TP_FDB_STATUS + suffix)
+    for suffix in _row_indexes(store, O.DOT1D_TP_FDB_ADDRESS):
+        if MacAddress(_suffix_to_int(suffix)) not in switch.fdb:
+            for column in _FDB_COLUMNS:
+                store.remove(column + suffix)
     _rebuild_fdb_rows(store, switch)
 
 

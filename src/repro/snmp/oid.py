@@ -12,6 +12,20 @@ from functools import total_ordering
 from typing import Iterable, Iterator
 
 
+def _checked(parts: "str | Iterable[int]") -> tuple[int, ...]:
+    """The int tuple a caller spelled, every component non-negative."""
+    if isinstance(parts, str):
+        try:
+            out = tuple(int(p) for p in parts.strip(".").split(".")) if parts else ()
+        except ValueError:
+            raise ValueError(f"bad OID string {parts!r}") from None
+    else:
+        out = tuple(int(p) for p in parts)
+    if out and min(out) < 0:
+        raise ValueError(f"OID components must be non-negative: {out}")
+    return out
+
+
 @total_ordering
 class Oid:
     """An SNMP object identifier, e.g. ``Oid("1.3.6.1.2.1.2.2.1.10.3")``."""
@@ -19,37 +33,36 @@ class Oid:
     __slots__ = ("_parts",)
 
     def __init__(self, parts: "str | Iterable[int] | Oid") -> None:
-        if isinstance(parts, Oid):
-            self._parts: tuple[int, ...] = parts._parts
-        elif isinstance(parts, str):
-            if not parts:
-                self._parts = ()
-            else:
-                try:
-                    self._parts = tuple(int(p) for p in parts.strip(".").split("."))
-                except ValueError:
-                    raise ValueError(f"bad OID string {parts!r}") from None
-        else:
-            self._parts = tuple(int(p) for p in parts)
-        if any(p < 0 for p in self._parts):
-            raise ValueError(f"OID components must be non-negative: {self._parts}")
+        self._parts: tuple[int, ...] = (
+            parts._parts if isinstance(parts, Oid) else _checked(parts)
+        )
+
+    @classmethod
+    def _of_key(cls, parts: tuple[int, ...]) -> "Oid":
+        """The OID over a tuple that is known good, skipping the checks.
+
+        Only for parts that passed them already: the sum of two checked
+        tuples in ``__add__``, and a key a :class:`~repro.snmp.mib.MibStore`
+        holds (every key got there through ``Oid`` or the store's own
+        check), minted back into the ``Oid`` of a returned varbind.
+        """
+        out = cls.__new__(cls)
+        out._parts = parts
+        return out
 
     @property
     def parts(self) -> tuple[int, ...]:
         return self._parts
 
     def __add__(self, suffix: "str | Iterable[int] | int | Oid") -> "Oid":
-        # Only the suffix is new: this OID's own parts were validated
-        # when it was built, so the sum skips __init__.
+        # Only the suffix is new: this OID's own parts were checked when
+        # it was built.
         if isinstance(suffix, int):
             if suffix < 0:
                 raise ValueError(f"OID components must be non-negative: {suffix}")
-            tail: tuple[int, ...] = (suffix,)
-        else:
-            tail = (suffix if isinstance(suffix, Oid) else Oid(suffix))._parts
-        out = Oid.__new__(Oid)
-        out._parts = self._parts + tail
-        return out
+            return Oid._of_key(self._parts + (suffix,))
+        tail = suffix._parts if isinstance(suffix, Oid) else _checked(suffix)
+        return Oid._of_key(self._parts + tail)
 
     def starts_with(self, prefix: "Oid") -> bool:
         return self._parts[: len(prefix._parts)] == prefix._parts

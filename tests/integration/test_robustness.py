@@ -98,7 +98,7 @@ class TestNonStandardMibs:
         gw_ip = next(i.ip for i in lan.router.interfaces if i.ip is not None)
         agent = world.agent_for("gw")
         # strip the whole ARP table
-        doomed = [o for o in list(agent.mib._oids) if o.starts_with(O.IP_NET_TO_MEDIA_TABLE)]
+        doomed = [o for o in agent.mib.oids() if o.starts_with(O.IP_NET_TO_MEDIA_TABLE)]
         for o in doomed:
             agent.mib.remove(o)
         coll = SnmpCollector(

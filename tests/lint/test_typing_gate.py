@@ -49,6 +49,10 @@ STRICT_FILES = (
         REPO_ROOT / "src" / "repro" / "service" / "http.py",
         REPO_ROOT / "src" / "repro" / "service" / "wire.py",
         REPO_ROOT / "src" / "repro" / "session.py",
+        REPO_ROOT / "src" / "repro" / "snmp" / "agent.py",
+        REPO_ROOT / "src" / "repro" / "snmp" / "client.py",
+        REPO_ROOT / "src" / "repro" / "snmp" / "mib.py",
+        REPO_ROOT / "src" / "repro" / "snmp" / "oid.py",
     ]
     + sorted((REPO_ROOT / "src" / "repro" / "obs").rglob("*.py"))
 )
@@ -82,6 +86,10 @@ STRICT_MODULES = [
     "repro.service.http",
     "repro.service.wire",
     "repro.session",
+    "repro.snmp.agent",
+    "repro.snmp.client",
+    "repro.snmp.mib",
+    "repro.snmp.oid",
     "repro.obs",
     "repro.obs.catalog",
     "repro.obs.export",

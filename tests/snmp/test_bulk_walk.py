@@ -45,6 +45,39 @@ class TestAgentGetBulk:
         chunk = agent.get_bulk(Oid("1"), 10_000)
         assert 0 < len(chunk) < 10_000
 
+    def test_non_positive_count_answers_nothing_and_costs_a_pdu(self, snmp_dumbbell):
+        d, world, client = snmp_dumbbell
+        agent = world.agent_at("10.1.0.1")
+        served = agent.requests_served
+        assert agent.get_bulk(Oid(O.IP_ROUTE_NEXT_HOP), 0) == []
+        assert agent.get_bulk(Oid(O.IP_ROUTE_NEXT_HOP), -3) == []
+        assert agent.requests_served == served
+        # the request still went out and was answered: one PDU, one RTT
+        t0 = d.net.now
+        assert client.get_bulk("10.1.0.1", O.IP_ROUTE_NEXT_HOP, -3) == []
+        assert client.pdu_count == 1
+        assert d.net.now - t0 == pytest.approx(
+            client.cost.rtt_s + client.cost.per_varbind_s
+        )
+
+    def test_start_past_the_last_oid_answers_nothing(self, snmp_dumbbell):
+        d, world, client = snmp_dumbbell
+        agent = world.agent_at("10.1.0.1")
+        last = agent.mib.oids()[-1]
+        assert agent.get_bulk(last, 5) == []
+        assert agent.get_bulk(last + 1, 5) == []
+        assert agent.get_bulk(Oid("2"), 5) == []
+
+    def test_start_inside_a_table_continues_column_major(self, snmp_dumbbell):
+        d, world, client = snmp_dumbbell
+        agent = world.agent_at("10.1.0.1")
+        # r1 has two interfaces: from ifDescr.1 the rest of the ifDescr
+        # column comes first, then the next column from its first row
+        assert len(d.r1.interfaces) == 2
+        chunk = agent.get_bulk(O.IF_DESCR + 1, 3)
+        assert [oid for oid, _ in chunk] == [O.IF_DESCR + 2, O.IF_TYPE + 1, O.IF_TYPE + 2]
+        assert [v for _, v in chunk] == [d.r1.iface(2).name, 6, 6]
+
 
 class TestBulkWalkEquivalence:
     def test_route_table_identical(self, snmp_dumbbell):

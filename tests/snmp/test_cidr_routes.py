@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.common.units import MBPS
 from repro.collectors.base import TopologyRequest
 from repro.collectors.snmp_collector import SnmpCollector, SnmpCollectorConfig
@@ -122,3 +123,68 @@ class TestOverlappingPrefixes:
         legacy = client.table_column("172.16.0.1", O.IP_ROUTE_NEXT_HOP)
         dests = [s for s in legacy]
         assert len([s for s in dests if s == (10, 0, 0, 0)]) == 1
+
+
+#: a row no agent should serve, by what is wrong with its index (or, in
+#: the legacy table, its mask): (dest octets, mask octets)
+MALFORMED = {
+    "octet over 255": ((10, 300, 0, 0), (255, 255, 0, 0)),
+    "host bits under the mask": ((10, 9, 1, 7), (255, 255, 0, 0)),
+    # read as a /16 by a popcount: 10.7.0.0/16, a route nobody announced
+    "non-contiguous mask": ((10, 7, 0, 0), (255, 0, 255, 0)),
+}
+
+
+class TestMalformedRouteRows:
+    """One bad row on a buggy agent is skipped and counted; the rest of
+    the table still routes (it used to fail the whole site's answer)."""
+
+    def _check(self, d, world, table, n_bad=1):
+        with obs.scoped_registry() as reg:
+            coll = _collector(d, world)
+            resp = coll.topology(TopologyRequest.of(["10.1.0.10", "10.2.0.10"]))
+            entries = coll._route_table("10.1.0.1")
+        assert not resp.unresolved
+        assert resp.graph.has_edge("r1", "r2")
+        # two direct + one via r2, and nothing made of the bad row
+        assert sorted(str(e.prefix) for e in entries) == [
+            "10.1.0.0/24", "10.2.0.0/24", "192.168.0.0/30",
+        ]
+        assert reg.counter("collectors.snmp.malformed_rows", table=table).value == n_bad
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_cidr_row_skipped(self, case):
+        dest, mask = MALFORMED[case]
+        d = build_dumbbell()
+        world = instrument_network(d.net)
+        index = dest + mask + (0,) + (192, 168, 0, 2)
+        mib = world.agent_for("r1").mib
+        mib.put(O.IP_CIDR_ROUTE_IF_INDEX + index, 2)
+        mib.put(O.IP_CIDR_ROUTE_TYPE + index, O.CIDR_TYPE_REMOTE)
+        self._check(d, world, "cidr")
+
+    def test_cidr_wrong_length_counted_too(self):
+        d = build_dumbbell()
+        world = instrument_network(d.net)
+        world.agent_for("r1").mib.put(O.IP_CIDR_ROUTE_IF_INDEX + (10, 9, 0, 0, 255, 255), 2)
+        self._check(d, world, "cidr")
+
+    def _legacy_row(self, dest, mask):
+        d = build_dumbbell()
+        d.r1.supports_cidr_mib = False
+        world = instrument_network(d.net)
+        mib = world.agent_for("r1").mib
+        mib.put(O.IP_ROUTE_NEXT_HOP + dest, "192.168.0.2")
+        mib.put(O.IP_ROUTE_MASK + dest, ".".join(str(b) for b in mask))
+        mib.put(O.IP_ROUTE_IF_INDEX + dest, 2)
+        mib.put(O.IP_ROUTE_TYPE + dest, O.ROUTE_TYPE_INDIRECT)
+        return d, world
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_legacy_row_skipped(self, case):
+        d, world = self._legacy_row(*MALFORMED[case])
+        self._check(d, world, "legacy")
+
+    def test_legacy_index_not_four_long(self):
+        d, world = self._legacy_row((10, 9, 0), (255, 255, 0, 0))
+        self._check(d, world, "legacy")

@@ -1,8 +1,11 @@
 """Tests for MIB stores, device MIBs, agents, and the client."""
 
+import bisect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.common.errors import (
     AgentUnreachableError,
@@ -81,6 +84,154 @@ class TestMibStore:
             seen.append(cur)
         assert seen == sorted(seen)
         assert len(seen) == len({tuple(p) for p in oid_lists})
+
+
+    def test_oids_sorted_and_public(self):
+        s = MibStore()
+        for text in ("1.3.10", "1.3.6.2", "1.3.6", "1.3.6.1"):
+            s.put(Oid(text), text)
+        assert [str(o) for o in s.oids()] == ["1.3.6", "1.3.6.1", "1.3.6.2", "1.3.10"]
+
+    def test_column_suffix_checked_like_oid_add(self):
+        s = MibStore()
+        with pytest.raises(ValueError):
+            Oid("1.3") + (2, -1)
+        with pytest.raises(ValueError):
+            s.put_column(Oid("1.3"), [((1,), "kept"), ((2, -1), "refused"), ((3,), "never")])
+        # the cells before the bad one stay, as after a loop of put()s
+        assert s.oids() == [Oid("1.3.1")]
+
+
+# a small alphabet and short OIDs, so that puts, column cells, removes
+# and probes keep landing on, before, between and after each other
+_parts = st.lists(st.integers(0, 3), min_size=1, max_size=4).map(tuple)
+_suffix = st.lists(st.integers(0, 3), min_size=0, max_size=2).map(tuple)
+_value = st.integers(0, 99) | st.none() | st.text(max_size=3)
+
+
+class MibStoreModel(RuleBasedStateMachine):
+    """``MibStore`` against the obvious store: a list of ``Oid`` kept in
+    ``Oid.__lt__`` order beside a dict keyed by ``Oid``."""
+
+    def __init__(self):
+        super().__init__()
+        self.store = MibStore()
+        self.ref_oids: list[Oid] = []
+        self.ref_values: dict[Oid, object] = {}
+        #: what the read-through providers read, moved by ``turn_dial``
+        self.dial = [0]
+
+    def _ref_put(self, oid, provider):
+        if oid not in self.ref_values:
+            bisect.insort(self.ref_oids, oid)
+        self.ref_values[oid] = provider
+
+    def _ref_read(self, oid):
+        v = self.ref_values[oid]
+        return v() if callable(v) else v
+
+    def _ref_next(self, oid):
+        """GETNEXT on the reference: (oid, value), or None at the end."""
+        for held in self.ref_oids:
+            if oid < held:
+                return held, self._ref_read(held)
+        return None
+
+    def _ref_next_n(self, oid, n):
+        out = []
+        for _ in range(n):
+            step = self._ref_next(oid)
+            if step is None:
+                break
+            out.append(step)
+            oid = step[0]
+        return out
+
+    @rule(parts=_parts, value=_value)
+    def put(self, parts, value):
+        self.store.put(Oid(parts), value)
+        self._ref_put(Oid(parts), value)
+
+    @rule(parts=_parts, offset=st.integers(0, 9))
+    def put_read_through(self, parts, offset):
+        provider = lambda: ("dial", self.dial[0] + offset)  # noqa: E731
+        self.store.put(Oid(parts), provider)
+        self._ref_put(Oid(parts), provider)
+
+    @rule(column=_parts, cells=st.lists(st.tuples(_suffix, _value), max_size=6))
+    def put_column(self, column, cells):
+        self.store.put_column(Oid(column), cells)
+        for suffix, value in cells:
+            self._ref_put(Oid(column) + suffix, value)
+
+    @rule(data=st.data(), value=_value)
+    def replace(self, data, value):
+        if self.ref_oids:
+            oid = data.draw(st.sampled_from(self.ref_oids))
+            self.store.put(oid, value)
+            self._ref_put(oid, value)
+
+    @rule(data=st.data(), parts=_parts)
+    def remove(self, data, parts):
+        # a held OID half the time, otherwise whatever was drawn (mostly absent)
+        oid = Oid(parts)
+        if self.ref_oids and data.draw(st.booleans()):
+            oid = data.draw(st.sampled_from(self.ref_oids))
+        self.store.remove(oid)
+        if oid in self.ref_values:
+            del self.ref_values[oid]
+            self.ref_oids.remove(oid)
+
+    @rule()
+    def turn_dial(self):
+        self.dial[0] += 1
+
+    @invariant()
+    def size_order_and_whole_walk(self):
+        assert len(self.store) == len(self.ref_oids)
+        assert self.store.oids() == self.ref_oids
+        walk = []
+        cur = Oid("")
+        while True:
+            try:
+                cur, value = self.store.get_next(cur)
+            except NoSuchObjectError:
+                break
+            walk.append((cur, value))
+        assert walk == [(o, self._ref_read(o)) for o in self.ref_oids]
+
+    @invariant()
+    def point_reads(self):
+        probes = [Oid(""), Oid("0"), Oid("3.3.3.3.3"), Oid("4")]
+        for oid in self.ref_oids:
+            probes += [oid, oid + 0, Oid(oid.parts[:-1])]
+        for probe in probes:
+            assert (probe in self.store) == (probe in self.ref_values)
+            if probe in self.ref_values:
+                assert self.store.get(probe) == self._ref_read(probe)
+            else:
+                with pytest.raises(NoSuchObjectError):
+                    self.store.get(probe)
+            expected = self._ref_next(probe)
+            if expected is None:
+                with pytest.raises(NoSuchObjectError):
+                    self.store.get_next(probe)
+            else:
+                assert self.store.get_next(probe) == expected
+
+    @invariant()
+    def next_n(self):
+        starts = [Oid(""), Oid("1.2"), Oid("4")] + self.ref_oids[::3]
+        for start in starts:
+            for n in range(41):
+                assert self.store.get_next_n(start, n) == self._ref_next_n(start, n)
+        assert self.store.get_next_n(Oid(""), -1) == []
+
+
+MibStoreModel.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None
+)
+TestMibStoreModel = MibStoreModel.TestCase
 
 
 @pytest.fixture
