@@ -236,10 +236,6 @@ class Collector(ABC):
             )
 
     @abstractmethod
-    def covers(self, ip: IPv4Address) -> bool:
-        """Is this collector responsible for the given address?"""
-
-    @abstractmethod
     def topology(self, request: TopologyRequest) -> TopologyResponse:
         """Answer a topology query."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import UnknownHostError
-from repro.netsim.address import IPv4Address, IPv4Network
+from repro.netsim.address import IPv4Address, IPv4Network, PrefixTable
 from repro.collectors.base import Collector
 from repro.collectors.benchmark_collector import BenchmarkCollector
 
@@ -36,12 +36,9 @@ class CollectorDirectory:
     def __init__(self) -> None:
         self._registrations: list[Registration] = []
         self._benchmarks: dict[str, BenchmarkCollector] = {}
-        #: longest-prefix index: prefix length -> {masked address int ->
-        #: registration}; first registration of a prefix wins, matching
-        #: the historical linear scan's tie-break
-        self._index: dict[int, dict[int, Registration]] = {}
-        #: (prefixlen, netmask int) pairs, most specific first
-        self._masks: list[tuple[int, int]] = []
+        #: every registered prefix -> its registration; the first
+        #: registration of a prefix wins
+        self._table: PrefixTable[Registration] = PrefixTable()
 
     # -- registration -------------------------------------------------------
 
@@ -60,13 +57,7 @@ class CollectorDirectory:
         )
         self._registrations.append(reg)
         for p in reg.prefixes:
-            self._index.setdefault(p.prefixlen, {}).setdefault(
-                p.network_address.value, reg
-            )
-        self._masks = [
-            (plen, (0xFFFFFFFF << (32 - plen)) & 0xFFFFFFFF if plen else 0)
-            for plen in sorted(self._index, reverse=True)
-        ]
+            self._table.insert(p, reg)
         return reg
 
     def register_benchmark(self, bench: BenchmarkCollector) -> None:
@@ -75,18 +66,12 @@ class CollectorDirectory:
     # -- lookup ---------------------------------------------------------------
 
     def lookup(self, ip: IPv4Address | str) -> Registration:
-        """Longest-prefix match over all registrations.
-
-        Indexed: one dict probe per distinct prefix length instead of a
-        scan over every registration, so lookup cost stays flat as the
-        directory grows to thousands of sites.
-        """
-        value = IPv4Address(ip).value
-        for plen, mask in self._masks:
-            reg = self._index[plen].get(value & mask)
-            if reg is not None:
-                return reg
-        raise UnknownHostError(f"no collector covers {IPv4Address(ip)}")
+        """Longest-prefix match over all registrations."""
+        addr = IPv4Address(ip)
+        reg = self._table.match(addr)
+        if reg is None:
+            raise UnknownHostError(f"no collector covers {addr}")
+        return reg
 
     def benchmark_for(self, site: str) -> BenchmarkCollector | None:
         return self._benchmarks.get(site)

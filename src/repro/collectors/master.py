@@ -150,13 +150,6 @@ class MasterCollector(Collector):
         """Overlap width of the fragment fan-out (0 = unbounded)."""
         return self.rpc.max_parallel
 
-    def covers(self, ip: IPv4Address) -> bool:
-        try:
-            self.directory.lookup(ip)
-            return True
-        except UnknownHostError:
-            return False
-
     def topology(self, request: TopologyRequest) -> TopologyResponse:
         """Answer a query (partition / delegate / merge, as a span)."""
         self.check_alive()

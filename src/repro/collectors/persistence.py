@@ -30,7 +30,7 @@ from repro.collectors.snmp_collector import (
     _RouteEntry,
 )
 from repro.modeler.graph import TopoNode
-from repro.netsim.address import IPv4Network
+from repro.netsim.address import IPv4Network, PrefixTable
 
 
 class PersistenceError(RemosError):
@@ -110,14 +110,13 @@ def load_snmp_state(coll: SnmpCollector, text: str) -> None:
                 edges.append(_EdgeRec(a, b, mk, owner, _parse_num(cap), lat))
             paths[(src, dst)] = _PathRec(nodes, edges)
         route_tables = {
-            ip: [
-                _RouteEntry(
-                    IPv4Network(p),
-                    IPv4Address(nh) if nh else None,
-                    int(idx),
-                )
-                for p, nh, idx in entries
-            ]
+            ip: PrefixTable(
+                (e.prefix, e)
+                for e in [
+                    _RouteEntry(IPv4Network(p), IPv4Address(nh) if nh else None, int(idx))
+                    for p, nh, idx in entries
+                ]
+            )
             for ip, entries in doc["route_tables"].items()
         }
         sys_names = dict(doc["sys_names"])

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, cast
 
 from repro.common.errors import UnknownHostError
-from repro.netsim.address import IPv4Address, IPv4Network
+from repro.netsim.address import IPv4Address, IPv4Network, PrefixTable
 from repro.netsim.topology import Network
 from repro.collectors.base import Collector
 from repro.collectors.benchmark_collector import BenchmarkCollector
@@ -173,14 +173,14 @@ class SlpCollectorDirectory:
 
     def lookup(self, ip: IPv4Address | str) -> Registration:
         addr = IPv4Address(ip)
-        best: tuple[int, Registration] | None = None
-        for reg in self.registrations():
-            for p in reg.prefixes:
-                if addr in p and (best is None or p.prefixlen > best[0]):
-                    best = (p.prefixlen, reg)
-        if best is None:
+        # a table per lookup, filed from a fresh SrvRqst: an expired
+        # lease is out of the very next match
+        reg = PrefixTable(
+            (p, r) for r in self.registrations() for p in r.prefixes
+        ).match(addr)
+        if reg is None:
             raise UnknownHostError(f"no collector covers {addr}")
-        return best[1]
+        return reg
 
     def benchmark_for(self, site: str) -> BenchmarkCollector | None:
         for entry in self.da.find(SERVICE_BENCHMARK, self.scope):

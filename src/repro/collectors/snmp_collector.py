@@ -38,7 +38,7 @@ from repro.common.errors import (
     UnknownHostError,
 )
 from repro.common.status import QueryStatus
-from repro.netsim.address import IPv4Address, IPv4Network, MacAddress
+from repro.netsim.address import IPv4Address, IPv4Network, MacAddress, PrefixTable
 from repro.netsim.topology import Network
 from repro.snmp import oid as O
 from repro.snmp.agent import SnmpWorld
@@ -86,12 +86,12 @@ class SnmpCollectorConfig:
     cpu_per_pair_s: float = 2e-6
     history_len: int = 720
 
+    def __post_init__(self) -> None:
+        # built once, not per call: ``gateways`` is configuration
+        self._gateway_table = PrefixTable((pair[0], pair) for pair in self.gateways)
+
     def gateway_for(self, ip: IPv4Address) -> tuple[IPv4Network, IPv4Address] | None:
-        best: tuple[IPv4Network, IPv4Address] | None = None
-        for subnet, gw in self.gateways:
-            if ip in subnet and (best is None or subnet.prefixlen > best[0].prefixlen):
-                best = (subnet, gw)
-        return best
+        return self._gateway_table.match(ip)
 
 
 @dataclass
@@ -146,7 +146,7 @@ class SnmpCollector(Collector):
         self.config = config
         self.bridges = dict(bridge_collectors or {})
         # -- caches ----------------------------------------------------
-        self._route_tables: dict[str, list[_RouteEntry]] = {}
+        self._route_tables: dict[str, PrefixTable[_RouteEntry]] = {}
         self._sys_names: dict[str, str] = {}
         self._if_speeds: dict[tuple[str, int], float] = {}
         self._if_macs: dict[tuple[str, int], MacAddress | None] = {}
@@ -166,9 +166,6 @@ class SnmpCollector(Collector):
     # ------------------------------------------------------------------
     # Collector interface
     # ------------------------------------------------------------------
-
-    def covers(self, ip: IPv4Address) -> bool:
-        return any(ip in d for d in self.config.domains)
 
     def topology(self, request: TopologyRequest) -> TopologyResponse:
         """Answer a topology query (latency recorded as a span)."""
@@ -560,7 +557,7 @@ class SnmpCollector(Collector):
     # Route discovery
     # ------------------------------------------------------------------
 
-    def _route_table(self, router_ip: str) -> list[_RouteEntry]:
+    def _route_table(self, router_ip: str) -> PrefixTable[_RouteEntry]:
         """The router's full table, walked once and cached.
 
         Prefers the RFC 2096 ipCidrRouteTable (its index carries the
@@ -582,8 +579,8 @@ class SnmpCollector(Collector):
             self._unreachable_routers.add(router_ip)
             log.debug("router %s unreachable during route walk", router_ip)
             raise
-        self._route_tables[router_ip] = entries
-        return entries
+        table = self._route_tables[router_ip] = PrefixTable((e.prefix, e) for e in entries)
+        return table
 
     def _walk_cidr_routes(self, router_ip: str) -> list[_RouteEntry]:
         ifidx = self.client.table_column(router_ip, O.IP_CIDR_ROUTE_IF_INDEX)
@@ -633,13 +630,10 @@ class SnmpCollector(Collector):
         return entries
 
     def _lpm(self, router_ip: str, dst: IPv4Address) -> _RouteEntry:
-        best: _RouteEntry | None = None
-        for e in self._route_table(router_ip):
-            if dst in e.prefix and (best is None or e.prefix.prefixlen > best.prefix.prefixlen):
-                best = e
-        if best is None:
+        entry = self._route_table(router_ip).match(dst)
+        if entry is None:
             raise QueryError(f"router {router_ip} has no route to {dst}")
-        return best
+        return entry
 
     def _sys_name(self, agent_ip: str) -> str:
         if agent_ip not in self._sys_names:
@@ -715,23 +709,25 @@ class SnmpCollector(Collector):
     def _discover(
         self, src: IPv4Address, dst: IPv4Address, dst_is_router: bool = False
     ) -> _PathRec:
-        """Hop-by-hop discovery of the src->dst path."""
+        """Hop-by-hop discovery of the src->dst path.
+
+        ``dst`` is a host or, for anchor queries, a router address.  The
+        common case there is the host's own gateway (one L2 leg); other
+        routers are reached by the same hop-by-hop walk, terminating
+        when the next hop *is* the target address.
+        """
         src_loc = self.config.gateway_for(src)
         if src_loc is None:
             raise UnknownHostError(f"{src} is outside this collector's networks")
-        if dst_is_router:
-            return self._discover_to_router(src, dst, src_loc)
-        dst_loc = self.config.gateway_for(dst)
-        if dst_loc is None:
+        if not dst_is_router and self.config.gateway_for(dst) is None:
             raise UnknownHostError(f"{dst} is outside this collector's networks")
 
         nodes: list[TopoNode] = [TopoNode(str(src), HOST, (str(src),))]
         edges: list[_EdgeRec] = []
 
         src_subnet, src_gw = src_loc
-        dst_subnet, dst_gw = dst_loc
 
-        if dst in src_subnet:
+        if not dst_is_router and dst in src_subnet:
             # Same subnet: pure L2 path.
             self._expand_l2(
                 nodes, edges, src_subnet, src_gw,
@@ -753,13 +749,21 @@ class SnmpCollector(Collector):
         )
         nodes.append(TopoNode(gw_name, ROUTER, (gw_ip,)))
 
+        # Where the walk ends: at the router named ``target_name``, or
+        # (None, a host) at the router its subnet is attached to.
+        target_name: str | None = None
+        if dst_is_router:
+            target_name = gw_name if dst == src_gw else self._sys_name(str(dst))
+            if target_name == gw_name:
+                return _PathRec(nodes, edges)
+
         current_ip = gw_ip
         current_name = gw_name
         for _ in range(MAX_L3_HOPS):
             entry = self._lpm(current_ip, dst)
             out_idx = entry.ifindex
             cap = self._if_speed(current_ip, out_idx)
-            if entry.next_hop is None:
+            if entry.next_hop is None and target_name is None:
                 # Directly attached destination subnet: final L2 leg.
                 self._expand_l2(
                     nodes, edges, entry.prefix, IPv4Address(current_ip),
@@ -769,10 +773,12 @@ class SnmpCollector(Collector):
                 )
                 nodes.append(TopoNode(str(dst), HOST, (str(dst),)))
                 return _PathRec(nodes, edges)
-            hop_ip = str(entry.next_hop)
+            hop_ip = str(dst if entry.next_hop is None else entry.next_hop)
             try:
                 hop_name = self._sys_name(hop_ip)
             except SnmpError:
+                if target_name is not None:
+                    raise
                 # Inaccessible router: virtual switch stands in for
                 # everything beyond, as the paper prescribes.
                 vsw = f"vsw:{hop_ip}"
@@ -789,53 +795,10 @@ class SnmpCollector(Collector):
                 _EdgeRec(current_name, hop_name, MonitorKey(current_ip, out_idx),
                          current_name, cap)
             )
-            current_ip, current_name = hop_ip, hop_name
-        raise QueryError(f"routing loop discovering {src} -> {dst}")
-
-    def _discover_to_router(
-        self,
-        src: IPv4Address,
-        router_addr: IPv4Address,
-        src_loc: tuple[IPv4Network, IPv4Address],
-    ) -> _PathRec:
-        """Path from a host to a router address (anchor queries).
-
-        The common case is the host's own gateway (one L2 leg); other
-        routers are reached by the normal hop-by-hop walk terminating
-        when the next hop *is* the target address.
-        """
-        src_subnet, src_gw = src_loc
-        nodes: list[TopoNode] = [TopoNode(str(src), HOST, (str(src),))]
-        edges: list[_EdgeRec] = []
-        gw_ip = str(src_gw)
-        gw_name = self._sys_name(gw_ip)
-        gw_entry_iface = self._iface_on_subnet(gw_ip, src_subnet)
-        self._expand_l2(
-            nodes, edges, src_subnet, src_gw,
-            a_id=str(src), a_mac=self._station_mac(src_subnet, src_gw, src),
-            b_id=gw_name, b_mac=self._if_mac(gw_ip, gw_entry_iface),
-            b_agent=gw_ip, b_ifindex=gw_entry_iface,
-        )
-        nodes.append(TopoNode(gw_name, ROUTER, (gw_ip,)))
-        if router_addr == src_gw or self._sys_name(str(router_addr)) == gw_name:
-            return _PathRec(nodes, edges)
-        current_ip, current_name = gw_ip, gw_name
-        target_name = self._sys_name(str(router_addr))
-        for _ in range(MAX_L3_HOPS):
-            entry = self._lpm(current_ip, router_addr)
-            out_idx = entry.ifindex
-            cap = self._if_speed(current_ip, out_idx)
-            hop_ip = str(router_addr) if entry.next_hop is None else str(entry.next_hop)
-            hop_name = self._sys_name(hop_ip)
-            nodes.append(TopoNode(hop_name, ROUTER, (hop_ip,)))
-            edges.append(
-                _EdgeRec(current_name, hop_name, MonitorKey(current_ip, out_idx),
-                         current_name, cap)
-            )
             if hop_name == target_name:
                 return _PathRec(nodes, edges)
             current_ip, current_name = hop_ip, hop_name
-        raise QueryError(f"routing loop discovering {src} -> router {router_addr}")
+        raise QueryError(f"routing loop discovering {src} -> {dst}")
 
     def _iface_on_subnet(self, router_ip: str, subnet: IPv4Network) -> int:
         """The router's ifIndex on a directly attached subnet."""

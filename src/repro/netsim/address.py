@@ -10,8 +10,11 @@ directly convertible to OID index tuples.)
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import total_ordering
+from typing import Generic, TypeVar
+
+V = TypeVar("V")
 
 
 def _parse_dotted(s: str) -> int:
@@ -201,6 +204,54 @@ class IPv4Network:
 
     def __hash__(self) -> int:
         return hash((self._net, self._prefixlen))
+
+
+class PrefixTable(Generic[V]):
+    """Rows filed under CIDR prefixes, matched by longest prefix.
+
+    The one answer to *which prefix covers this address*: a router's
+    forwarding table, the copy of it the SNMP Collector walks, a
+    collector's host gateways and the Master's directory of who is
+    responsible for what.  Indexed prefix length -> {network int ->
+    row}: a match is one dict probe per distinct prefix length, most
+    specific first, instead of a scan over every row, so its cost stays
+    flat as a directory grows to thousands of sites.  Of rows filed
+    under one prefix the first wins (first registration; route order),
+    as in a linear scan that only a strictly longer prefix displaces.
+    """
+
+    __slots__ = ("_rows", "_by_len", "_levels")
+
+    def __init__(self, rows: Iterable[tuple[IPv4Network, V]] = ()) -> None:
+        self._rows: list[V] = []
+        self._by_len: dict[int, dict[int, V]] = {}
+        #: (netmask int, that length's {network int -> row}), most specific first
+        self._levels: list[tuple[int, dict[int, V]]] = []
+        for prefix, row in rows:
+            self.insert(prefix, row)
+
+    def insert(self, prefix: IPv4Network, row: V) -> None:
+        self._rows.append(row)
+        if prefix._prefixlen not in self._by_len:
+            self._by_len[prefix._prefixlen] = {}
+            self._levels = [
+                (IPv4Network._mask_for(plen), self._by_len[plen])
+                for plen in sorted(self._by_len, reverse=True)
+            ]
+        self._by_len[prefix._prefixlen].setdefault(prefix._net, row)
+
+    def match(self, addr: IPv4Address) -> V | None:
+        """The row of the longest prefix containing ``addr``, or None."""
+        value = addr._value
+        for mask, nets in self._levels:
+            row = nets.get(value & mask)
+            if row is not None:
+                return row
+        return None
+
+    def __iter__(self) -> Iterator[V]:
+        """Every row, shadowed duplicates included, in insertion order."""
+        return iter(self._rows)
 
 
 class MacAddress:

@@ -60,8 +60,6 @@ def repair_link(net: Network, link: Link) -> None:
 
 def _reconverge(net: Network) -> None:
     """Recompute routing tables, spanning trees, and FDBs."""
-    for router in net.routers():
-        router.routes = []
     routing.build_routing_tables(net)
     bridging.run_spanning_tree(net)
     bridging.populate_fdbs(net)

@@ -16,7 +16,7 @@ from itertools import combinations
 import networkx as nx
 
 from repro.common.errors import TopologyError
-from repro.netsim.address import IPv4Address, IPv4Network
+from repro.netsim.address import IPv4Address, IPv4Network, PrefixTable
 from repro.netsim.topology import Host, Interface, Network, Router
 
 
@@ -87,12 +87,12 @@ def build_routing_tables(net: Network) -> None:
     }
 
     for r in routers:
-        r.routes = []
+        r.routes = PrefixTable()
         # Direct routes first (only on interfaces that are up).
         direct: set[IPv4Network] = set()
         for i in r.interfaces:
             if i.network is not None and i.link is not None:
-                r.routes.append((i.network, None, i))
+                r.routes.insert(i.network, (i.network, None, i))
                 direct.add(i.network)
 
         dist, path = nx.single_source_dijkstra(g, r.name)
@@ -114,7 +114,7 @@ def build_routing_tables(net: Network) -> None:
             next_name = hop_path[1]
             via = g.edges[r.name, next_name]["via"][r.name]
             out_iface, next_ip = via
-            r.routes.append((subnet, next_ip, out_iface))
+            r.routes.insert(subnet, (subnet, next_ip, out_iface))
 
     _assign_gateways(net, attach)
 

@@ -23,6 +23,7 @@ from repro.netsim.address import (
     IPv4Network,
     MacAddress,
     MacAllocator,
+    PrefixTable,
 )
 from repro.netsim.engine import Engine
 
@@ -261,8 +262,8 @@ class Router(Node):
 
     def __init__(self, network: "Network", name: str) -> None:
         super().__init__(network, name)
-        #: list of (prefix, next_hop_ip or None for direct, out Interface)
-        self.routes: list[tuple[IPv4Network, IPv4Address | None, Interface]] = []
+        #: rows of (prefix, next_hop_ip or None for direct, out Interface)
+        self.routes: PrefixTable[tuple[IPv4Network, IPv4Address | None, Interface]] = PrefixTable()
         self.snmp_reachable = True
         #: whether the agent implements the RFC 2096 ipCidrRouteTable
         #: (old gear only has the classic ipRouteTable)
@@ -270,12 +271,7 @@ class Router(Node):
 
     def lookup_route(self, dst: IPv4Address) -> tuple[IPv4Network, IPv4Address | None, Interface] | None:
         """Longest-prefix-match forwarding decision for ``dst``."""
-        best = None
-        for entry in self.routes:
-            prefix = entry[0]
-            if dst in prefix and (best is None or prefix.prefixlen > best[0].prefixlen):
-                best = entry
-        return best
+        return self.routes.match(dst)
 
 
 class Switch(Node):

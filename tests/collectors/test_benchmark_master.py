@@ -164,8 +164,9 @@ class TestMasterCollector:
 
     def test_covers(self, wan):
         dep = deploy_wan(wan)
-        assert dep.master.covers(IPv4Address("10.10.0.10"))
-        assert not dep.master.covers(IPv4Address("172.16.0.1"))
+        assert dep.master.directory.lookup(IPv4Address("10.10.0.10")).site == "cmu"
+        with pytest.raises(UnknownHostError):
+            dep.master.directory.lookup(IPv4Address("172.16.0.1"))
 
     def test_unresolved_propagates(self, wan):
         dep = deploy_wan(wan)

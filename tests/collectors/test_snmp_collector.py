@@ -4,12 +4,14 @@ import math
 
 import pytest
 
+from repro.common.errors import UnknownHostError
 from repro.common.units import MBPS
 from repro.netsim.builders import build_dumbbell, build_switched_lan
 from repro.netsim.address import IPv4Address, IPv4Network
 from repro.snmp.agent import instrument_network
 from repro.collectors.base import TopologyRequest
 from repro.collectors.bridge_collector import BridgeCollector
+from repro.collectors.directory import CollectorDirectory
 from repro.collectors.snmp_collector import SnmpCollector, SnmpCollectorConfig
 from repro.modeler.graph import HOST, ROUTER, SWITCH, VSWITCH
 
@@ -92,9 +94,14 @@ class TestRoutedDiscovery:
         assert resp.graph.has_node("10.1.0.10")
 
     def test_covers(self):
+        """Responsibility is the directory's table over the collector's
+        configured domains, not a method of the collector."""
         d, coll = _dumbbell_collector()
-        assert coll.covers(IPv4Address("10.1.0.10"))
-        assert not coll.covers(IPv4Address("172.16.0.1"))
+        directory = CollectorDirectory()
+        directory.register(coll, coll.config.domains, "dumbbell")
+        assert directory.lookup(IPv4Address("10.1.0.10")).collector is coll
+        with pytest.raises(UnknownHostError):
+            directory.lookup(IPv4Address("172.16.0.1"))
 
     def test_unreachable_router_becomes_vswitch(self):
         d = build_dumbbell()
@@ -124,6 +131,52 @@ class TestRoutedDiscovery:
         assert resp.graph.has_node("r1")
         path = resp.graph.path("10.1.0.10", "r1")
         assert path[0] == "10.1.0.10" and path[-1] == "r1"
+
+
+    @pytest.mark.parametrize(
+        "anchor, last_hop_is_direct",
+        [
+            # r3's far side: r2 forwards to r3 by an indirect route, and
+            # the walk ends because that next hop *is* the target
+            ("10.3.0.1", False),
+            # r3's near side, on the r2-r3 transit: r2's route is direct,
+            # which for a router target is one more L3 hop, not an L2 leg
+            ("192.168.1.2", True),
+        ],
+    )
+    def test_anchor_two_routers_past_the_gateway(self, anchor, last_hop_is_direct):
+        from repro.netsim.topology import Network
+
+        net = Network()
+        h1, h3 = net.add_host("h1"), net.add_host("h3")
+        r1, r2, r3 = (net.add_router(n) for n in ("r1", "r2", "r3"))
+        legs = [
+            (net.link(h1, r1, 100 * MBPS), "10.1.0.10", "10.1.0.1", "10.1.0.0/24"),
+            (net.link(r1, r2, 45 * MBPS), "192.168.0.1", "192.168.0.2", "192.168.0.0/30"),
+            (net.link(r2, r3, 10 * MBPS), "192.168.1.1", "192.168.1.2", "192.168.1.0/30"),
+            (net.link(r3, h3, 100 * MBPS), "10.3.0.1", "10.3.0.10", "10.3.0.0/24"),
+        ]
+        for link, a_ip, b_ip, subnet in legs:
+            net.assign_ip(link.a, a_ip, subnet)
+            net.assign_ip(link.b, b_ip, subnet)
+        net.freeze()
+        config = SnmpCollectorConfig(
+            domains=[IPv4Network("10.0.0.0/8"), IPv4Network("192.168.0.0/16")],
+            gateways=[(IPv4Network("10.1.0.0/24"), IPv4Address("10.1.0.1"))],
+        )
+        coll = SnmpCollector("snmp", net, instrument_network(net), h1.ip, config)
+        resp = coll.topology(TopologyRequest.of(["10.1.0.10"], anchor_ip=anchor))
+        assert resp.anchors == {anchor: "r3"} and not resp.unresolved
+        # (the source subnet has no bridge collector: one virtual switch)
+        assert resp.graph.path("10.1.0.10", "r3") == [
+            "10.1.0.10", "vsw:10.1.0.0/24", "r1", "r2", "r3",
+        ]
+        # each L3 hop is polled on the near router's egress interface
+        assert resp.graph.edge("r1", "r2").capacity_bps == 45 * MBPS
+        assert resp.graph.edge("r2", "r3").capacity_bps == 10 * MBPS
+        last = coll._lpm("192.168.0.2", IPv4Address(anchor))
+        assert (last.next_hop is None) == last_hop_is_direct
+        assert len(list(resp.graph.nodes())) == 5
 
 
 class TestLanDiscovery:

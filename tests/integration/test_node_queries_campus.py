@@ -90,7 +90,7 @@ class TestCampus:
         assert len(dep.snmp_collectors) == 1
         coll = dep.snmp_collectors["campus"]
         for s in c.subnets:
-            assert coll.covers(s.hosts[0].ip)
+            assert dep.directory.lookup(s.hosts[0].ip).collector is coll
         # three bridge collectors feed it
         assert len(coll.bridges) == 3
 

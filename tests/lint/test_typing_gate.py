@@ -39,9 +39,11 @@ STRICT_FILES = (
         REPO_ROOT / "src" / "repro" / "modeler" / "maxmin.py",
         REPO_ROOT / "src" / "repro" / "modeler" / "planner.py",
         REPO_ROOT / "src" / "repro" / "modeler" / "simplify.py",
+        REPO_ROOT / "src" / "repro" / "netsim" / "address.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "failures.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "flows.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "paths.py",
+        REPO_ROOT / "src" / "repro" / "netsim" / "routing.py",
         REPO_ROOT / "src" / "repro" / "rps" / "streaming.py",
         REPO_ROOT / "src" / "repro" / "service" / "admission.py",
         REPO_ROOT / "src" / "repro" / "service" / "app.py",
@@ -77,9 +79,11 @@ STRICT_MODULES = [
     "repro.modeler.maxmin",
     "repro.modeler.planner",
     "repro.modeler.simplify",
+    "repro.netsim.address",
     "repro.netsim.failures",
     "repro.netsim.flows",
     "repro.netsim.paths",
+    "repro.netsim.routing",
     "repro.service.admission",
     "repro.service.app",
     "repro.service.client",

@@ -9,6 +9,7 @@ from repro.netsim.address import (
     IPv4Network,
     MacAddress,
     MacAllocator,
+    PrefixTable,
 )
 
 
@@ -110,6 +111,85 @@ class TestIPv4Network:
         n = IPv4Network(str(IPv4Address(base)), plen)
         assert IPv4Address(base) in n
         assert n.num_addresses == 1 << (32 - plen)
+
+
+def _linear_match(rows, addr):
+    """The scan ``Router.lookup_route``, ``SnmpCollector._lpm``,
+    ``SnmpCollectorConfig.gateway_for`` and the SLP directory each
+    spelled for themselves, kept verbatim as the oracle: only a strictly
+    longer prefix displaces the best so far."""
+    best = None
+    for prefix, row in rows:
+        if addr in prefix and (best is None or prefix.prefixlen > best[0].prefixlen):
+            best = (prefix, row)
+    return None if best is None else best[1]
+
+
+_U32 = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def _rows_and_addresses(draw):
+    """Prefixes cut at many lengths out of a few seed addresses, so
+    nesting, overlap and outright duplicates are the common case, and
+    addresses at, next to and far from those seeds."""
+    seeds = draw(st.lists(_U32, min_size=1, max_size=4))
+    plens = st.one_of(st.sampled_from([0, 8, 16, 24, 31, 32]), st.integers(0, 32))
+    cuts = draw(st.lists(st.tuples(st.sampled_from(seeds), plens), max_size=14))
+    rows = [
+        (IPv4Network(IPv4Address(v & IPv4Network._mask_for(plen)), plen), [i])
+        for i, (v, plen) in enumerate(cuts)
+    ]
+    near = st.builds(lambda v, bit: v ^ (1 << bit), st.sampled_from(seeds), st.integers(0, 31))
+    addrs = draw(st.lists(st.one_of(st.sampled_from(seeds), near, _U32), min_size=1, max_size=12))
+    return rows, [IPv4Address(a) for a in addrs]
+
+
+class TestPrefixTable:
+    def test_longest_prefix_wins_whatever_the_order(self):
+        wide, narrow = IPv4Network("10.0.0.0/8"), IPv4Network("10.1.0.0/16")
+        for rows in ([(wide, "w"), (narrow, "n")], [(narrow, "n"), (wide, "w")]):
+            t = PrefixTable(rows)
+            assert t.match(IPv4Address("10.1.2.3")) == "n"
+            assert t.match(IPv4Address("10.2.0.1")) == "w"
+            assert t.match(IPv4Address("11.0.0.1")) is None
+
+    def test_first_row_of_a_duplicated_prefix_wins_and_both_are_kept(self):
+        t = PrefixTable()
+        p = IPv4Network("10.1.0.0/24")
+        t.insert(p, "first")
+        t.insert(IPv4Network("10.0.0.0/8"), "wide")
+        t.insert(p, "second")
+        assert t.match(IPv4Address("10.1.0.9")) == "first"
+        assert list(t) == ["first", "wide", "second"]
+
+    def test_default_route_and_host_route(self):
+        t = PrefixTable(
+            [(IPv4Network("0.0.0.0/0"), "default"), (IPv4Network("10.1.0.7/32"), "host")]
+        )
+        assert t.match(IPv4Address("10.1.0.7")) == "host"
+        assert t.match(IPv4Address("10.1.0.8")) == "default"
+        assert t.match(IPv4Address("255.255.255.255")) == "default"
+
+    def test_empty_table_matches_nothing(self):
+        t = PrefixTable()
+        assert t.match(IPv4Address("10.0.0.1")) is None
+        assert list(t) == []
+
+    @given(_rows_and_addresses())
+    def test_match_is_the_linear_scan(self, case):
+        rows, addrs = case
+        built = PrefixTable(rows)
+        grown = PrefixTable()
+        for prefix, row in rows:
+            grown.insert(prefix, row)
+        for table in (built, grown):
+            # the same row *object*: first of duplicates, None on no cover
+            for a in addrs:
+                assert table.match(a) is _linear_match(rows, a)
+            kept = list(table)
+            assert len(kept) == len(rows)
+            assert all(k is row for k, (_, row) in zip(kept, rows))
 
 
 class TestMacAddress:

@@ -125,6 +125,32 @@ class TestOverlappingPrefixes:
         assert len([s for s in dests if s == (10, 0, 0, 0)]) == 1
 
 
+class TestDuplicatedPrefix:
+    def test_direct_and_indirect_row_for_one_prefix(self):
+        """The CIDR index carries the next hop, so one prefix can hold a
+        direct and an indirect row.  Forwarding takes the first row
+        walked; the interface on the subnet is the first *direct* row —
+        two questions of one table, each with its own tie-break."""
+        d = build_dumbbell()
+        world = instrument_network(d.net)
+        # an indirect 10.1.0.0/24 via 10.0.0.9, walked before r1's own
+        # direct row (next hop 10.1.0.1) because its index sorts lower
+        index = (10, 1, 0, 0, 255, 255, 255, 0, 0, 10, 0, 0, 9)
+        mib = world.agent_for("r1").mib
+        mib.put(O.IP_CIDR_ROUTE_IF_INDEX + index, 2)
+        mib.put(O.IP_CIDR_ROUTE_TYPE + index, O.CIDR_TYPE_REMOTE)
+        coll = _collector(d, world)
+        rows = [(str(e.prefix), e.next_hop, e.ifindex) for e in coll._route_table("10.1.0.1")]
+        assert rows[:2] == [
+            ("10.1.0.0/24", IPv4Address("10.0.0.9"), 2),
+            ("10.1.0.0/24", None, 1),
+        ]
+        assert len(rows) == 4  # every row kept, in walk order
+        won = coll._lpm("10.1.0.1", IPv4Address("10.1.0.10"))
+        assert (won.next_hop, won.ifindex) == (IPv4Address("10.0.0.9"), 2)
+        assert coll._iface_on_subnet("10.1.0.1", IPv4Network("10.1.0.0/24")) == 1
+
+
 #: a row no agent should serve, by what is wrong with its index (or, in
 #: the legacy table, its mask): (dest octets, mask octets)
 MALFORMED = {
