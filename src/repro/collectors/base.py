@@ -15,6 +15,7 @@ out of the same clock as everything else.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -63,7 +64,7 @@ class TopologyRequest:
             raise ValueError("topology request needs at least one node")
 
     @staticmethod
-    def of(ips, anchor_ip: str | None = None) -> "TopologyRequest":
+    def of(ips: Iterable[IPv4Address | str], anchor_ip: str | None = None) -> "TopologyRequest":
         return TopologyRequest(
             tuple(str(IPv4Address(ip)) for ip in ips), anchor_ip=anchor_ip
         )

@@ -29,8 +29,10 @@ station per period) so that moved hosts are re-attached — the wireless
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from itertools import combinations
+from typing import Any
 
 import networkx as nx
 
@@ -92,6 +94,52 @@ class L2Database:
             return nx.shortest_path(self.graph, na, nb)
         except (nx.NodeNotFound, nx.NetworkXNoPath):
             raise TopologyError(f"no L2 path {a} -> {b}") from None
+
+    def to_dict(self) -> dict[str, Any]:
+        """The database as a plain record (what a warm restart saves)."""
+        return {
+            "switch_macs": {n: str(m) for n, m in self.switch_macs.items()},
+            "switch_ips": {n: str(ip) for n, ip in self.switch_ips.items()},
+            "station_attach": {
+                str(mac): [att.switch, att.port] for mac, att in self.station_attach.items()
+            },
+            "segments": {
+                sid: {
+                    "ports": [[sp.switch, sp.port] for sp in seg.switch_ports],
+                    "stations": [str(m) for m in seg.stations],
+                }
+                for sid, seg in self.segments.items()
+            },
+            "edges": [
+                [list(a), list(b), data.get("port")] for a, b, data in self.graph.edges(data=True)
+            ],
+        }
+
+    @classmethod
+    def from_dict(cls, d: Mapping[str, Any]) -> "L2Database":
+        """The database of a record; a malformed one raises KeyError,
+        TypeError or ValueError."""
+        db = cls()
+        db.switch_macs = {n: MacAddress(m) for n, m in d["switch_macs"].items()}
+        db.switch_ips = {n: IPv4Address(ip) for n, ip in d["switch_ips"].items()}
+        db.station_attach = {
+            MacAddress(m): Attachment(sw, int(port))
+            for m, (sw, port) in d["station_attach"].items()
+        }
+        db.segments = {
+            sid: L2Segment(
+                sid,
+                tuple(Attachment(sw, int(p)) for sw, p in seg["ports"]),
+                tuple(MacAddress(m) for m in seg["stations"]),
+            )
+            for sid, seg in d["segments"].items()
+        }
+        for a, b, port in d["edges"]:
+            if port is None:
+                db.graph.add_edge(tuple(a), tuple(b))
+            else:
+                db.graph.add_edge(tuple(a), tuple(b), port=int(port))
+        return db
 
 
 class BridgeCollector:

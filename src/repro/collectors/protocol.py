@@ -56,13 +56,13 @@ def _dec(s: str) -> str:
     return unquote(s)
 
 
-def _num(x: float) -> str:
+def fmt_num(x: float) -> str:
     if math.isinf(x):
         return "inf"
     return repr(float(x))
 
 
-def _parse_num(s: str) -> float:
+def parse_num(s: str) -> float:
     if s == "inf":
         return math.inf
     try:
@@ -90,7 +90,7 @@ def encode_topology(graph: TopologyGraph) -> str:
     for n in record["nodes"]:
         lines.append(f"NODE {_enc(n['id'])} {n['kind']} {','.join(n['ips'])}".rstrip())
     for e in record["edges"]:
-        numbers = " ".join(_num(e[col]) for col in EDGE_NUMBERS)
+        numbers = " ".join(fmt_num(e[col]) for col in EDGE_NUMBERS)
         lines.append(f"EDGE {_enc(e['a'])} {_enc(e['b'])} {numbers}")
     lines.append("END")
     return "\n".join(lines) + "\n"
@@ -116,7 +116,7 @@ def decode_topology(text: str) -> TopologyGraph:
             if len(parts) not in (7, 8):
                 raise ProtocolError(f"bad EDGE line: {ln!r}")
             edge: dict[str, Any] = {"a": _dec(parts[1]), "b": _dec(parts[2])}
-            edge.update(zip(EDGE_NUMBERS, map(_parse_num, parts[3:])))
+            edge.update(zip(EDGE_NUMBERS, map(parse_num, parts[3:])))
             edges.append(edge)
         else:
             raise ProtocolError(f"unknown record {parts[0]!r}")

@@ -48,7 +48,7 @@ import xml.etree.ElementTree as ET
 from typing import Any
 
 from repro.collectors.base import HistoryRequest, HistoryResponse, TopologyRequest
-from repro.collectors.protocol import ProtocolError, _num, _parse_num, graph_of_record
+from repro.collectors.protocol import ProtocolError, fmt_num, parse_num, graph_of_record
 from repro.modeler.graph import EDGE_NUMBERS, TopologyGraph
 
 VERSION = "2"
@@ -94,7 +94,7 @@ def encode_topology_xml(graph: TopologyGraph) -> str:
         for ip in n["ips"]:
             ET.SubElement(node_el, "ip").text = ip
     for e in record["edges"]:
-        numbers = {attr: _num(e[key]) for key, attr in _EDGE_ATTRS.items()}
+        numbers = {attr: fmt_num(e[key]) for key, attr in _EDGE_ATTRS.items()}
         ET.SubElement(topo, "edge", a=e["a"], b=e["b"], **numbers)
     return ET.tostring(root, encoding="unicode")
 
@@ -114,7 +114,7 @@ def decode_topology_xml(text: str) -> TopologyGraph:
             raise ProtocolError("edge missing attributes")
         edge: dict[str, Any] = {"a": attrs["a"], "b": attrs["b"]}
         edge.update(
-            (key, _parse_num(attrs[attr])) for key, attr in _EDGE_ATTRS.items() if attr in attrs
+            (key, parse_num(attrs[attr])) for key, attr in _EDGE_ATTRS.items() if attr in attrs
         )
         edges.append(edge)
     return graph_of_record({"nodes": nodes, "edges": edges})
@@ -194,7 +194,7 @@ def encode_history_xml(resp: HistoryResponse, edge_a: str, edge_b: str) -> str:
     h.set("a", edge_a)
     h.set("b", edge_b)
     for t, bps in zip(record["times"], record["rates_bps"]):
-        ET.SubElement(h, "sample", t=_num(t), bps=_num(bps))
+        ET.SubElement(h, "sample", t=fmt_num(t), bps=fmt_num(bps))
     return ET.tostring(root, encoding="unicode")
 
 
@@ -210,8 +210,8 @@ def decode_history_xml(text: str) -> tuple[HistoryResponse, str, str]:
         t, bps = s.get("t"), s.get("bps")
         if t is None or bps is None:
             raise ProtocolError("bad sample")
-        times.append(_parse_num(t))
-        rates.append(_parse_num(bps))
+        times.append(parse_num(t))
+        rates.append(parse_num(bps))
     try:
         return HistoryResponse.from_dict({"kind": kind, "times": times, "rates_bps": rates}), a, b
     except ValueError as exc:

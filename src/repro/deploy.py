@@ -25,7 +25,7 @@ from repro import obs
 from repro.common.errors import TopologyError
 from repro.netsim.address import IPv4Address, IPv4Network
 from repro.netsim.builders import HubLan, SwitchedLan, WanWorld
-from repro.netsim.topology import Host, Network
+from repro.netsim.topology import Host, Network, Switch
 from repro.snmp.agent import SnmpWorld, instrument_network
 from repro.snmp.client import SnmpCostModel
 from repro.collectors.base import RpcCostModel
@@ -52,12 +52,8 @@ class SiteConfig:
     border_ip: str
     #: host the site's collectors run on
     collector_host: Host
-    #: switch name -> management IP (empty = no bridge collector)
-    switch_ips: dict[str, IPv4Address] = field(default_factory=dict)
-    #: subnet the bridge collector covers (defaults to first domain)
-    bridged_subnet: str | None = None
-    #: additional bridged domains: subnet -> {switch name: management IP}
-    #: (a campus site has one bridge collector per switched subnet)
+    #: bridged subnet -> {switch name: management IP}, one bridge
+    #: collector each (a campus site has one per switched subnet)
     bridge_domains: dict[str, dict[str, IPv4Address]] = field(default_factory=dict)
 
 
@@ -215,14 +211,10 @@ def deploy_remos(
     for site in sites:
         source_ip = site.collector_host.ip
         bridges: dict[IPv4Network, BridgeCollector] = {}
-        domains_to_bridge: dict[str, dict[str, IPv4Address]] = dict(site.bridge_domains)
-        if site.switch_ips:
-            domains_to_bridge.setdefault(
-                site.bridged_subnet or site.domains[0], site.switch_ips
-            )
-        for k, (subnet_s, switch_ips) in enumerate(sorted(domains_to_bridge.items())):
+        numbered = len(site.bridge_domains) > 1
+        for k, (subnet_s, switch_ips) in enumerate(sorted(site.bridge_domains.items())):
             bc = BridgeCollector(
-                f"bridge-{site.name}-{k}" if len(domains_to_bridge) > 1 else f"bridge-{site.name}",
+                f"bridge-{site.name}-{k}" if numbered else f"bridge-{site.name}",
                 net, world, source_ip, switch_ips, community, snmp_cost,
             )
             if bridge_startup:
@@ -275,24 +267,7 @@ def deploy_lan(
     bridge_startup: bool = True,
 ) -> RemosDeployment:
     """Single-site deployment for a bridged LAN (the Fig. 3 setting)."""
-    gw_iface = next(i for i in lan.router.interfaces if i.ip is not None)
-    site = SiteConfig(
-        name="lan",
-        domains=[lan.subnet],
-        gateways=[(lan.subnet, str(gw_iface.ip))],
-        border_ip=str(gw_iface.ip),
-        collector_host=lan.hosts[0],
-        switch_ips=(
-            {sw.name: sw.management_ip for sw in getattr(lan, "switches", [])
-             if sw.management_ip is not None}
-            or ({lan.switch.name: lan.switch.management_ip}
-                if isinstance(lan, HubLan) and lan.switch.management_ip else {})
-        ),
-        bridged_subnet=lan.subnet,
-    )
-    return deploy_remos(
-        lan.net, [site], poll_interval_s, snmp_cost, bridge_startup=bridge_startup
-    )
+    return auto_deploy(lan.net, "lan", poll_interval_s, snmp_cost, bridge_startup)
 
 
 def deploy_wan(
@@ -325,12 +300,7 @@ def deploy_wan(
                 gateways=[(site.subnet, str(lan_gw.ip))],
                 border_ip=str(lan_gw.ip),
                 collector_host=site.hosts[-1],
-                switch_ips=(
-                    {site.switch.name: site.switch.management_ip}
-                    if site.switch.management_ip is not None
-                    else {}
-                ),
-                bridged_subnet=site.subnet,
+                bridge_domains=_one_switch(site.subnet, site.switch),
             )
         )
     return deploy_remos(
@@ -360,12 +330,7 @@ def deploy_wireless(
         gateways=[(wl.subnet, str(gw_iface.ip))],
         border_ip=str(gw_iface.ip),
         collector_host=wl.wired_hosts[0],
-        switch_ips=(
-            {wl.switch.name: wl.switch.management_ip}
-            if wl.switch.management_ip is not None
-            else {}
-        ),
-        bridged_subnet=wl.subnet,
+        bridge_domains=_one_switch(wl.subnet, wl.switch),
     )
     dep = deploy_remos(wl.net, [site], poll_interval_s, snmp_cost)
     wc = WirelessCollector(
@@ -394,25 +359,7 @@ def deploy_campus(
     assigned to monitor a particular network, generally an IP domain
     corresponding to a university or department".
     """
-    domains = [s.subnet for s in campus.subnets]
-    domains += [f"192.168.{100 + i}.0/30" for i in range(len(campus.subnets))]
-    gateways = [(s.subnet, s.gateway_ip) for s in campus.subnets]
-    bridge_domains = {
-        s.subnet: {s.switch.name: s.switch.management_ip}
-        for s in campus.subnets
-        if s.switch.management_ip is not None
-    }
-    site = SiteConfig(
-        name="campus",
-        domains=domains,
-        gateways=gateways,
-        border_ip=campus.subnets[0].gateway_ip,
-        collector_host=campus.subnets[0].hosts[0],
-        bridge_domains=bridge_domains,
-    )
-    return deploy_remos(
-        campus.net, [site], poll_interval_s, snmp_cost, bridge_startup=bridge_startup
-    )
+    return auto_deploy(campus.net, "campus", poll_interval_s, snmp_cost, bridge_startup)
 
 
 def auto_deploy(
@@ -430,8 +377,6 @@ def auto_deploy(
     host.  Useful for topologies loaded from spec files
     (:mod:`repro.netsim.spec`), where no builder record exists.
     """
-    from repro.netsim.topology import Switch
-
     subnets: dict[IPv4Network, IPv4Address] = {}
     for router in sorted(net.routers(), key=lambda r: r.name):
         for iface in router.interfaces:
@@ -468,3 +413,10 @@ def auto_deploy(
 
 def _net_of(subnet: str) -> IPv4Network:
     return IPv4Network(subnet)
+
+
+def _one_switch(subnet: str, switch: Switch) -> dict[str, dict[str, IPv4Address]]:
+    """``bridge_domains`` of a subnet bridged by one switch (none if unmanaged)."""
+    if switch.management_ip is None:
+        return {}
+    return {subnet: {switch.name: switch.management_ip}}

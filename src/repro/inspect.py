@@ -60,8 +60,8 @@ def deployment_stats(dep: RemosDeployment) -> DeploymentStats:
                 queries_served=coll.queries_served,
                 pdu_count=coll.client.pdu_count,
                 timeout_count=coll.client.timeout_count,
-                cached_paths=len(coll._paths),
-                cached_route_tables=len(coll._route_tables),
+                cached_paths=len(coll.discovery.state.paths),
+                cached_route_tables=len(coll.discovery.state.route_tables),
                 monitors=len(coll.monitors),
                 monitors_ready=ready,
                 polls_done=coll.polls_done,

@@ -1,5 +1,7 @@
 """Tests for collector warm-restart persistence."""
 
+import json
+
 import pytest
 
 from repro.common.units import MBPS
@@ -14,7 +16,14 @@ from repro.collectors.persistence import (
 )
 from repro.collectors.snmp_collector import SnmpCollector, SnmpCollectorConfig
 from repro.netsim.address import IPv4Network
-from repro.netsim.builders import build_switched_lan
+from repro.collectors.discovery import DiscoveryState
+from repro.deploy import deploy_campus, deploy_lan, deploy_wan
+from repro.netsim.builders import (
+    build_campus,
+    build_hub_lan,
+    build_random_wan,
+    build_switched_lan,
+)
 from repro.snmp.agent import instrument_network
 
 
@@ -44,6 +53,30 @@ def warm_world():
     ips = [str(h.ip) for h in lan.hosts[:8]]
     coll.topology(TopologyRequest.of(ips))  # warm everything
     return lan, world, bc, bridges, coll, ips
+
+
+def _fresh_bridge(lan, world, name="bc-fresh"):
+    return BridgeCollector(
+        name, lan.net, world, lan.hosts[0].ip,
+        {sw.name: sw.management_ip for sw in lan.switches},
+    )
+
+
+#: one member of a saved document at a time, holding the wrong thing
+MISTYPED = {
+    "snmp": [
+        ("if_macs", {"10.0.0.1|x": None}),
+        ("paths", {"a|b": {"nodes": [["a", "no-such-kind", []]], "edges": []}}),
+        ("route_tables", {"10.0.0.1": [["10.0.0.0/33", None, 1]]}),
+        ("arp", ["10.0.0.0/24"]),
+    ],
+    "bridge": [
+        ("switch_macs", {"sw0": "zz"}),
+        ("station_attach", {"00:00:00:00:00:01": ["sw0", "p"]}),
+        ("edges", [1]),
+        ("segments", {"seg0": {"ports": [["sw0"]], "stations": []}}),
+    ],
+}
 
 
 class TestSnmpPersistence:
@@ -81,21 +114,38 @@ class TestSnmpPersistence:
             load_snmp_state(fresh, '{"kind": "other", "version": 1}')
 
     def test_malformed_state_leaves_the_collector_untouched(self, warm_world):
-        import json
+        """Either loader raises PersistenceError — never KeyError,
+        ValueError or TypeError — on a document with a member missing
+        or mistyped, and the live collector still holds what it held."""
+        lan, world, bc, bridges, coll, ips = warm_world
+        live_sc, live_bc = _fresh_collector(lan, world, bridges), _fresh_bridge(lan, world)
+        for kind, text, load, held in (
+            ("snmp", save_snmp_state(coll),
+             lambda t: load_snmp_state(live_sc, t), lambda: live_sc.discovery.state),
+            ("bridge", save_bridge_state(bc),
+             lambda t: load_bridge_state(live_bc, t), lambda: live_bc.db),
+        ):
+            load(text)
+            before, before_doc = held(), held().to_dict()
+            assert before_doc["paths" if kind == "snmp" else "station_attach"]
+            doc = json.loads(text)
+            broken = [{k: v for k, v in doc.items() if k != gone} for gone in doc]
+            broken += [{**doc, member: value} for member, value in MISTYPED[kind]]
+            broken.append([doc])  # JSON, but not an object
+            assert len(broken) == len(doc) + len(MISTYPED[kind]) + 1
+            for bad in broken:
+                with pytest.raises(PersistenceError):
+                    load(json.dumps(bad))
+                assert held() is before and held().to_dict() == before_doc
 
+    def test_a_document_that_still_lists_unreachable_routers_loads(self, warm_world):
         lan, world, bc, bridges, coll, ips = warm_world
         doc = json.loads(save_snmp_state(coll))
-        live = _fresh_collector(lan, world, bridges)
-        load_snmp_state(live, json.dumps(doc))
-        paths, routes = dict(live._paths), dict(live._route_tables)
-        assert paths
-        del doc["if_macs"]  # a section is missing
-        with pytest.raises(PersistenceError):
-            load_snmp_state(live, json.dumps(doc))
-        doc["if_macs"] = {"10.0.0.1|x": None}  # ... or does not parse
-        with pytest.raises(PersistenceError):
-            load_snmp_state(live, json.dumps(doc))
-        assert live._paths == paths and live._route_tables == routes
+        assert "unreachable" not in doc and doc["version"] == 1
+        doc["unreachable"] = ["10.0.0.1"]  # written before the list was deleted
+        restarted = _fresh_collector(lan, world, bridges)
+        load_snmp_state(restarted, json.dumps(doc))
+        assert save_snmp_state(restarted) == save_snmp_state(coll)
 
     def test_monitors_not_persisted(self, warm_world):
         lan, world, bc, bridges, coll, ips = warm_world
@@ -140,3 +190,73 @@ class TestBridgePersistence:
         )
         load_bridge_state(restarted, save_bridge_state(bc))
         assert restarted.monitor_tick() == 0  # nothing moved
+
+
+# -- the record -----------------------------------------------------------------
+
+
+def _warm_deployments():
+    """(label, deployment, hosts) over worlds with routed, switched,
+    multi-switch and shared-segment parts, each asked one raw topology."""
+    for seed in (3, 11):
+        wan = build_random_wan(4, seed=seed, multi_switch_fraction=0.5)
+        yield f"wan{seed}", deploy_wan(wan), [h for s in wan.sites.values() for h in s.hosts]
+    campus = build_campus(3, 4)
+    yield "campus", deploy_campus(campus), [h for s in campus.subnets for h in s.hosts]
+    hub = build_hub_lan()
+    yield "hub", deploy_lan(hub), hub.hosts
+
+
+@pytest.fixture(scope="module")
+def warm_states():
+    states = []
+    for label, dep, hosts in _warm_deployments():
+        dep.session().topology(hosts, detail="raw")
+        states += [
+            (f"{label}/{site}", coll.discovery.state)
+            for site, coll in sorted(dep.snmp_collectors.items())
+        ]
+    return states
+
+
+class TestDiscoveryRecord:
+    def test_json_round_trip_is_the_identity_on_records(self, warm_states):
+        for label, state in warm_states:
+            doc = state.to_dict()
+            assert doc["paths"] and doc["route_tables"], label
+            again = DiscoveryState.from_dict(json.loads(json.dumps(doc)))
+            assert again.to_dict() == doc, label
+
+    def test_kept_is_a_prefix_of_the_sorted_paths(self, warm_states):
+        for label, state in warm_states:
+            assert state.kept(0.0).to_dict() == DiscoveryState().to_dict(), label
+            assert state.kept(1.0).to_dict() == state.to_dict(), label
+            ordered = sorted(state.paths)
+            for fraction in (0.1, 1 / 3, 0.5, 0.9):
+                kept = state.kept(fraction)
+                n = int(len(ordered) * fraction)
+                assert sorted(kept.paths) == ordered[:n], (label, fraction)
+                # what is kept of the small memos is what the kept paths poll
+                polled = {(e.key.agent_ip, e.key.ifindex) for e in kept.edges() if e.key}
+                assert set(kept.if_speeds) <= polled and set(kept.if_macs) <= polled
+                assert kept.route_tables == state.route_tables
+
+    def test_a_flushed_collector_is_a_fresh_collector(self):
+        """Twin: after ``flush_caches()`` a collector spends the PDUs, the
+        simulated time and returns the graph of one just constructed."""
+        twins = []
+        for flushed in (True, False):
+            lan = build_switched_lan(16, fanout=4)
+            dep = deploy_lan(lan)
+            coll = dep.snmp_collectors["lan"]
+            request = TopologyRequest.of([str(h.ip) for h in lan.hosts[:8]])
+            if flushed:
+                coll.topology(request)
+                coll.flush_caches()
+            lan.net.engine.run_until(10.0)  # the same simulated instant
+            pdus = coll.client.pdu_count
+            resp = coll.topology(request)
+            twins.append(
+                (coll.client.pdu_count - pdus, lan.net.now, resp.graph.to_dict(), resp.status)
+            )
+        assert twins[0] == twins[1]

@@ -174,9 +174,44 @@ class TestRoutedDiscovery:
         # each L3 hop is polled on the near router's egress interface
         assert resp.graph.edge("r1", "r2").capacity_bps == 45 * MBPS
         assert resp.graph.edge("r2", "r3").capacity_bps == 10 * MBPS
-        last = coll._lpm("192.168.0.2", IPv4Address(anchor))
+        last = coll.discovery.lpm("192.168.0.2", IPv4Address(anchor))
         assert (last.next_hop is None) == last_hop_is_direct
         assert len(list(resp.graph.nodes())) == 5
+
+
+class TestGatewayRecovery:
+    def test_a_timed_out_route_walk_is_not_held_against_the_router(self):
+        """The gateway answers its sysName GET and dies before its
+        route table is walked: that query fails.  Once the agent is
+        back the next one is OK — and so is one after flush_caches()
+        and one after a collector crash and restart (the walk used to
+        put the router on a list nothing ever took it off, which failed
+        the site for the life of the process and was saved with it)."""
+        from repro import faults
+        from repro.common.status import QueryStatus
+
+        d, coll = _dumbbell_collector()
+        agent = coll.world.agent_at("10.1.0.1")
+        real_get = agent.get
+
+        def get_then_die(oid):
+            value = real_get(oid)
+            agent.reachable = False
+            return value
+
+        agent.get = get_then_die
+        request = TopologyRequest.of(["10.1.0.10", "10.2.0.10"])
+        assert coll.topology(request).status is QueryStatus.FAILED
+        assert coll.client.timeout_count > 0
+
+        agent.get, agent.reachable = real_get, True
+        resp = coll.topology(request)
+        assert resp.status is QueryStatus.OK and resp.graph.has_edge("r1", "r2")
+        coll.flush_caches()
+        assert coll.topology(request).status is QueryStatus.OK
+        faults.crash_collector(coll, down_s=5.0)
+        d.net.engine.run_until(d.net.now + 6.0)
+        assert coll.topology(request).status is QueryStatus.OK
 
 
 class TestLanDiscovery:
@@ -235,9 +270,9 @@ class TestCaching:
         lan, coll = _lan_collector(16, fanout=4)
         ips = [str(h.ip) for h in lan.hosts[:8]]
         coll.topology(TopologyRequest.of(ips))
-        n_paths = len(coll._paths)
+        n_paths = len(coll.discovery.state.paths)
         coll.flush_caches(keep_fraction=0.5)
-        assert len(coll._paths) == n_paths // 2
+        assert len(coll.discovery.state.paths) == n_paths // 2
 
     def test_same_graph_cold_and_warm(self):
         lan, coll = _lan_collector(16, fanout=4)

@@ -152,7 +152,9 @@ class TestDeploymentShapes:
         w.net.engine.run_until(w.net.now + 120.0)
         dep.stop()
         pending_before = w.net.engine.pending()
+        polls_before = [c.polls_done for c in dep.snmp_collectors.values()]
         w.net.engine.run_until(w.net.now + 600.0)
         # no periodic activity left: probes and polls stopped
         assert all(b._timer is None for b in dep.benchmarks.values())
-        assert all(c._poll_timer is None for c in dep.snmp_collectors.values())
+        assert polls_before == [c.polls_done for c in dep.snmp_collectors.values()]
+        assert all(n > 0 for n in polls_before)

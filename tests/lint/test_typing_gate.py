@@ -25,8 +25,10 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 STRICT_FILES = (
     sorted((REPO_ROOT / "src" / "repro" / "common").rglob("*.py"))
     + [
+        REPO_ROOT / "src" / "repro" / "collectors" / "base.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "benchmark_collector.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "directory.py",
+        REPO_ROOT / "src" / "repro" / "collectors" / "discovery.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "master.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "monitor.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "persistence.py",
@@ -65,8 +67,10 @@ STRICT_MODULES = [
     "repro.common.rng",
     "repro.common.status",
     "repro.common.units",
+    "repro.collectors.base",
     "repro.collectors.benchmark_collector",
     "repro.collectors.directory",
+    "repro.collectors.discovery",
     "repro.collectors.master",
     "repro.collectors.monitor",
     "repro.collectors.persistence",

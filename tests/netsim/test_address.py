@@ -114,7 +114,7 @@ class TestIPv4Network:
 
 
 def _linear_match(rows, addr):
-    """The scan ``Router.lookup_route``, ``SnmpCollector._lpm``,
+    """The scan ``Router.lookup_route``, ``Discovery.lpm``,
     ``SnmpCollectorConfig.gateway_for`` and the SLP directory each
     spelled for themselves, kept verbatim as the oracle: only a strictly
     longer prefix displaces the best so far."""

@@ -60,7 +60,7 @@ class TestLoad:
                 gateways=[("10.5.0.0/24", "10.5.0.1")],
                 border_ip="10.5.0.1",
                 collector_host=net.host("h1"),
-                switch_ips={"sw": net.node("sw").management_ip},
+                bridge_domains={"10.5.0.0/24": {"sw": net.node("sw").management_ip}},
             )],
         )
         ans = dep.session().flow_info(net.host("h1"), net.host("h2"))

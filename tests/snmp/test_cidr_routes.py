@@ -68,14 +68,14 @@ class TestCollectorPreference:
         w1 = instrument_network(d1.net)
         c1 = _collector(d1, w1)
         cidr = {(str(e.prefix), str(e.next_hop), e.ifindex)
-                for e in c1._route_table("10.1.0.1")}
+                for e in c1.discovery.route_table("10.1.0.1")}
 
         d2 = build_dumbbell()
         d2.r1.supports_cidr_mib = False
         w2 = instrument_network(d2.net)
         c2 = _collector(d2, w2)
         legacy = {(str(e.prefix), str(e.next_hop), e.ifindex)
-                  for e in c2._route_table("10.1.0.1")}
+                  for e in c2.discovery.route_table("10.1.0.1")}
         # direct routes differ in next-hop representation (own address
         # vs None is normalised to None in both); compare prefixes/ifaces
         assert {(p, i) for p, _, i in cidr} == {(p, i) for p, _, i in legacy}
@@ -140,15 +140,15 @@ class TestDuplicatedPrefix:
         mib.put(O.IP_CIDR_ROUTE_IF_INDEX + index, 2)
         mib.put(O.IP_CIDR_ROUTE_TYPE + index, O.CIDR_TYPE_REMOTE)
         coll = _collector(d, world)
-        rows = [(str(e.prefix), e.next_hop, e.ifindex) for e in coll._route_table("10.1.0.1")]
+        rows = [(str(e.prefix), e.next_hop, e.ifindex) for e in coll.discovery.route_table("10.1.0.1")]
         assert rows[:2] == [
             ("10.1.0.0/24", IPv4Address("10.0.0.9"), 2),
             ("10.1.0.0/24", None, 1),
         ]
         assert len(rows) == 4  # every row kept, in walk order
-        won = coll._lpm("10.1.0.1", IPv4Address("10.1.0.10"))
+        won = coll.discovery.lpm("10.1.0.1", IPv4Address("10.1.0.10"))
         assert (won.next_hop, won.ifindex) == (IPv4Address("10.0.0.9"), 2)
-        assert coll._iface_on_subnet("10.1.0.1", IPv4Network("10.1.0.0/24")) == 1
+        assert coll.discovery.iface_on_subnet("10.1.0.1", IPv4Network("10.1.0.0/24")) == 1
 
 
 #: a row no agent should serve, by what is wrong with its index (or, in
@@ -169,7 +169,7 @@ class TestMalformedRouteRows:
         with obs.scoped_registry() as reg:
             coll = _collector(d, world)
             resp = coll.topology(TopologyRequest.of(["10.1.0.10", "10.2.0.10"]))
-            entries = coll._route_table("10.1.0.1")
+            entries = coll.discovery.route_table("10.1.0.1")
         assert not resp.unresolved
         assert resp.graph.has_edge("r1", "r2")
         # two direct + one via r2, and nothing made of the bad row
