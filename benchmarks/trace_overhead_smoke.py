@@ -5,19 +5,25 @@ Two guarantees the tracing subsystem makes, checked mechanically:
 1. **Identical answers.**  A run under the default no-op registry and
    a run under a live tracing registry produce byte-identical answers
    (modulo the ``trace_id`` field, which is the point of tracing).
-2. **Bounded overhead.**  Warm-cache query throughput with tracing on
-   is within ``MAX_OVERHEAD`` of the no-op configuration.
+2. **Bounded cost per span.**  What a live registry adds to a warm
+   query, divided by the spans it records for that query, is at most
+   ``MAX_US_PER_SPAN`` microseconds.  An absolute budget fails when
+   tracing gets dearer, not when the untraced query gets faster, which
+   a ratio against the no-op wall time did every time a query got
+   quicker.
 
-The overhead estimate must survive a noisy shared CI host, where
-machine-level drift (frequency scaling, neighbours, allocator state)
-over a few seconds is the same order as the cost being measured.  So
-the measurement is *paired*: each traced batch is divided by a no-op
-batch run immediately next to it, alternating which mode goes first,
-and the reported overhead is the **median** of the paired ratios.
-Pairing cancels slow drift, alternation cancels ordering bias, and the
-median shrugs off the occasional batch that eats a scheduler stall.
-The GC is disabled (and collected) around each pair so collection
-pauses land between measurements, not inside an arbitrary batch.
+The estimate must survive a noisy shared CI host, where machine-level
+drift (frequency scaling, neighbours, allocator state) over a few
+seconds is the same order as the cost being measured.  So the
+measurement is *paired*: each traced batch is set against a no-op batch
+run immediately next to it, alternating which mode goes first, and the
+reported cost is the **median** of the paired differences (traced minus
+no-op, microseconds per query) over the median spans the live registry
+recorded per query.  Pairing cancels slow drift, alternation cancels
+ordering bias, and the median shrugs off the occasional batch that eats
+a scheduler stall.  The GC is disabled (and collected) around each pair
+so collection pauses land between measurements, not inside an arbitrary
+batch.
 
 Run directly (exit 1 on violation)::
 
@@ -38,8 +44,10 @@ from repro.deploy import deploy_lan
 from repro.netsim.builders import build_switched_lan
 from repro.rps.service import RpsPredictionService
 
-#: tracing may cost at most this fraction of no-op wall time
-MAX_OVERHEAD = 0.10
+#: a live registry may add at most this many microseconds of wall time
+#: to a warm query per span it records (4-5 us measured on a 2-core
+#: x86-64 container; the limit leaves room for a slower runner)
+MAX_US_PER_SPAN = 12.0
 #: queries per measured batch / adjacent (no-op, traced) batch pairs
 BATCH = 100
 PAIRS = 24
@@ -99,10 +107,14 @@ def measure_batch(dep, lan) -> float:
     return time.perf_counter() - t0
 
 
-def traced_batch(dep, lan) -> float:
+def traced_batch(dep, lan) -> tuple[float, int]:
+    """Wall time of a batch under a live registry, and the spans it recorded."""
     with obs.scoped_registry() as reg:
         reg.use_sim_clock(lan.net.engine)
-        return measure_batch(dep, lan)
+        elapsed = measure_batch(dep, lan)
+        if len(reg.spans) == reg.spans.maxlen:
+            raise RuntimeError("span ring full: the batch recorded more spans than it holds")
+        return elapsed, len(reg.spans)
 
 
 def check_overhead() -> int:
@@ -110,31 +122,36 @@ def check_overhead() -> int:
     # one throwaway batch per mode to warm code paths
     measure_batch(dep, lan)
     traced_batch(dep, lan)
-    ratios = []
+    plain_us, added_us, spans = [], [], []
     gc.disable()
     try:
         for i in range(PAIRS):
             gc.collect()
             if i % 2 == 0:
                 plain = measure_batch(dep, lan)
-                traced = traced_batch(dep, lan)
+                traced, n_spans = traced_batch(dep, lan)
             else:
-                traced = traced_batch(dep, lan)
+                traced, n_spans = traced_batch(dep, lan)
                 plain = measure_batch(dep, lan)
-            ratios.append(traced / plain)
+            plain_us.append(plain / BATCH * 1e6)
+            added_us.append((traced - plain) / BATCH * 1e6)
+            spans.append(n_spans / BATCH)
     finally:
         gc.enable()
-    overhead = statistics.median(ratios) - 1.0
+    per_query_us = statistics.median(added_us)
+    spans_per_query = statistics.median(spans)
+    per_span_us = per_query_us / spans_per_query
     print(
-        f"tracing overhead {overhead * 100:+.1f}% "
-        f"(limit {MAX_OVERHEAD * 100:.0f}%; median of {PAIRS} paired "
-        f"batches of {BATCH}, spread "
-        f"{min(ratios) - 1:+.1%}..{max(ratios) - 1:+.1%})"
+        f"tracing adds {per_query_us:+.1f} us to a warm query of "
+        f"{statistics.median(plain_us):.0f} us, over "
+        f"{spans_per_query:g} spans: {per_span_us:.2f} us per span "
+        f"(limit {MAX_US_PER_SPAN:g}; median of {PAIRS} paired batches of "
+        f"{BATCH}, spread {min(added_us):+.1f}..{max(added_us):+.1f} us per query)"
     )
-    if overhead > MAX_OVERHEAD:
-        print("FAIL: tracing overhead exceeds the budget")
+    if per_span_us > MAX_US_PER_SPAN:
+        print("FAIL: tracing costs more per span than the budget")
         return 1
-    print("OK: tracing overhead within budget")
+    print("OK: tracing cost per span within budget")
     return 0
 
 

@@ -25,11 +25,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, cast
+from typing import TYPE_CHECKING, Any, NamedTuple, cast
 
 from repro import obs
 from repro.common.errors import QueryError, SnmpError, TopologyError, UnknownHostError
 from repro.netsim.address import IPv4Address, IPv4Network, MacAddress, PrefixTable
+from repro.netsim.address import ipv4_text, netmask_prefixlen
 from repro.snmp import oid as O
 from repro.snmp.client import SnmpClient
 from repro.collectors.bridge_collector import BridgeCollector, L2Database
@@ -44,11 +45,34 @@ if TYPE_CHECKING:  # the collector module imports this one
 MAX_L3_HOPS = 32
 
 
-@dataclass
-class RouteEntry:
-    prefix: IPv4Network
-    next_hop: IPv4Address | None  # None = directly attached
+#: a walked route row as the ints its index decodes to: (network, prefix length, next
+#: hop or None when directly attached, ifIndex) -- a plain tuple the GC stops tracking
+RouteRow = tuple[int, int, int | None, int]
+
+
+class RouteEntry(NamedTuple):
+    """A route row as a reader gets it; addresses are made on request."""
+
+    network: int
+    prefixlen: int
+    hop: int | None
     ifindex: int
+
+    @property
+    def prefix(self) -> IPv4Network:
+        return IPv4Network(IPv4Address(self.network), self.prefixlen)
+
+    @property
+    def next_hop(self) -> IPv4Address | None:
+        return None if self.hop is None else IPv4Address(self.hop)
+
+
+def _route_table(rows: list[RouteRow]) -> PrefixTable[RouteRow]:
+    """The rows filed by their own ints, in walk order."""
+    table: PrefixTable[RouteRow] = PrefixTable()
+    for row in rows:
+        table.file(row[0], row[1], row)
+    return table
 
 
 @dataclass
@@ -88,7 +112,7 @@ class DiscoveryState:
     #: (src, dst) -> path; same-subnet pairs keep only host-to-gateway roots
     paths: dict[tuple[str, str], PathRec] = field(default_factory=dict)
     #: router address -> its full route table, walked once
-    route_tables: dict[str, PrefixTable[RouteEntry]] = field(default_factory=dict)
+    route_tables: dict[str, PrefixTable[RouteRow]] = field(default_factory=dict)
     sys_names: dict[str, str] = field(default_factory=dict)
     if_speeds: dict[tuple[str, int], float] = field(default_factory=dict)
     if_macs: dict[tuple[str, int], MacAddress | None] = field(default_factory=dict)
@@ -145,8 +169,8 @@ class DiscoveryState:
             },
             "route_tables": {
                 ip: [
-                    [str(e.prefix), str(e.next_hop) if e.next_hop else None, e.ifindex]
-                    for e in table
+                    [f"{ipv4_text(net)}/{plen}", None if hop is None else ipv4_text(hop), i]
+                    for net, plen, hop, i in table
                 ]
                 for ip, table in self.route_tables.items()
             },
@@ -181,11 +205,12 @@ class DiscoveryState:
                 ],
             )
         for router_ip, rows in d["route_tables"].items():
-            entries = [
-                RouteEntry(IPv4Network(p), IPv4Address(nh) if nh else None, int(idx))
-                for p, nh, idx in rows
-            ]
-            state.route_tables[router_ip] = PrefixTable((e.prefix, e) for e in entries)
+            parsed: list[RouteRow] = []
+            for p, nh, idx in rows:
+                prefix = IPv4Network(p)
+                hop = IPv4Address(nh).value if nh else None
+                parsed.append((prefix.network_int, prefix.prefixlen, hop, int(idx)))
+            state.route_tables[router_ip] = _route_table(parsed)
         state.sys_names = dict(d["sys_names"])
         state.if_speeds = {_iface_key(k): parse_num(v) for k, v in d["if_speeds"].items()}
         state.if_macs = {
@@ -284,23 +309,23 @@ class Discovery:
 
         src_subnet, src_gw = src_loc
 
+        gw_ip = str(src_gw)
         if not dst_is_router and dst in src_subnet:
             # Same subnet: pure L2 path.
             self._expand_l2(
                 nodes, edges, src_subnet,
-                a_id=str(src), a_mac=self._station_mac(src_subnet, src_gw, src),
-                b_id=str(dst), b_mac=self._station_mac(src_subnet, src_gw, dst),
+                a_id=str(src), a_mac=self._station_mac(src_subnet, gw_ip, src),
+                b_id=str(dst), b_mac=self._station_mac(src_subnet, gw_ip, dst),
             )
             nodes.append(TopoNode(str(dst), HOST, (str(dst),)))
             return PathRec(nodes, edges)
 
         # First hop: src -> its gateway across the source subnet.
-        gw_ip = str(src_gw)
         gw_name = self.sys_name(gw_ip)
         gw_entry_iface = self.iface_on_subnet(gw_ip, src_subnet)
         self._expand_l2(
             nodes, edges, src_subnet,
-            a_id=str(src), a_mac=self._station_mac(src_subnet, src_gw, src),
+            a_id=str(src), a_mac=self._station_mac(src_subnet, gw_ip, src),
             b_id=gw_name, b_mac=self._if_mac(gw_ip, gw_entry_iface),
             b_agent=gw_ip, b_ifindex=gw_entry_iface,
         )
@@ -320,18 +345,18 @@ class Discovery:
             entry = self.lpm(current_ip, dst)
             out_idx = entry.ifindex
             cap = self._if_speed(current_ip, out_idx)
-            if entry.next_hop is None and target_name is None:
+            if entry.hop is None and target_name is None:
                 # Directly attached destination subnet: final L2 leg.
+                subnet = entry.prefix
                 self._expand_l2(
-                    nodes, edges, entry.prefix,
+                    nodes, edges, subnet,
                     a_id=current_name, a_mac=self._if_mac(current_ip, out_idx),
-                    b_id=str(dst),
-                    b_mac=self._station_mac(entry.prefix, IPv4Address(current_ip), dst),
+                    b_id=str(dst), b_mac=self._station_mac(subnet, current_ip, dst),
                     a_agent=current_ip, a_ifindex=out_idx,
                 )
                 nodes.append(TopoNode(str(dst), HOST, (str(dst),)))
                 return PathRec(nodes, edges)
-            hop_ip = str(dst if entry.next_hop is None else entry.next_hop)
+            hop_ip = str(dst) if entry.hop is None else ipv4_text(entry.hop)
             try:
                 hop_name = self.sys_name(hop_ip)
             except SnmpError:
@@ -360,8 +385,12 @@ class Discovery:
     # Route tables
     # ------------------------------------------------------------------
 
-    def route_table(self, router_ip: str) -> PrefixTable[RouteEntry]:
-        """The router's full table, walked once and remembered.
+    def route_table(self, router_ip: str) -> list[RouteEntry]:
+        """The router's full table, in walk order."""
+        return [RouteEntry._make(row) for row in self._routes(router_ip)]
+
+    def _routes(self, router_ip: str) -> PrefixTable[RouteRow]:
+        """The router's rows, walked once and remembered.
 
         Prefers the RFC 2096 ipCidrRouteTable (its index carries the
         mask, so overlapping prefixes survive); falls back to the
@@ -373,67 +402,69 @@ class Discovery:
             obs.counter("collectors.snmp.route_cache", result="hit").inc()
             return tables[router_ip]
         obs.counter("collectors.snmp.route_cache", result="miss").inc()
-        entries = self._walk_cidr_routes(router_ip) or self._walk_legacy_routes(router_ip)
-        table = tables[router_ip] = PrefixTable((e.prefix, e) for e in entries)
+        rows = self._walk_cidr_routes(router_ip) or self._walk_legacy_routes(router_ip)
+        table = tables[router_ip] = _route_table(rows)
         return table
 
-    def _walk_cidr_routes(self, router_ip: str) -> list[RouteEntry]:
+    def _walk_cidr_routes(self, router_ip: str) -> list[RouteRow]:
         ifidx = self.client.table_column(router_ip, O.IP_CIDR_ROUTE_IF_INDEX)
         types = self.client.table_column(router_ip, O.IP_CIDR_ROUTE_TYPE)
-        entries: list[RouteEntry] = []
+        rows: list[RouteRow] = []
         for suffix, idx in ifidx.items():
-            # index = (dest, mask, tos, next hop), four octets each but tos
+            # index = (dest, mask, tos, next hop), four octets each but
+            # tos; bytes() refuses a sub-id over 255
             try:
                 if len(suffix) != 13:
                     raise ValueError(f"ipCidrRouteTable index of {len(suffix)} sub-ids")
-                prefix = IPv4Network.from_netmask(
-                    IPv4Address.from_octets(suffix[0:4]),
-                    IPv4Address.from_octets(suffix[4:8]),
-                )
-                hop = IPv4Address.from_octets(suffix[9:13])
+                dest_mask = int.from_bytes(bytes(suffix[0:8]), "big")
+                dest = dest_mask >> 32
+                prefixlen = netmask_prefixlen(dest, dest_mask & 0xFFFFFFFF)
+                hop = int.from_bytes(bytes(suffix[9:13]), "big")
             except ValueError:
                 # malformed row on a buggy agent: the rest still routes
                 obs.counter("collectors.snmp.malformed_rows", table="cidr").inc()
                 continue
             local = types.get(suffix) == O.CIDR_TYPE_LOCAL
-            entries.append(RouteEntry(prefix, None if local else hop, int(cast(int, idx))))
-        return entries
+            rows.append((dest, prefixlen, None if local else hop, int(cast(int, idx))))
+        return rows
 
-    def _walk_legacy_routes(self, router_ip: str) -> list[RouteEntry]:
+    def _walk_legacy_routes(self, router_ip: str) -> list[RouteRow]:
         hops = self.client.table_column(router_ip, O.IP_ROUTE_NEXT_HOP)
         masks = self.client.table_column(router_ip, O.IP_ROUTE_MASK)
         ifidx = self.client.table_column(router_ip, O.IP_ROUTE_IF_INDEX)
         types = self.client.table_column(router_ip, O.IP_ROUTE_TYPE)
-        entries: list[RouteEntry] = []
+        rows: list[RouteRow] = []
         for suffix, hop in hops.items():
             mask = masks.get(suffix)
             idx = ifidx.get(suffix)
             if mask is None or idx is None:
                 continue
             try:
+                if len(suffix) != 4:
+                    raise ValueError(f"ipRouteTable index of {len(suffix)} sub-ids")
+                dest = int.from_bytes(bytes(suffix), "big")
                 # addresses come as text or as addresses, agent by agent
-                prefix = IPv4Network.from_netmask(
-                    IPv4Address.from_octets(suffix), IPv4Address(cast(str, mask))
-                )
+                prefixlen = netmask_prefixlen(dest, IPv4Address(cast(str, mask)).value)
                 direct = types.get(suffix) == O.ROUTE_TYPE_DIRECT
-                next_hop = None if direct else IPv4Address(cast(str, hop))
+                next_hop = None if direct else IPv4Address(cast(str, hop)).value
             except ValueError:
                 obs.counter("collectors.snmp.malformed_rows", table="legacy").inc()
                 continue
-            entries.append(RouteEntry(prefix, next_hop, int(cast(int, idx))))
-        return entries
+            rows.append((dest, prefixlen, next_hop, int(cast(int, idx))))
+        return rows
 
     def lpm(self, router_ip: str, dst: IPv4Address) -> RouteEntry:
-        entry = self.route_table(router_ip).match(dst)
-        if entry is None:
+        row = self._routes(router_ip).match(dst)
+        if row is None:
             raise QueryError(f"router {router_ip} has no route to {dst}")
-        return entry
+        return RouteEntry._make(row)
 
     def iface_on_subnet(self, router_ip: str, subnet: IPv4Network) -> int:
         """The router's ifIndex on a directly attached subnet."""
-        for e in self.route_table(router_ip):
-            if e.next_hop is None and e.prefix == subnet:
-                return e.ifindex
+        network, prefixlen = subnet.network_int, subnet.prefixlen
+        for net, plen, hop, ifindex in self._routes(router_ip):
+            if hop is None and net == network and plen == prefixlen:
+                return ifindex
         raise QueryError(f"router {router_ip} not attached to {subnet}")
 
     # ------------------------------------------------------------------
@@ -464,7 +495,7 @@ class Discovery:
         return macs[key]
 
     def _station_mac(
-        self, subnet: IPv4Network, gateway_ip: IPv4Address, ip: IPv4Address
+        self, subnet: IPv4Network, gateway_ip: str, ip: IPv4Address
     ) -> MacAddress | None:
         """One host's MAC from the gateway's ARP row (exact GET, kept).
 
@@ -476,10 +507,9 @@ class Discovery:
         key = str(ip)
         if key not in cache:
             try:
-                ifindex = self.iface_on_subnet(str(gateway_ip), subnet)
+                ifindex = self.iface_on_subnet(gateway_ip, subnet)
                 mac_str = self.client.get(
-                    str(gateway_ip),
-                    O.IP_NET_TO_MEDIA_PHYS_ADDRESS + (ifindex,) + ip.octets(),
+                    gateway_ip, O.IP_NET_TO_MEDIA_PHYS_ADDRESS + (ifindex,) + ip.octets()
                 )
                 cache[key] = MacAddress(str(mac_str))
             except (SnmpError, ValueError, QueryError):

@@ -18,9 +18,9 @@ response time is measured the same way the paper measures it.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, cast
 
 from repro import obs
 from repro.common.errors import (
@@ -33,6 +33,7 @@ from repro.common.errors import (
 )
 from repro.common.status import QueryStatus
 from repro.netsim.address import IPv4Address, IPv4Network, PrefixTable
+from repro.netsim.engine import Timer
 from repro.netsim.topology import Network
 from repro.snmp import oid as O
 from repro.snmp.agent import SnmpWorld
@@ -100,10 +101,10 @@ class SnmpCollector(Collector):
         self.discovery = Discovery(self.client, config, self.bridges)
         # -- monitoring ---------------------------------------------------
         self.monitors: dict[MonitorKey, LinkMonitor] = {}
-        self._poll_timer = None
+        self._poll_timer: Timer | None = None
         self.polls_done = 0
         #: callbacks run after every polling sweep (streaming predictors)
-        self.post_poll_hooks: list = []
+        self.post_poll_hooks: list[Callable[[], None]] = []
         #: attached StreamingPredictionManager, if any (it lives above
         #: this layer, in repro.rps, so its type is not named here)
         self.streaming: Any = None
@@ -231,15 +232,13 @@ class SnmpCollector(Collector):
                     )
                 )
         # a host that failed one pair may have resolved through another
-        unresolved = tuple(
-            ip for ip in dict.fromkeys(unresolved) if not graph.has_node(ip)
-        )
+        missing = tuple(ip for ip in dict.fromkeys(unresolved) if not graph.has_node(ip))
         return TopologyResponse(
             graph=graph,
-            unresolved=unresolved,
+            unresolved=missing,
             pdu_cost=self.client.pdu_count - pdus_before,
             anchors=anchors,
-            status=self._status_of(request, unresolved, data_age_s),
+            status=self._status_of(request, missing, data_age_s),
             data_age_s=data_age_s,
         )
 
@@ -384,9 +383,10 @@ class SnmpCollector(Collector):
         self.check_alive()
         if self.streaming is None:
             return None
-        return self.streaming.forecast_edge(request, horizon)
+        forecast: ForecastSeries | None = self.streaming.forecast_edge(request, horizon)
+        return forecast
 
-    def _sample_monitors(self, keys) -> None:
+    def _sample_monitors(self, keys: Iterable[MonitorKey]) -> None:
         """Sample the given monitors, one multi-varbind GET per agent.
 
         All links behind one agent coalesce into a single PDU per
@@ -419,7 +419,7 @@ class SnmpCollector(Collector):
                 continue
             now = self.net.now
             for k, inb, outb in zip(group, values[0::2], values[1::2]):
-                self.monitors[k].record(now, float(inb), float(outb))
+                self.monitors[k].record(now, float(cast(float, inb)), float(cast(float, outb)))
 
     def _bootstrap_monitors(self, keys: set[MonitorKey]) -> None:
         """Cold links need two samples before they can report a rate."""

@@ -5,29 +5,60 @@ table longest-prefix match, SNMP OID suffix encoding, and the network
 partitioning the Master Collector performs.  (We do not use the stdlib
 ``ipaddress`` module: these objects are created in bulk during topology
 construction and route discovery, and need to be cheap, hashable, and
-directly convertible to OID index tuples.)
+directly convertible to OID index tuples.)  Where an address is
+already an int — a route row, an index read back — the module-level
+functions spell and check it without making an object.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from functools import total_ordering
 from typing import Generic, TypeVar
 
 V = TypeVar("V")
 
+#: every spelling of an octet a dotted part may take (1-3 ASCII digits, "010" is 10):
+#: one probe checks and converts, where int() also takes signs, blanks and "1_0"
+_OCTET = {f"{i:0{width}d}": i for width in (1, 2, 3) for i in range(min(256, 10**width))}
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
 
 def _parse_dotted(s: str) -> int:
     parts = s.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"bad IPv4 address {s!r}")
-    value = 0
-    for p in parts:
-        b = int(p)
-        if not 0 <= b <= 255:
-            raise ValueError(f"bad IPv4 octet {p!r} in {s!r}")
-        value = (value << 8) | b
-    return value
+    if len(parts) == 4:
+        a, b, c, d = parts
+        try:
+            return (_OCTET[a] << 24) | (_OCTET[b] << 16) | (_OCTET[c] << 8) | _OCTET[d]
+        except KeyError:
+            pass
+    raise ValueError(f"bad IPv4 address {s!r}")
+
+
+def ipv4_text(value: int) -> str:
+    """The dotted quad of an address held as its int."""
+    return f"{value >> 24}.{value >> 16 & 255}.{value >> 8 & 255}.{value & 255}"
+
+
+def ipv4_octets(value: int) -> tuple[int, int, int, int]:
+    """The four octets of an address held as its int, most significant
+    first (the SNMP row index)."""
+    return (value >> 24, value >> 16 & 255, value >> 8 & 255, value & 255)
+
+
+def netmask_prefixlen(address: int, netmask: int) -> int:
+    """The prefix length of a route written as base address and
+    netmask, both as ints.
+
+    ValueError for a mask whose one-bits are not contiguous from the
+    top (``255.0.255.0``) and for host bits set under it.
+    """
+    hostmask = netmask ^ 0xFFFFFFFF
+    if hostmask & (hostmask + 1):
+        raise ValueError(f"netmask {ipv4_text(netmask)} is not contiguous")
+    if address & hostmask:
+        raise ValueError(f"{ipv4_text(address)} has host bits set under {ipv4_text(netmask)}")
+    return 32 - hostmask.bit_length()
 
 
 @total_ordering
@@ -57,28 +88,17 @@ class IPv4Address:
         else:
             raise TypeError(f"cannot make IPv4Address from {type(addr).__name__}")
 
-    @classmethod
-    def from_octets(cls, octets: Sequence[int]) -> "IPv4Address":
-        """The address spelled as four octets, most significant first
-        (an SNMP row index read back); anything else is a ValueError."""
-        if len(octets) == 4:
-            a, b, c, d = octets
-            if 0 <= a <= 255 and 0 <= b <= 255 and 0 <= c <= 255 and 0 <= d <= 255:
-                return cls((a << 24) | (b << 16) | (c << 8) | d)
-        raise ValueError(f"bad IPv4 octets {tuple(octets)!r}")
-
     @property
     def value(self) -> int:
         return self._value
 
     def octets(self) -> tuple[int, int, int, int]:
         """The four octets, most significant first (the SNMP row index)."""
-        v = self._value
-        return ((v >> 24) & 0xFF, (v >> 16) & 0xFF, (v >> 8) & 0xFF, v & 0xFF)
+        return ipv4_octets(self._value)
 
     def __str__(self) -> str:
         if self._str is None:
-            self._str = ".".join(str(o) for o in self.octets())
+            self._str = ipv4_text(self._value)
         return self._str
 
     def __repr__(self) -> str:
@@ -122,6 +142,8 @@ class IPv4Network:
             if isinstance(spec, IPv4Address) or "/" not in spec:
                 raise ValueError(f"network needs a /prefixlen: {spec!r}")
             addr, plen_s = spec.split("/", 1)
+            if not (plen_s.isascii() and plen_s.isdigit()):
+                raise ValueError(f"bad prefix length {plen_s!r}")
             prefixlen = int(plen_s)
         if not 0 <= prefixlen <= 32:
             raise ValueError(f"bad prefix length {prefixlen}")
@@ -132,34 +154,22 @@ class IPv4Network:
         self._net = base
         self._prefixlen = prefixlen
 
-    @classmethod
-    def from_netmask(cls, address: IPv4Address, netmask: IPv4Address) -> "IPv4Network":
-        """The prefix written as base address and dotted netmask.
-
-        ValueError for a mask whose one-bits are not contiguous from
-        the top (``255.0.255.0``) and, as in the constructor, for host
-        bits set under it.
-        """
-        hostmask = netmask.value ^ 0xFFFFFFFF
-        if hostmask & (hostmask + 1):
-            raise ValueError(f"netmask {netmask} is not contiguous")
-        return cls(address, 32 - hostmask.bit_length())
-
     @staticmethod
     def _mask_for(prefixlen: int) -> int:
         return (0xFFFFFFFF << (32 - prefixlen)) & 0xFFFFFFFF if prefixlen else 0
 
     @property
-    def network_address(self) -> IPv4Address:
-        return IPv4Address(self._net)
+    def network_int(self) -> int:
+        """The network address as its int."""
+        return self._net
+
+    @property
+    def netmask_int(self) -> int:
+        return self._mask_for(self._prefixlen)
 
     @property
     def prefixlen(self) -> int:
         return self._prefixlen
-
-    @property
-    def netmask(self) -> IPv4Address:
-        return IPv4Address(self._mask_for(self._prefixlen))
 
     @property
     def num_addresses(self) -> int:
@@ -187,7 +197,7 @@ class IPv4Network:
         return (longer._net & IPv4Network._mask_for(shorter._prefixlen)) == shorter._net
 
     def __str__(self) -> str:
-        return f"{IPv4Address(self._net)}/{self._prefixlen}"
+        return f"{ipv4_text(self._net)}/{self._prefixlen}"
 
     def __repr__(self) -> str:
         return f"IPv4Network({str(self)!r})"
@@ -231,14 +241,20 @@ class PrefixTable(Generic[V]):
             self.insert(prefix, row)
 
     def insert(self, prefix: IPv4Network, row: V) -> None:
+        self.file(prefix._net, prefix._prefixlen, row)
+
+    def file(self, network: int, prefixlen: int, row: V) -> None:
+        """:meth:`insert` for a prefix held as its ints, already checked
+        (a length in 0-32, no host bits set)."""
         self._rows.append(row)
-        if prefix._prefixlen not in self._by_len:
-            self._by_len[prefix._prefixlen] = {}
+        nets = self._by_len.get(prefixlen)
+        if nets is None:
+            nets = self._by_len[prefixlen] = {}
             self._levels = [
                 (IPv4Network._mask_for(plen), self._by_len[plen])
                 for plen in sorted(self._by_len, reverse=True)
             ]
-        self._by_len[prefix._prefixlen].setdefault(prefix._net, row)
+        nets.setdefault(network, row)
 
     def match(self, addr: IPv4Address) -> V | None:
         """The row of the longest prefix containing ``addr``, or None."""
@@ -272,6 +288,9 @@ class MacAddress:
                 raise ValueError(f"bad MAC {value!r}")
             v = 0
             for p in parts:
+                # 1-2 hex digits: int(p, 16) alone takes "-1", "0x1", "1_0", ...
+                if not (0 < len(p) <= 2 and _HEX_DIGITS.issuperset(p)):
+                    raise ValueError(f"bad MAC {value!r}")
                 v = (v << 8) | int(p, 16)
             self._value = v
         else:
@@ -282,10 +301,10 @@ class MacAddress:
         return self._value
 
     def octets(self) -> tuple[int, ...]:
-        return tuple((self._value >> (8 * i)) & 0xFF for i in range(5, -1, -1))
+        return tuple(self._value.to_bytes(6, "big"))
 
     def __str__(self) -> str:
-        return ":".join(f"{o:02x}" for o in self.octets())
+        return self._value.to_bytes(6, "big").hex(":")
 
     def __repr__(self) -> str:
         return f"MacAddress({str(self)!r})"

@@ -16,7 +16,7 @@ original (Lowekamp et al., SIGCOMM 2001) algorithm.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 
 import networkx as nx
 
@@ -126,12 +126,11 @@ def run_spanning_tree(net: Network) -> list[Segment]:
                 _block_link(ln, blocked)
                 continue
             g.add_edge(pa, pb, link=ln)
-        # Break remaining cycles: highest-id edges go first.
-        while True:
-            try:
-                cycle = nx.find_cycle(g)
-            except nx.NetworkXNoCycle:
-                break
+        # Break remaining cycles: highest-id edges go first.  A segment
+        # is connected, and stays so as edges on a cycle go, so it has a
+        # cycle left exactly while it has as many edges as nodes.
+        while g.number_of_edges() >= g.number_of_nodes():
+            cycle = nx.find_cycle(g)
             worst = max(cycle, key=lambda e: _edge_sort_key(g.edges[e]["link"]))
             ln = g.edges[worst]["link"]
             _block_link(ln, blocked)
@@ -157,8 +156,8 @@ def _block_link(ln: Link, blocked: set[int]) -> None:
     blocked.add(id(ln))
 
 
-def _edge_sort_key(ln: Link) -> tuple:
-    def bid(iface: Interface) -> tuple:
+def _edge_sort_key(ln: Link) -> tuple[tuple[int, int], ...]:
+    def bid(iface: Interface) -> tuple[int, int]:
         dev = iface.device
         if isinstance(dev, Switch):
             return dev.bridge_id

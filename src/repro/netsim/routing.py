@@ -73,12 +73,13 @@ def build_routing_tables(net: Network) -> None:
         g.add_node(r.name)
 
     # All destinations a route must exist for: every subnet seen on any
-    # interface (router or host).
-    all_subnets: set[IPv4Network] = set(attach)
+    # interface (router or host), in the order routes are installed.
+    subnet_set: set[IPv4Network] = set(attach)
     for node in net.nodes.values():
         for i in node.interfaces:
             if i.network is not None:
-                all_subnets.add(i.network)
+                subnet_set.add(i.network)
+    all_subnets = sorted(subnet_set)
 
     # Subnet -> routers directly attached, for nearest-attachment search.
     attached_routers: dict[IPv4Network, list[Router]] = {
@@ -96,7 +97,7 @@ def build_routing_tables(net: Network) -> None:
                 direct.add(i.network)
 
         dist, path = nx.single_source_dijkstra(g, r.name)
-        for subnet in sorted(all_subnets):
+        for subnet in all_subnets:
             if subnet in direct:
                 continue
             targets = attached_routers.get(subnet, [])

@@ -99,15 +99,22 @@ class SnmpWorld:
     def __init__(self, net: Network) -> None:
         self.net = net
         self._by_ip: dict[IPv4Address, SnmpAgent] = {}
+        #: the same agents by canonical dotted quad: collectors address
+        #: PDUs by the text they read, and it needs no parse to find
+        self._by_text: dict[str, SnmpAgent] = {}
         self._by_device: dict[str, SnmpAgent] = {}
 
     def register(self, agent: SnmpAgent, ips: list[IPv4Address]) -> None:
         for ip in ips:
-            self._by_ip[IPv4Address(ip)] = agent
+            addr = IPv4Address(ip)
+            self._by_ip[addr] = agent
+            self._by_text[str(addr)] = agent
         self._by_device[agent.device.name] = agent
 
     def agent_at(self, ip: IPv4Address | str) -> SnmpAgent | None:
-        return self._by_ip.get(IPv4Address(ip))
+        agent = self._by_text.get(ip) if isinstance(ip, str) else None
+        # else an address, or text not canonical ("010.0.0.1") or not an address (raises)
+        return agent or self._by_ip.get(IPv4Address(ip))
 
     def agent_for(self, device_name: str) -> SnmpAgent | None:
         return self._by_device.get(device_name)

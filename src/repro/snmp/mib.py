@@ -18,7 +18,7 @@ import bisect
 from collections.abc import Iterable, Sequence
 
 from repro.common.errors import NoSuchObjectError
-from repro.netsim.address import IPv4Network, MacAddress
+from repro.netsim.address import IPv4Network, MacAddress, ipv4_octets, ipv4_text
 from repro.netsim.bridging import SELF_PORT
 from repro.netsim.topology import Host, Interface, Network, Node, Router, Switch
 from repro.netsim.wireless import Basestation
@@ -249,21 +249,23 @@ def build_router_mib(
     routes: list[_Row] = []
     cidr_routes: list[_Row] = []
     for prefix, next_hop, out_iface in router.routes:
-        dest, mask = prefix.network_address, prefix.netmask
+        # the prefix's own ints: a route row mints no address to spell them
+        dest, mask = prefix.network_int, prefix.netmask_int
+        dest_octets = ipv4_octets(dest)
         direct = next_hop is None
         # Direct route: next hop is the router's own interface address.
         hop = out_iface.ip if direct else next_hop
         hop_text = str(hop) if hop is not None else "0.0.0.0"
         route_type = O.ROUTE_TYPE_DIRECT if direct else O.ROUTE_TYPE_INDIRECT
         routes.append(
-            (dest.octets(), (str(dest), out_iface.index, str(mask), hop_text, route_type))
+            (dest_octets, (ipv4_text(dest), out_iface.index, ipv4_text(mask), hop_text, route_type))
         )
         if router.supports_cidr_mib:
             # RFC 2096 row: index = (dest, mask, tos=0, next hop)
             hop_octets = hop.octets() if hop is not None else (0, 0, 0, 0)
             cidr_type = O.CIDR_TYPE_LOCAL if direct else O.CIDR_TYPE_REMOTE
             cidr_routes.append(
-                (dest.octets() + mask.octets() + (0,) + hop_octets, (out_iface.index, cidr_type))
+                (dest_octets + ipv4_octets(mask) + (0,) + hop_octets, (out_iface.index, cidr_type))
             )
     _put_rows(store, _ROUTE_COLUMNS, routes)
     _put_rows(store, _CIDR_ROUTE_COLUMNS, cidr_routes)

@@ -36,12 +36,14 @@ STRICT_FILES = (
         REPO_ROOT / "src" / "repro" / "collectors" / "protocol_xml.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "sharding.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "slp.py",
+        REPO_ROOT / "src" / "repro" / "collectors" / "snmp_collector.py",
         REPO_ROOT / "src" / "repro" / "faults.py",
         REPO_ROOT / "src" / "repro" / "modeler" / "graph.py",
         REPO_ROOT / "src" / "repro" / "modeler" / "maxmin.py",
         REPO_ROOT / "src" / "repro" / "modeler" / "planner.py",
         REPO_ROOT / "src" / "repro" / "modeler" / "simplify.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "address.py",
+        REPO_ROOT / "src" / "repro" / "netsim" / "bridging.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "failures.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "flows.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "paths.py",
@@ -78,12 +80,14 @@ STRICT_MODULES = [
     "repro.collectors.protocol_xml",
     "repro.collectors.sharding",
     "repro.collectors.slp",
+    "repro.collectors.snmp_collector",
     "repro.faults",
     "repro.modeler.graph",
     "repro.modeler.maxmin",
     "repro.modeler.planner",
     "repro.modeler.simplify",
     "repro.netsim.address",
+    "repro.netsim.bridging",
     "repro.netsim.failures",
     "repro.netsim.flows",
     "repro.netsim.paths",

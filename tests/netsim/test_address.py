@@ -1,5 +1,7 @@
 """Unit and property tests for IPv4/MAC addressing."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +12,9 @@ from repro.netsim.address import (
     MacAddress,
     MacAllocator,
     PrefixTable,
+    ipv4_octets,
+    ipv4_text,
+    netmask_prefixlen,
 )
 
 
@@ -91,8 +96,8 @@ class TestIPv4Network:
             n.host(256)
 
     def test_netmask(self):
-        assert str(IPv4Network("10.0.0.0/24").netmask) == "255.255.255.0"
-        assert str(IPv4Network("0.0.0.0/0").netmask) == "0.0.0.0"
+        assert ipv4_text(IPv4Network("10.0.0.0/24").netmask_int) == "255.255.255.0"
+        assert ipv4_text(IPv4Network("0.0.0.0/0").netmask_int) == "0.0.0.0"
 
     def test_overlaps(self):
         a = IPv4Network("10.0.0.0/16")
@@ -180,10 +185,11 @@ class TestPrefixTable:
     def test_match_is_the_linear_scan(self, case):
         rows, addrs = case
         built = PrefixTable(rows)
-        grown = PrefixTable()
+        grown, filed = PrefixTable(), PrefixTable()
         for prefix, row in rows:
             grown.insert(prefix, row)
-        for table in (built, grown):
+            filed.file(prefix.network_int, prefix.prefixlen, row)
+        for table in (built, grown, filed):
             # the same row *object*: first of duplicates, None on no cover
             for a in addrs:
                 assert table.match(a) is _linear_match(rows, a)
@@ -215,3 +221,104 @@ class TestMacAddress:
             MacAddress("00:11:22:33:44")
         with pytest.raises(TypeError):
             MacAddress(3.14)
+
+
+# -- strict text: what int() takes and an address does not spell ----------
+
+_DOTTED_RE = re.compile(r"[0-9]{1,3}(?:\.[0-9]{1,3}){3}")
+
+
+class TestStrictText:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "10.0.0.1_0",  # int("1_0") == 10: read as 10.0.0.10
+            " 10.0.0.1",
+            "10.0.0.1 ",
+            "10.0.0.1\n",
+            "10.0.0.+1",
+            "10.0.0.-0",
+            "10.0.0.١",  # ARABIC-INDIC DIGIT ONE
+            "10.0.0.０",  # FULLWIDTH DIGIT ZERO
+            "10.0.0.0001",
+            "10.0.0.",
+            "",
+        ],
+    )
+    def test_ipv4_address_refuses(self, bad):
+        with pytest.raises(ValueError):
+            IPv4Address(bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["10.0.0.0/0_8", "10.0.0.0/+8", "10.0.0.0/ 8", "10.0.0.0/8 ", "10.0.0.0/", "10.0.0.0/８"],
+    )
+    def test_ipv4_network_refuses(self, bad):
+        with pytest.raises(ValueError):
+            IPv4Network(bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "-1:00:00:00:00:00",  # was a negative value
+            "100:00:00:00:00:00",  # was a value over 48 bits
+            "0x1:00:00:00:00:00",
+            "1_0:00:00:00:00:00",
+            " 1:00:00:00:00:00",
+            ":00:00:00:00:00",
+            "g0:00:00:00:00:00",
+        ],
+    )
+    def test_mac_refuses(self, bad):
+        with pytest.raises(ValueError):
+            MacAddress(bad)
+
+    def test_documented_spellings_still_parse(self):
+        assert IPv4Address("010.001.000.009") == IPv4Address("10.1.0.9")
+        assert str(IPv4Address("010.001.000.009")) == "10.1.0.9"
+        assert IPv4Network("10.0.0.0/008") == IPv4Network("10.0.0.0/8")
+        assert MacAddress("2:0:5E:0:0:A1") == MacAddress("02:00:5e:00:00:a1")
+
+    @given(st.text(alphabet="0123456789.+-_ x\n١", max_size=18))
+    def test_ipv4_text_accepted_exactly_when_it_spells_an_address(self, text):
+        """The oracle is the grammar: four dot-separated runs of 1-3
+        ASCII digits, each at most 255."""
+        spells = _DOTTED_RE.fullmatch(text) is not None and all(
+            int(p) <= 255 for p in text.split(".")
+        )
+        try:
+            value = IPv4Address(text).value
+        except ValueError:
+            assert not spells
+        else:
+            assert spells
+            assert value == int.from_bytes(bytes(int(p) for p in text.split(".")), "big")
+
+
+class TestFormattedFromTheInt:
+    """The text and octets now come straight from the int; the oracle is
+    the formula they were computed by before, kept verbatim."""
+
+    @given(_U32)
+    def test_ipv4(self, v):
+        octets = ((v >> 24) & 0xFF, (v >> 16) & 0xFF, (v >> 8) & 0xFF, v & 0xFF)
+        assert IPv4Address(v).octets() == octets
+        assert str(IPv4Address(v)) == ".".join(str(o) for o in octets)
+        assert ipv4_octets(v) == octets and ipv4_text(v) == str(IPv4Address(v))
+
+    @given(st.integers(0, 2**48 - 1))
+    def test_mac(self, v):
+        octets = tuple((v >> (8 * i)) & 0xFF for i in range(5, -1, -1))
+        mac = MacAddress(v)
+        assert mac.octets() == octets
+        assert str(mac) == ":".join(f"{o:02x}" for o in octets)
+        assert MacAddress(str(mac)) == mac
+        assert hash(mac) == hash(("mac", v))
+
+    @given(_U32, st.integers(0, 32))
+    def test_network_ints(self, v, plen):
+        n = IPv4Network(IPv4Address(v & IPv4Network._mask_for(plen)), plen)
+        assert n.network_int == v & IPv4Network._mask_for(plen)
+        assert n.netmask_int == IPv4Network._mask_for(plen)
+        assert str(n) == f"{IPv4Address(n.network_int)}/{plen}"
+        assert netmask_prefixlen(n.network_int, n.netmask_int) == plen
