@@ -32,11 +32,10 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Any
+from typing import Any, cast
 
-import networkx as nx
-
-from repro.common.errors import NoSuchObjectError, SnmpError, TopologyError
+from repro.common.errors import SnmpError, TopologyError
+from repro.common.graphwalk import add_edge, bfs_path, components, edges, remove_node
 from repro.netsim.address import IPv4Address, MacAddress
 from repro.netsim.topology import Network
 from repro.snmp import oid as O
@@ -65,17 +64,21 @@ class L2Segment:
         return len(self.switch_ports) == 2 and not self.stations
 
 
+#: a database node: ``("sw", name)``, ``("seg", id)`` or ``("mac", str(mac))``
+L2Node = tuple[str, str]
+
+
 class L2Database:
     """The inferred bridged-network topology.
 
-    ``graph`` nodes are ``("sw", name)``, ``("seg", id)`` and
-    ``("mac", str(mac))``; switch-to-segment edges carry the switch
-    port, so callers can translate hops into (switch, ifIndex) pairs
-    for capacity/utilization polling.
+    ``graph`` is an adjacency (:mod:`repro.common.graphwalk`) over
+    :data:`L2Node` nodes; an edge from a switch holds the switch port
+    (other edges hold ``None``), so callers can translate hops into
+    (switch, ifIndex) pairs for capacity/utilization polling.
     """
 
     def __init__(self) -> None:
-        self.graph = nx.Graph()
+        self.graph: dict[L2Node, dict[L2Node, int | None]] = {}
         self.switch_macs: dict[str, MacAddress] = {}
         self.switch_ips: dict[str, IPv4Address] = {}
         self.station_attach: dict[MacAddress, Attachment] = {}
@@ -87,13 +90,12 @@ class L2Database:
         except KeyError:
             raise TopologyError(f"unknown station {mac}") from None
 
-    def path(self, a: MacAddress, b: MacAddress) -> list[tuple]:
+    def path(self, a: MacAddress, b: MacAddress) -> list[L2Node]:
         """Node path from station ``a`` to station ``b``."""
-        na, nb = ("mac", str(a)), ("mac", str(b))
-        try:
-            return nx.shortest_path(self.graph, na, nb)
-        except (nx.NodeNotFound, nx.NetworkXNoPath):
-            raise TopologyError(f"no L2 path {a} -> {b}") from None
+        found = bfs_path(self.graph, ("mac", str(a)), ("mac", str(b)))
+        if found is None:
+            raise TopologyError(f"no L2 path {a} -> {b}")
+        return found
 
     def to_dict(self) -> dict[str, Any]:
         """The database as a plain record (what a warm restart saves)."""
@@ -110,9 +112,7 @@ class L2Database:
                 }
                 for sid, seg in self.segments.items()
             },
-            "edges": [
-                [list(a), list(b), data.get("port")] for a, b, data in self.graph.edges(data=True)
-            ],
+            "edges": [[list(a), list(b), port] for a, b, port in edges(self.graph)],
         }
 
     @classmethod
@@ -134,11 +134,8 @@ class L2Database:
             )
             for sid, seg in d["segments"].items()
         }
-        for a, b, port in d["edges"]:
-            if port is None:
-                db.graph.add_edge(tuple(a), tuple(b))
-            else:
-                db.graph.add_edge(tuple(a), tuple(b), port=int(port))
+        for (kind_a, id_a), (kind_b, id_b), port in d["edges"]:
+            add_edge(db.graph, (kind_a, id_a), (kind_b, id_b), None if port is None else int(port))
         return db
 
 
@@ -186,7 +183,7 @@ class BridgeCollector:
                 mac = MacAddress(_suffix_to_mac_int(suffix))
                 if statuses.get(suffix) == O.FDB_STATUS_SELF:
                     continue
-                table[mac] = int(port)
+                table[mac] = int(cast(int, port))
             fdbs[name] = table
             mgmt[name] = bridge_mac
             reachable_ips[name] = ip
@@ -205,7 +202,7 @@ class BridgeCollector:
     def locate(self, mac: MacAddress) -> Attachment:
         return self._require_db().locate(mac)
 
-    def path(self, a: MacAddress, b: MacAddress) -> list[tuple]:
+    def path(self, a: MacAddress, b: MacAddress) -> list[L2Node]:
         """L2 path between stations, from the database."""
         return self._require_db().path(a, b)
 
@@ -227,7 +224,7 @@ class BridgeCollector:
         if ip is None:
             return False
         try:
-            port = int(self.client.get(ip, O.DOT1D_TP_FDB_PORT + mac.octets()))
+            port = int(cast(int, self.client.get(ip, O.DOT1D_TP_FDB_PORT + mac.octets())))
         except SnmpError:
             return False
         if port == att.port:
@@ -252,18 +249,17 @@ class BridgeCollector:
         for name, ip in sorted(db.switch_ips.items()):
             try:
                 fdb_of[name] = int(
-                    self.client.get(ip, O.DOT1D_TP_FDB_PORT + mac.octets())
+                    cast(int, self.client.get(ip, O.DOT1D_TP_FDB_PORT + mac.octets()))
                 )
             except SnmpError:
                 continue
         new_att = _attach_from_single_mac(db, fdb_of)
         if new_att is None:
             return
-        old = db.station_attach.get(mac)
         db.station_attach[mac] = new_att
         node = ("mac", str(mac))
         if node in db.graph:
-            db.graph.remove_node(node)
+            remove_node(db.graph, node)
         _wire_station(db, mac, new_att, fdb_of)
 
 
@@ -296,11 +292,10 @@ def infer_l2_topology(
                 p[a][b] = fdbs[a][mgmt[b]]
 
     for s in switches:
-        db.graph.add_node(("sw", s))
+        db.graph[("sw", s)] = {}
 
     # -- segment-mate pairs over switches -------------------------------
-    mates = nx.Graph()
-    mates.add_nodes_from(switches)
+    mates: dict[str, dict[str, None]] = {s: {} for s in switches}
     for a, b in combinations(switches, 2):
         q, r = p[a].get(b), p[b].get(a)
         if q is None or r is None:
@@ -313,7 +308,7 @@ def infer_l2_topology(
                 separated = True
                 break
         if not separated:
-            mates.add_edge(a, b)
+            add_edge(mates, a, b, None)
 
     # -- station attachment ------------------------------------------------
     attach_sets: dict[MacAddress, list[str]] = {}
@@ -335,16 +330,15 @@ def infer_l2_topology(
 
     # -- build segments ------------------------------------------------------
     # Multi-switch segments from mate components.
-    seg_of_switchgroup: dict[frozenset, str] = {}
+    seg_of_switchgroup: dict[frozenset[tuple[str, int]], str] = {}
     seg_counter = 0
-    for comp in sorted(nx.connected_components(mates), key=lambda c: sorted(c)[0]):
-        comp = sorted(comp)
+    for comp in sorted(components(mates), key=lambda c: min(c)):
         if len(comp) < 2:
             continue
         # All mate pairs within comp share wires pairwise; group by the
         # actual shared wire: (switch, port) pairs that face each other.
-        for a, b in combinations(comp, 2):
-            if not mates.has_edge(a, b):
+        for a, b in combinations(sorted(comp), 2):
+            if b not in mates[a]:
                 continue
             key = frozenset({(a, p[a][b]), (b, p[b][a])})
             grp = None
@@ -393,7 +387,7 @@ def infer_l2_topology(
         ports = seg_ports[seg_id]
         stations = seg_stations[seg_id]
         node = ("seg", seg_id)
-        db.graph.add_node(node)
+        db.graph.setdefault(node, {})
         sorted_ports = tuple(
             Attachment(s, pt) for s, pt in sorted(ports)
         )
@@ -401,30 +395,30 @@ def infer_l2_topology(
             seg_id, sorted_ports, tuple(sorted(stations, key=lambda m: m.value))
         )
         for att in sorted_ports:
-            db.graph.add_edge(("sw", att.switch), node, port=att.port)
+            add_edge(db.graph, ("sw", att.switch), node, att.port)
         for m in sorted(stations, key=lambda m: m.value):
             att = Attachment(sorted(ports)[0][0], sorted(ports)[0][1])
             db.station_attach[m] = att
-            db.graph.add_edge(("mac", str(m)), node)
+            add_edge(db.graph, ("mac", str(m)), node, None)
 
     for (sw, port), members in sorted(single_groups.items()):
         if len(members) == 1:
             m = members[0]
             db.station_attach[m] = Attachment(sw, port)
-            db.graph.add_edge(("mac", str(m)), ("sw", sw), port=port)
+            add_edge(db.graph, ("mac", str(m)), ("sw", sw), port)
         else:
             seg_id = f"seg{seg_counter}"
             seg_counter += 1
             node = ("seg", seg_id)
-            db.graph.add_node(node)
+            db.graph.setdefault(node, {})
             att = Attachment(sw, port)
             db.segments[seg_id] = L2Segment(
                 seg_id, (att,), tuple(sorted(members, key=lambda m: m.value))
             )
-            db.graph.add_edge(("sw", sw), node, port=port)
+            add_edge(db.graph, ("sw", sw), node, port)
             for m in members:
                 db.station_attach[m] = att
-                db.graph.add_edge(("mac", str(m)), node)
+                add_edge(db.graph, ("mac", str(m)), node, None)
     return db
 
 
@@ -444,11 +438,10 @@ def _attach_from_single_mac(
         for c in switches:
             if c == a or c not in fdb_of:
                 continue
-            try:
-                path = nx.shortest_path(db.graph, ("sw", c), ("sw", a))
-            except (nx.NodeNotFound, nx.NetworkXNoPath):
+            path = bfs_path(db.graph, ("sw", c), ("sw", a))
+            if path is None:
                 continue
-            toward_a = db.graph.edges[path[0], path[1]].get("port")
+            toward_a = db.graph[path[0]][path[1]]
             if toward_a is not None and fdb_of[c] != toward_a:
                 ok = False
                 break
@@ -466,14 +459,14 @@ def _wire_station(
     sw_node = ("sw", att.switch)
     for seg_id, seg in db.segments.items():
         if any(sp.switch == att.switch and sp.port == att.port for sp in seg.switch_ports):
-            db.graph.add_edge(node, ("seg", seg_id))
+            add_edge(db.graph, node, ("seg", seg_id), None)
             db.segments[seg_id] = L2Segment(
                 seg_id,
                 seg.switch_ports,
                 tuple(sorted(set(seg.stations) | {mac}, key=lambda m: m.value)),
             )
             return
-    db.graph.add_edge(node, sw_node, port=att.port)
+    add_edge(db.graph, node, sw_node, att.port)
 
 
 def _suffix_to_mac_int(suffix: tuple[int, ...]) -> int:

@@ -33,7 +33,7 @@ from repro.netsim.address import IPv4Address, IPv4Network, MacAddress, PrefixTab
 from repro.netsim.address import ipv4_text, netmask_prefixlen
 from repro.snmp import oid as O
 from repro.snmp.client import SnmpClient
-from repro.collectors.bridge_collector import BridgeCollector, L2Database
+from repro.collectors.bridge_collector import BridgeCollector, L2Database, L2Node
 from repro.collectors.monitor import MonitorKey
 from repro.collectors.protocol import fmt_num, parse_num
 from repro.modeler.graph import HOST, ROUTER, SWITCH, VSWITCH, TopoNode
@@ -634,10 +634,6 @@ class Discovery:
                 edges.append(EdgeRec(xid, yid, None, xid, math.inf))
 
     @staticmethod
-    def _port_toward(db: L2Database, switch_name: str, neighbor: tuple[str, ...]) -> int | None:
+    def _port_toward(db: L2Database, switch_name: str, neighbor: L2Node) -> int | None:
         """The switch's ifIndex on its graph edge toward ``neighbor``."""
-        try:
-            port: int | None = db.graph.edges[("sw", switch_name), neighbor].get("port")
-        except KeyError:
-            return None
-        return port
+        return db.graph.get(("sw", switch_name), {}).get(neighbor)

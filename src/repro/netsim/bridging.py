@@ -16,11 +16,8 @@ original (Lowekamp et al., SIGCOMM 2001) algorithm.
 
 from __future__ import annotations
 
-from collections import deque
-
-import networkx as nx
-
 from repro.common.errors import TopologyError
+from repro.common.graphwalk import add_edge, bfs_first_hops, bfs_path, components
 from repro.netsim.address import MacAddress
 from repro.netsim.topology import (
     Channel,
@@ -50,8 +47,9 @@ class Segment:
         self.hubs: list[Hub] = []
         #: host/router interfaces attached to this segment
         self.edge_ifaces: list[Interface] = []
-        #: tree edges as a graph over attachment points (see _apoint)
-        self.tree: nx.Graph = nx.Graph()
+        #: the spanning tree as an adjacency over attachment points (see
+        #: _apoint): ``tree[p][q]`` is the link joining ``p`` and ``q``
+        self.tree: dict[object, dict[object, Link]] = {}
 
     def station_macs(self) -> dict[MacAddress, Interface]:
         """All MACs visible on this segment (stations + switch mgmt)."""
@@ -78,12 +76,12 @@ def _apoint(iface: Interface) -> object:
 
 def discover_segments(net: Network) -> list[Segment]:
     """Partition all links into L2 segments via union over attachment points."""
-    g = nx.Graph()
+    adj: dict[object, dict[object, None]] = {}
     for ln in net.links:
-        g.add_edge(_apoint(ln.a), _apoint(ln.b))
+        add_edge(adj, _apoint(ln.a), _apoint(ln.b), None)
     segments: list[Segment] = []
     point_to_seg: dict[object, Segment] = {}
-    for idx, comp in enumerate(sorted(nx.connected_components(g), key=lambda c: min(str(x) for x in c))):
+    for idx, comp in enumerate(sorted(components(adj), key=lambda c: min(str(x) for x in c))):
         seg = Segment(idx)
         for point in comp:
             point_to_seg[point] = seg
@@ -108,35 +106,42 @@ def discover_segments(net: Network) -> list[Segment]:
 def run_spanning_tree(net: Network) -> list[Segment]:
     """Elect a spanning tree per segment; mark blocked switch ports.
 
-    Redundant links between switches are pruned by removing the edge
-    whose (cost, bridge-ids) sorts highest, approximating STP's
-    designated-port election.  A loop that cannot be broken at a switch
-    port (pure hub/host loop) is a construction error.
+    Redundant links between switches are pruned by keeping the links
+    whose bridge ids (``_edge_sort_key``) sort lowest — the minimum
+    spanning tree, which is what removing the highest-keyed link of
+    every loop leaves — approximating STP's designated-port election.
+    A loop that cannot be broken at a switch port (pure hub/host loop)
+    is a construction error.
     """
     net._path_memo.clear()  # L2 forwarding changes under every memoized path
     segments = discover_segments(net)
     blocked: set[int] = set()
     index: dict[object, Segment] = {}
     for seg in segments:
-        g = nx.Graph()
+        tree: dict[object, dict[object, Link]] = {}
+        kept: list[Link] = []
         for ln in seg.links:
             pa, pb = _apoint(ln.a), _apoint(ln.b)
-            if g.has_edge(pa, pb):
+            if pb in tree.get(pa, {}):
                 # Parallel links: keep the first deterministically, block the rest.
                 _block_link(ln, blocked)
                 continue
-            g.add_edge(pa, pb, link=ln)
-        # Break remaining cycles: highest-id edges go first.  A segment
-        # is connected, and stays so as edges on a cycle go, so it has a
-        # cycle left exactly while it has as many edges as nodes.
-        while g.number_of_edges() >= g.number_of_nodes():
-            cycle = nx.find_cycle(g)
-            worst = max(cycle, key=lambda e: _edge_sort_key(g.edges[e]["link"]))
-            ln = g.edges[worst]["link"]
-            _block_link(ln, blocked)
-            g.remove_edge(*worst)
-        seg.tree = g
-        for point in g:
+            add_edge(tree, pa, pb, ln)
+            kept.append(ln)
+        # A segment is connected, so it has a loop exactly when it has as
+        # many links as attachment points.  Then Kruskal: lowest key first,
+        # and a link closing a loop is blocked; of equal keys (only ports
+        # without a MAC can tie) the link added to the network later is.
+        if len(kept) >= len(tree):
+            tree = {}
+            for ln in sorted(kept, key=_edge_sort_key):
+                pa, pb = _apoint(ln.a), _apoint(ln.b)
+                if pa is pb or bfs_path(tree, pa, pb) is not None:
+                    _block_link(ln, blocked)
+                else:
+                    add_edge(tree, pa, pb, ln)
+        seg.tree = tree
+        for point in tree:
             index[point] = seg
         for sw in seg.switches:
             sw.blocked_ports = {
@@ -174,41 +179,13 @@ def populate_fdbs(net: Network) -> None:
         for sw in seg.switches:
             sw.fdb = {}
             sw.fdb[sw.management_mac()] = SELF_PORT
-            # BFS over the tree from this switch, tracking the first-hop port.
-            reach = _ports_toward(seg, sw)
+            # each point's first hop from sw, and the sw port toward each
+            reach = bfs_first_hops(seg.tree, sw)
+            ports = {p: (x.a if x.a.device is sw else x.b).index for p, x in seg.tree[sw].items()}
             for mac, iface in stations.items():
-                if mac == sw.management_mac():
-                    continue
-                point = _apoint(iface)
-                port = reach.get(point)
-                if port is not None:
-                    sw.fdb[mac] = port
-
-
-def _ports_toward(seg: Segment, sw: Switch) -> dict[object, int]:
-    """Map each attachment point in the segment tree to the ifIndex of
-    the ``sw`` port on the tree path toward it."""
-    result: dict[object, int] = {}
-    tree = seg.tree
-    if sw not in tree:
-        return result
-    visited = {sw}
-    q: deque[tuple[object, int]] = deque()
-    for nbr in tree.neighbors(sw):
-        ln: Link = tree.edges[sw, nbr]["link"]
-        port_iface = ln.a if ln.a.device is sw else ln.b
-        q.append((nbr, port_iface.index))
-        visited.add(nbr)
-        result[nbr] = port_iface.index
-    while q:
-        point, port = q.popleft()
-        for nbr in tree.neighbors(point):
-            if nbr in visited:
-                continue
-            visited.add(nbr)
-            result[nbr] = port
-            q.append((nbr, port))
-    return result
+                hit = reach.get(_apoint(iface))
+                if hit is not None and mac != sw.management_mac():
+                    sw.fdb[mac] = ports[hit[1]]
 
 
 def l2_path(net: Network, src: Interface, dst: Interface) -> list[Channel]:
@@ -219,10 +196,11 @@ def l2_path(net: Network, src: Interface, dst: Interface) -> list[Channel]:
     ps, pd = _apoint(src), _apoint(dst)
     seg = net._segment_index.get(ps)
     if seg is not None and net._segment_index.get(pd) is seg:
-        points = nx.shortest_path(seg.tree, ps, pd)
+        points = bfs_path(seg.tree, ps, pd)
+        assert points is not None, "a segment's tree spans it"
         channels: list[Channel] = []
         for a, b in zip(points, points[1:]):
-            ln: Link = seg.tree.edges[a, b]["link"]
+            ln = seg.tree[a][b]
             # orient: transmit from the interface on the `a` side
             if _apoint(ln.a) is a:
                 channels.append(ln.channel_from(ln.a))

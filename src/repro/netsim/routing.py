@@ -13,9 +13,8 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import combinations
 
-import networkx as nx
-
 from repro.common.errors import TopologyError
+from repro.common.graphwalk import bfs_first_hops
 from repro.netsim.address import IPv4Address, IPv4Network, PrefixTable
 from repro.netsim.topology import Host, Interface, Network, Router
 
@@ -36,85 +35,58 @@ def _router_attachments(net: Network) -> dict[IPv4Network, list[tuple[Router, In
     return attach
 
 
-def _adjacency_graph(
-    attach: dict[IPv4Network, list[tuple[Router, Interface]]],
-) -> nx.Graph:
-    """Routers are L3-adjacent when they share a subnet.
-
-    Edge data records, per direction, the egress interface and the peer
-    address to use as next hop (the first shared subnet wins; parallel
-    subnets between the same router pair are redundant for shortest
-    paths with unit weights).
-    """
-    g = nx.Graph()
-    for subnet, members in attach.items():
-        for (r1, i1), (r2, i2) in combinations(members, 2):
-            if r1 is r2:
-                continue
-            if g.has_edge(r1.name, r2.name):
-                continue
-            g.add_edge(
-                r1.name,
-                r2.name,
-                weight=1.0,
-                via={r1.name: (i1, i2.ip), r2.name: (i2, i1.ip)},
-                subnet=subnet,
-            )
-    return g
-
-
 def build_routing_tables(net: Network) -> None:
     """Populate ``Router.routes`` for every router and host gateways."""
     net._path_memo.clear()  # L3 forwarding changes under every memoized path
     attach = _router_attachments(net)
     routers = net.routers()
-    g = _adjacency_graph(attach)
-    for r in routers:
-        g.add_node(r.name)
+    # Routers are L3-adjacent when they share a subnet: ``adj[r1][r2]`` is
+    # r1's egress interface and next-hop address on the first subnet they
+    # share (parallel subnets are redundant at unit weights).
+    adj: dict[str, dict[str, tuple[Interface, IPv4Address | None]]]
+    adj = {r.name: {} for r in routers}
+    for members in attach.values():
+        for (r1, i1), (r2, i2) in combinations(members, 2):
+            if r1 is not r2 and r2.name not in adj[r1.name]:
+                adj[r1.name][r2.name] = (i1, i2.ip)
+                adj[r2.name][r1.name] = (i2, i1.ip)
 
     # All destinations a route must exist for: every subnet seen on any
-    # interface (router or host), in the order routes are installed.
+    # interface (router or host), in the order routes are installed, each
+    # with the names of the routers attached to it, in name order.
     subnet_set: set[IPv4Network] = set(attach)
     for node in net.nodes.values():
         for i in node.interfaces:
             if i.network is not None:
                 subnet_set.add(i.network)
-    all_subnets = sorted(subnet_set)
-
-    # Subnet -> routers directly attached, for nearest-attachment search.
-    attached_routers: dict[IPv4Network, list[Router]] = {
-        s: sorted({r for r, _ in members}, key=lambda r: r.name)
-        for s, members in attach.items()
-    }
+    dests = [(s, sorted({r.name for r, _ in attach.get(s, [])})) for s in sorted(subnet_set)]
+    position = {s: k for k, (s, _) in enumerate(dests)}
 
     for r in routers:
         r.routes = PrefixTable()
         # Direct routes first (only on interfaces that are up).
-        direct: set[IPv4Network] = set()
+        direct: set[int] = set()
         for i in r.interfaces:
             if i.network is not None and i.link is not None:
                 r.routes.insert(i.network, (i.network, None, i))
-                direct.add(i.network)
+                direct.add(position[i.network])
 
-        dist, path = nx.single_source_dijkstra(g, r.name)
-        for subnet in all_subnets:
-            if subnet in direct:
+        # Route to the nearest attached router by hop count, the first by
+        # name of equals, along the first path found to it.  ``r`` itself
+        # is never one: a subnet it is attached to is direct.
+        reach = bfs_first_hops(adj, r.name)
+        via = adj[r.name]
+        for k, (subnet, names) in enumerate(dests):
+            if k in direct:
                 continue
-            targets = attached_routers.get(subnet, [])
-            best: tuple[float, str] | None = None
-            for t in targets:
-                if t.name in dist:
-                    cand = (dist[t.name], t.name)
-                    if best is None or cand < best:
-                        best = cand
+            best: tuple[int, str] | None = None
+            for name in names:
+                hit = reach.get(name)
+                if hit is not None and (best is None or hit[0] < best[0]):
+                    best = hit
             if best is None:
                 continue  # unreachable subnet: no route (packets would drop)
-            hop_path = path[best[1]]
-            if len(hop_path) < 2:
-                continue  # shouldn't happen: direct handled above
-            next_name = hop_path[1]
-            via = g.edges[r.name, next_name]["via"][r.name]
-            out_iface, next_ip = via
+            out_iface, next_ip = via[best[1]]
             r.routes.insert(subnet, (subnet, next_ip, out_iface))
 
     _assign_gateways(net, attach)

@@ -27,6 +27,7 @@ STRICT_FILES = (
     + [
         REPO_ROOT / "src" / "repro" / "collectors" / "base.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "benchmark_collector.py",
+        REPO_ROOT / "src" / "repro" / "collectors" / "bridge_collector.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "directory.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "discovery.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "master.py",
@@ -66,11 +67,13 @@ STRICT_FILES = (
 STRICT_MODULES = [
     "repro.common",
     "repro.common.errors",
+    "repro.common.graphwalk",
     "repro.common.rng",
     "repro.common.status",
     "repro.common.units",
     "repro.collectors.base",
     "repro.collectors.benchmark_collector",
+    "repro.collectors.bridge_collector",
     "repro.collectors.directory",
     "repro.collectors.discovery",
     "repro.collectors.master",

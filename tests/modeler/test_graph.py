@@ -117,3 +117,20 @@ class TestMergeAndCopy:
         c.remove_node("s1")
         assert g.has_node("s1")
         assert not c.has_node("s1")
+
+
+class TestUnknownNode:
+    """An unknown id is a ``TopologyError`` and leaves the graph as it
+    was (the networkx-backed graph leaked ``NetworkXError`` and a
+    ``TypeError``, and ``remove_node`` had already bumped the version and
+    cleared the path cache when it failed)."""
+
+    @pytest.mark.parametrize("call", ["neighbors", "degree", "remove_node"])
+    def test_raises_topology_error_and_changes_nothing(self, call):
+        g = _line_graph()
+        g.path("h1", "h2")
+        version, record = g.version, g.to_dict()
+        with pytest.raises(TopologyError, match="no node 'zz'"):
+            getattr(g, call)("zz")
+        assert g.version == version and g.to_dict() == record
+        assert g._paths_cache == {("h1", "h2"): ["h1", "s1", "s2", "h2"]}

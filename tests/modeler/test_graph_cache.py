@@ -6,13 +6,19 @@ cache, one that cannot (a new node, an annotation re-add) keeps it, and
 cached answers always equal recomputed ones.
 """
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
+from repro.collectors.base import TopologyRequest
 from repro.common.errors import TopologyError
+from repro.deploy import deploy_wan
 from repro.modeler.graph import HOST, SWITCH, TopoEdge, TopoNode, TopologyGraph
+from repro.netsim.builders import build_random_wan
 
 
 def _chain(ids):
@@ -215,3 +221,94 @@ class TestViewCaches:
         assert [n.id for n in g.nodes()] == ["h1", "h2", "s1"]
         g.add_edge(TopoEdge("s1", "h2"))
         assert len(g.edges()) == 2
+
+
+def _path_or_none(graph, a, b):
+    try:
+        return graph.path(a, b)
+    except TopologyError:
+        return None
+
+
+def _history_free(build, history, asked):
+    """Ask ``history`` first, then each pair of ``asked``: every answer
+    must be its reverse query's reversed and what a freshly built twin
+    answers to it first."""
+    g = build()
+    for a, b in history:
+        _path_or_none(g, a, b)
+    for a, b in asked:
+        got = _path_or_none(g, a, b)
+        assert got == _path_or_none(build(), a, b), (a, b)
+        back = _path_or_none(g, b, a)
+        assert back == (None if got is None else got[::-1]), (a, b)
+
+
+def _builder(nodes, edges):
+    def build():
+        g = TopologyGraph()
+        for n in nodes:
+            g.add_node(n)
+        for e in edges:
+            g.add_edge(e)
+        return g
+
+    return build
+
+
+@st.composite
+def _tie_heavy(draw):
+    """A layered graph: every node of a layer may join every node of the
+    next, so most pairs have several equal-hop paths; edges are added
+    in a drawn order."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    layers = [[f"n{d}{k}" for k in range(w)] for d, w in enumerate(widths)]
+    ids = [i for layer in layers for i in layer]
+    candidates = [(a, b) for upper, lower in zip(layers, layers[1:]) for a in upper for b in lower]
+    chosen = draw(st.lists(st.sampled_from(candidates), min_size=1, unique=True))
+    nodes = [TopoNode(i, HOST) for i in draw(st.permutations(ids))]
+    edges = [TopoEdge(a, b, 1e6) for a, b in chosen]
+    pairs = st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=8)
+    return _builder(nodes, edges), draw(pairs), draw(pairs)
+
+
+@functools.lru_cache(maxsize=None)
+def _master_graph(seed):
+    """The graph a Master answers for a ring of flows across a 6-site
+    random WAN: the stitch measures only the ring's site pairs, so the
+    gateways form a ring, and opposite sites are two equal-hop paths
+    apart."""
+    world = build_random_wan(6, seed=seed, hosts_per_site=(1, 3), multi_switch_fraction=0.5)
+    hosts = [str(site.hosts[0].ip) for site in world.sites.values()]
+    ring = frozenset(zip(hosts, hosts[1:] + hosts[:1]))
+    resp = deploy_wan(world).master.topology(TopologyRequest(tuple(hosts), pairs=ring))
+    return resp.graph.nodes(), resp.graph.edges()
+
+
+class TestPathIgnoresQueryHistory:
+    """``path(a, b) == path(b, a)[::-1]``, and equal to a fresh graph's
+    answer, whatever was asked before (the search always runs from the
+    smaller id)."""
+
+    def test_the_four_cycle(self):
+        build = _builder(
+            [TopoNode(i, HOST) for i in "axyb"],
+            [TopoEdge(a, b) for a, b in [("a", "x"), ("a", "y"), ("b", "y"), ("b", "x")]],
+        )
+        assert build().path("a", "b") == ["a", "y", "b"]
+        _history_free(build, [("b", "a")], [("a", "b")])
+
+    @given(_tie_heavy())
+    @settings(max_examples=200, deadline=None)
+    def test_tie_heavy_graphs(self, case):
+        _history_free(*case)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_random_wan_master_graphs(self, seed, data):
+        nodes, edges = _master_graph(seed)
+        ids = [n.id for n in nodes]
+        pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+        history = data.draw(st.lists(pair, max_size=12))
+        _history_free(_builder(nodes, edges), history, [(a, b) for a in ids for b in ids])

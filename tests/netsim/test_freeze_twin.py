@@ -1,10 +1,13 @@
-"""``Network.freeze`` against the code it replaced.
+"""``Network.freeze`` against the networkx code it replaced.
 
 Routing tables are built with the destination subnets sorted once per
-call instead of once per router, and a segment's spanning tree asks
-``nx.find_cycle`` only when a union-find over its links says it has a
-cycle.  The oracle is the previous ``build_routing_tables`` and
-``run_spanning_tree``, kept verbatim below; both run on the same
+call instead of once per router, routes come from a first-hop
+breadth-first search instead of networkx's Dijkstra, and a segment's
+loops are broken by Kruskal over ``_edge_sort_key`` instead of
+``nx.find_cycle``.  The oracle is the networkx-backed
+``build_routing_tables`` (with its ``_adjacency_graph``) and
+``run_spanning_tree``, kept verbatim below but for handing the tree to
+``Segment.tree`` as the adjacency it now is; both run on the same
 network, and routes, gateways, blocked ports, spanning trees and FDBs
 must come out identical — over seeded random WANs and seeded switch
 meshes whose redundant and parallel links the tree has to block.
@@ -12,21 +15,52 @@ meshes whose redundant and parallel links the tree has to block.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import networkx as nx
 import pytest
 
+from itertools import combinations
+
+from repro.common import graphwalk
 from repro.common.units import MBPS
 from repro.netsim import bridging
 from repro.netsim.address import IPv4Network, PrefixTable
 from repro.netsim.bridging import _apoint, _block_link, _edge_sort_key, discover_segments
-from repro.netsim.builders import build_random_wan
-from repro.netsim.routing import _adjacency_graph, _assign_gateways, _router_attachments
-from repro.netsim.topology import Network, Router
+from repro.netsim.builders import build_campus, build_hub_lan, build_random_wan
+from repro.netsim.routing import _assign_gateways, _router_attachments
+from repro.netsim.topology import Channel, Interface, Link, Network, Router
 
 
 # -- the oracle: the previous code, verbatim ---------------------------------
+
+
+def _adjacency_graph(
+    attach: dict[IPv4Network, list[tuple[Router, Interface]]],
+) -> nx.Graph:
+    """Routers are L3-adjacent when they share a subnet.
+
+    Edge data records, per direction, the egress interface and the peer
+    address to use as next hop (the first shared subnet wins; parallel
+    subnets between the same router pair are redundant for shortest
+    paths with unit weights).
+    """
+    g = nx.Graph()
+    for subnet, members in attach.items():
+        for (r1, i1), (r2, i2) in combinations(members, 2):
+            if r1 is r2:
+                continue
+            if g.has_edge(r1.name, r2.name):
+                continue
+            g.add_edge(
+                r1.name,
+                r2.name,
+                weight=1.0,
+                via={r1.name: (i1, i2.ip), r2.name: (i2, i1.ip)},
+                subnet=subnet,
+            )
+    return g
 
 
 def _parent_build_routing_tables(net: Network) -> None:
@@ -110,7 +144,7 @@ def _parent_run_spanning_tree(net: Network) -> list[bridging.Segment]:
             ln = g.edges[worst]["link"]
             _block_link(ln, blocked)
             g.remove_edge(*worst)
-        seg.tree = g
+        seg.tree = {p: {q: d["link"] for q, d in g.adj[p].items()} for p in g}
         for point in g:
             index[point] = seg
         for sw in seg.switches:
@@ -193,7 +227,7 @@ def _frozen_state(net: Network) -> dict[str, object]:
         "blocked_ports": {sw.name: sorted(sw.blocked_ports) for sw in net.switches()},
         "blocked_links": sorted(net._blocked_links),
         "trees": [
-            sorted(id(d["link"]) for _, _, d in seg.tree.edges(data=True))
+            sorted(id(ln) for _, _, ln in graphwalk.edges(seg.tree))
             for seg in net._segments or []
         ],
         "fdbs": {sw.name: [(str(m), p) for m, p in sw.fdb.items()] for sw in net.switches()},
@@ -208,3 +242,100 @@ def test_freeze_equals_the_previous_freeze(kind, seed):
     assert frozen == _frozen_state(net)
     if kind == "mesh":
         assert frozen["blocked_links"], "every mesh has a redundant link to block"
+
+
+# -- beyond the original twin --------------------------------------------------------
+
+
+def _world(kind: str, seed: int) -> Network:
+    if kind == "campus":
+        return build_campus(3, 4).net
+    if kind == "hub":
+        return build_hub_lan().net
+    return _random_wan(seed) if kind == "wan" else _switch_mesh(seed)
+
+
+MORE_WORLDS = (
+    [("wan", s) for s in range(40, 60)]
+    + [("mesh", s) for s in range(10, 40)]
+    + [("campus", 0), ("hub", 0)]
+)
+
+
+@pytest.mark.parametrize("kind,seed", MORE_WORLDS)
+def test_freeze_equals_the_previous_freeze_on_more_worlds(kind, seed):
+    net = _world(kind, seed)
+    frozen = _frozen_state(net)
+    _parent_freeze(net)
+    assert frozen == _frozen_state(net)
+    if kind == "mesh":
+        assert frozen["blocked_links"], "every mesh has a redundant link to block"
+
+
+def _parent_l2_path(tree: nx.Graph, ps: object, pd: object) -> list[Channel]:
+    """The previous ``l2_path`` body, over a networkx copy of the tree."""
+    points = nx.shortest_path(tree, ps, pd)
+    channels: list[Channel] = []
+    for a, b in zip(points, points[1:]):
+        ln = tree.edges[a, b]["link"]
+        # orient: transmit from the interface on the `a` side
+        if _apoint(ln.a) is a:
+            channels.append(ln.channel_from(ln.a))
+        else:
+            channels.append(ln.channel_from(ln.b))
+    return channels
+
+
+@pytest.mark.parametrize("kind,seed", WORLDS[::5] + MORE_WORLDS[::5])
+def test_l2_paths_are_networkx_shortest_paths(kind, seed):
+    """Every station-to-station (and switch) path on every segment tree."""
+    net = _world(kind, seed)
+    for seg in net._segments or []:
+        tree = nx.Graph()
+        for u, v, ln in graphwalk.edges(seg.tree):
+            tree.add_edge(u, v, link=ln)
+        ends = seg.edge_ifaces + [sw.interfaces[0] for sw in seg.switches]
+        for src in ends:
+            for dst in ends:
+                want = _parent_l2_path(tree, _apoint(src), _apoint(dst))
+                assert bridging.l2_path(net, src, dst) == want, (src, dst)
+
+
+def _hub_loop(order: tuple[str, ...]) -> tuple[Network, dict[str, Link]]:
+    """Switches s1 and s2 joined twice, each time through a hub whose
+    ports have no MAC, with the loop's four links added in ``order``."""
+    net = Network()
+    gw = net.add_router("gw")
+    s1, s2 = net.add_switch("s1"), net.add_switch("s2")
+    ha, hb = net.add_hub("ha"), net.add_hub("hb")
+    up = net.link(gw, s1, 1000 * MBPS)
+    ends = {"s1-ha": (s1, ha), "ha-s2": (ha, s2), "s2-hb": (s2, hb), "hb-s1": (hb, s1)}
+    links = {name: net.link(*ends[name], 10 * MBPS) for name in order}
+    for hub in (ha, hb):
+        for iface in hub.interfaces:
+            iface.mac = None
+    net.assign_ip(up.a, "10.7.0.1", "10.7.0.0/24")
+    for k, sw in enumerate((s1, s2)):
+        net.assign_ip(sw.interfaces[0], f"10.7.0.{200 + k}", "10.7.0.0/24")
+    host = net.link(net.add_host("h0"), s2, 100 * MBPS)
+    net.assign_ip(host.a, "10.7.0.10", "10.7.0.0/24")
+    net.freeze()
+    return net, links
+
+
+@pytest.mark.parametrize("order", itertools.permutations(["s1-ha", "ha-s2", "s2-hb", "hb-s1"]))
+def test_a_tied_loop_blocks_the_later_link(order):
+    """A MAC-less hub port's bridge id is ``(1 << 20, 0)``, so the two
+    links from the hubs to one switch share an ``_edge_sort_key``.  The
+    loop is broken at the highest key; of tied links, the one added to
+    the network later is blocked.  (The networkx cycle walk this
+    replaced broke such a tie by its own traversal order, so in 12 of
+    these 24 orders it blocked the other link.)"""
+    net, links = _hub_loop(order)
+    keys = {name: _edge_sort_key(ln) for name, ln in links.items()}
+    top = max(keys.values())
+    tied = [name for name in order if keys[name] == top]
+    assert len(tied) == 2
+    assert sorted(net._blocked_links) == [id(links[tied[1]])]
+    (seg,) = net._segments
+    assert len(list(graphwalk.edges(seg.tree))) == len(seg.tree) - 1
