@@ -18,13 +18,14 @@ Modeler bound to the Master.  Helpers build the standard deployments:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro import obs
 from repro.common.errors import TopologyError
 from repro.netsim.address import IPv4Address, IPv4Network
-from repro.netsim.builders import HubLan, SwitchedLan, WanWorld
+from repro.netsim.builders import Campus, HubLan, SwitchedLan, WanWorld, WirelessLan
 from repro.netsim.topology import Host, Network, Switch
 from repro.snmp.agent import SnmpWorld, instrument_network
 from repro.snmp.client import SnmpCostModel
@@ -35,6 +36,13 @@ from repro.collectors.directory import CollectorDirectory
 from repro.collectors.master import MasterCollector
 from repro.collectors.snmp_collector import SnmpCollector, SnmpCollectorConfig
 from repro.modeler.api import Modeler
+
+if TYPE_CHECKING:
+    from repro.collectors.sharding import ShardedMaster, ShardingConfig
+    from repro.rps.predictor import StreamingPredictor
+    from repro.rps.sensors import HostLoadSensor
+    from repro.rps.streaming import StreamingPredictionManager
+    from repro.session import RemosSession
 
 log = obs.get_logger(__name__)
 
@@ -78,7 +86,7 @@ class RemosDeployment:
 
         return RemosSession(self.modeler)
 
-    def shard(self, config=None):
+    def shard(self, config: ShardingConfig | None = None) -> ShardedMaster:
         """Replace the flat Master with a sharded Master hierarchy.
 
         Builds a :class:`~repro.collectors.sharding.ShardedMaster` over
@@ -118,7 +126,7 @@ class RemosDeployment:
 
     def enable_streaming_prediction(
         self, spec: str = "AR(16)", horizon: int = 10, min_history: int = 32
-    ) -> list:
+    ) -> list[StreamingPredictionManager]:
         """Attach streaming predictors to every SNMP collector (§2.3).
 
         Each polling sweep feeds the per-link predictors; predictive
@@ -127,7 +135,7 @@ class RemosDeployment:
         """
         from repro.rps.streaming import StreamingPredictionManager
 
-        managers = []
+        managers: list[StreamingPredictionManager] = []
         for coll in self.snmp_collectors.values():
             if coll.streaming is None:
                 managers.append(
@@ -142,7 +150,7 @@ class RemosDeployment:
         rate_hz: float = 1.0,
         history_len: int = 600,
         horizon: int = 10,
-    ):
+    ) -> HostLoadSensor:
         """Run an RPS host-load sensor + streaming predictor on a host.
 
         The host must already have a load source attached.  Returns the
@@ -165,7 +173,7 @@ class RemosDeployment:
         self._host_sensors[str(host.ip)] = sensor
         return sensor
 
-    def node_info_for(self, ip: str):
+    def node_info_for(self, ip: str) -> tuple[float | None, StreamingPredictor | None]:
         """(current load, streaming predictor) for one host IP.
 
         Current load comes from the host's own reading (the sensor runs
@@ -191,7 +199,7 @@ def deploy_remos(
     community: str = "public",
     bridge_startup: bool = True,
     world: SnmpWorld | None = None,
-    sharding=None,
+    sharding: ShardingConfig | None = None,
 ) -> RemosDeployment:
     """Stand up the full Remos stack for the given sites.
 
@@ -275,7 +283,7 @@ def deploy_wan(
     poll_interval_s: float = 5.0,
     snmp_cost: SnmpCostModel | None = None,
     bench_config: BenchmarkConfig | None = None,
-    sharding=None,
+    sharding: ShardingConfig | None = None,
 ) -> RemosDeployment:
     """One Remos site per WAN site; benchmark collectors fully peered.
 
@@ -310,7 +318,7 @@ def deploy_wan(
 
 
 def deploy_wireless(
-    wl,
+    wl: WirelessLan,
     poll_interval_s: float = 5.0,
     snmp_cost: SnmpCostModel | None = None,
     location_monitor_s: float | None = 10.0,
@@ -347,7 +355,7 @@ def deploy_wireless(
 
 
 def deploy_campus(
-    campus,
+    campus: Campus,
     poll_interval_s: float = 5.0,
     snmp_cost: SnmpCostModel | None = None,
     bridge_startup: bool = True,

@@ -1,7 +1,6 @@
 """Module graph and approximate call graph over the repro package.
 
-The per-file rules (RML001–RML008) see one AST at a time; the RML1xx
-family needs to know *how modules relate*: who imports whom (and
+Most rules need to know *how modules relate*: who imports whom (and
 whether the import hides inside ``TYPE_CHECKING`` or a function body),
 and which function can reach which call.  This module builds both
 structures by static name resolution over the package namespace — no
@@ -12,7 +11,7 @@ The call graph is deliberately approximate.  It resolves:
 * plain calls to functions defined in an enclosing scope or at module
   top level (``helper()``);
 * imported names, through the same alias-aware :class:`ImportMap` the
-  per-file rules use (``from x import y as z; z()``);
+  file rules use (``from x import y as z; z()``);
 * module-attribute calls (``import repro.snmp.client as sc;
   sc.walk(...)``);
 * ``self.method(...)`` against methods of the lexically enclosing
@@ -70,7 +69,7 @@ class ImportRecord:
     module: str  #: importing module (dotted)
     target: str  #: imported module (dotted, absolute)
     lineno: int
-    col: int
+    col_offset: int
     #: "top" | "lazy" (inside a function) | "type_checking"
     kind: str
 
@@ -79,9 +78,9 @@ class ImportRecord:
 class CallEdge:
     """One call site, as well as we could resolve it."""
 
-    caller: str  #: qname of the calling function ("" for module body)
+    caller: str  #: qname of the calling function, or the module body id
     lineno: int
-    col: int
+    col_offset: int
     #: resolved project function/class qname, when resolution succeeded
     callee: str | None = None
     #: canonical dotted path outside the project ("time.sleep")
@@ -116,7 +115,6 @@ class ModuleInfo:
 
     name: str  #: dotted module name
     path: str  #: repo-relative posix path
-    source: str
     tree: ast.Module
     imports: list[ImportRecord] = field(default_factory=list)
     import_map: ImportMap = field(default_factory=ImportMap)
@@ -130,17 +128,16 @@ class CallGraph:
     def __init__(self) -> None:
         self.modules: dict[str, ModuleInfo] = {}
         self.functions: dict[str, FunctionInfo] = {}
-        #: caller qname ("" + module body edges live under "<module>:<name>")
+        #: caller qname -> its call edges (module bodies under module_body_id)
         self.edges: dict[str, list[CallEdge]] = {}
 
     # -- construction --------------------------------------------------
 
-    def add_module(self, rel_path: str, source: str, tree: ast.Module) -> ModuleInfo:
+    def add_module(self, rel_path: str, tree: ast.Module) -> ModuleInfo:
         name = module_name_for(rel_path)
         assert name is not None
         info = ModuleInfo(
-            name=name, path=rel_path, source=source, tree=tree,
-            import_map=ImportMap.of(tree),
+            name=name, path=rel_path, tree=tree, import_map=ImportMap.of(tree),
         )
         self.modules[name] = info
         _collect_imports(info)

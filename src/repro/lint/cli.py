@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from repro.lint.baseline import Baseline
-from repro.lint.config import LintConfig, load_config
-from repro.lint.engine import apply_fixes, lint_paths
-from repro.lint.project import Project, lint_project
-from repro.lint.rules import make_project_rules, make_rules, rule_catalogue
+from repro.lint.core import prefix_match
+from repro.lint.project import SOURCE_TREES, Project, lint
+from repro.lint.rules import make_rules
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -21,40 +18,9 @@ EXIT_USAGE = 2
 def configure_parser(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
     p.add_argument(
         "paths", nargs="*",
-        help="files/directories to lint (default: [tool.remoslint] paths)",
-    )
-    p.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default: text)",
-    )
-    p.add_argument(
-        "--select", default="",
-        help="comma-separated rule codes to run (default: all)",
-    )
-    p.add_argument(
-        "--ignore", default="",
-        help="comma-separated rule codes to skip",
-    )
-    p.add_argument(
-        "--project", action="store_true",
-        help="also run the whole-program RML1xx rules (module graph + "
-             "call graph over src, tests, benchmarks, examples)",
-    )
-    p.add_argument(
-        "--no-baseline", action="store_true",
-        help="report grandfathered violations too",
-    )
-    p.add_argument(
-        "--write-baseline", action="store_true",
-        help="regenerate the baseline from current violations and exit",
-    )
-    p.add_argument(
-        "--check-baseline", action="store_true",
-        help="also fail when baseline entries no longer match (stale debt)",
-    )
-    p.add_argument(
-        "--fix", action="store_true",
-        help="apply available autofixes, then report what remains",
+        help="report only findings in these files/directories (default: "
+             "all of " + ", ".join(SOURCE_TREES) + "); the whole project is "
+             "analysed either way",
     )
     p.add_argument(
         "--list-rules", action="store_true",
@@ -62,98 +28,43 @@ def configure_parser(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--root", default=".",
-        help="repo root holding pyproject.toml (default: cwd)",
+        help="repository root holding " + ", ".join(SOURCE_TREES) + " (default: cwd)",
     )
     return p
 
 
 def run_from_args(args: argparse.Namespace) -> int:
     if args.list_rules:
-        for code, rule in sorted(rule_catalogue().items()):
-            fixable = " [autofixable]" if rule.autofixable else ""
-            print(f"{code}  {rule.name}{fixable}")
+        for rule in make_rules():
+            print(f"{rule.code}  {rule.name}")
             print(f"        {rule.rationale}")
         return EXIT_OK
 
-    root = Path(args.root)
-    config = load_config(root)
-    select = [c for c in args.select.split(",") if c]
-    ignore = [c for c in args.ignore.split(",") if c]
-    rules = make_rules(select=select, ignore=ignore)
-    project_rules = make_project_rules(select=select, ignore=ignore) if args.project else []
-    if not rules and not project_rules:
-        print("error: no rules selected", file=sys.stderr)
-        return EXIT_USAGE
-    paths = (
-        [Path(p) for p in args.paths]
-        if args.paths
-        else [root / p for p in config.paths]
-    )
-    missing = [str(p) for p in paths if not p.exists()]
-    if missing:
-        print(f"error: no such path(s): {', '.join(missing)}", file=sys.stderr)
-        return EXIT_USAGE
+    root = Path(args.root).resolve()
+    wanted: list[str] = []
+    for arg in args.paths:
+        path = Path(arg).resolve()
+        if not path.exists() or not path.is_relative_to(root):
+            print(f"error: {arg} is not a path under {root}", file=sys.stderr)
+            return EXIT_USAGE
+        wanted.append(path.relative_to(root).as_posix())
 
-    baseline_path = root / config.baseline
+    project = Project.build(root)
 
-    def project_violations():
-        if not project_rules:
-            return []
-        return lint_project(Project.build(root, config), project_rules)
+    def shown(path: str) -> bool:
+        return not wanted or any(w == "." or prefix_match(path, w) for w in wanted)
 
-    if args.write_baseline:
-        report = lint_paths(
-            paths, rules, config, baseline=None, extra=project_violations()
-        )
-        previous = Baseline.load(baseline_path)
-        Baseline.from_violations(report.violations, previous).save(baseline_path)
-        print(
-            f"wrote {baseline_path} with {len(report.violations)} "
-            f"grandfathered violation(s)"
-        )
-        return EXIT_OK
-
-    baseline = None if args.no_baseline else Baseline.load(baseline_path)
-    report = lint_paths(
-        paths, rules, config, baseline=baseline, extra=project_violations()
-    )
-
-    if args.fix and report.violations:
-        applied = apply_fixes(report.violations, root)
-        if applied:
-            print(f"applied {applied} autofix(es); re-linting")
-            report = lint_paths(
-                paths, rules, config, baseline=baseline, extra=project_violations()
-            )
-
-    failed = bool(report.violations) or bool(report.errors)
-    if args.check_baseline and report.stale_entries:
-        failed = True
-
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-        return EXIT_VIOLATIONS if failed else EXIT_OK
-
-    for path, err in sorted(report.errors.items()):
+    errors = {p: e for p, e in sorted(project.errors.items()) if shown(p)}
+    violations = [v for v in lint(project, make_rules()) if shown(v.path)]
+    for path, err in errors.items():
         print(f"{path}: {err}")
-    for v in report.violations:
+    for v in violations:
         print(v.render())
-    if report.stale_entries:
-        verb = "failing" if args.check_baseline else "note"
-        print(
-            f"{verb}: {len(report.stale_entries)} stale baseline entr"
-            f"{'y' if len(report.stale_entries) == 1 else 'ies'} "
-            "(debt paid down — run `repro lint --write-baseline`):"
-        )
-        for e in report.stale_entries:
-            print(f"  {e.code} {e.path}: {e.text}")
-    summary = (
-        f"{report.files_checked} file(s) checked, "
-        f"{len(report.violations)} new violation(s), "
-        f"{len(report.baselined)} baselined"
+    print(
+        f"{len(project.sources)} file(s) analysed, "
+        f"{len(violations)} violation(s)"
     )
-    print(summary)
-    return EXIT_VIOLATIONS if failed else EXIT_OK
+    return EXIT_VIOLATIONS if violations or errors else EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

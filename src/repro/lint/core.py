@@ -1,32 +1,9 @@
-"""Core vocabulary of the linter: violations, fixes, rules, file context.
-
-A :class:`Rule` is a plugin: it declares a stable code (``RML001``…),
-the path prefixes it patrols, and a ``check`` that yields
-:class:`Violation` records from one file's AST.  Rules never read the
-filesystem themselves — the engine hands them a parsed
-:class:`FileContext` — so unit tests can lint inline source snippets.
-"""
+"""Core vocabulary of the linter: violations and import resolution."""
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterator
-
-
-@dataclass(frozen=True)
-class Fix:
-    """A cheap, single-line textual autofix.
-
-    ``old`` must occur verbatim on ``line``; ``--fix`` replaces its
-    first occurrence with ``new``.  Rules only attach a fix when the
-    rewrite is unambiguous and behaviour-preserving enough to apply
-    blindly.
-    """
-
-    line: int
-    old: str
-    new: str
 
 
 @dataclass(frozen=True)
@@ -34,112 +11,20 @@ class Violation:
     """One rule hit at one source location."""
 
     code: str
-    path: str  # repo-relative posix path ("" when linting a snippet)
+    path: str  # repo-relative posix path
     line: int  # 1-based
     col: int  # 0-based
     message: str
-    #: the stripped source line, used for the line-number-independent
-    #: baseline fingerprint
-    line_text: str = ""
-    fix: Fix | None = None
     #: extra lines where an inline pragma also suppresses this violation
     #: (for decorated defs: the decorator lines above the reported line)
     pragma_lines: tuple[int, ...] = ()
 
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Identity for baseline matching: survives pure line moves."""
-        return (self.code, self.path, self.line_text)
-
     def render(self) -> str:
-        loc = f"{self.path or '<source>'}:{self.line}:{self.col + 1}"
-        return f"{loc}: {self.code} {self.message}"
+        return f"{self.path}:{self.line}:{self.col + 1}: {self.code} {self.message}"
 
 
-class FileContext:
-    """Everything a rule may look at for one file."""
-
-    def __init__(self, source: str, path: str = "", tree: ast.Module | None = None) -> None:
-        self.source = source
-        self.path = path  # repo-relative posix
-        self.tree = tree if tree is not None else ast.parse(source)
-        self.lines = source.splitlines()
-
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
-
-    def violation(
-        self,
-        rule: "Rule",
-        node: ast.AST,
-        message: str,
-        fix: Fix | None = None,
-    ) -> Violation:
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        # a decorated def reports at the `def` line, but a pragma on any
-        # of its decorator lines must suppress it too — decorators are
-        # part of the same statement as far as the author is concerned
-        decorators = getattr(node, "decorator_list", None) or []
-        pragma_lines: tuple[int, ...] = ()
-        if decorators:
-            first = min(d.lineno for d in decorators)
-            pragma_lines = tuple(range(first, line))
-        return Violation(
-            code=rule.code,
-            path=self.path,
-            line=line,
-            col=col,
-            message=message,
-            line_text=self.line_text(line),
-            fix=fix,
-            pragma_lines=pragma_lines,
-        )
-
-
-class Rule:
-    """Base class every remoslint rule extends.
-
-    Class attributes are the plugin contract:
-
-    * ``code`` — stable ``RMLxxx`` identifier (pragma / baseline key).
-    * ``name`` — short kebab-case label for listings.
-    * ``rationale`` — one-line why, shown by ``--list-rules``.
-    * ``scope`` — repo-relative path prefixes the rule patrols; empty
-      means every linted file.
-    * ``exempt`` — path prefixes always excluded (typically the module
-      that *defines* the thing the rule bans elsewhere).
-    * ``autofixable`` — whether any of the rule's violations may carry
-      a :class:`Fix`.
-    """
-
-    code: ClassVar[str] = "RML000"
-    name: ClassVar[str] = "abstract-rule"
-    rationale: ClassVar[str] = ""
-    scope: ClassVar[tuple[str, ...]] = ()
-    exempt: ClassVar[tuple[str, ...]] = ()
-    autofixable: ClassVar[bool] = False
-
-    def applies_to(self, path: str) -> bool:
-        """Whether this rule patrols ``path`` (repo-relative posix)."""
-        if any(_prefix_match(path, ex) for ex in self.exempt):
-            return False
-        if not self.scope:
-            return True
-        return any(_prefix_match(path, sc) for sc in self.scope)
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.code}>"
-
-
-def _prefix_match(path: str, prefix: str) -> bool:
+def prefix_match(path: str, prefix: str) -> bool:
     """True when ``path`` is ``prefix`` itself or lives under it."""
-    if not path:
-        return False
     return path == prefix or path.startswith(prefix.rstrip("/") + "/")
 
 
@@ -200,5 +85,3 @@ class ImportMap:
             base = self.modules[head]
             return f"{base}.{rest}" if rest else base
         return None
-
-

@@ -1,68 +1,77 @@
-"""Project-level analysis: parse the whole tree once, run RML1xx rules.
+"""The one lint run: parse the project once, run every rule, apply pragmas.
 
-``repro lint`` runs per-file rules against one AST at a time; ``repro
-lint --project`` additionally builds a :class:`~repro.lint.callgraph.
-CallGraph` over ``src`` plus the consumer trees (``tests``,
-``benchmarks``, ``examples``) and hands it to :class:`ProjectRule`
-plugins.  Project violations flow through exactly the same machinery
-as per-file ones — inline pragmas, per-rule path excludes, and the
-fingerprint baseline all apply — so one report and one gate cover
-both families.
+``repro lint`` parses ``src`` plus the consumer trees (``tests``,
+``benchmarks``, ``examples``) into a :class:`~repro.lint.callgraph.
+CallGraph` and hands the whole :class:`Project` to each :class:`Rule`.
+A rule that looks at one file at a time picks its files by path
+(:meth:`Project.files`); a whole-program rule walks the graph.  Either
+way its violations pass through :func:`lint`, the one place inline
+pragmas are applied.
+
+Suppression is an inline pragma — ``# remoslint: disable=RML002[,…]``
+on the reported line (or on a decorator line of a reported ``def``),
+or ``# remoslint: disable-file=RML002`` anywhere in the file.  There
+is no baseline: a finding is fixed or carries a pragma.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
 from repro.lint.callgraph import CallGraph, FunctionInfo, ModuleInfo
-from repro.lint.config import LintConfig
-from repro.lint.core import Violation, _prefix_match
-from repro.lint.engine import PragmaSet, iter_python_files
+from repro.lint.core import Violation, prefix_match
 
-#: directories (beyond the configured source paths) whose references
-#: count when deciding whether an export is alive, and whose call sites
-#: are part of the status-discipline graph
-CONSUMER_TREES = ("tests", "benchmarks", "examples")
+#: the trees a run parses: the shipped package plus every consumer whose
+#: references keep an export alive and whose call sites the graph sees
+SOURCE_TREES = ("src", "tests", "benchmarks", "examples")
+
+_PRAGMA = re.compile(r"#\s*remoslint:\s*(disable|disable-file)\s*=\s*([A-Za-z0-9, ]+)")
 
 
 class Project:
-    """Every parsed file, the call graph, and the lint config."""
+    """Every parsed file and the call graph over them."""
 
-    def __init__(self, root: Path, config: LintConfig) -> None:
-        self.root = root
-        self.config = config
+    def __init__(self) -> None:
         self.graph = CallGraph()
-        #: repo-relative path -> source text (for pragma filtering)
+        #: repo-relative path -> source text
         self.sources: dict[str, str] = {}
         #: repo-relative path -> parse error
         self.errors: dict[str, str] = {}
 
     @classmethod
-    def build(cls, root: Path, config: LintConfig) -> "Project":
-        project = cls(root, config)
-        roots = [root / p for p in config.paths]
-        roots += [root / t for t in CONSUMER_TREES if (root / t).is_dir()]
-        for file in iter_python_files(roots, config.exclude, root):
-            try:
-                rel = file.resolve().relative_to(root.resolve()).as_posix()
-            except ValueError:
-                rel = file.as_posix()
-            if rel in project.sources:
-                continue
-            source = file.read_text()
-            try:
-                tree = ast.parse(source)
-            except SyntaxError as exc:
-                project.errors[rel] = f"syntax error: {exc}"
-                continue
-            project.sources[rel] = source
-            project.graph.add_module(rel, source, tree)
+    def build(cls, root: Path) -> "Project":
+        """Parse every ``.py`` file of :data:`SOURCE_TREES` under ``root``."""
+        project = cls()
+        for tree in SOURCE_TREES:
+            for file in sorted((root / tree).rglob("*.py")):
+                project.add(file.relative_to(root).as_posix(), file.read_text())
         project.graph.finish()
         return project
 
-    # -- convenience views used by several rules -----------------------
+    def add(self, rel: str, source: str) -> None:
+        try:
+            tree = ast.parse(source)
+        except SyntaxError as exc:
+            self.errors[rel] = f"syntax error: {exc}"
+            return
+        self.sources[rel] = source
+        self.graph.add_module(rel, tree)
+
+    # -- views used by several rules -----------------------------------
+
+    def files(
+        self, scope: tuple[str, ...], exempt: tuple[str, ...] = ()
+    ) -> Iterator[ModuleInfo]:
+        """Parsed files under a ``scope`` prefix and no ``exempt`` one."""
+        for info in self.graph.modules.values():
+            if any(prefix_match(info.path, p) for p in scope) and not any(
+                prefix_match(info.path, p) for p in exempt
+            ):
+                yield info
 
     def src_modules(self) -> Iterator[ModuleInfo]:
         """Modules of the shipped package (dotted name under ``repro``)."""
@@ -76,20 +85,19 @@ class Project:
                 yield fn
 
 
-class ProjectRule:
-    """Base class for whole-program rules (the RML1xx family).
+class Rule:
+    """Base class every remoslint rule extends.
 
-    Same plugin contract as :class:`~repro.lint.core.Rule` — code,
-    name, rationale — but ``check`` sees the whole :class:`Project`
-    instead of one file, and each yielded :class:`Violation` must carry
-    the repo-relative ``path`` it points at (pragmas and per-rule
-    excludes are applied per violation, by that path).
+    Class attributes are the plugin contract: ``code`` (the stable
+    ``RMLxxx`` a pragma names), ``name`` (kebab-case label) and
+    ``rationale`` (one line, shown by ``--list-rules``).  ``check`` sees
+    the whole :class:`Project` and yields violations whose ``path`` is
+    the repo-relative file they point at.
     """
 
-    code: str = "RML100"
-    name: str = "abstract-project-rule"
+    code: str = "RML000"
+    name: str = "abstract-rule"
     rationale: str = ""
-    autofixable: bool = False
 
     def check(self, project: Project) -> Iterator[Violation]:
         raise NotImplementedError
@@ -98,51 +106,72 @@ class ProjectRule:
         return f"<{type(self).__name__} {self.code}>"
 
 
-def violation_at(
-    rule: ProjectRule,
-    project: Project,
-    path: str,
-    node: ast.AST,
-    message: str,
-) -> Violation:
-    """Build a Violation for an AST node of a parsed project file.
+def violation_at(rule: Rule, path: str, node: object, message: str) -> Violation:
+    """A Violation at ``node``: an AST node, or any record carrying
+    ``lineno`` / ``col_offset`` (an import record, a call edge).
 
-    Mirrors :meth:`FileContext.violation`, including the decorated-def
-    pragma range, but reads the line text from the project's source
-    cache.
+    A decorated def reports at its ``def`` line, but a pragma on any of
+    its decorator lines suppresses it too — decorators are part of the
+    same statement as far as the author is concerned.
     """
     line = getattr(node, "lineno", 1)
-    col = getattr(node, "col_offset", 0)
-    source = project.sources.get(path, "")
-    lines = source.splitlines()
-    text = lines[line - 1].strip() if 1 <= line <= len(lines) else ""
     decorators = getattr(node, "decorator_list", None) or []
-    pragma_lines: tuple[int, ...] = ()
-    if decorators:
-        first = min(d.lineno for d in decorators)
-        pragma_lines = tuple(range(first, line))
+    first = min((d.lineno for d in decorators), default=line)
     return Violation(
-        code=rule.code, path=path, line=line, col=col,
-        message=message, line_text=text, pragma_lines=pragma_lines,
+        code=rule.code, path=path, line=line, col=getattr(node, "col_offset", 0),
+        message=message, pragma_lines=tuple(range(first, line)),
     )
 
 
-def lint_project(project: Project, rules: list[ProjectRule]) -> list[Violation]:
-    """Run project rules; apply pragmas and per-rule path excludes.
+@dataclass
+class PragmaSet:
+    """Suppressions parsed from one file's comments."""
 
-    Returns violations ready to merge with the per-file report (the
-    caller sorts and partitions against the baseline).
-    """
+    by_line: dict[int, set[str]] = field(default_factory=dict)
+    whole_file: set[str] = field(default_factory=set)
+
+    @classmethod
+    def of(cls, source: str) -> "PragmaSet":
+        out = cls()
+        for lineno, line in enumerate(source.splitlines(), start=1):
+            m = _PRAGMA.search(line)
+            if not m:
+                continue
+            codes = {c.strip().upper() for c in m.group(2).split(",") if c.strip()}
+            if m.group(1) == "disable-file":
+                out.whole_file |= codes
+            else:
+                out.by_line.setdefault(lineno, set()).update(codes)
+        return out
+
+    def suppresses(self, v: Violation) -> bool:
+        if v.code in self.whole_file or "ALL" in self.whole_file:
+            return True
+        for line in (v.line, *v.pragma_lines):
+            codes = self.by_line.get(line, ())
+            if v.code in codes or "ALL" in codes:
+                return True
+        return False
+
+
+def lint(project: Project, rules: list[Rule]) -> list[Violation]:
+    """Run ``rules`` over ``project``; what no pragma suppresses, sorted."""
     pragmas: dict[str, PragmaSet] = {}
     out: list[Violation] = []
     for rule in rules:
-        excludes = project.config.rule_excludes(rule.code)
         for v in rule.check(project):
-            if any(_prefix_match(v.path, ex) for ex in excludes):
-                continue
             if v.path not in pragmas:
                 pragmas[v.path] = PragmaSet.of(project.sources.get(v.path, ""))
-            if pragmas[v.path].suppresses(v):
-                continue
-            out.append(v)
+            if not pragmas[v.path].suppresses(v):
+                out.append(v)
+    out.sort(key=lambda v: (v.path, v.line, v.col, v.code))
     return out
+
+
+def lint_source(source: str, rules: list[Rule], path: str) -> list[Violation]:
+    """Lint one in-memory file as a one-file project (the unit-test entry
+    point); ``path`` is the repo-relative path rules scope it by."""
+    project = Project()
+    project.add(path, source)
+    project.graph.finish()
+    return lint(project, rules)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.core import FileContext, ImportMap, Rule, Violation
+from repro.lint.core import Violation
+from repro.lint.project import Project, Rule, violation_at
 
 #: constructors that are fine *with* a seed argument, banned without one
 SEEDABLE = {
@@ -49,31 +50,29 @@ class SeededRngRule(Rule):
     scope = ("src/repro",)
     exempt = ("src/repro/common/rng.py",)
 
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        imports = ImportMap.of(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = imports.resolve(node.func)
-            if resolved is None:
-                continue
-            if resolved in SEEDABLE:
-                if not node.args and not node.keywords:
-                    yield ctx.violation(
-                        self,
-                        node,
-                        f"unseeded {resolved}(): pass an explicit seed "
-                        "(or use repro.common.rng.make_rng)",
-                    )
-                continue
-            if resolved.startswith(BANNED_PREFIXES):
-                tail = resolved.rsplit(".", 1)[-1]
-                if tail in _ALLOWED_TAILS:
+    def check(self, project: Project) -> Iterator[Violation]:
+        for info in project.files(self.scope, self.exempt):
+            for node in ast.walk(info.tree):
+                if not isinstance(node, ast.Call):
                     continue
-                yield ctx.violation(
-                    self,
-                    node,
-                    f"module-level {resolved}() draws from hidden global "
-                    "state; use a seeded Generator from "
-                    "repro.common.rng.make_rng",
-                )
+                resolved = info.import_map.resolve(node.func)
+                if resolved is None:
+                    continue
+                if resolved in SEEDABLE:
+                    if not node.args and not node.keywords:
+                        yield violation_at(
+                            self, info.path, node,
+                            f"unseeded {resolved}(): pass an explicit seed "
+                            "(or use repro.common.rng.make_rng)",
+                        )
+                    continue
+                if resolved.startswith(BANNED_PREFIXES):
+                    tail = resolved.rsplit(".", 1)[-1]
+                    if tail in _ALLOWED_TAILS:
+                        continue
+                    yield violation_at(
+                        self, info.path, node,
+                        f"module-level {resolved}() draws from hidden global "
+                        "state; use a seeded Generator from "
+                        "repro.common.rng.make_rng",
+                    )

@@ -5,8 +5,7 @@ agent is down" (a modelled, status-reported condition) and "the
 collector has a bug" (which must surface).  Banned in the collector /
 SNMP / fault layers:
 
-* ``except:`` — catches ``KeyboardInterrupt``/``SystemExit`` too;
-  autofixable to ``except Exception:``.
+* ``except:`` — catches ``KeyboardInterrupt``/``SystemExit`` too.
 * ``except Exception:`` (or ``BaseException``) whose handler does
   nothing observable — only ``pass``/``...``/``continue``/``return
   <constant>`` — i.e. swallows without logging, narrowing, or
@@ -22,7 +21,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.core import FileContext, Fix, Rule, Violation
+from repro.lint.core import Violation
+from repro.lint.project import Project, Rule, violation_at
 
 BROAD = {"Exception", "BaseException"}
 
@@ -35,33 +35,24 @@ class BlindExceptRule(Rule):
         "graceful-degradation machinery; narrow, log, or re-raise"
     )
     scope = ("src/repro/collectors", "src/repro/snmp", "src/repro/faults.py")
-    autofixable = True
 
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
-            if node.type is None:
-                line = ctx.line_text(node.lineno)
-                fix = (
-                    Fix(node.lineno, "except:", "except Exception:")
-                    if "except:" in line
-                    else None
-                )
-                yield ctx.violation(
-                    self,
-                    node,
-                    "bare 'except:' catches KeyboardInterrupt/SystemExit; "
-                    "catch Exception or a RemosError subclass",
-                    fix=fix,
-                )
-            elif self._is_broad(node.type) and self._is_blind(node.body):
-                yield ctx.violation(
-                    self,
-                    node,
-                    "blind 'except Exception' swallows collector bugs "
-                    "silently; narrow the type, log, or re-raise",
-                )
+    def check(self, project: Project) -> Iterator[Violation]:
+        for info in project.files(self.scope):
+            for node in ast.walk(info.tree):
+                if not isinstance(node, ast.ExceptHandler):
+                    continue
+                if node.type is None:
+                    yield violation_at(
+                        self, info.path, node,
+                        "bare 'except:' catches KeyboardInterrupt/SystemExit; "
+                        "catch Exception or a RemosError subclass",
+                    )
+                elif self._is_broad(node.type) and self._is_blind(node.body):
+                    yield violation_at(
+                        self, info.path, node,
+                        "blind 'except Exception' swallows collector bugs "
+                        "silently; narrow the type, log, or re-raise",
+                    )
 
     def _is_broad(self, type_node: ast.expr) -> bool:
         names = (

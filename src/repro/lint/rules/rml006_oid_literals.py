@@ -18,7 +18,8 @@ import ast
 import re
 from typing import Iterator
 
-from repro.lint.core import FileContext, Rule, Violation
+from repro.lint.core import Violation
+from repro.lint.project import Project, Rule, violation_at
 
 _DOTTED = re.compile(r"^\.?\d+(\.\d+)+$")
 
@@ -42,16 +43,16 @@ class OidLiteralRule(Rule):
     scope = ("src/repro",)
     exempt = ("src/repro/snmp/oid.py",)
 
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Constant)
-                and isinstance(node.value, str)
-                and looks_like_oid(node.value)
-            ):
-                yield ctx.violation(
-                    self,
-                    node,
-                    f"raw OID literal {node.value!r}; use a symbolic "
-                    "constant from repro.snmp.oid",
-                )
+    def check(self, project: Project) -> Iterator[Violation]:
+        for info in project.files(self.scope, self.exempt):
+            for node in ast.walk(info.tree):
+                if (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and looks_like_oid(node.value)
+                ):
+                    yield violation_at(
+                        self, info.path, node,
+                        f"raw OID literal {node.value!r}; use a symbolic "
+                        "constant from repro.snmp.oid",
+                    )

@@ -8,19 +8,12 @@ importing the predictor, the prediction layer importing the session
 facade) inverts the dependency the architecture promises and tends to
 rot into an import cycle held together by lazy imports.
 
-The contract is declared in ``pyproject.toml``::
-
-    [tool.remoslint.layers]
-    order = ["foundation", "netsim", ...]       # rank 0 upward
-
-    [tool.remoslint.layers.assign]
-    foundation = ["repro.common", "repro.obs"]  # module prefixes
-    ...
-
-Module-to-layer assignment is longest-prefix-wins, so a bare
-``"repro"`` prefix in the top layer acts as the fallback: any module
-nobody assigned explicitly lands at the top, where importing it from
-below fails the gate until someone places it deliberately.
+The contract is :data:`ORDER` (rank 0 upward) and :data:`ASSIGN`
+(layer -> module prefixes) below.  Module-to-layer assignment is
+longest-prefix-wins, so a bare ``"repro"`` prefix in the top layer acts
+as the fallback: any module nobody assigned explicitly lands at the
+top, where importing it from below fails the gate until someone places
+it deliberately.
 
 Imports laundered through ``if TYPE_CHECKING:`` or a function body are
 still violations — the cycle they hide is still real at type-check or
@@ -32,14 +25,17 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.lint.core import Violation
-from repro.lint.project import Project, ProjectRule
+from repro.lint.project import Project, Rule, violation_at
 
-#: fallback contract used when pyproject declares no layers
-DEFAULT_ORDER = [
+#: layer names, rank 0 (the foundation) upward
+ORDER = [
     "foundation", "netsim", "snmp", "graph",
     "collectors", "modeler", "rps", "session", "entry",
 ]
-DEFAULT_ASSIGN = {
+#: layer name -> the module prefixes it holds; ``repro.modeler.graph``
+#: (the shared topology vocabulary) sits below the collectors that
+#: serialize graphs, the rest of ``repro.modeler`` above them
+ASSIGN = {
     "foundation": ["repro.common", "repro.obs"],
     "netsim": ["repro.netsim", "repro.faults"],
     "snmp": ["repro.snmp"],
@@ -79,7 +75,7 @@ class LayerMap:
         return None
 
 
-class ImportLayeringRule(ProjectRule):
+class ImportLayeringRule(Rule):
     code = "RML101"
     name = "import-layering"
     rationale = (
@@ -88,9 +84,7 @@ class ImportLayeringRule(ProjectRule):
     )
 
     def check(self, project: Project) -> Iterator[Violation]:
-        order = project.config.layers_order or DEFAULT_ORDER
-        assign = project.config.layers_assign or DEFAULT_ASSIGN
-        layers = LayerMap(order, assign)
+        layers = LayerMap(ORDER, ASSIGN)
         for info in project.src_modules():
             placed = layers.place(info.name)
             if placed is None:
@@ -107,17 +101,11 @@ class ImportLayeringRule(ProjectRule):
                 if t_rank <= src_rank:
                     continue
                 note = _KIND_NOTE.get(imp.kind, "")
-                yield Violation(
-                    code=self.code,
-                    path=info.path,
-                    line=imp.lineno,
-                    col=imp.col,
-                    message=(
-                        f"{info.name} (layer '{src_layer}') imports {target} "
-                        f"(layer '{t_layer}', above it){note}; dependencies "
-                        "must point down the layer DAG"
-                    ),
-                    line_text=self._line_text(project, info.path, imp.lineno),
+                yield violation_at(
+                    self, info.path, imp,
+                    f"{info.name} (layer '{src_layer}') imports {target} "
+                    f"(layer '{t_layer}', above it){note}; dependencies "
+                    "must point down the layer DAG",
                 )
 
     def _module_target(self, project: Project, dotted: str) -> str | None:
@@ -135,7 +123,3 @@ class ImportLayeringRule(ProjectRule):
             if cand in project.graph.modules:
                 return cand
         return None
-
-    def _line_text(self, project: Project, path: str, lineno: int) -> str:
-        lines = project.sources.get(path, "").splitlines()
-        return lines[lineno - 1].strip() if 1 <= lineno <= len(lines) else ""

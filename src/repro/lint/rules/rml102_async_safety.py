@@ -3,7 +3,7 @@
 ``repro.service`` is a single-threaded asyncio plane: one coroutine
 that blocks (a real ``time.sleep``, sync socket/subprocess/file I/O,
 or stepping the simulation with ``Engine.run_until``) stalls every
-other client on the loop.  The per-file rules can only see a blocking
+other client on the loop.  A look at one file could only see a blocking
 call lexically inside an ``async def``; this rule walks the call graph
 so a sleep buried two helpers deep is found from the coroutine that
 reaches it.
@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.lint.core import Violation
-from repro.lint.project import Project, ProjectRule
+from repro.lint.project import Project, Rule, violation_at
 
 SERVICE_PACKAGE = "repro.service"
 
@@ -54,7 +54,7 @@ BLOCKING_ATTRS = {
 }
 
 
-class AsyncSafetyRule(ProjectRule):
+class AsyncSafetyRule(Rule):
     code = "RML102"
     name = "async-safety"
     rationale = (
@@ -89,8 +89,8 @@ class AsyncSafetyRule(ProjectRule):
                         if key not in reported:
                             reported.add(key)
                             via = " -> ".join(_short(q) for q in chain)
-                            yield self._violation(
-                                project, holder.path, edge.lineno, edge.col,
+                            yield violation_at(
+                                self, holder.path, edge,
                                 f"blocking call {sink} reachable from async "
                                 f"{_short(entry.qname)} (via {via}); {advice}",
                             )
@@ -105,16 +105,6 @@ class AsyncSafetyRule(ProjectRule):
                         continue
                     seen.add(callee)
                     stack.append((callee, chain + [callee]))
-
-    def _violation(
-        self, project: Project, path: str, line: int, col: int, message: str
-    ) -> Violation:
-        lines = project.sources.get(path, "").splitlines()
-        text = lines[line - 1].strip() if 1 <= line <= len(lines) else ""
-        return Violation(
-            code=self.code, path=path, line=line, col=col,
-            message=message, line_text=text,
-        )
 
 
 def _in_service(module: str) -> bool:

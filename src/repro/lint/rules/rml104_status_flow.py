@@ -1,14 +1,22 @@
-"""RML104 — Answer-status discipline, interprocedural.
+"""RML104 — Answer-status discipline, within a function and across calls.
 
-RML004 discharges its obligation the moment an Answer escapes into a
-call: ``plot(ans)`` moves the duty to ``plot``.  But if ``plot`` never
-looks at ``.status`` either, PARTIAL and STALE data is trusted
-silently and *neither* file shows a violation.  This rule closes the
-hand-off: it summarises, for every function in the project, which
-parameters have their data fields read on a path where ``.status`` /
-``.ok`` / ``.degraded`` was never consulted (propagating through
-forwarding chains with a call-graph fixpoint), then flags the call
-sites that feed an unchecked Answer into such a function.
+Every ``Answer`` carries a :class:`~repro.common.status.QueryStatus`;
+a caller that reads ``.available_bps`` without ever looking at
+``.status`` / ``.ok`` / ``.degraded`` silently treats PARTIAL or STALE
+data as fresh truth — exactly the failure mode the session API was
+built to make visible.  The rule sees answers bound from a session
+query (``ans = session.flow_info(...)``, ``for ans in
+session.flow_info_many(...)``) and, in every function and module body
+that never consults the answer's status, flags two things:
+
+* a **local drop** (in ``src/repro``) — the answer's data fields are
+  read here and the answer never escapes (returned, yielded or passed
+  on, which moves the obligation to whoever receives it);
+* an **unchecked hand-off** — the answer is passed to a function that
+  reads its data fields on a path where the status was never
+  consulted.  Every function in the project is summarised (which
+  parameters it checks, reads, lets escape or forwards), and a
+  call-graph fixpoint carries the summary along forwarding chains.
 
 Conservative by construction:
 
@@ -19,9 +27,8 @@ Conservative by construction:
   never flagged — the status was consulted on some path.
 
 The session facade and ``modeler.api`` construct the answers they
-return; their internals legitimately touch data fields, so functions
-defined there are never summarised as offenders (same exemption as
-RML004).
+return; their internals legitimately touch data fields, so they are
+neither scanned nor summarised as offenders.
 """
 
 from __future__ import annotations
@@ -30,13 +37,22 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.lint.callgraph import CallGraph, FunctionInfo
-from repro.lint.core import Violation, _prefix_match, dotted_name
-from repro.lint.project import Project, ProjectRule
-from repro.lint.rules.rml004_status import QUERY_METHODS, STATUS_ATTRS
+from repro.lint.callgraph import CallGraph, FunctionInfo, ModuleInfo
+from repro.lint.core import Violation, dotted_name, prefix_match
+from repro.lint.project import Project, Rule, violation_at
 
-#: modules whose call sites are analysed (tests may ignore status)
+#: methods returning one Answer (or a list of them, for the *_many/list
+#: forms) — receiver-agnostic, keyed on the attribute name
+QUERY_METHODS = {"flow_info", "flow_info_many", "topology", "node_info"}
+
+STATUS_ATTRS = {"status", "ok", "degraded", "site_status", "provenance"}
+
+#: modules whose answers are analysed (tests may ignore status)
 CALLER_PREFIXES = ("repro", "examples", "benchmarks")
+
+#: where a local drop is reported: examples and benchmarks print or
+#: compare whole answers, status and all, in ways the scan cannot see
+LOCAL_DROP_SCOPE = "src/repro"
 
 #: paths whose functions are never summarised as unchecked consumers
 EXEMPT_PATHS = ("src/repro/session.py", "src/repro/modeler/api.py")
@@ -54,13 +70,13 @@ class _Summary:
     forwards: list[tuple[str, str, "int | str"]] = field(default_factory=list)
 
 
-class StatusFlowRule(ProjectRule):
+class StatusFlowRule(Rule):
     code = "RML104"
     name = "answer-status-flow"
     rationale = (
-        "passing an unchecked Answer to a function that reads its data "
-        "without consulting .status hides PARTIAL/STALE results across "
-        "the call boundary"
+        "Answer consumers must inspect .status/.ok/.degraded before "
+        "trusting data fields, here or in the function they pass it to; "
+        "dropping it hides PARTIAL/STALE results"
     )
 
     def check(self, project: Project) -> Iterator[Violation]:
@@ -84,30 +100,26 @@ class StatusFlowRule(ProjectRule):
                 for p in CALLER_PREFIXES
             ):
                 continue
-            if any(_prefix_match(info.path, ex) for ex in EXEMPT_PATHS):
+            if any(prefix_match(info.path, ex) for ex in EXEMPT_PATHS):
                 continue
-            scopes: list[ast.AST] = [info.tree]
+            yield from self._scan_scope(graph, info, info.tree, None, unchecked)
             for qname in info.functions:
-                scopes.append(graph.functions[qname].node)
-            for scope in scopes:
-                cls = None
-                if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    for qname in info.functions:
-                        if graph.functions[qname].node is scope:
-                            cls = graph.functions[qname].cls
-                yield from self._scan_scope(project, info, scope, cls, unchecked)
+                fn = graph.functions[qname]
+                yield from self._scan_scope(graph, info, fn.node, fn.cls, unchecked)
 
     def _scan_scope(
         self,
-        project: Project,
-        info,
+        graph: CallGraph,
+        info: ModuleInfo,
         scope: ast.AST,
         cls: str | None,
         unchecked: set[tuple[str, str]],
     ) -> Iterator[Violation]:
-        graph = project.graph
-        candidates: dict[str, int] = {}
+        #: answer name -> the statement that bound it
+        candidates: dict[str, ast.stmt] = {}
         checked: set[str] = set()
+        consumed: set[str] = set()
+        escaped: set[str] = set()
         handoffs: list[tuple[str, str, str, ast.Call]] = []
         for node in _body_walk(scope):
             if (
@@ -116,48 +128,52 @@ class StatusFlowRule(ProjectRule):
                 and isinstance(node.targets[0], ast.Name)
                 and _is_query_call(node.value)
             ):
-                candidates[node.targets[0].id] = node.lineno
+                candidates[node.targets[0].id] = node
             elif (
                 isinstance(node, ast.For)
                 and isinstance(node.target, ast.Name)
                 and _is_query_call(node.iter)
             ):
-                candidates[node.target.id] = node.lineno
+                candidates[node.target.id] = node
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 if node.attr in STATUS_ATTRS:
                     checked.add(node.value.id)
+                else:
+                    consumed.add(node.value.id)
+            elif isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
+                escaped.update(_names_in(node.value))
             if isinstance(node, ast.Call):
+                args = [*node.args, *(kw.value for kw in node.keywords)]
+                escaped.update(a.id for a in args if isinstance(a, ast.Name))
                 callee = _resolve_call(graph, info, node, cls)
-                if callee is None:
-                    continue
-                fn = graph.functions.get(callee)
+                fn = graph.functions.get(callee) if callee is not None else None
                 if fn is None:
                     continue
                 for slot, arg in _arg_slots(node):
                     if not isinstance(arg, ast.Name):
                         continue
                     param = _slot_to_param(fn, slot)
-                    if param is not None and (callee, param) in unchecked:
-                        handoffs.append((arg.id, callee, param, node))
+                    if param is not None and (fn.qname, param) in unchecked:
+                        handoffs.append((arg.id, fn.qname, param, node))
 
+        local = prefix_match(info.path, LOCAL_DROP_SCOPE)
+        for name, binding in candidates.items():
+            if local and name in consumed and name not in checked and name not in escaped:
+                yield violation_at(
+                    self, info.path, binding,
+                    f"answer {name!r} is consumed without inspecting "
+                    ".status/.ok/.degraded (PARTIAL or STALE data would be "
+                    "trusted silently)",
+                )
         for name, callee, param, call in handoffs:
             if name not in candidates or name in checked:
                 continue
-            lines = project.sources.get(info.path, "").splitlines()
-            text = (
-                lines[call.lineno - 1].strip()
-                if 1 <= call.lineno <= len(lines) else ""
-            )
-            yield Violation(
-                code=self.code, path=info.path,
-                line=call.lineno, col=call.col_offset,
-                message=(
-                    f"answer {name!r} is passed to {callee} (parameter "
-                    f"{param!r}), which reads its data fields without ever "
-                    "checking .status/.ok/.degraded — PARTIAL or STALE "
-                    "data would be trusted silently"
-                ),
-                line_text=text,
+            yield violation_at(
+                self, info.path, call,
+                f"answer {name!r} is passed to {callee} (parameter "
+                f"{param!r}), which reads its data fields without ever "
+                "checking .status/.ok/.degraded — PARTIAL or STALE "
+                "data would be trusted silently",
             )
 
 
@@ -209,7 +225,7 @@ def _fixpoint(
     """(qname, param) pairs that read data without ever checking status."""
     exempt = {
         qname for qname, fn in graph.functions.items()
-        if any(_prefix_match(fn.path, ex) for ex in EXEMPT_PATHS)
+        if any(prefix_match(fn.path, ex) for ex in EXEMPT_PATHS)
         or fn.module.startswith("tests")
     }
     unchecked: set[tuple[str, str]] = set()
@@ -243,6 +259,7 @@ def _fixpoint(
 
 
 def _body_walk(scope: ast.AST) -> Iterator[ast.AST]:
+    """Walk a scope without descending into nested functions."""
     stack = list(ast.iter_child_nodes(scope))
     while stack:
         node = stack.pop()
@@ -254,6 +271,7 @@ def _body_walk(scope: ast.AST) -> Iterator[ast.AST]:
 
 def _is_query_call(node: ast.AST | None) -> bool:
     call = node
+    # unwrap `session.node_info(...)[0]` style subscripts
     if isinstance(call, ast.Subscript):
         call = call.value
     return (

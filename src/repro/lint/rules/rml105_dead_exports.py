@@ -24,13 +24,13 @@ from typing import Iterator
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 from repro.lint.core import Violation
-from repro.lint.project import Project, ProjectRule, violation_at
+from repro.lint.project import Project, Rule, violation_at
 
 #: module-level dunders that are metadata, not exports
 _METADATA = {"__all__", "__version__"}
 
 
-class DeadExportRule(ProjectRule):
+class DeadExportRule(Rule):
     code = "RML105"
     name = "dead-exports"
     rationale = (
@@ -51,7 +51,7 @@ class DeadExportRule(ProjectRule):
                     else "name"
                 )
                 yield violation_at(
-                    self, project, info.path, node,
+                    self, info.path, node,
                     f"public {kind} {name!r} in {info.name} is never "
                     "referenced from src, tests, benchmarks, or examples",
                 )

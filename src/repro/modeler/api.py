@@ -28,8 +28,9 @@ import functools
 import itertools
 import math
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import ClassVar, Protocol
+from typing import Any, ClassVar, Protocol
 
 import numpy as np
 
@@ -348,7 +349,7 @@ class Modeler:
         self._query_cache: OrderedDict[tuple, _CachedFetch] = OrderedDict()
         #: callable (ip str) -> (load or None, StreamingPredictor or None),
         #: wired by the deployment for node queries
-        self.node_info_provider = None
+        self.node_info_provider: Callable[[str], tuple[float | None, Any]] | None = None
         self.queries_made = 0
 
     # -- topology ------------------------------------------------------

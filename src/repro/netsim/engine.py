@@ -193,7 +193,7 @@ class Engine:
     def every(
         self,
         interval: float,
-        fn: Callable[[], None],
+        fn: Callable[[], object],
         *,
         start: float | None = None,
     ) -> Timer:

@@ -1,11 +1,12 @@
 """Central catalogue of observability metric and span names.
 
 Every counter/gauge/histogram name used in instrumentation must be
-registered in :data:`METRIC_NAMES` — remoslint rule RML007 fails the
-build otherwise — and every span name in :data:`SPAN_NAMES` — rule
-RML008 — so exporter consumers, dashboards, trace tooling, and the
-BENCH_*.json diffs never chase a typo'd time series or a trace name
-that silently forked.  ``docs/observability.md`` is the prose
+registered in :data:`METRIC_NAMES` and every span name in
+:data:`SPAN_NAMES` — every test runs under a fixture
+(``tests/conftest.py::catalogued_names_only``) that fails it when
+``repro`` code records a name missing here — so exporter consumers,
+dashboards, trace tooling, and the BENCH_*.json diffs never chase a
+typo'd time series or a trace name that silently forked.  ``docs/observability.md`` is the prose
 companion; this module is the machine-checked source of truth.
 
 Spans derive ``<name>.duration_s`` histograms inside the obs layer
@@ -109,7 +110,7 @@ METRIC_NAMES: frozenset[str] = frozenset(
     }
 )
 
-#: every span name instrumentation may open (RML008); each span also
+#: every span name instrumentation may open; each span also
 #: feeds a derived ``<name>.duration_s`` histogram with its labels.
 SPAN_NAMES: frozenset[str] = frozenset(
     {

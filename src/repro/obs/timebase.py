@@ -26,7 +26,7 @@ def wall_now() -> float:
     """Monotonic wall-clock seconds (``time.perf_counter``).
 
     The sanctioned wall-clock read for sim-facing layers: remoslint
-    rule RML001 bans direct ``time.*`` clock calls in netsim / snmp /
+    rule RML103 bans ``time.*`` clock calls in netsim / snmp /
     collectors / rps / faults so every wall-clock dependency is
     greppable here.  Only use it for *duration measurement* (cost
     accounting, span timing) — anything that influences simulation
@@ -39,7 +39,7 @@ def cpu_now() -> float:
     """Process CPU seconds (``time.process_time``).
 
     Counterpart of :func:`wall_now` for CPU-cost accounting (the
-    paper's Fig. 6/7 measurements); same RML001 rationale.
+    paper's Fig. 6/7 measurements); same RML103 rationale.
     """
     return time.process_time()
 

@@ -104,9 +104,11 @@ class TestReRegistration:
         assert before >= len(SITES)
         _reregister(dep.master, VICTIM, _DeadCollector(f"snmp-{VICTIM}-v2", world.net))
         dep.master.topology(request)  # quarantines the replacement
-        dep.master.invalidate_sites([VICTIM])
+        with obs.scoped_registry() as reg:
+            dep.master.invalidate_sites([VICTIM])
         # the fragment fetched through the old Registration is gone ...
         assert _lkg_fragments(dep.master) == before - 1
+        assert reg.counter("collectors.master.lkg_invalidated").value >= 1
         # ... and so is the quarantine mark: the next query re-probes
         assert all(
             m.health()["quarantined"] == 0 for m in dep.master.iter_masters()

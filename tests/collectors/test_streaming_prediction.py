@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import faults
+from repro import faults, obs
 from repro.collectors.base import HistoryRequest
 from repro.common.errors import CollectorUnavailableError
 from repro.common.units import MBPS
@@ -30,6 +30,10 @@ class TestStreamingManagers:
         [mgr] = managers
         assert mgr.predictors, "polling must have built predictors"
         assert mgr.samples_fed > 0
+        fed = mgr.samples_fed
+        with obs.scoped_registry() as reg:
+            lan.net.engine.run_until(lan.net.now + 10.0)
+        assert reg.counter("collectors.streaming.samples_fed").value == mgr.samples_fed - fed > 0
 
     def test_forecast_edge_answers(self, streaming_lan):
         lan, dep, managers = streaming_lan

@@ -6,13 +6,70 @@ WANs at the scale the paper never reached (hundreds of sites).  Tests
 take the factory rather than a prebuilt world because most of them
 mutate the network (flows, faults, mobility): every call returns a
 fresh, deterministic world for its seed.
+
+Every test also runs under :func:`catalogued_names_only`, which holds
+instrumentation to ``repro.obs.catalog``.
 """
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Callable
+
 import pytest
 
 from repro.netsim.builders import RandomWanWorld, build_random_wan
+from repro.obs.catalog import METRIC_NAMES, SPAN_NAMES
+from repro.obs.registry import MetricsRegistry
+
+
+def _checked(
+    record: Callable[..., object], names: frozenset[str], strays: list[str]
+) -> Callable[..., object]:
+    """``record`` (a registry method), noting each uncatalogued name it
+    is asked for from a ``repro.*`` call site.  The call site is the
+    first frame outside ``repro.obs``, whose module-level helpers only
+    forward; it is looked up only when the name is not catalogued."""
+
+    def checked(self: MetricsRegistry, name: str, **labels: object) -> object:
+        if name not in names:
+            frame = sys._getframe(1)
+            module = frame.f_globals.get("__name__", "")
+            while module == "repro.obs" or module.startswith("repro.obs."):
+                frame = frame.f_back
+                module = frame.f_globals.get("__name__", "")
+            if module == "repro" or module.startswith("repro."):
+                strays.append(
+                    f"{record.__name__}({name!r}) at {module}:{frame.f_lineno}"
+                )
+        return record(self, name, **labels)
+
+    return checked
+
+
+@pytest.fixture(autouse=True)
+def catalogued_names_only(monkeypatch):
+    """Fail a test during which ``repro`` code recorded a metric or span
+    name that ``repro.obs.catalog`` does not list, f-string names
+    included.  Only a live registry is checked (the no-op default hands
+    out nothing), and names a test records itself, such as ``"x.y"``,
+    are its own business.  Yields the list of offences noted so far."""
+    strays: list[str] = []
+    for method, names in (
+        ("counter", METRIC_NAMES),
+        ("gauge", METRIC_NAMES),
+        ("histogram", METRIC_NAMES),
+        ("span", SPAN_NAMES),
+    ):
+        monkeypatch.setattr(
+            MetricsRegistry, method,
+            _checked(getattr(MetricsRegistry, method), names, strays),
+        )
+    yield strays
+    assert not strays, (
+        "names missing from repro.obs.catalog (and docs/observability.md): "
+        + ", ".join(dict.fromkeys(strays))
+    )
 
 
 @pytest.fixture

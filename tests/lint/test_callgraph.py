@@ -18,7 +18,7 @@ def build(*files: tuple[str, str]) -> CallGraph:
     graph = CallGraph()
     for rel, src in files:
         src = textwrap.dedent(src)
-        graph.add_module(rel, src, ast.parse(src))
+        graph.add_module(rel, ast.parse(src))
     graph.finish()
     return graph
 

@@ -1,4 +1,4 @@
-"""Synthetic-project tests for the RML1xx whole-program rules.
+"""Synthetic-project tests for the whole-program rules.
 
 The repo itself lints clean (tests/lint/test_self_check.py), so these
 build throwaway trees under tmp_path where each rule has a known
@@ -8,30 +8,25 @@ and end-to-end CLI paths.
 
 from __future__ import annotations
 
-import json
 import textwrap
 from pathlib import Path
 
 from repro.lint.cli import main
-from repro.lint.config import load_config
-from repro.lint.project import Project, lint_project
-from repro.lint.rules import make_project_rules
-
-PYPROJECT = '[tool.remoslint]\npaths = ["src"]\nbaseline = "bl.json"\n'
+from repro.lint.project import Project, lint
+from repro.lint.rules import make_rules
 
 
 def make_project(tmp_path: Path, files: dict[str, str]) -> Project:
-    (tmp_path / "pyproject.toml").write_text(PYPROJECT)
     for rel, src in files.items():
         f = tmp_path / rel
         f.parent.mkdir(parents=True, exist_ok=True)
         f.write_text(textwrap.dedent(src))
-    return Project.build(tmp_path, load_config(tmp_path))
+    return Project.build(tmp_path)
 
 
 def run_rule(tmp_path: Path, code: str, files: dict[str, str]):
     project = make_project(tmp_path, files)
-    return lint_project(project, make_project_rules(select=[code]))
+    return lint(project, [r for r in make_rules() if r.code == code])
 
 
 class TestImportLayering:
@@ -377,7 +372,6 @@ class TestDeadExports:
 
 class TestProjectCli:
     def _layering_repo(self, tmp_path: Path) -> Path:
-        (tmp_path / "pyproject.toml").write_text(PYPROJECT)
         pkg = tmp_path / "src" / "repro"
         (pkg / "collectors").mkdir(parents=True)
         (pkg / "netsim").mkdir(parents=True)
@@ -387,23 +381,9 @@ class TestProjectCli:
         )
         return tmp_path
 
-    def test_json_report_end_to_end(self, tmp_path, capsys):
+    def test_project_rules_run_in_the_one_mode(self, tmp_path, capsys):
         root = self._layering_repo(tmp_path)
-        assert main(
-            ["--root", str(root), "--project", "--format", "json"]
-        ) == 1
-        payload = json.loads(capsys.readouterr().out)
-        hits = [v for v in payload["violations"] if v["code"] == "RML101"]
+        assert main(["--root", str(root)]) == 1
+        hits = [line for line in capsys.readouterr().out.splitlines() if "RML101" in line]
         assert len(hits) == 1
-        assert hits[0]["path"] == "src/repro/netsim/probe.py"
-
-    def test_project_violations_are_baselinable(self, tmp_path, capsys):
-        root = self._layering_repo(tmp_path)
-        assert main(["--root", str(root), "--project"]) == 1
-        assert main(["--root", str(root), "--project", "--write-baseline"]) == 0
-        assert main(["--root", str(root), "--project"]) == 0
-        assert "baselined" in capsys.readouterr().out
-
-    def test_without_flag_project_rules_stay_off(self, tmp_path, capsys):
-        root = self._layering_repo(tmp_path)
-        assert main(["--root", str(root)]) == 0
+        assert hits[0].startswith("src/repro/netsim/probe.py:1:1: RML101")

@@ -1,23 +1,22 @@
 """Per-rule unit tests: one true positive, one pragma suppression, and
 one sanctioned (negative) case per rule, on inline fixture snippets.
 
-``lint_source`` takes a fake repo-relative path so each rule's scoping
-is exercised exactly as in a real run.
+``lint_source`` lints a snippet as a one-file project at a fake
+repo-relative path, so each rule's scoping is exercised exactly as in a
+real run.
 """
 
 from __future__ import annotations
 
 import textwrap
 
-from repro.lint.engine import lint_source
+from repro.lint.project import lint_source
 from repro.lint.rules import make_rules
 from repro.lint.rules.rml006_oid_literals import looks_like_oid
-from repro.lint.rules.rml007_metric_names import MetricNameRule
-from repro.lint.rules.rml008_span_names import SpanNameRule
 
 
-def run(source: str, path: str, codes: str | None = None):
-    rules = make_rules(select=codes.split(",") if codes else None)
+def run(source: str, path: str, codes: str):
+    rules = [r for r in make_rules() if r.code in codes.split(",")]
     return lint_source(textwrap.dedent(source), rules, path=path)
 
 
@@ -25,6 +24,10 @@ IN_SCOPE = "src/repro/collectors/somefile.py"
 
 
 class TestRML001SimClock:
+    """The cases of the retired per-file clock rule, RML001, which the
+    transitive clock rule RML103 now reports (it also reads module bodies
+    and private helpers)."""
+
     def test_wall_clock_call_flagged(self):
         vs = run(
             """
@@ -34,8 +37,9 @@ class TestRML001SimClock:
                 return time.time()
             """,
             IN_SCOPE,
+            "RML103",
         )
-        assert [v.code for v in vs] == ["RML001"]
+        assert [v.code for v in vs] == ["RML103"]
         assert "time.time" in vs[0].message
 
     def test_aliased_and_from_imports_flagged(self):
@@ -49,8 +53,9 @@ class TestRML001SimClock:
                 sleep(1)
             """,
             IN_SCOPE,
+            "RML103",
         )
-        assert [v.code for v in vs] == ["RML001", "RML001"]
+        assert [v.code for v in vs] == ["RML103", "RML103"]
 
     def test_datetime_now_flagged(self):
         vs = run(
@@ -61,8 +66,9 @@ class TestRML001SimClock:
                 return datetime.now()
             """,
             IN_SCOPE,
+            "RML103",
         )
-        assert [v.code for v in vs] == ["RML001"]
+        assert [v.code for v in vs] == ["RML103"]
 
     def test_pragma_suppresses(self):
         vs = run(
@@ -70,9 +76,10 @@ class TestRML001SimClock:
             import time
 
             def poll():
-                return time.time()  # remoslint: disable=RML001
+                return time.time()  # remoslint: disable=RML103
             """,
             IN_SCOPE,
+            "RML103",
         )
         assert vs == []
 
@@ -86,6 +93,7 @@ class TestRML001SimClock:
                 return net.engine.now, obs.wall_now() - t0
             """,
             IN_SCOPE,
+            "RML103",
         )
         assert vs == []
 
@@ -93,7 +101,39 @@ class TestRML001SimClock:
         vs = run(
             "import time\nt = time.time()\n",
             "src/repro/cli.py",  # CLI may read the wall clock
-            codes="RML001",
+            "RML103",
+        )
+        assert vs == []
+
+    def test_module_level_read_flagged(self):
+        vs = run("import time\nT0 = time.time()\n", IN_SCOPE, "RML103")
+        assert [(v.code, v.line) for v in vs] == [("RML103", 2)]
+
+    def test_private_helper_nobody_calls_flagged(self):
+        vs = run(
+            """
+            import time
+
+            def _stamp():
+                return time.monotonic()
+            """,
+            IN_SCOPE,
+            "RML103",
+        )
+        assert [(v.code, v.line) for v in vs] == [("RML103", 5)]
+
+    def test_bare_reference_is_not_a_call(self):
+        # given up with RML001: a reference reads no clock, and a call
+        # made through it later is one the call graph cannot follow
+        vs = run(
+            """
+            import time
+
+            def clock():
+                return time.monotonic
+            """,
+            IN_SCOPE,
+            "RML103",
         )
         assert vs == []
 
@@ -108,6 +148,7 @@ class TestRML002Rng:
                 return random.random()
             """,
             "src/repro/netsim/traffic2.py",
+            "RML002",
         )
         assert [v.code for v in vs] == ["RML002"]
 
@@ -121,6 +162,7 @@ class TestRML002Rng:
             r2 = np.random.default_rng()
             """,
             "src/repro/netsim/traffic2.py",
+            "RML002",
         )
         assert [v.code for v in vs] == ["RML002", "RML002"]
 
@@ -137,6 +179,7 @@ class TestRML002Rng:
                 return rng.random()
             """,
             "src/repro/netsim/traffic2.py",
+            "RML002",
         )
         assert vs == []
 
@@ -147,6 +190,7 @@ class TestRML002Rng:
             x = random.random()  # remoslint: disable=RML002
             """,
             "src/repro/netsim/traffic2.py",
+            "RML002",
         )
         assert vs == []
 
@@ -154,6 +198,7 @@ class TestRML002Rng:
         vs = run(
             "import numpy as np\nr = np.random.default_rng()\n",
             "src/repro/common/rng.py",
+            "RML002",
         )
         assert vs == []
 
@@ -166,11 +211,15 @@ class TestRML002Rng:
             x = random.random()
             """,
             "src/repro/netsim/traffic2.py",
+            "RML002",
         )
         assert vs == []
 
 
 class TestRML004Status:
+    """The cases of the retired per-file status rule, RML004: a local
+    drop is now reported by RML104, beside the hand-offs it follows."""
+
     def test_status_drop_flagged(self):
         vs = run(
             """
@@ -179,8 +228,9 @@ class TestRML004Status:
                 print(ans.available_bps)
             """,
             "src/repro/apps/thing.py",
+            "RML104",
         )
-        assert [v.code for v in vs] == ["RML004"]
+        assert [v.code for v in vs] == ["RML104"]
 
     def test_for_loop_answers_flagged(self):
         vs = run(
@@ -190,8 +240,9 @@ class TestRML004Status:
                     print(ans.available_bps)
             """,
             "src/repro/apps/thing.py",
+            "RML104",
         )
-        assert [v.code for v in vs] == ["RML004"]
+        assert [v.code for v in vs] == ["RML104"]
 
     def test_status_checked_sanctioned(self):
         vs = run(
@@ -202,6 +253,7 @@ class TestRML004Status:
                     print(ans.available_bps)
             """,
             "src/repro/apps/thing.py",
+            "RML104",
         )
         assert vs == []
 
@@ -218,6 +270,7 @@ class TestRML004Status:
                 sink(ans)
             """,
             "src/repro/apps/thing.py",
+            "RML104",
         )
         assert vs == []
 
@@ -225,16 +278,17 @@ class TestRML004Status:
         vs = run(
             """
             def plan(session, a, b):
-                ans = session.flow_info(a, b)  # remoslint: disable=RML004
+                ans = session.flow_info(a, b)  # remoslint: disable=RML104
                 print(ans.available_bps)
             """,
             "src/repro/apps/thing.py",
+            "RML104",
         )
         assert vs == []
 
 
 class TestRML005BlindExcept:
-    def test_bare_except_flagged_with_autofix(self):
+    def test_bare_except_flagged(self):
         vs = run(
             """
             def poll(agent):
@@ -244,10 +298,9 @@ class TestRML005BlindExcept:
                     return None
             """,
             IN_SCOPE,
+            "RML005",
         )
         assert [v.code for v in vs] == ["RML005"]
-        assert vs[0].fix is not None
-        assert vs[0].fix.new == "except Exception:"
 
     def test_blind_except_exception_flagged(self):
         vs = run(
@@ -259,6 +312,7 @@ class TestRML005BlindExcept:
                     pass
             """,
             IN_SCOPE,
+            "RML005",
         )
         assert [v.code for v in vs] == ["RML005"]
 
@@ -273,6 +327,7 @@ class TestRML005BlindExcept:
                     return None
             """,
             IN_SCOPE,
+            "RML005",
         )
         assert vs == []
 
@@ -288,6 +343,7 @@ class TestRML005BlindExcept:
                     return None
             """,
             IN_SCOPE,
+            "RML005",
         )
         assert vs == []
 
@@ -301,6 +357,7 @@ class TestRML005BlindExcept:
                     pass
             """,
             IN_SCOPE,
+            "RML005",
         )
         assert vs == []
 
@@ -308,7 +365,7 @@ class TestRML005BlindExcept:
         vs = run(
             "try:\n    pass\nexcept Exception:\n    pass\n",
             "src/repro/rps/fit.py",
-            codes="RML005",
+            "RML005",
         )
         assert vs == []
 
@@ -318,17 +375,19 @@ class TestRML006OidLiterals:
         vs = run(
             'TARGET = "1.3.6.1.2.1.2.2.1.10"\n',
             "src/repro/collectors/snmp_collector.py",
+            "RML006",
         )
         assert [v.code for v in vs] == ["RML006"]
 
     def test_oid_module_exempt(self):
-        vs = run('MIB2 = "1.3.6.1.2.1"\n', "src/repro/snmp/oid.py")
+        vs = run('MIB2 = "1.3.6.1.2.1"\n', "src/repro/snmp/oid.py", "RML006")
         assert vs == []
 
     def test_ip_and_version_strings_sanctioned(self):
         vs = run(
             'ip = "10.0.0.1"\nversion = "1.2.3"\nnet = "192.168.1.0"\n',
             "src/repro/collectors/snmp_collector.py",
+            "RML006",
         )
         assert vs == []
 
@@ -336,6 +395,7 @@ class TestRML006OidLiterals:
         vs = run(
             'T = "1.3.6.1.99"  # remoslint: disable=RML006\n',
             "src/repro/collectors/snmp_collector.py",
+            "RML006",
         )
         assert vs == []
 
@@ -348,155 +408,7 @@ class TestRML006OidLiterals:
         assert not looks_like_oid("hello")
 
 
-class TestRML007MetricNames:
-    def test_unregistered_name_flagged(self):
-        vs = run(
-            """
-            from repro import obs
-
-            obs.counter("snmp.client.tyop_pdus").inc()
-            """,
-            "src/repro/snmp/client2.py",
-        )
-        assert [v.code for v in vs] == ["RML007"]
-        assert "catalogue" in vs[0].message
-
-    def test_registered_name_sanctioned(self):
-        vs = run(
-            """
-            from repro import obs
-
-            obs.counter("snmp.client.pdus", op="get").inc()
-            obs.histogram("rps.fit.wall_s", spec="AR(16)").observe(0.1)
-            obs.gauge("netsim.engine.sim_time_s").set(1.0)
-            """,
-            "src/repro/snmp/client2.py",
-        )
-        assert vs == []
-
-    def test_pragma_suppresses(self):
-        vs = run(
-            """
-            from repro import obs
-
-            obs.counter("made.up.name").inc()  # remoslint: disable=RML007
-            """,
-            "src/repro/snmp/client2.py",
-        )
-        assert vs == []
-
-    def test_obs_layer_exempt(self):
-        vs = run(
-            'from repro import obs\nobs.counter("internal.name").inc()\n',
-            "src/repro/obs/registry.py",
-        )
-        assert vs == []
-
-    def test_dynamic_names_skipped(self):
-        vs = run(
-            """
-            from repro import obs
-
-            def bump(name):
-                obs.counter(name).inc()
-            """,
-            "src/repro/snmp/client2.py",
-        )
-        assert vs == []
-
-    def test_injected_catalogue(self):
-        rule = MetricNameRule(catalogue=frozenset({"known.metric"}))
-        vs = lint_source(
-            'from repro import obs\nobs.counter("other.metric").inc()\n',
-            [rule],
-            path="src/repro/snmp/client2.py",
-        )
-        assert [v.code for v in vs] == ["RML007"]
-
-
-class TestRML008SpanNames:
-    def test_unregistered_span_name_flagged(self):
-        vs = run(
-            """
-            from repro import obs
-
-            with obs.span("session.flow_infoo"):
-                pass
-            """,
-            "src/repro/snmp/client2.py",
-        )
-        assert [v.code for v in vs] == ["RML008"]
-        assert "SPAN_NAMES" in vs[0].message
-
-    def test_registered_span_names_sanctioned(self):
-        vs = run(
-            """
-            from repro import obs
-
-            with obs.span("session.flow_info"):
-                with obs.span("collectors.master.delegate", site="cmu"):
-                    pass
-            """,
-            "src/repro/snmp/client2.py",
-        )
-        assert vs == []
-
-    def test_registry_handle_form_flagged(self):
-        vs = run(
-            """
-            from repro.obs import MetricsRegistry
-
-            reg = MetricsRegistry()
-            with reg.span("totally.unknown"):
-                pass
-            """,
-            "src/repro/snmp/client2.py",
-        )
-        assert [v.code for v in vs] == ["RML008"]
-
-    def test_pragma_suppresses(self):
-        vs = run(
-            """
-            from repro import obs
-
-            with obs.span("made.up.span"):  # remoslint: disable=RML008
-                pass
-            """,
-            "src/repro/snmp/client2.py",
-        )
-        assert vs == []
-
-    def test_obs_layer_exempt(self):
-        vs = run(
-            'from repro import obs\nobs.span("internal.span")\n',
-            "src/repro/obs/registry2.py",
-        )
-        assert vs == []
-
-    def test_dynamic_names_and_unrelated_span_methods_skipped(self):
-        vs = run(
-            """
-            from repro import obs
-
-            def trace(name, tree):
-                with obs.span(name):
-                    tree.span("not.an.obs.span")
-            """,
-            "src/repro/snmp/client2.py",
-        )
-        assert vs == []
-
-    def test_injected_catalogue(self):
-        rule = SpanNameRule(catalogue=frozenset({"known.span"}))
-        vs = lint_source(
-            'from repro import obs\nobs.span("other.span")\n',
-            [rule],
-            path="src/repro/snmp/client2.py",
-        )
-        assert [v.code for v in vs] == ["RML008"]
-
-
 class TestEveryRuleHasFixtureCoverage:
-    def test_all_seven_rules_exist(self):
+    def test_all_eight_rules_exist(self):
         codes = {r.code for r in make_rules()}
-        assert codes == {f"RML00{i}" for i in (1, 2, 4, 5, 6, 7, 8)}
+        assert codes == {"RML002", "RML005", "RML006"} | {f"RML10{i}" for i in range(1, 6)}

@@ -38,6 +38,7 @@ STRICT_FILES = (
         REPO_ROOT / "src" / "repro" / "collectors" / "sharding.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "slp.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "snmp_collector.py",
+        REPO_ROOT / "src" / "repro" / "deploy.py",
         REPO_ROOT / "src" / "repro" / "faults.py",
         REPO_ROOT / "src" / "repro" / "modeler" / "graph.py",
         REPO_ROOT / "src" / "repro" / "modeler" / "maxmin.py",
@@ -84,6 +85,7 @@ STRICT_MODULES = [
     "repro.collectors.sharding",
     "repro.collectors.slp",
     "repro.collectors.snmp_collector",
+    "repro.deploy",
     "repro.faults",
     "repro.modeler.graph",
     "repro.modeler.maxmin",

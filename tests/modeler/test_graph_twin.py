@@ -18,7 +18,7 @@ from typing import Any
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -368,6 +368,7 @@ def _agree(new: TopologyGraph, old: _NxTopologyGraph) -> None:
 
 
 @given(st.lists(_op, max_size=30))
+@example([("ask", "b", "b"), ("node", "b", HOST, [])])
 @settings(max_examples=80, deadline=None)
 def test_random_histories_match_the_networkx_class(ops):
     new, old = TopologyGraph(), _NxTopologyGraph()

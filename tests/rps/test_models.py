@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.common.errors import ModelFitError, PredictionError
 from repro.rps.hostload import ar_trace, host_load_trace
 from repro.rps.models import (
@@ -192,9 +193,11 @@ class TestFarima:
 class TestRefitting:
     def test_refits_on_schedule(self, load):
         f = RefittingModel(ArModel(4), refit_interval=50).fit(load[:500])
-        for v in load[500:700]:
-            f.step(v)
+        with obs.scoped_registry() as reg:
+            for v in load[500:700]:
+                f.step(v)
         assert f.refits == 4
+        assert reg.counter("rps.refit.events", spec="AR(4)").value == 4
 
     def test_adapts_to_regime_change(self):
         x1 = ar_trace(800, [0.5], seed=16) + 1.0

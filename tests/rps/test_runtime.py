@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.common.errors import PredictionError
 from repro.common.units import MBPS
 from repro.netsim.agents import attach_trace
@@ -59,10 +60,12 @@ class TestClientServerPredictor:
     def test_stateless_requests(self):
         x = ar_trace(1000, [0.7], seed=25)
         server = ClientServerPredictor()
-        r1 = server.request(x, 5)
-        r2 = server.request(x, 5)
+        with obs.scoped_registry() as reg:
+            r1 = server.request(x, 5)
+            r2 = server.request(x, 5)
         assert np.allclose(r1.forecast.values, r2.forecast.values)
         assert server.requests_served == 2
+        assert reg.counter("rps.requests", mode="client_server").value == 2
 
     def test_spec_override(self):
         x = ar_trace(1000, [0.7], seed=26)
@@ -191,20 +194,26 @@ class TestPredictionService:
     def test_predicts_with_preferred_model(self):
         x = ar_trace(1000, [0.7], seed=34)
         svc = RpsPredictionService("AR(16)")
-        preds, variances = svc.predict_series(x, 3)
+        with obs.scoped_registry() as reg:
+            preds, variances = svc.predict_series(x, 3)
         assert preds.shape == (3,)
         assert np.all(variances >= 0)
+        assert reg.counter("rps.service.requests").value == 1
 
     def test_falls_back_on_short_history(self):
         svc = RpsPredictionService("AR(16)")
-        preds, _ = svc.predict_series(np.array([5.0, 5.0, 5.0]), 2)
+        with obs.scoped_registry() as reg:
+            preds, _ = svc.predict_series(np.array([5.0, 5.0, 5.0]), 2)
         assert preds == pytest.approx([5.0, 5.0])
+        assert reg.counter("rps.service.fallbacks", failed_spec="AR(16)").value == 1
 
     def test_last_resort_constant(self):
         svc = RpsPredictionService("AR(16)", fallbacks=())
-        preds, variances = svc.predict_series(np.array([2.0]), 2)
+        with obs.scoped_registry() as reg:
+            preds, variances = svc.predict_series(np.array([2.0]), 2)
         assert np.all(preds == 2.0)
         assert np.all(variances == 0.0)
+        assert reg.counter("rps.service.last_resort").value == 1
 
 
 class TestModelerPredictionIntegration:

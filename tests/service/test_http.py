@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.deploy import deploy_lan
 from repro.netsim.builders import build_switched_lan
 from repro.service import RemosService, ServiceConfig
@@ -94,14 +95,20 @@ class TestRouting:
 
     def test_health_and_metrics_get(self):
         async def go(port, hosts, service):
-            return await raw_request(
-                port, b"GET /v1/health HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
-            )
+            return [
+                await raw_request(
+                    port, b"GET /v1/%s HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n" % path
+                )
+                for path in (b"health", b"metrics")
+            ]
 
-        status, body = with_server(go)
+        with obs.scoped_registry() as reg:
+            (status, body), (m_status, metrics) = with_server(go)
         assert status == 200
         assert body["result"]["status"] == "ok"
         assert body["result"]["backend"]["kind"] == "master"
+        assert m_status == 200 and metrics["result"]["breaker_transitions"] == 0
+        assert "service.breaker_transitions" in reg.metric_names()
 
     def test_unknown_endpoint_404(self):
         async def go(port, hosts, service):
@@ -226,9 +233,11 @@ class TestTenancy:
                         statuses.append(err.code)
                 return statuses
 
-        statuses = with_server(go, config)
+        with obs.scoped_registry() as reg:
+            statuses = with_server(go, config)
         assert statuses[:2] == [200, 200]
         assert "rate_limited" in statuses[2:]
+        assert reg.counter("service.ratelimited").value == statuses.count("rate_limited")
 
     def test_tenants_do_not_share_buckets(self):
         config = ServiceConfig(rate=1.0, burst=1.0)

@@ -15,6 +15,7 @@ import asyncio
 
 import pytest
 
+from repro import obs
 from repro.common.status import QueryStatus
 from repro.common.units import MBPS
 from repro.deploy import deploy_wan
@@ -136,8 +137,10 @@ class TestLongPollEndpoint:
             second = await client.subscribe(pairs, since=first["seq"])
             return second
 
-        second = asyncio.run(go())
+        with obs.scoped_registry() as reg:
+            second = asyncio.run(go())
         assert len(second["events"]) == 2
+        assert reg.counter("service.subs_events").value == 2
         assert second["resume_lost"] is False
         statuses = {e["payload"]["status"] for e in second["events"]}
         assert statuses == {"ok"}

@@ -12,6 +12,7 @@ from repro.common.errors import (
     AuthorizationError,
     NoSuchObjectError,
 )
+from repro import obs
 from repro.common.units import MBPS
 from repro.netsim.address import IPv4Network
 from repro.netsim.builders import build_dumbbell, build_switched_lan
@@ -358,9 +359,11 @@ class TestCostAccounting:
     def test_walk_counts_pdus(self, snmp_dumbbell):
         d, world, client = snmp_dumbbell
         before = client.pdu_count
-        rows = client.walk("10.1.0.1", O.IP_ROUTE_NEXT_HOP)
+        with obs.scoped_registry() as reg:
+            rows = client.walk("10.1.0.1", O.IP_ROUTE_NEXT_HOP)
         # one PDU per row + one overshoot
         assert client.pdu_count - before == len(rows) + 1
+        assert reg.histogram("snmp.client.walk_len").sum == len(rows)
 
     def test_custom_cost_model(self):
         d = build_dumbbell()

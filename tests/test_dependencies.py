@@ -11,9 +11,8 @@ from __future__ import annotations
 import ast
 import re
 import sys
+import tomllib
 from pathlib import Path
-
-from repro.lint.config import _load_toml
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIRST_PARTY = {"repro"}
@@ -43,7 +42,8 @@ def _third_party_imports(root: Path) -> dict[str, list[str]]:
 
 
 def _declared() -> tuple[set[str], set[str]]:
-    project = _load_toml(REPO_ROOT / "pyproject.toml")["project"]
+    with (REPO_ROOT / "pyproject.toml").open("rb") as fh:
+        project = tomllib.load(fh)["project"]
     return _module_names(project["dependencies"]), _module_names(
         project["optional-dependencies"]["test"]
     )
