@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from typing import TypeVar
 
 from repro import obs
 from repro.common.errors import (
@@ -60,16 +61,20 @@ log = obs.get_logger(__name__)
 #: unlike ``id(reg)``, which the allocator may also hand to a later,
 #: unrelated Registration
 RegKey = tuple[str, str]
-#: a delegate's identity for survival state: a :data:`RegKey` for a
-#: registration, the shard index for a shard
+#: a delegate's quarantine key: a :data:`RegKey` for a registration,
+#: the shard index for a shard
 DelegateKey = RegKey | int
-#: last-known-good fragment cache shapes (see MasterCollector._lkg)
-LkgKey = tuple[DelegateKey, tuple[str, ...]]
-LkgEntry = tuple[TopologyGraph, float, dict[str, str], tuple[str, ...], tuple[str, ...]]
+#: last-known-good fragment cache shapes (see MasterCollector._lkg): a
+#: registration and the addresses asked of it -> (graph, fetched at,
+#: anchors, unresolved)
+LkgKey = tuple[RegKey, tuple[str, ...]]
+LkgEntry = tuple[TopologyGraph, float, dict[str, str], tuple[str, ...]]
 
-#: most last-known-good fragments one Master keeps; past it the least
-#: recently stored-or-served one is evicted
+#: most last-known-good fragments one Master plane keeps; past it the
+#: least recently stored-or-served one is evicted
 LKG_MAX_FRAGMENTS = 1024
+
+_T = TypeVar("_T")
 
 
 def _reg_key(reg: Registration) -> RegKey:
@@ -91,8 +96,9 @@ class Delegate:
     #: replica chain, tried in order; a registration is a chain of one
     chain: tuple[Collector, ...]
     request: TopologyRequest
-    #: the sites whose status the fragment carries
-    sites: tuple[str, ...]
+    #: the registration fragments the answer is made of, as
+    #: last-known-good keys; a registration is its own one part
+    parts: tuple[LkgKey, ...]
     #: every site the chain answers for (invalidating one of them
     #: lifts the chain's quarantine)
     owns: tuple[str, ...]
@@ -100,16 +106,13 @@ class Delegate:
     hop_s: float
     #: ... charged on the reply path instead of before the call
     reply_path_hop: bool = False
-    #: per-site statuses are the answer's own ``site_status`` (the chain
-    #: is of Masters) instead of being built from its ``status``
+    #: the chain is of Masters: per-site statuses are the answer's own
+    #: ``site_status``, and the tier below stores the fragments
     passthrough: bool = False
     #: count an exhausted chain under ``collectors.sharded.shard_failures``
     counts_failures: bool = False
     #: ``SiteStatus.detail`` of a delegate skipped under quarantine
     quarantined: str = "quarantined"
-    #: ``SiteStatus.detail`` of a fragment served from last-known-good
-    #: (None: the failure's own detail)
-    lkg_detail: str | None = None
     #: what a non-Remos exception from the chain is reported as
     error: str = "collector error"
 
@@ -136,14 +139,18 @@ class MasterCollector(Collector):
         #: anchor node id -> site, learned from past stitched queries,
         #: so history requests can recognise logical WAN edges
         self._anchor_sites: dict[str, str] = {}
+        # Survival state is the plane's: a ShardedMaster hands its own
+        # to every Master it is built over (see sharding.ShardedMaster).
         #: delegate key -> (sim time until which it is quarantined —
         #: delegation failed recently; skip it, re-probe after —, the
         #: sites it answers for)
         self._quarantine: dict[DelegateKey, tuple[float, tuple[str, ...]]] = {}
-        #: last-known-good fragments, least recently stored-or-served
-        #: first: (delegate key, requested ips) -> fragment — served,
-        #: marked STALE, when a delegate stops answering
+        #: last-known-good registration fragments, least recently
+        #: stored-or-served first — served, marked STALE, when a delegate
+        #: stops answering
         self._lkg: OrderedDict[LkgKey, LkgEntry] = OrderedDict()
+        #: the name the store is gauged under: the plane's root
+        self._plane = name
 
     @property
     def fanout_parallel(self) -> int:
@@ -161,15 +168,16 @@ class MasterCollector(Collector):
         yield self
 
     def invalidate_sites(self, sites: Iterable[str] | None = None) -> None:
-        """Drop survival state (LKG fragments, quarantine marks) for the
-        named sites — e.g. after a known topology change — or all state
-        when ``sites`` is None.  The next query re-probes live."""
+        """Drop the plane's survival state (LKG fragments, quarantine
+        marks) for the named sites — e.g. after a known topology change —
+        or all of it when ``sites`` is None.  The next query re-probes
+        live."""
         wanted = None if sites is None else set(sites)
 
         def named(of: tuple[str, ...]) -> bool:
             return wanted is None or not wanted.isdisjoint(of)
 
-        doomed = [key for key, (*_, held_sites) in self._lkg.items() if named(held_sites)]
+        doomed = [key for key in self._lkg if named(key[0][:1])]
         for key in doomed:
             del self._lkg[key]
         for dkey in [k for k, (_, owns) in self._quarantine.items() if named(owns)]:
@@ -182,10 +190,10 @@ class MasterCollector(Collector):
         """Backend-health snapshot for the service plane (``/v1/health``).
 
         Reports how much of the directory is currently answering: sites
-        registered, registrations under quarantine right now, and
+        registered, delegates under quarantine right now, and
         last-known-good fragments held for sites that stopped
-        answering.  The sharded plane extends this with per-shard
-        detail.
+        answering (both counted over the plane's one survival state).
+        The sharded plane extends this with per-shard detail.
         """
         now = float(self.net.engine.now)
         quarantined = sum(1 for until, _ in self._quarantine.values() if until > now)
@@ -323,7 +331,7 @@ class MasterCollector(Collector):
                     anchor_ip=anchor,
                     pairs=request.pairs,
                 ),
-                sites=(reg.site,),
+                parts=((key, tuple(sorted(ips))),),
                 owns=(reg.site,),
                 hop_s=self.rpc.remote_s if reg.remote else self.rpc.local_s,
             )
@@ -440,17 +448,17 @@ class MasterCollector(Collector):
                     # answer is *fresh* (the replica re-queried the site
                     # collectors), not a stale LKG serve
                     obs.counter(f"{self.OBS}.replica_promotions").inc()
-                if survival:
-                    self._store_lkg(d, sub)
                 self._quarantine.pop(d.key, None)
                 if d.passthrough:
                     return sub, dict(sub.site_status)
+                if survival:
+                    self._store_lkg(d, sub)
                 return sub, {
                     site: SiteStatus(
                         site, sub.status,
                         data_age_s=sub.data_age_s, attempts=attempts,
                     )
-                    for site in d.sites
+                    for (site, _), _ in d.parts
                 }
 
         if d.counts_failures:
@@ -466,15 +474,12 @@ class MasterCollector(Collector):
         return self._serve_lkg(d, detail, attempts)
 
     def _store_lkg(self, d: Delegate, sub: TopologyResponse) -> None:
-        """Remember ``sub`` as the delegate's last-known-good fragment
-        for these addresses, evicting past :data:`LKG_MAX_FRAGMENTS`."""
-        key = (d.key, tuple(sorted(d.request.node_ips)))
+        """Remember ``sub`` as the registration's last-known-good
+        fragment for these addresses, evicting past
+        :data:`LKG_MAX_FRAGMENTS`."""
+        (key,) = d.parts
         self._lkg[key] = (
-            sub.graph.copy(),
-            self.net.engine.now,
-            dict(sub.anchors),
-            tuple(sub.unresolved),
-            d.sites,
+            sub.graph.copy(), self.net.engine.now, dict(sub.anchors), tuple(sub.unresolved)
         )
         self._lkg.move_to_end(key)
         while len(self._lkg) > LKG_MAX_FRAGMENTS:
@@ -482,48 +487,58 @@ class MasterCollector(Collector):
         self._lkg_gauge()
 
     def _lkg_gauge(self) -> None:
-        obs.gauge("collectors.master.lkg_fragments", collector=self.name).set(
+        obs.gauge("collectors.master.lkg_fragments", collector=self._plane).set(
             len(self._lkg)
         )
 
     def _serve_lkg(
         self, d: Delegate, detail: str, attempts: int
     ) -> tuple[TopologyResponse | None, dict[str, SiteStatus]]:
-        """Fall back to the delegate's last-known-good fragment, if any.
+        """Fall back to the last-known-good fragments of the delegate's
+        registrations: each site held is STALE with its fragment's true
+        age, each site not held FAILED with its addresses unresolved.
 
-        The stored graph is copied on the way out so callers mutating
-        the merged answer (own-flow crediting) cannot corrupt the
-        cache; status becomes STALE with the fragment's true age.
+        Stored graphs are copied on the way out so callers mutating the
+        merged answer (own-flow crediting) cannot corrupt the cache.
         """
-        key = (d.key, tuple(sorted(d.request.node_ips)))
-        entry = self._lkg.get(key)
-        if entry is None:
-            return None, {
-                site: SiteStatus(
+        graph = TopologyGraph()
+        anchors: dict[str, str] = {}
+        unresolved: list[str] = []
+        statuses: dict[str, SiteStatus] = {}
+        served, age = 0, 0.0
+        for key in d.parts:
+            (site, _), ips = key
+            entry = self._lkg.get(key)
+            if entry is None:
+                statuses[site] = SiteStatus(
                     site, QueryStatus.FAILED, detail=detail, attempts=attempts
                 )
-                for site in d.sites
-            }
-        self._lkg.move_to_end(key)
-        graph, fetched_at, lkg_anchors, lkg_unresolved, lkg_sites = entry
+                unresolved.extend(ips)
+                continue
+            self._lkg.move_to_end(key)
+            held, fetched_at, held_anchors, held_unresolved = entry
+            graph.merge(held.copy())
+            anchors.update(held_anchors)
+            unresolved.extend(held_unresolved)
+            served += 1
+            site_age = self.net.now - fetched_at
+            age = max(age, site_age)
+            statuses[site] = SiteStatus(
+                site, QueryStatus.STALE, data_age_s=site_age, detail=detail, attempts=attempts
+            )
+        if not served:
+            return None, statuses
         obs.counter(f"{self.OBS}.lkg_served").inc()
-        age = self.net.now - fetched_at
         return (
             TopologyResponse(
-                graph=graph.copy(),
-                unresolved=lkg_unresolved,
+                graph=graph,
+                unresolved=tuple(unresolved),
                 pdu_cost=0,
-                anchors=dict(lkg_anchors),
+                anchors=anchors,
                 status=QueryStatus.STALE,
                 data_age_s=age,
             ),
-            {
-                site: SiteStatus(
-                    site, QueryStatus.STALE, data_age_s=age,
-                    detail=d.lkg_detail or detail, attempts=attempts,
-                )
-                for site in lkg_sites
-            },
+            statuses,
         )
 
     # -- WAN stitching ---------------------------------------------------
@@ -682,22 +697,9 @@ class MasterCollector(Collector):
                         tuple(m.throughput_bps for m in recent),
                     )
             return None
-        # Fan the scan out: the probes are independent, so charge the
-        # overlapped cost of the collectors asked, not their sum.
-        found: HistoryResponse | None = None
-        with self.net.engine.overlap(self.rpc.max_parallel) as ov:
-            for reg in self.directory.registrations():
-                with ov.task():
-                    self.net.engine.advance(
-                        self.rpc.remote_s if reg.remote else self.rpc.local_s
-                    )
-                    try:
-                        found = reg.collector.history(request)
-                    except RemosError:
-                        found = None  # collector down: ask the others
-                if found is not None:
-                    break
-        return found
+        return self._first_answer(
+            self.directory.registrations(), lambda c: c.history(request)
+        )
 
     def supports_forecast(self) -> bool:
         """Cheap capability probe: can any downstream collector serve a
@@ -713,21 +715,31 @@ class MasterCollector(Collector):
         """Streaming forecast from whichever collector predicts the
         edge (the §2.3 shared-prediction path); None when no streaming
         predictor covers it."""
-        out: ForecastSeries | None = None
+        # no streaming predictor behind a registration: there is no call
+        # to make, so it is not asked and charged no RPC
+        return self._first_answer(
+            (r for r in self.directory.registrations() if r.collector.supports_forecast()),
+            lambda c: c.forecast_edge(request, horizon),
+        )
+
+    def _first_answer(
+        self, regs: Iterable[Registration], ask: Callable[[Collector], _T | None]
+    ) -> _T | None:
+        """Fan a question out over ``regs`` in order and return the first
+        non-None answer.  The asks are independent, so each is charged
+        its RPC hop under one overlap: the cost is that of the
+        collectors asked, overlapped, not their sum."""
+        found: _T | None = None
         with self.net.engine.overlap(self.rpc.max_parallel) as ov:
-            for reg in self.directory.registrations():
-                if not reg.collector.supports_forecast():
-                    # no streaming predictor behind this registration:
-                    # there is no call to make, so charge no RPC
-                    continue
+            for reg in regs:
                 with ov.task():
                     self.net.engine.advance(
                         self.rpc.remote_s if reg.remote else self.rpc.local_s
                     )
                     try:
-                        out = reg.collector.forecast_edge(request, horizon)
+                        found = ask(reg.collector)
                     except RemosError:
-                        out = None  # collector down: ask the others
-                if out is not None:
+                        found = None  # collector down: ask the others
+                if found is not None:
                     break
-        return out
+        return found

@@ -4,10 +4,10 @@ The paper's Master is one aggregation point over per-site collectors
 (§2.1); ``BENCH_master_scalability.json`` shows where that stops
 scaling.  This module breaks the Master plane apart while keeping the
 paper's *interface* intact — a :class:`ShardedMaster` is itself a
-:class:`~repro.collectors.master.MasterCollector`, so the Modeler (and
-any master-of-masters above it) cannot tell it is talking to a
-hierarchy, exactly the "without revealing that the response was
-obtained from multiple collectors" contract.
+:class:`~repro.collectors.master.MasterCollector`, so the Modeler
+cannot tell it is talking to a hierarchy, exactly the "without
+revealing that the response was obtained from multiple collectors"
+contract.
 
 Structure:
 
@@ -28,14 +28,17 @@ Structure:
   tier runs them, serially and on a monotonic clock, keeping probe
   byte-accounting — and therefore every later counter window —
   identical to the flat plane's.
+* The plane has one survival state: the ShardedMaster hands its
+  last-known-good store and quarantine table to every shard master and
+  replica, and only the tier that delegates to a registration stores a
+  fragment, under the registration's key.  A promoted replica therefore
+  serves what its primary stored.
 * Whole-shard failure is survived by the Master's one delegation
   routine (:meth:`MasterCollector._delegate`): a shard is a delegate
   whose replica chain is longer than one, with per-fragment deadlines
-  and retries, quarantine, and a last-known-good fragment served STALE
-  with its true age when every replica is down.
-* ``depth > 1`` inserts master-of-masters tiers: shards are grouped
-  under intermediate ``ShardedMaster`` s; fragments pass through the
-  tiers unstitched and the root stitches once.
+  and retries and quarantine.  When every replica is down, the root
+  serves each of the shard's sites from its registration's fragment,
+  STALE with that fragment's true age, or FAILED when none is held.
 
 Answers are byte-identical to the flat Master on fault-free runs (the
 differential suite in ``tests/collectors/test_sharding_equivalence.py``
@@ -48,7 +51,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from collections import defaultdict
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from repro import obs
@@ -56,7 +59,7 @@ from repro.netsim.address import IPv4Address
 from repro.netsim.topology import Network
 from repro.collectors.base import RpcCostModel, TopologyRequest
 from repro.collectors.directory import CollectorDirectory, Registration
-from repro.collectors.master import Delegate, MasterCollector
+from repro.collectors.master import Delegate, MasterCollector, RegKey, _reg_key
 from repro.modeler.graph import TopologyGraph
 
 
@@ -103,15 +106,11 @@ class ShardingConfig:
     n_shards: int = 4
     #: extra replica masters per shard beyond the primary
     replicas: int = 0
-    #: hierarchy depth: 1 = shards under one root; >1 inserts
-    #: master-of-masters tiers grouping ``group_fanout`` children each
-    depth: int = 1
-    group_fanout: int = 8
 
 
 @dataclass(frozen=True)
 class Shard:
-    """One child of a ShardedMaster tier."""
+    """One shard of a ShardedMaster."""
 
     index: int
     sites: tuple[str, ...]
@@ -152,14 +151,16 @@ class ShardedMaster(MasterCollector):
         self._site_shard: dict[str, int] = {
             site: shard.index for shard in shards for site in shard.sites
         }
+        # one survival state for the plane, gauged under the root's name
+        for m in self.iter_masters():
+            m._lkg, m._quarantine, m._plane = self._lkg, self._quarantine, name
 
     # -- plumbing ------------------------------------------------------
 
     def iter_masters(self) -> Iterator[MasterCollector]:
         yield self
         for shard in self.shards:
-            for m in shard.masters:
-                yield from m.iter_masters()
+            yield from shard.masters
 
     def shard_for_site(self, site: str) -> Shard:
         """The shard entry owning ``site`` (ring fallback for unknowns)."""
@@ -168,23 +169,11 @@ class ShardedMaster(MasterCollector):
             idx = self.ring.assign(site) % len(self.shards)
         return self.shards[idx]
 
-    def invalidate_sites(self, sites: Iterable[str] | None = None) -> None:
-        """Site-scoped invalidation, propagated down the hierarchy."""
-        wanted = None if sites is None else set(sites)
-        super().invalidate_sites(wanted)
-        for shard in self.shards:
-            for m in shard.masters:
-                m.invalidate_sites(wanted)
-
     def health(self) -> dict[str, object]:
         """Per-shard backend health (``/v1/health`` through the service)."""
         base = super().health()
         now = float(self.net.engine.now)
         base["kind"] = "sharded-master"
-        # this tier's delegates are shards; the per-registration counts
-        # are its shard masters' to report (``iter_masters``)
-        base["shard_lkg_fragments"] = base["lkg_fragments"]
-        base["lkg_fragments"] = base["quarantined"] = 0
         base["shards"] = [
             {
                 "index": shard.index,
@@ -221,18 +210,18 @@ class ShardedMaster(MasterCollector):
         anchored at every border (``anchor_sites``): benchmark probes
         inject real traffic — running them inside rewound overlap tasks
         would account probe bytes into SNMP counters differently than
-        the flat plane and break byte-identity.  Only the outermost tier
-        (``request.stitch``) measures; intermediate master-of-masters
-        tiers pass through.
+        the flat plane and break byte-identity.  Only this tier
+        measures.  A delegate's parts are the registrations its shard
+        master will ask, so this tier can serve them from the plane's
+        store when the whole replica chain is down.
         """
-        groups: dict[int, tuple[list[str], set[str]]] = {}
+        groups: dict[int, tuple[list[str], dict[RegKey, list[str]]]] = {}
         for ip_s, reg in located:
-            idx = self.shard_for_site(reg.site).index
-            ips, sites = groups.setdefault(idx, ([], set()))
+            ips, regs = groups.setdefault(self.shard_for_site(reg.site).index, ([], {}))
             ips.append(ip_s)
-            sites.add(reg.site)
+            regs.setdefault(_reg_key(reg), []).append(ip_s)
         for idx in sorted(groups):
-            ips, sites = groups[idx]
+            ips, regs = groups[idx]
             yield Delegate(
                 key=idx,
                 what=f"shard {idx} fragment",
@@ -244,14 +233,13 @@ class ShardedMaster(MasterCollector):
                     anchor_sites=multi_site,
                     stitch=False,
                 ),
-                sites=tuple(sorted(sites)),
+                parts=tuple((key, tuple(sorted(regs[key]))) for key in sorted(regs)),
                 owns=self.shards[idx].sites,
                 hop_s=self.rpc.local_s,
                 reply_path_hop=True,
                 passthrough=True,
                 counts_failures=True,
                 quarantined="shard quarantined",
-                lkg_detail="shard last-known-good",
                 error="shard master error",
             )
 
@@ -287,18 +275,14 @@ def build_sharded_master(
     benchmark objects, and ``1 + config.replicas`` MasterCollector
     replicas over it.  All masters share one :class:`RpcCostModel`
     instance, so a survival policy armed by :func:`repro.faults.install`
-    applies to every tier at once.  ``config.depth > 1`` groups shards
-    under intermediate ShardedMasters (master-of-masters).
+    applies to all of them at once; the root hands them its survival
+    state (see :class:`ShardedMaster`).
     """
     cfg = config or ShardingConfig()
     if cfg.n_shards < 1:
         raise ValueError("need at least one shard")
     if cfg.replicas < 0:
         raise ValueError("replicas must be >= 0")
-    if cfg.depth < 1:
-        raise ValueError("depth must be >= 1")
-    if cfg.group_fanout < 2:
-        raise ValueError("group_fanout must be >= 2")
     rpc = rpc_cost or RpcCostModel()
     all_borders = {k: IPv4Address(v) for k, v in (borders or {}).items()}
     ring = ConsistentHashRing(list(range(cfg.n_shards)))
@@ -310,7 +294,9 @@ def build_sharded_master(
     for reg in directory.registrations():
         regs_by_site[reg.site].append(reg)
 
-    def subdirectory(site_list: Sequence[str]) -> CollectorDirectory:
+    shards: list[Shard] = []
+    for idx in range(cfg.n_shards):
+        site_list = assignment[idx]
         sub = CollectorDirectory()
         for site in site_list:
             for reg in regs_by_site.get(site, []):
@@ -318,47 +304,13 @@ def build_sharded_master(
             bench = directory.benchmark_for(site)
             if bench is not None:
                 sub.register_benchmark(bench)
-        return sub
-
-    def site_borders(site_list: Sequence[str]) -> dict[str, IPv4Address]:
-        return {s: all_borders[s] for s in site_list if s in all_borders}
-
-    shards: list[Shard] = []
-    for idx in range(cfg.n_shards):
-        site_list = assignment[idx]
-        sub = subdirectory(site_list)
+        sub_borders = {s: all_borders[s] for s in site_list if s in all_borders}
         masters = tuple(
             MasterCollector(
-                f"{name}-s{idx}" + (f"-r{k}" if k else ""),
-                net, sub, site_borders(site_list), rpc,
+                f"{name}-s{idx}" + (f"-r{k}" if k else ""), net, sub, sub_borders, rpc
             )
             for k in range(1 + cfg.replicas)
         )
         shards.append(Shard(idx, tuple(site_list), masters))
 
-    # master-of-masters tiers: group children, one intermediate
-    # ShardedMaster per group, repeat until one tier fits the root
-    tier: list[Shard] = shards
-    for level in range(cfg.depth - 1):
-        if len(tier) <= cfg.group_fanout:
-            break
-        grouped: list[Shard] = []
-        for g, start in enumerate(range(0, len(tier), cfg.group_fanout)):
-            group = tier[start:start + cfg.group_fanout]
-            re_indexed = [
-                Shard(j, sh.sites, sh.masters) for j, sh in enumerate(group)
-            ]
-            g_sites = [s for sh in group for s in sh.sites]
-            mid = ShardedMaster(
-                f"{name}-t{level}g{g}",
-                net,
-                subdirectory(g_sites),
-                site_borders(g_sites),
-                rpc,
-                re_indexed,
-                ring,
-            )
-            grouped.append(Shard(g, tuple(g_sites), (mid,)))
-        tier = grouped
-
-    return ShardedMaster(name, net, directory, all_borders, rpc, tier, ring)
+    return ShardedMaster(name, net, directory, all_borders, rpc, shards, ring)

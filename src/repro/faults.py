@@ -258,10 +258,13 @@ def crash_shard(master: Any, shard_index: int, down_s: float,
     """Crash one shard of a :class:`~repro.collectors.sharding.ShardedMaster`.
 
     With ``include_replicas`` every replica in the shard's chain goes
-    down together (the ShardedMaster must fall back to its shard-level
-    last-known-good cache); otherwise only the primary crashes and the
-    next query promotes a replica, which still answers *fresh* from the
-    shared site collectors.
+    down together: the ShardedMaster serves each of the shard's sites
+    from its registration's fragment in the plane's last-known-good
+    store, or FAILED when none is held.  Otherwise only the primary
+    crashes and the next query promotes a replica, which still answers
+    *fresh* from the shared site collectors and holds what the primary
+    stored.  The plane's store stands for one replicated across its
+    Masters, so a crash does not wipe it.
     """
     shard = master.shards[shard_index]
     targets = shard.masters if include_replicas else shard.masters[:1]

@@ -32,9 +32,21 @@ from __future__ import annotations
 import heapq
 import itertools
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro import obs
+
+if TYPE_CHECKING:
+    from repro.obs.metrics import Counter, Gauge, NullCounter, NullGauge
+    from repro.obs.registry import MetricsRegistry, NullRegistry
+
+    _Handles = tuple[
+        MetricsRegistry | NullRegistry,
+        Counter | NullCounter,
+        Counter | NullCounter,
+        Gauge | NullGauge,
+        Gauge | NullGauge,
+    ]
 
 
 class _Event:
@@ -165,7 +177,7 @@ class Engine:
         #: cached (registry, handles...) for _observe — the engine
         #: advances on every simulated RPC, so re-resolving four metric
         #: handles per advance would dominate live-registry overhead
-        self._obs_handles: tuple | None = None
+        self._obs_handles: _Handles | None = None
 
     @property
     def now(self) -> float:

@@ -1,14 +1,15 @@
-"""Chaos for the sharded Master plane: crashes, promotion, shard LKG.
+"""Chaos for the sharded Master plane: crashes, promotion, one store.
 
 Extends the flat-plane chaos contracts (``test_chaos.py``) one tier up:
 
 * a crashed shard *primary* is invisible — a replica is promoted and
   answers **fresh**, because it re-queries the still-alive site
-  collectors;
-* with every replica of a shard down, the shard's sites are served
-  STALE from the shard-level last-known-good cache, with a truthful,
-  monotonically growing ``data_age_s`` — never FAILED while any other
-  shard still answers;
+  collectors, and it holds what its primary stored, because the plane
+  has one last-known-good store;
+* with every replica of a shard down, each of the shard's sites is
+  served STALE from its registration's fragment, with a truthful,
+  monotonically growing ``data_age_s``, or FAILED and unresolved when
+  no fragment is held — never STALE without one;
 * the whole circus is deterministic: same seeds, same fault script,
   same answers.
 """
@@ -18,9 +19,10 @@ from __future__ import annotations
 import pytest
 
 from repro import faults, obs
+from repro.collectors import master as master_mod
 from repro.collectors.base import TopologyRequest
 from repro.collectors.benchmark_collector import BenchmarkConfig
-from repro.collectors.sharding import ShardingConfig
+from repro.collectors.sharding import ShardedMaster, ShardingConfig
 from repro.common.status import QueryStatus
 from repro.deploy import deploy_wan
 from repro.netsim.builders import build_random_wan
@@ -108,8 +110,10 @@ class TestShardLkgFailover:
                 for site in names:
                     st = resp.site_status[site]
                     if site in victim.sites:
+                        # served from its own registration's fragment,
+                        # with the shard's failure as the reason
                         assert st.status == QueryStatus.STALE
-                        assert st.detail == "shard last-known-good"
+                        assert st.detail == "shard quarantined" or "is down" in st.detail
                         assert st.data_age_s > 0.0
                     else:
                         assert st.status == QueryStatus.OK
@@ -133,9 +137,7 @@ class TestShardLkgFailover:
         world.net.engine.run_until(world.net.now + 120.0)
         resp = dep.master.topology(req)
         assert resp.status == QueryStatus.OK
-        assert all(
-            s.detail != "shard last-known-good" for s in resp.site_status.values()
-        )
+        assert all(s.status == QueryStatus.OK for s in resp.site_status.values())
 
     def test_no_lkg_means_partial_not_failed(self):
         world, dep = _stack(replicas=0)
@@ -196,26 +198,105 @@ class TestDeterministicReplay:
         assert first[1] == 2.0  # both scripted crashes fired, exactly once
 
 
-@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("depth", [1])
 def test_hierarchy_depth_survives_primary_crash(depth):
-    """Promotion works under a master-of-masters tier too."""
+    """Promotion works at every tier of the plane; the plane has one."""
     world = build_random_wan(N_SITES, seed=23, hosts_per_site=(2, 3))
     dep = deploy_wan(
         world,
         bench_config=BenchmarkConfig(probe_bytes=50_000, max_age_s=3600.0),
-        sharding=ShardingConfig(
-            n_shards=4, replicas=1, depth=depth, group_fanout=2
-        ),
+        sharding=ShardingConfig(n_shards=4, replicas=1),
     )
     faults.install(dep, PLAN)
     names, req = _request(world, dep)
     assert dep.master.topology(req).status == QueryStatus.OK
-    # crash one leaf shard's primary, wherever the hierarchy put it
-    leaf = next(
-        m for m in dep.master.iter_masters()
-        if not hasattr(m, "shards") and m.name.endswith("-s0")
-    )
+    # `depth` tiers of shards under the root: none of them shards again
+    leaves = [m for m in dep.master.iter_masters() if m is not dep.master]
+    assert depth == 1 and not any(isinstance(m, ShardedMaster) for m in leaves)
+    leaf = next(m for m in leaves if m.name.endswith("-s0"))
     leaf.crashed_until = world.net.engine.now + 60.0
     resp = dep.master.topology(req)
     assert resp.status == QueryStatus.OK
     assert all(st.status == QueryStatus.OK for st in resp.site_status.values())
+
+
+def _six_sites(replicas: int | None):
+    """The 6-site seed-0 world, flat (``replicas`` None) or on 3 shards."""
+    world = build_random_wan(6, seed=0)
+    dep = deploy_wan(
+        world,
+        bench_config=BenchmarkConfig(probe_bytes=50_000, max_age_s=3600.0),
+        sharding=None if replicas is None else ShardingConfig(n_shards=3, replicas=replicas),
+    )
+    faults.install(dep, PLAN)
+    return world, dep
+
+
+class TestOneStorePerPlane:
+    def test_every_master_holds_the_roots_state(self):
+        world, dep = _stack(replicas=1)
+        _, req = _request(world, dep)
+        root = dep.master
+        assert root.topology(req).status == QueryStatus.OK
+        assert len(list(root.iter_masters())) == 1 + 4 * 2
+        for m in root.iter_masters():
+            assert m._lkg is root._lkg and m._quarantine is root._quarantine
+        # one fragment per registration, none per shard
+        assert len(root._lkg) == root.health()["lkg_fragments"] == N_SITES
+        assert all(isinstance(reg_key, tuple) for reg_key, _ in root._lkg)
+
+    def test_the_plane_is_bounded_in_total(self, monkeypatch):
+        monkeypatch.setattr(master_mod, "LKG_MAX_FRAGMENTS", 3)
+        world, dep = _stack(replicas=1)
+        _, req = _request(world, dep)
+        with obs.scoped_registry() as reg:
+            dep.master.topology(req)
+            gauges = obs.export.snapshot(reg)["gauges"]
+        assert dep.master.health()["lkg_fragments"] == 3
+        # one gauge, under the root's name
+        assert {k: v for k, v in gauges.items() if "lkg_fragments" in k} == {
+            f"collectors.master.lkg_fragments{{collector={dep.master.name}}}": 3
+        }
+
+    def test_promoted_replica_answers_as_the_flat_master(self):
+        """A site that is down when its shard's primary crashes is STALE
+        through the replica, as it is on the flat Master."""
+        planes = [_six_sites(None), _six_sites(replicas=1)]
+        names, req = _request(*planes[0])
+        for _, dep in planes:
+            assert dep.master.topology(req).status == QueryStatus.OK
+        victim = names[0]
+        t = max(world.net.now for world, _ in planes) + 10.0
+        for world, dep in planes:
+            world.net.engine.run_until(t)
+            faults.crash_collector(dep.snmp_collectors[victim], 600.0)
+        sharded = planes[1][1].master
+        faults.crash_shard(
+            sharded, sharded.shard_for_site(victim).index, 600.0, include_replicas=False
+        )
+        flat_resp, sharded_resp = (dep.master.topology(req) for _, dep in planes)
+        assert flat_resp.site_status[victim].status == QueryStatus.STALE
+        assert sharded_resp.status == flat_resp.status == QueryStatus.STALE
+        assert {s: st.status for s, st in sharded_resp.site_status.items()} == {
+            s: st.status for s, st in flat_resp.site_status.items()
+        }
+
+    def test_whole_shard_down_is_never_stale_without_a_fragment(self):
+        world, dep = _six_sites(replicas=0)
+        names, req = _request(world, dep)
+        victim = names[0]
+        host = req.node_ips[0]
+        faults.crash_collector(dep.snmp_collectors[victim], 600.0)
+        assert dep.master.topology(req).site_status[victim].status == QueryStatus.FAILED
+        shard = dep.master.shard_for_site(victim)
+        faults.crash_shard(dep.master, shard.index, 600.0)
+        world.net.engine.run_until(world.net.now + 10.0)
+        resp = dep.master.topology(req)
+        assert resp.site_status[victim].status == QueryStatus.FAILED
+        assert host in resp.unresolved
+        assert all(host not in n.ips for n in resp.graph.nodes())
+        # the shard's other sites are served from their own fragments
+        for site in shard.sites:
+            if site != victim:
+                assert resp.site_status[site].status == QueryStatus.STALE
+                assert resp.site_status[site].data_age_s >= 10.0

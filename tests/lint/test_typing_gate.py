@@ -46,6 +46,7 @@ STRICT_FILES = (
         REPO_ROOT / "src" / "repro" / "modeler" / "simplify.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "address.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "bridging.py",
+        REPO_ROOT / "src" / "repro" / "netsim" / "engine.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "failures.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "flows.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "paths.py",
@@ -93,6 +94,7 @@ STRICT_MODULES = [
     "repro.modeler.simplify",
     "repro.netsim.address",
     "repro.netsim.bridging",
+    "repro.netsim.engine",
     "repro.netsim.failures",
     "repro.netsim.flows",
     "repro.netsim.paths",
