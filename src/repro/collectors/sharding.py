@@ -1,9 +1,10 @@
 """Sharded Master plane: a consistent-hash hierarchy of Masters.
 
 The paper's Master is one aggregation point over per-site collectors
-(§2.1); ``BENCH_master_scalability.json`` shows where that stops
-scaling.  This module breaks the Master plane apart while keeping the
-paper's *interface* intact — a :class:`ShardedMaster` is itself a
+(§2.1); ``tests/collectors/test_master_fanout_cost.py`` pins what an
+all-sites query costs it as sites grow.  This module breaks the Master
+plane apart while keeping the paper's *interface* intact — a
+:class:`ShardedMaster` is itself a
 :class:`~repro.collectors.master.MasterCollector`, so the Modeler
 cannot tell it is talking to a hierarchy, exactly the "without
 revealing that the response was obtained from multiple collectors"

@@ -3,9 +3,10 @@
 Everything here operates on *span dicts* — the JSON shape emitted by
 :func:`repro.obs.export.snapshot` (``snapshot(reg)["spans"]``) and by
 flight-recorder dumps — so the same code serves the ``repro trace``
-CLI, the benchmark breakdown sections, and offline analysis of a
-saved snapshot.  Live :class:`~repro.obs.tracing.SpanRecord`
-objects are converted with :func:`record_to_dict`.
+CLI, the flight recorder's breakdown, the end-to-end benchmark's layer
+shares, and offline analysis of a saved snapshot.  Live
+:class:`~repro.obs.tracing.SpanRecord` objects are converted with
+:func:`record_to_dict`.
 
 The three consumers:
 

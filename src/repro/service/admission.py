@@ -33,6 +33,11 @@ from repro.service.wire import AnswerRecord
 
 __all__ = ["LastKnownGoodStore", "AdmissionController"]
 
+#: most answers one service's last-known-good store keeps (its size is
+#: the gauge ``service.lkg_entries``); past it the least recently
+#: stored-or-served one is evicted
+LKG_MAX_ENTRIES = 4096
+
 
 def _iter_answer_dicts(payload: Any) -> Iterable[dict[str, Any]]:
     if isinstance(payload, dict):
@@ -53,7 +58,7 @@ class LastKnownGoodStore:
 
     def __init__(
         self,
-        max_entries: int = 4096,
+        max_entries: int = LKG_MAX_ENTRIES,
         clock: Callable[[], float] = wall_now,
     ) -> None:
         self.max_entries = int(max_entries)

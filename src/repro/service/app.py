@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro import obs
+from repro.netsim.address import IPv4Address
 from repro.service.admission import AdmissionController, LastKnownGoodStore
 from repro.service.breaker import CircuitBreaker
 from repro.service.ratelimit import TenantRateLimiter
@@ -63,21 +64,13 @@ class BackendFaultError(RuntimeError):
 
 @dataclass
 class ServiceConfig:
-    """Every hardening knob in one place (see docs/service.md)."""
+    """The knobs ``repro serve`` sets (see docs/service.md)."""
 
     # rate limiting (per tenant)
     rate: float = 200.0
     burst: float = 400.0
     # admission control
     max_inflight: int = 64
-    lkg_entries: int = 4096
-    # circuit breaker
-    breaker_threshold: float = 0.5
-    breaker_min_calls: int = 5
-    breaker_reset_s: float = 5.0
-    # retry budget
-    retry_deposit_ratio: float = 0.1
-    retry_max_attempts: int = 3
 
 
 @dataclass
@@ -120,20 +113,13 @@ class RemosService:
         cfg = self.config
         self.limiter = TenantRateLimiter(rate=cfg.rate, burst=cfg.burst)
         self.admission = AdmissionController(max_inflight=cfg.max_inflight)
-        self.lkg = LastKnownGoodStore(max_entries=cfg.lkg_entries)
-        self.breaker = CircuitBreaker(
-            failure_threshold=cfg.breaker_threshold,
-            min_calls=cfg.breaker_min_calls,
-            reset_s=cfg.breaker_reset_s,
-        )
-        self.retry_budget = RetryBudget(
-            deposit_ratio=cfg.retry_deposit_ratio,
-            max_attempts=cfg.retry_max_attempts,
-        )
+        self.lkg = LastKnownGoodStore()
+        self.breaker = CircuitBreaker()
+        self.retry_budget = RetryBudget()
         self.hub = SubscriptionHub()
         self.watcher = FlowWatcher(backend.session)
         #: service-side tallies, mirrored into obs counters; the
-        #: ``/v1/metrics`` endpoint and the load benchmark read these
+        #: ``/v1/metrics`` endpoint and the end-to-end benchmark read these
         self.stats: dict[str, int] = {
             "requests": 0,
             "live": 0,
@@ -328,15 +314,20 @@ class RemosService:
         return result_body({"invalidated_lkg": evicted, "sites": sites})
 
     async def _subscribe(self, body: dict[str, Any]) -> dict[str, Any]:
-        pairs = body.get("pairs") or []
+        # all of it read before anything is watched: a pair no sweep can
+        # answer would make every later tick raise
         try:
-            channels = [flow_channel(str(p[0]), str(p[1])) for p in pairs] or None
-            for p in pairs:
-                self.watcher.watch(str(p[0]), str(p[1]))
-        except (IndexError, TypeError) as exc:
-            raise WireError("bad_request", f"bad pairs: {exc}") from exc
-        since = int(body.get("since", 0))
-        timeout_s = min(float(body.get("timeout_s", 0.0)), SUBS_MAX_POLL_S)
+            pairs = [(str(p[0]), str(p[1])) for p in body.get("pairs") or []]
+            for src, dst in pairs:
+                IPv4Address(src)
+                IPv4Address(dst)
+            since = int(body.get("since", 0))
+            timeout_s = min(float(body.get("timeout_s", 0.0)), SUBS_MAX_POLL_S)
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
+            raise WireError("bad_request", f"bad subscribe arguments: {exc}") from exc
+        for src, dst in pairs:
+            self.watcher.watch(src, dst)
+        channels = [flow_channel(src, dst) for src, dst in pairs] or None
         resume_lost = self.hub.resume_lost(since)
         if timeout_s > 0 and not resume_lost:
             events = await self.hub.wait(channels, since, timeout_s)

@@ -140,6 +140,28 @@ class TestDeterminism:
 
         assert run() == run()
 
+    def test_storm_without_retries_degrades_visibly_and_repeats(self):
+        """A 30% drop storm with no retry budget: every query returns,
+        degradation shows in query.partial and in the answers, and the
+        seed replays the same run."""
+
+        def run():
+            w, dep = _wan(3)
+            inj = faults.install(
+                dep, faults.FaultPlan(seed=7, snmp_drop_prob=0.3, snmp_retries=0)
+            )
+            with obs.scoped_registry() as reg:
+                batches = [dep.session().flow_info_many(_cross_pairs(w, 3)) for _ in range(3)]
+                partial = reg.counter("query.partial").value
+            answers = [dataclasses.asdict(a) for batch in batches for a in batch]
+            return answers, partial, inj.injected, w.net.now
+
+        first = run()
+        assert first == run()
+        answers, partial, injected, _ = first
+        assert injected > 0 and partial > 0
+        assert any(a["status"] != QueryStatus.OK for a in answers)
+
 
 class TestPartialResults:
     def test_dead_site_degrades_to_partial(self):

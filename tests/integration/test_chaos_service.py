@@ -20,12 +20,14 @@ from repro import faults, obs
 from repro.common.units import MBPS
 from repro.deploy import deploy_wan
 from repro.netsim.builders import SiteSpec, build_multisite_wan
-from repro.service import DirectClient, RemosService, ServiceConfig
+from repro.service import DirectClient, RemosService
+from repro.service.breaker import CircuitBreaker
 from repro.service.client import ServiceError
+from repro.service.retrypolicy import RetryBudget
 from repro.service.wire import canonical_json
 
 
-def build_service(config=None, plan=None):
+def build_service(plan=None, breaker=None, retry_budget=None):
     w = build_multisite_wan(
         [
             SiteSpec("aaa", access_bps=10 * MBPS, n_hosts=2),
@@ -36,7 +38,11 @@ def build_service(config=None, plan=None):
     w.net.engine.run_until(w.net.now + 30.0)
     if plan is not None:
         faults.install(dep, plan)
-    service = RemosService.from_deployment(dep, config or ServiceConfig())
+    service = RemosService.from_deployment(dep)
+    if breaker is not None:
+        service.breaker = breaker
+    if retry_budget is not None:
+        service.retry_budget = retry_budget
     pair = (str(w.host("aaa", 0).ip), str(w.host("bbb", 0).ip))
     return w, dep, service, pair
 
@@ -63,12 +69,8 @@ class TestBackendFaults:
 
         async def run():
             w, dep, service, pair = build_service(
-                config=ServiceConfig(
-                    breaker_min_calls=3,
-                    breaker_threshold=0.5,
-                    retry_deposit_ratio=0.0,
-                    retry_max_attempts=2,
-                ),
+                breaker=CircuitBreaker(min_calls=3, failure_threshold=0.5),
+                retry_budget=RetryBudget(deposit_ratio=0.0, max_attempts=2),
                 plan=faults.FaultPlan(),  # armed, nothing fires yet
             )
             client = DirectClient(service)
@@ -95,7 +97,7 @@ class TestBackendFaults:
     def test_no_lkg_surfaces_backend_error(self):
         async def run():
             w, dep, service, pair = build_service(
-                config=ServiceConfig(retry_deposit_ratio=0.0, retry_max_attempts=1),
+                retry_budget=RetryBudget(deposit_ratio=0.0, max_attempts=1),
                 plan=faults.FaultPlan(service_error_prob=1.0),
             )
             client = DirectClient(service)
@@ -114,11 +116,8 @@ class TestBackendFaults:
 
         async def run():
             w, dep, service, pair = build_service(
-                config=ServiceConfig(
-                    retry_deposit_ratio=2.0,
-                    retry_max_attempts=4,
-                    breaker_min_calls=10_000,  # never trips: isolate retries
-                ),
+                breaker=CircuitBreaker(min_calls=10_000),  # never trips: isolate retries
+                retry_budget=RetryBudget(deposit_ratio=2.0, max_attempts=4),
                 plan=faults.FaultPlan(seed=3, service_error_prob=0.5),
             )
             client = DirectClient(service)
@@ -146,12 +145,8 @@ class TestBackendFaults:
     def test_breaker_recovers_after_reset(self):
         async def run():
             w, dep, service, pair = build_service(
-                config=ServiceConfig(
-                    breaker_min_calls=2,
-                    breaker_reset_s=0.05,
-                    retry_deposit_ratio=0.0,
-                    retry_max_attempts=1,
-                ),
+                breaker=CircuitBreaker(min_calls=2, reset_s=0.05),
+                retry_budget=RetryBudget(deposit_ratio=0.0, max_attempts=1),
                 plan=faults.FaultPlan(service_error_prob=1.0),
             )
             client = DirectClient(service)
@@ -195,7 +190,7 @@ class TestDeterminism:
     def test_same_seed_same_served_sequence(self):
         async def run():
             w, dep, service, pair = build_service(
-                config=ServiceConfig(retry_deposit_ratio=0.0, retry_max_attempts=1),
+                retry_budget=RetryBudget(deposit_ratio=0.0, max_attempts=1),
                 plan=faults.FaultPlan(seed=11, service_error_prob=0.4),
             )
             client = DirectClient(service)

@@ -51,6 +51,7 @@ STRICT_FILES = (
         REPO_ROOT / "src" / "repro" / "netsim" / "flows.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "paths.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "routing.py",
+        REPO_ROOT / "src" / "repro" / "netsim" / "topology.py",
         REPO_ROOT / "src" / "repro" / "rps" / "streaming.py",
         REPO_ROOT / "src" / "repro" / "service" / "admission.py",
         REPO_ROOT / "src" / "repro" / "service" / "app.py",
@@ -99,6 +100,7 @@ STRICT_MODULES = [
     "repro.netsim.flows",
     "repro.netsim.paths",
     "repro.netsim.routing",
+    "repro.netsim.topology",
     "repro.service.admission",
     "repro.service.app",
     "repro.service.client",

@@ -202,6 +202,15 @@ class TestBadInput:
         assert body["result"]["status"] == "failed"
         assert lkg_entries == 0
 
+    @pytest.mark.parametrize("field", [{"since": "abc"}, {"timeout_s": "soon"}])
+    def test_subscribe_with_non_numeric_since_or_timeout_400(self, field):
+        async def go(port, hosts, service):
+            return await raw_request(port, post("/v1/subscribe", {"pairs": [], **field}))
+
+        status, body = with_server(go)
+        assert status == 400
+        assert body["error"]["code"] == "bad_request"
+
 
 class TestKeepAlive:
     def test_many_requests_one_connection(self):

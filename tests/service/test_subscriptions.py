@@ -165,6 +165,23 @@ class TestLongPollEndpoint:
         result = asyncio.run(go())
         assert len(result["events"]) == 1
 
+    def test_unparseable_pair_is_refused_and_never_watched(self):
+        """A pair the query path could never answer is a bad request:
+        nothing of the request is watched, so the next sweep still runs."""
+
+        async def go():
+            w, dep = build_world()
+            service = RemosService.from_deployment(dep, ServiceConfig())
+            good = watched_pairs(w)[0]
+            with pytest.raises(ServiceError) as exc:
+                await DirectClient(service).subscribe([good, ("10.0.0.1_0", "nope")])
+            return exc.value.code, service
+
+        code, service = asyncio.run(go())
+        assert code == "bad_request"
+        assert service.watcher.pairs == []
+        assert service.tick_subscriptions() == 0
+
 
 class TestShedToStale:
     def make_overloaded(self):
