@@ -314,13 +314,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
-    """Run remoslint (see docs/static-analysis.md)."""
-    from repro.lint.cli import run_from_args
-
-    return run_from_args(args)
-
-
 def cmd_stats(args) -> int:
     """Exercise every layer of a scenario and dump the obs registry."""
     from repro.netsim.agents import attach_trace
@@ -464,15 +457,6 @@ def make_parser() -> argparse.ArgumentParser:
         "--tick", type=float, default=0.5,
         help="subscription poll interval in seconds, 0 disables (default: 0.5)",
     )
-
-    from repro.lint.cli import configure_parser as configure_lint_parser
-
-    configure_lint_parser(
-        sub.add_parser(
-            "lint",
-            help="run remoslint, the repo's AST-based invariant linter",
-        )
-    )
     return p
 
 
@@ -486,7 +470,6 @@ COMMANDS = {
     "stats": cmd_stats,
     "trace": cmd_trace,
     "serve": cmd_serve,
-    "lint": cmd_lint,
 }
 
 

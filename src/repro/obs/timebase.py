@@ -25,10 +25,10 @@ class Timebase(Protocol):
 def wall_now() -> float:
     """Monotonic wall-clock seconds (``time.perf_counter``).
 
-    The sanctioned wall-clock read for sim-facing layers: remoslint
-    rule RML103 bans ``time.*`` clock calls in netsim / snmp /
-    collectors / rps / faults so every wall-clock dependency is
-    greppable here.  Only use it for *duration measurement* (cost
+    The sanctioned wall-clock read for sim-facing layers:
+    ``tests/invariants/test_sim_clock.py`` bans ``time.*`` clock calls
+    in, or reachable from, netsim / snmp / collectors / rps / faults so
+    every wall-clock dependency is greppable here.  Only use it for *duration measurement* (cost
     accounting, span timing) — anything that influences simulation
     behaviour must read the Engine clock instead.
     """
@@ -39,7 +39,7 @@ def cpu_now() -> float:
     """Process CPU seconds (``time.process_time``).
 
     Counterpart of :func:`wall_now` for CPU-cost accounting (the
-    paper's Fig. 6/7 measurements); same RML103 rationale.
+    paper's Fig. 6/7 measurements), held to the same test.
     """
     return time.process_time()
 

@@ -19,9 +19,10 @@ This lives in ``repro.rps`` (not ``repro.collectors``) because the
 dependency points *up* the stack: the manager consumes a collector's
 poll hooks and drives RPS predictors, so placing it beside the
 predictors keeps the collectors layer free of any knowledge of
-prediction (the RML101 layer contract).  The metric names keep their
-historical ``collectors.streaming.*`` prefix — they describe where the
-samples are observed, and renaming them would orphan dashboards.
+prediction (the layer contract of ``tests/invariants/test_layers.py``).
+The metric names keep their historical ``collectors.streaming.*``
+prefix — they describe where the samples are observed, and renaming
+them would orphan dashboards.
 """
 
 from __future__ import annotations

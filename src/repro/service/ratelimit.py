@@ -23,6 +23,10 @@ from repro.service.wire import WireError
 
 __all__ = ["TokenBucket", "TenantRateLimiter"]
 
+#: tenant buckets one limiter keeps; past it, new tenants share the
+#: ``"anonymous"`` bucket
+MAX_TENANTS = 10_000
+
 
 class TokenBucket:
     """A single token bucket: ``rate`` tokens/s refill, ``burst`` cap."""
@@ -79,18 +83,16 @@ class TenantRateLimiter:
         rate: float = 200.0,
         burst: float = 400.0,
         clock: Callable[[], float] = wall_now,
-        max_tenants: int = 10_000,
     ) -> None:
         self.rate = float(rate)
         self.burst = float(burst)
         self._clock = clock
-        self._max_tenants = int(max_tenants)
         self._buckets: dict[str, TokenBucket] = {}
 
     def _bucket(self, tenant: str) -> TokenBucket:
         bucket = self._buckets.get(tenant)
         if bucket is None:
-            if tenant != "anonymous" and len(self._buckets) >= self._max_tenants:
+            if tenant != "anonymous" and len(self._buckets) >= MAX_TENANTS:
                 # cardinality guard: treat overflow tenants as anonymous
                 # (whose bucket is always allowed to exist)
                 return self._bucket("anonymous")
@@ -108,7 +110,3 @@ class TenantRateLimiter:
                 f"{self.rate:g} req/s (burst {self.burst:g})",
                 retry_after_s=bucket.retry_after_s(),
             )
-
-    def tokens(self, tenant: str) -> float:
-        """Remaining tokens for ``tenant`` (for tests and /v1/health)."""
-        return self._bucket(tenant or "anonymous").tokens

@@ -1,0 +1,30 @@
+"""The tree every invariant reads: the shipped package plus every
+consumer whose references keep an export alive and whose call sites
+the call graph sees."""
+
+from __future__ import annotations
+
+from collections.abc import Iterator
+from pathlib import Path
+
+import pytest
+
+from .callgraph import CallGraph
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+TREES = ("src", "tests", "benchmarks", "examples")
+
+
+@pytest.fixture(scope="package")
+def tree() -> Iterator[dict[str, str]]:
+    """``{repo-relative path: source}`` of every ``.py`` file under
+    :data:`TREES`; the invariants share one parse of it
+    (:meth:`.callgraph.CallGraph.of`), dropped once they have run."""
+    sources = {
+        f.relative_to(REPO_ROOT).as_posix(): f.read_text()
+        for name in TREES
+        for f in sorted((REPO_ROOT / name).rglob("*.py"))
+    }
+    assert len(sources) > 200  # the whole tree, not a subset
+    yield sources
+    CallGraph.forget()

@@ -1,0 +1,121 @@
+"""The import-layering contract: every import in ``src/repro`` points
+down the layer cake.
+
+The simulated network is at the bottom, SNMP on top of it, collectors
+above that, the modeler above the collectors, prediction above the
+modeler, and the session/service plane on top.  An import pointing *up*
+(a collector importing the predictor) inverts the dependency the
+architecture promises and tends to rot into a cycle held together by
+lazy imports.  An import laundered through ``if TYPE_CHECKING:`` or a
+function body still counts: the cycle it hides is real at type-check
+or call time.
+
+Module-to-layer assignment is longest-prefix-wins, so the bare
+``"repro"`` prefix of the top layer is the fallback: a module nobody
+placed lands at the top, where importing it from below fails until
+someone places it deliberately.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Mapping
+
+import pytest
+
+from .callgraph import CallGraph, planted
+
+#: layer names, rank 0 (the foundation) upward
+ORDER = [
+    "foundation", "netsim", "snmp", "graph",
+    "collectors", "modeler", "rps", "session", "entry",
+]
+#: layer name -> the module prefixes it holds; ``repro.modeler.graph``
+#: (the shared topology vocabulary) sits below the collectors that
+#: serialize graphs, the rest of ``repro.modeler`` above them
+ASSIGN = {
+    "foundation": ["repro.common", "repro.obs"],
+    "netsim": ["repro.netsim", "repro.faults"],
+    "snmp": ["repro.snmp"],
+    "graph": ["repro.modeler.graph"],
+    "collectors": ["repro.collectors"],
+    "modeler": ["repro.modeler"],
+    "rps": ["repro.rps"],
+    "session": ["repro.session", "repro.service", "repro.apps"],
+    "entry": ["repro"],
+}
+#: (prefix, layer), longest prefix first
+_PREFIXES = sorted(
+    ((prefix, layer) for layer, prefixes in ASSIGN.items() for prefix in prefixes),
+    key=lambda t: -len(t[0]),
+)
+_LAUNDERED = {"lazy": " through a local import", "type_checking": " through TYPE_CHECKING"}
+
+
+def _layer(module: str) -> str | None:
+    for prefix, layer in _PREFIXES:
+        if module == prefix or module.startswith(prefix + "."):
+            return layer
+    return None
+
+
+def upward_imports(sources: Mapping[str, str]) -> list[str]:
+    graph = CallGraph.of(sources)
+    found = []
+    for info in graph.modules.values():
+        layer = _layer(info.name)
+        if layer is None:
+            continue
+        for imp in info.imports:
+            # `from repro.session import RemosSession` names a member:
+            # its layer is that of the module defining it
+            target = graph.module_of(imp.target)
+            t_layer = _layer(target) if target is not None else None
+            if t_layer is not None and ORDER.index(t_layer) > ORDER.index(layer):
+                found.append(
+                    f"{info.path}:{imp.lineno}: {info.name} ({layer}) imports "
+                    f"{target} ({t_layer}, above it){_LAUNDERED.get(imp.kind, '')}"
+                )
+    return found
+
+
+def test_the_committed_tree_holds(tree):
+    assert upward_imports(tree) == []
+
+
+@pytest.mark.parametrize("files, sites, words", [
+    pytest.param({
+        "src/repro/collectors/base.py": "def poll():\n    return 1\n",
+        "src/repro/netsim/probe.py": "from repro.collectors.base import poll\n",
+    }, ["src/repro/netsim/probe.py:1"], "(netsim) imports repro.collectors.base (collectors",
+        id="upward_import_fires"),
+    pytest.param({
+        "src/repro/netsim/topology.py": "X = 1\n",
+        "src/repro/collectors/base.py": (
+            "from repro.netsim.topology import X\n"
+            "from repro.collectors import helper\n"
+        ),
+        "src/repro/collectors/helper.py": "Y = 2\n",
+    }, [], "", id="downward_and_same_layer_imports_clean"),
+    pytest.param({
+        "src/repro/modeler/api.py": "class Answer:\n    pass\n",
+        "src/repro/snmp/agent.py": (
+            "from typing import TYPE_CHECKING\n"
+            "if TYPE_CHECKING:\n"
+            "    from repro.modeler.api import Answer\n"
+        ),
+    }, ["src/repro/snmp/agent.py:3"], "through TYPE_CHECKING",
+        id="type_checking_laundering_still_fires"),
+    pytest.param({
+        "src/repro/rps/sensor.py": (
+            "def tick():\n"
+            "    from repro.session import RemosSession\n"
+            "    return RemosSession\n"
+        ),
+        "src/repro/session.py": "class RemosSession:\n    pass\n",
+    }, ["src/repro/rps/sensor.py:2"], "through a local import",
+        id="local_import_laundering_still_fires"),
+])
+def test_upward_imports(files, sites, words):
+    found = planted(upward_imports, files)
+    assert [site for site, _ in found] == sites
+    assert all(words in reason for _, reason in found)

@@ -14,6 +14,7 @@ from repro.modeler.api import FlowAnswer
 from repro.obs.timebase import FixedTimebase
 from repro.service.admission import AdmissionController, LastKnownGoodStore
 from repro.service.app import RemosService, ServiceConfig, SessionBackend
+from repro.service import ratelimit
 from repro.service.breaker import CircuitBreaker
 from repro.service.ratelimit import TenantRateLimiter, TokenBucket
 from repro.service.retrypolicy import RetryBudget, call_with_retry
@@ -66,8 +67,9 @@ class TestTenantRateLimiter:
         with pytest.raises(WireError):
             rl.admit("")
 
-    def test_tenant_cardinality_capped(self, clock):
-        rl = TenantRateLimiter(rate=1.0, burst=1.0, clock=clock.now, max_tenants=2)
+    def test_tenant_cardinality_capped(self, clock, monkeypatch):
+        monkeypatch.setattr(ratelimit, "MAX_TENANTS", 2)
+        rl = TenantRateLimiter(rate=1.0, burst=1.0, clock=clock.now)
         rl.admit("t1")
         rl.admit("t2")
         rl.admit("overflow-a")  # lands in the anonymous bucket

@@ -212,6 +212,34 @@ class TestBadInput:
         assert body["error"]["code"] == "bad_request"
 
 
+class TestAbandonedLongPoll:
+    def test_client_gone_mid_wait_leaves_no_waiter_and_the_server_serves_on(self):
+        async def until(cond, timeout_s=5.0):
+            deadline = asyncio.get_running_loop().time() + timeout_s
+            while not cond():
+                assert asyncio.get_running_loop().time() < deadline, "timed out"
+                await asyncio.sleep(0.01)
+
+        async def go(port, hosts, service):
+            waiters = service.hub._waiters
+            _, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(post("/v1/subscribe", {"pairs": [hosts[:2]], "timeout_s": 0.3}))
+            await writer.drain()
+            await until(lambda: waiters)
+            parked = len(waiters)
+            writer.close()
+            await writer.wait_closed()
+            await until(lambda: not waiters)
+            health = await raw_request(
+                port, b"GET /v1/health HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+            )
+            return parked, health
+
+        parked, (status, body) = with_server(go)
+        assert parked == 1
+        assert status == 200 and body["result"]["status"] == "ok"
+
+
 class TestKeepAlive:
     def test_many_requests_one_connection(self):
         async def go(port, hosts, service):
