@@ -26,13 +26,19 @@ unfrozen flow crossing it).  Repeat until all flows are frozen.
 Only the tightest channel can bind: channels crossed by exactly the same
 flows constrain those flows identically except for capacity, so
 :func:`max_min_allocation` keeps the minimum-capacity channel of each
-such group and solves the reduced problem (:func:`_binding_channels`).
-A probe over six hops of which it shares one with cross traffic is a
-two-constraint problem, not a six-constraint one.
+such group (:func:`_binding_channels`).  A probe over six hops of which
+it shares one with cross traffic is a two-constraint problem, not a
+six-constraint one.
 
-The solver is the scalar loop :func:`max_min_allocation_reference`,
-which tests also feed the *unreduced* paths as the oracle for the
-reduction (agreement within 1e-9 across randomised path/demand sets).
+:func:`max_min_allocation` solves in one pass: it groups the channels,
+returns the demands untouched when every constraint has room for its
+members' demands (no filling round; ``netsim.maxmin.rounds`` observes
+0), and otherwise runs progressive filling over the constraints with
+their per-round state cached.  Either way the result is bit for bit
+what the scalar loop :func:`max_min_allocation_reference` gives on the
+reduced paths; tests hold it to that, and feed the reference the
+*unreduced* paths as the oracle for the reduction (agreement within
+1e-9 across randomised path/demand sets).
 """
 
 from __future__ import annotations
@@ -51,6 +57,10 @@ if TYPE_CHECKING:
 
 #: freeze threshold of the progressive-filling solver
 _EPS = 1e-12
+#: share of a constraint's capacity its member demands may sum to for
+#: :func:`max_min_allocation` to return the demands without a filling
+#: round
+_FIT_SHARE = 1.0 - 1e-9
 
 
 class CapacityLike(Protocol):
@@ -58,7 +68,9 @@ class CapacityLike(Protocol):
 
     Satisfied by :class:`~repro.netsim.topology.Channel` (the fluid
     substrate) and by the Modeler's directed residual constraints
-    (:class:`repro.modeler.maxmin._DirCap`).
+    (:class:`repro.modeler.maxmin._DirCap`).  The solver keys
+    constraints by hash and equality, so both keep ``object``'s: two
+    constraints are one only if they are the same object.
     """
 
     capacity_bps: float
@@ -137,6 +149,8 @@ class FlowManager:
         """Begin a flow now; the allocation is recomputed immediately."""
         from repro.netsim.paths import compute_path
 
+        if not demand_bps >= 0:  # NaN included
+            raise ValueError(f"demand must be >= 0, got {demand_bps!r}")
         net = self.network
         if isinstance(src, str):
             src = net.host(src)
@@ -178,8 +192,8 @@ class FlowManager:
 
     def set_demand(self, flow: Flow, demand_bps: float) -> None:
         """Change a flow's demand cap; rates are re-balanced."""
-        if demand_bps < 0:
-            raise ValueError("demand must be >= 0")
+        if not demand_bps >= 0:  # NaN included
+            raise ValueError(f"demand must be >= 0, got {demand_bps!r}")
         if not flow.active:
             raise ValueError("flow is not active")
         self._settle(flow)
@@ -310,20 +324,143 @@ def max_min_allocation(
 ) -> list[float]:
     """Max-min fair rates for flows over shared channels.
 
-    The problem is first reduced to the channels that can bind
-    (:func:`_binding_channels`), then solved by progressive filling
-    (:func:`max_min_allocation_reference`).  Zero-length paths (src ==
-    dst within one node) get their full demand.
+    One pass over the problem.  The channels are first grouped by the
+    flows crossing them and each group is cut to its tightest channel
+    (:func:`_binding_channels`); progressive filling then runs over those
+    constraints.  Each constraint carries its active count between
+    rounds (an integer, decremented as members freeze) and its frozen
+    load, which is summed again, with the same builtin ``sum`` over the
+    same member order, only when one of its members has frozen.  So
+    every float operation is one :func:`max_min_allocation_reference`
+    performs on the reduced paths, in its order, and the result equals
+    it bit for bit — on Python 3.12 too, whose float ``sum`` is
+    compensated.  Zero-length paths (src == dst within one node) get
+    their full demand.
+
+    **When the demands fit, they are the answer.**  If every demand is
+    finite and non-negative and each constraint's member demands sum to
+    at most ``_FIT_SHARE`` (1 - 1e-9) of its capacity, the demands are
+    returned without a filling round.  Progressive filling would freeze
+    every flow at exactly ``rates[i] = demands[i]``: at any level ``L``
+    a constraint's unfrozen members each demand more than ``L + _EPS``,
+    so its headroom ``(cap - frozen_load - L * active) / active``
+    exceeds ``_EPS`` by about ``1e-9 * cap / active``, far above the
+    rounding of the sums it is made of.  No capacity ever saturates and
+    the next level is always the smallest unfrozen demand, where that
+    flow freezes by its demand rule, at its demand.  The level reaches a
+    demand ``d`` in one round, or in two when ``L + (d - L)`` rounds
+    below ``d`` by more than ``_EPS`` (the second difference is exact,
+    by Sterbenz's lemma).  The shortcut is therefore taken only when two
+    rounds per routed flow fit in the solver's round budget; past it the
+    solver would stop short and leave a flow at ``min(level, demand)``.
     """
-    if not paths:
+    n = len(paths)
+    if n == 0:
         return []
-    return max_min_allocation_reference(_binding_channels(paths), demands)
+    constraints = _binding_channels(paths)
+    obs.histogram("netsim.maxmin.constraints").observe(len(constraints))
+    budget = n + len(constraints) + 1  # filling rounds, as the reference allows
+    if (
+        all(0.0 <= d < math.inf for d in demands)
+        and all(
+            sum([demands[i] for i in members]) <= _FIT_SHARE * ch.capacity_bps
+            for ch, members in constraints
+        )
+        and 2 * sum(map(bool, paths)) - 1 <= budget
+    ):
+        obs.histogram("netsim.maxmin.rounds").observe(0)
+        return list(demands)
+
+    rates = [0.0] * n
+    frozen = [False] * n
+    unfrozen: list[int] = []
+    for i, path in enumerate(paths):
+        if path:
+            unfrozen.append(i)
+        else:
+            rates[i] = demands[i] if math.isfinite(demands[i]) else math.inf
+            frozen[i] = True
+    # Per constraint: its unfrozen members (a flow crossing twice counts
+    # twice), kept exact by decrementing; and the sum of its frozen
+    # members' rates, taken again only when a member has frozen since.
+    caps = [ch.capacity_bps for ch, _ in constraints]
+    members = [m for _, m in constraints]
+    active = [len(m) for m in members]
+    load = [0.0] * len(members)
+    stale = [False] * len(members)
+    crosses: list[list[int]] = [[] for _ in range(n)]
+    for k, m in enumerate(members):
+        for i in m:
+            crosses[i].append(k)
+    ks = range(len(members))
+
+    level = 0.0
+    rounds = 0
+    for _ in range(budget):
+        if not unfrozen:
+            break
+        rounds += 1
+        # Next demand bind.
+        delta_demand = math.inf
+        for i in unfrozen:
+            d = demands[i] - level
+            if d < delta_demand:
+                delta_demand = d
+        # Next capacity bind.
+        delta_cap = math.inf
+        for k in ks:
+            a = active[k]
+            if a:
+                if stale[k]:
+                    load[k] = sum([rates[i] for i in members[k] if frozen[i]])
+                    stale[k] = False
+                d = (caps[k] - load[k] - level * a) / a
+                if d < delta_cap:
+                    delta_cap = d
+        delta = min(delta_demand, delta_cap)
+        if not math.isfinite(delta):
+            # Only infinite demands remain and no capacity binds: the
+            # paths must be capacity-free (impossible for real links).
+            for i in unfrozen:
+                rates[i] = math.inf
+            unfrozen = []
+            break
+        delta = max(delta, 0.0)
+        level += delta
+        # Freeze at binding constraints.
+        for i in unfrozen:
+            if demands[i] - level <= _EPS:
+                rates[i] = demands[i]
+                frozen[i] = True
+                for k in crosses[i]:
+                    active[k] -= 1
+                    stale[k] = True
+        for k in ks:
+            a = active[k]
+            if a:
+                if stale[k]:
+                    load[k] = sum([rates[i] for i in members[k] if frozen[i]])
+                    stale[k] = False
+                if (caps[k] - load[k] - level * a) / a <= _EPS:
+                    for i in members[k]:
+                        if not frozen[i]:
+                            rates[i] = level
+                            frozen[i] = True
+                            for j in crosses[i]:
+                                active[j] -= 1
+                                stale[j] = True
+        unfrozen = [i for i in unfrozen if not frozen[i]]
+    for i in unfrozen:
+        rates[i] = min(level, demands[i])
+    obs.histogram("netsim.maxmin.rounds").observe(rounds)
+    return rates
 
 
 def _binding_channels(
     paths: "Sequence[Sequence[CapacityLike]]",
-) -> "Sequence[Sequence[CapacityLike]]":
-    """``paths`` without the channels that can never bind.
+) -> "list[tuple[CapacityLike, list[int]]]":
+    """The channels of ``paths`` that can bind, each with the indices of
+    the flows crossing it, in first-appearance order.
 
     Two channels crossed by the same list of flow indices (a path
     crossing a channel twice lists its flow twice, so it is its own
@@ -334,35 +471,35 @@ def _binding_channels(
     next water level, and it can pass the saturation test only when the
     tighter one does — which freezes the same flows at the same level.
     Of each such group only the minimum-capacity channel is kept (the
-    first of equals); the order of the kept channels within each path is
-    the paths' own.
+    first of equals), at the place it first appears in ``paths``: the
+    order in which the reference solver, handed the paths cut to these
+    channels, would meet them.
 
-    The scalar solver tests channels one after another within a round,
-    so two equal-capacity channels of a group can meet different
-    roundings of the same load; the reduction is therefore held to the
-    solver's own 1e-9 against the oracle on unreduced paths, and to
-    bit-equality on whole simulated worlds (``tests/netsim``,
+    The reference tests channels one after another within a round, so
+    two equal-capacity channels of a group can meet different roundings
+    of the same load; the reduction is therefore held to the solver's
+    own 1e-9 against the oracle on unreduced paths, and to bit-equality
+    on whole simulated worlds (``tests/netsim``,
     ``tests/integration/test_sim_clock_golden.py``).
     """
-    crossed: "dict[int, tuple[CapacityLike, list[int]]]" = {}
+    crossed: "dict[CapacityLike, list[int]]" = {}
     for i, path in enumerate(paths):
         for ch in path:
-            entry = crossed.get(id(ch))
-            if entry is None:
-                crossed[id(ch)] = (ch, [i])
+            members = crossed.get(ch)
+            if members is None:
+                crossed[ch] = [i]
             else:
-                entry[1].append(i)
+                members.append(i)
     tightest: "dict[tuple[int, ...], CapacityLike]" = {}
-    for ch, members in crossed.values():
+    for ch, members in crossed.items():
         key = tuple(members)
         best = tightest.get(key)
         if best is None or ch.capacity_bps < best.capacity_bps:
             tightest[key] = ch
-    obs.histogram("netsim.maxmin.constraints").observe(len(tightest))
     if len(tightest) == len(crossed):
-        return paths
-    keep = {id(ch) for ch in tightest.values()}
-    return [[ch for ch in path if id(ch) in keep] for path in paths]
+        return list(crossed.items())
+    keep = set(tightest.values())
+    return [(ch, members) for ch, members in crossed.items() if ch in keep]
 
 
 def max_min_allocation_reference(

@@ -117,6 +117,23 @@ class TestMaxMinAllocation:
         f = d.net.flows.start_flow(d.h1, d.h2, demand_bps=0.0)
         assert f.rate_bps == 0.0
 
+    @pytest.mark.parametrize("demand", [-5 * MBPS, math.nan])
+    @pytest.mark.parametrize("call", ["start_flow", "set_demand"])
+    def test_demand_must_be_non_negative(self, call, demand):
+        # a negative demand ran its channel's octet counter backwards; a
+        # NaN one was served as greedy
+        d = build_dumbbell()
+        fm = d.net.flows
+        if call == "start_flow":
+            with pytest.raises(ValueError):
+                fm.start_flow(d.h1, d.h2, demand_bps=demand)
+            assert fm.active_flows() == [] and not fm._on_channel
+        else:
+            f = fm.start_flow(d.h1, d.h2, demand_bps=MBPS)
+            with pytest.raises(ValueError):
+                fm.set_demand(f, demand)
+            assert f.demand_bps == f.rate_bps == MBPS
+
 
 @st.composite
 def _allocation_problem(draw):

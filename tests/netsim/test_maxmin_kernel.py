@@ -1,16 +1,18 @@
-"""Equivalence of the max-min dispatcher against the scalar oracle.
+"""Equivalence of the max-min solver against the scalar oracle.
 
-:func:`repro.netsim.flows.max_min_allocation` first drops the channels
-that can never bind (``_binding_channels``: of the channels crossed by
-the same flows only the tightest stays), then solves what is left with
+:func:`repro.netsim.flows.max_min_allocation` keeps only the channels
+that can bind (``_binding_channels``: of the channels crossed by the
+same flows only the tightest stays) and runs progressive filling over
+them in one pass, returning the demands untouched when they fit.
 :func:`repro.netsim.flows.max_min_allocation_reference` (the original
-pure-python solver, kept verbatim as ground truth).  The oracle is
-always fed the *unreduced* paths.  These tests check agreement within
-1e-9 on randomised problems — including ones past the 128 incidence
-entries above which a numpy kernel used to take over — plus the
-documented corner cases: zero-length paths, infinite demands,
-shared-bottleneck ladders and path-redundant problems where most
-channels are dominated.
+pure-python solver, kept verbatim as ground truth) is the oracle twice
+over: fed the paths cut to the kept channels, it is the composition
+the one-pass solver must equal bit for bit; fed the *unreduced* paths,
+it checks the reduction within 1e-9 on randomised problems — including
+ones past the 128 incidence entries above which a numpy kernel used to
+take over — plus the documented corner cases: zero-length paths,
+infinite demands, shared-bottleneck ladders and path-redundant problems
+where most channels are dominated.
 """
 
 import math
@@ -31,6 +33,12 @@ from repro.netsim.flows import (
 class FakeChannel:
     def __init__(self, cap):
         self.capacity_bps = cap
+
+
+def _reduced(paths):
+    """``paths`` cut to the channels :func:`_binding_channels` keeps."""
+    keep = {id(ch) for ch, _ in _binding_channels(paths)}
+    return [[ch for ch in path if id(ch) in keep] for path in paths]
 
 
 def assert_equivalent(paths, demands):
@@ -123,30 +131,31 @@ class TestBindingChannels:
         # d and e are flow 0's own (e tightest); f is flow 1's own
         a, b, c = FakeChannel(30.0), FakeChannel(10.0), FakeChannel(20.0)
         d, e, f = FakeChannel(8.0), FakeChannel(5.0), FakeChannel(math.inf)
-        reduced = _binding_channels([[d, a, b, c, e], [a, b, f, c]])
-        assert [list(p) for p in reduced] == [[b, e], [b, f]]
+        paths = [[d, a, b, c, e], [a, b, f, c]]
+        assert _reduced(paths) == [[b, e], [b, f]]
+        # first-appearance order (b before e), not the order the groups
+        # were first met in (d's group, then a's)
+        assert _binding_channels(paths) == [(b, [0, 1]), (e, [0]), (f, [1])]
 
     def test_dominated_channel_before_and_after_its_dominator(self):
         lo, tight, hi = FakeChannel(9.0), FakeChannel(3.0), FakeChannel(7.0)
         for path in ([lo, tight, hi], [tight, lo, hi], [hi, lo, tight]):
-            assert [list(p) for p in _binding_channels([path])] == [[tight]]
+            assert _reduced([path]) == [[tight]]
 
     def test_first_of_equal_capacities_is_kept(self):
         first, second = FakeChannel(4.0), FakeChannel(4.0)
-        assert [list(p) for p in _binding_channels([[first, second]])] == [[first]]
+        assert _reduced([[first, second]]) == [[first]]
 
     def test_a_channel_crossed_twice_is_its_own_group(self):
         # the loop channel counts its flow twice per round: it is not
         # the same constraint as a channel the flow crosses once
         once, loop = FakeChannel(5.0), FakeChannel(8.0)
-        reduced = _binding_channels([[once, loop, loop]])
-        assert [list(p) for p in reduced] == [[once, loop, loop]]
+        assert _binding_channels([[once, loop, loop]]) == [(once, [0]), (loop, [0, 0])]
         assert max_min_allocation([[once, loop, loop]], [math.inf]) == [4.0]
 
-    def test_nothing_to_drop_returns_the_paths_themselves(self):
+    def test_nothing_to_drop_keeps_every_channel(self):
         a, b = FakeChannel(1.0), FakeChannel(2.0)
-        paths = [[a], [a, b], []]
-        assert _binding_channels(paths) is paths
+        assert _binding_channels([[a], [a, b], []]) == [(a, [0, 1]), (b, [1])]
 
     def test_observes_the_constraints_handed_to_the_solver(self):
         from repro import obs
@@ -157,6 +166,20 @@ class TestBindingChannels:
             snap = obs.export.snapshot(reg)
         hist = snap["histograms"]["netsim.maxmin.constraints"]
         assert hist["count"] == 1 and hist["sum"] == 2
+
+    @pytest.mark.parametrize("demands, rounds", [([0.25, 0.5], 0), ([1.0, 0.5], 1)])
+    def test_demands_that_fit_take_no_filling_round(self, demands, rounds):
+        # 0.25 + 0.5 fits the shared channel's 1.0; 1.0 + 0.5 is filled
+        from repro import obs
+
+        a, b = FakeChannel(2.0), FakeChannel(1.0)
+        with obs.scoped_registry() as reg:
+            rates = max_min_allocation([[a, b], [b]], demands)
+            snap = obs.export.snapshot(reg)
+        assert snap["histograms"]["netsim.maxmin.constraints"]["count"] == 1
+        hist = snap["histograms"]["netsim.maxmin.rounds"]
+        assert hist["count"] == 1 and hist["sum"] == rounds
+        assert rates == max_min_allocation_reference([[a, b], [b]], demands)
 
 
 _CAPS = st.sampled_from([1.0, 2.0, 2.0, 5.0, 10.0, 1000.0, math.inf])
@@ -195,6 +218,51 @@ def _redundant_problem(draw, n_flows=st.integers(1, 7), seg_len=st.integers(1, 4
     return paths, demands
 
 
+class TestOnePassSolver:
+    """The one-pass solver is the reference on the reduced paths, to the
+    bit, and returns demands that fit untouched."""
+
+    @given(st.one_of(_problem(), _redundant_problem()))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_reference_on_the_reduced_paths(self, problem):
+        paths, demands = problem
+        assert max_min_allocation(paths, demands) == max_min_allocation_reference(
+            _reduced(paths), demands
+        )
+
+    @given(st.one_of(_problem(), _redundant_problem()), st.floats(0.01, 0.999))
+    @settings(max_examples=300, deadline=None)
+    def test_demands_that_fit_are_the_answer(self, problem, share):
+        paths, demands = problem
+        demands = [d if math.isfinite(d) else 1.0 for d in demands]
+        load = max(
+            (sum(demands[i] for i in members) / ch.capacity_bps
+             for ch, members in _binding_channels(paths)),
+            default=0.0,
+        )
+        if load > 0:
+            demands = [d * share / load for d in demands]
+        rates = max_min_allocation(paths, demands)
+        assert rates == demands
+        assert rates == max_min_allocation_reference(paths, demands)
+
+    def test_the_shortcut_leaves_a_short_round_budget_to_the_reference(self):
+        # Eight flows that fit on one channel.  Filling from level L to a
+        # demand d takes a second round when L + (d - L) rounds short of
+        # d; here the reference's budget of flows + channels + 1 rounds
+        # runs out first and leaves the greediest flow at the previous
+        # level.  Its answer, not the demands, is what must come back.
+        link = FakeChannel(1e9)
+        demands = [
+            15065326.968975345, 43653956.362919904, 35425833.80429726,
+            5652202.862658423, 39964102.48428396, 14458890.62108926,
+            994642.1644566772, 32932279.45916028,
+        ]
+        want = max_min_allocation_reference([[link]] * 8, demands)
+        assert want[1] == demands[4] != demands[1]
+        assert max_min_allocation([[link]] * 8, demands) == want
+
+
 class TestReductionEquivalence:
     @given(_redundant_problem())
     @settings(max_examples=300, deadline=None)
@@ -208,14 +276,14 @@ class TestReductionEquivalence:
         # the size class the numpy kernel used to own: 128 incidence
         # entries or more *after* the reduction
         paths, demands = problem
-        assume(sum(len(p) for p in _binding_channels(paths)) >= 128)
+        assume(sum(len(p) for p in _reduced(paths)) >= 128)
         assert_equivalent(paths, demands)
 
     @given(_redundant_problem())
     @settings(max_examples=100, deadline=None)
     def test_reduction_only_drops_dominated_channels(self, problem):
         paths, _ = problem
-        reduced = _binding_channels(paths)
+        reduced = _reduced(paths)
 
         def members(of):
             out = {}
@@ -291,9 +359,11 @@ class TestDecouplesAcrossComponents:
 class TestUnprunedTwinOnTheChurnWorld:
     """The benchmark's churn world — cross traffic walking on every
     access link, periodic 1 MB probes between all sites, finite
-    transfers on top — run twice: once as shipped and once with the
-    reduction switched off.  Every rate, aggregate, octet counter and
-    completion instant must be the same floats, not merely close."""
+    transfers on top — run three times: as shipped, with the
+    demands-fit shortcut switched off, and with the reference solver on
+    unreduced paths in place of the one-pass one.  Every rate,
+    aggregate, octet counter and completion instant must be the same
+    floats, not merely close."""
 
     @staticmethod
     def _run():
@@ -344,7 +414,13 @@ class TestUnprunedTwinOnTheChurnWorld:
 
     def test_pruned_run_is_bit_identical_to_unpruned(self):
         pruned = self._run()
-        with mock.patch.object(flows_mod, "_binding_channels", lambda paths: paths):
+        # no member-demand sum fits under -inf times a capacity
+        with mock.patch.object(flows_mod, "_FIT_SHARE", -math.inf):
+            filled = self._run()
+        with mock.patch.object(
+            flows_mod, "max_min_allocation", flows_mod.max_min_allocation_reference
+        ):
             unpruned = self._run()
         assert any(entry[0] == "done" for entry in pruned if isinstance(entry, tuple))
+        assert pruned == filled
         assert pruned == unpruned

@@ -52,7 +52,9 @@ STRICT_FILES = (
         REPO_ROOT / "src" / "repro" / "netsim" / "flows.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "paths.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "routing.py",
+        REPO_ROOT / "src" / "repro" / "netsim" / "spec.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "topology.py",
+        REPO_ROOT / "src" / "repro" / "netsim" / "traffic.py",
         REPO_ROOT / "src" / "repro" / "rps" / "streaming.py",
         REPO_ROOT / "src" / "repro" / "service" / "admission.py",
         REPO_ROOT / "src" / "repro" / "service" / "app.py",
@@ -102,7 +104,9 @@ STRICT_MODULES = [
     "repro.netsim.flows",
     "repro.netsim.paths",
     "repro.netsim.routing",
+    "repro.netsim.spec",
     "repro.netsim.topology",
+    "repro.netsim.traffic",
     "repro.service.admission",
     "repro.service.app",
     "repro.service.client",
