@@ -37,6 +37,17 @@ class QueryError(RemosError):
     """A Remos query could not be answered."""
 
 
+class ArgumentError(QueryError, ValueError):
+    """The caller asked a question the Modeler cannot take: an unknown
+    detail level, an unreadable host, no hosts at all, or a prediction
+    or node query no configured provider can answer.
+
+    Raised before the Modeler fetches anything, so a caller's mistake
+    costs no collector work; the query service answers it
+    ``bad_request``.
+    """
+
+
 class UnknownHostError(QueryError):
     """A queried host is not covered by any collector."""
 

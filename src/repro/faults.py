@@ -86,7 +86,7 @@ class FaultPlan:
     probe_timeout_s: float = 5.0
     # -- service-plane faults (repro.service) -------------------------
     #: probability one service backend call raises a transient error
-    #: (exercises the breaker / retry-budget / shed-to-STALE paths)
+    #: (exercises the breaker and shed-to-STALE paths)
     service_error_prob: float = 0.0
     #: probability one service request suffers an artificial stall
     service_delay_prob: float = 0.0
@@ -125,6 +125,9 @@ class FaultInjector:
         self.injected = 0
         #: per-(agent, oid) rebase offsets from injected counter resets
         self._offsets: dict[tuple[str, str], float] = {}
+        #: the survival-policy values :func:`install` overwrote, as
+        #: (cost model, {field: previous value}), for :func:`uninstall`
+        self.overwritten: list[tuple[Any, dict[str, Any]]] = []
 
     def _fire(self, kind: str, prob: float) -> bool:
         if prob <= 0.0:
@@ -191,27 +194,39 @@ def install(dep: Any, plan: FaultPlan) -> FaultInjector:
     """
     injector = FaultInjector(plan)
     dep.net.faults = injector
-    for client in _clients(dep):
-        client.cost.retries = plan.snmp_retries
-        client.cost.backoff_base_s = plan.snmp_backoff_s
-    rpc = dep.master.rpc
-    rpc.fragment_timeout_s = plan.fragment_timeout_s
-    rpc.fragment_retries = plan.fragment_retries
-    rpc.fragment_backoff_s = plan.fragment_backoff_s
-    rpc.quarantine_s = plan.quarantine_s
+    policy: list[tuple[Any, dict[str, Any]]] = [
+        (client.cost, {"retries": plan.snmp_retries, "backoff_base_s": plan.snmp_backoff_s})
+        for client in _clients(dep)
+    ]
+    policy.append(
+        (
+            dep.master.rpc,
+            {
+                "fragment_timeout_s": plan.fragment_timeout_s,
+                "fragment_retries": plan.fragment_retries,
+                "fragment_backoff_s": plan.fragment_backoff_s,
+                "quarantine_s": plan.quarantine_s,
+            },
+        )
+    )
+    for target, values in policy:
+        injector.overwritten.append((target, {name: getattr(target, name) for name in values}))
+        for name, value in values.items():
+            setattr(target, name, value)
     log.info("fault plan installed (seed=%d)", plan.seed)
     return injector
 
 
 def uninstall(dep: Any) -> None:
-    """Disarm: stop injecting and restore zero-overhead defaults."""
+    """Disarm: stop injecting and put back every survival-policy value
+    :func:`install` overwrote."""
+    injector = dep.net.faults
     dep.net.faults = None
-    for client in _clients(dep):
-        client.cost.retries = 0
-    rpc = dep.master.rpc
-    rpc.fragment_timeout_s = 0.0
-    rpc.fragment_retries = 0
-    rpc.quarantine_s = 0.0
+    if injector is not None:
+        # newest first: a cost model two clients share gets its first value back
+        for target, values in reversed(injector.overwritten):
+            for name, value in values.items():
+                setattr(target, name, value)
     log.info("fault plan uninstalled")
 
 

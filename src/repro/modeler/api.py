@@ -35,7 +35,7 @@ from typing import Any, ClassVar, Protocol
 import numpy as np
 
 from repro import obs
-from repro.common.errors import QueryError, RemosError, TopologyError
+from repro.common.errors import ArgumentError, RemosError, TopologyError
 from repro.common.status import QueryStatus, SiteStatus
 from repro.netsim.address import IPv4Address
 from repro.netsim.topology import Host, Network
@@ -255,6 +255,15 @@ def _ip_of(host) -> str:
     return str(IPv4Address(host))
 
 
+def _host_ips(hosts) -> list[str]:
+    """``hosts`` as canonical dotted quads; a host the Modeler cannot
+    read is the caller's mistake (:class:`ArgumentError`)."""
+    try:
+        return [_ip_of(h) for h in hosts]
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError(f"bad host: {exc}") from exc
+
+
 def _pair_scope(
     pairs: tuple[tuple[str, str], ...],
     own: list[tuple[str, str, float]],
@@ -371,12 +380,17 @@ class Modeler:
           into virtual switches; flow answers unchanged.
         * ``"summary"`` — only the queried hosts, pairwise logical edges
           carrying each pair's bottleneck availability/latency/jitter.
+
+        An unknown ``detail``, an unreadable host or no hosts at all
+        raise :class:`ArgumentError` before anything is fetched.
         """
         if detail not in ("raw", "simplified", "summary"):
-            raise QueryError(f"unknown detail level {detail!r}")
+            raise ArgumentError(f"unknown detail level {detail!r}")
+        ips = _host_ips(hosts)
+        if not ips:
+            raise ArgumentError("a topology query needs at least one host")
         with obs.span("modeler.topology_query", detail=detail) as sp:
             obs.counter("modeler.queries", kind="topology").inc()
-            ips = [_ip_of(h) for h in hosts]
             # "raw" hands the graph itself to the application, which may
             # mutate it; the derived detail levels only read it.
             graph, meta, entry = self._fetch(
@@ -500,13 +514,25 @@ class Modeler:
         endpoints collapse into one Master fetch and duplicate pairs
         resolve their route once, while the joint allocation still sees
         one flow per requested instance.
+
+        The arguments are checked before anything is fetched: a pair or
+        declared flow the Modeler cannot read, no pairs at all, or
+        ``predict`` without a prediction service raise
+        :class:`ArgumentError`.
         """
-        with obs.span("modeler.flow_query") as sp:
-            obs.counter("modeler.queries", kind="flow").inc()
+        try:
             ip_pairs = [(_ip_of(s), _ip_of(d)) for s, d in pairs]
             own = [
                 (_ip_of(s), _ip_of(d), float(rate)) for s, d, rate in (own_flows or [])
             ]
+        except (TypeError, ValueError) as exc:
+            raise ArgumentError(f"bad flow arguments: {exc}") from exc
+        if not ip_pairs:
+            raise ArgumentError("a flow query needs at least one pair")
+        if predict and self.prediction_service is None:
+            raise ArgumentError("no prediction service configured")
+        with obs.span("modeler.flow_query") as sp:
+            obs.counter("modeler.queries", kind="flow").inc()
             plan = plan_flow_pairs(
                 ip_pairs, [ip for s, d, _ in own for ip in (s, d)]
             )
@@ -604,14 +630,18 @@ class Modeler:
     def _node_answers(
         self, hosts, predict: bool, horizon_steps: int
     ) -> list[NodeAnswer]:
-        """Current (and optionally forecast) load of compute nodes."""
+        """Current (and optionally forecast) load of compute nodes.
+
+        No provider, or a host the Modeler cannot read, raises
+        :class:`ArgumentError` before any host is asked.
+        """
         if self.node_info_provider is None:
-            raise QueryError("no node information provider configured")
+            raise ArgumentError("no node information provider configured")
+        ips = _host_ips(hosts)
         with obs.span("modeler.node_query") as sp:
             obs.counter("modeler.queries", kind="node").inc()
             answers: list[NodeAnswer] = []
-            for h in hosts:
-                ip = _ip_of(h)
+            for ip in ips:
                 self.net.engine.advance(self.rpc.local_s)
                 load, predictor = self.node_info_provider(ip)
                 ans = NodeAnswer(ip, load, trace_id=sp.trace_id)
@@ -783,10 +813,9 @@ class Modeler:
         """Forecast the bottleneck edge's available bandwidth via RPS.
 
         History comes from the collectors through the Master's history
-        interface (the paper's planned XML-protocol path).
+        interface (the paper's planned XML-protocol path).  The caller
+        has checked that a prediction service is configured.
         """
-        if self.prediction_service is None:
-            raise QueryError("no prediction service configured")
         # Find the tightest edge on the path and its rate history.
         best: tuple[float, str, str] | None = None
         for a, b in zip(ans.path, ans.path[1:]):

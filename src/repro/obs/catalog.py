@@ -99,7 +99,6 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "service.lkg_entries",
         "service.ratelimited",
         "service.requests",
-        "service.retries",
         "service.shed",
         "service.subs_events",
         "service.wire.answer_text",

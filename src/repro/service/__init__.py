@@ -8,9 +8,9 @@ adds the production-hardening primitives a shared service needs:
 
 * :mod:`repro.service.ratelimit` — per-tenant token-bucket rate limits;
 * :mod:`repro.service.breaker` — a circuit breaker around the
-  collector/Master backend;
-* :mod:`repro.service.retrypolicy` — retry with a global budget, so a
-  failing backend is not amplified by a retry storm;
+  collector/Master backend.  A backend call runs once: failures are
+  retried where measurements are taken, in the collectors and the
+  Master, and a caller's mistake is ``bad_request`` before any fetch;
 * :mod:`repro.service.admission` — admission control that *sheds* to
   last-known-good answers (served ``STALE``) under overload instead of
   queuing requests until they time out;

@@ -16,10 +16,12 @@ out of that sharing:
 5. service-level fault injection (``service_error`` /
    ``service_delay`` in :mod:`repro.faults`), so chaos suites can
    exercise every path above deterministically;
-6. the actual :class:`repro.session.RemosSession` call, serialized by
-   an asyncio lock (the discrete-event sim is single-threaded), with
-   retries funded by a global budget
-   (:mod:`repro.service.retrypolicy`);
+6. the actual :class:`repro.session.RemosSession` call, once (failures
+   are retried where they are measured, in the collectors and the
+   Master), serialized by an asyncio lock (the discrete-event sim is
+   single-threaded).  A caller's mistake is ``bad_request`` with no
+   breaker outcome; any other exception is recorded by the breaker and
+   shed (see :meth:`RemosService._route`);
 7. good answers (no FAILED member) refresh the LKG store.
 
 The backend answers in canonical wire dicts; the HTTP edge serializes
@@ -32,14 +34,15 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
 from repro import obs
+from repro.common.errors import ArgumentError
 from repro.netsim.address import IPv4Address
 from repro.service.admission import AdmissionController, LastKnownGoodStore
 from repro.service.breaker import CircuitBreaker
 from repro.service.ratelimit import TenantRateLimiter
-from repro.service.retrypolicy import RetryBudget, call_with_retry
 from repro.service.subs import FlowWatcher, SubscriptionHub, flow_channel
 from repro.service.wire import AnswerRecord, WireError, canonical_json, result_body
 
@@ -115,7 +118,6 @@ class RemosService:
         self.admission = AdmissionController(max_inflight=cfg.max_inflight)
         self.lkg = LastKnownGoodStore()
         self.breaker = CircuitBreaker()
-        self.retry_budget = RetryBudget()
         self.hub = SubscriptionHub()
         self.watcher = FlowWatcher(backend.session)
         #: service-side tallies, mirrored into obs counters; the
@@ -128,7 +130,6 @@ class RemosService:
             "overloaded": 0,
             "breaker_open": 0,
             "backend_error": 0,
-            "retries": 0,
             "subs_events": 0,
         }
 
@@ -174,37 +175,34 @@ class RemosService:
     def _lkg_key(self, endpoint: str, body: dict[str, Any]) -> str:
         return f"{endpoint}:{canonical_json(body)}"
 
-    def _shed(self, key: str, reason: str) -> dict[str, Any]:
-        """Serve the LKG answer for ``key`` (STALE) or raise ``reason``."""
+    def _shed(self, key: str, code: str, message: str | None = None) -> dict[str, Any]:
+        """Serve the LKG answer for ``key`` (STALE), or count ``code`` and
+        raise it: ``overloaded`` and ``breaker_open`` with a retry hint,
+        ``backend_error`` with the backend's ``message``."""
         payload = self.lkg.serve_stale(key)
         if payload is None:
+            self.stats[code] += 1
+            if message is not None:
+                raise WireError(code, message)
             raise WireError(
-                "overloaded" if reason == "overloaded" else "breaker_open",
-                f"request shed ({reason}) and no last-known-good answer",
+                code,
+                f"request shed ({code}) and no last-known-good answer",
                 retry_after_s=0.05,
             )
         self.stats["shed_lkg"] += 1
-        obs.counter("service.shed", reason=reason).inc()
+        obs.counter("service.shed", reason=code).inc()
         return result_body(payload, served="shed_lkg")
 
     async def _query(self, endpoint: str, body: dict[str, Any]) -> dict[str, Any]:
         key = self._lkg_key(endpoint, body)
         if not self.admission.try_admit():
-            try:
-                return self._shed(key, "overloaded")
-            except WireError:
-                self.stats["overloaded"] += 1
-                raise
+            return self._shed(key, "overloaded")
         try:
             obs.gauge("service.inflight").set(self.admission.inflight)
             try:
                 self.breaker.before_call()
             except WireError:
-                try:
-                    return self._shed(key, "breaker_open")
-                except WireError:
-                    self.stats["breaker_open"] += 1
-                    raise
+                return self._shed(key, "breaker_open")
             injector = self.backend.faults
             if injector is not None:
                 stall = injector.service_delay()
@@ -213,17 +211,12 @@ class RemosService:
             try:
                 payload = await self._call_backend(endpoint, body)
             except WireError:
+                self.breaker.release()  # the caller's mistake: no outcome
                 raise
             except Exception as exc:
                 self.breaker.record(False)
                 log.warning("backend error on %s: %s", endpoint, exc)
-                try:
-                    return self._shed(key, "backend_error")
-                except WireError:
-                    self.stats["backend_error"] += 1
-                    raise WireError(
-                        "backend_error", f"{type(exc).__name__}: {exc}"
-                    ) from exc
+                return self._shed(key, "backend_error", f"{type(exc).__name__}: {exc}")
             self.breaker.record(True)
             self.stats["live"] += 1
             self.lkg.store(key, payload)
@@ -233,18 +226,7 @@ class RemosService:
             self.admission.release()
 
     async def _call_backend(self, endpoint: str, body: dict[str, Any]) -> Any:
-        """Run the session call under the backend lock, retries budgeted."""
-
-        def on_retry(attempt: int) -> None:
-            self.stats["retries"] += 1
-            obs.counter("service.retries").inc()
-
-        def run() -> Any:
-            injector = self.backend.faults
-            if injector is not None and injector.service_error():
-                raise BackendFaultError("injected service backend fault")
-            return self._route(endpoint, body)
-
+        """Run the session call once, under the backend lock."""
         async with self.backend.lock:
             # yield once while holding the lock: the sim backend is
             # synchronous, so without this a request would run to
@@ -253,52 +235,69 @@ class RemosService:
             # contention and overload could not shed
             await asyncio.sleep(0)
             with obs.span("service.backend", endpoint=endpoint):
-                return call_with_retry(run, self.retry_budget, on_retry)
+                injector = self.backend.faults
+                if injector is not None and injector.service_error():
+                    raise BackendFaultError("injected service backend fault")
+                return self._route(endpoint, body)
 
     def _route(self, endpoint: str, body: dict[str, Any]) -> Any:
-        """Translate a wire body into the session call; returns wire dicts.
+        """Run the session call a wire body asks for; returns wire dicts.
 
-        A single answer is returned as an :class:`AnswerRecord`, so a
-        repeat of the last answer stored for the query is not encoded
-        again; lists of answers stay plain.
+        A body the service cannot read, and any argument the Modeler
+        rejects (:class:`ArgumentError`), is the caller's mistake:
+        ``bad_request``.  Every other exception is the backend's and
+        propagates.  A single answer is returned as an
+        :class:`AnswerRecord`, so a repeat of the last answer stored for
+        the query is not encoded again; lists of answers stay plain.
         """
-        session = self.backend.session
         try:
-            if endpoint == "flow_info":
-                ans = session.flow_info(
-                    body["src"],
-                    body["dst"],
-                    predict=bool(body.get("predict", False)),
-                    horizon_steps=int(body.get("horizon_steps", 1)),
-                )
-                return AnswerRecord(ans.to_dict())
-            if endpoint == "flow_info_many":
-                pairs = [(p[0], p[1]) for p in body["pairs"]]
-                own = body.get("own_flows")
-                own_flows = [(o[0], o[1], float(o[2])) for o in own] if own else None
-                answers = session.flow_info_many(
-                    pairs,
-                    predict=bool(body.get("predict", False)),
-                    horizon_steps=int(body.get("horizon_steps", 1)),
-                    own_flows=own_flows,
-                )
-                return [a.to_dict() for a in answers]
-            if endpoint == "topology":
-                ans = session.topology(
-                    body["hosts"],
-                    detail=str(body.get("detail", "simplified")),
-                    include_dynamics=bool(body.get("include_dynamics", True)),
-                )
-                return AnswerRecord(ans.to_dict())
-            if endpoint == "node_info":
-                answers = session.node_info(
-                    body["hosts"],
-                    predict=bool(body.get("predict", False)),
-                    horizon_steps=int(body.get("horizon_steps", 1)),
-                )
-                return [a.to_dict() for a in answers]
+            call = self._session_call(endpoint, body)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise WireError("bad_request", f"bad arguments: {exc}") from exc
+        try:
+            answer = call()
+        except ArgumentError as exc:
+            raise WireError("bad_request", str(exc)) from exc
+        if isinstance(answer, list):
+            return [a.to_dict() for a in answer]
+        return AnswerRecord(answer.to_dict())
+
+    def _session_call(self, endpoint: str, body: dict[str, Any]) -> Callable[[], Any]:
+        """The session call for ``endpoint``, its wire arguments read."""
+        session = self.backend.session
+        if endpoint == "topology":
+            return partial(
+                session.topology,
+                body["hosts"],
+                detail=str(body.get("detail", "simplified")),
+                include_dynamics=bool(body.get("include_dynamics", True)),
+            )
+        predict = bool(body.get("predict", False))
+        horizon_steps = int(body.get("horizon_steps", 1))
+        if endpoint == "flow_info":
+            return partial(
+                session.flow_info,
+                body["src"],
+                body["dst"],
+                predict=predict,
+                horizon_steps=horizon_steps,
+            )
+        if endpoint == "flow_info_many":
+            own = body.get("own_flows")
+            return partial(
+                session.flow_info_many,
+                [(p[0], p[1]) for p in body["pairs"]],
+                predict=predict,
+                horizon_steps=horizon_steps,
+                own_flows=[(o[0], o[1], float(o[2])) for o in own] if own else None,
+            )
+        if endpoint == "node_info":
+            return partial(
+                session.node_info,
+                body["hosts"],
+                predict=predict,
+                horizon_steps=horizon_steps,
+            )
         raise WireError("not_found", f"unknown endpoint {endpoint!r}")
 
     # -- plumbing endpoints --------------------------------------------
@@ -379,7 +378,6 @@ class RemosService:
         return {
             "stats": dict(self.stats),
             "breaker_transitions": self.breaker.transitions,
-            "retry_tokens": self.retry_budget.tokens,
             "lkg_entries": len(self.lkg),
             "registry": registry,
         }

@@ -101,6 +101,13 @@ class CircuitBreaker:
             retry_after_s=max(0.0, self.reset_s - (self._clock() - self._opened_at)),
         )
 
+    def release(self) -> None:
+        """End a call :meth:`before_call` let through without an outcome
+        (the caller's own mistake, say): a half-open probe slot it held
+        is handed back, and nothing is recorded."""
+        if self._state == "half_open":
+            self._probes_in_flight = max(0, self._probes_in_flight - 1)
+
     def record(self, ok: bool) -> None:
         """Record one backend outcome and update state."""
         state = self.state

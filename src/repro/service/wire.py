@@ -52,7 +52,7 @@ ERROR_CODES: frozenset[str] = frozenset(
         "rate_limited",  # tenant token bucket empty
         "overloaded",  # admission control shed and no LKG available
         "breaker_open",  # backend circuit breaker rejecting calls
-        "backend_error",  # Modeler/Master raised after retries
+        "backend_error",  # Modeler/Master raised (one attempt)
     }
 )
 

@@ -12,8 +12,9 @@ answering: failed pairs come back as ``FAILED`` answers with zeroed
 bandwidths, partially-covered topologies come back ``PARTIAL`` with the
 reachable fragments merged, and last-known-good data is served
 ``STALE``.  Exceptions are reserved for caller mistakes
-(bad detail level, no provider configured) and for a completely
-unreachable Master.
+(:class:`~repro.common.errors.ArgumentError`: bad detail level, an
+unreadable host, no provider configured; raised before the Modeler
+fetches anything) and for a completely unreachable Master.
 
     session = deployment.session()
     ans = session.flow_info("10.1.0.1", "10.2.0.7")

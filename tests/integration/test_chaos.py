@@ -79,6 +79,21 @@ class TestZeroOverheadDefault:
         assert dep.master.rpc.fragment_timeout_s == 0.0
         assert all(c.cost.retries == 0 for c in faults._clients(dep))
 
+    def test_uninstall_puts_back_what_install_overwrote(self):
+        w = build_multisite_wan(
+            [SiteSpec(name, access_bps=10 * MBPS, n_hosts=3) for name in ("a", "b")]
+        )
+        dep = deploy_wan(w, snmp_cost=SnmpCostModel(retries=2, backoff_base_s=0.5))
+        clients = list(faults._clients(dep))
+        rpc_before = dataclasses.replace(dep.master.rpc)
+        costs_before = [dataclasses.replace(c.cost) for c in clients]
+        faults.install(dep, faults.FaultPlan(snmp_backoff_s=0.25, fragment_backoff_s=0.7))
+        assert dep.master.rpc.fragment_backoff_s == 0.7
+        assert all(c.cost.backoff_base_s == 0.25 for c in clients)
+        faults.uninstall(dep)
+        assert dep.master.rpc == rpc_before
+        assert [c.cost for c in clients] == costs_before
+
 
 class TestRetryBackoff:
     def test_charged_on_sim_clock_and_bounded(self):

@@ -18,9 +18,9 @@ static name lookup:
 * ``self.method(...)`` against methods of the lexically enclosing
   class;
 * class instantiation (an edge to ``Class.__init__`` when one exists);
-* callables passed as arguments (``call_with_retry(run)`` reaches
-  ``run``), because retry/dispatch wrappers are how the service plane
-  invokes everything.
+* callables passed as arguments (``every(cb)`` reaches ``cb``),
+  because scheduling and dispatch wrappers are how callbacks are
+  invoked.
 
 Everything else degrades gracefully: a dotted call that leaves the
 project records its canonical external path (``time.sleep``), and a
@@ -408,7 +408,7 @@ def _collect_edges(
             callee, external, attr = resolve_target(node.func, scope, cls)
             if callee or external or attr:
                 out.append(CallEdge(node.lineno, callee=callee, external=external, attr=attr))
-            # callables handed onward: call_with_retry(run), every(cb)
+            # callables handed onward: every(cb), partial(fn)
             for arg in list(node.args) + [kw.value for kw in node.keywords]:
                 if isinstance(arg, (ast.Name, ast.Attribute)):
                     a_callee, _, _ = resolve_target(arg, scope, cls)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import QueryError
+from repro.common.errors import ArgumentError, QueryError
 from repro.common.units import MBPS
 from repro.netsim.builders import SiteSpec, build_multisite_wan, build_switched_lan
 from repro.deploy import deploy_lan, deploy_wan
@@ -89,6 +89,40 @@ class TestFlowQuery:
         dep.modeler.prediction_service = None
         with pytest.raises(QueryError):
             dep.session().flow_info(lan.hosts[0], lan.hosts[1], predict=True)
+
+
+class TestArgumentErrors:
+    """A caller's mistake raises ``ArgumentError`` before the Modeler
+    asks the Master anything or charges the simulated clock."""
+
+    @pytest.mark.parametrize(
+        "ask",
+        [
+            lambda s, h: s.topology(h[:2], detail="cubist"),
+            lambda s, h: s.topology([]),
+            lambda s, h: s.topology([h[0], "10.1.2"]),
+            lambda s, h: s.flow_info(h[0], h[1], predict=True),
+            lambda s, h: s.flow_info("bogus", h[1]),
+            lambda s, h: s.flow_info_many([]),
+            lambda s, h: s.flow_info_many([(h[0], h[1])], own_flows=[(h[0], h[1], "fast")]),
+            lambda s, h: s.node_info([h[0], None]),
+        ],
+        ids=[
+            "unknown-detail", "no-hosts", "bad-host", "predict-without-service",
+            "bad-flow-host", "no-pairs", "bad-own-rate", "bad-node-host",
+        ],
+    )
+    def test_raised_before_any_fetch(self, lan_dep, ask):
+        lan, dep = lan_dep
+        assert dep.modeler.prediction_service is None
+        before = (dep.master.queries_served, dep.modeler.queries_made, lan.net.now)
+        with pytest.raises(ArgumentError):
+            ask(dep.session(), lan.hosts)
+        assert (dep.master.queries_served, dep.modeler.queries_made, lan.net.now) == before
+
+    def test_is_a_query_error_and_a_value_error(self):
+        assert issubclass(ArgumentError, QueryError)
+        assert issubclass(ArgumentError, ValueError)
 
 
 class TestHostAddresses:

@@ -17,7 +17,6 @@ from repro.service.app import RemosService, ServiceConfig, SessionBackend
 from repro.service import ratelimit
 from repro.service.breaker import CircuitBreaker
 from repro.service.ratelimit import TenantRateLimiter, TokenBucket
-from repro.service.retrypolicy import RetryBudget, call_with_retry
 from repro.service.wire import WireError
 
 
@@ -132,58 +131,18 @@ class TestCircuitBreaker:
         with pytest.raises(WireError):
             br.before_call()
 
-
-class TestRetryBudget:
-    def test_budget_bounds_total_retries(self):
-        budget = RetryBudget(deposit_ratio=0.0, max_tokens=2.0, max_attempts=10)
-        calls = 0
-
-        def flaky():
-            nonlocal calls
-            calls += 1
-            raise RuntimeError("down")
-
-        with pytest.raises(RuntimeError):
-            call_with_retry(flaky, budget)
-        # 1 original + 2 budgeted retries, then the budget is dry
-        assert calls == 3
-        calls = 0
-        with pytest.raises(RuntimeError):
-            call_with_retry(flaky, budget)
-        assert calls == 1  # no tokens left: fail fast, no retry storm
-
-    def test_deposits_refund_the_budget(self):
-        budget = RetryBudget(deposit_ratio=0.5, max_tokens=10.0, max_attempts=2)
-        budget._tokens = 0.0
-        for _ in range(2):  # two successful requests deposit 1.0 total
-            call_with_retry(lambda: "ok", budget)
-        assert budget.tokens == pytest.approx(1.0)
-
-    def test_success_after_retry(self):
-        budget = RetryBudget(deposit_ratio=0.0, max_tokens=5.0, max_attempts=3)
-        attempts = []
-
-        def once_flaky():
-            attempts.append(1)
-            if len(attempts) < 2:
-                raise RuntimeError("transient")
-            return "ok"
-
-        assert call_with_retry(once_flaky, budget) == "ok"
-        assert len(attempts) == 2
-
-    def test_wire_errors_never_retried(self):
-        budget = RetryBudget(deposit_ratio=1.0, max_tokens=10.0, max_attempts=5)
-        calls = 0
-
-        def rejected():
-            nonlocal calls
-            calls += 1
-            raise WireError("rate_limited", "no")
-
-        with pytest.raises(WireError):
-            call_with_retry(rejected, budget)
-        assert calls == 1
+    def test_release_hands_a_probe_back_and_records_nothing(self, clock):
+        br = self.make(clock, half_open_probes=1)
+        for _ in range(4):
+            br.record(False)
+        clock.advance(5.0)
+        for _ in range(3):  # the one probe, taken and handed back
+            br.before_call()
+            br.release()
+        assert br.state == "half_open"
+        br.before_call()
+        br.record(True)
+        assert br.state == "closed"
 
 
 class TestLastKnownGoodStore:

@@ -202,6 +202,22 @@ class TestBadInput:
         assert body["result"]["status"] == "failed"
         assert lkg_entries == 0
 
+    def test_unknown_detail_is_400_and_leaves_the_breaker_closed(self):
+        """A caller's mistake is answered once, 400, and costs other
+        tenants nothing: it is never recorded by the breaker."""
+
+        async def go(port, hosts, service):
+            bogus = post("/v1/topology", {"hosts": hosts[:2], "detail": "bogus"})
+            answers = [await raw_request(port, bogus) for _ in range(20)]
+            health = await raw_request(
+                port, b"GET /v1/health HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+            )
+            return answers, health
+
+        answers, (status, health) = with_server(go)
+        assert {(s, body["error"]["code"]) for s, body in answers} == {(400, "bad_request")}
+        assert status == 200 and health["result"]["breaker"] == "closed"
+
     @pytest.mark.parametrize("field", [{"since": "abc"}, {"timeout_s": "soon"}])
     def test_subscribe_with_non_numeric_since_or_timeout_400(self, field):
         async def go(port, hosts, service):

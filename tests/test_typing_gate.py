@@ -56,11 +56,6 @@ STRICT_FILES = (
         REPO_ROOT / "src" / "repro" / "netsim" / "topology.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "traffic.py",
         REPO_ROOT / "src" / "repro" / "rps" / "streaming.py",
-        REPO_ROOT / "src" / "repro" / "service" / "admission.py",
-        REPO_ROOT / "src" / "repro" / "service" / "app.py",
-        REPO_ROOT / "src" / "repro" / "service" / "client.py",
-        REPO_ROOT / "src" / "repro" / "service" / "http.py",
-        REPO_ROOT / "src" / "repro" / "service" / "wire.py",
         REPO_ROOT / "src" / "repro" / "session.py",
         REPO_ROOT / "src" / "repro" / "snmp" / "agent.py",
         REPO_ROOT / "src" / "repro" / "snmp" / "client.py",
@@ -68,6 +63,7 @@ STRICT_FILES = (
         REPO_ROOT / "src" / "repro" / "snmp" / "oid.py",
     ]
     + sorted((REPO_ROOT / "src" / "repro" / "obs").rglob("*.py"))
+    + sorted((REPO_ROOT / "src" / "repro" / "service").rglob("*.py"))
 )
 
 STRICT_MODULES = [
@@ -107,10 +103,14 @@ STRICT_MODULES = [
     "repro.netsim.spec",
     "repro.netsim.topology",
     "repro.netsim.traffic",
+    "repro.service",
     "repro.service.admission",
     "repro.service.app",
+    "repro.service.breaker",
     "repro.service.client",
     "repro.service.http",
+    "repro.service.ratelimit",
+    "repro.service.subs",
     "repro.service.wire",
     "repro.session",
     "repro.snmp.agent",
