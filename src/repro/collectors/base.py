@@ -199,21 +199,16 @@ class RpcCostModel:
     sub-query latencies on ``max_parallel`` workers, instead of their
     sum.  ``max_parallel=1`` recovers strictly sequential delegation;
     ``max_parallel=0`` is unbounded.
+
+    Only costs live here.  The delegation survival policy (deadline,
+    retry, quarantine) is a set of constants in
+    :mod:`repro.collectors.master`, the same for every deployment.
     """
 
     local_s: float = 0.001  # modeler <-> master, master <-> local collectors
     remote_s: float = 0.05  # master <-> remote collectors
     dispatch_s: float = 0.0001  # per-fragment serialization before fan-out
     max_parallel: int = 8  # concurrent sub-queries in flight (0 = unbounded)
-    # -- delegation survival policy (see repro.faults.install) --------
-    #: deadline per delegated fragment; 0 disables (no deadline checks)
-    fragment_timeout_s: float = 0.0
-    #: retries after a failed/timed-out fragment delegation
-    fragment_retries: int = 0
-    #: wait between fragment retries (charged on the sim clock)
-    fragment_backoff_s: float = 0.1
-    #: how long a dead collector is skipped before a re-probe (0 = off)
-    quarantine_s: float = 0.0
 
 
 class Collector(ABC):

@@ -45,6 +45,12 @@ if TYPE_CHECKING:
 #:   raw bottleneck capacity, pathchar-style, and cannot see cross
 #:   traffic at all.
 PROBE_METHODS = ("bulk", "packet_pair", "one_way")
+#: relative noise of packet-pair estimates
+PACKET_PAIR_NOISE = 0.15
+#: bytes a packet-pair train injects
+PACKET_PAIR_BYTES = 3_000.0
+#: bytes a single-ended probe injects
+ONE_WAY_BYTES = 1_500.0
 
 
 @dataclass
@@ -58,12 +64,6 @@ class BenchmarkConfig:
     max_probe_s: float = 30.0
     #: probe technique (see PROBE_METHODS)
     method: str = "bulk"
-    #: relative noise of packet-pair estimates
-    packet_pair_noise: float = 0.15
-    #: bytes a packet-pair train injects
-    packet_pair_bytes: float = 3_000.0
-    #: bytes a single-ended probe injects
-    one_way_bytes: float = 1_500.0
 
     def __post_init__(self) -> None:
         if self.method not in PROBE_METHODS:
@@ -211,10 +211,10 @@ class BenchmarkCollector:
             self.net.engine.advance(max(4.0 * rtt, 0.01))
         finally:
             self.net.flows.stop_flow(flow)  # as in _probe_bulk
-        self.bytes_injected += self.config.packet_pair_bytes
+        self.bytes_injected += PACKET_PAIR_BYTES
         if rate <= 0:
             raise QueryError(f"no bandwidth between {self.site} and {peer_site}")
-        noisy = rate * (1.0 + self.config.packet_pair_noise * float(self._rng.standard_normal()))
+        noisy = rate * (1.0 + PACKET_PAIR_NOISE * float(self._rng.standard_normal()))
         return max(0.05 * rate, noisy)
 
     def _probe_one_way(self, peer_site: str) -> float:
@@ -233,7 +233,7 @@ class BenchmarkCollector:
             raise QueryError(f"no path between {self.site} and {peer_site}")
         # probing cost: a few RTTs per hop
         self.net.engine.advance(max(len(path) * 4.0 * 2.0 * path_latency(path) / max(len(path), 1), 0.01))
-        self.bytes_injected += self.config.one_way_bytes
+        self.bytes_injected += ONE_WAY_BYTES
         return path_capacity(path)
 
     def probe_all(self) -> list[PairMeasurement]:

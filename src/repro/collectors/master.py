@@ -74,6 +74,19 @@ LkgEntry = tuple[TopologyGraph, float, dict[str, str], tuple[str, ...]]
 #: least recently stored-or-served one is evicted
 LKG_MAX_FRAGMENTS = 1024
 
+# The delegation survival policy (§6.2), always on: a delegated fragment
+# that overruns FRAGMENT_TIMEOUT_S is abandoned, a failed chain is asked
+# FRAGMENT_RETRIES more times after FRAGMENT_BACKOFF_S, and a chain that
+# still fails is skipped for QUARANTINE_S before it is probed again.
+#: deadline per delegated fragment (sim seconds)
+FRAGMENT_TIMEOUT_S = 8.0
+#: re-delegations of a chain after a failed or timed-out round
+FRAGMENT_RETRIES = 1
+#: wait before each re-delegation (charged on the sim clock)
+FRAGMENT_BACKOFF_S = 0.1
+#: how long a failed chain is skipped before a re-probe
+QUARANTINE_S = 30.0
+
 _T = TypeVar("_T")
 
 
@@ -374,16 +387,6 @@ class MasterCollector(Collector):
 
     # -- delegation survival -------------------------------------------
 
-    def _survival_on(self) -> bool:
-        """Is any survival machinery armed?  When not (the default),
-        delegation must behave — and cost — exactly as it always has."""
-        return (
-            self.rpc.fragment_timeout_s > 0
-            or self.rpc.fragment_retries > 0
-            or self.rpc.quarantine_s > 0
-            or getattr(self.net, "faults", None) is not None
-        )
-
     def _delegate(
         self, d: Delegate
     ) -> tuple[TopologyResponse | None, dict[str, SiteStatus]]:
@@ -396,21 +399,18 @@ class MasterCollector(Collector):
         semantics) instead of aborting the whole query.
         """
         engine = self.net.engine
-        survival = self._survival_on()
-        if survival and engine.now < self._quarantine.get(d.key, (0.0, ()))[0]:
+        if engine.now < self._quarantine.get(d.key, (0.0, ()))[0]:
             # known-dead chain: fail fast without an RPC, re-probe only
             # once the quarantine lapses
             obs.counter("collectors.master.quarantine_skips").inc()
             return self._serve_lkg(d, d.quarantined, 0)
 
-        deadline = self.rpc.fragment_timeout_s
-        rounds = 1 + (self.rpc.fragment_retries if survival else 0)
         attempts = 0
         last_err: Exception | None = None
-        for rnd in range(rounds):
+        for rnd in range(1 + FRAGMENT_RETRIES):
             if rnd > 0:
                 obs.counter("collectors.master.fragment_retries").inc()
-                engine.advance(self.rpc.fragment_backoff_s)
+                engine.advance(FRAGMENT_BACKOFF_S)
             for k, collector in enumerate(d.chain):
                 attempts += 1
                 t0 = engine.now
@@ -426,21 +426,20 @@ class MasterCollector(Collector):
                         if d.reply_path_hop:
                             engine.advance(d.hop_s)
                 except RemosError as exc:
-                    if deadline > 0:
-                        # the master stopped waiting at the deadline even
-                        # if the collector burned longer before failing
-                        engine.cap_since(t0, deadline)
+                    # the master stopped waiting at the deadline even if
+                    # the collector burned longer before failing
+                    engine.cap_since(t0, FRAGMENT_TIMEOUT_S)
                     last_err = exc
                     continue
                 except Exception as exc:  # collector bug: contain, don't abort
                     log.warning("%s: %s: %s raised %r", self.name, d.what, collector, exc)
                     last_err = exc
                     continue
-                if deadline > 0 and engine.cap_since(t0, deadline):
+                if engine.cap_since(t0, FRAGMENT_TIMEOUT_S):
                     # answer arrived after the master gave up: discard it
                     obs.counter("master.fragment_timeouts").inc()
                     last_err = CollectorTimeoutError(
-                        f"{d.what} exceeded {deadline}s deadline"
+                        f"{d.what} exceeded {FRAGMENT_TIMEOUT_S}s deadline"
                     )
                     continue
                 if k > 0:
@@ -451,8 +450,7 @@ class MasterCollector(Collector):
                 self._quarantine.pop(d.key, None)
                 if d.passthrough:
                     return sub, dict(sub.site_status)
-                if survival:
-                    self._store_lkg(d, sub)
+                self._store_lkg(d, sub)
                 return sub, {
                     site: SiteStatus(
                         site, sub.status,
@@ -463,8 +461,7 @@ class MasterCollector(Collector):
 
         if d.counts_failures:
             obs.counter(f"{self.OBS}.shard_failures").inc()
-        if survival and self.rpc.quarantine_s > 0:
-            self._quarantine[d.key] = (engine.now + self.rpc.quarantine_s, d.owns)
+        self._quarantine[d.key] = (engine.now + QUARANTINE_S, d.owns)
         if isinstance(last_err, RemosError):
             detail = str(last_err)
         else:

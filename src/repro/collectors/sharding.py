@@ -275,8 +275,8 @@ def build_sharded_master(
     gets a sub-directory re-registering the same collector and
     benchmark objects, and ``1 + config.replicas`` MasterCollector
     replicas over it.  All masters share one :class:`RpcCostModel`
-    instance, so a survival policy armed by :func:`repro.faults.install`
-    applies to all of them at once; the root hands them its survival
+    instance and run the one survival policy of
+    :mod:`repro.collectors.master`; the root hands them its survival
     state (see :class:`ShardedMaster`).
     """
     cfg = config or ShardingConfig()

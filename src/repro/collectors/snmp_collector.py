@@ -53,6 +53,9 @@ from repro.modeler.graph import HOST, TopoEdge, TopoNode, TopologyGraph
 
 log = obs.get_logger(__name__)
 
+#: local processing charged per node pair during topology assembly
+CPU_PER_PAIR_S = 2e-6
+
 
 @dataclass
 class SnmpCollectorConfig:
@@ -66,8 +69,6 @@ class SnmpCollectorConfig:
     poll_interval_s: float = 5.0
     #: gap between the two bootstrap samples of a cold link
     cold_sample_gap_s: float = 1.0
-    #: local processing charged per node pair during topology assembly
-    cpu_per_pair_s: float = 2e-6
     history_len: int = 720
 
     def __post_init__(self) -> None:
@@ -157,7 +158,7 @@ class SnmpCollector(Collector):
 
         recs: list[PathRec] = []
         for src, dst, dst_is_router in pairs:
-            self.net.engine.advance(self.config.cpu_per_pair_s)
+            self.net.engine.advance(CPU_PER_PAIR_S)
             try:
                 rec = self.discovery.route_pair(src, dst, dst_is_router)
             except (SnmpError, TopologyError, QueryError):

@@ -91,9 +91,8 @@ class RemosDeployment:
 
         Builds a :class:`~repro.collectors.sharding.ShardedMaster` over
         the existing directory (same collectors, same borders, same
-        shared :class:`RpcCostModel` — so ``repro.faults.install`` arms
-        every tier at once) and rebinds the Modeler to it.  Returns the
-        new master.
+        shared :class:`RpcCostModel`) and rebinds the Modeler to it.
+        Returns the new master.
         """
         from repro.collectors.sharding import build_sharded_master
 

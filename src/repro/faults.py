@@ -5,9 +5,14 @@ while the network it measures misbehaves: agents stop responding, WAN
 probes fail, collectors restart (§6.2).  This module makes those
 failures *reproducible experiments*: a :class:`FaultPlan` describes
 which faults fire with what probability, a :class:`FaultInjector`
-rolls the dice from one seeded generator, and :func:`install` arms a
-deployment — both the faults and the survival policy (SNMP retries,
-Master fragment timeouts) that PR 4 added to cope with them.
+rolls the dice from one seeded generator, and :func:`install` points
+a deployment at the injector.
+
+Only faults live here.  The survival policy that copes with them —
+SNMP retries with backoff (:mod:`repro.snmp.client`), the Master's
+fragment deadline, re-delegation, quarantine and last-known-good store
+(:mod:`repro.collectors.master`) — is how the stack always runs, with
+or without a plan installed.
 
 Design rules:
 
@@ -39,7 +44,7 @@ Scripted faults (invoked from test/experiment code at a chosen time):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from repro import obs
 from repro.common.rng import make_rng
@@ -58,14 +63,9 @@ def _record_fault(kind: str) -> None:
 
 @dataclass
 class FaultPlan:
-    """Declarative description of an injection campaign.
-
-    The survival-policy fields (``snmp_retries`` …, ``fragment_*``,
-    ``quarantine_s``) are not faults; they are the countermeasures
-    :func:`install` arms on the deployment so the stack can absorb the
-    faults.  They default to the values a chaos experiment wants; a
-    plan is still zero-overhead when every probability is 0.
-    """
+    """Declarative description of an injection campaign: which faults
+    fire, how often and how hard.  A plan with every probability at 0
+    injects nothing."""
 
     seed: int = 0
     # -- SNMP transport faults ----------------------------------------
@@ -91,16 +91,6 @@ class FaultPlan:
     #: probability one service request suffers an artificial stall
     service_delay_prob: float = 0.0
     service_delay_s: float = 0.2
-    # -- survival policy applied on install ---------------------------
-    #: SNMP retry budget per request (exponential backoff below)
-    snmp_retries: int = 2
-    snmp_backoff_s: float = 0.25
-    #: per-fragment deadline for Master delegation (0 = no deadline)
-    fragment_timeout_s: float = 8.0
-    fragment_retries: int = 1
-    fragment_backoff_s: float = 0.1
-    #: how long a dead collector stays quarantined before a re-probe
-    quarantine_s: float = 30.0
 
     @property
     def injects_anything(self) -> bool:
@@ -125,9 +115,6 @@ class FaultInjector:
         self.injected = 0
         #: per-(agent, oid) rebase offsets from injected counter resets
         self._offsets: dict[tuple[str, str], float] = {}
-        #: the survival-policy values :func:`install` overwrote, as
-        #: (cost model, {field: previous value}), for :func:`uninstall`
-        self.overwritten: list[tuple[Any, dict[str, Any]]] = []
 
     def _fire(self, kind: str, prob: float) -> bool:
         if prob <= 0.0:
@@ -184,63 +171,22 @@ class FaultInjector:
 
 
 def install(dep: Any, plan: FaultPlan) -> FaultInjector:
-    """Arm a deployment: inject per ``plan`` and apply its survival policy.
+    """Inject per ``plan`` into a deployment.
 
-    Sets ``dep.net.faults`` (consulted by the SNMP client and the
-    benchmark collectors), configures retry/backoff on every
-    collector's SNMP client, and the fragment timeout / retry /
-    quarantine policy on the Master.  Returns the injector for
-    inspection; :func:`uninstall` reverses everything.
+    Sets ``dep.net.faults``, which the SNMP client, the benchmark
+    collectors and the service plane consult.  Returns the injector
+    for inspection; :func:`uninstall` clears it.
     """
     injector = FaultInjector(plan)
     dep.net.faults = injector
-    policy: list[tuple[Any, dict[str, Any]]] = [
-        (client.cost, {"retries": plan.snmp_retries, "backoff_base_s": plan.snmp_backoff_s})
-        for client in _clients(dep)
-    ]
-    policy.append(
-        (
-            dep.master.rpc,
-            {
-                "fragment_timeout_s": plan.fragment_timeout_s,
-                "fragment_retries": plan.fragment_retries,
-                "fragment_backoff_s": plan.fragment_backoff_s,
-                "quarantine_s": plan.quarantine_s,
-            },
-        )
-    )
-    for target, values in policy:
-        injector.overwritten.append((target, {name: getattr(target, name) for name in values}))
-        for name, value in values.items():
-            setattr(target, name, value)
     log.info("fault plan installed (seed=%d)", plan.seed)
     return injector
 
 
 def uninstall(dep: Any) -> None:
-    """Disarm: stop injecting and put back every survival-policy value
-    :func:`install` overwrote."""
-    injector = dep.net.faults
+    """Stop injecting."""
     dep.net.faults = None
-    if injector is not None:
-        # newest first: a cost model two clients share gets its first value back
-        for target, values in reversed(injector.overwritten):
-            for name, value in values.items():
-                setattr(target, name, value)
     log.info("fault plan uninstalled")
-
-
-def _clients(dep: Any) -> Iterator[Any]:
-    groups = (
-        dep.snmp_collectors.values(),
-        dep.bridge_collectors.values(),
-        dep.wireless_collectors.values(),
-    )
-    for group in groups:
-        for coll in group:
-            client = getattr(coll, "client", None)
-            if client is not None:
-                yield client
 
 
 # -- scripted faults ---------------------------------------------------

@@ -28,6 +28,7 @@ import re
 from typing import TYPE_CHECKING
 
 from repro.obs.metrics import Histogram, LabelsKey, render_name
+from repro.obs.traceview import record_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.obs.registry import MetricsRegistry, NullRegistry
@@ -82,21 +83,7 @@ def snapshot(registry: "AnyRegistry", max_spans: int = 256) -> dict[str, object]
             render_name(h.name, h.labels): _histogram_summary(h)
             for h in registry.histograms()
         },
-        "spans": [
-            {
-                "name": s.name,
-                "labels": dict(s.labels),
-                "start_s": s.start_s,
-                "duration_s": _finite(s.duration_s),
-                "wall_s": s.wall_s,
-                "depth": s.depth,
-                "parent": s.parent,
-                "trace_id": s.trace_id,
-                "span_id": s.span_id,
-                "parent_id": s.parent_id,
-            }
-            for s in list(registry.spans)[-max_spans:]
-        ],
+        "spans": [record_to_dict(s) for s in list(registry.spans)[-max_spans:]],
     }
 
 

@@ -33,8 +33,8 @@ from typing import Protocol
 
 from repro.obs import traceview
 from repro.obs.log import ROOT as LOG_ROOT
+from repro.obs.metrics import render_name
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracing import SpanRecord
 
 
 class DegradableAnswer(Protocol):
@@ -173,14 +173,14 @@ class FlightRecorder:
         spans = [traceview.record_to_dict(s) for s in reg.spans]
         # open spans (e.g. the session root at fault time) would be
         # invisible — the ring only holds completed spans — so record
-        # them with a null duration
+        # them closed at the dump instant
         now = reg.clock.now()
         for open_span in reg._span_stack:
-            spans.append(_open_span_dict(open_span, now))
+            spans.append(traceview.record_to_dict(open_span, open_at=now))
         if trace_id is not None:
             spans = [s for s in spans if s.get("trace_id") == trace_id]
         counters = {
-            c.name if not c.labels else _rendered(c.name, c.labels): c.value
+            render_name(c.name, c.labels): c.value
             for c in reg.counters()
         }
         payload: dict[str, object] = {
@@ -201,32 +201,6 @@ class FlightRecorder:
             path = self.out_dir / f"flightrec-{self._dump_seq:03d}-{slug}.json"
             path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return payload
-
-
-def _rendered(name: str, labels: tuple[tuple[str, str], ...]) -> str:
-    inner = ",".join(f"{k}={v}" for k, v in labels)
-    return f"{name}{{{inner}}}"
-
-
-def _open_span_dict(span: SpanRecord, now: float) -> dict[str, object]:
-    """A still-open Span in the exported span-dict shape.
-
-    Open spans (entered, not yet exited) have no ``end_s``/``wall_s``;
-    close them at the dump instant so the tree renders.
-    """
-    return {
-        "name": span.name,
-        "labels": dict(span.labels),
-        "start_s": span.start_s,
-        "duration_s": max(0.0, now - span.start_s),
-        "wall_s": 0.0,
-        "depth": span.depth,
-        "parent": span.parent,
-        "trace_id": span.trace_id,
-        "span_id": span.span_id,
-        "parent_id": span.parent_id,
-        "open": True,
-    }
 
 
 def load_dump(path: str | Path) -> dict[str, object]:

@@ -49,21 +49,30 @@ LAYER_PREFIXES: tuple[str, ...] = (
 )
 
 
-def record_to_dict(s: SpanRecord) -> SpanDict:
-    """A live SpanRecord in the exported-snapshot span shape."""
-    dur = s.duration_s
-    return {
+def record_to_dict(s: SpanRecord, open_at: float | None = None) -> SpanDict:
+    """A SpanRecord in the exported-snapshot span shape.
+
+    A span still open (entered, not yet exited) has no ``end_s`` or
+    ``wall_s``: pass ``open_at`` to close it at that instant, with no
+    wall time and an ``"open": True`` marker, so the tree renders.
+    """
+    if open_at is None:
+        dur, wall = s.duration_s, s.wall_s
+    else:
+        dur, wall = max(0.0, open_at - s.start_s), 0.0
+    out: SpanDict = {
         "name": s.name,
         "labels": dict(s.labels),
         "start_s": s.start_s,
         "duration_s": dur if math.isfinite(dur) else None,
-        "wall_s": s.wall_s,
-        "depth": s.depth,
-        "parent": s.parent,
+        "wall_s": wall,
         "trace_id": s.trace_id,
         "span_id": s.span_id,
         "parent_id": s.parent_id,
     }
+    if open_at is not None:
+        out["open"] = True
+    return out
 
 
 def normalize_spans(obj: object) -> list[SpanDict]:

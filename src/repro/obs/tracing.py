@@ -30,10 +30,9 @@ Identifiers are deterministic — per-registry sequence counters, no
 randomness — so two runs of a seeded experiment against fresh
 registries produce identical traces, and answers stay reproducible.
 
-Spans still record the legacy ``depth`` and parent *name* fields for
-readers of exported snapshots, and every completed span feeds a
-histogram named ``<span name>.duration_s`` (registry-clock seconds) in
-the same registry, so latency quantiles come for free.
+Every completed span feeds a histogram named ``<span name>.duration_s``
+(registry-clock seconds) in the same registry, so latency quantiles
+come for free.
 """
 
 from __future__ import annotations
@@ -65,10 +64,6 @@ class SpanRecord:
     end_s: float
     #: wall-clock duration, always measured with perf_counter
     wall_s: float
-    #: nesting depth at entry (0 = top level)
-    depth: int
-    #: name of the enclosing span, if any (legacy; prefer parent_id)
-    parent: str | None
     #: causal identifiers (see module docstring)
     trace_id: str = ""
     span_id: int = 0
@@ -84,7 +79,7 @@ class Span(SpanRecord):
 
     A Span *is* its own completed :class:`SpanRecord` — on exit it
     fills in ``end_s``/``wall_s`` and appends itself to the registry's
-    span ring, instead of copying eleven fields into a second object on
+    span ring, instead of copying eight fields into a second object on
     the hot path.  ``end_s``/``wall_s`` are unset until exit.
     """
 
@@ -100,14 +95,11 @@ class Span(SpanRecord):
     def __enter__(self) -> "Span":
         reg = self._registry
         stack = reg._span_stack
-        self.depth = len(stack)
         if stack:
             top = stack[-1]
-            self.parent = top.name
             self.trace_id = top.trace_id
             self.parent_id = top.span_id
         else:
-            self.parent = None
             self.trace_id = reg._next_trace_id()
             self.parent_id = None
         self.span_id = reg._next_span_id()

@@ -82,8 +82,8 @@ class SessionBackend:
 
     ``session`` answers queries; ``master`` (optional) contributes its
     health snapshot to ``/v1/health``; ``net`` (optional) carries the
-    armed :class:`repro.faults.FaultInjector` consulted by the service
-    fault points.
+    installed :class:`repro.faults.FaultInjector` consulted by the
+    service fault points.
     """
 
     session: Any

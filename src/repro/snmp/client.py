@@ -28,21 +28,27 @@ from repro.snmp.agent import SnmpAgent, SnmpWorld
 from repro.snmp.oid import Oid
 
 
+#: re-sends after a timed-out request, before the client gives up
+RETRIES = 2
+#: wait before the first re-send; each later one waits BACKOFF_MULT
+#: times longer (all charged on the simulation clock)
+BACKOFF_BASE_S = 0.25
+BACKOFF_MULT = 2.0
+
+
 @dataclass
 class SnmpCostModel:
     """Simulated time charged per SNMP exchange.
 
     ``rtt_s`` covers network round trip + agent dispatch; each varbind
     adds ``per_varbind_s`` of marshalling/processing.  A request to a
-    dead agent costs ``timeout_s`` (one retry is implied in the figure).
-    The defaults approximate a busy campus LAN and reproduce the
-    paper's cold-cache query times within an order of magnitude.
+    dead agent costs ``timeout_s`` per attempt.  The defaults
+    approximate a busy campus LAN and reproduce the paper's cold-cache
+    query times within an order of magnitude.
 
-    ``retries`` > 0 arms a deadline/retry policy: a timed-out request
-    is retried up to that many times with exponential backoff
-    (``backoff_base_s * backoff_mult**k`` before attempt k+1), every
-    wait charged on the simulation clock.  The default 0 preserves the
-    historical fail-fast behaviour exactly.
+    Only costs live here.  The retry policy is the same for every
+    client: a timed-out request is re-sent up to :data:`RETRIES` times,
+    waiting ``BACKOFF_BASE_S * BACKOFF_MULT**k`` before attempt k+2.
     """
 
     rtt_s: float = 0.002
@@ -50,10 +56,6 @@ class SnmpCostModel:
     timeout_s: float = 2.0
     #: varbinds requested per GetBulk PDU (bulk-walk batch size)
     bulk_max_repetitions: int = 32
-    #: retry budget after a timeout (0 = fail on the first timeout)
-    retries: int = 0
-    backoff_base_s: float = 0.5
-    backoff_mult: float = 2.0
 
 
 class SnmpClient:
@@ -122,24 +124,25 @@ class SnmpClient:
         return agent
 
     def _agent(self, ip: IPv4Address | str, op: str) -> SnmpAgent:
-        """The agent behind ``ip``, retrying timeouts per the cost model.
+        """The agent behind ``ip``, re-sending up to :data:`RETRIES`
+        times after a timeout.
 
         Each retry waits an exponentially growing backoff on the sim
         clock before re-sending.  Authorization refusals are explicit
         answers, not timeouts, so they never retry.
         """
-        backoff = self.cost.backoff_base_s
-        for attempt in range(self.cost.retries + 1):
+        backoff = BACKOFF_BASE_S
+        for attempt in range(RETRIES + 1):
             if attempt > 0:
                 self.retry_count += 1
                 obs.counter("snmp.retries", op=op).inc()
                 with obs.span("snmp.client.retry", op=op):
                     self.world.net.engine.advance(backoff)
-                backoff *= self.cost.backoff_mult
+                backoff *= BACKOFF_MULT
             try:
                 return self._attempt(ip, op)
             except AgentUnreachableError:
-                if attempt == self.cost.retries:
+                if attempt == RETRIES:
                     raise
         raise AgentUnreachableError(f"no agent at {ip} (timeout)")
 

@@ -38,6 +38,11 @@ class _DeadCollector(Collector):
         raise CollectorUnavailableError(f"collector {self.name} is down", agent=self.name)
 
 
+@pytest.fixture(autouse=True)
+def _short_quarantine(monkeypatch):
+    monkeypatch.setattr(master_mod, "QUARANTINE_S", 5.0)
+
+
 def _stack(sharded: bool):
     world = build_multisite_wan(
         [SiteSpec(name, access_bps=10 * MBPS, n_hosts=2) for name in SITES]
@@ -45,7 +50,6 @@ def _stack(sharded: bool):
     dep = deploy_wan(
         world, sharding=ShardingConfig(n_shards=2) if sharded else None
     )
-    faults.install(dep, faults.FaultPlan(quarantine_s=5.0))
     request = TopologyRequest.of([str(world.host(s, 0).ip) for s in SITES])
     return world, dep, request
 

@@ -240,7 +240,7 @@ class TestFaultedNoWorse:
     equal-or-better: same healthy-site payloads, overall status never
     ranked worse than the flat Master's."""
 
-    PLAN = faults.FaultPlan(fragment_timeout_s=8.0, fragment_retries=1)
+    PLAN = faults.FaultPlan()
 
     def _faulted_answer(self, sharding):
         world, dep = _deploy(seed=37, sharding=sharding)

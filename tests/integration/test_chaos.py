@@ -26,9 +26,10 @@ from repro.netsim.builders import (
     build_multisite_wan,
     build_switched_lan,
 )
+from repro.snmp import client as snmp_client
 from repro.snmp import oid as O
 from repro.snmp.agent import instrument_network
-from repro.snmp.client import SnmpClient, SnmpCostModel
+from repro.snmp.client import SnmpClient
 
 
 def _wan(n_sites: int = 2):
@@ -71,28 +72,20 @@ class TestZeroOverheadDefault:
 
         assert run(False) == run(True)
 
-    def test_uninstall_restores_fail_fast(self):
+    def test_uninstall_stops_injecting(self):
+        """Uninstalling a plan that drops every PDU leaves a stack that
+        answers as if no plan had ever been installed."""
+        w0, dep0 = _wan()
+        baseline = dep0.session().flow_info_many(_cross_pairs(w0))
+
         w, dep = _wan()
-        faults.install(dep, faults.FaultPlan())
+        faults.install(dep, faults.FaultPlan(snmp_drop_prob=1.0))
         faults.uninstall(dep)
         assert dep.net.faults is None
-        assert dep.master.rpc.fragment_timeout_s == 0.0
-        assert all(c.cost.retries == 0 for c in faults._clients(dep))
-
-    def test_uninstall_puts_back_what_install_overwrote(self):
-        w = build_multisite_wan(
-            [SiteSpec(name, access_bps=10 * MBPS, n_hosts=3) for name in ("a", "b")]
-        )
-        dep = deploy_wan(w, snmp_cost=SnmpCostModel(retries=2, backoff_base_s=0.5))
-        clients = list(faults._clients(dep))
-        rpc_before = dataclasses.replace(dep.master.rpc)
-        costs_before = [dataclasses.replace(c.cost) for c in clients]
-        faults.install(dep, faults.FaultPlan(snmp_backoff_s=0.25, fragment_backoff_s=0.7))
-        assert dep.master.rpc.fragment_backoff_s == 0.7
-        assert all(c.cost.backoff_base_s == 0.25 for c in clients)
-        faults.uninstall(dep)
-        assert dep.master.rpc == rpc_before
-        assert [c.cost for c in clients] == costs_before
+        answers = dep.session().flow_info_many(_cross_pairs(w))
+        assert [dataclasses.asdict(a) for a in answers] == [
+            dataclasses.asdict(a) for a in baseline
+        ]
 
 
 class TestRetryBackoff:
@@ -105,16 +98,15 @@ class TestRetryBackoff:
         net = lan.net
         net.faults = faults.FaultInjector(faults.FaultPlan(snmp_drop_prob=1.0))
         ip = str(lan.router.interfaces[0].ip)  # a device with an agent
-        cost = SnmpCostModel(retries=2, backoff_base_s=0.25, backoff_mult=2.0)
-        client = SnmpClient(world, ip, cost=cost)
+        client = SnmpClient(world, ip)
         t0 = net.now
         with obs.scoped_registry() as reg:
             with pytest.raises(AgentUnreachableError):
                 client.get(ip, [O.SYS_DESCR])
             snap = obs.export.snapshot(reg)
         # 3 attempts x timeout, plus backoffs 0.25 and 0.5 between them
-        assert net.now - t0 == pytest.approx(3 * cost.timeout_s + 0.25 + 0.5)
-        assert client.retry_count == 2
+        assert net.now - t0 == pytest.approx(3 * client.cost.timeout_s + 0.25 + 0.5)
+        assert client.retry_count == snmp_client.RETRIES == 2
         assert snap["counters"]["snmp.retries{op=get}"] == 2
         assert snap["counters"]["faults.injected{kind=snmp_drop}"] == 3
 
@@ -155,16 +147,15 @@ class TestDeterminism:
 
         assert run() == run()
 
-    def test_storm_without_retries_degrades_visibly_and_repeats(self):
+    def test_storm_without_retries_degrades_visibly_and_repeats(self, monkeypatch):
         """A 30% drop storm with no retry budget: every query returns,
         degradation shows in query.partial and in the answers, and the
         seed replays the same run."""
+        monkeypatch.setattr(snmp_client, "RETRIES", 0)
 
         def run():
             w, dep = _wan(3)
-            inj = faults.install(
-                dep, faults.FaultPlan(seed=7, snmp_drop_prob=0.3, snmp_retries=0)
-            )
+            inj = faults.install(dep, faults.FaultPlan(seed=7, snmp_drop_prob=0.3))
             with obs.scoped_registry() as reg:
                 batches = [dep.session().flow_info_many(_cross_pairs(w, 3)) for _ in range(3)]
                 partial = reg.counter("query.partial").value

@@ -28,9 +28,7 @@ from repro.deploy import deploy_wan
 from repro.netsim.builders import build_random_wan
 
 N_SITES = 12
-PLAN = faults.FaultPlan(
-    fragment_timeout_s=8.0, fragment_retries=1, quarantine_s=30.0
-)
+PLAN = faults.FaultPlan()
 
 
 def _stack(replicas: int = 1, seed: int = 19):

@@ -3,12 +3,12 @@
 ``MasterCollector._delegate`` serves both tiers — a registration is a
 replica chain of one, a shard a longer one — so what the scripted chaos
 suites check for one hand-written crash is checked here for generated
-sequences of steps on a seeded ``build_random_wan`` world with
-``faults.install`` armed, run against a flat and a sharded plane:
+sequences of steps on a seeded ``build_random_wan`` world, run
+against a flat and a sharded plane:
 
 * crash / recover a site collector (both planes),
 * crash a shard's primary, or the whole shard (sharded plane),
-* let the clock run, past ``quarantine_s`` and past the crashes,
+* let the clock run, past ``QUARANTINE_S`` and past the crashes,
 
 each followed by a query.  The plane has one last-known-good store, so
 a crashed shard primary is invisible: site by site, the sharded plane
@@ -24,10 +24,12 @@ simulations could tip.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import faults
+from repro.collectors import master as master_mod
 from repro.collectors.base import TopologyRequest
 from repro.collectors.benchmark_collector import BenchmarkConfig
 from repro.collectors.sharding import ShardingConfig
@@ -37,9 +39,6 @@ from repro.netsim.builders import build_random_wan
 
 N_SITES, N_SHARDS = 6, 3
 SLOT = 60.0
-PLAN = faults.FaultPlan(
-    fragment_timeout_s=8.0, fragment_retries=1, quarantine_s=1.5 * SLOT
-)
 _site = st.integers(0, N_SITES - 1)
 _steps = st.lists(
     st.tuples(
@@ -57,6 +56,13 @@ _steps = st.lists(
 )
 
 
+@pytest.fixture(scope="module", autouse=True)
+def _quarantine_of_one_and_a_half_slots():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(master_mod, "QUARANTINE_S", 1.5 * SLOT)
+        yield
+
+
 class _Plane:
     """One deployed plane with every delegation of every tier watched."""
 
@@ -67,7 +73,6 @@ class _Plane:
             bench_config=BenchmarkConfig(probe_bytes=50_000, max_age_s=3600.0),
             sharding=sharding,
         )
-        faults.install(self.dep, PLAN)
         self.names = sorted(self.world.sites)
         #: (master, delegate, its parts' LKG entries before and after,
         #: clock before, response, statuses)

@@ -1,5 +1,6 @@
 """Tests for span tracing: nesting, clocks, duration histograms."""
 
+from repro.obs import export, traceview
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timebase import FixedTimebase, SimTimebase
 from repro.obs.tracing import NULL_SPAN
@@ -16,15 +17,25 @@ class TestSpans:
         assert rec.duration_s == 2.5
         assert rec.wall_s >= 0.0  # wall clock measured independently
 
-    def test_nesting_depth_and_parent(self):
-        reg = MetricsRegistry(clock=FixedTimebase())
-        with reg.span("outer"):
+    def test_span_dicts_have_one_shape(self):
+        """Snapshots, flight-recorder dumps and traceview read one span
+        dict: causality by ids, no nesting depth or parent name; an open
+        span is closed at the given instant."""
+        clock = FixedTimebase()
+        reg = MetricsRegistry(clock=clock)
+        with reg.span("outer") as outer:
             with reg.span("inner"):
-                pass
-        inner, outer = reg.spans  # completed innermost-first
-        assert inner.name == "inner"
-        assert inner.depth == 1 and inner.parent == "outer"
-        assert outer.depth == 0 and outer.parent is None
+                clock.advance(1.0)
+            clock.advance(0.5)
+            opened = traceview.record_to_dict(outer, open_at=clock.now())
+        inner_d, outer_d = export.snapshot(reg)["spans"]
+        assert [inner_d, outer_d] == [traceview.record_to_dict(s) for s in reg.spans]
+        assert set(inner_d) == {
+            "name", "labels", "start_s", "duration_s", "wall_s",
+            "trace_id", "span_id", "parent_id",
+        }
+        assert inner_d["parent_id"] == outer_d["span_id"]
+        assert opened == {**outer_d, "wall_s": 0.0, "open": True}
 
     def test_completed_span_feeds_duration_histogram(self):
         clock = FixedTimebase()

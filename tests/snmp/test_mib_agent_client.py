@@ -18,7 +18,13 @@ from repro.netsim.address import IPv4Network
 from repro.netsim.builders import build_dumbbell, build_switched_lan
 from repro.snmp import oid as O
 from repro.snmp.agent import instrument_network
-from repro.snmp.client import SnmpClient, SnmpCostModel
+from repro.snmp.client import (
+    BACKOFF_BASE_S,
+    BACKOFF_MULT,
+    RETRIES,
+    SnmpClient,
+    SnmpCostModel,
+)
 from repro.snmp.mib import MibStore
 from repro.snmp.oid import Oid
 
@@ -316,8 +322,10 @@ class TestAccessControl:
         t0 = d.net.now
         with pytest.raises(AgentUnreachableError):
             client.get("10.99.0.1", O.SYS_NAME)
-        assert d.net.now - t0 == pytest.approx(client.cost.timeout_s)
-        assert client.timeout_count == 1
+        # every attempt times out, with a growing backoff before each retry
+        backoffs = sum(BACKOFF_BASE_S * BACKOFF_MULT**k for k in range(RETRIES))
+        assert d.net.now - t0 == pytest.approx((1 + RETRIES) * client.cost.timeout_s + backoffs)
+        assert client.timeout_count == 1 + RETRIES
 
     def test_bad_community_times_out(self):
         d = build_dumbbell()

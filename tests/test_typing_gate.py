@@ -25,6 +25,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 STRICT_FILES = (
     sorted((REPO_ROOT / "src" / "repro" / "common").rglob("*.py"))
     + [
+        REPO_ROOT / "src" / "repro" / "apps" / "mirror.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "base.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "benchmark_collector.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "bridge_collector.py",
@@ -38,6 +39,7 @@ STRICT_FILES = (
         REPO_ROOT / "src" / "repro" / "collectors" / "sharding.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "slp.py",
         REPO_ROOT / "src" / "repro" / "collectors" / "snmp_collector.py",
+        REPO_ROOT / "src" / "repro" / "collectors" / "wireless_collector.py",
         REPO_ROOT / "src" / "repro" / "deploy.py",
         REPO_ROOT / "src" / "repro" / "faults.py",
         REPO_ROOT / "src" / "repro" / "modeler" / "graph.py",
@@ -45,6 +47,7 @@ STRICT_FILES = (
         REPO_ROOT / "src" / "repro" / "modeler" / "planner.py",
         REPO_ROOT / "src" / "repro" / "modeler" / "simplify.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "address.py",
+        REPO_ROOT / "src" / "repro" / "netsim" / "agents.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "bridging.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "builders.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "engine.py",
@@ -67,6 +70,7 @@ STRICT_FILES = (
 )
 
 STRICT_MODULES = [
+    "repro.apps.mirror",
     "repro.common",
     "repro.common.errors",
     "repro.common.graphwalk",
@@ -86,6 +90,7 @@ STRICT_MODULES = [
     "repro.collectors.sharding",
     "repro.collectors.slp",
     "repro.collectors.snmp_collector",
+    "repro.collectors.wireless_collector",
     "repro.deploy",
     "repro.faults",
     "repro.modeler.graph",
@@ -93,6 +98,7 @@ STRICT_MODULES = [
     "repro.modeler.planner",
     "repro.modeler.simplify",
     "repro.netsim.address",
+    "repro.netsim.agents",
     "repro.netsim.bridging",
     "repro.netsim.builders",
     "repro.netsim.engine",
