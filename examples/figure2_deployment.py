@@ -17,7 +17,6 @@ Run with::
     python examples/figure2_deployment.py
 """
 
-from repro.collectors.base import RpcCostModel
 from repro.collectors.directory import CollectorDirectory
 from repro.collectors.master import MasterCollector
 from repro.common.units import MBPS, fmt_rate
@@ -50,10 +49,7 @@ def main() -> None:
             )
         for bench in base.benchmarks.values():
             directory.register_benchmark(bench)
-        master = MasterCollector(
-            f"master-{site}", world.net, directory, base.master.borders,
-            RpcCostModel(),
-        )
+        master = MasterCollector(f"master-{site}", world.net, directory, base.master.borders)
         modeler = Modeler(master, world.net)
         modeler.prediction_service = RpsPredictionService("AR(16)")
         return modeler

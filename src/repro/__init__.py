@@ -18,12 +18,12 @@ Layers, bottom to top:
 Quickstart::
 
     from repro.netsim import build_multisite_wan, SiteSpec
-    from repro.deploy import deploy_remos
+    from repro.deploy import deploy_wan
 
     world = build_multisite_wan([SiteSpec("cmu", access_bps=10e6),
                                  SiteSpec("eth", access_bps=2e6)])
-    remos = deploy_remos(world.net)
-    reply = remos.session().flow_info("cmu-h0", "eth-h0")
+    remos = deploy_wan(world)
+    reply = remos.session().flow_info(world.host("cmu", 0), world.host("eth", 0))
     print(reply.available_bps, reply.status)
 """
 

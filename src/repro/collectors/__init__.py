@@ -12,7 +12,6 @@ from repro.collectors.base import (
     HistoryRequest,
     HistoryResponse,
     PairMeasurement,
-    RpcCostModel,
     TopologyRequest,
     TopologyResponse,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "HistoryRequest",
     "HistoryResponse",
     "PairMeasurement",
-    "RpcCostModel",
     "TopologyRequest",
     "TopologyResponse",
     "BenchmarkCollector",

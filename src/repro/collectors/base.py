@@ -7,9 +7,12 @@ computed by the Modeler from topology.  The Benchmark Collector
 additionally serves :class:`PairMeasurement` s to the Master, which
 folds them into merged topologies as logical WAN edges.
 
-RPC latency between components is charged to the simulation engine via
-:class:`RpcCostModel`, so end-to-end query response times (Fig. 3) come
-out of the same clock as everything else.
+RPC latency between components is charged to the simulation engine —
+``RPC_LOCAL_S`` per call within a site (Modeler to Master, Master to a
+local collector or shard), ``RPC_REMOTE_S`` per call to a remote
+collector — so end-to-end query response times (Fig. 3) come out of the
+same clock as everything else.  The Modeler, the Master and the sharded
+Master read these constants when they charge a call.
 """
 
 from __future__ import annotations
@@ -26,6 +29,12 @@ from repro.netsim.topology import Network
 
 if TYPE_CHECKING:  # avoid a package-level import cycle with repro.modeler
     from repro.modeler.graph import TopologyGraph
+
+#: simulated latency of one call within a site: Modeler <-> Master,
+#: Master <-> its local collectors or shard masters
+RPC_LOCAL_S = 0.001
+#: simulated latency of one call to a remote collector
+RPC_REMOTE_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -186,29 +195,6 @@ class PairMeasurement:
     #: measured round-trip time (0 when the probe method can't see it)
     rtt_s: float = 0.0
     stale: bool = False
-
-
-@dataclass
-class RpcCostModel:
-    """Simulated latency charged per inter-component call.
-
-    ``dispatch_s`` and ``max_parallel`` shape *overlapped* fan-out
-    (see :meth:`repro.netsim.engine.Engine.overlap`): a Master issuing
-    N concurrent sub-queries pays ``dispatch_s`` per fragment serially
-    (marshalling / socket writes) and then the makespan of the
-    sub-query latencies on ``max_parallel`` workers, instead of their
-    sum.  ``max_parallel=1`` recovers strictly sequential delegation;
-    ``max_parallel=0`` is unbounded.
-
-    Only costs live here.  The delegation survival policy (deadline,
-    retry, quarantine) is a set of constants in
-    :mod:`repro.collectors.master`, the same for every deployment.
-    """
-
-    local_s: float = 0.001  # modeler <-> master, master <-> local collectors
-    remote_s: float = 0.05  # master <-> remote collectors
-    dispatch_s: float = 0.0001  # per-fragment serialization before fan-out
-    max_parallel: int = 8  # concurrent sub-queries in flight (0 = unbounded)
 
 
 class Collector(ABC):

@@ -40,7 +40,7 @@ from repro.netsim.address import IPv4Address, MacAddress
 from repro.netsim.topology import Network
 from repro.snmp import oid as O
 from repro.snmp.agent import SnmpWorld
-from repro.snmp.client import SnmpClient, SnmpCostModel
+from repro.snmp.client import SnmpClient
 
 
 @dataclass(frozen=True)
@@ -150,12 +150,11 @@ class BridgeCollector:
         source_ip: IPv4Address | str,
         switch_ips: dict[str, IPv4Address],
         community: str = "public",
-        cost: SnmpCostModel | None = None,
     ) -> None:
         self.name = name
         self.net = net
         self.world = world
-        self.client = SnmpClient(world, source_ip, community, cost)
+        self.client = SnmpClient(world, source_ip, community)
         #: switch name -> management IP to query
         self.switch_ips = dict(switch_ips)
         self.db: L2Database | None = None

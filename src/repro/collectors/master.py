@@ -46,7 +46,8 @@ from repro.collectors.base import (
     HistoryRequest,
     HistoryResponse,
     PairMeasurement,
-    RpcCostModel,
+    RPC_LOCAL_S,
+    RPC_REMOTE_S,
     TopologyRequest,
     TopologyResponse,
 )
@@ -86,6 +87,15 @@ FRAGMENT_RETRIES = 1
 FRAGMENT_BACKOFF_S = 0.1
 #: how long a failed chain is skipped before a re-probe
 QUARANTINE_S = 30.0
+
+# Fan-out is overlapped (see repro.netsim.engine.Engine.overlap): a
+# Master issuing N concurrent sub-queries pays the makespan of their
+# latencies on MAX_PARALLEL workers, instead of their sum, plus
+# DISPATCH_S per fragment serially (marshalling, socket writes).
+#: per-fragment serialization, charged once the fan-out returns (sim seconds)
+DISPATCH_S = 0.0001
+#: concurrent sub-queries in flight (1 = strictly sequential, 0 = unbounded)
+MAX_PARALLEL = 8
 
 _T = TypeVar("_T")
 
@@ -143,12 +153,10 @@ class MasterCollector(Collector):
         directory: CollectorDirectory,
         #: site border anchors: site -> border router address
         borders: dict[str, IPv4Address] | None = None,
-        rpc_cost: RpcCostModel | None = None,
     ) -> None:
         super().__init__(name, net)
         self.directory = directory
         self.borders = {k: IPv4Address(v) for k, v in (borders or {}).items()}
-        self.rpc = rpc_cost or RpcCostModel()
         #: anchor node id -> site, learned from past stitched queries,
         #: so history requests can recognise logical WAN edges
         self._anchor_sites: dict[str, str] = {}
@@ -168,7 +176,7 @@ class MasterCollector(Collector):
     @property
     def fanout_parallel(self) -> int:
         """Overlap width of the fragment fan-out (0 = unbounded)."""
-        return self.rpc.max_parallel
+        return MAX_PARALLEL
 
     def topology(self, request: TopologyRequest) -> TopologyResponse:
         """Answer a query (partition / delegate / merge, as a span)."""
@@ -253,7 +261,7 @@ class MasterCollector(Collector):
         # NB: the per-fragment dispatch cost is charged *after* the
         # fan-out (on the reply path), not before.  Charging it first
         # would shift every sub-collector's measurement instant by
-        # ``dispatch_s * len(delegates)`` — a query-width-dependent skew
+        # ``DISPATCH_S * len(delegates)`` — a query-width-dependent skew
         # that makes counter windows (and thus utilization floats)
         # differ between delegation topologies serving the same query.
         # Totals are identical either way; measurement times are not.
@@ -267,7 +275,7 @@ class MasterCollector(Collector):
                     # not reconstructed from timestamps
                     with obs.span(f"{self.OBS}.delegate", **d.label):
                         results.append(self._delegate(d))
-        self.net.engine.advance(self.rpc.dispatch_s * len(delegates))
+        self.net.engine.advance(DISPATCH_S * len(delegates))
         obs.histogram(f"{self.OBS}.overlap_saved_s").observe(ov.saved_s)
 
         # 3. Merge the fragments (anchored, still unstitched).
@@ -346,7 +354,7 @@ class MasterCollector(Collector):
                 ),
                 parts=((key, tuple(sorted(ips))),),
                 owns=(reg.site,),
-                hop_s=self.rpc.remote_s if reg.remote else self.rpc.local_s,
+                hop_s=RPC_REMOTE_S if reg.remote else RPC_LOCAL_S,
             )
 
     def _respond(
@@ -607,7 +615,7 @@ class MasterCollector(Collector):
         bench = self.directory.benchmark_for(src_site)
         if bench is None or dst_site not in bench.peers:
             return None
-        self.net.engine.advance(self.rpc.local_s)
+        self.net.engine.advance(RPC_LOCAL_S)
         try:
             return bench.measurement(dst_site, as_of=as_of)
         except QueryError:
@@ -683,7 +691,7 @@ class MasterCollector(Collector):
         if a_site and b_site and a_site != b_site:
             bench = self.directory.benchmark_for(a_site)
             if bench is not None and b_site in bench.peers:
-                self.net.engine.advance(self.rpc.local_s)
+                self.net.engine.advance(RPC_LOCAL_S)
                 hist = bench.history.get(b_site)
                 if hist:
                     n = min(request.max_samples, len(hist))
@@ -727,11 +735,11 @@ class MasterCollector(Collector):
         its RPC hop under one overlap: the cost is that of the
         collectors asked, overlapped, not their sum."""
         found: _T | None = None
-        with self.net.engine.overlap(self.rpc.max_parallel) as ov:
+        with self.net.engine.overlap(MAX_PARALLEL) as ov:
             for reg in regs:
                 with ov.task():
                     self.net.engine.advance(
-                        self.rpc.remote_s if reg.remote else self.rpc.local_s
+                        RPC_REMOTE_S if reg.remote else RPC_LOCAL_S
                     )
                     try:
                         found = ask(reg.collector)

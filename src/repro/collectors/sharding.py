@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from repro import obs
 from repro.netsim.address import IPv4Address
 from repro.netsim.topology import Network
-from repro.collectors.base import RpcCostModel, TopologyRequest
+from repro.collectors.base import RPC_LOCAL_S, TopologyRequest
 from repro.collectors.directory import CollectorDirectory, Registration
 from repro.collectors.master import Delegate, MasterCollector, RegKey, _reg_key
 from repro.modeler.graph import TopologyGraph
@@ -138,11 +138,10 @@ class ShardedMaster(MasterCollector):
         net: Network,
         directory: CollectorDirectory,
         borders: dict[str, IPv4Address] | None,
-        rpc_cost: RpcCostModel | None,
         shards: Sequence[Shard],
         ring: ConsistentHashRing,
     ) -> None:
-        super().__init__(name, net, directory, borders, rpc_cost)
+        super().__init__(name, net, directory, borders)
         if not shards:
             raise ValueError("sharded master needs at least one shard")
         if [s.index for s in shards] != list(range(len(shards))):
@@ -236,7 +235,7 @@ class ShardedMaster(MasterCollector):
                 ),
                 parts=tuple((key, tuple(sorted(regs[key]))) for key in sorted(regs)),
                 owns=self.shards[idx].sites,
-                hop_s=self.rpc.local_s,
+                hop_s=RPC_LOCAL_S,
                 reply_path_hop=True,
                 passthrough=True,
                 counts_failures=True,
@@ -266,7 +265,6 @@ def build_sharded_master(
     net: Network,
     directory: CollectorDirectory,
     borders: dict[str, IPv4Address] | None = None,
-    rpc_cost: RpcCostModel | None = None,
     config: ShardingConfig | None = None,
 ) -> ShardedMaster:
     """Construct a sharded Master plane over an existing directory.
@@ -274,8 +272,9 @@ def build_sharded_master(
     Every site currently registered is hashed onto a shard; each shard
     gets a sub-directory re-registering the same collector and
     benchmark objects, and ``1 + config.replicas`` MasterCollector
-    replicas over it.  All masters share one :class:`RpcCostModel`
-    instance and run the one survival policy of
+    replicas over it.  Every master charges the same RPC costs (the
+    constants of :mod:`repro.collectors.base` and
+    :mod:`repro.collectors.master`) and runs the one survival policy of
     :mod:`repro.collectors.master`; the root hands them its survival
     state (see :class:`ShardedMaster`).
     """
@@ -284,7 +283,6 @@ def build_sharded_master(
         raise ValueError("need at least one shard")
     if cfg.replicas < 0:
         raise ValueError("replicas must be >= 0")
-    rpc = rpc_cost or RpcCostModel()
     all_borders = {k: IPv4Address(v) for k, v in (borders or {}).items()}
     ring = ConsistentHashRing(list(range(cfg.n_shards)))
     assignment: dict[int, list[str]] = {i: [] for i in range(cfg.n_shards)}
@@ -307,11 +305,9 @@ def build_sharded_master(
                 sub.register_benchmark(bench)
         sub_borders = {s: all_borders[s] for s in site_list if s in all_borders}
         masters = tuple(
-            MasterCollector(
-                f"{name}-s{idx}" + (f"-r{k}" if k else ""), net, sub, sub_borders, rpc
-            )
+            MasterCollector(f"{name}-s{idx}" + (f"-r{k}" if k else ""), net, sub, sub_borders)
             for k in range(1 + cfg.replicas)
         )
         shards.append(Shard(idx, tuple(site_list), masters))
 
-    return ShardedMaster(name, net, directory, all_borders, rpc, shards, ring)
+    return ShardedMaster(name, net, directory, all_borders, shards, ring)

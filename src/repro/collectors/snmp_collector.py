@@ -8,11 +8,13 @@ query it:
    this module asks it for one path record per host pair.
 2. **Monitors utilization**: every discovered link joins the periodic
    polling set (default every 5 s) and keeps a counter history; a query
-   that needs dynamics on an unmonitored link takes two samples one
-   ``cold_sample_gap_s`` apart — part of the cold-query cost in Fig. 3.
+   that needs dynamics on an unmonitored link takes two samples
+   ``COLD_SAMPLE_GAP_S`` apart — part of the cold-query cost in Fig. 3.
 
 All SNMP and CPU costs are charged to the simulation clock, so query
-response time is measured the same way the paper measures it.
+response time is measured the same way the paper measures it.  The
+per-PDU charges are the constants of :mod:`repro.snmp.client`; this
+module adds its own two, ``CPU_PER_PAIR_S`` and ``COLD_SAMPLE_GAP_S``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.netsim.engine import Timer
 from repro.netsim.topology import Network
 from repro.snmp import oid as O
 from repro.snmp.agent import SnmpWorld
-from repro.snmp.client import SnmpClient, SnmpCostModel
+from repro.snmp.client import SnmpClient
 from repro.collectors.base import (
     Collector,
     ForecastSeries,
@@ -55,6 +57,8 @@ log = obs.get_logger(__name__)
 
 #: local processing charged per node pair during topology assembly
 CPU_PER_PAIR_S = 2e-6
+#: gap between the two bootstrap samples of a cold link (sim seconds)
+COLD_SAMPLE_GAP_S = 1.0
 
 
 @dataclass
@@ -67,8 +71,6 @@ class SnmpCollectorConfig:
     #: are configured to use"
     gateways: list[tuple[IPv4Network, IPv4Address]]
     poll_interval_s: float = 5.0
-    #: gap between the two bootstrap samples of a cold link
-    cold_sample_gap_s: float = 1.0
     history_len: int = 720
 
     def __post_init__(self) -> None:
@@ -91,11 +93,10 @@ class SnmpCollector(Collector):
         config: SnmpCollectorConfig,
         bridge_collectors: dict[IPv4Network, BridgeCollector] | None = None,
         community: str = "public",
-        snmp_cost: SnmpCostModel | None = None,
     ) -> None:
         super().__init__(name, net)
         self.world = world
-        self.client = SnmpClient(world, source_ip, community, snmp_cost)
+        self.client = SnmpClient(world, source_ip, community)
         self.config = config
         self.bridges = dict(bridge_collectors or {})
         #: static structure, and the only reader of it over SNMP
@@ -426,7 +427,7 @@ class SnmpCollector(Collector):
         """Cold links need two samples before they can report a rate."""
         obs.counter("collectors.snmp.monitors_bootstrapped").inc(len(keys))
         self._sample_monitors(keys)
-        self.net.engine.advance(self.config.cold_sample_gap_s)
+        self.net.engine.advance(COLD_SAMPLE_GAP_S)
         self._sample_monitors(keys)
 
     def _add_host_only(self, graph: TopologyGraph, ip: IPv4Address) -> None:

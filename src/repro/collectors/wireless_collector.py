@@ -24,7 +24,7 @@ from repro.netsim.address import IPv4Address, MacAddress
 from repro.netsim.topology import Network
 from repro.snmp import oid as O
 from repro.snmp.agent import SnmpWorld
-from repro.snmp.client import SnmpClient, SnmpCostModel
+from repro.snmp.client import SnmpClient
 
 
 @dataclass
@@ -56,11 +56,10 @@ class WirelessCollector:
         source_ip: IPv4Address | str,
         basestation_ips: dict[str, IPv4Address],
         community: str = "public",
-        cost: SnmpCostModel | None = None,
     ) -> None:
         self.name = name
         self.net = net
-        self.client = SnmpClient(world, source_ip, community, cost)
+        self.client = SnmpClient(world, source_ip, community)
         self.basestation_ips = dict(basestation_ips)
         self.cells: dict[str, CellInfo] = {}
         self._station_cell: dict[MacAddress, str] = {}

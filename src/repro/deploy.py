@@ -28,8 +28,6 @@ from repro.netsim.address import IPv4Address, IPv4Network
 from repro.netsim.builders import Campus, HubLan, SwitchedLan, WanWorld, WirelessLan
 from repro.netsim.topology import Host, Network, Switch
 from repro.snmp.agent import SnmpWorld, instrument_network
-from repro.snmp.client import SnmpCostModel
-from repro.collectors.base import RpcCostModel
 from repro.collectors.benchmark_collector import BenchmarkCollector, BenchmarkConfig
 from repro.collectors.bridge_collector import BridgeCollector
 from repro.collectors.directory import CollectorDirectory
@@ -90,15 +88,14 @@ class RemosDeployment:
         """Replace the flat Master with a sharded Master hierarchy.
 
         Builds a :class:`~repro.collectors.sharding.ShardedMaster` over
-        the existing directory (same collectors, same borders, same
-        shared :class:`RpcCostModel`) and rebinds the Modeler to it.
+        the existing directory (same collectors, same borders) and
+        rebinds the Modeler to it.
         Returns the new master.
         """
         from repro.collectors.sharding import build_sharded_master
 
         sharded = build_sharded_master(
-            "master", self.net, self.directory,
-            self.master.borders, self.master.rpc, config,
+            "master", self.net, self.directory, self.master.borders, config
         )
         self.master = sharded
         self.modeler.master = sharded
@@ -192,23 +189,19 @@ def deploy_remos(
     net: Network,
     sites: list[SiteConfig],
     poll_interval_s: float = 5.0,
-    snmp_cost: SnmpCostModel | None = None,
-    rpc_cost: RpcCostModel | None = None,
     bench_config: BenchmarkConfig | None = None,
     community: str = "public",
-    bridge_startup: bool = True,
-    world: SnmpWorld | None = None,
     sharding: ShardingConfig | None = None,
 ) -> RemosDeployment:
     """Stand up the full Remos stack for the given sites.
 
+    Every Bridge Collector runs its startup discovery here.
     ``sharding`` (a :class:`~repro.collectors.sharding.ShardingConfig`)
     replaces the flat Master with a sharded hierarchy after wiring.
     """
     if not sites:
         raise ValueError("need at least one site")
-    if world is None:
-        world = instrument_network(net, community=community)
+    world = instrument_network(net, community=community)
     directory = CollectorDirectory()
     snmp_collectors: dict[str, SnmpCollector] = {}
     bridge_collectors: dict[str, BridgeCollector] = {}
@@ -222,10 +215,9 @@ def deploy_remos(
         for k, (subnet_s, switch_ips) in enumerate(sorted(site.bridge_domains.items())):
             bc = BridgeCollector(
                 f"bridge-{site.name}-{k}" if numbered else f"bridge-{site.name}",
-                net, world, source_ip, switch_ips, community, snmp_cost,
+                net, world, source_ip, switch_ips, community,
             )
-            if bridge_startup:
-                bc.startup()
+            bc.startup()
             bridge_collectors.setdefault(site.name, bc)
             bridges[IPv4Network(subnet_s)] = bc
         config = SnmpCollectorConfig(
@@ -234,8 +226,7 @@ def deploy_remos(
             poll_interval_s=poll_interval_s,
         )
         sc = SnmpCollector(
-            f"snmp-{site.name}", net, world, source_ip, config,
-            bridges, community, snmp_cost,
+            f"snmp-{site.name}", net, world, source_ip, config, bridges, community
         )
         snmp_collectors[site.name] = sc
         directory.register(sc, [IPv4Network(d) for d in site.domains], site.name)
@@ -251,8 +242,8 @@ def deploy_remos(
         for b in site_names[i + 1:]:
             benchmarks[a].add_peer(benchmarks[b])
 
-    master = MasterCollector("master", net, directory, borders, rpc_cost)
-    modeler = Modeler(master, net, rpc_cost)
+    master = MasterCollector("master", net, directory, borders)
+    modeler = Modeler(master, net)
     deployment = RemosDeployment(
         net, world, directory, master, modeler,
         snmp_collectors, bridge_collectors, benchmarks,
@@ -267,20 +258,14 @@ def deploy_remos(
     return deployment
 
 
-def deploy_lan(
-    lan: SwitchedLan | HubLan,
-    poll_interval_s: float = 5.0,
-    snmp_cost: SnmpCostModel | None = None,
-    bridge_startup: bool = True,
-) -> RemosDeployment:
+def deploy_lan(lan: SwitchedLan | HubLan, poll_interval_s: float = 5.0) -> RemosDeployment:
     """Single-site deployment for a bridged LAN (the Fig. 3 setting)."""
-    return auto_deploy(lan.net, "lan", poll_interval_s, snmp_cost, bridge_startup)
+    return auto_deploy(lan.net, "lan", poll_interval_s)
 
 
 def deploy_wan(
     world: WanWorld,
     poll_interval_s: float = 5.0,
-    snmp_cost: SnmpCostModel | None = None,
     bench_config: BenchmarkConfig | None = None,
     sharding: ShardingConfig | None = None,
 ) -> RemosDeployment:
@@ -311,15 +296,13 @@ def deploy_wan(
             )
         )
     return deploy_remos(
-        world.net, sites, poll_interval_s, snmp_cost,
-        bench_config=bench_config, sharding=sharding,
+        world.net, sites, poll_interval_s, bench_config=bench_config, sharding=sharding
     )
 
 
 def deploy_wireless(
     wl: WirelessLan,
     poll_interval_s: float = 5.0,
-    snmp_cost: SnmpCostModel | None = None,
     location_monitor_s: float | None = 10.0,
 ) -> RemosDeployment:
     """Deployment over a :class:`~repro.netsim.builders.WirelessLan`.
@@ -339,12 +322,11 @@ def deploy_wireless(
         collector_host=wl.wired_hosts[0],
         bridge_domains=_one_switch(wl.subnet, wl.switch),
     )
-    dep = deploy_remos(wl.net, [site], poll_interval_s, snmp_cost)
+    dep = deploy_remos(wl.net, [site], poll_interval_s)
     wc = WirelessCollector(
         "wireless-wlan", wl.net, dep.world, wl.wired_hosts[0].ip,
         {bs.name: bs.management_ip for bs in wl.basestations
          if bs.management_ip is not None},
-        cost=snmp_cost,
     )
     wc.scan()
     if location_monitor_s is not None:
@@ -353,12 +335,7 @@ def deploy_wireless(
     return dep
 
 
-def deploy_campus(
-    campus: Campus,
-    poll_interval_s: float = 5.0,
-    snmp_cost: SnmpCostModel | None = None,
-    bridge_startup: bool = True,
-) -> RemosDeployment:
+def deploy_campus(campus: Campus, poll_interval_s: float = 5.0) -> RemosDeployment:
     """Single-site deployment over a multi-subnet campus.
 
     One SNMP collector owns the whole IP domain; each switched subnet
@@ -366,15 +343,11 @@ def deploy_campus(
     assigned to monitor a particular network, generally an IP domain
     corresponding to a university or department".
     """
-    return auto_deploy(campus.net, "campus", poll_interval_s, snmp_cost, bridge_startup)
+    return auto_deploy(campus.net, "campus", poll_interval_s)
 
 
 def auto_deploy(
-    net: Network,
-    name: str = "site",
-    poll_interval_s: float = 5.0,
-    snmp_cost: SnmpCostModel | None = None,
-    bridge_startup: bool = True,
+    net: Network, name: str = "site", poll_interval_s: float = 5.0
 ) -> RemosDeployment:
     """Deploy Remos over any network by inferring the site layout.
 
@@ -413,9 +386,7 @@ def auto_deploy(
         collector_host=hosts[0],
         bridge_domains=bridge_domains,
     )
-    return deploy_remos(
-        net, [site], poll_interval_s, snmp_cost, bridge_startup=bridge_startup
-    )
+    return deploy_remos(net, [site], poll_interval_s)
 
 
 def _net_of(subnet: str) -> IPv4Network:

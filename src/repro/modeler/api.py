@@ -28,7 +28,7 @@ import functools
 import itertools
 import math
 from collections import OrderedDict
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Protocol
 
@@ -39,11 +39,15 @@ from repro.common.errors import ArgumentError, RemosError, TopologyError
 from repro.common.status import QueryStatus, SiteStatus
 from repro.netsim.address import IPv4Address
 from repro.netsim.topology import Host, Network
-from repro.collectors.base import Collector, HistoryRequest, RpcCostModel, TopologyRequest
+from repro.collectors.base import RPC_LOCAL_S, Collector, HistoryRequest, TopologyRequest
 from repro.modeler.graph import TopologyGraph
 from repro.modeler.maxmin import FlowPrediction, predict_flows
 from repro.modeler.planner import plan_flow_pairs
 from repro.modeler.simplify import simplify
+
+
+#: how a query may name a host: the object, its address, or a dotted quad
+HostLike = Host | IPv4Address | str
 
 
 class PredictionService(Protocol):
@@ -246,7 +250,7 @@ def _canonical_quad(addr: str) -> str:
     return str(IPv4Address(addr))
 
 
-def _ip_of(host) -> str:
+def _ip_of(host: HostLike) -> str:
     """Accept Host objects, IPv4Address, or strings."""
     if type(host) is str:
         return _canonical_quad(host)
@@ -255,7 +259,7 @@ def _ip_of(host) -> str:
     return str(IPv4Address(host))
 
 
-def _host_ips(hosts) -> list[str]:
+def _host_ips(hosts: Iterable[HostLike]) -> list[str]:
     """``hosts`` as canonical dotted quads; a host the Modeler cannot
     read is the caller's mistake (:class:`ArgumentError`)."""
     try:
@@ -339,13 +343,11 @@ class Modeler:
         self,
         master: Collector,
         net: Network,
-        rpc_cost: RpcCostModel | None = None,
         prediction_service: "PredictionService | None" = None,
         query_cache_ttl_s: float = 0.0,
     ) -> None:
         self.master = master
         self.net = net
-        self.rpc = rpc_cost or RpcCostModel()
         self.prediction_service = prediction_service
         #: staleness window for memoized Master responses; 0 disables
         #: caching entirely (every query hits the Master, the
@@ -365,7 +367,7 @@ class Modeler:
 
     def _topology_answer(
         self,
-        hosts,
+        hosts: Iterable[HostLike],
         detail: str,
         include_dynamics: bool,
     ) -> TopologyAnswer:
@@ -432,7 +434,7 @@ class Modeler:
 
     @staticmethod
     def _cache_keys(
-        ips, include_dynamics: bool, scope: frozenset[tuple[str, str]] | None
+        ips: list[str], include_dynamics: bool, scope: frozenset[tuple[str, str]] | None
     ) -> tuple[tuple, ...]:
         """The cache keys that may serve a fetch, its own first.
 
@@ -487,10 +489,10 @@ class Modeler:
 
     def _flow_answers(
         self,
-        pairs,
+        pairs: Iterable[tuple[HostLike, HostLike]],
         predict: bool,
         horizon_steps: int,
-        own_flows,
+        own_flows: Iterable[tuple[HostLike, HostLike, float]] | None,
     ) -> list[FlowAnswer]:
         """Expected bandwidth for a set of simultaneous new flows.
 
@@ -608,7 +610,7 @@ class Modeler:
             ]
 
     @staticmethod
-    def _credit_own_flows(graph: TopologyGraph, own) -> None:
+    def _credit_own_flows(graph: TopologyGraph, own: list[tuple[str, str, float]]) -> None:
         """Subtract the application's declared traffic from measured
         utilization along each declared flow's path."""
         if graph.frozen:
@@ -628,7 +630,7 @@ class Modeler:
     # -- nodes ---------------------------------------------------------
 
     def _node_answers(
-        self, hosts, predict: bool, horizon_steps: int
+        self, hosts: Iterable[HostLike], predict: bool, horizon_steps: int
     ) -> list[NodeAnswer]:
         """Current (and optionally forecast) load of compute nodes.
 
@@ -642,7 +644,7 @@ class Modeler:
             obs.counter("modeler.queries", kind="node").inc()
             answers: list[NodeAnswer] = []
             for ip in ips:
-                self.net.engine.advance(self.rpc.local_s)
+                self.net.engine.advance(RPC_LOCAL_S)
                 load, predictor = self.node_info_provider(ip)
                 ans = NodeAnswer(ip, load, trace_id=sp.trace_id)
                 if load is None:
@@ -702,13 +704,13 @@ class Modeler:
                 ):
                     obs.counter("modeler.query_cache", result="hit").inc()
                     self._query_cache.move_to_end(k)
-                    self.net.engine.advance(self.rpc.local_s)
+                    self.net.engine.advance(RPC_LOCAL_S)
                     if private:
                         return entry.graph.copy(), entry.meta, None
                     return entry.graph, entry.meta, entry
                 self._forget(k)  # expired: dropped where it is found
             obs.counter("modeler.query_cache", result="miss").inc()
-        self.net.engine.advance(self.rpc.local_s)
+        self.net.engine.advance(RPC_LOCAL_S)
         try:
             resp = self.master.topology(
                 TopologyRequest(
@@ -756,7 +758,7 @@ class Modeler:
     def _cache_gauge(self) -> None:
         obs.gauge("modeler.query_cache_entries").set(len(self._query_cache))
 
-    def invalidate_cache(self, sites=None) -> None:
+    def invalidate_cache(self, sites: Iterable[str] | None = None) -> None:
         """Drop memoized responses (e.g. after a known topology change).
 
         With ``sites`` (an iterable of site names) the eviction is
@@ -830,10 +832,10 @@ class Modeler:
         # Streaming predictors at the collectors answer without a fit
         # (§2.3's amortized path); fall back to history + client-server.
         kind = "utilization"
-        self.net.engine.advance(self.rpc.local_s)
+        self.net.engine.advance(RPC_LOCAL_S)
         out = self.master.forecast_edge(request, horizon_steps)
         if out is None:
-            self.net.engine.advance(self.rpc.local_s)
+            self.net.engine.advance(RPC_LOCAL_S)
             resp = self.master.history(request)
             if resp is None or len(resp.rates_bps) < 8:
                 return  # not enough history: leave prediction unset

@@ -350,23 +350,19 @@ def max_min_allocation(
     flow freezes by its demand rule, at its demand.  The level reaches a
     demand ``d`` in one round, or in two when ``L + (d - L)`` rounds
     below ``d`` by more than ``_EPS`` (the second difference is exact,
-    by Sterbenz's lemma).  The shortcut is therefore taken only when two
-    rounds per routed flow fit in the solver's round budget; past it the
-    solver would stop short and leave a flow at ``min(level, demand)``.
+    by Sterbenz's lemma).  The round budget, like the reference's, allows
+    two rounds per flow plus one per constraint, so filling never stops
+    short of the demands the shortcut returns.
     """
     n = len(paths)
     if n == 0:
         return []
     constraints = _binding_channels(paths)
     obs.histogram("netsim.maxmin.constraints").observe(len(constraints))
-    budget = n + len(constraints) + 1  # filling rounds, as the reference allows
-    if (
-        all(0.0 <= d < math.inf for d in demands)
-        and all(
-            sum([demands[i] for i in members]) <= _FIT_SHARE * ch.capacity_bps
-            for ch, members in constraints
-        )
-        and 2 * sum(map(bool, paths)) - 1 <= budget
+    budget = 2 * n + len(constraints) + 1  # filling rounds, as the reference allows
+    if all(0.0 <= d < math.inf for d in demands) and all(
+        sum([demands[i] for i in members]) <= _FIT_SHARE * ch.capacity_bps
+        for ch, members in constraints
     ):
         obs.histogram("netsim.maxmin.rounds").observe(0)
         return list(demands)
@@ -509,8 +505,9 @@ def max_min_allocation_reference(
 
     :func:`max_min_allocation` calls it on the reduced paths; tests call
     it on the unreduced ones as ground truth for the reduction.  Runs in
-    O(iterations × flows × path length); the iteration count is bounded
-    by flows + channels.
+    O(iterations × flows × path length).  The iteration count is bounded
+    by 2 × flows + channels + 1: a demand can take two rounds, when the
+    level lands a rounding short of it (see :func:`max_min_allocation`).
     """
     n = len(paths)
     if n == 0:
@@ -534,7 +531,7 @@ def max_min_allocation_reference(
 
     level = 0.0
     rounds = 0
-    for _ in range(n + len(chan_cap) + 1):
+    for _ in range(2 * n + len(chan_cap) + 1):
         unfrozen = [i for i in range(n) if not frozen[i]]
         if not unfrozen:
             break

@@ -58,10 +58,8 @@ class MetricsRegistry:
         self,
         clock: Timebase | None = None,
         max_spans: int = 4096,
-        reservoir: int = 2048,
     ) -> None:
         self.clock: Timebase = clock or WallTimebase()
-        self._reservoir = reservoir
         self._counters: dict[tuple[str, LabelsKey], Counter] = {}
         self._gauges: dict[tuple[str, LabelsKey], Gauge] = {}
         self._histograms: dict[tuple[str, LabelsKey], Histogram] = {}
@@ -104,7 +102,7 @@ class MetricsRegistry:
         key = (name, labels_key(labels))
         h = self._histograms.get(key)
         if h is None:
-            h = self._histograms[key] = Histogram(name, key[1], self._reservoir)
+            h = self._histograms[key] = Histogram(name, key[1])
         return h
 
     def span(self, name: str, **labels: object) -> Span:
@@ -129,7 +127,7 @@ class MetricsRegistry:
         key = (record.name, record.labels)
         h = self._span_hists.get(key)
         if h is None:
-            h = Histogram(record.name + ".duration_s", record.labels, self._reservoir)
+            h = Histogram(record.name + ".duration_s", record.labels)
             self._histograms[(h.name, record.labels)] = h
             self._span_hists[key] = h
         h.observe(record.end_s - record.start_s)

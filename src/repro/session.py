@@ -38,20 +38,16 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro import obs
-from repro.netsim.address import IPv4Address
-from repro.netsim.topology import Host
 from repro.modeler.api import (
     Answer,
     FlowAnswer,
+    HostLike,
     Modeler,
     NodeAnswer,
     TopologyAnswer,
 )
 
 __all__ = ["RemosSession"]
-
-#: how a query may name a host: the object, its address, or a dotted quad
-HostLike = Host | IPv4Address | str
 
 
 class RemosSession:

@@ -9,7 +9,7 @@ simulated round-trip time per PDU.
 from repro.snmp.oid import Oid
 from repro.snmp.mib import MibStore, build_router_mib, build_switch_mib, refresh_switch_fdb
 from repro.snmp.agent import SnmpAgent, SnmpWorld, instrument_network
-from repro.snmp.client import SnmpClient, SnmpCostModel
+from repro.snmp.client import SnmpClient
 
 __all__ = [
     "Oid",
@@ -21,5 +21,4 @@ __all__ = [
     "SnmpWorld",
     "instrument_network",
     "SnmpClient",
-    "SnmpCostModel",
 ]

@@ -1,22 +1,25 @@
 """SNMP client with simulated request costs.
 
-Every PDU exchanged charges simulated time to the engine via a
-:class:`SnmpCostModel` — this is what gives the Fig. 3 scalability
-curves their shape: a cold topology discovery costs thousands of PDUs,
-a warm one costs a handful.  The client also counts PDUs so experiments
-can report message complexity directly.
+Every PDU exchanged charges simulated time to the engine: ``RTT_S`` of
+round trip and agent dispatch plus ``PER_VARBIND_S`` per varbind, or
+``TIMEOUT_S`` when no answer comes.  This is what gives the Fig. 3
+scalability curves their shape: a cold topology discovery costs
+thousands of PDUs, a warm one costs a handful.  The client also counts
+PDUs so experiments can report message complexity directly.  The costs
+are one calibration — a busy campus LAN, which reproduces the paper's
+cold-cache query times within an order of magnitude — so they are
+module constants, the same for every client.
 
 A client is bound to a source address (for agent ACLs) and an
 :class:`~repro.snmp.agent.SnmpWorld` (for addressing).  ``walk`` is the
 standard GETNEXT loop bounded to one subtree; ``bulk_walk`` covers the
 same subtree with GetBulk PDUs, charging one round-trip per
-``max_repetitions`` varbinds instead of one per varbind — the batching
-that makes cold table walks cheap.
+``BULK_MAX_REPETITIONS`` varbinds instead of one per varbind — the
+batching that makes cold table walks cheap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro import obs
@@ -28,6 +31,14 @@ from repro.snmp.agent import SnmpAgent, SnmpWorld
 from repro.snmp.oid import Oid
 
 
+#: round trip + agent dispatch charged per PDU (sim seconds)
+RTT_S = 0.002
+#: marshalling/processing charged per varbind of a PDU
+PER_VARBIND_S = 0.0002
+#: charged per attempt at a dead or silent agent
+TIMEOUT_S = 2.0
+#: varbinds requested per GetBulk PDU (the bulk-walk batch size)
+BULK_MAX_REPETITIONS = 32
 #: re-sends after a timed-out request, before the client gives up
 RETRIES = 2
 #: wait before the first re-send; each later one waits BACKOFF_MULT
@@ -35,27 +46,6 @@ RETRIES = 2
 BACKOFF_BASE_S = 0.25
 BACKOFF_MULT = 2.0
 
-
-@dataclass
-class SnmpCostModel:
-    """Simulated time charged per SNMP exchange.
-
-    ``rtt_s`` covers network round trip + agent dispatch; each varbind
-    adds ``per_varbind_s`` of marshalling/processing.  A request to a
-    dead agent costs ``timeout_s`` per attempt.  The defaults
-    approximate a busy campus LAN and reproduce the paper's cold-cache
-    query times within an order of magnitude.
-
-    Only costs live here.  The retry policy is the same for every
-    client: a timed-out request is re-sent up to :data:`RETRIES` times,
-    waiting ``BACKOFF_BASE_S * BACKOFF_MULT**k`` before attempt k+2.
-    """
-
-    rtt_s: float = 0.002
-    per_varbind_s: float = 0.0002
-    timeout_s: float = 2.0
-    #: varbinds requested per GetBulk PDU (bulk-walk batch size)
-    bulk_max_repetitions: int = 32
 
 
 class SnmpClient:
@@ -66,12 +56,10 @@ class SnmpClient:
         world: SnmpWorld,
         source_ip: IPv4Address | str,
         community: str = "public",
-        cost: SnmpCostModel | None = None,
     ) -> None:
         self.world = world
         self.source_ip = IPv4Address(source_ip)
         self.community = community
-        self.cost = cost or SnmpCostModel()
         #: PDUs sent (diagnostics / message-complexity reporting)
         self.pdu_count = 0
         #: timeouts observed
@@ -88,7 +76,7 @@ class SnmpClient:
     def _charge(self, n_varbinds: int, op: str, ip: IPv4Address | str | None = None) -> None:
         self.pdu_count += 1
         obs.counter("snmp.client.pdus", op=op).inc()
-        dt = self.cost.rtt_s + n_varbinds * self.cost.per_varbind_s
+        dt = RTT_S + n_varbinds * PER_VARBIND_S
         if ip is not None:
             inj = self._injector()
             if inj is not None:
@@ -104,7 +92,7 @@ class SnmpClient:
         obs.counter("snmp.client.pdus", op=op).inc()
         obs.counter("snmp.client.timeouts").inc()
         with obs.span("snmp.client.timeout", op=op):
-            self.world.net.engine.advance(self.cost.timeout_s)
+            self.world.net.engine.advance(TIMEOUT_S)
 
     def _attempt(self, ip: IPv4Address | str, op: str) -> SnmpAgent:
         """One request attempt: the agent, or an unreachable timeout."""
@@ -195,8 +183,12 @@ class SnmpClient:
         oid: Oid | str,
         max_repetitions: int | None = None,
     ) -> list[tuple[Oid, object]]:
-        """GetBulk: up to ``max_repetitions`` GETNEXT results, one PDU."""
-        n = max_repetitions or self.cost.bulk_max_repetitions
+        """GetBulk: up to ``max_repetitions`` GETNEXT results, one PDU.
+
+        ``max_repetitions`` defaults to :data:`BULK_MAX_REPETITIONS`; a
+        count of 0 or less asks for nothing (and still costs the PDU).
+        """
+        n = BULK_MAX_REPETITIONS if max_repetitions is None else max_repetitions
         agent = self._agent(ip, "getbulk")
         chunk = agent.get_bulk(Oid(oid), n)
         # a PDU goes out (and the agent answers) even when empty
@@ -205,19 +197,16 @@ class SnmpClient:
         return chunk
 
     def bulk_walk(
-        self,
-        ip: IPv4Address | str,
-        prefix: Oid | str,
-        max_repetitions: int | None = None,
+        self, ip: IPv4Address | str, prefix: Oid | str
     ) -> list[tuple[Oid, object]]:
         """All objects under ``prefix`` via GetBulk PDUs.
 
         Returns exactly what :meth:`walk` returns for the same subtree,
-        at roughly ``1/max_repetitions`` of the PDU (and round-trip)
+        at roughly ``1/BULK_MAX_REPETITIONS`` of the PDU (and round-trip)
         cost.
         """
         prefix = Oid(prefix)
-        n = max_repetitions or self.cost.bulk_max_repetitions
+        n = BULK_MAX_REPETITIONS
         results: list[tuple[Oid, object]] = []
         current: Oid = prefix
         while True:

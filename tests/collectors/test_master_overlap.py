@@ -1,7 +1,7 @@
 """Concurrent Master delegation and batched monitor polling.
 
 The Master charges the *makespan* of its sub-queries (on
-``rpc.max_parallel`` workers) rather than their sum; the SNMP
+``MAX_PARALLEL`` workers) rather than their sum; the SNMP
 collector's polling sweep coalesces all links behind one agent into a
 single multi-varbind PDU.  Both must change only costs, never answers.
 """
@@ -12,6 +12,7 @@ from repro import obs
 from repro.common.units import MBPS
 from repro.netsim.builders import SiteSpec, build_multisite_wan, build_switched_lan
 from repro.netsim.engine import Engine
+from repro.collectors import master
 from repro.collectors.base import TopologyRequest
 from repro.deploy import deploy_lan, deploy_wan
 from repro.modeler.graph import TopologyGraph
@@ -82,11 +83,11 @@ class TestConcurrentDelegation:
         resp = dep.master.topology(req)
         return w.net.now - t0, resp
 
-    def test_parallel_charges_makespan_not_sum(self, wan4):
+    def test_parallel_charges_makespan_not_sum(self, wan4, monkeypatch):
         w, dep, ips = wan4
-        dep.master.rpc.max_parallel = 1
+        monkeypatch.setattr(master, "MAX_PARALLEL", 1)
         serial_cost, serial_resp = self._warm_query_cost(w, dep, ips)
-        dep.master.rpc.max_parallel = 8
+        monkeypatch.setattr(master, "MAX_PARALLEL", 8)
         with obs.scoped_registry() as reg:
             parallel_cost, parallel_resp = self._warm_query_cost(w, dep, ips)
         assert parallel_cost < serial_cost * 0.6
@@ -98,9 +99,9 @@ class TestConcurrentDelegation:
         }
         assert parallel_resp.graph.num_edges() == serial_resp.graph.num_edges()
 
-    def test_width_one_saves_nothing(self, wan4):
+    def test_width_one_saves_nothing(self, wan4, monkeypatch):
         w, dep, ips = wan4
-        dep.master.rpc.max_parallel = 1
+        monkeypatch.setattr(master, "MAX_PARALLEL", 1)
         with obs.scoped_registry() as reg:
             self._warm_query_cost(w, dep, ips)
         saved = reg.histogram("collectors.master.overlap_saved_s")

@@ -12,7 +12,11 @@ from repro.snmp.agent import instrument_network
 from repro.collectors.base import TopologyRequest
 from repro.collectors.bridge_collector import BridgeCollector
 from repro.collectors.directory import CollectorDirectory
-from repro.collectors.snmp_collector import SnmpCollector, SnmpCollectorConfig
+from repro.collectors.snmp_collector import (
+    COLD_SAMPLE_GAP_S,
+    SnmpCollector,
+    SnmpCollectorConfig,
+)
 from repro.modeler.graph import HOST, ROUTER, SWITCH, VSWITCH
 
 
@@ -305,7 +309,7 @@ class TestMonitoring:
             )
         )
         # no cold bootstrap gap was paid
-        assert d.net.now - t0 < coll.config.cold_sample_gap_s
+        assert d.net.now - t0 < COLD_SAMPLE_GAP_S
 
     def test_a_vanished_interface_does_not_starve_its_neighbours(self):
         """One ``ifIndex`` leaves an agent's MIB between two sweeps: the

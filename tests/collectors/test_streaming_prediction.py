@@ -3,7 +3,7 @@
 import pytest
 
 from repro import faults, obs
-from repro.collectors.base import HistoryRequest
+from repro.collectors.base import RPC_REMOTE_S, HistoryRequest
 from repro.common.errors import CollectorUnavailableError
 from repro.common.units import MBPS
 from repro.deploy import deploy_lan, deploy_wan
@@ -193,4 +193,4 @@ class TestMasterForecastFanout:
         assert net.now == t0
         # history has no capability probe: the one collector is asked
         assert master.history(HistoryRequest("a", "b")) is None
-        assert net.now - t0 == pytest.approx(master.rpc.remote_s)
+        assert net.now - t0 == pytest.approx(RPC_REMOTE_S)

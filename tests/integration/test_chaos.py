@@ -105,7 +105,7 @@ class TestRetryBackoff:
                 client.get(ip, [O.SYS_DESCR])
             snap = obs.export.snapshot(reg)
         # 3 attempts x timeout, plus backoffs 0.25 and 0.5 between them
-        assert net.now - t0 == pytest.approx(3 * client.cost.timeout_s + 0.25 + 0.5)
+        assert net.now - t0 == pytest.approx(3 * snmp_client.TIMEOUT_S + 0.25 + 0.5)
         assert client.retry_count == snmp_client.RETRIES == 2
         assert snap["counters"]["snmp.retries{op=get}"] == 2
         assert snap["counters"]["faults.injected{kind=snmp_drop}"] == 3

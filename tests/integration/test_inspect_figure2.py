@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.units import MBPS
-from repro.collectors.base import RpcCostModel
 from repro.collectors.directory import CollectorDirectory
 from repro.collectors.master import MasterCollector
 from repro.deploy import deploy_lan, deploy_wan
@@ -67,10 +66,7 @@ class TestFigure2Shape:
                 )
             for bench in base.benchmarks.values():
                 directory.register_benchmark(bench)
-            master = MasterCollector(
-                f"master-{site}", world.net, directory, base.master.borders,
-                RpcCostModel(),
-            )
+            master = MasterCollector(f"master-{site}", world.net, directory, base.master.borders)
             return RemosSession(Modeler(master, world.net))
 
         cmu, eth = session_for("cmu"), session_for("eth")

@@ -14,6 +14,7 @@ import pytest
 from repro import faults, obs
 from repro.common.errors import TopologyError
 from repro.common.status import QueryStatus
+from repro.collectors.base import RPC_LOCAL_S
 from repro.common.units import MBPS
 from repro.modeler.graph import HOST, TopoEdge, TopoNode, TopologyGraph
 from repro.netsim.builders import SiteSpec, build_multisite_wan, build_switched_lan
@@ -99,7 +100,7 @@ class TestCachedAnswers:
         assert hit_cost < miss_cost
         # a cache hit costs exactly the Modeler's local processing —
         # no Master RPC, no collector work
-        assert hit_cost == pytest.approx(dep.modeler.rpc.local_s)
+        assert hit_cost == pytest.approx(RPC_LOCAL_S)
 
     def test_own_flow_credit_does_not_corrupt_cache(self, lan_dep):
         """flow_queries mutates the fetched graph in place to credit the
@@ -366,7 +367,7 @@ class TestScopedFetchKeys:
             snap = obs.export.snapshot(reg)
         assert _hit_miss(snap) == (1, 0)
         assert self._probes(dep) == probes
-        assert w.net.now - t0 == pytest.approx(dep.modeler.rpc.local_s)
+        assert w.net.now - t0 == pytest.approx(RPC_LOCAL_S)
         assert all(a.ok and a.available_bps > 0 for a in answers)
 
     def test_single_pair_and_all_pairs_use_the_unscoped_key(self):

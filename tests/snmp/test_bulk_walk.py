@@ -2,7 +2,7 @@
 
 The batching contract: ``bulk_walk`` returns *byte-identical* varbinds
 to ``walk`` over the same subtree — same OIDs, same values, same order
-— while charging roughly ``1/max_repetitions`` of the PDUs.  Hypothesis
+— while charging roughly ``1/BULK_MAX_REPETITIONS`` of the PDUs.  Hypothesis
 drives the equivalence over arbitrary MIB layouts via a raw agent.
 """
 
@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from repro.common.errors import AgentUnreachableError
 from repro.netsim.builders import build_dumbbell, build_switched_lan
+from repro.snmp import client as snmp_client
 from repro.snmp import oid as O
 from repro.snmp.agent import instrument_network
-from repro.snmp.client import RETRIES, SnmpClient, SnmpCostModel
+from repro.snmp.client import PER_VARBIND_S, RETRIES, RTT_S, SnmpClient
 from repro.snmp.mib import MibStore
 from repro.snmp.oid import Oid
 
@@ -52,13 +53,12 @@ class TestAgentGetBulk:
         assert agent.get_bulk(Oid(O.IP_ROUTE_NEXT_HOP), 0) == []
         assert agent.get_bulk(Oid(O.IP_ROUTE_NEXT_HOP), -3) == []
         assert agent.requests_served == served
-        # the request still went out and was answered: one PDU, one RTT
-        t0 = d.net.now
-        assert client.get_bulk("10.1.0.1", O.IP_ROUTE_NEXT_HOP, -3) == []
-        assert client.pdu_count == 1
-        assert d.net.now - t0 == pytest.approx(
-            client.cost.rtt_s + client.cost.per_varbind_s
-        )
+        # each request still went out and was answered: one PDU, one RTT
+        for pdus, count in enumerate((0, -3), 1):
+            t0 = d.net.now
+            assert client.get_bulk("10.1.0.1", O.IP_ROUTE_NEXT_HOP, count) == []
+            assert client.pdu_count == pdus
+            assert d.net.now - t0 == pytest.approx(RTT_S + PER_VARBIND_S)
 
     def test_start_past_the_last_oid_answers_nothing(self, snmp_dumbbell):
         d, world, client = snmp_dumbbell
@@ -151,16 +151,15 @@ class TestBulkWalkEquivalence:
 
 
 class TestBulkWalkCost:
-    def test_pdu_count_divided_by_batch(self):
+    def test_pdu_count_divided_by_batch(self, monkeypatch):
         lan = build_switched_lan(16, fanout=16)
         world = instrument_network(lan.net)
         ip = lan.switches[0].management_ip
         plain = SnmpClient(world, lan.hosts[0].ip)
         rows = plain.walk(ip, O.DOT1D_TP_FDB_PORT)
         plain_pdus = plain.pdu_count
-        bulk = SnmpClient(
-            world, lan.hosts[0].ip, cost=SnmpCostModel(bulk_max_repetitions=16)
-        )
+        monkeypatch.setattr(snmp_client, "BULK_MAX_REPETITIONS", 16)
+        bulk = SnmpClient(world, lan.hosts[0].ip)
         assert bulk.bulk_walk(ip, O.DOT1D_TP_FDB_PORT) == rows
         assert bulk.pdu_count < plain_pdus / 4
 

@@ -21,9 +21,11 @@ from repro.snmp.agent import instrument_network
 from repro.snmp.client import (
     BACKOFF_BASE_S,
     BACKOFF_MULT,
+    PER_VARBIND_S,
     RETRIES,
+    RTT_S,
+    TIMEOUT_S,
     SnmpClient,
-    SnmpCostModel,
 )
 from repro.snmp.mib import MibStore
 from repro.snmp.oid import Oid
@@ -324,7 +326,7 @@ class TestAccessControl:
             client.get("10.99.0.1", O.SYS_NAME)
         # every attempt times out, with a growing backoff before each retry
         backoffs = sum(BACKOFF_BASE_S * BACKOFF_MULT**k for k in range(RETRIES))
-        assert d.net.now - t0 == pytest.approx((1 + RETRIES) * client.cost.timeout_s + backoffs)
+        assert d.net.now - t0 == pytest.approx((1 + RETRIES) * TIMEOUT_S + backoffs)
         assert client.timeout_count == 1 + RETRIES
 
     def test_bad_community_times_out(self):
@@ -359,9 +361,7 @@ class TestCostAccounting:
         d, world, client = snmp_dumbbell
         t0 = d.net.now
         client.get("10.1.0.1", O.SYS_NAME)
-        assert d.net.now - t0 == pytest.approx(
-            client.cost.rtt_s + client.cost.per_varbind_s
-        )
+        assert d.net.now - t0 == pytest.approx(RTT_S + PER_VARBIND_S)
         assert client.pdu_count == 1
 
     def test_walk_counts_pdus(self, snmp_dumbbell):
@@ -372,11 +372,3 @@ class TestCostAccounting:
         # one PDU per row + one overshoot
         assert client.pdu_count - before == len(rows) + 1
         assert reg.histogram("snmp.client.walk_len").sum == len(rows)
-
-    def test_custom_cost_model(self):
-        d = build_dumbbell()
-        world = instrument_network(d.net)
-        client = SnmpClient(world, d.h1.ip, cost=SnmpCostModel(rtt_s=0.5, per_varbind_s=0.0))
-        t0 = d.net.now
-        client.get("10.1.0.1", O.SYS_NAME)
-        assert d.net.now - t0 == pytest.approx(0.5)

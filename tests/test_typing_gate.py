@@ -42,6 +42,8 @@ STRICT_FILES = (
         REPO_ROOT / "src" / "repro" / "collectors" / "wireless_collector.py",
         REPO_ROOT / "src" / "repro" / "deploy.py",
         REPO_ROOT / "src" / "repro" / "faults.py",
+        REPO_ROOT / "src" / "repro" / "inspect.py",
+        REPO_ROOT / "src" / "repro" / "modeler" / "api.py",
         REPO_ROOT / "src" / "repro" / "modeler" / "graph.py",
         REPO_ROOT / "src" / "repro" / "modeler" / "maxmin.py",
         REPO_ROOT / "src" / "repro" / "modeler" / "planner.py",
@@ -53,11 +55,13 @@ STRICT_FILES = (
         REPO_ROOT / "src" / "repro" / "netsim" / "engine.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "failures.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "flows.py",
+        REPO_ROOT / "src" / "repro" / "netsim" / "mobility.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "paths.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "routing.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "spec.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "topology.py",
         REPO_ROOT / "src" / "repro" / "netsim" / "traffic.py",
+        REPO_ROOT / "src" / "repro" / "netsim" / "wireless.py",
         REPO_ROOT / "src" / "repro" / "rps" / "streaming.py",
         REPO_ROOT / "src" / "repro" / "session.py",
         REPO_ROOT / "src" / "repro" / "snmp" / "agent.py",
@@ -93,6 +97,8 @@ STRICT_MODULES = [
     "repro.collectors.wireless_collector",
     "repro.deploy",
     "repro.faults",
+    "repro.inspect",
+    "repro.modeler.api",
     "repro.modeler.graph",
     "repro.modeler.maxmin",
     "repro.modeler.planner",
@@ -104,11 +110,13 @@ STRICT_MODULES = [
     "repro.netsim.engine",
     "repro.netsim.failures",
     "repro.netsim.flows",
+    "repro.netsim.mobility",
     "repro.netsim.paths",
     "repro.netsim.routing",
     "repro.netsim.spec",
     "repro.netsim.topology",
     "repro.netsim.traffic",
+    "repro.netsim.wireless",
     "repro.service",
     "repro.service.admission",
     "repro.service.app",
