@@ -35,10 +35,12 @@ returns the demands untouched when every constraint has room for its
 members' demands (no filling round; ``netsim.maxmin.rounds`` observes
 0), and otherwise runs progressive filling over the constraints with
 their per-round state cached.  Either way the result is bit for bit
-what the scalar loop :func:`max_min_allocation_reference` gives on the
-reduced paths; tests hold it to that, and feed the reference the
-*unreduced* paths as the oracle for the reduction (agreement within
-1e-9 across randomised path/demand sets).
+what a scalar progressive-filling loop gives on the reduced paths.
+That loop, ``max_min_allocation_reference`` in
+``tests/netsim/maxmin_reference.py``, is the tests' oracle: they hold
+the solver to it, and feed it the *unreduced* paths as the oracle for
+the reduction (agreement within 1e-9 across randomised path/demand
+sets).
 """
 
 from __future__ import annotations
@@ -331,11 +333,11 @@ def max_min_allocation(
     rounds (an integer, decremented as members freeze) and its frozen
     load, which is summed again, with the same builtin ``sum`` over the
     same member order, only when one of its members has frozen.  So
-    every float operation is one :func:`max_min_allocation_reference`
-    performs on the reduced paths, in its order, and the result equals
-    it bit for bit — on Python 3.12 too, whose float ``sum`` is
-    compensated.  Zero-length paths (src == dst within one node) get
-    their full demand.
+    every float operation is one the tests' scalar oracle
+    (``tests/netsim/maxmin_reference.py``) performs on the reduced
+    paths, in its order, and the result equals it bit for bit — on
+    Python 3.12 too, whose float ``sum`` is compensated.  Zero-length
+    paths (src == dst within one node) get their full demand.
 
     **When the demands fit, they are the answer.**  If every demand is
     finite and non-negative and each constraint's member demands sum to
@@ -496,90 +498,3 @@ def _binding_channels(
         return list(crossed.items())
     keep = set(tightest.values())
     return [(ch, members) for ch, members in crossed.items() if ch in keep]
-
-
-def max_min_allocation_reference(
-    paths: "Sequence[Sequence[CapacityLike]]", demands: Sequence[float]
-) -> list[float]:
-    """Pure-python progressive filling over the paths as given.
-
-    :func:`max_min_allocation` calls it on the reduced paths; tests call
-    it on the unreduced ones as ground truth for the reduction.  Runs in
-    O(iterations × flows × path length).  The iteration count is bounded
-    by 2 × flows + channels + 1: a demand can take two rounds, when the
-    level lands a rounding short of it (see :func:`max_min_allocation`).
-    """
-    n = len(paths)
-    if n == 0:
-        return []
-    rates = [0.0] * n
-    frozen = [False] * n
-
-    # channel id -> (capacity, list of flow indices)
-    chan_cap: dict[int, float] = {}
-    chan_flows: dict[int, list[int]] = {}
-    for i, path in enumerate(paths):
-        if not path:
-            rates[i] = demands[i] if math.isfinite(demands[i]) else math.inf
-            frozen[i] = True
-            continue
-        for ch in path:
-            if id(ch) not in chan_cap:
-                chan_cap[id(ch)] = ch.capacity_bps
-                chan_flows[id(ch)] = []
-            chan_flows[id(ch)].append(i)
-
-    level = 0.0
-    rounds = 0
-    for _ in range(2 * n + len(chan_cap) + 1):
-        unfrozen = [i for i in range(n) if not frozen[i]]
-        if not unfrozen:
-            break
-        rounds += 1
-        # Next demand bind.
-        delta_demand = math.inf
-        for i in unfrozen:
-            d = demands[i] - level
-            if d < delta_demand:
-                delta_demand = d
-        # Next capacity bind.
-        delta_cap = math.inf
-        for cid, members in chan_flows.items():
-            active = [i for i in members if not frozen[i]]
-            if not active:
-                continue
-            frozen_load = sum(rates[i] for i in members if frozen[i])
-            residual = chan_cap[cid] - frozen_load - level * len(active)
-            d = residual / len(active)
-            if d < delta_cap:
-                delta_cap = d
-        delta = min(delta_demand, delta_cap)
-        if not math.isfinite(delta):
-            # Only infinite demands remain and no capacity binds: the
-            # paths must be capacity-free (impossible for real links).
-            for i in unfrozen:
-                rates[i] = math.inf
-                frozen[i] = True
-            break
-        delta = max(delta, 0.0)
-        level += delta
-        # Freeze at binding constraints.
-        for i in unfrozen:
-            if demands[i] - level <= _EPS:
-                rates[i] = demands[i]
-                frozen[i] = True
-        for cid, members in chan_flows.items():
-            active = [i for i in members if not frozen[i]]
-            if not active:
-                continue
-            frozen_load = sum(rates[i] for i in members if frozen[i])
-            residual = chan_cap[cid] - frozen_load - level * len(active)
-            if residual / len(active) <= _EPS:
-                for i in active:
-                    rates[i] = level
-                    frozen[i] = True
-    for i in range(n):
-        if not frozen[i]:
-            rates[i] = min(level, demands[i])
-    obs.histogram("netsim.maxmin.rounds").observe(rounds)
-    return rates

@@ -12,8 +12,8 @@ Two consumers, two formats:
   as summaries with ``quantile`` labels plus ``_sum``/``_count``), so a
   real scrape endpoint is one HTTP handler away.  Label values are
   escaped per the exposition spec (backslash, double quote, newline).
-  :func:`parse_prometheus` reads that format back, which the tests use
-  to prove the export round-trips.
+  ``tests/obs/test_obs_export.py`` reads that format back to prove the
+  export round-trips.
 
 Metric names are dotted internally (``snmp.client.pdus``) and
 sanitised to Prometheus conventions (``repro_snmp_client_pdus``) on
@@ -37,13 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 
 #: prefix for every exported Prometheus metric
 PROM_PREFIX = "repro_"
-
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>[^}]*)\})?"
-    r"\s+(?P<value>\S+)\s*$"
-)
-_LABEL_RE = re.compile(r'(?P<k>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<v>(?:[^"\\]|\\.)*)"')
 
 
 def prom_name(name: str) -> str:
@@ -98,21 +91,6 @@ def escape_label_value(v: str) -> str:
     return v.replace("\\", r"\\").replace('"', r"\"").replace("\n", r"\n")
 
 
-def _unescape_label_value(v: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(v):
-        ch = v[i]
-        if ch == "\\" and i + 1 < len(v):
-            nxt = v[i + 1]
-            out.append({"n": "\n", '"': '"', "\\": "\\"}.get(nxt, "\\" + nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
-
-
 def _prom_labels(
     labels: LabelsKey, extra: tuple[tuple[str, str], ...] = ()
 ) -> str:
@@ -163,32 +141,3 @@ def to_prometheus(registry: "AnyRegistry") -> str:
         lines.append(f"{name}_sum{_prom_labels(h.labels)} {_prom_value(h.sum)}")
         lines.append(f"{name}_count{_prom_labels(h.labels)} {h.count}")
     return "\n".join(lines) + "\n"
-
-
-def parse_prometheus(text: str) -> dict[tuple[str, tuple[tuple[str, str], ...]], float]:
-    """Parse Prometheus text format back into {(name, labels): value}.
-
-    Supports the subset :func:`to_prometheus` emits (which is the
-    standard sample syntax), so ``parse_prometheus(to_prometheus(r))``
-    recovers every exported sample, escaped label values included.
-    """
-    out: dict[tuple[str, tuple[tuple[str, str], ...]], float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _SAMPLE_RE.match(line)
-        if m is None:
-            raise ValueError(f"unparseable sample line: {line!r}")
-        labels = tuple(
-            (lm.group("k"), _unescape_label_value(lm.group("v")))
-            for lm in _LABEL_RE.finditer(m.group("labels") or "")
-        )
-        raw = m.group("value")
-        value = {"+Inf": math.inf, "-Inf": -math.inf, "NaN": math.nan}.get(
-            raw, None
-        )
-        out[(m.group("name"), labels)] = (
-            float(raw) if value is None else value
-        )
-    return out

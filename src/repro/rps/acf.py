@@ -36,18 +36,6 @@ def acf(x: np.ndarray, max_lag: int) -> np.ndarray:
     return g / g[0]
 
 
-def difference(x: np.ndarray, d: int) -> np.ndarray:
-    """Apply (1-B)^d: d rounds of first differencing."""
-    x = np.asarray(x, dtype=float)
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    for _ in range(d):
-        if x.size < 2:
-            raise ModelFitError("series too short to difference")
-        x = np.diff(x)
-    return x
-
-
 def undifference_forecasts(
     forecasts: np.ndarray, last_values: np.ndarray, d: int
 ) -> np.ndarray:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.errors import ModelFitError
-from repro.rps.acf import difference_levels
+from repro.rps.acf import difference_levels, undifference_forecasts
 from repro.rps.fit import psi_weights
 from repro.rps.models.arma import ArmaModel, FittedArma
 from repro.rps.models.base import FittedModel, Forecast, Model
@@ -31,10 +31,9 @@ class FittedArima(FittedModel):
         self.inner.step(w)
 
     def forecast(self, horizon: int) -> Forecast:
-        inner_fc = self.inner.forecast(horizon)
-        preds = inner_fc.values
-        for level in range(self.d - 1, -1, -1):
-            preds = self._lasts[level] + np.cumsum(preds)
+        preds = undifference_forecasts(
+            self.inner.forecast(horizon).values, self._lasts, self.d
+        )
         # psi weights of the integrated process: cumulative-sum the
         # ARMA psi weights d times.
         psi = psi_weights(self.inner.phi, self.inner.theta, horizon)

@@ -14,13 +14,11 @@ from repro.netsim.builders import (
     build_multisite_wan,
     build_random_wan,
 )
-from repro.netsim.flows import (
-    FlowManager,
-    max_min_allocation,
-    max_min_allocation_reference,
-)
+from repro.netsim.flows import FlowManager, max_min_allocation
 from repro.netsim.paths import compute_path
 from repro.netsim.topology import Network
+
+from .maxmin_reference import max_min_allocation_reference
 
 
 def _chain_network(n_links: int, capacities):

@@ -4,7 +4,7 @@
 that can bind (``_binding_channels``: of the channels crossed by the
 same flows only the tightest stays) and runs progressive filling over
 them in one pass, returning the demands untouched when they fit.
-:func:`repro.netsim.flows.max_min_allocation_reference` (the original
+:func:`maxmin_reference.max_min_allocation_reference` (the original
 pure-python solver, kept verbatim as ground truth) is the oracle twice
 over: fed the paths cut to the kept channels, it is the composition
 the one-pass solver must equal bit for bit; fed the *unreduced* paths,
@@ -23,11 +23,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.netsim.flows as flows_mod
-from repro.netsim.flows import (
-    _binding_channels,
-    max_min_allocation,
-    max_min_allocation_reference,
-)
+from repro.netsim.flows import _binding_channels, max_min_allocation
+
+from .maxmin_reference import max_min_allocation_reference
 
 
 class FakeChannel:
@@ -426,7 +424,7 @@ class TestUnprunedTwinOnTheChurnWorld:
         with mock.patch.object(flows_mod, "_FIT_SHARE", -math.inf):
             filled = self._run()
         with mock.patch.object(
-            flows_mod, "max_min_allocation", flows_mod.max_min_allocation_reference
+            flows_mod, "max_min_allocation", max_min_allocation_reference
         ):
             unpruned = self._run()
         assert any(entry[0] == "done" for entry in pruned if isinstance(entry, tuple))

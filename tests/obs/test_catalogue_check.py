@@ -1,7 +1,8 @@
 """The catalogue check every test runs under (``tests/conftest.py``).
 
-Code is planted as module ``repro.planted`` with ``exec``, so the check
-sees a ``repro`` call site without a file under ``src/``.
+The catalogue is the tables of ``docs/observability.md``.  Code is
+planted as module ``repro.planted`` with ``exec``, so the check sees a
+``repro`` call site without a file under ``src/``.
 """
 
 from repro import obs
@@ -28,10 +29,32 @@ def test_span_through_a_registry_handle_is_noted(catalogued_names_only):
 
 def test_f_string_names_are_checked(catalogued_names_only):
     with obs.scoped_registry():
-        plant('kind = "sharded"\nobs.gauge(f"collectors.{kind}.fanout").set(1)')
-        plant('kind = "typo"\nobs.gauge(f"collectors.{kind}.fanout").set(1)')
-    assert catalogued_names_only == ["gauge('collectors.typo.fanout') at repro.planted:2"]
+        plant('kind = "sharded"\nobs.histogram(f"collectors.{kind}.fanout").observe(1)')
+        plant('kind = "typo"\nobs.histogram(f"collectors.{kind}.fanout").observe(1)')
+    assert catalogued_names_only == [
+        "histogram('collectors.typo.fanout') at repro.planted:2"
+    ]
     catalogued_names_only.clear()
+
+
+def test_a_catalogued_name_recorded_as_another_kind_is_noted(catalogued_names_only):
+    with obs.scoped_registry():
+        plant('obs.gauge("collectors.sharded.fanout").set(1)')
+        plant('obs.counter("session.topology").inc()')
+    assert catalogued_names_only == [
+        "gauge('collectors.sharded.fanout') at repro.planted:1",
+        "counter('session.topology') at repro.planted:1",
+    ]
+    catalogued_names_only.clear()
+
+
+def test_the_catalogue_has_every_kind_and_each_name_once(metric_catalogue):
+    """A reformatted docs table must not silently empty a kind, and no
+    name may be documented as two kinds."""
+    assert sorted(metric_catalogue) == ["counter", "gauge", "histogram", "span"]
+    assert all(metric_catalogue.values())
+    listed = [name for names in metric_catalogue.values() for name in names]
+    assert len(listed) == len(set(listed))
 
 
 def test_catalogued_names_pass(catalogued_names_only):

@@ -2,10 +2,58 @@
 
 import json
 import math
+import re
 
 from repro.obs import export
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timebase import FixedTimebase
+
+_SAMPLE_RE = re.compile(
+    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
+    r"(?:\{(?P<labels>[^}]*)\})?"
+    r"\s+(?P<value>\S+)\s*$"
+)
+_LABEL_RE = re.compile(r'(?P<k>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<v>(?:[^"\\]|\\.)*)"')
+
+
+def _unescape_label_value(v: str) -> str:
+    out: list[str] = []
+    i = 0
+    while i < len(v):
+        ch = v[i]
+        if ch == "\\" and i + 1 < len(v):
+            nxt = v[i + 1]
+            out.append({"n": "\n", '"': '"', "\\": "\\"}.get(nxt, "\\" + nxt))
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+def parse_prometheus(text: str) -> dict[tuple[str, tuple[tuple[str, str], ...]], float]:
+    """Parse Prometheus text format back into {(name, labels): value}.
+
+    Supports the subset :func:`repro.obs.export.to_prometheus` emits
+    (which is the standard sample syntax), so
+    ``parse_prometheus(to_prometheus(r))`` recovers every exported
+    sample, escaped label values included.
+    """
+    out: dict[tuple[str, tuple[tuple[str, str], ...]], float] = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        m = _SAMPLE_RE.match(line)
+        if m is None:
+            raise ValueError(f"unparseable sample line: {line!r}")
+        labels = tuple(
+            (lm.group("k"), _unescape_label_value(lm.group("v")))
+            for lm in _LABEL_RE.finditer(m.group("labels") or "")
+        )
+        # float() reads "+Inf", "-Inf" and "NaN" as the exposition means them
+        out[(m.group("name"), labels)] = float(m.group("value"))
+    return out
 
 
 def populated_registry() -> MetricsRegistry:
@@ -57,7 +105,7 @@ class TestPrometheus:
 
     def test_round_trip(self):
         reg = populated_registry()
-        samples = export.parse_prometheus(export.to_prometheus(reg))
+        samples = parse_prometheus(export.to_prometheus(reg))
         assert samples[("repro_snmp_client_pdus", (("op", "get"),))] == 7.0
         assert samples[("repro_netsim_engine_queue_depth", ())] == 4.0
         assert samples[
@@ -75,7 +123,7 @@ class TestPrometheus:
         reg = MetricsRegistry()
         reg.gauge("g").set(math.inf)
         reg.histogram("h")  # empty: quantiles are NaN
-        samples = export.parse_prometheus(export.to_prometheus(reg))
+        samples = parse_prometheus(export.to_prometheus(reg))
         assert samples[("repro_g", ())] == math.inf
         assert math.isnan(samples[("repro_h", (("quantile", "0.5"),))])
 
@@ -87,12 +135,12 @@ class TestPrometheus:
         reg.counter("snmp.client.pdus", op=nasty).inc(2)
         text = export.to_prometheus(reg)
         assert "\\n" in text and '\\"' in text  # escaped on the wire
-        samples = export.parse_prometheus(text)
+        samples = parse_prometheus(text)
         assert samples[("repro_snmp_client_pdus", (("op", nasty),))] == 2.0
 
     def test_escape_unescape_inverse(self):
         for v in ("plain", 'a"b', "a\\b", "a\nb", 'mix\\"of\nall'):
-            assert export._unescape_label_value(export.escape_label_value(v)) == v
+            assert _unescape_label_value(export.escape_label_value(v)) == v
 
 
 class TestEmptyRegistry:
@@ -105,7 +153,7 @@ class TestEmptyRegistry:
         assert snap["spans"] == []
         json.loads(export.to_json(reg))  # valid JSON
         text = export.to_prometheus(reg)
-        assert export.parse_prometheus(text) == {}
+        assert parse_prometheus(text) == {}
 
     def test_null_registry_exports_cleanly(self):
         from repro.obs.registry import NullRegistry
@@ -113,4 +161,4 @@ class TestEmptyRegistry:
         reg = NullRegistry()
         snap = export.snapshot(reg)
         assert snap["counters"] == {} and snap["spans"] == []
-        assert export.parse_prometheus(export.to_prometheus(reg)) == {}
+        assert parse_prometheus(export.to_prometheus(reg)) == {}

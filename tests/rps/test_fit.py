@@ -11,7 +11,6 @@ from repro.common.errors import ModelFitError
 from repro.rps.acf import (
     acf,
     acvf,
-    difference,
     difference_levels,
     fractional_diff_weights,
     fractional_difference,
@@ -62,9 +61,12 @@ class TestAcvf:
 class TestDifferencing:
     def test_difference_roundtrip(self):
         x = np.array([1.0, 3.0, 6.0, 10.0, 15.0])
-        d1 = difference(x, 1)
+        d1, lasts = difference_levels(x, 1)
         assert list(d1) == [2.0, 3.0, 4.0, 5.0]
-        assert list(difference(x, 2)) == [1.0, 1.0, 1.0]
+        assert list(lasts) == [15.0]
+        d2, lasts = difference_levels(x, 2)
+        assert list(d2) == [1.0, 1.0, 1.0]
+        assert list(lasts) == [15.0, 5.0]
 
     def test_difference_levels_and_integrate(self):
         x = np.cumsum(np.cumsum(np.arange(10, dtype=float)))

@@ -1,7 +1,8 @@
 """The strict-typing gate, testable without mypy installed.
 
-CI runs real mypy over the strict allowlist (``[tool.mypy]`` overrides
-in pyproject).  The container running the unit tests may not have mypy,
+CI runs real mypy over the strict allowlist (the strict
+``[[tool.mypy.overrides]]`` module list in pyproject, which this module
+reads).  The container running the unit tests may not have mypy,
 so this module enforces the cheap, high-value half of the contract with
 the stdlib ``ast``: every function in the strict modules carries full
 parameter and return annotations (mypy's ``disallow_untyped_defs`` /
@@ -15,134 +16,35 @@ import ast
 import importlib.util
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+SRC = REPO_ROOT / "src"
 
-#: must mirror the module= list of the strict [[tool.mypy.overrides]]
-STRICT_FILES = (
-    sorted((REPO_ROOT / "src" / "repro" / "common").rglob("*.py"))
-    + [
-        REPO_ROOT / "src" / "repro" / "apps" / "mirror.py",
-        REPO_ROOT / "src" / "repro" / "collectors" / "base.py",
-        REPO_ROOT / "src" / "repro" / "collectors" / "benchmark_collector.py",
-        REPO_ROOT / "src" / "repro" / "collectors" / "bridge_collector.py",
-        REPO_ROOT / "src" / "repro" / "collectors" / "directory.py",
-        REPO_ROOT / "src" / "repro" / "collectors" / "discovery.py",
-        REPO_ROOT / "src" / "repro" / "collectors" / "master.py",
-        REPO_ROOT / "src" / "repro" / "collectors" / "monitor.py",
-        REPO_ROOT / "src" / "repro" / "collectors" / "persistence.py",
-        REPO_ROOT / "src" / "repro" / "collectors" / "protocol.py",
-        REPO_ROOT / "src" / "repro" / "collectors" / "protocol_xml.py",
-        REPO_ROOT / "src" / "repro" / "collectors" / "sharding.py",
-        REPO_ROOT / "src" / "repro" / "collectors" / "slp.py",
-        REPO_ROOT / "src" / "repro" / "collectors" / "snmp_collector.py",
-        REPO_ROOT / "src" / "repro" / "collectors" / "wireless_collector.py",
-        REPO_ROOT / "src" / "repro" / "deploy.py",
-        REPO_ROOT / "src" / "repro" / "faults.py",
-        REPO_ROOT / "src" / "repro" / "inspect.py",
-        REPO_ROOT / "src" / "repro" / "modeler" / "api.py",
-        REPO_ROOT / "src" / "repro" / "modeler" / "graph.py",
-        REPO_ROOT / "src" / "repro" / "modeler" / "maxmin.py",
-        REPO_ROOT / "src" / "repro" / "modeler" / "planner.py",
-        REPO_ROOT / "src" / "repro" / "modeler" / "simplify.py",
-        REPO_ROOT / "src" / "repro" / "netsim" / "address.py",
-        REPO_ROOT / "src" / "repro" / "netsim" / "agents.py",
-        REPO_ROOT / "src" / "repro" / "netsim" / "bridging.py",
-        REPO_ROOT / "src" / "repro" / "netsim" / "builders.py",
-        REPO_ROOT / "src" / "repro" / "netsim" / "engine.py",
-        REPO_ROOT / "src" / "repro" / "netsim" / "failures.py",
-        REPO_ROOT / "src" / "repro" / "netsim" / "flows.py",
-        REPO_ROOT / "src" / "repro" / "netsim" / "mobility.py",
-        REPO_ROOT / "src" / "repro" / "netsim" / "paths.py",
-        REPO_ROOT / "src" / "repro" / "netsim" / "routing.py",
-        REPO_ROOT / "src" / "repro" / "netsim" / "spec.py",
-        REPO_ROOT / "src" / "repro" / "netsim" / "topology.py",
-        REPO_ROOT / "src" / "repro" / "netsim" / "traffic.py",
-        REPO_ROOT / "src" / "repro" / "netsim" / "wireless.py",
-        REPO_ROOT / "src" / "repro" / "rps" / "streaming.py",
-        REPO_ROOT / "src" / "repro" / "session.py",
-        REPO_ROOT / "src" / "repro" / "snmp" / "agent.py",
-        REPO_ROOT / "src" / "repro" / "snmp" / "client.py",
-        REPO_ROOT / "src" / "repro" / "snmp" / "mib.py",
-        REPO_ROOT / "src" / "repro" / "snmp" / "oid.py",
-    ]
-    + sorted((REPO_ROOT / "src" / "repro" / "obs").rglob("*.py"))
-    + sorted((REPO_ROOT / "src" / "repro" / "service").rglob("*.py"))
-)
 
-STRICT_MODULES = [
-    "repro.apps.mirror",
-    "repro.common",
-    "repro.common.errors",
-    "repro.common.graphwalk",
-    "repro.common.rng",
-    "repro.common.status",
-    "repro.common.units",
-    "repro.collectors.base",
-    "repro.collectors.benchmark_collector",
-    "repro.collectors.bridge_collector",
-    "repro.collectors.directory",
-    "repro.collectors.discovery",
-    "repro.collectors.master",
-    "repro.collectors.monitor",
-    "repro.collectors.persistence",
-    "repro.collectors.protocol",
-    "repro.collectors.protocol_xml",
-    "repro.collectors.sharding",
-    "repro.collectors.slp",
-    "repro.collectors.snmp_collector",
-    "repro.collectors.wireless_collector",
-    "repro.deploy",
-    "repro.faults",
-    "repro.inspect",
-    "repro.modeler.api",
-    "repro.modeler.graph",
-    "repro.modeler.maxmin",
-    "repro.modeler.planner",
-    "repro.modeler.simplify",
-    "repro.netsim.address",
-    "repro.netsim.agents",
-    "repro.netsim.bridging",
-    "repro.netsim.builders",
-    "repro.netsim.engine",
-    "repro.netsim.failures",
-    "repro.netsim.flows",
-    "repro.netsim.mobility",
-    "repro.netsim.paths",
-    "repro.netsim.routing",
-    "repro.netsim.spec",
-    "repro.netsim.topology",
-    "repro.netsim.traffic",
-    "repro.netsim.wireless",
-    "repro.service",
-    "repro.service.admission",
-    "repro.service.app",
-    "repro.service.breaker",
-    "repro.service.client",
-    "repro.service.http",
-    "repro.service.ratelimit",
-    "repro.service.subs",
-    "repro.service.wire",
-    "repro.session",
-    "repro.snmp.agent",
-    "repro.snmp.client",
-    "repro.snmp.mib",
-    "repro.snmp.oid",
-    "repro.obs",
-    "repro.obs.catalog",
-    "repro.obs.export",
-    "repro.obs.flightrec",
-    "repro.obs.log",
-    "repro.obs.metrics",
-    "repro.obs.registry",
-    "repro.obs.timebase",
-    "repro.obs.traceview",
-    "repro.obs.tracing",
-    "repro.rps.streaming",
-]
+def _strict_modules() -> list[str]:
+    """The module list of pyproject's strict ``[[tool.mypy.overrides]]``
+    block: the one allowlist, read rather than mirrored."""
+    with (REPO_ROOT / "pyproject.toml").open("rb") as fh:
+        overrides = tomllib.load(fh)["tool"]["mypy"]["overrides"]
+    return [m for o in overrides if o.get("disallow_untyped_defs") for m in o["module"]]
+
+
+def _module_file(module: str) -> Path | None:
+    """``repro.a.b`` -> ``src/repro/a/b.py``, or ``src/repro/a/b/__init__.py``
+    for a package; ``None`` when neither exists."""
+    base = SRC.joinpath(*module.split("."))
+    for f in (base.with_suffix(".py"), base / "__init__.py"):
+        if f.is_file():
+            return f
+    return None
+
+
+STRICT_MODULES = _strict_modules()
+STRICT_FILES = [f for f in map(_module_file, STRICT_MODULES) if f is not None]
 
 
 def iter_untyped_defs(tree: ast.Module, filename: str):
@@ -164,6 +66,13 @@ def iter_untyped_defs(tree: ast.Module, filename: str):
                 yield f"{where}: parameter *{star.arg} unannotated"
 
 
+def test_every_strict_module_maps_to_a_file():
+    """A module listed in pyproject but missing from ``src/`` (a typo,
+    or a file moved away) would escape both mypy and the AST gate."""
+    assert STRICT_MODULES, "no strict [[tool.mypy.overrides]] block in pyproject"
+    assert [m for m in STRICT_MODULES if _module_file(m) is None] == []
+
+
 def test_strict_modules_have_complete_annotations():
     assert STRICT_FILES, "strict allowlist resolved to no files"
     problems: list[str] = []
@@ -171,15 +80,6 @@ def test_strict_modules_have_complete_annotations():
         tree = ast.parse(f.read_text())
         problems.extend(iter_untyped_defs(tree, f.relative_to(REPO_ROOT).as_posix()))
     assert problems == [], "\n".join(problems)
-
-
-def test_pyproject_strict_allowlist_matches_this_test():
-    """The [[tool.mypy.overrides]] module list and STRICT_MODULES must
-    not drift apart, or CI and the local gate would check different
-    code."""
-    text = (REPO_ROOT / "pyproject.toml").read_text()
-    for mod in STRICT_MODULES:
-        assert f'"{mod}"' in text, f"{mod} missing from [[tool.mypy.overrides]]"
 
 
 def test_mypy_strict_allowlist_passes():
