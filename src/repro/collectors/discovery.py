@@ -9,7 +9,9 @@ following, over SNMP, and remembers everything it read in one
    gateway it walks router ``ipRouteTable`` s and does its own
    longest-prefix matching, following ``ipRouteNextHop`` until it
    reaches a directly attached destination.  Route tables are kept per
-   router, so later queries only follow *new* routes.
+   router, so later queries only follow *new* routes.  A path that ends
+   at the gateway walks no route table: one GET of the gateway's own
+   ``ipAddrTable`` row names its interface on the host's subnet.
 2. **L2 segments**: inside a subnet it asks the site's Bridge Collector
    for the switch-level path; shared segments and subnets without
    bridge data become *virtual switches*.
@@ -28,7 +30,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, NamedTuple, cast
 
 from repro import obs
-from repro.common.errors import QueryError, SnmpError, TopologyError, UnknownHostError
+from repro.common.errors import (
+    NoSuchObjectError,
+    QueryError,
+    SnmpError,
+    TopologyError,
+    UnknownHostError,
+)
 from repro.netsim.address import IPv4Address, IPv4Network, MacAddress, PrefixTable
 from repro.netsim.address import ipv4_text, netmask_prefixlen
 from repro.snmp import oid as O
@@ -113,6 +121,9 @@ class DiscoveryState:
     paths: dict[tuple[str, str], PathRec] = field(default_factory=dict)
     #: router address -> its full route table, walked once
     route_tables: dict[str, PrefixTable[RouteRow]] = field(default_factory=dict)
+    #: (router address, subnet it holds that address in) -> the
+    #: router's ifIndex there, from the address's ipAddrTable row
+    subnet_ifaces: dict[tuple[str, IPv4Network], int] = field(default_factory=dict)
     sys_names: dict[str, str] = field(default_factory=dict)
     if_speeds: dict[tuple[str, int], float] = field(default_factory=dict)
     if_macs: dict[tuple[str, int], MacAddress | None] = field(default_factory=dict)
@@ -134,7 +145,10 @@ class DiscoveryState:
             return self
         items = sorted(self.paths.items())
         kept = DiscoveryState(
-            dict(items[: int(len(items) * fraction)]), self.route_tables, self.sys_names
+            dict(items[: int(len(items) * fraction)]),
+            self.route_tables,
+            self.subnet_ifaces,
+            self.sys_names,
         )
         # Fine-grained memos follow the kept records, so the dropped
         # fraction genuinely pays rediscovery again.
@@ -174,6 +188,9 @@ class DiscoveryState:
                 ]
                 for ip, table in self.route_tables.items()
             },
+            "subnet_ifaces": {
+                f"{ip}|{subnet}": i for (ip, subnet), i in self.subnet_ifaces.items()
+            },
             "sys_names": dict(self.sys_names),
             "if_speeds": {f"{ip}|{i}": fmt_num(v) for (ip, i), v in self.if_speeds.items()},
             "if_macs": {
@@ -211,6 +228,9 @@ class DiscoveryState:
                 hop = IPv4Address(nh).value if nh else None
                 parsed.append((prefix.network_int, prefix.prefixlen, hop, int(idx)))
             state.route_tables[router_ip] = _route_table(parsed)
+        for key, ifindex in d["subnet_ifaces"].items():
+            router_ip, _, subnet = key.partition("|")
+            state.subnet_ifaces[(router_ip, IPv4Network(subnet))] = int(ifindex)
         state.sys_names = dict(d["sys_names"])
         state.if_speeds = {_iface_key(k): parse_num(v) for k, v in d["if_speeds"].items()}
         state.if_macs = {
@@ -322,6 +342,10 @@ class Discovery:
 
         # First hop: src -> its gateway across the source subnet.
         gw_name = self.sys_name(gw_ip)
+        if not (dst_is_router and dst == src_gw):
+            # the walk goes on past the gateway, through the route table
+            # that also names the gateway's interface on this subnet
+            self._routes(gw_ip)
         gw_entry_iface = self.iface_on_subnet(gw_ip, src_subnet)
         self._expand_l2(
             nodes, edges, src_subnet,
@@ -460,12 +484,47 @@ class Discovery:
         return RouteEntry._make(row)
 
     def iface_on_subnet(self, router_ip: str, subnet: IPv4Network) -> int:
-        """The router's ifIndex on a directly attached subnet."""
+        """The router's ifIndex on a directly attached subnet.
+
+        Read from the route table once that is walked; before, from the
+        ipAddrTable row of ``router_ip`` when its mask puts the address
+        on ``subnet`` (one GET, kept), and otherwise from the route
+        table, walked.
+        """
+        if router_ip not in self.state.route_tables:
+            ifindex = self._addr_iface(router_ip, subnet)
+            if ifindex is not None:
+                return ifindex
         network, prefixlen = subnet.network_int, subnet.prefixlen
         for net, plen, hop, ifindex in self._routes(router_ip):
             if hop is None and net == network and plen == prefixlen:
                 return ifindex
         raise QueryError(f"router {router_ip} not attached to {subnet}")
+
+    def _addr_iface(self, router_ip: str, subnet: IPv4Network) -> int | None:
+        """The ifIndex of ``router_ip``'s ipAddrTable row, kept, or None
+        when the agent has no such row, or its mask does not parse or
+        puts the address on another subnet.  Any other SNMP error
+        raises."""
+        ifaces = self.state.subnet_ifaces
+        key = (router_ip, subnet)
+        if key not in ifaces:
+            addr = IPv4Address(router_ip)
+            row = addr.octets()
+            try:
+                ifindex, mask = self.client.get_many(
+                    router_ip, [O.IP_AD_ENT_IF_INDEX + row, O.IP_AD_ENT_NET_MASK + row]
+                )
+            except NoSuchObjectError:
+                return None
+            try:
+                netmask = IPv4Address(cast(str, mask)).value
+            except ValueError:
+                return None
+            if netmask != subnet.netmask_int or addr.value & netmask != subnet.network_int:
+                return None
+            ifaces[key] = int(cast(int, ifindex))
+        return ifaces[key]
 
     # ------------------------------------------------------------------
     # Single objects, read once
@@ -499,9 +558,9 @@ class Discovery:
     ) -> MacAddress | None:
         """One host's MAC from the gateway's ARP row (exact GET, kept).
 
-        ipNetToMediaPhysAddress is indexed by (ifIndex, IP), and the
-        route table already names the gateway's interface on the
-        subnet, so resolution is a single PDU per host.
+        ipNetToMediaPhysAddress is indexed by (ifIndex, IP), and
+        :meth:`iface_on_subnet` names the gateway's interface on the
+        subnet once per gateway, so resolution is a single PDU per host.
         """
         cache = self.state.arp.setdefault(subnet, {})
         key = str(ip)

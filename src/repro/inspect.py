@@ -25,6 +25,8 @@ class CollectorStats:
     timeout_count: int
     cached_paths: int
     cached_route_tables: int
+    #: gateway interfaces read from ipAddrTable rows, no route table walked
+    cached_gateway_ifaces: int
     monitors: int
     monitors_ready: int
     polls_done: int
@@ -62,6 +64,7 @@ def deployment_stats(dep: RemosDeployment) -> DeploymentStats:
                 timeout_count=coll.client.timeout_count,
                 cached_paths=len(coll.discovery.state.paths),
                 cached_route_tables=len(coll.discovery.state.route_tables),
+                cached_gateway_ifaces=len(coll.discovery.state.subnet_ifaces),
                 monitors=len(coll.monitors),
                 monitors_ready=ready,
                 polls_done=coll.polls_done,
@@ -110,6 +113,7 @@ def deployment_report(dep: RemosDeployment) -> str:
             f"{c.pdu_count} PDUs ({c.timeout_count} timeouts), "
             f"{c.cached_paths} cached paths, "
             f"{c.cached_route_tables} route tables, "
+            f"{c.cached_gateway_ifaces} gateway interfaces, "
             f"{c.monitors_ready}/{c.monitors} monitors ready, "
             f"{c.polls_done} poll sweeps"
         )

@@ -8,17 +8,17 @@ collectors need.
 
 ``build_router_mib`` / ``build_switch_mib`` populate stores from
 simulated devices with the MIB-II subtrees the paper's SNMP Collector
-walks (system, ifTable, ipRouteTable) and the Bridge-MIB subtrees the
-Bridge Collector walks (dot1dBase, dot1dTpFdbTable).
+reads (system, ifTable, ipAddrTable, ipRouteTable) and the Bridge-MIB
+subtrees the Bridge Collector walks (dot1dBase, dot1dTpFdbTable).
 """
 
 from __future__ import annotations
 
 import bisect
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from repro.common.errors import NoSuchObjectError
-from repro.netsim.address import IPv4Network, MacAddress, ipv4_octets, ipv4_text
+from repro.netsim.address import IPv4Address, IPv4Network, MacAddress, ipv4_octets, ipv4_text
 from repro.netsim.bridging import SELF_PORT
 from repro.netsim.topology import Host, Interface, Network, Node, Router, Switch
 from repro.netsim.wireless import Basestation
@@ -39,12 +39,52 @@ class MibStore:
     loaded with hundreds of cells and then only read, so new keys are
     appended and the index is sorted once, by the first operation that
     needs the order.
+
+    A table can also be registered unloaded, with :meth:`defer`: the
+    first operation that could reach a key under its root loads it, so
+    every answer is the one the loaded table gives, and a table nobody
+    reads costs nothing.
     """
 
     def __init__(self) -> None:
         self._keys: list[tuple[int, ...]] = []
         self._values: dict[tuple[int, ...], object] = {}
         self._sorted = True
+        #: (root key, end of its subtree, loader) of tables not yet loaded
+        self._deferred: list[
+            tuple[tuple[int, ...], tuple[int, ...], Callable[[MibStore], None]]
+        ] = []
+
+    def defer(self, root: Oid, load: Callable[[MibStore], None]) -> None:
+        """Register the table under ``root`` unloaded: ``load(store)``
+        puts its cells, before the first operation that could reach
+        one of them."""
+        key = root.parts
+        self._deferred.append((key, _subtree_end(key), load))
+
+    def _load(self, lo: tuple[int, ...], hi: tuple[int, ...] | None) -> bool:
+        """Load every deferred table whose subtree meets the key range
+        ``[lo, hi)`` (``hi`` None: no upper end); whether any was.
+
+        Each table loads as at the moment it was deferred: the tables
+        deferred after it are out of reach of its puts, and those
+        deferred before it that its puts reach load first.
+        """
+        deferred = self._deferred
+        loaded = False
+        i = 0
+        while i < len(deferred):
+            root, end, load = deferred[i]
+            if lo < end and (hi is None or root < hi):
+                later = deferred[i + 1 :]
+                del deferred[i:]
+                load(self)
+                i = len(deferred)
+                deferred.extend(later)
+                loaded = True
+            else:
+                i += 1
+        return loaded
 
     def put(self, oid: Oid, provider: object) -> None:
         """Insert or replace an entry; callables are evaluated on read."""
@@ -61,6 +101,8 @@ class MibStore:
         ``Oid.__add__`` does; the cells before it stay loaded.
         """
         base = column.parts
+        if self._deferred:
+            self._load(base, _subtree_end(base))
         keys, values = self._keys, self._values
         for suffix, provider in cells:
             if suffix and min(suffix) < 0:
@@ -80,6 +122,8 @@ class MibStore:
 
     def remove(self, oid: Oid) -> None:
         key = oid.parts
+        if self._deferred:
+            self._load(key, key + (0,))
         if key in self._values:
             del self._values[key]
             keys = self._index()
@@ -87,6 +131,8 @@ class MibStore:
 
     def get(self, oid: Oid) -> object:
         """Exact read; raises NoSuchObjectError for missing OIDs."""
+        if self._deferred:
+            self._load(oid.parts, oid.parts + (0,))
         try:
             v = self._values[oid.parts]
         except KeyError:
@@ -106,8 +152,17 @@ class MibStore:
         for ``n <= 0``."""
         if n <= 0:
             return []
+        start = oid.parts
         keys = self._index()
-        i = bisect.bisect_right(keys, oid.parts)
+        i = bisect.bisect_right(keys, start)
+        # the answer is the n loaded keys after ``start`` unless a
+        # deferred table could hold one before the last of them
+        while self._deferred:
+            end = keys[i + n - 1] + (0,) if i + n <= len(keys) else None
+            if not self._load(start + (0,), end):
+                break
+            keys = self._index()
+            i = bisect.bisect_right(keys, start)
         values = self._values
         out: list[tuple[Oid, object]] = []
         for key in keys[i : i + n]:
@@ -117,13 +172,25 @@ class MibStore:
 
     def oids(self) -> list[Oid]:
         """Every OID held, in lexicographic order."""
+        if self._deferred:
+            self._load((), None)
         return [Oid._of_key(key) for key in self._index()]
 
     def __len__(self) -> int:
+        if self._deferred:
+            self._load((), None)
         return len(self._values)
 
     def __contains__(self, oid: Oid) -> bool:
+        if self._deferred:
+            self._load(oid.parts, oid.parts + (0,))
         return oid.parts in self._values
+
+
+def _subtree_end(key: tuple[int, ...]) -> tuple[int, ...]:
+    """The least key after every key under ``key``: its last component
+    one higher."""
+    return key[:-1] + (key[-1] + 1,)
 
 
 def _put_rows(store: MibStore, columns: Sequence[Oid], rows: Sequence[_Row]) -> None:
@@ -150,6 +217,7 @@ _IF_COLUMNS = (
     O.IF_IN_OCTETS,
     O.IF_OUT_OCTETS,
 )
+_ADDR_COLUMNS = (O.IP_AD_ENT_ADDR, O.IP_AD_ENT_IF_INDEX, O.IP_AD_ENT_NET_MASK)
 _ROUTE_COLUMNS = (
     O.IP_ROUTE_DEST,
     O.IP_ROUTE_IF_INDEX,
@@ -233,12 +301,16 @@ def build_router_mib(
     net: Network,
     stations: dict[IPv4Network, list[Interface]] | None = None,
 ) -> MibStore:
-    """MIB-II view of a router: system, ifTable, ipRouteTable.
+    """MIB-II view of a router: system, ifTable, ipAddrTable, the route
+    tables and ipNetToMediaTable.
 
-    Route rows are indexed by destination network address, as in
-    RFC 1213; the collector walks ``ipRouteNextHop`` /
-    ``ipRouteIfIndex`` / ``ipRouteMask`` columns to rebuild the
-    forwarding table and do its own longest-prefix matching.
+    ipAddrTable names the interface and mask of each address the router
+    holds.  Route rows are indexed by destination network address, as
+    in RFC 1213 (and by destination, mask, TOS and next hop in the
+    RFC 2096 ipCidrRouteTable); the collector walks their next-hop,
+    ifIndex and mask columns to rebuild the forwarding table and do its
+    own longest-prefix matching.  Both route tables hold ``router.routes``
+    as it is now, and are loaded into the store when first reached.
 
     ``stations`` is :func:`on_link_stations` of ``net``, for a caller
     that builds many routers of one network; worked out here otherwise.
@@ -246,29 +318,22 @@ def build_router_mib(
     store = MibStore()
     _put_if_table(store, router, net)
     store.put(O.IP_FORWARDING, 1)  # acting as a gateway
-    routes: list[_Row] = []
-    cidr_routes: list[_Row] = []
-    for prefix, next_hop, out_iface in router.routes:
-        # the prefix's own ints: a route row mints no address to spell them
-        dest, mask = prefix.network_int, prefix.netmask_int
-        dest_octets = ipv4_octets(dest)
-        direct = next_hop is None
-        # Direct route: next hop is the router's own interface address.
-        hop = out_iface.ip if direct else next_hop
-        hop_text = str(hop) if hop is not None else "0.0.0.0"
-        route_type = O.ROUTE_TYPE_DIRECT if direct else O.ROUTE_TYPE_INDIRECT
-        routes.append(
-            (dest_octets, (ipv4_text(dest), out_iface.index, ipv4_text(mask), hop_text, route_type))
+    addrs: list[_Row] = [
+        (
+            iface.ip.octets(),
+            (str(iface.ip), iface.index, ipv4_text(iface.network.netmask_int)),
         )
-        if router.supports_cidr_mib:
-            # RFC 2096 row: index = (dest, mask, tos=0, next hop)
-            hop_octets = hop.octets() if hop is not None else (0, 0, 0, 0)
-            cidr_type = O.CIDR_TYPE_LOCAL if direct else O.CIDR_TYPE_REMOTE
-            cidr_routes.append(
-                (dest_octets + ipv4_octets(mask) + (0,) + hop_octets, (out_iface.index, cidr_type))
-            )
-    _put_rows(store, _ROUTE_COLUMNS, routes)
-    _put_rows(store, _CIDR_ROUTE_COLUMNS, cidr_routes)
+        for iface in router.interfaces
+        if iface.ip is not None and iface.network is not None
+    ]
+    _put_rows(store, _ADDR_COLUMNS, addrs)
+    routes = list(router.routes)
+    store.defer(O.IP_ROUTE_TABLE, lambda s: _put_rows(s, _ROUTE_COLUMNS, _route_rows(routes)))
+    if router.supports_cidr_mib:
+        store.defer(
+            O.IP_CIDR_ROUTE_TABLE,
+            lambda s: _put_rows(s, _CIDR_ROUTE_COLUMNS, _cidr_route_rows(routes)),
+        )
 
     # ipNetToMediaTable: the router's ARP view of its attached subnets.
     # A steady-state router has seen every on-link station, so one row
@@ -286,6 +351,49 @@ def build_router_mib(
             arp.append((index, (iface.index, str(other.mac), str(other.ip))))
     _put_rows(store, _ARP_COLUMNS, arp)
     return store
+
+
+#: a forwarding-table row of :attr:`Router.routes`: (prefix, next hop
+#: or None when directly attached, outgoing interface)
+_Route = tuple[IPv4Network, IPv4Address | None, Interface]
+
+
+def _route_hop(next_hop: IPv4Address | None, out_iface: Interface) -> IPv4Address | None:
+    """A route's next hop; on a direct route, the router's own interface address."""
+    return out_iface.ip if next_hop is None else next_hop
+
+
+def _route_rows(routes: list[_Route]) -> list[_Row]:
+    """ipRouteTable rows, indexed by destination network address."""
+    rows: list[_Row] = []
+    for prefix, next_hop, out_iface in routes:
+        # the prefix's own ints: a route row mints no address to spell them
+        dest = prefix.network_int
+        hop = _route_hop(next_hop, out_iface)
+        route_type = O.ROUTE_TYPE_DIRECT if next_hop is None else O.ROUTE_TYPE_INDIRECT
+        rows.append((
+            ipv4_octets(dest),
+            (
+                ipv4_text(dest),
+                out_iface.index,
+                ipv4_text(prefix.netmask_int),
+                str(hop) if hop is not None else "0.0.0.0",
+                route_type,
+            ),
+        ))
+    return rows
+
+
+def _cidr_route_rows(routes: list[_Route]) -> list[_Row]:
+    """ipCidrRouteTable rows, indexed by (dest, mask, tos=0, next hop)."""
+    rows: list[_Row] = []
+    for prefix, next_hop, out_iface in routes:
+        hop = _route_hop(next_hop, out_iface)
+        hop_octets = hop.octets() if hop is not None else (0, 0, 0, 0)
+        cidr_type = O.CIDR_TYPE_LOCAL if next_hop is None else O.CIDR_TYPE_REMOTE
+        index = ipv4_octets(prefix.network_int) + ipv4_octets(prefix.netmask_int)
+        rows.append((index + (0,) + hop_octets, (out_iface.index, cidr_type)))
+    return rows
 
 
 def build_switch_mib(switch: Switch, net: Network) -> MibStore:

@@ -126,6 +126,12 @@ IF_OUT_OCTETS = IF_ENTRY + "16"
 
 IP = MIB2 + "4"
 IP_FORWARDING = IP + "1.0"
+# ipAddrTable: one row per address the device holds, indexed by it
+IP_ADDR_TABLE = IP + "20"
+IP_ADDR_ENTRY = IP_ADDR_TABLE + "1"
+IP_AD_ENT_ADDR = IP_ADDR_ENTRY + "1"
+IP_AD_ENT_IF_INDEX = IP_ADDR_ENTRY + "2"
+IP_AD_ENT_NET_MASK = IP_ADDR_ENTRY + "3"
 IP_ROUTE_TABLE = IP + "21"
 IP_ROUTE_ENTRY = IP_ROUTE_TABLE + "1"
 IP_ROUTE_DEST = IP_ROUTE_ENTRY + "1"

@@ -223,9 +223,14 @@ class TestDiscoveryRecord:
     def test_json_round_trip_is_the_identity_on_records(self, warm_states):
         for label, state in warm_states:
             doc = state.to_dict()
-            assert doc["paths"] and doc["route_tables"], label
+            # a site whose paths all end at its gateway walked no route
+            # table: the gateway's ipAddrTable row named its interface
+            assert doc["paths"] and (doc["route_tables"] or doc["subnet_ifaces"]), label
             again = DiscoveryState.from_dict(json.loads(json.dumps(doc)))
             assert again.to_dict() == doc, label
+        # the campus walks route tables, every site reads an interface
+        assert any(state.route_tables for _label, state in warm_states)
+        assert all(state.subnet_ifaces for _label, state in warm_states)
 
     def test_kept_is_a_prefix_of_the_sorted_paths(self, warm_states):
         for label, state in warm_states:
@@ -240,6 +245,7 @@ class TestDiscoveryRecord:
                 polled = {(e.key.agent_ip, e.key.ifindex) for e in kept.edges() if e.key}
                 assert set(kept.if_speeds) <= polled and set(kept.if_macs) <= polled
                 assert kept.route_tables == state.route_tables
+                assert kept.subnet_ifaces == state.subnet_ifaces
 
     def test_a_flushed_collector_is_a_fresh_collector(self):
         """Twin: after ``flush_caches()`` a collector spends the PDUs, the

@@ -148,25 +148,37 @@ class TestDeterminism:
         assert run() == run()
 
     def test_storm_without_retries_degrades_visibly_and_repeats(self, monkeypatch):
-        """A 30% drop storm with no retry budget: every query returns,
-        degradation shows in query.partial and in the answers, and the
-        seed replays the same run."""
+        """A 30% drop storm with no retry budget, under five seeds: every
+        query returns, each seed replays the same run, and degradation
+        shows in query.partial and in the answers.
+
+        Not every dropped PDU costs an answer: a failed read is asked
+        again by the next pair that needs it and by the Master's
+        fragment retry.  Seed 7's eight drops are all recovered that
+        way; under seeds 1, 2, 3 and 11 a host's discovery fails on
+        every ask, and the answers say so."""
         monkeypatch.setattr(snmp_client, "RETRIES", 0)
 
-        def run():
+        def run(seed):
             w, dep = _wan(3)
-            inj = faults.install(dep, faults.FaultPlan(seed=7, snmp_drop_prob=0.3))
+            inj = faults.install(dep, faults.FaultPlan(seed=seed, snmp_drop_prob=0.3))
             with obs.scoped_registry() as reg:
                 batches = [dep.session().flow_info_many(_cross_pairs(w, 3)) for _ in range(3)]
                 partial = reg.counter("query.partial").value
             answers = [dataclasses.asdict(a) for batch in batches for a in batch]
             return answers, partial, inj.injected, w.net.now
 
-        first = run()
-        assert first == run()
-        answers, partial, injected, _ = first
-        assert injected > 0 and partial > 0
-        assert any(a["status"] != QueryStatus.OK for a in answers)
+        for seed in (1, 2, 3, 7, 11):
+            first = run(seed)
+            assert first == run(seed), seed
+            answers, partial, injected, _ = first
+            statuses = [a["status"] for a in answers]
+            assert injected > 0, seed
+            # a PARTIAL answer always comes from a fetch query.partial counted
+            assert (partial > 0) == (QueryStatus.PARTIAL in statuses), seed
+            if seed != 7:
+                assert partial > 0, seed
+                assert any(status != QueryStatus.OK for status in statuses), seed
 
 
 class TestPartialResults:
@@ -297,7 +309,7 @@ class TestProbeFaults:
         assert meas.stale
         assert meas.throughput_bps == pytest.approx(good.throughput_bps)
         assert snap["counters"]["collectors.benchmark.probe_failures"] >= 1
-        assert w.net.now - t0 >= dep.net.faults.plan.probe_timeout_s
+        assert w.net.now >= t0 + dep.net.faults.plan.probe_timeout_s
 
 
     def test_answer_built_on_an_expired_wan_measurement_is_stale(self):

@@ -42,6 +42,11 @@ class TestInspection:
         assert "benchmark collectors" in text
         assert "snmp-a" in text and "snmp-b" in text
         assert "MB injected" in text
+        # a WAN site's paths end at its gateway: no route table walked,
+        # the gateway's interface read from its ipAddrTable row
+        assert "0 route tables, 1 gateway interfaces" in text
+        for coll in deployment_stats(dep).collectors:
+            assert (coll.cached_route_tables, coll.cached_gateway_ifaces) == (0, 1)
 
 
 class TestFigure2Shape:

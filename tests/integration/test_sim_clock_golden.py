@@ -31,6 +31,15 @@ traffic at another instant.  The same commit made ``ifInOctets`` /
 it (a whole-byte probe could read one octet short depending on the
 instant it ran); on its own that moves indices 24 and 26, in the ninth
 significant digit, and nothing else.
+
+Re-recorded on the commit that gave routers ``ipAddrTable`` and made a
+path that ends at a host's gateway read the gateway's interface on the
+host's subnet from one GET of its own ``ipAddrTable`` row, where it used
+to bulk-walk the gateway's ``ipCidrRouteTable`` (two PDUs): ``GOLDEN_PDUS``
+255 -> 247, one PDU fewer at each of the eight sites, and ``GOLDEN_NOW``
+1728.6078080773116 -> 1728.5966080773117, the PDU charges those walks
+no longer pay.  ``GOLDEN_PROBES`` and all 30 ``GOLDEN_AVAILABLE_BPS``
+are unmoved.
 """
 
 from repro.deploy import deploy_wan
@@ -40,9 +49,9 @@ from repro.rps.service import RpsPredictionService
 
 ROUNDS = 10
 
-GOLDEN_NOW = 1728.6078080773116
+GOLDEN_NOW = 1728.5966080773117
 GOLDEN_PROBES = 647
-GOLDEN_PDUS = 255
+GOLDEN_PDUS = 247
 GOLDEN_AVAILABLE_BPS = [
     6171243.067716197,
     6000000.0,

@@ -6,7 +6,10 @@ the int, where each used to mint address objects and join generators.
 The oracle is that previous code, kept verbatim below (with the two
 ``IPv4Network`` properties it read, since deleted) and patched in
 while a twin world of the same seed is instrumented: every agent's full
-``(oid, value)`` sequence must come out equal.  ``SnmpWorld.agent_at``
+``(oid, value)`` sequence must come out equal.  The previous build had
+no ``ipAddrTable``; the oracle gains its rows (:func:`_oracle_addr_rows`)
+and nothing else.  ``build_router_mib`` loads the route tables when
+first read, and the full walk below reads them.  ``SnmpWorld.agent_at``
 finds a text address without parsing it; it must answer as the
 address-keyed lookup does.
 """
@@ -95,6 +98,7 @@ def _parent_build_router_mib(
             )
     _put_rows(store, _ROUTE_COLUMNS, routes)
     _put_rows(store, _CIDR_ROUTE_COLUMNS, cidr_routes)
+    _oracle_addr_rows(store, router)
 
     # ipNetToMediaTable: the router's ARP view of its attached subnets.
     # A steady-state router has seen every on-link station, so one row
@@ -112,6 +116,19 @@ def _parent_build_router_mib(
             arp.append((index, (iface.index, str(other.mac), str(other.ip))))
     _put_rows(store, _ARP_COLUMNS, arp)
     return store
+
+
+def _oracle_addr_rows(store: MibStore, router: Router) -> None:
+    """The one addition to the previous build: ipAddrTable, a row per
+    address the router holds (RFC 1213), spelled through the address
+    objects."""
+    for iface in router.interfaces:
+        if iface.ip is None or iface.network is None:
+            continue
+        row = iface.ip.octets()
+        store.put(O.IP_AD_ENT_ADDR + row, str(iface.ip))
+        store.put(O.IP_AD_ENT_IF_INDEX + row, iface.index)
+        store.put(O.IP_AD_ENT_NET_MASK + row, str(iface.network.netmask))
 
 
 # -- worlds -------------------------------------------------------------------
