@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 from repro import obs
 from repro.common.errors import CollectorUnavailableError, QueryError, TopologyError
 from repro.common.units import BITS_PER_BYTE
-from repro.netsim.topology import Host, Network
+from repro.netsim.topology import Channel, Host, Network
 from repro.collectors.base import PairMeasurement
 
 if TYPE_CHECKING:
@@ -127,13 +127,15 @@ class BenchmarkCollector:
                 f"benchmark probe {self.site} -> {peer_site} timed out",
                 site=peer_site,
             )
+        from repro.netsim.paths import path_latency
+
         try:
             if self.config.method == "bulk":
-                throughput = self._probe_bulk(peer_site)
+                throughput, path = self._probe_bulk(peer_site)
             elif self.config.method == "packet_pair":
-                throughput = self._probe_packet_pair(peer_site)
+                throughput, path = self._probe_packet_pair(peer_site)
             else:
-                throughput = self._probe_one_way(peer_site)
+                throughput, path = self._probe_one_way(peer_site)
         except TopologyError as exc:
             # the peer lost its route: one unanswerable probe, not a
             # reason to take the caller (a periodic engine timer) down
@@ -141,9 +143,12 @@ class BenchmarkCollector:
             raise QueryError(
                 f"no route between {self.site} and {peer_site}: {exc}"
             ) from exc
+        # ping-style RTT along the probed path (propagation only: the
+        # fluid model has no queues, so this is the floor a real ping
+        # would approach)
         meas = PairMeasurement(
             self.site, peer_site, throughput, self.net.now,
-            rtt_s=self._measure_rtt(peer_site),
+            rtt_s=2.0 * path_latency(path),
         )
         self.history[peer_site].append(meas)
         self.probes_run += 1
@@ -151,21 +156,9 @@ class BenchmarkCollector:
         obs.histogram("collectors.benchmark.throughput_bps").observe(throughput)
         return meas
 
-    def _measure_rtt(self, peer_site: str) -> float:
-        """Ping-style RTT along the current path (propagation only —
-        the fluid model has no queues, so this is the floor a real
-        ping would approach)."""
-        from repro.netsim.paths import compute_path, path_latency
-
-        peer = self._peer(peer_site)
-        try:
-            path = compute_path(self.net, self.host, peer.host)
-        except TopologyError:
-            return 0.0  # no route right now: RTT simply unknown
-        return 2.0 * path_latency(path)
-
-    def _probe_bulk(self, peer_site: str) -> float:
-        """A real transfer at the path's max-min rate (NWS style)."""
+    def _probe_bulk(self, peer_site: str) -> tuple[float, list[Channel]]:
+        """A real transfer at the path's max-min rate (NWS style); the
+        achieved throughput and the path the transfer took."""
         peer = self._peer(peer_site)
         flow = self.net.flows.start_flow(
             self.host, peer.host, label=f"bench:{self.site}->{peer_site}"
@@ -186,9 +179,9 @@ class BenchmarkCollector:
         moved = flow.bytes_done
         self.bytes_injected += moved
         elapsed = (flow.end_time or 0.0) - (flow.start_time or 0.0)
-        return moved * BITS_PER_BYTE / elapsed if elapsed > 0 else rate
+        return (moved * BITS_PER_BYTE / elapsed if elapsed > 0 else rate), flow.path
 
-    def _probe_packet_pair(self, peer_site: str) -> float:
+    def _probe_packet_pair(self, peer_site: str) -> tuple[float, list[Channel]]:
         """A dispersion estimate: momentary rate plus estimation noise.
 
         The train occupies the path only for a blink, so concurrent
@@ -215,9 +208,9 @@ class BenchmarkCollector:
         if rate <= 0:
             raise QueryError(f"no bandwidth between {self.site} and {peer_site}")
         noisy = rate * (1.0 + PACKET_PAIR_NOISE * float(self._rng.standard_normal()))
-        return max(0.05 * rate, noisy)
+        return max(0.05 * rate, noisy), flow.path
 
-    def _probe_one_way(self, peer_site: str) -> float:
+    def _probe_one_way(self, peer_site: str) -> tuple[float, list[Channel]]:
         """Single-ended capacity estimate (no sink required).
 
         Pathchar-style per-hop probing sees the raw bottleneck link
@@ -234,7 +227,7 @@ class BenchmarkCollector:
         # probing cost: a few RTTs per hop
         self.net.engine.advance(max(len(path) * 4.0 * 2.0 * path_latency(path) / max(len(path), 1), 0.01))
         self.bytes_injected += ONE_WAY_BYTES
-        return path_capacity(path)
+        return path_capacity(path), path
 
     def probe_all(self) -> list[PairMeasurement]:
         """Probe every registered peer once.

@@ -146,14 +146,15 @@ class LinkMonitor:
         return jitter
 
     def _jitter_now(self, capacity_bps: float, base_latency_s: float) -> float:
-        spreads: list[float] = []
-        for direction in ("in", "out"):
-            _, rates = self.rate_history(direction)
-            if rates.size < 2:
-                continue
-            rho = np.clip(rates / capacity_bps, 0.0, 0.95)
-            spreads.append(float(np.std(base_latency_s * rho / (1.0 - rho))))
-        return max(spreads, default=0.0)
+        """Both directions in one pass over the interval ring: the rate
+        columns as one contiguous (2, n) array, one ``std`` per row."""
+        n = len(self._intervals) // 3
+        if n < 2:
+            return 0.0
+        rates = np.frombuffer(self._intervals).reshape(n, 3)[:, 1:].T.copy()
+        rho = np.clip(rates / capacity_bps, 0.0, 0.95)
+        spreads: list[float] = np.std(base_latency_s * rho / (1.0 - rho), axis=1).tolist()
+        return max(spreads)
 
     def rate_history(self, direction: str = "out") -> tuple[Series, Series]:
         """(times, rates) series of per-interval rates for prediction.

@@ -18,6 +18,18 @@ solve.  Finite transfers (``total_bytes``) get completion events
 scheduled on the engine and re-scheduled whenever their component is
 re-solved.
 
+A quiet stop restores instead of re-solving.  The manager keeps one
+record: the rates and channel aggregates that the most recent
+``start_flow`` displaced.  Any reallocation drops it.  A ``stop_flow``
+of that same flow while the record stands finds the world as the start
+left it: the stop's component is the start's minus the stopped flow,
+with the same demands and capacities, so the allocation the start
+displaced is the answer.  The restore settles the bytes, writes back
+the rates, syncs only the channels whose aggregate changes and re-arms
+finite-transfer timers, as a re-solve does; it runs no solver.  A
+blocking probe (start, advance the clock, stop; ``Engine.advance``
+dispatches no events) thus costs one max-min solve, not two.
+
 Progressive filling (Bertsekas & Gallager): grow all unfrozen flow
 rates at one common level; the first constraint to bind is either a
 flow's demand (freeze that flow) or a link's capacity (freeze every
@@ -47,7 +59,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Protocol, Sequence
 
 from repro import obs
 from repro.common.errors import TopologyError
@@ -121,13 +133,24 @@ class Flow:
         return f"Flow({self.label}: {self.src.name}->{self.dst.name}, rate={self.rate_bps:.0f}bps)"
 
 
+class _Displaced(NamedTuple):
+    """The allocation a ``start_flow`` displaced, kept for its stop."""
+
+    started: Flow
+    #: the component's other flows, each with its rate before the start
+    rates: "list[tuple[Flow, float]]"
+    #: every channel the start visited, with its ``rate_sum`` before it
+    sums: "list[tuple[Channel, float]]"
+
+
 class FlowManager:
     """Owns the set of active flows and the max-min allocation."""
 
     def __init__(self, network: "Network") -> None:
         self.network = network
         self.flows: dict[int, Flow] = {}
-        #: allocation recomputations performed (diagnostics)
+        #: max-min solves performed (diagnostics); a stop that restores
+        #: what its start displaced solves nothing and is not counted
         self.recomputes = 0
         #: channel -> the active flows crossing it, keyed by flow id.
         #: Two flows can only affect each other's max-min rate through a
@@ -136,6 +159,10 @@ class FlowManager:
         #: nothing else: its cost scales with the traffic it can affect,
         #: not with the flows or the links the network holds.
         self._on_channel: "dict[Channel, dict[int, Flow]]" = {}
+        #: what the most recent ``start_flow`` displaced.  Every
+        #: ``_reallocate`` drops it, so while it stands nothing in the
+        #: allocation has changed since that start.
+        self._displaced: _Displaced | None = None
 
     # -- public API ------------------------------------------------------
 
@@ -168,7 +195,7 @@ class FlowManager:
         self.flows[flow.id] = flow
         for ch in path:
             self._on_channel.setdefault(ch, {})[flow.id] = flow
-        self._reallocate(path)
+        self._reallocate(path, started=flow)
         return flow
 
     def stop_flow(self, flow: Flow) -> None:
@@ -190,7 +217,11 @@ class FlowManager:
             members.pop(flow.id, None)
             if not members:
                 del self._on_channel[ch]
-        self._reallocate(flow.path)
+        displaced, self._displaced = self._displaced, None
+        if displaced is not None and displaced.started is flow:
+            self._restore(displaced)
+        else:
+            self._reallocate(flow.path)
 
     def set_demand(self, flow: Flow, demand_bps: float) -> None:
         """Change a flow's demand cap; rates are re-balanced."""
@@ -247,7 +278,9 @@ class FlowManager:
                         frontier.append(ch)
         return [flows[fid] for fid in sorted(flows)], channels
 
-    def _reallocate(self, changed: "Iterable[Channel]") -> None:
+    def _reallocate(
+        self, changed: "Iterable[Channel]", started: Flow | None = None
+    ) -> None:
         """Recompute max-min fair rates around the ``changed`` channels.
 
         ``changed`` is the path of the flow that started, stopped or
@@ -259,10 +292,12 @@ class FlowManager:
         completion timer it has.  Progress is synchronised to `now`
         before any rate changes so integrals remain exact, and a
         channel's counter is synced and written only when its aggregate
-        rate actually changed.
+        rate actually changed.  ``started`` is the flow whose start this
+        is: the allocation it displaces is kept for its stop.
         """
         now = self.network.now
         self.recomputes += 1
+        self._displaced = None
         flows, channels = self._component(changed)
         obs.histogram("netsim.flows.realloc_flows").observe(len(flows))
 
@@ -276,6 +311,13 @@ class FlowManager:
         if not flows:
             # an empty solve observes nothing; keep one sample per recompute
             obs.histogram("netsim.maxmin.rounds").observe(0)
+
+        if started is not None:
+            self._displaced = _Displaced(
+                started,
+                [(f, f.rate_bps) for f in flows if f is not started],
+                [(ch, ch.rate_sum) for ch in channels],
+            )
 
         # Apply new rates to flows and channel aggregates.  The
         # component is closed under channel sharing, so summing its
@@ -293,8 +335,27 @@ class FlowManager:
                 ch.rate_sum = new_rate
                 touched += 1
         obs.counter("netsim.flows.realloc_channels_touched").inc(touched)
+        self._rearm(flows)
 
-        # Re-schedule completion events for finite transfers.
+    def _restore(self, displaced: _Displaced) -> None:
+        """Put back the allocation a start displaced (see the module
+        docstring): what re-solving the stop's component would give,
+        without the solve."""
+        now = self.network.now
+        for f, r in displaced.rates:
+            self._settle(f)
+            f.rate_bps = r
+        touched = 0
+        for ch, rate_sum in displaced.sums:
+            if ch.rate_sum != rate_sum:
+                ch.sync(now)
+                ch.rate_sum = rate_sum
+                touched += 1
+        obs.counter("netsim.flows.realloc_channels_touched").inc(touched)
+        self._rearm([f for f, _ in displaced.rates])
+
+    def _rearm(self, flows: "list[Flow]") -> None:
+        """Re-schedule completion events for finite transfers."""
         for f in flows:
             if f.bytes_remaining is None:
                 continue

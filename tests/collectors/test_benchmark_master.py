@@ -39,6 +39,18 @@ class TestBenchmarkCollector:
         assert m.throughput_bps == pytest.approx(10 * MBPS, rel=0.01)
         assert m.src_site == "cmu" and m.dst_site == "eth"
 
+    @pytest.mark.parametrize("method", ["bulk", "packet_pair", "one_way"])
+    def test_rtt_is_twice_the_probed_path_latency(self, wan, method):
+        from repro.netsim.paths import compute_path, path_latency
+
+        a = BenchmarkCollector(
+            "cmu", wan.net, wan.host("cmu", 2), BenchmarkConfig(method=method)
+        )
+        b = BenchmarkCollector("eth", wan.net, wan.host("eth", 2))
+        a.add_peer(b)
+        path = compute_path(wan.net, a.host, b.host)
+        assert a.probe("eth").rtt_s == 2.0 * path_latency(path) > 0.0
+
     def test_probe_takes_simulated_time(self, wan):
         a = BenchmarkCollector(
             "cmu", wan.net, wan.host("cmu", 2), BenchmarkConfig(probe_bytes=1_250_000)

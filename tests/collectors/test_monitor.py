@@ -1,6 +1,8 @@
 """LinkMonitor derives a rate once, on append; readers must see what
 the batch derivation over the whole retained history used to give."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,3 +165,39 @@ def test_rebase_from_above_the_32bit_range_reads_zero_not_negative():
     mon.record(5.0, 100.0, 6e10 + 5000.0)
     assert mon.rates_bps() == (0.0, 8000.0)
     assert mon.rate_history("in")[1].tolist() == [0.0]
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(800, 900))
+@settings(max_examples=8, deadline=None)
+def test_one_pass_jitter_is_the_batch_jitter_on_full_default_rings(seed, n_polls):
+    """Both directions in one pass over a full 719-interval ring give,
+    bit for bit, the per-direction derivation over the raw samples."""
+    rng = np.random.default_rng(seed)
+    mon = LinkMonitor(MonitorKey("10.0.0.1", 1))  # history_len=720
+    t, inb, outb = 0.0, 0.0, 4e9
+    for i in range(n_polls):
+        t += 5.0
+        inb = (inb + float(rng.integers(0, 8_000_000))) % _WRAP32
+        outb = (outb + float(rng.integers(0, 60_000_000))) % _WRAP32
+        mon.record(t, inb, outb)
+        if i < n_polls - 40 and i != 1:
+            continue
+        retained = list(mon.samples)
+        for cap, lat in ((10e6, 0.001), (100e6, 0.02), (1.5e6, 0.03)):
+            got = mon.jitter_estimate(cap, lat)
+            assert _bits(got) == _bits(batch_jitter(retained, cap, lat))
+    assert len(mon.samples) == 720
+    assert len(mon._intervals) == 3 * 719
+
+
+def test_one_interval_answers_zero():
+    mon = LinkMonitor(MonitorKey("10.0.0.1", 1))
+    mon.record(0.0, 0.0, 0.0)
+    mon.record(5.0, 1e6, 3e6)
+    assert mon.ready
+    assert _bits(mon.jitter_estimate(10e6, 0.001)) == _bits(0.0)
+    assert batch_jitter(list(mon.samples), 10e6, 0.001) == 0.0
