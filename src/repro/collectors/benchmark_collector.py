@@ -224,8 +224,9 @@ class BenchmarkCollector:
         path = compute_path(self.net, self.host, peer.host)
         if not path:
             raise QueryError(f"no path between {self.site} and {peer_site}")
-        # probing cost: a few RTTs per hop
-        self.net.engine.advance(max(len(path) * 4.0 * 2.0 * path_latency(path) / max(len(path), 1), 0.01))
+        # probing cost: four round trips of the whole path, however many
+        # hops it has
+        self.net.engine.advance(max(4.0 * 2.0 * path_latency(path), 0.01))
         self.bytes_injected += ONE_WAY_BYTES
         return path_capacity(path), path
 

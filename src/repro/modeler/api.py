@@ -99,6 +99,11 @@ class Answer:
     #: live registry was installed); feed it to ``repro trace`` or the
     #: flight recorder to see where the latency went
     trace_id: str | None
+    #: serial of the memoized fetch this answer is a pure function of,
+    #: with the request (None: not known to be one).  Not a field: not
+    #: on the wire, not compared by ``==``.  The service reuses the
+    #: text of the last answer to the same request from the same fetch.
+    basis: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -299,6 +304,10 @@ class _FetchMeta:
     site_status: dict[str, SiteStatus]
 
 
+#: where every cached fetch's ``serial`` is drawn
+_fetch_serials = itertools.count()
+
+
 @dataclass
 class _CachedFetch:
     """One memoized Master response: the graph, its structural version
@@ -326,6 +335,10 @@ class _CachedFetch:
     order shares it), ``("summary", hosts in request order)`` -> that
     order's summary.  Views are frozen — many answers share one — and
     live and die with the entry.
+
+    ``serial`` names the entry for good: no two entries, of any
+    Modeler, share one.  Answers read only from the entry carry it as
+    their ``basis``.
     """
 
     graph: TopologyGraph
@@ -334,6 +347,7 @@ class _CachedFetch:
     meta: _FetchMeta
     flow_plans: dict = field(default_factory=dict)
     views: dict = field(default_factory=dict)
+    serial: int = field(default_factory=_fetch_serials.__next__)
 
 
 class Modeler:
@@ -400,7 +414,7 @@ class Modeler:
             )
             if detail != "raw":
                 graph = self._derived_view(graph, entry, ips, detail)
-            return TopologyAnswer(
+            ans = TopologyAnswer(
                 graph,
                 unresolved=tuple(meta.unresolved),
                 site_status=meta.site_status,
@@ -409,6 +423,9 @@ class Modeler:
                 provenance=meta.provenance,
                 trace_id=sp.trace_id,
             )
+            if entry is not None:
+                ans.basis = entry.serial
+            return ans
 
     def _derived_view(
         self, graph: TopologyGraph, entry: _CachedFetch | None, ips: list[str], detail: str
@@ -599,8 +616,12 @@ class Modeler:
                 )
             good = [self._to_answer(p, meta, sp.trace_id) for p in preds]
             if predict:
+                # a forecast reads RPS history, which the entry does not hold
                 for ans in good:
                     self._attach_prediction(graph, ans, horizon_steps)
+            elif entry is not None:
+                for ans in good:
+                    ans.basis = entry.serial
             if not failed:
                 return good
             it = iter(good)

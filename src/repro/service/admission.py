@@ -13,9 +13,10 @@ does the client see an ``overloaded`` error.
 The LKG store keeps answers in canonical wire form (plain dicts), so a
 shed response is isolated from later mutation of live answers and
 exercises exactly the serialization path a remote client sees.
-It is also the one place that sees each answer next to the last one
-served for the same query, so it is where a repeated answer inherits
-the text already encoded for it (:class:`~repro.service.wire.AnswerRecord`).
+Before it builds an answer's record the service reads the entry for
+the query (:meth:`LastKnownGoodStore.peek`): an answer from the same
+memoized fetch is served as that entry restamped
+(:meth:`~repro.service.wire.AnswerRecord.restamped`), its text kept.
 Results containing any ``FAILED`` answer are never stored — a shed
 must not launder a failure into a plausible-looking STALE answer.
 Site-scoped invalidation mirrors ``RemosSession.invalidate_cache``:
@@ -29,7 +30,6 @@ from typing import Any, Callable, Iterable
 
 from repro.common.status import QueryStatus
 from repro.obs.timebase import wall_now
-from repro.service.wire import AnswerRecord
 
 __all__ = ["LastKnownGoodStore", "AdmissionController"]
 
@@ -69,31 +69,23 @@ class LastKnownGoodStore:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def peek(self, key: str) -> Any | None:
+        """The payload stored for ``key``, as stored, or None; its place
+        in LRU order does not move."""
+        entry = self._entries.get(key)
+        return None if entry is None else entry[1]
+
     def store(self, key: str, payload: Any) -> bool:
         """Remember ``payload`` (wire dict or list of wire dicts).
 
         Returns False (and stores nothing) if any answer in the payload
         is FAILED: shedding must never replay a failure as data.
-
-        An answer record that says what the record it replaces said
-        (:meth:`AnswerRecord.mark`: everything but ``trace_id``, type
-        for type) takes over that record's encoded text.
         """
         failed = QueryStatus.FAILED.to_dict()
         for d in _iter_answer_dicts(payload):
             if d.get("status") == failed:
                 return False
-        replaced = self._entries.pop(key, None)
-        last = None if replaced is None else replaced[1]
-        if (
-            type(payload) is AnswerRecord
-            and type(last) is AnswerRecord
-            and last.encoded is not None  # never serialized: nothing to take over
-            and payload.encoded is None
-        ):
-            mark = payload.mark()
-            if mark and mark == last.mark():
-                payload.encoded = last.encoded
+        self._entries.pop(key, None)
         self._entries[key] = (self._clock(), payload)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)

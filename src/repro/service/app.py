@@ -209,7 +209,7 @@ class RemosService:
                 if stall > 0:
                     await asyncio.sleep(stall)
             try:
-                payload = await self._call_backend(endpoint, body)
+                payload = await self._call_backend(endpoint, body, key)
             except WireError:
                 self.breaker.release()  # the caller's mistake: no outcome
                 raise
@@ -224,8 +224,9 @@ class RemosService:
             return result_body(payload, served="live")
         finally:
             self.admission.release()
+            obs.gauge("service.inflight").set(self.admission.inflight)
 
-    async def _call_backend(self, endpoint: str, body: dict[str, Any]) -> Any:
+    async def _call_backend(self, endpoint: str, body: dict[str, Any], key: str) -> Any:
         """Run the session call once, under the backend lock."""
         async with self.backend.lock:
             # yield once while holding the lock: the sim backend is
@@ -238,17 +239,19 @@ class RemosService:
                 injector = self.backend.faults
                 if injector is not None and injector.service_error():
                     raise BackendFaultError("injected service backend fault")
-                return self._route(endpoint, body)
+                return self._route(endpoint, body, key)
 
-    def _route(self, endpoint: str, body: dict[str, Any]) -> Any:
+    def _route(self, endpoint: str, body: dict[str, Any], key: str) -> Any:
         """Run the session call a wire body asks for; returns wire dicts.
 
         A body the service cannot read, and any argument the Modeler
         rejects (:class:`ArgumentError`), is the caller's mistake:
         ``bad_request``.  Every other exception is the backend's and
         propagates.  A single answer is returned as an
-        :class:`AnswerRecord`, so a repeat of the last answer stored for
-        the query is not encoded again; lists of answers stay plain.
+        :class:`AnswerRecord`: the one stored for the query (``key``)
+        restamped when both come from the same memoized fetch, so the
+        answer is neither rebuilt nor encoded again; lists of answers
+        stay plain.
         """
         try:
             call = self._session_call(endpoint, body)
@@ -260,7 +263,12 @@ class RemosService:
             raise WireError("bad_request", str(exc)) from exc
         if isinstance(answer, list):
             return [a.to_dict() for a in answer]
-        return AnswerRecord(answer.to_dict())
+        basis = answer.basis
+        if basis is not None:
+            last = self.lkg.peek(key)
+            if type(last) is AnswerRecord and last.basis == basis:
+                return last.restamped(answer.trace_id)
+        return AnswerRecord(answer.to_dict(), basis)
 
     def _session_call(self, endpoint: str, body: dict[str, Any]) -> Callable[[], Any]:
         """The session call for ``endpoint``, its wire arguments read."""

@@ -23,7 +23,6 @@ codebase, so we keep that extension rather than inventing a sentinel.
 from __future__ import annotations
 
 import json
-import marshal
 from json.encoder import encode_basestring_ascii as _quote  # what _dumps does with a str
 from typing import Any
 
@@ -76,60 +75,34 @@ class WireError(Exception):
 
 class AnswerRecord(dict[str, Any]):
     """The wire record of one answer a query endpoint serves: the dict
-    ``Answer.to_dict`` returned, plus one slot for its canonical JSON
-    text, kept as the two halves around the encoded ``trace_id``.
+    ``Answer.to_dict`` returned, the ``basis`` of the answer (see
+    :attr:`repro.modeler.api.Answer.basis`), and one slot for its
+    canonical JSON text, kept as the two halves around the encoded
+    ``trace_id``.
 
     The :class:`~repro.modeler.graph.GraphRecord` idiom one level up.
     :func:`canonical_json` fills ``encoded`` the first time the record
-    is serialized; :meth:`LastKnownGoodStore.store
-    <repro.service.admission.LastKnownGoodStore.store>` — and nothing
-    else — hands it on to the record that replaces this one under the
-    same query key when :meth:`mark` says the two are the same answer.
-    Every request is stamped with its own ``trace_id``, so that field
-    is encoded fresh each time and never compared.  A record is a
-    snapshot: never edit one (``dict(record)`` is an ordinary dict).
+    is serialized.  An answer to the same query from the same memoized
+    fetch says what the record stored for it says: the service serves
+    it as :meth:`restamped`, which carries the text over and encodes
+    only the new ``trace_id``.  A record is a snapshot: never edit one
+    (``dict(record)`` is an ordinary dict).
     """
 
-    __slots__ = ("encoded", "_mark")
+    __slots__ = ("encoded", "basis")
 
-    def __init__(self, answer: dict[str, Any]) -> None:
+    def __init__(self, answer: dict[str, Any], basis: int | None = None) -> None:
         super().__init__(answer)
         self.encoded: tuple[str, str] | None = None
-        self._mark: bytes | None = None
+        self.basis = basis
 
-    def mark(self) -> bytes:
-        """What this answer says, ``trace_id`` aside, as bytes that are
-        equal only for records that encode alike — or ``b""`` when that
-        cannot be told.
-
-        ``==`` is too loose (``1 == 1.0 == True`` and ``0.0 == -0.0``
-        have different JSON texts); :mod:`marshal` writes the type and
-        the bits of every value.  Format 2 writes a string by value,
-        not by whether it happens to be interned or shared.  A graph
-        record, which ``marshal`` refuses as it does any dict subclass,
-        stands in by ``id``: it is a snapshot with its own kept text,
-        and it cannot be collected — its ``id`` reused — while a
-        record holding it is being compared.  A value ``marshal``
-        refuses (an instance of a user class) makes the record one that
-        is never taken for another and is encoded whole; a numpy scalar
-        it writes as its raw bytes, which tell two values of one numpy
-        type apart but not a value of one from a value of another — an
-        answer field does not change its numpy type between two answers
-        to one query.
-        """
-        if self._mark is None:
-            plain = dict(self)
-            plain.pop("trace_id", None)
-            graphs: dict[str, int] = {}
-            if GraphRecord in map(type, plain.values()):
-                graphs = {k: id(v) for k, v in plain.items() if type(v) is GraphRecord}
-                for k in graphs:
-                    del plain[k]
-            try:
-                self._mark = marshal.dumps((plain, graphs), 2)
-            except ValueError:
-                self._mark = b""
-        return self._mark
+    def restamped(self, trace_id: str | None) -> "AnswerRecord":
+        """This record under another request's ``trace_id``, with this
+        record's basis and text."""
+        again = AnswerRecord(self, self.basis)
+        again["trace_id"] = trace_id
+        again.encoded = self.encoded
+        return again
 
 
 #: one encoder for every message: ``json.dumps`` with non-default

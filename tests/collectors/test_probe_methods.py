@@ -75,6 +75,25 @@ class TestMethods:
         a.probe("b")
         assert a.bytes_injected <= 1_500
 
+    def test_one_way_costs_four_round_trips_whatever_the_hop_count(self, wan):
+        """A short in-site path is charged the 10 ms floor, a WAN path
+        four of its round trips: the charge does not grow with hops."""
+        from repro.netsim.paths import compute_path, path_latency
+
+        def charged(collector, peer, host):
+            path = compute_path(wan.net, collector.host, host)
+            t0 = wan.net.now
+            collector.probe(peer)
+            return len(path), wan.net.now - t0, path_latency(path)
+
+        near = BenchmarkCollector("a", wan.net, wan.host("a", 2), BenchmarkConfig(method="one_way"))
+        near.add_peer(BenchmarkCollector("a1", wan.net, wan.host("a", 1)))
+        near_hops, near_s, _ = charged(near, "a1", wan.host("a", 1))
+        far_hops, far_s, far_latency = charged(_pair(wan, "one_way"), "b", wan.host("b", 2))
+        assert near_hops < far_hops
+        assert near_s == pytest.approx(0.01)
+        assert far_s == pytest.approx(4 * (2 * far_latency)) and far_s > 0.01
+
     def test_histories_shared_across_methods(self, wan):
         a = _pair(wan, "packet_pair")
         for _ in range(4):

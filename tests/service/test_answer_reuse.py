@@ -192,4 +192,4 @@ class TestWhatIsNeverReused:
         with obs.scoped_registry() as reg:
             record = asyncio.run(run())
             assert texts(reg) == (0, 0)
-        assert type(record) is AnswerRecord and record.encoded is None and record._mark is None
+        assert type(record) is AnswerRecord and record.encoded is None

@@ -10,6 +10,7 @@ import asyncio
 
 import pytest
 
+from repro import obs
 from repro.modeler.api import FlowAnswer
 from repro.obs.timebase import FixedTimebase
 from repro.service.admission import AdmissionController, LastKnownGoodStore
@@ -173,6 +174,15 @@ class TestLastKnownGoodStore:
         assert store.serve_stale("b") is None
         assert store.serve_stale("a") is not None
 
+    def test_peek_reads_the_entry_without_refreshing_it(self, clock):
+        store = LastKnownGoodStore(max_entries=2, clock=clock.now)
+        a = {"status": "ok"}
+        store.store("a", a)
+        store.store("b", {"status": "ok"})
+        assert store.peek("a") is a and store.peek("z") is None
+        store.store("c", {"status": "ok"})  # a is still the oldest: evicted
+        assert store.peek("a") is None and store.peek("b") is not None
+
     def test_site_scoped_invalidation(self, clock):
         store = LastKnownGoodStore(clock=clock.now)
         store.store("a", {"status": "ok", "provenance": ["s1", "s2"]})
@@ -226,6 +236,28 @@ class TestAdmissionController:
         assert (live["served"], live["result"]["status"]) == ("live", "ok")
         assert (shed["served"], shed["result"]["status"]) == ("shed_lkg", "stale")
         assert service.stats["overloaded"] == 1 and service.stats["shed_lkg"] == 1
+
+    def test_the_inflight_gauge_falls_when_the_slot_is_released(self):
+        """``service.inflight`` reads the slots held: one while a backend
+        call holds the lock, none once the request is answered."""
+        from repro import obs
+
+        seen = []
+
+        class Session:
+            def flow_info(self, src, dst, **kw):
+                seen.append(obs.export.snapshot(obs.get_registry())["gauges"]["service.inflight"])
+                return FlowAnswer(
+                    src=src, dst=dst, available_bps=1.0, bottleneck_bps=1.0,
+                    capacity_bps=1.0, latency_s=0.0, jitter_s=0.0, path=(),
+                )
+
+        service = RemosService(SessionBackend(Session()))
+        with obs.scoped_registry() as reg:
+            asyncio.run(service.dispatch("flow_info", {"src": "a", "dst": "b"}))
+            after = obs.export.snapshot(reg)["gauges"]["service.inflight"]
+        assert (seen, after) == ([1.0], 0.0)
+        assert service.admission.inflight == 0
 
     def test_release_never_goes_negative(self):
         adm = AdmissionController(max_inflight=1)

@@ -307,8 +307,8 @@ def flow_record(**fields) -> AnswerRecord:
 
 
 class TestRepeatedAnswerIsSplicedExactly:
-    """The LKG store hands the text of the answer it holds on to an
-    equal answer that replaces it; whatever it decides, the encoding
+    """A record restamped under another ``trace_id`` carries the text of
+    the one it was made from; whatever the store holds, the encoding
     stays exactly what ``json.dumps`` gives."""
 
     @settings(max_examples=200, deadline=None)
@@ -320,7 +320,7 @@ class TestRepeatedAnswerIsSplicedExactly:
             store.store("k", stored)  # a FAILED one is refused; it is still served
             body = result_body(stored, served=served)
             want = plain_json(body)
-            assert canonical_json(body) == want  # first encode, or the text handed on
+            assert canonical_json(body) == want  # first encode
             assert canonical_json(body) == want  # reuse
             assert canonical_json(stored) == plain_json(d)
             shed = store.serve_stale("k")
@@ -332,19 +332,17 @@ class TestRepeatedAnswerIsSplicedExactly:
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(answers, tricky_topology_answers), tricky_trace_ids, tricky_trace_ids)
     def test_a_repeat_takes_the_text_over_and_keeps_its_own_trace_id(self, ans, tid1, tid2):
-        ans.status = QueryStatus.OK
-        store = LastKnownGoodStore()
-        first = AnswerRecord({**ans.to_dict(), "trace_id": tid1})
-        again = AnswerRecord({**ans.to_dict(), "trace_id": tid2})
-        assert store.store("k", first)
-        canonical_json(result_body(first))
-        assert store.store("k", again)
-        if isinstance(ans, TopologyAnswer) and ans.to_dict()["graph"] is not ans.to_dict()["graph"]:
-            assert again.encoded is None  # a mutable graph: a new record per answer
-        else:
-            assert again.encoded is first.encoded is not None
+        first = AnswerRecord({**ans.to_dict(), "trace_id": tid1}, basis=7)
+        first_text = canonical_json(result_body(first))
+        again = first.restamped(tid2)
+        assert type(again) is AnswerRecord and again.basis == 7
+        assert again.encoded is first.encoded is not None
+        assert dict(again) == {**ans.to_dict(), "trace_id": tid2}
         assert json.loads(canonical_json(result_body(again)))["result"]["trace_id"] == tid2
         assert canonical_json(result_body(again)) == plain_json(result_body(again))
+        # the record it was made from is not edited
+        assert first["trace_id"] == tid1
+        assert canonical_json(result_body(first)) == first_text
 
     @pytest.mark.parametrize(
         "values", [(1, 1.0, True), (0, 0.0, -0.0, False), (1.0, np.float64(1.0), 1.0)]
@@ -360,24 +358,15 @@ class TestRepeatedAnswerIsSplicedExactly:
             seen.append(canonical_json(result_body(stored)))
         assert len(set(seen)) == len({plain_json(v) for v in values})
 
-    def test_the_mark_is_blind_to_trace_id_and_to_nothing_else(self):
-        class Metres(float):
-            pass
-
-        assert flow_record().mark() == flow_record(trace_id="t0001").mark() != b""
-        assert flow_record().mark() != flow_record(available_bps=np.float64(1.0)).mark()
-        assert flow_record().mark() != flow_record(path=["a", "b", "c"]).mark()
-        # what marshal refuses is never taken for another answer
-        assert flow_record(available_bps=Metres(1.0)).mark() == b""
-
     def test_nothing_is_taken_over_from_a_record_never_serialized(self):
-        """In-process callers never ask for the text, and never pay for
-        the comparison either."""
-        store = LastKnownGoodStore()
-        first, again = flow_record(), flow_record(trace_id="t0002")
-        store.store("k", first)
-        store.store("k", again)
-        assert again.encoded is None and again._mark is None
+        """In-process callers never ask for the text: a record restamped
+        before its source was encoded carries none, encodes itself
+        whole, and leaves its source without text."""
+        first = flow_record()
+        again = first.restamped("t0002")
+        assert again.encoded is None
+        assert canonical_json(again) == plain_json(dict(again))
+        assert again.encoded is not None and first.encoded is None
 
     def test_lists_of_answers_and_shed_copies_stay_plain(self):
         store = LastKnownGoodStore(clock=iter([1.0, 2.0, 3.0, 4.0]).__next__)
@@ -411,9 +400,8 @@ class TestRepeatedAnswerIsSplicedExactly:
         assert canonical_json(first) == plain_json(dict(first))
         head, tail = first.encoded
         assert head.endswith('"trace_id":') and head + plain_json(tid1) + tail == plain_json(dict(first))
-        again = AnswerRecord({**members, "trace_id": tid2})
-        again.encoded = first.encoded  # what the store does for an equal answer
-        assert canonical_json(again) == plain_json(dict(again))
+        again = first.restamped(tid2)  # what the service serves for the same answer
+        assert canonical_json(again) == plain_json({**members, "trace_id": tid2})
 
     def test_a_record_without_a_trace_id_is_encoded_as_a_plain_dict(self):
         record = AnswerRecord({"b": 1, "a": [1.0]})
