@@ -25,7 +25,9 @@ from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.common.errors import CollectorUnavailableError, QueryError, TopologyError
+from repro.common.rng import make_rng
 from repro.common.units import BITS_PER_BYTE
+from repro.netsim.paths import compute_path, path_capacity, path_latency
 from repro.netsim.topology import Channel, Host, Network
 from repro.collectors.base import PairMeasurement
 
@@ -127,8 +129,6 @@ class BenchmarkCollector:
                 f"benchmark probe {self.site} -> {peer_site} timed out",
                 site=peer_site,
             )
-        from repro.netsim.paths import path_latency
-
         try:
             if self.config.method == "bulk":
                 throughput, path = self._probe_bulk(peer_site)
@@ -188,9 +188,6 @@ class BenchmarkCollector:
         transfers are essentially undisturbed — the low-load probe
         §6.2 asks for — at the cost of a noisy reading.
         """
-        from repro.common.rng import make_rng
-        from repro.netsim.paths import path_latency
-
         if self._rng is None:
             # crc32, not hash(): str hashes are salted per interpreter
             self._rng = make_rng(zlib.crc32(self.site.encode("utf-8")) & 0xFFFF)
@@ -218,8 +215,6 @@ class BenchmarkCollector:
         available bandwidth on loaded paths — the documented limitation
         of source-only tools.
         """
-        from repro.netsim.paths import compute_path, path_capacity, path_latency
-
         peer = self._peer(peer_site)
         path = compute_path(self.net, self.host, peer.host)
         if not path:

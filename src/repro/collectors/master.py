@@ -481,10 +481,16 @@ class MasterCollector(Collector):
     def _store_lkg(self, d: Delegate, sub: TopologyResponse) -> None:
         """Remember ``sub`` as the registration's last-known-good
         fragment for these addresses, evicting past
-        :data:`LKG_MAX_FRAGMENTS`."""
+        :data:`LKG_MAX_FRAGMENTS`.
+
+        The fragment is kept as handed over, frozen, not copied: nothing
+        edits a collector's fragment once it is returned (the merge
+        reads it, own-flow crediting replaces edges of its own graph
+        instead of writing into shared ones), and :meth:`_serve_lkg`
+        copies on the way out."""
         (key,) = d.parts
         self._lkg[key] = (
-            sub.graph.copy(), self.net.engine.now, dict(sub.anchors), tuple(sub.unresolved)
+            sub.graph.freeze(), self.net.engine.now, dict(sub.anchors), tuple(sub.unresolved)
         )
         self._lkg.move_to_end(key)
         while len(self._lkg) > LKG_MAX_FRAGMENTS:

@@ -293,7 +293,7 @@ def degrade_link(
         link.capacity_bps = cap
         for ch in link.channels():
             ch.capacity_bps = cap
-        net.flows._reallocate(link.channels())
+        net.flows._reallocate(link.channels(), now)
 
     _scale(original * factor)
     if duration_s is not None:

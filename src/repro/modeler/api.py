@@ -642,11 +642,15 @@ class Modeler:
             except TopologyError:
                 continue  # declared flow not on this topology: ignore
             for a, b in zip(nodes, nodes[1:]):
+                # a new edge record, not a write into the old one: the
+                # Master's fragments share their records with its
+                # last-known-good store
                 e = graph.edge(a, b)
                 if a == e.a:
-                    e.util_ab_bps = max(0.0, e.util_ab_bps - rate)
+                    e = dataclasses.replace(e, util_ab_bps=max(0.0, e.util_ab_bps - rate))
                 else:
-                    e.util_ba_bps = max(0.0, e.util_ba_bps - rate)
+                    e = dataclasses.replace(e, util_ba_bps=max(0.0, e.util_ba_bps - rate))
+                graph.add_edge(e)
 
     # -- nodes ---------------------------------------------------------
 

@@ -116,7 +116,10 @@ class TopologyGraph:
     utilization refresh cannot change any hop-count path.
 
     Edge *annotations* (utilization) may be updated in place without
-    bumping the version — hop-count paths do not depend on them.
+    bumping the version — hop-count paths do not depend on them.  But
+    ``merge`` shares edge records with the fragment merged, and a
+    Master's last-known-good store holds its fragments by reference, so
+    the stack re-adds an edited copy of an edge instead.
 
     A path is searched from the smaller id, so ``path(a, b) ==
     path(b, a)[::-1]`` whatever was asked before; of equal-hop paths the

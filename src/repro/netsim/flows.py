@@ -19,16 +19,31 @@ scheduled on the engine and re-scheduled whenever their component is
 re-solved.
 
 A quiet stop restores instead of re-solving.  The manager keeps one
-record: the rates and channel aggregates that the most recent
-``start_flow`` displaced.  Any reallocation drops it.  A ``stop_flow``
-of that same flow while the record stands finds the world as the start
-left it: the stop's component is the start's minus the stopped flow,
-with the same demands and capacities, so the allocation the start
-displaced is the answer.  The restore settles the bytes, writes back
-the rates, syncs only the channels whose aggregate changes and re-arms
-finite-transfer timers, as a re-solve does; it runs no solver.  A
-blocking probe (start, advance the clock, stop; ``Engine.advance``
-dispatches no events) thus costs one max-min solve, not two.
+record: the rates the most recent ``start_flow`` displaced, and the
+aggregates of the channels it changed.  Any reallocation drops it.  A
+``stop_flow`` of that same flow while the record stands finds the world
+as the start left it: the stop's component is the start's minus the
+stopped flow, with the same demands and capacities, so the allocation
+the start displaced is the answer.  The restore settles the bytes,
+writes back the rates, syncs and writes back the channels the start
+changed (exactly those differ) and re-arms finite-transfer timers, as a
+re-solve does; it runs no solver.
+
+A blocking probe (start, advance the clock, stop; ``Engine.advance``
+dispatches no events) thus pays for one max-min solve and little else.
+Each change reads the clock once and settles every component flow in
+the pass that gathers its path and demand; timers are re-armed only
+when the component holds a finite transfer.  A start also skips the
+walk of the channel index when it can: the index has an epoch, which a
+start or a stop replaces and a quiet stop puts back, so a start over a
+path another start crossed at the same epoch finds the same component
+(see ``FlowManager._start_component``).
+
+:meth:`FlowManager.what_if` answers "what rate would these flows get?"
+for ground truth: it solves each component the asked flows would join
+with :func:`_solve`, the unobserved inner solve that
+:func:`max_min_allocation` wraps with its two observations, and
+changes, starts and records nothing.
 
 Progressive filling (Bertsekas & Gallager): grow all unfrozen flow
 rates at one common level; the first constraint to bind is either a
@@ -65,6 +80,7 @@ from repro import obs
 from repro.common.errors import TopologyError
 from repro.common.units import BITS_PER_BYTE
 from repro.netsim.engine import Timer
+from repro.netsim.paths import compute_path, peek_path
 
 if TYPE_CHECKING:
     from repro.netsim.topology import Channel, Host, Network
@@ -137,10 +153,18 @@ class _Displaced(NamedTuple):
     """The allocation a ``start_flow`` displaced, kept for its stop."""
 
     started: Flow
-    #: the component's other flows, each with its rate before the start
-    rates: "list[tuple[Flow, float]]"
-    #: every channel the start visited, with its ``rate_sum`` before it
+    #: the component's other flows ...
+    flows: "list[Flow]"
+    #: ... and their rates before the start
+    rates: list[float]
+    #: the channels whose aggregate the start changed, each with its
+    #: ``rate_sum`` before it
     sums: "list[tuple[Channel, float]]"
+    #: whether the component holds a finite transfer, whose completion
+    #: timer a restore must re-arm
+    finite: bool
+    #: the index epoch the start found (see ``FlowManager._epoch``)
+    epoch: int
 
 
 class FlowManager:
@@ -163,6 +187,16 @@ class FlowManager:
         #: ``_reallocate`` drops it, so while it stands nothing in the
         #: allocation has changed since that start.
         self._displaced: _Displaced | None = None
+        #: names the state of ``_on_channel``: a start or a stop draws a
+        #: fresh value, and a quiet stop puts back the one its start
+        #: found, since the index is then exactly as it was
+        self._epoch = 0
+        self._epochs = itertools.count(1)
+        #: path -> the component a start over it found, started flow
+        #: left out, channels as a tuple (a probe mesh keeps one entry per
+        #: path); every entry is of index epoch ``_reach_epoch``
+        self._reach: "dict[tuple[Channel, ...], tuple[list[Flow], tuple[Channel, ...]]]" = {}
+        self._reach_epoch = 0
 
     # -- public API ------------------------------------------------------
 
@@ -176,52 +210,57 @@ class FlowManager:
         label: str = "",
     ) -> Flow:
         """Begin a flow now; the allocation is recomputed immediately."""
-        from repro.netsim.paths import compute_path
-
         if not demand_bps >= 0:  # NaN included
             raise ValueError(f"demand must be >= 0, got {demand_bps!r}")
-        net = self.network
-        if isinstance(src, str):
-            src = net.host(src)
-        if isinstance(dst, str):
-            dst = net.host(dst)
-        if src is dst:
-            raise TopologyError("flow endpoints must differ")
-        path = compute_path(net, src, dst)
+        src, dst = self._endpoints(src, dst)
+        path = compute_path(self.network, src, dst)
+        now = self.network.now
         flow = Flow(src, dst, path, demand_bps, total_bytes, on_complete, label)
         flow.active = True
-        flow.start_time = net.now
-        flow._last_settle = net.now
-        self.flows[flow.id] = flow
+        flow.start_time = now
+        flow._last_settle = now
+        fid = flow.id
+        self.flows[fid] = flow
+        on_channel = self._on_channel
         for ch in path:
-            self._on_channel.setdefault(ch, {})[flow.id] = flow
-        self._reallocate(path, started=flow)
+            members = on_channel.get(ch)
+            if members is None:
+                on_channel[ch] = {fid: flow}
+            else:
+                members[fid] = flow
+        self._reallocate(path, now, started=flow)
+        self._epoch = next(self._epochs)
         return flow
 
     def stop_flow(self, flow: Flow) -> None:
         """End a flow now (idempotent)."""
         if not flow.active:
             return
-        self._settle(flow)
+        now = self.network.now
+        _settle_to(flow, now)
         flow.active = False
-        flow.end_time = self.network.now
+        flow.end_time = now
         flow.rate_bps = 0.0
         if flow._completion_timer is not None:
             flow._completion_timer.cancel()
             flow._completion_timer = None
-        del self.flows[flow.id]
+        fid = flow.id
+        del self.flows[fid]
+        on_channel = self._on_channel
         for ch in flow.path:
-            members = self._on_channel.get(ch)
+            members = on_channel.get(ch)
             if members is None:
                 continue  # the path crosses this channel twice
-            members.pop(flow.id, None)
+            members.pop(fid, None)
             if not members:
-                del self._on_channel[ch]
+                del on_channel[ch]
         displaced, self._displaced = self._displaced, None
         if displaced is not None and displaced.started is flow:
-            self._restore(displaced)
+            self._epoch = displaced.epoch
+            self._restore(displaced, now)
         else:
-            self._reallocate(flow.path)
+            self._epoch = next(self._epochs)
+            self._reallocate(flow.path, now)
 
     def set_demand(self, flow: Flow, demand_bps: float) -> None:
         """Change a flow's demand cap; rates are re-balanced."""
@@ -229,9 +268,10 @@ class FlowManager:
             raise ValueError(f"demand must be >= 0, got {demand_bps!r}")
         if not flow.active:
             raise ValueError("flow is not active")
-        self._settle(flow)
+        now = self.network.now
+        _settle_to(flow, now)
         flow.demand_bps = demand_bps
-        self._reallocate(flow.path)
+        self._reallocate(flow.path, now)
 
     def active_flows(self) -> list[Flow]:
         return list(self.flows.values())
@@ -243,32 +283,82 @@ class FlowManager:
             found.update(self._on_channel.get(ch, {}))
         return [found[fid] for fid in sorted(found)]
 
+    def what_if(
+        self,
+        pairs: "Iterable[tuple[Host | str, Host | str]]",
+        demands: Sequence[float] | None = None,
+    ) -> list[float]:
+        """The rates ``start_flow`` would give flows between ``pairs``,
+        started now in this order with ``demands`` (greedy by default).
+
+        Nothing is started, mutated or observed: each connected
+        component the asked flows join is solved as the last of their
+        starts would solve it, the asked flows appended after the
+        active ones in the order asked, so each rate equals, bit for
+        bit, the one ``start_flow`` gives.
+        """
+        net = self.network
+        paths: "list[Sequence[Channel]]" = []
+        for src, dst in pairs:
+            paths.append(peek_path(net, *self._endpoints(src, dst)))
+        wants = [math.inf] * len(paths) if demands is None else list(demands)
+        if len(wants) != len(paths):
+            raise ValueError(f"{len(wants)} demands for {len(paths)} pairs")
+        if not all(d >= 0 for d in wants):  # NaN included
+            raise ValueError(f"demands must be >= 0, got {wants!r}")
+        rates = [0.0] * len(paths)
+        left = list(range(len(paths)))
+        while left:
+            group, left = left[:1], left[1:]
+            while True:  # grow the group until no other asked path touches it
+                flows, channels = self._component(ch for i in group for ch in paths[i])
+                reached = set(channels)
+                joined = [i for i in left if not reached.isdisjoint(paths[i])]
+                if not joined:
+                    break
+                group = sorted(group + joined)
+                left = [i for i in left if i not in joined]
+            got, _, _ = _solve(
+                [f.path for f in flows] + [paths[i] for i in group],
+                [f.demand_bps for f in flows] + [wants[i] for i in group],
+            )
+            for i, r in zip(group, got[len(flows):]):
+                rates[i] = r
+        return rates
+
+    def _endpoints(self, src: "Host | str", dst: "Host | str") -> "tuple[Host, Host]":
+        net = self.network
+        if isinstance(src, str):
+            src = net.host(src)
+        if isinstance(dst, str):
+            dst = net.host(dst)
+        if src is dst:
+            raise TopologyError("flow endpoints must differ")
+        return src, dst
+
     # -- allocation --------------------------------------------------------
 
     def _settle(self, flow: Flow) -> None:
         """Fold a flow's progress forward to `now` at its current rate."""
-        now = self.network.now
-        if flow.start_time is None:
-            return
-        last = flow._last_settle
-        if now > last:
-            moved = flow.rate_bps * (now - last) / BITS_PER_BYTE
-            flow.bytes_done += moved
-            if flow.bytes_remaining is not None:
-                flow.bytes_remaining = max(0.0, flow.bytes_remaining - moved)
-        flow._last_settle = now
+        if flow.start_time is not None:
+            _settle_to(flow, self.network.now)
 
     def _component(
         self, seed: "Iterable[Channel]"
     ) -> "tuple[list[Flow], Iterable[Channel]]":
         """Flows reachable from the ``seed`` channels through shared
         channels, in flow-id order (the order a global solve would see
-        them in), and every channel visited, seed included."""
+        them in), and every channel visited, seed included.  It reads
+        the index and changes nothing."""
+        on_channel = self._on_channel
         flows: dict[int, Flow] = {}
         channels: "dict[Channel, None]" = dict.fromkeys(seed)
         frontier = list(channels)
         while frontier:
-            for fid, flow in self._on_channel.get(frontier.pop(), {}).items():
+            members = on_channel.get(frontier.pop())
+            if members is None:
+                continue
+            for fid, flow in members.items():
                 if fid in flows:
                     continue
                 flows[fid] = flow
@@ -278,47 +368,71 @@ class FlowManager:
                         frontier.append(ch)
         return [flows[fid] for fid in sorted(flows)], channels
 
+    def _start_component(self, flow: Flow) -> "tuple[list[Flow], Iterable[Channel]]":
+        """The component of ``flow``, just started over an index of
+        epoch ``_epoch`` plus itself.
+
+        It is the component of its path on the index before the start,
+        with the started flow, whose id is the highest, last.  So a
+        start over the same path at the same epoch finds what an earlier
+        one found: a probe repeated while the traffic it crosses
+        neither started nor stopped walks the index once.
+        """
+        key = tuple(flow.path)
+        if self._reach_epoch == self._epoch:
+            known = self._reach.get(key)
+            if known is not None:
+                return known[0] + [flow], known[1]
+        else:
+            self._reach.clear()
+            self._reach_epoch = self._epoch
+        flows, channels = self._component(flow.path)
+        self._reach[key] = (flows[:-1], tuple(channels))
+        return flows, channels
+
     def _reallocate(
-        self, changed: "Iterable[Channel]", started: Flow | None = None
+        self, changed: "Iterable[Channel]", now: float, started: Flow | None = None
     ) -> None:
         """Recompute max-min fair rates around the ``changed`` channels.
 
         ``changed`` is the path of the flow that started, stopped or
-        changed demand (or the channels whose capacity changed).  Only
-        the connected component of flows sharing channels with it,
-        transitively, is settled, re-solved and re-armed; max-min
-        allocation decouples across channel-disjoint components, so
-        every flow outside keeps the rate, the counters and the
-        completion timer it has.  Progress is synchronised to `now`
-        before any rate changes so integrals remain exact, and a
-        channel's counter is synced and written only when its aggregate
-        rate actually changed.  ``started`` is the flow whose start this
-        is: the allocation it displaces is kept for its stop.
+        changed demand (or the channels whose capacity changed), and
+        ``now`` the clock the change happens at.  Only the connected
+        component of flows sharing channels with it, transitively, is
+        settled, re-solved and re-armed; max-min allocation decouples
+        across channel-disjoint components, so every flow outside keeps
+        the rate, the counters and the completion timer it has.  Each
+        flow's progress is synchronised to `now` in the pass that
+        gathers its path and demand, before any rate changes, so
+        integrals remain exact, and a channel's counter is synced and
+        written only when its aggregate rate actually changed.
+        ``started`` is the flow whose start this is: the allocation it
+        displaces is kept for its stop.
         """
-        now = self.network.now
         self.recomputes += 1
         self._displaced = None
-        flows, channels = self._component(changed)
+        if started is None:
+            flows, channels = self._component(changed)
+        else:
+            flows, channels = self._start_component(started)
         obs.histogram("netsim.flows.realloc_flows").observe(len(flows))
 
-        # Settle byte accounting at the old rates.
+        paths: "list[list[Channel]]" = []
+        demands: list[float] = []
+        finite = False
         for f in flows:
-            self._settle(f)
-
-        rates = max_min_allocation(
-            [f.path for f in flows], [f.demand_bps for f in flows]
-        )
+            if _settle_to(f, now):
+                finite = True
+            paths.append(f.path)
+            demands.append(f.demand_bps)
+        rates = max_min_allocation(paths, demands)
         if not flows:
             # an empty solve observes nothing; keep one sample per recompute
             obs.histogram("netsim.maxmin.rounds").observe(0)
 
-        if started is not None:
-            self._displaced = _Displaced(
-                started,
-                [(f, f.rate_bps) for f in flows if f is not started],
-                [(ch, ch.rate_sum) for ch in channels],
-            )
-
+        # what a start displaces: the rates of the flows before it (it
+        # comes last) and the aggregates the loop below changes
+        before = [f.rate_bps for f in flows[:-1]] if started is not None else []
         # Apply new rates to flows and channel aggregates.  The
         # component is closed under channel sharing, so summing its
         # flows gives each visited channel's whole aggregate (zero for a
@@ -328,31 +442,35 @@ class FlowManager:
             f.rate_bps = r
             for ch in f.path:
                 per_channel[ch] += r
-        touched = 0
+        sums: "list[tuple[Channel, float]]" = []
         for ch, new_rate in per_channel.items():
-            if ch.rate_sum != new_rate:
+            old = ch.rate_sum
+            if old != new_rate:
                 ch.sync(now)
                 ch.rate_sum = new_rate
-                touched += 1
-        obs.counter("netsim.flows.realloc_channels_touched").inc(touched)
-        self._rearm(flows)
+                sums.append((ch, old))
+        obs.counter("netsim.flows.realloc_channels_touched").inc(len(sums))
+        if started is not None:
+            self._displaced = _Displaced(
+                started, flows[:-1], before, sums, finite, self._epoch
+            )
+        if finite:
+            self._rearm(flows)
 
-    def _restore(self, displaced: _Displaced) -> None:
+    def _restore(self, displaced: _Displaced, now: float) -> None:
         """Put back the allocation a start displaced (see the module
         docstring): what re-solving the stop's component would give,
-        without the solve."""
-        now = self.network.now
-        for f, r in displaced.rates:
-            self._settle(f)
+        without the solve.  Only the channels the start changed can
+        differ from it, and each of them does."""
+        for f, r in zip(displaced.flows, displaced.rates):
+            _settle_to(f, now)
             f.rate_bps = r
-        touched = 0
         for ch, rate_sum in displaced.sums:
-            if ch.rate_sum != rate_sum:
-                ch.sync(now)
-                ch.rate_sum = rate_sum
-                touched += 1
-        obs.counter("netsim.flows.realloc_channels_touched").inc(touched)
-        self._rearm([f for f, _ in displaced.rates])
+            ch.sync(now)
+            ch.rate_sum = rate_sum
+        obs.counter("netsim.flows.realloc_channels_touched").inc(len(displaced.sums))
+        if displaced.finite:
+            self._rearm(displaced.flows)
 
     def _rearm(self, flows: "list[Flow]") -> None:
         """Re-schedule completion events for finite transfers."""
@@ -382,10 +500,40 @@ class FlowManager:
             cb(flow)
 
 
+def _settle_to(flow: Flow, now: float) -> bool:
+    """Fold a started flow's progress forward to ``now`` at its current
+    rate.  True when it is a finite transfer (a completion to re-arm)."""
+    remaining = flow.bytes_remaining
+    last = flow._last_settle
+    if now > last:
+        moved = flow.rate_bps * (now - last) / BITS_PER_BYTE
+        flow.bytes_done += moved
+        if remaining is not None:
+            flow.bytes_remaining = max(0.0, remaining - moved)
+    flow._last_settle = now
+    return remaining is not None
+
+
 def max_min_allocation(
     paths: "Sequence[Sequence[CapacityLike]]", demands: Sequence[float]
 ) -> list[float]:
-    """Max-min fair rates for flows over shared channels.
+    """Max-min fair rates for flows over shared channels (see
+    :func:`_solve`), recorded: a non-empty solve observes
+    ``netsim.maxmin.constraints`` and ``netsim.maxmin.rounds`` once
+    each, an empty one nothing."""
+    rates, constraints, rounds = _solve(paths, demands)
+    if rates:
+        obs.histogram("netsim.maxmin.constraints").observe(constraints)
+        obs.histogram("netsim.maxmin.rounds").observe(rounds)
+    return rates
+
+
+def _solve(
+    paths: "Sequence[Sequence[CapacityLike]]", demands: Sequence[float]
+) -> tuple[list[float], int, int]:
+    """Max-min fair rates for flows over shared channels, unobserved:
+    the rates, the constraints handed to the filling and the filling
+    rounds run.
 
     One pass over the problem.  The channels are first grouped by the
     flows crossing them and each group is cut to its tightest channel
@@ -419,16 +567,14 @@ def max_min_allocation(
     """
     n = len(paths)
     if n == 0:
-        return []
+        return [], 0, 0
     constraints = _binding_channels(paths)
-    obs.histogram("netsim.maxmin.constraints").observe(len(constraints))
     budget = 2 * n + len(constraints) + 1  # filling rounds, as the reference allows
     if all(0.0 <= d < math.inf for d in demands) and all(
         sum([demands[i] for i in members]) <= _FIT_SHARE * ch.capacity_bps
         for ch, members in constraints
     ):
-        obs.histogram("netsim.maxmin.rounds").observe(0)
-        return list(demands)
+        return list(demands), len(constraints), 0
 
     rates = [0.0] * n
     frozen = [False] * n
@@ -511,8 +657,7 @@ def max_min_allocation(
         unfrozen = [i for i in unfrozen if not frozen[i]]
     for i in unfrozen:
         rates[i] = min(level, demands[i])
-    obs.histogram("netsim.maxmin.rounds").observe(rounds)
-    return rates
+    return rates, len(constraints), rounds
 
 
 def _binding_channels(

@@ -16,6 +16,8 @@ Forwarding state only changes when ``routing.build_routing_tables`` or
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro import obs
 from repro.common.errors import TopologyError
 from repro.netsim.bridging import l2_path
@@ -48,6 +50,16 @@ def compute_path(net: Network, src: Host | str, dst: Host | str) -> list[Channel
     channels = _walk(net, src, dst)
     net._path_memo[(src, dst)] = tuple(channels)
     return channels
+
+
+def peek_path(net: Network, src: Host, dst: Host) -> Sequence[Channel]:
+    """The channels :func:`compute_path` gives, read from its memo or
+    walked afresh, with nothing recorded or remembered; the caller must
+    not mutate the sequence."""
+    if src is dst:
+        return ()
+    known = net._path_memo.get((src, dst))
+    return known if known is not None else _walk(net, src, dst)
 
 
 def _walk(net: Network, src: Host, dst: Host) -> list[Channel]:

@@ -1,5 +1,6 @@
 """The import-layering contract: every import in ``src/repro`` points
-down the layer cake.
+down the layer cake; and the system under measurement never asks the
+simulator for ground truth.
 
 The simulated network is at the bottom, SNMP on top of it, collectors
 above that, the modeler above the collectors, prediction above the
@@ -9,6 +10,12 @@ architecture promises and tends to rot into a cycle held together by
 lazy imports.  An import laundered through ``if TYPE_CHECKING:`` or a
 function body still counts: the cycle it hides is real at type-check
 or call time.
+
+``FlowManager.what_if`` reads the simulated network's true max-min
+rates.  Tests and benchmarks hold the representation to it; a Modeler,
+collector, service, session or predictor that called it would answer
+from outside the system it stands for, and every accuracy figure
+measured against it would read perfect.
 
 Module-to-layer assignment is longest-prefix-wins, so the bare
 ``"repro"`` prefix of the top layer is the fallback: a module nobody
@@ -22,7 +29,7 @@ from collections.abc import Mapping
 
 import pytest
 
-from .callgraph import CallGraph, planted
+from .callgraph import CallGraph, planted, under
 
 #: layer names, rank 0 (the foundation) upward
 ORDER = [
@@ -119,3 +126,67 @@ def test_upward_imports(files, sites, words):
     found = planted(upward_imports, files)
     assert [site for site, _ in found] == sites
     assert all(words in reason for _, reason in found)
+
+
+#: files and packages that must not call ``what_if``: the Remos system
+#: the simulator stands under
+NO_GROUND_TRUTH = (
+    "src/repro/modeler",
+    "src/repro/collectors",
+    "src/repro/service",
+    "src/repro/session.py",
+    "src/repro/rps",
+)
+
+
+def ground_truth_calls(sources: Mapping[str, str]) -> list[str]:
+    graph = CallGraph.of(sources)
+    paths = {info.name: info.path for info in graph.modules.values()}
+    found = []
+    for caller, edges in graph.edges.items():
+        fn = graph.functions.get(caller)
+        path = fn.path if fn is not None else paths[caller.removesuffix(".<module>")]
+        if not under(path, NO_GROUND_TRUTH):
+            continue
+        for edge in edges:
+            if edge.attr == "what_if" or (edge.callee or "").endswith(".what_if"):
+                found.append(f"{path}:{edge.lineno}: {caller} calls what_if")
+    return found
+
+
+def test_the_system_never_asks_for_ground_truth(tree):
+    assert ground_truth_calls(tree) == []
+
+
+_FLOWS = (
+    "class FlowManager:\n"
+    "    def what_if(self, pairs):\n"
+    "        return []\n"
+)
+
+
+@pytest.mark.parametrize("files, sites", [
+    pytest.param({
+        "src/repro/netsim/flows.py": _FLOWS,
+        "src/repro/collectors/cheat.py": (
+            "def measure(net, a, b):\n"
+            "    return net.flows.what_if([(a, b)])[0]\n"
+        ),
+        "src/repro/session.py": (
+            "def answer(self, pairs):\n"
+            "    return self.net.flows.what_if(pairs)\n"
+        ),
+    }, ["src/repro/collectors/cheat.py:2", "src/repro/session.py:2"], id="system_call_fires"),
+    pytest.param({
+        "src/repro/netsim/flows.py": _FLOWS,
+        "tests/netsim/test_truth.py": (
+            "def test_truth(net):\n"
+            "    assert net.flows.what_if([]) == []\n"
+        ),
+        "benchmarks/accuracy.py": "RATES = NET.flows.what_if(PAIRS)\n",
+        "src/repro/collectors/fine.py": "def poll(net):\n    return net.flows.flows_on()\n",
+    }, [], id="tests_benchmarks_and_other_calls_clean"),
+])
+def test_ground_truth_calls(files, sites):
+    found = planted(ground_truth_calls, files)
+    assert [site for site, _ in found] == sites
