@@ -42,6 +42,7 @@ if TYPE_CHECKING:
 
     _Handles = tuple[
         MetricsRegistry | NullRegistry,
+        int,
         Counter | NullCounter,
         Counter | NullCounter,
         Gauge | NullGauge,
@@ -336,23 +337,25 @@ class Engine:
 
         Aggregated per run rather than per event so the dispatch loop
         itself carries no instrumentation overhead.  The four handles
-        are cached per registry: name-based resolution on every advance
-        would cost more than the rest of the advance itself.
+        are cached per registry and its generation (a reset drops them):
+        name-based resolution on every advance would cost more than the
+        rest of the advance itself.
         """
         reg = obs.get_registry()
         handles = self._obs_handles
-        if handles is None or handles[0] is not reg:
+        if handles is None or handles[0] is not reg or handles[1] != reg.generation:
             handles = self._obs_handles = (
                 reg,
+                reg.generation,
                 reg.counter("netsim.engine.events"),
                 reg.counter("netsim.engine.sim_advance_s"),
                 reg.gauge("netsim.engine.sim_time_s"),
                 reg.gauge("netsim.engine.queue_depth"),
             )
-        handles[1].inc(self.dispatched - d0)
-        handles[2].inc(self._now - t0)
-        handles[3].set(self._now)
-        handles[4].set(len(self._queue))
+        handles[2].inc(self.dispatched - d0)
+        handles[3].inc(self._now - t0)
+        handles[4].set(self._now)
+        handles[5].set(len(self._queue))
 
     def pending(self) -> int:
         """Number of live events still queued."""

@@ -75,6 +75,9 @@ class MetricsRegistry:
         #: optional flight recorder; the session and fault injector
         #: discover it here at dump time (see repro.obs.flightrec)
         self.flight_recorder: "FlightRecorder | None" = None
+        #: bumped by :meth:`reset`: a caller that caches handles keys them
+        #: by (registry, generation), since a reset drops every handle
+        self.generation = 0
 
     # -- clock ---------------------------------------------------------
 
@@ -161,6 +164,7 @@ class MetricsRegistry:
         self._span_stack.clear()
         self._trace_seq = 0
         self._span_seq = 0
+        self.generation += 1
 
 
 class NullRegistry:
@@ -168,6 +172,7 @@ class NullRegistry:
 
     clock: Timebase = WallTimebase()
     flight_recorder: None = None
+    generation = 0
 
     def use_sim_clock(self, source: object) -> None:
         pass

@@ -38,6 +38,10 @@ __all__ = ["LastKnownGoodStore", "AdmissionController"]
 #: stored-or-served one is evicted
 LKG_MAX_ENTRIES = 4096
 
+_FAILED = QueryStatus.FAILED.to_dict()
+_STALE = QueryStatus.STALE.to_dict()
+_OK = QueryStatus.OK.to_dict()
+
 
 def _iter_answer_dicts(payload: Any) -> Iterable[dict[str, Any]]:
     if isinstance(payload, dict):
@@ -81,10 +85,11 @@ class LastKnownGoodStore:
         Returns False (and stores nothing) if any answer in the payload
         is FAILED: shedding must never replay a failure as data.
         """
-        failed = QueryStatus.FAILED.to_dict()
-        for d in _iter_answer_dicts(payload):
-            if d.get("status") == failed:
+        if isinstance(payload, dict):
+            if payload.get("status") == _FAILED:
                 return False
+        elif any(d.get("status") == _FAILED for d in _iter_answer_dicts(payload)):
+            return False
         self._entries.pop(key, None)
         self._entries[key] = (self._clock(), payload)
         while len(self._entries) > self.max_entries:
@@ -106,13 +111,11 @@ class LastKnownGoodStore:
         self._entries.move_to_end(key)
         stored_at, payload = entry
         age_bonus = max(0.0, self._clock() - stored_at)
-        stale = QueryStatus.STALE.to_dict()
-        ok = QueryStatus.OK.to_dict()
 
         def restamp(d: dict[str, Any]) -> dict[str, Any]:
             out = dict(d)
-            if out.get("status") == ok:
-                out["status"] = stale
+            if out.get("status") == _OK:
+                out["status"] = _STALE
             out["data_age_s"] = float(out.get("data_age_s", 0.0)) + age_bonus
             return out
 

@@ -18,10 +18,12 @@ out of that sharing:
    exercise every path above deterministically;
 6. the actual :class:`repro.session.RemosSession` call, once (failures
    are retried where they are measured, in the collectors and the
-   Master), serialized by an asyncio lock (the discrete-event sim is
-   single-threaded).  A caller's mistake is ``bad_request`` with no
-   breaker outcome; any other exception is recorded by the breaker and
-   shed (see :meth:`RemosService._route`);
+   Master), after one yield to the loop.  The call is synchronous and
+   nothing awaits between that yield and the answer, so the loop runs
+   one session call at a time, in admission order: no lock.  A
+   caller's mistake is ``bad_request`` with no breaker outcome; any
+   other exception is recorded by the breaker and shed (see
+   :meth:`RemosService._route`);
 7. good answers (no FAILED member) refresh the LKG store.
 
 The backend answers in canonical wire dicts; the HTTP edge serializes
@@ -33,7 +35,7 @@ client reconstructs ``Answer`` objects through the identical
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
 
@@ -89,7 +91,6 @@ class SessionBackend:
     session: Any
     master: Any = None
     net: Any = None
-    lock: asyncio.Lock = field(default_factory=asyncio.Lock)
 
     @classmethod
     def from_deployment(cls, dep: Any) -> "SessionBackend":
@@ -227,19 +228,19 @@ class RemosService:
             obs.gauge("service.inflight").set(self.admission.inflight)
 
     async def _call_backend(self, endpoint: str, body: dict[str, Any], key: str) -> Any:
-        """Run the session call once, under the backend lock."""
-        async with self.backend.lock:
-            # yield once while holding the lock: the sim backend is
-            # synchronous, so without this a request would run to
-            # completion before the loop ever schedules a concurrent
-            # arrival — admission control would never see real
-            # contention and overload could not shed
-            await asyncio.sleep(0)
-            with obs.span("service.backend", endpoint=endpoint):
-                injector = self.backend.faults
-                if injector is not None and injector.service_error():
-                    raise BackendFaultError("injected service backend fault")
-                return self._route(endpoint, body, key)
+        """Run the session call once, after one yield to the loop."""
+        # yield once: the sim backend is synchronous, so without this a
+        # request would run to completion before the loop ever schedules a
+        # concurrent arrival — admission control would never see real
+        # contention and overload could not shed.  Nothing may await
+        # between this yield and the answer: then the loop itself runs one
+        # session call at a time, in the order the requests were admitted
+        await asyncio.sleep(0)
+        with obs.span("service.backend", endpoint=endpoint):
+            injector = self.backend.faults
+            if injector is not None and injector.service_error():
+                raise BackendFaultError("injected service backend fault")
+            return self._route(endpoint, body, key)
 
     def _route(self, endpoint: str, body: dict[str, Any], key: str) -> Any:
         """Run the session call a wire body asks for; returns wire dicts.
@@ -314,8 +315,7 @@ class RemosService:
         sites = body.get("sites")
         if sites is not None and not isinstance(sites, list):
             raise WireError("bad_request", "sites must be a list of site names")
-        async with self.backend.lock:
-            self.backend.session.invalidate_cache(sites)
+        self.backend.session.invalidate_cache(sites)
         evicted = self.lkg.invalidate(sites)
         obs.gauge("service.lkg_entries").set(len(self.lkg))
         return result_body({"invalidated_lkg": evicted, "sites": sites})

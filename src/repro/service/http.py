@@ -260,8 +260,7 @@ async def start_server(
         async def _ticker() -> None:
             while True:
                 await asyncio.sleep(tick_interval_s)
-                async with service.backend.lock:
-                    service.tick_subscriptions()
+                service.tick_subscriptions()
 
         # asyncio servers have no shutdown hook; stash the ticker task
         # where serve_forever (and tests) can cancel it on close

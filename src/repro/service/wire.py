@@ -23,6 +23,7 @@ codebase, so we keep that extension rather than inventing a sentinel.
 from __future__ import annotations
 
 import json
+from _json import make_encoder  # what json.encoder calls c_make_encoder
 from json.encoder import encode_basestring_ascii as _quote  # what _dumps does with a str
 from typing import Any
 
@@ -105,9 +106,18 @@ class AnswerRecord(dict[str, Any]):
         return again
 
 
-#: one encoder for every message: ``json.dumps`` with non-default
-#: arguments builds a fresh ``JSONEncoder`` per call
-_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+#: one C encoder for every message, built once with the arguments
+#: ``JSONEncoder.iterencode`` passes it (``encode`` builds a fresh one per
+#: call): sorted keys, compact separators, ASCII strings, NaN allowed, and
+#: no circular-reference markers, because wire values are trees
+_encoder = make_encoder(
+    None, json.JSONEncoder().default, _quote, None, ":", ",", True, False, True
+)
+
+
+def _dumps(obj: Any) -> str:
+    """``json.dumps(obj, sort_keys=True, separators=(",", ":"))``."""
+    return "".join(_encoder(obj, 0))
 
 
 def _scalar(v: Any) -> str:

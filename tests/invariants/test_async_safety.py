@@ -8,8 +8,8 @@ coroutine, so a sleep two helpers deep is found from the coroutine that
 reaches it; an awaited coroutine is walked as an entry of its own.
 
 The walk stops at the package boundary: the session backend *is*
-blocking by design and runs under the backend lock with explicit yield
-points (``RemosService._call_backend``), so only functions defined
+blocking by design and runs after one explicit yield, one call at a
+time (``RemosService._call_backend``), so only functions defined
 inside ``repro.service`` are walked.  ``asyncio.*`` is sanctioned.
 """
 

@@ -151,3 +151,22 @@ def test_pending_counts_live_events():
     assert eng.pending() == 2
     t1.cancel()
     assert eng.pending() == 1
+
+
+def test_engine_metrics_survive_a_registry_reset():
+    """An engine that has already reported keeps reporting after the
+    registry it reports to is reset: its cached handles are the dropped
+    ones, so it must resolve them again."""
+    from repro import obs
+
+    engine = Engine()
+    engine.after(1.0, lambda: None)
+    with obs.scoped_registry() as reg:
+        engine.run_until(2.0)
+        reg.reset()
+        engine.after(1.0, lambda: None)
+        engine.run_until(4.0)
+        counters = {c.name: c.value for c in reg.counters()}
+        gauges = {g.name: g.value for g in reg.gauges()}
+    assert counters == {"netsim.engine.events": 1, "netsim.engine.sim_advance_s": 2.0}
+    assert gauges["netsim.engine.sim_time_s"] == 4.0

@@ -239,7 +239,7 @@ class TestAdmissionController:
 
     def test_the_inflight_gauge_falls_when_the_slot_is_released(self):
         """``service.inflight`` reads the slots held: one while a backend
-        call holds the lock, none once the request is answered."""
+        call runs, none once the request is answered."""
         from repro import obs
 
         seen = []
