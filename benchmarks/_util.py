@@ -8,7 +8,11 @@ Every benchmark prints a paper-style table to stdout *and* appends it to
 from __future__ import annotations
 
 import json
+import time
+from collections.abc import Callable
 from pathlib import Path
+
+import numpy as np
 
 OUT_DIR = Path(__file__).parent / "out"
 
@@ -38,3 +42,25 @@ def emit_json(name: str, payload: dict) -> Path:
 def fmt_row(cols, widths) -> str:
     return "  ".join(str(c).rjust(w) for c, w in zip(cols, widths))
 
+
+def time_us(fn: Callable[[], object], min_rounds: int = 5, max_seconds: float = 1.0) -> float:
+    """Median microseconds per call, adaptively repeated."""
+    t_end = time.perf_counter() + max_seconds
+    times = []
+    while len(times) < min_rounds or (time.perf_counter() < t_end and len(times) < 200):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return 1e6 * float(np.median(times))
+
+
+def mean_s(benchmark, fn: Callable[[], object]) -> float:
+    """Seconds per call of ``fn`` as ``benchmark(fn)`` measured it.
+
+    Under ``--benchmark-disable`` the fixture calls ``fn`` once and
+    keeps no stats, so the median timer reads the same callable.
+    """
+    benchmark(fn)
+    if benchmark.disabled:
+        return time_us(fn) / 1e6
+    return benchmark.stats["mean"]

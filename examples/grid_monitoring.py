@@ -6,6 +6,8 @@ Demonstrates the pieces the simpler examples skip:
 * periodic SNMP polling building utilization history,
 * predictive flow queries (Modeler -> RPS client-server service),
 * streaming host-load prediction with evaluator-driven refits,
+* a flow bandwidth sensor: a Remos application streaming one
+  inter-site flow's answers into its own predictor (paper §3.3),
 * a hierarchical Master (master-of-masters), and
 * the ASCII wire protocol the components speak.
 
@@ -25,6 +27,7 @@ from repro.deploy import deploy_wan
 from repro.netsim import RandomWalkTraffic, SiteSpec, build_multisite_wan
 from repro.netsim.agents import attach_trace
 from repro.rps import (
+    FlowBandwidthSensor,
     HostLoadSensor,
     RpsPredictionService,
     StreamingPredictor,
@@ -58,10 +61,15 @@ def main() -> None:
     session.flow_info(world.host("data", 0), world.host("viz", 0))
     remos.start_monitoring()
 
-    # 2. streaming host-load prediction on the compute node
+    # 2. streaming host-load prediction on the compute node, and a flow
+    #    sensor sampling the data -> viz answer every 10 s
     predictor = StreamingPredictor("AR(16)", trace[:600], horizon=10)
     sensor = HostLoadSensor(world.net, node, predictor, rate_hz=1.0)
     sensor.start()
+    flow_sensor = FlowBandwidthSensor(
+        session, world.host("data", 0), world.host("viz", 0), period_s=10.0
+    )
+    flow_sensor.start()
 
     world.net.engine.run_until(world.net.now + 300.0)
 
@@ -83,7 +91,17 @@ def main() -> None:
     print(f"host-load sensor CPU use at 1 Hz: "
           f"{100 * sensor.cpu_fraction():.3f}% of one core")
 
-    # 5. hierarchy: a top-level master that delegates to this grid's master
+    # 5. the flow sensor streams into a predictor fitted on what it has
+    #    sampled so far, for five more periods
+    flow_sensor.predictor = StreamingPredictor("AR(4)", flow_sensor.series(), horizon=3)
+    world.net.engine.run_until(world.net.now + 50.0)
+    flow_sensor.stop()
+    flow_fc = flow_sensor.stats.last_forecast
+    print(f"\nflow sensor data -> viz: {flow_sensor.stats.samples} samples, "
+          f"last {fmt_rate(flow_sensor.series()[-1])}; "
+          f"forecast 30 s ahead {fmt_rate(flow_fc[-1])}")
+
+    # 6. hierarchy: a top-level master that delegates to this grid's master
     top_dir = CollectorDirectory()
     top_dir.register(remos.master, ["10.0.0.0/8", "192.168.0.0/16"],
                      site="grid-a", remote=True)
@@ -94,7 +112,7 @@ def main() -> None:
     print(f"\ntop-level master answered with {len(resp.graph)} nodes, "
           f"{resp.graph.num_edges()} edges")
 
-    # 6. the wire protocol: what actually crosses the TCP socket
+    # 7. the wire protocol: what actually crosses the TCP socket
     wire = encode_topology(resp.graph)
     again = decode_topology(wire)
     print(f"ASCII protocol round-trip: {len(wire.splitlines())} lines, "

@@ -26,12 +26,6 @@ from repro.collectors.bridge_collector import (
 from repro.collectors.directory import CollectorDirectory, Registration
 from repro.collectors.master import MasterCollector
 from repro.collectors.monitor import LinkMonitor, MonitorKey
-from repro.collectors.persistence import (
-    load_bridge_state,
-    load_snmp_state,
-    save_bridge_state,
-    save_snmp_state,
-)
 from repro.collectors.slp import DirectoryAgent, SlpCollectorDirectory
 from repro.collectors.snmp_collector import SnmpCollector, SnmpCollectorConfig
 from repro.collectors.wireless_collector import CellInfo, WirelessCollector
@@ -61,8 +55,4 @@ __all__ = [
     "WirelessCollector",
     "DirectoryAgent",
     "SlpCollectorDirectory",
-    "load_bridge_state",
-    "load_snmp_state",
-    "save_bridge_state",
-    "save_snmp_state",
 ]

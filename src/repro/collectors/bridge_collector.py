@@ -29,7 +29,6 @@ station per period) so that moved hosts are re-attached — the wireless
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Any, cast
@@ -98,7 +97,7 @@ class L2Database:
         return found
 
     def to_dict(self) -> dict[str, Any]:
-        """The database as a plain record (what a warm restart saves)."""
+        """The database as a plain record."""
         return {
             "switch_macs": {n: str(m) for n, m in self.switch_macs.items()},
             "switch_ips": {n: str(ip) for n, ip in self.switch_ips.items()},
@@ -114,29 +113,6 @@ class L2Database:
             },
             "edges": [[list(a), list(b), port] for a, b, port in edges(self.graph)],
         }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "L2Database":
-        """The database of a record; a malformed one raises KeyError,
-        TypeError or ValueError."""
-        db = cls()
-        db.switch_macs = {n: MacAddress(m) for n, m in d["switch_macs"].items()}
-        db.switch_ips = {n: IPv4Address(ip) for n, ip in d["switch_ips"].items()}
-        db.station_attach = {
-            MacAddress(m): Attachment(sw, int(port))
-            for m, (sw, port) in d["station_attach"].items()
-        }
-        db.segments = {
-            sid: L2Segment(
-                sid,
-                tuple(Attachment(sw, int(p)) for sw, p in seg["ports"]),
-                tuple(MacAddress(m) for m in seg["stations"]),
-            )
-            for sid, seg in d["segments"].items()
-        }
-        for (kind_a, id_a), (kind_b, id_b), port in d["edges"]:
-            add_edge(db.graph, (kind_a, id_a), (kind_b, id_b), None if port is None else int(port))
-        return db
 
 
 class BridgeCollector:

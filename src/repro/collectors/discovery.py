@@ -16,18 +16,17 @@ following, over SNMP, and remembers everything it read in one
    for the switch-level path; shared segments and subnets without
    bridge data become *virtual switches*.
 
-The state is a record: it is what a warm restart saves
-(:mod:`repro.collectors.persistence` only frames it), what a restart or
-``flush_caches`` replaces, and all that survives between queries —
-nothing here is negative: a read that failed is asked again.
+The state is a record: it is what ``flush_caches`` replaces, and all
+that survives between queries — nothing here is negative: a read that
+failed is asked again.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, NamedTuple, cast
+from typing import TYPE_CHECKING, NamedTuple, cast
 
 from repro import obs
 from repro.common.errors import (
@@ -43,7 +42,6 @@ from repro.snmp import oid as O
 from repro.snmp.client import SnmpClient
 from repro.collectors.bridge_collector import BridgeCollector, L2Database, L2Node
 from repro.collectors.monitor import MonitorKey
-from repro.collectors.protocol import fmt_num, parse_num
 from repro.modeler.graph import HOST, ROUTER, SWITCH, VSWITCH, TopoNode
 
 if TYPE_CHECKING:  # the collector module imports this one
@@ -108,11 +106,6 @@ class PathRec:
     edges: list[EdgeRec]
 
 
-def _iface_key(text: str) -> tuple[str, int]:
-    ip, _, idx = text.rpartition("|")
-    return (ip, int(idx))
-
-
 @dataclass
 class DiscoveryState:
     """Everything discovery has read and not yet been told to forget."""
@@ -161,88 +154,6 @@ class DiscoveryState:
             for subnet, table in self.arp.items()
         }
         return kept
-
-    def to_dict(self) -> dict[str, Any]:
-        """The state as a plain record (capacities as on the wire, so
-        ``inf`` survives JSON)."""
-        return {
-            "paths": {
-                f"{src}|{dst}": {
-                    "nodes": [[n.id, n.kind, list(n.ips)] for n in rec.nodes],
-                    "edges": [
-                        [
-                            e.a, e.b,
-                            e.key.agent_ip if e.key else None,
-                            e.key.ifindex if e.key else None,
-                            e.owner_id, fmt_num(e.capacity_bps), e.latency_s,
-                        ]
-                        for e in rec.edges
-                    ],
-                }
-                for (src, dst), rec in self.paths.items()
-            },
-            "route_tables": {
-                ip: [
-                    [f"{ipv4_text(net)}/{plen}", None if hop is None else ipv4_text(hop), i]
-                    for net, plen, hop, i in table
-                ]
-                for ip, table in self.route_tables.items()
-            },
-            "subnet_ifaces": {
-                f"{ip}|{subnet}": i for (ip, subnet), i in self.subnet_ifaces.items()
-            },
-            "sys_names": dict(self.sys_names),
-            "if_speeds": {f"{ip}|{i}": fmt_num(v) for (ip, i), v in self.if_speeds.items()},
-            "if_macs": {
-                f"{ip}|{i}": (str(v) if v else None) for (ip, i), v in self.if_macs.items()
-            },
-            "arp": {
-                str(subnet): {ip: (str(mac) if mac else None) for ip, mac in table.items()}
-                for subnet, table in self.arp.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "DiscoveryState":
-        """The state of a record; a malformed one raises before any
-        state exists (KeyError, TypeError, ValueError, AttributeError,
-        TopologyError, ProtocolError).  Unknown members are ignored."""
-        state = cls()
-        for pair, rec in d["paths"].items():
-            src, _, dst = pair.partition("|")
-            state.paths[(src, dst)] = PathRec(
-                [TopoNode(i, kind, tuple(ips)) for i, kind, ips in rec["nodes"]],
-                [
-                    EdgeRec(
-                        a, b,
-                        MonitorKey(agent_ip, int(ifindex)) if agent_ip is not None else None,
-                        owner, parse_num(cap), lat,
-                    )
-                    for a, b, agent_ip, ifindex, owner, cap, lat in rec["edges"]
-                ],
-            )
-        for router_ip, rows in d["route_tables"].items():
-            parsed: list[RouteRow] = []
-            for p, nh, idx in rows:
-                prefix = IPv4Network(p)
-                hop = IPv4Address(nh).value if nh else None
-                parsed.append((prefix.network_int, prefix.prefixlen, hop, int(idx)))
-            state.route_tables[router_ip] = _route_table(parsed)
-        for key, ifindex in d["subnet_ifaces"].items():
-            router_ip, _, subnet = key.partition("|")
-            state.subnet_ifaces[(router_ip, IPv4Network(subnet))] = int(ifindex)
-        state.sys_names = dict(d["sys_names"])
-        state.if_speeds = {_iface_key(k): parse_num(v) for k, v in d["if_speeds"].items()}
-        state.if_macs = {
-            _iface_key(k): (MacAddress(v) if v else None) for k, v in d["if_macs"].items()
-        }
-        state.arp = {
-            IPv4Network(subnet): {
-                ip: (MacAddress(mac) if mac else None) for ip, mac in table.items()
-            }
-            for subnet, table in d["arp"].items()
-        }
-        return state
 
 
 class Discovery:

@@ -12,7 +12,7 @@ from repro.modeler.graph import (
     TopologyGraph,
 )
 from repro.modeler.maxmin import FlowPrediction, predict_flows
-from repro.modeler.simplify import collapse_chains, prune, simplify
+from repro.modeler.simplify import simplify
 
 __all__ = [
     "FlowAnswer",
@@ -27,7 +27,5 @@ __all__ = [
     "TopologyGraph",
     "FlowPrediction",
     "predict_flows",
-    "collapse_chains",
-    "prune",
     "simplify",
 ]

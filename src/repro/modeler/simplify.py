@@ -3,13 +3,14 @@
 The Modeler "performs additional processing on the topology returned by
 the collector to eliminate unnecessary information and present the
 topology to the application in a more manageable form" (paper §2.2),
-including inserting virtual switches.  Two transformations:
+including inserting virtual switches.  :func:`simplify` copies the
+graph once and applies two transformations to that copy:
 
-* :func:`prune` — drop nodes that cannot lie on any path between the
-  hosts the application asked about (iterative leaf removal).
-* :func:`collapse_chains` — replace runs of degree-2 interior nodes
-  (switch chains) with a single virtual switch whose two edges preserve
-  the chain's directional available bandwidth, so flow answers are
+* pruning — drop nodes that cannot lie on any path between the hosts
+  the application asked about (iterative leaf removal);
+* chain collapsing — replace runs of degree-2 interior nodes (switch
+  chains) with a single virtual switch whose two edges preserve the
+  chain's directional available bandwidth, so flow answers are
   unchanged by simplification.
 """
 
@@ -27,14 +28,8 @@ from repro.modeler.graph import (
 )
 
 
-def prune(graph: TopologyGraph, protect: set[str]) -> TopologyGraph:
-    """Remove leaf nodes not in ``protect`` until none remain."""
-    g = graph.copy()
-    _prune_in_place(g, protect)
-    return g
-
-
 def _prune_in_place(g: TopologyGraph, protect: set[str]) -> None:
+    """Remove leaf nodes not in ``protect`` until none remain."""
     changed = True
     while changed:
         changed = False
@@ -46,7 +41,7 @@ def _prune_in_place(g: TopologyGraph, protect: set[str]) -> None:
                 changed = True
 
 
-def collapse_chains(graph: TopologyGraph, protect: set[str]) -> TopologyGraph:
+def _collapse_in_place(g: TopologyGraph, protect: set[str]) -> None:
     """Collapse maximal degree-2 chains of unprotected interior nodes.
 
     A chain ``A - x1 - x2 - ... - xk - B`` (each ``xi`` unprotected,
@@ -57,12 +52,6 @@ def collapse_chains(graph: TopologyGraph, protect: set[str]) -> TopologyGraph:
     Flow predictions over the simplified graph therefore match the
     original.
     """
-    g = graph.copy()
-    _collapse_in_place(g, protect)
-    return g
-
-
-def _collapse_in_place(g: TopologyGraph, protect: set[str]) -> None:
     visited: set[str] = set()
     for node in list(g.nodes()):
         nid = node.id

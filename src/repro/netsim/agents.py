@@ -1,18 +1,16 @@
-"""Host instrumentation: load sources and sampling helpers.
+"""Host instrumentation: trace-backed load sources.
 
 RPS collects host load through its own sensor (paper §3.3: "RPS does
 this through a host load sensor"), so hosts expose a ``load(now)``
 callable rather than a MIB entry.  This module wires synthetic load
-traces onto hosts and provides a small recorder used by tests and the
-prediction experiments.
+traces onto hosts for the prediction experiments.
 """
 
 from __future__ import annotations
 
-
 import numpy as np
 
-from repro.netsim.topology import Host, Network
+from repro.netsim.topology import Host
 
 
 class TraceLoadSource:
@@ -42,31 +40,3 @@ def attach_trace(host: Host, trace: np.ndarray, dt: float = 1.0) -> TraceLoadSou
     src = TraceLoadSource(trace, dt)
     host.load_source = src
     return src
-
-
-class LoadRecorder:
-    """Samples a host's load periodically into ``times`` / ``values``."""
-
-    def __init__(self, net: Network, host: Host, interval_s: float) -> None:
-        self.net = net
-        self.host = host
-        self.interval_s = interval_s
-        self.times: list[float] = []
-        self.values: list[float] = []
-        self._timer = None
-
-    def start(self) -> None:
-        if self._timer is None:
-            self._timer = self.net.engine.every(self.interval_s, self._sample)
-
-    def _sample(self) -> None:
-        self.times.append(self.net.now)
-        self.values.append(self.host.load(self.net.now))
-
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)

@@ -18,7 +18,7 @@ charged against the sampling period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,63 +80,6 @@ class HostLoadSensor:
             return 0.0
         per_sample = self.stats.cpu_seconds / self.stats.samples
         return per_sample / self.period_s
-
-
-class SnmpHostLoadSensor:
-    """Host-load sensing over SNMP (hrProcessorLoad).
-
-    The alternative to the local :class:`HostLoadSensor`: a *remote*
-    monitor polls the host's Host Resources MIB, paying SNMP PDUs per
-    sample and seeing the load quantised to integer percent.  Useful
-    when the monitoring system cannot run code on the measured node.
-    """
-
-    def __init__(
-        self,
-        client,
-        host_ip,
-        predictor: StreamingPredictor | None = None,
-        rate_hz: float = 1.0,
-        engine=None,
-    ) -> None:
-        if rate_hz <= 0:
-            raise ValueError("rate must be positive")
-        from repro.snmp import oid as O
-
-        self._oid = O.HR_PROCESSOR_LOAD + 1
-        self.client = client
-        self.host_ip = str(host_ip)
-        self.predictor = predictor
-        self.period_s = 1.0 / rate_hz
-        self.engine = engine if engine is not None else client.world.net.engine
-        self.stats = SensorStats()
-        self.samples: list[tuple[float, float]] = []
-        self._timer = None
-
-    def start(self) -> None:
-        if self._timer is None:
-            self._timer = self.engine.every(self.period_s, self.tick)
-
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def tick(self) -> None:
-        from repro.common.errors import SnmpError
-
-        try:
-            pct = float(self.client.get(self.host_ip, self._oid))
-        except SnmpError:
-            return  # unreachable this round: skip the sample
-        load = pct / 100.0
-        self.samples.append((self.engine.now, load))
-        self.stats.samples += 1
-        if self.predictor is not None:
-            t0 = obs.cpu_now()
-            fc = self.predictor.observe(load)
-            self.stats.cpu_seconds += obs.cpu_now() - t0
-            self.stats.last_forecast = fc.values
 
 
 class FlowBandwidthSensor:

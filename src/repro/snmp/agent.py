@@ -18,18 +18,16 @@ simulated network and registers them, returning the world.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro import obs
 from repro.common.errors import AgentUnreachableError, AuthorizationError
 from repro.netsim.address import IPv4Address, IPv4Network
-from repro.netsim.topology import Host, Network, Node, Router, Switch
+from repro.netsim.topology import Network, Node, Router, Switch
 from repro.netsim.wireless import Basestation
 from repro.snmp.mib import (
     MibStore,
     build_basestation_mib,
-    build_host_mib,
     build_router_mib,
     build_switch_mib,
     on_link_stations,
@@ -184,36 +182,3 @@ def instrument_network(
             )
             world.register(agent, [node.management_ip])
     return world
-
-
-def instrument_hosts(
-    world: SnmpWorld,
-    hosts: Iterable[Node] | None = None,
-    community: str = "public",
-    allowed_sources: list[IPv4Network] | None = None,
-) -> int:
-    """Give end hosts SNMP agents with the Host Resources MIB.
-
-    Most sites don't run SNMP on workstations, so this is opt-in and
-    separate from :func:`instrument_network`.  Returns how many agents
-    were registered.
-    """
-    net = world.net
-    targets: Iterable[Node] = net.hosts() if hosts is None else hosts
-    acl = list(allowed_sources or [])
-    count = 0
-    for host in targets:
-        if not isinstance(host, Host):
-            continue
-        ips = [i.ip for i in host.interfaces if i.ip is not None]
-        if not ips:
-            continue
-        agent = SnmpAgent(
-            host,
-            build_host_mib(host, net),
-            community=community,
-            allowed_sources=acl,
-        )
-        world.register(agent, ips)
-        count += 1
-    return count

@@ -20,7 +20,7 @@ from collections.abc import Callable, Iterable, Sequence
 from repro.common.errors import NoSuchObjectError
 from repro.netsim.address import IPv4Address, IPv4Network, MacAddress, ipv4_octets, ipv4_text
 from repro.netsim.bridging import SELF_PORT
-from repro.netsim.topology import Host, Interface, Network, Node, Router, Switch
+from repro.netsim.topology import Interface, Network, Node, Router, Switch
 from repro.netsim.wireless import Basestation
 from repro.snmp import oid as O
 from repro.snmp.oid import Oid
@@ -425,32 +425,6 @@ def _rebuild_fdb_rows(store: MibStore, switch: Switch) -> None:
         for mac, port in switch.fdb.items()
     ]
     _put_rows(store, _FDB_COLUMNS, rows)
-
-
-def build_host_mib(host: Host, net: Network) -> MibStore:
-    """Host Resources view of an end host: ifTable + hrProcessorLoad.
-
-    ``hrProcessorLoad`` is "the average, over the last minute, of the
-    percentage of time that this processor was not idle" (RFC 2790);
-    we map the host's load average to a 0-100 percentage (load 1.0 =
-    one busy core = 100).
-    """
-    store = MibStore()
-    _put_if_table(store, host, net)
-    store.put_column(
-        O.HR_PROCESSOR_LOAD,
-        [((1,), lambda h=host, n=net: int(min(100.0, 100.0 * h.load(n.now))))],
-    )
-    # hrSystem scalars: a deterministic process count that tracks the
-    # load average (a busier machine runs more processes), and a single
-    # logged-in user — the simulated hosts are compute nodes, not
-    # terminals.  Both are read-through so pollers see load changes.
-    store.put(O.HR_SYSTEM_NUM_USERS, 1)
-    store.put(
-        O.HR_SYSTEM_PROCESSES,
-        lambda h=host, n=net: 40 + int(10.0 * h.load(n.now)),
-    )
-    return store
 
 
 def build_basestation_mib(bs: Basestation, net: Network) -> MibStore:

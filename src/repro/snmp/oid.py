@@ -181,15 +181,6 @@ DOT1D_TP_FDB_STATUS = DOT1D_TP_FDB_ENTRY + "3"
 FDB_STATUS_LEARNED = 3
 FDB_STATUS_SELF = 4
 
-# -- Host Resources MIB (RFC 2790) ----------------------------------------
-
-HOST_RESOURCES = MIB2 + "25"
-HR_SYSTEM_NUM_USERS = HOST_RESOURCES + "1.5.0"
-HR_SYSTEM_PROCESSES = HOST_RESOURCES + "1.6.0"
-HR_PROCESSOR_TABLE = HOST_RESOURCES + "3.3"
-HR_PROCESSOR_ENTRY = HR_PROCESSOR_TABLE + "1"
-HR_PROCESSOR_LOAD = HR_PROCESSOR_ENTRY + "2"
-
 # -- wireless AP view (experimental subtree; mirrors IEEE 802.11 MIB
 #    concepts: BSSID, operational rate, association table) ---------------
 

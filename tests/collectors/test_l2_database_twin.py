@@ -4,17 +4,15 @@ The oracle is the previous ``L2Database``, ``infer_l2_topology``,
 ``_attach_from_single_mac``, ``_wire_station`` and the collector's
 ``startup`` / ``_relocate``, kept verbatim below (only renamed).  Over
 random switch trees with hubs and over switched and hub LANs read
-through SNMP, both must infer the same database: the saved record byte
-for byte (its edge list is in the graph's insertion order), the same
-L2 path between every pair of stations, the same again after a record
-round trip, and the same after a host re-homes and location monitoring
-re-wires it.
+through SNMP, both must infer the same database: its full record byte for
+byte (its edge list is in the graph's insertion order), the same L2
+path between every pair of stations, and the same after a host re-homes
+and location monitoring re-wires it.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
 from itertools import combinations
 from typing import Any
 
@@ -94,32 +92,6 @@ class _NxL2Database:
                 [list(a), list(b), data.get("port")] for a, b, data in self.graph.edges(data=True)
             ],
         }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "_NxL2Database":
-        """The database of a record; a malformed one raises KeyError,
-        TypeError or ValueError."""
-        db = cls()
-        db.switch_macs = {n: MacAddress(m) for n, m in d["switch_macs"].items()}
-        db.switch_ips = {n: IPv4Address(ip) for n, ip in d["switch_ips"].items()}
-        db.station_attach = {
-            MacAddress(m): Attachment(sw, int(port))
-            for m, (sw, port) in d["station_attach"].items()
-        }
-        db.segments = {
-            sid: L2Segment(
-                sid,
-                tuple(Attachment(sw, int(p)) for sw, p in seg["ports"]),
-                tuple(MacAddress(m) for m in seg["stations"]),
-            )
-            for sid, seg in d["segments"].items()
-        }
-        for a, b, port in d["edges"]:
-            if port is None:
-                db.graph.add_edge(tuple(a), tuple(b))
-            else:
-                db.graph.add_edge(tuple(a), tuple(b), port=int(port))
-        return db
 
 
 def _nx_infer_l2_topology(
@@ -403,11 +375,6 @@ def _same(new: L2Database, old: _NxL2Database) -> None:
                 assert new.path(a, b) == want, (a, b)
 
 
-def _round_trip(new: L2Database, old: _NxL2Database) -> None:
-    record = json.loads(json.dumps(new.to_dict()))
-    _same(L2Database.from_dict(record), _NxL2Database.from_dict(record))
-
-
 @st.composite
 def _random_bridged_lan(draw):
     """A random switch tree whose links may run through a hub, plus hubs
@@ -445,7 +412,6 @@ def test_inference_matches_on_random_bridged_lans(switches):
     mgmt = {sw.name: sw.management_mac() for sw in switches}
     new, old = infer_l2_topology(fdbs, mgmt), _nx_infer_l2_topology(fdbs, mgmt)
     _same(new, old)
-    _round_trip(new, old)
 
 
 def _collectors(lan: Any) -> tuple[BridgeCollector, _NxBridgeCollector, Any, list[Any]]:
@@ -473,7 +439,6 @@ def test_relocation_matches_on_switched_lans(n_hosts, fanout):
         assert new_bc.verify_location(mac) == old_bc.verify_location(mac) is True
         _same(new_bc.db, old_bc.db)
     assert new_bc.monitor_tick() == old_bc.monitor_tick() == 0
-    _round_trip(new_bc.db, old_bc.db)
 
 
 def test_relocation_onto_a_hub_matches():
@@ -486,4 +451,3 @@ def test_relocation_onto_a_hub_matches():
     assert new_bc.verify_location(mac) == old_bc.verify_location(mac) is True
     _same(new_bc.db, old_bc.db)
     assert any(mac in seg.stations for seg in new_bc.db.segments.values())
-    _round_trip(new_bc.db, old_bc.db)

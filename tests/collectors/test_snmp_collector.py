@@ -6,12 +6,20 @@ import pytest
 
 from repro.common.errors import UnknownHostError
 from repro.common.units import MBPS
-from repro.netsim.builders import build_dumbbell, build_switched_lan
+from repro.deploy import deploy_campus, deploy_lan, deploy_wan
+from repro.netsim.builders import (
+    build_campus,
+    build_dumbbell,
+    build_hub_lan,
+    build_random_wan,
+    build_switched_lan,
+)
 from repro.netsim.address import IPv4Address, IPv4Network
 from repro.snmp.agent import instrument_network
 from repro.collectors.base import TopologyRequest
 from repro.collectors.bridge_collector import BridgeCollector
 from repro.collectors.directory import CollectorDirectory
+from repro.collectors.discovery import DiscoveryState
 from repro.collectors.snmp_collector import (
     COLD_SAMPLE_GAP_S,
     SnmpCollector,
@@ -285,6 +293,73 @@ class TestCaching:
         g2 = coll.topology(TopologyRequest.of(ips)).graph
         assert sorted(n.id for n in g1.nodes()) == sorted(n.id for n in g2.nodes())
         assert g1.num_edges() == g2.num_edges()
+
+
+def _warm_deployments():
+    """(label, deployment, hosts) over worlds with routed, switched,
+    multi-switch and shared-segment parts, each asked one raw topology."""
+    for seed in (3, 11):
+        wan = build_random_wan(4, seed=seed, multi_switch_fraction=0.5)
+        yield f"wan{seed}", deploy_wan(wan), [h for s in wan.sites.values() for h in s.hosts]
+    campus = build_campus(3, 4)
+    yield "campus", deploy_campus(campus), [h for s in campus.subnets for h in s.hosts]
+    hub = build_hub_lan()
+    yield "hub", deploy_lan(hub), hub.hosts
+
+
+@pytest.fixture(scope="module")
+def warm_states():
+    states = []
+    for label, dep, hosts in _warm_deployments():
+        dep.session().topology(hosts, detail="raw")
+        states += [
+            (f"{label}/{site}", coll.discovery.state)
+            for site, coll in sorted(dep.snmp_collectors.items())
+        ]
+    return states
+
+
+class TestDiscoveryRecord:
+    def test_kept_is_a_prefix_of_the_sorted_paths(self, warm_states):
+        for label, state in warm_states:
+            # a site whose paths all end at its gateway walked no route
+            # table: the gateway's ipAddrTable row named its interface
+            assert state.paths and (state.route_tables or state.subnet_ifaces), label
+            assert state.kept(0.0) == DiscoveryState(), label
+            assert state.kept(1.0) is state, label
+            ordered = sorted(state.paths)
+            for fraction in (0.1, 1 / 3, 0.5, 0.9):
+                kept = state.kept(fraction)
+                n = int(len(ordered) * fraction)
+                assert sorted(kept.paths) == ordered[:n], (label, fraction)
+                # what is kept of the small memos is what the kept paths poll
+                polled = {(e.key.agent_ip, e.key.ifindex) for e in kept.edges() if e.key}
+                assert set(kept.if_speeds) <= polled and set(kept.if_macs) <= polled
+                assert kept.route_tables == state.route_tables
+                assert kept.subnet_ifaces == state.subnet_ifaces
+        # the campus walks route tables, every site reads an interface
+        assert any(state.route_tables for _label, state in warm_states)
+        assert all(state.subnet_ifaces for _label, state in warm_states)
+
+    def test_a_flushed_collector_is_a_fresh_collector(self):
+        """Twin: after ``flush_caches()`` a collector spends the PDUs, the
+        simulated time and returns the graph of one just constructed."""
+        twins = []
+        for flushed in (True, False):
+            lan = build_switched_lan(16, fanout=4)
+            dep = deploy_lan(lan)
+            coll = dep.snmp_collectors["lan"]
+            request = TopologyRequest.of([str(h.ip) for h in lan.hosts[:8]])
+            if flushed:
+                coll.topology(request)
+                coll.flush_caches()
+            lan.net.engine.run_until(10.0)  # the same simulated instant
+            pdus = coll.client.pdu_count
+            resp = coll.topology(request)
+            twins.append(
+                (coll.client.pdu_count - pdus, lan.net.now, resp.graph.to_dict(), resp.status)
+            )
+        assert twins[0] == twins[1]
 
 
 class TestMonitoring:

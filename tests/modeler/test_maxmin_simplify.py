@@ -18,7 +18,7 @@ from repro.modeler.graph import (
     TopologyGraph,
 )
 from repro.modeler.maxmin import predict_flows
-from repro.modeler.simplify import collapse_chains, prune, simplify
+from repro.modeler.simplify import _collapse_in_place, _prune_in_place, simplify
 
 
 def _shared_bottleneck():
@@ -103,7 +103,8 @@ class TestSimplify:
         g = _shared_bottleneck()
         g.add_node(TopoNode("stray", SWITCH))
         g.add_edge(TopoEdge("gw", "stray", 1e6))
-        p = prune(g, protect={"h1", "h3"})
+        p = g.copy()
+        _prune_in_place(p, protect={"h1", "h3"})
         assert not p.has_node("stray")
         assert not p.has_node("h2")  # unprotected leaf host goes too
         assert p.has_node("h1") and p.has_node("h3")
@@ -111,7 +112,8 @@ class TestSimplify:
     def test_collapse_preserves_flow_answers(self):
         g = _chain_graph(4)
         [before] = predict_flows(g, [("h1", "h2")])
-        s = collapse_chains(g, protect={"h1", "h2"})
+        s = g.copy()
+        _collapse_in_place(s, protect={"h1", "h2"})
         assert len(s) < len(g)
         [after] = predict_flows(s, [("h1", "h2")])
         assert after.rate_bps == pytest.approx(before.rate_bps)
@@ -122,7 +124,8 @@ class TestSimplify:
 
     def test_collapse_inserts_vswitch(self):
         g = _chain_graph(3)
-        s = collapse_chains(g, protect={"h1", "h2"})
+        s = g.copy()
+        _collapse_in_place(s, protect={"h1", "h2"})
         kinds = {n.kind for n in s.nodes()}
         assert VSWITCH in kinds
         assert s.path("h1", "h2")[1].startswith("vsw:")
@@ -139,7 +142,8 @@ class TestSimplify:
 
     def test_protected_interior_not_collapsed(self):
         g = _chain_graph(3)
-        s = collapse_chains(g, protect={"h1", "h2", "s1"})
+        s = g.copy()
+        _collapse_in_place(s, protect={"h1", "h2", "s1"})
         assert s.has_node("s1")
 
     @given(st.integers(2, 8), st.lists(st.floats(1e6, 100e6), min_size=9, max_size=9),
@@ -168,9 +172,9 @@ class TestSimplify:
 
 
 class TestSimplifyCopiesOnce:
-    """``simplify`` prunes and collapses one private copy; the public
-    ``prune``/``collapse_chains`` each still copy on entry, and chaining
-    them is the two-copy pipeline ``simplify`` used to be."""
+    """``simplify`` prunes and collapses one private copy: the view is
+    that of the two in-place passes over a copy, and the input is left
+    as it was."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_same_view_as_the_two_copy_pipeline(self, random_wan, seed):
@@ -187,18 +191,11 @@ class TestSimplifyCopiesOnce:
             protect = set(rng.sample(every_host, rng.randint(2, len(every_host))))
             before = raw.graph.to_dict()
             got = simplify(raw.graph, protect)
-            want = collapse_chains(prune(raw.graph, protect), protect)
+            want = raw.graph.copy()
+            _prune_in_place(want, protect)
+            _collapse_in_place(want, protect)
             # nodes (with vswitch ids), edges and every annotation
             assert got.to_dict() == want.to_dict()
             assert got is not raw.graph and raw.graph.to_dict() == before
             vswitches += sum(n.kind == VSWITCH for n in got.nodes())
         assert vswitches, "no chain collapsed: the worlds no longer exercise the pass"
-
-    def test_public_passes_still_copy_on_entry(self):
-        g = _chain_graph(4)
-        g.add_node(TopoNode("stray", SWITCH))
-        g.add_edge(TopoEdge("s2", "stray", 1e6))
-        before = g.to_dict()
-        assert prune(g, {"h1", "h2"}) is not g
-        assert collapse_chains(g, {"h1", "h2"}) is not g
-        assert g.to_dict() == before

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.units import MBPS
-from repro.netsim.agents import LoadRecorder, TraceLoadSource, attach_trace
+from repro.netsim.agents import TraceLoadSource
 from repro.netsim.builders import (
     SiteSpec,
     build_hub_lan,
@@ -76,15 +76,3 @@ class TestLoadInstrumentation:
             TraceLoadSource(np.array([]))
         with pytest.raises(ValueError):
             TraceLoadSource(np.array([1.0]), dt=0.0)
-
-    def test_recorder_samples_host(self):
-        lan = build_switched_lan(2)
-        h = lan.hosts[0]
-        attach_trace(h, np.arange(100, dtype=float), dt=1.0)
-        rec = LoadRecorder(lan.net, h, interval_s=1.0)
-        rec.start()
-        lan.net.engine.run_until(5.5)
-        rec.stop()
-        lan.net.engine.run_until(10.0)
-        assert rec.times == [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert list(rec.as_array()) == [1.0, 2.0, 3.0, 4.0, 5.0]

@@ -317,6 +317,16 @@ class TestDeviceMibs:
         statuses = client.table_column(sw.management_ip, O.DOT1D_TP_FDB_STATUS)
         assert O.FDB_STATUS_SELF in statuses.values()
 
+    def test_sys_object_id_encodes_device_kind(self):
+        lan = build_switched_lan(4, fanout=4)
+        world = instrument_network(lan.net)
+        client = SnmpClient(world, lan.hosts[0].ip)
+        router_ip = next(i.ip for i in lan.router.interfaces if i.ip is not None)
+        assert client.get(router_ip, O.SYS_OBJECT_ID) == str(O.SYS_OBJECT_ID_BASE + 2)
+        assert client.get(lan.switches[0].management_ip, O.SYS_OBJECT_ID) == str(
+            O.SYS_OBJECT_ID_BASE + 3
+        )
+
 
 class TestAccessControl:
     def test_unknown_ip_times_out(self, snmp_dumbbell):

@@ -25,7 +25,7 @@ from repro.netsim.builders import build_campus, build_hub_lan, build_random_wan
 from repro.netsim.topology import Interface, Network, Router
 from repro.snmp import agent as agent_module
 from repro.snmp import oid as O
-from repro.snmp.agent import SnmpWorld, instrument_hosts, instrument_network
+from repro.snmp.agent import SnmpWorld, instrument_network
 from repro.snmp.mib import (
     _ARP_COLUMNS,
     _CIDR_ROUTE_COLUMNS,
@@ -153,9 +153,7 @@ BUILDERS = {
 
 
 def _instrumented(net: Network) -> SnmpWorld:
-    world = instrument_network(net)
-    instrument_hosts(world)
-    return world
+    return instrument_network(net)
 
 
 def _cells(world: SnmpWorld) -> dict[str, list[tuple[tuple[int, ...], object]]]:
