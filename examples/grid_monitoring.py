@@ -56,10 +56,12 @@ def main() -> None:
     trace = host_load_trace(4000, hurst=0.8, smoothing_s=5.0, seed=7)
     attach_trace(node, trace, dt=1.0)
 
-    # 1. periodic monitoring: discover the paths once, then poll
+    # 1. periodic monitoring: discover the paths once, then poll the
+    #    routers and probe the WAN between the sites every minute
     session = remos.session()
     session.flow_info(world.host("data", 0), world.host("viz", 0))
     remos.start_monitoring()
+    remos.start_benchmarks()
 
     # 2. streaming host-load prediction on the compute node, and a flow
     #    sensor sampling the data -> viz answer every 10 s
@@ -72,6 +74,11 @@ def main() -> None:
     flow_sensor.start()
 
     world.net.engine.run_until(world.net.now + 300.0)
+    # the bottleneck is the data -> viz WAN edge: RPS fits its probe
+    # history once that holds 8 samples each way
+    wan = remos.benchmarks["data"].history["viz"], remos.benchmarks["viz"].history["data"]
+    while min(map(len, wan)) < 8:
+        world.net.engine.run_until(world.net.now + 60.0)
 
     # 3. a predictive flow query: forecast of the bottleneck's residual
     ans = session.flow_info(

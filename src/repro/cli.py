@@ -170,8 +170,6 @@ def cmd_nodes(args) -> int:
 
 
 def cmd_models(args) -> int:
-    import time
-
     from repro.rps.hostload import host_load_trace
     from repro.rps.models import parse_model
 
@@ -182,9 +180,9 @@ def cmd_models(args) -> int:
     print(f"{'spec':>26}  {'fit[us]':>9}  {'1-step forecast':>15}")
     for spec in specs:
         model = parse_model(spec)
-        t0 = time.perf_counter()
+        t0 = obs.wall_now()
         fitted = model.fit(trace[:600])
-        fit_us = 1e6 * (time.perf_counter() - t0)
+        fit_us = 1e6 * (obs.wall_now() - t0)
         fc = fitted.forecast(1)
         print(f"{spec:>26}  {fit_us:>9.0f}  {fc.values[0]:>10.3f} +-"
               f"{np.sqrt(fc.variances[0]):.3f}")

@@ -25,12 +25,12 @@ class Timebase(Protocol):
 def wall_now() -> float:
     """Monotonic wall-clock seconds (``time.perf_counter``).
 
-    The sanctioned wall-clock read for sim-facing layers:
-    ``tests/invariants/test_sim_clock.py`` bans ``time.*`` clock calls
-    in, or reachable from, netsim / snmp / collectors / rps / faults so
-    every wall-clock dependency is greppable here.  Only use it for *duration measurement* (cost
-    accounting, span timing) — anything that influences simulation
-    behaviour must read the Engine clock instead.
+    The sanctioned wall-clock read: under ``src/repro`` only
+    ``repro.obs`` may import ``time`` or ``datetime``
+    (``tests/invariants/test_layers.py::clock_imports``), so every
+    wall-clock dependency is greppable here.  Only use it for *duration
+    measurement* (cost accounting, span timing) — anything that
+    influences simulation behaviour must read the Engine clock instead.
     """
     return time.perf_counter()
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import faults
 from repro.common.units import MBPS
 from repro.netsim.builders import SiteSpec, build_multisite_wan
 from repro.deploy import deploy_wan
@@ -30,6 +31,16 @@ class TestMirrorClient:
         reported, query_s = mc.rank_servers()
         assert reported["fast"] > reported["slow"]
         assert query_s > 0
+
+    def test_a_crashed_site_is_listed_as_degraded(self, world):
+        w, dep = world
+        mc = MirrorClient(
+            dep.modeler, w.net, w.host("client", 0),
+            {"fast": w.host("fast", 0), "slow": w.host("slow", 0)},
+        )
+        faults.crash_collector(dep.snmp_collectors["slow"], 1000.0)
+        mc.rank_servers()
+        assert mc.degraded_sites == {"slow": "failed"}
 
     def test_trial_downloads_all(self, world):
         w, dep = world

@@ -114,18 +114,19 @@ def defined(src: Path) -> dict[tuple[str, int, str], tuple[str, int]]:
     return found
 
 
+def copy_repo(dest: Path) -> Path:
+    """``dest``, a copy of the working tree without git or run caches."""
+    caches = (".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks")
+    shutil.copytree(REPO, dest, ignore=shutil.ignore_patterns(*caches))
+    return dest
+
+
 def main() -> int:
     functions = defined(REPO / "src")
     reached: set[tuple[str, int, str]] = set()
     results: list[tuple[str, int, float]] = []
     with tempfile.TemporaryDirectory(prefix="census-") as tmp:
-        copy, hook, out = Path(tmp) / "repo", Path(tmp) / "hook", Path(tmp) / "out"
-        shutil.copytree(
-            REPO, copy,
-            ignore=shutil.ignore_patterns(
-                ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks"
-            ),
-        )
+        copy, hook, out = copy_repo(Path(tmp) / "repo"), Path(tmp) / "hook", Path(tmp) / "out"
         hook.mkdir()
         out.mkdir()
         src = (copy / "src").resolve()

@@ -87,24 +87,13 @@ def module_name_for(rel_path: str) -> str | None:
 
 @dataclass
 class ImportMap:
-    """Which local names refer to which modules / module attributes."""
+    """Which local names refer to which modules / module attributes
+    (filled by the import pass, :func:`_collect_imports`)."""
 
     #: local alias -> module path ("t" -> "time" for ``import time as t``)
     modules: dict[str, str] = field(default_factory=dict)
     #: local name -> "module.attr" ("sleep" -> "time.sleep")
     members: dict[str, str] = field(default_factory=dict)
-
-    @classmethod
-    def of(cls, tree: ast.Module) -> "ImportMap":
-        out = cls()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    out.modules[alias.asname or alias.name.split(".")[0]] = alias.name
-            elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-                for alias in node.names:
-                    out.members[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-        return out
 
     def resolve(self, node: ast.AST) -> str | None:
         """Canonical dotted path for a Name/Attribute, through aliases.
@@ -183,7 +172,7 @@ class CallGraph:
     def __init__(self) -> None:
         self.modules: dict[str, ModuleInfo] = {}
         self.functions: dict[str, FunctionInfo] = {}
-        #: caller qname -> its call edges (module bodies under module_body_id)
+        #: caller qname -> its call edges (a module body under ``name.<module>``)
         self.edges: dict[str, list[CallEdge]] = {}
 
     @staticmethod
@@ -201,11 +190,6 @@ class CallGraph:
 
     def edges_from(self, qname: str) -> list[CallEdge]:
         return self.edges.get(qname, [])
-
-    @staticmethod
-    def module_body_id(module: str) -> str:
-        """Pseudo-function id for a module's top-level statements."""
-        return f"{module}.<module>"
 
     def resolve_callee(self, hint: str) -> str | None:
         """Map a dotted hint to a known function qname: the hint itself,
@@ -234,7 +218,7 @@ def _build(items: tuple[tuple[str, str], ...]) -> CallGraph:
         if name is None:
             continue
         tree = ast.parse(source, filename=rel)
-        info = ModuleInfo(name=name, path=rel, tree=tree, import_map=ImportMap.of(tree))
+        info = ModuleInfo(name=name, path=rel, tree=tree)
         graph.modules[name] = info
         _collect_imports(info)
         scopes[name] = _collect_functions(graph, info)
@@ -267,32 +251,33 @@ def _collect_imports(info: ModuleInfo) -> None:
             base = base + node.module.split(".")
         return ".".join(base) or None
 
-    def visit(nodes: list[ast.stmt], kind: str) -> None:
-        for node in nodes:
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    info.imports.append(ImportRecord(alias.name, node.lineno, kind))
-            elif isinstance(node, ast.ImportFrom):
-                base = resolve_from(node)
-                if base is None:
-                    continue
-                for alias in node.names:
-                    # `from repro import obs` names the module repro.obs,
-                    # not the package: record the submodule as the target
-                    info.imports.append(
-                        ImportRecord(f"{base}.{alias.name}", node.lineno, kind)
-                    )
-            elif isinstance(node, ast.If):
-                sub_kind = "type_checking" if _is_type_checking_test(node.test) else kind
-                visit(node.body, sub_kind)
-                visit(node.orelse, kind)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(node.body, "lazy")
-            elif isinstance(node, (ast.ClassDef, ast.With, ast.Try, ast.For, ast.While)):
-                for block in _blocks(node):
-                    visit(block, kind)
+    def visit(node: ast.AST, kind: str) -> None:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                info.imports.append(ImportRecord(alias.name, node.lineno, kind))
+                info.import_map.modules[alias.asname or alias.name.split(".")[0]] = alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = resolve_from(node)
+            # `from repro import obs` names the module repro.obs, not
+            # the package: record the submodule as the target
+            for alias in node.names if base is not None else ():
+                info.imports.append(ImportRecord(f"{base}.{alias.name}", node.lineno, kind))
+                if node.level == 0:
+                    info.import_map.members[alias.asname or alias.name] = f"{base}.{alias.name}"
+        elif isinstance(node, ast.If) and _is_type_checking_test(node.test):
+            for sub in node.body:
+                visit(sub, "type_checking")
+            for sub in node.orelse:
+                visit(sub, kind)
+        else:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                kind = "lazy"
+            # an import is a statement: every block it can sit in
+            for sub in ast.iter_child_nodes(node):
+                if isinstance(sub, (ast.stmt, ast.excepthandler, ast.match_case)):
+                    visit(sub, kind)
 
-    visit(info.tree.body, "top")
+    visit(info.tree, "top")
 
 
 def _blocks(node: ast.stmt) -> list[list[ast.stmt]]:
@@ -418,7 +403,7 @@ def _collect_edges(
     for qname in info.functions:
         fn = graph.functions[qname]
         edges_for(qname, fn.node, fn_scopes[qname], fn.cls)
-    edges_for(graph.module_body_id(info.name), info.tree, module_scope, None)
+    edges_for(f"{info.name}.<module>", info.tree, module_scope, None)
 
 
 def planted(

@@ -13,6 +13,8 @@ from .callgraph import CallGraph
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 TREES = ("src", "tests", "benchmarks", "examples")
+#: quotes code as data: a name a mutant's snippet mentions is not a use
+CATALOGUE = "tests/mutants/catalogue.py"
 
 
 @pytest.fixture(scope="package")
@@ -24,6 +26,7 @@ def tree() -> Iterator[dict[str, str]]:
         f.relative_to(REPO_ROOT).as_posix(): f.read_text()
         for name in TREES
         for f in sorted((REPO_ROOT / name).rglob("*.py"))
+        if f != REPO_ROOT / CATALOGUE
     }
     assert len(sources) > 200  # the whole tree, not a subset
     yield sources

@@ -159,7 +159,7 @@ class TestCallResolution:
                 """,
             )
         )
-        assert callees(g, g.module_body_id("repro.a")) == {"repro.a.setup"}
+        assert callees(g, "repro.a.<module>") == {"repro.a.setup"}
 
     def test_local_shadow_beats_import(self):
         # a local def named like an imported member wins lexically

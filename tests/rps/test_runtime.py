@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import faults, obs
 from repro.common.errors import PredictionError
 from repro.common.units import MBPS
 from repro.netsim.agents import attach_trace
@@ -157,6 +157,18 @@ class TestSensors:
         assert sensor.stats.samples >= 5
         series = sensor.series()
         assert np.all(series == pytest.approx(100 * MBPS, rel=0.05))
+
+    def test_flow_bandwidth_sensor_records_no_failed_answer(self):
+        lan = build_switched_lan(4)
+        dep = deploy_lan(lan)
+        faults.crash_collector(dep.snmp_collectors["lan"], 1000.0)
+        sensor = FlowBandwidthSensor(
+            dep.session(), lan.hosts[0], lan.hosts[3], period_s=10.0
+        )
+        sensor.start()
+        lan.net.engine.run_until(lan.net.now + 30.0)
+        sensor.stop()
+        assert sensor.samples == [] and sensor.stats.samples == 0
 
     def test_flow_bandwidth_sensor_rejects_non_session(self):
         # the sensor takes the session facade, not a Modeler or a

@@ -104,6 +104,14 @@ def test_a_deferred_store_answers_as_its_eager_twin(layout, scalar_cells, data):
     )
 
 
+def test_a_table_nested_in_an_earlier_one_loads_after_it():
+    outer, inner = Oid(BASE + (1,)), Oid(BASE + (1, 2))
+    store = MibStore()
+    store.defer(outer, _loader(outer, [((2, 5), 1)]))
+    store.defer(inner, _loader(inner, [((5,), 2)]))
+    assert store.get(Oid(BASE + (1, 2, 5))) == 2  # the later table's, as if eager
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(tables, min_size=1, max_size=5), parts, st.integers(1, 40))
 def test_a_bulk_read_loads_only_tables_it_could_reach(layout, start_parts, n):

@@ -36,7 +36,9 @@ def _third_party_imports(root: Path) -> dict[str, list[str]]:
                 continue
             for name in names:
                 top = name.split(".")[0]
-                if top not in sys.stdlib_module_names and top not in FIRST_PARTY:
+                # a script that puts ``root`` on its path imports its modules
+                local = (root / top).is_dir() or (root / f"{top}.py").is_file()
+                if top not in sys.stdlib_module_names and top not in FIRST_PARTY and not local:
                     found.setdefault(top, []).append(path.relative_to(REPO_ROOT).as_posix())
     return found
 

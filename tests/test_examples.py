@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 EXAMPLES = sorted((Path(__file__).parent.parent / "examples").glob("*.py"))
+#: a line an example must print, beyond something
+MUST_PRINT = {"grid_monitoring": "RPS forecast"}
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.stem)
@@ -19,6 +21,7 @@ def test_example_runs(script):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip(), "examples must print something"
+    assert MUST_PRINT.get(script.stem, "") in proc.stdout
 
 
 def test_all_examples_discovered():
