@@ -19,7 +19,7 @@ import math
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import repro.netsim.flows as flows_mod
@@ -216,6 +216,9 @@ def _redundant_problem(draw, n_flows=st.integers(1, 7), seg_len=st.integers(1, 4
     return paths, demands
 
 
+_SHARED = FakeChannel(1.5)
+
+
 class TestOnePassSolver:
     """The one-pass solver is the reference on the reduced paths, to the
     bit, and returns demands that fit untouched."""
@@ -239,9 +242,16 @@ class TestOnePassSolver:
         st.floats(0.01, 0.999),
     )
     @settings(max_examples=300, deadline=None)
+    @example(([[_SHARED], [FakeChannel(5.0), _SHARED]], [5e-324, 5e-324]), 0.75)
     def test_demands_that_fit_are_the_answer(self, problem, share):
         paths, demands = problem
         demands = [d if math.isfinite(d) else 1.0 for d in demands]
+        # brought to a top demand of 1 before the load is taken: summed
+        # and divided as subnormals, two 5e-324 demands on a 1.5 channel
+        # read a load of 5e-324, a third short, and scale to 1.0 each
+        top = max(demands, default=0.0)
+        if top > 0:
+            demands = [d / top for d in demands]
         load = max(
             (sum(demands[i] for i in members) / ch.capacity_bps
              for ch, members in _binding_channels(paths)),
