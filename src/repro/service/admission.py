@@ -52,6 +52,17 @@ def _iter_answer_dicts(payload: Any) -> Iterable[dict[str, Any]]:
                 yield item
 
 
+def _restamp(answer: dict[str, Any], age_bonus: float) -> dict[str, Any]:
+    """One copy of a stored answer dict, ``STALE`` where it was ``OK``
+    and ``age_bonus`` older.  The copy is a plain dict: a record's
+    canonical text, which says OK and the old age, stays behind."""
+    out = dict(answer)
+    if out.get("status") == _OK:
+        out["status"] = _STALE
+    out["data_age_s"] = float(out.get("data_age_s", 0.0)) + age_bonus
+    return out
+
+
 class LastKnownGoodStore:
     """LRU store of the freshest good answer per query key.
 
@@ -111,18 +122,10 @@ class LastKnownGoodStore:
         self._entries.move_to_end(key)
         stored_at, payload = entry
         age_bonus = max(0.0, self._clock() - stored_at)
-
-        def restamp(d: dict[str, Any]) -> dict[str, Any]:
-            out = dict(d)
-            if out.get("status") == _OK:
-                out["status"] = _STALE
-            out["data_age_s"] = float(out.get("data_age_s", 0.0)) + age_bonus
-            return out
-
         if isinstance(payload, dict):
-            return restamp(payload)
+            return _restamp(payload, age_bonus)
         if isinstance(payload, list):
-            return [restamp(d) if isinstance(d, dict) else d for d in payload]
+            return [_restamp(d, age_bonus) if isinstance(d, dict) else d for d in payload]
         return payload
 
     def invalidate(self, sites: Iterable[str] | None = None) -> int:

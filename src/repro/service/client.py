@@ -94,9 +94,27 @@ class DirectClient(_BaseClient):
 
     async def call(self, endpoint: str, body: dict[str, Any]) -> dict[str, Any]:
         # round-trip the body through canonical JSON so in-process
-        # callers cannot smuggle non-wire types past the dispatcher
-        wire_body = json.loads(canonical_json(body))
-        return await self.service.dispatch(endpoint, wire_body, tenant=self.tenant)
+        # callers cannot smuggle non-wire types past the dispatcher.  The
+        # text keys the query's last-known-good answer, and the service
+        # decodes it only for a step that reads the body
+        text = canonical_json(body)
+        if type(body) is dict and _reads_back_as_itself(body, text):
+            return await self.service.dispatch(endpoint, None, self.tenant, text=text)
+        return await self.service.dispatch(endpoint, json.loads(text), tenant=self.tenant)
+
+
+def _reads_back_as_itself(body: dict[str, Any], text: str) -> bool:
+    """Whether ``text``, the canonical text of ``body``, is also that of
+    the body it decodes to.  Not when a dict has keys that are not
+    strings: ``json`` sorts those before it writes them as strings, so
+    ``{9: …, 10: …}`` decodes to a body whose text puts ``"10"`` first.
+
+    A dict whose first key is a string has only string keys (mixed keys
+    do not sort, and encoding them fails); a body whose text opens no
+    second brace holds no other dict.  Any other body, a nested dict or
+    a brace in a string, is decoded here and keyed by the service.
+    """
+    return (not body or type(next(iter(body))) is str) and text.find("{", 1) < 0
 
 
 class HttpServiceClient(_BaseClient):

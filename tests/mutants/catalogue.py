@@ -552,13 +552,38 @@ MUTANTS = [
     Mutant(
         name="slot_released_at_admission",
         file="src/repro/service/app.py",
-        before='            return self._shed(key, "overloaded")\n        try:\n',
+        before='                    return self._shed(meters, key, "overloaded")\n',
         after=(
-            '            return self._shed(key, "overloaded")\n'
-            "        self.admission.release()\n"
-            "        try:\n"
+            '                    return self._shed(meters, key, "overloaded")\n'
+            "                self.admission.release()\n"
         ),
         killers=(ADMISSION + "test_exactly_max_inflight_of_each_wave_are_live",),
         source="§32",
+    ),
+    # -- the service's metric handles, bound once --------------------------
+    Mutant(
+        name="metric_handles_kept_across_a_reset",
+        file="src/repro/service/app.py",
+        before=(
+            "        if meters is None or meters.registry is not reg"
+            " or meters.generation != reg.generation:\n"
+        ),
+        after="        if meters is None or meters.registry is not reg:\n",
+        killers=(
+            "tests/service/test_metric_handles.py::"
+            "test_the_five_handles_follow_the_current_registry",
+        ),
+        source="§34",
+    ),
+    Mutant(
+        name="number_keys_keyed_by_the_client_text",
+        file="src/repro/service/client.py",
+        before='    return (not body or type(next(iter(body))) is str) and text.find("{", 1) < 0\n',
+        after="    return True\n",
+        killers=(
+            "tests/service/test_lkg_key.py::test_the_client_key_is_the_decoded_body_key",
+            "tests/service/test_lkg_key.py::test_a_body_with_number_keys_is_decoded_first",
+        ),
+        source="§34",
     ),
 ]
