@@ -40,7 +40,7 @@ import asyncio
 import json
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Awaitable, Callable
 
 from repro import obs
 from repro.common.errors import ArgumentError
@@ -56,7 +56,8 @@ __all__ = ["BackendFaultError", "RemosService", "ServiceConfig", "SessionBackend
 log = obs.get_logger(__name__)
 
 #: endpoints that answer from the session and participate in
-#: admission control / LKG shedding
+#: admission control / LKG shedding; ``RemosService._plumbing`` holds
+#: the others
 QUERY_ENDPOINTS: frozenset[str] = frozenset(
     {"flow_info", "flow_info_many", "topology", "node_info"}
 )
@@ -124,10 +125,9 @@ class _Meters:
     labels on every touch was a measurable share of a shed answer's cost,
     so :meth:`RemosService._meters` binds them once, and again only when
     another registry is installed or the current one is reset (the
-    ``Engine._observe`` idiom).  A query endpoint's ``service.requests``
-    and a reason's ``service.shed`` are bound on first use; any other
-    endpoint's counter is resolved by name, so a stray path adds no
-    entry here.
+    ``Engine._observe`` idiom).  An endpoint's ``service.requests`` and
+    a reason's ``service.shed`` are bound on first use; every path that
+    is no endpoint shares the one ``unknown`` entry.
     """
 
     __slots__ = (
@@ -178,6 +178,15 @@ class RemosService:
             "subs_events": 0,
         }
         self._bound: _Meters | None = None
+        #: the endpoints that are not queries, each with what serves it
+        self._plumbing: dict[
+            str, Callable[[_Meters, dict[str, Any]], Awaitable[dict[str, Any]]]
+        ] = {
+            "subscribe": self._subscribe,
+            "invalidate": self._invalidate,
+            "health": self._health,
+            "metrics": self._metrics,
+        }
 
     @classmethod
     def from_deployment(
@@ -221,13 +230,18 @@ class RemosService:
         """
         meters = self._meters()
         self.stats["requests"] += 1
+        label = endpoint
         counter = meters.requests.get(endpoint)
         if counter is None:
-            counter = meters.registry.counter("service.requests", endpoint=endpoint)
-            if endpoint in QUERY_ENDPOINTS:
-                meters.requests[endpoint] = counter
+            # every path that is no endpoint counts under one label: a
+            # stray path mints no series of its own
+            if endpoint not in QUERY_ENDPOINTS and endpoint not in self._plumbing:
+                label = "unknown"
+            counter = meters.requests[label] = meters.registry.counter(
+                "service.requests", endpoint=label
+            )
         counter.inc()
-        with meters.registry.span("service.request", endpoint=endpoint):
+        with meters.registry.span("service.request", endpoint=label):
             try:
                 self.limiter.admit(tenant)
             except WireError:
@@ -239,16 +253,10 @@ class RemosService:
                 if not self.admission.try_admit():
                     return self._shed(meters, key, "overloaded")
                 return await self._query(endpoint, body, text, key)
-            body = _read_body(body, text)
-            if endpoint == "subscribe":
-                return await self._subscribe(body)
-            if endpoint == "invalidate":
-                return await self._invalidate(meters, body)
-            if endpoint == "health":
-                return result_body(self.health())
-            if endpoint == "metrics":
-                return result_body(self.metrics())
-            raise WireError("not_found", f"unknown endpoint {endpoint!r}")
+            serve = self._plumbing.get(endpoint)
+            if serve is None:
+                raise WireError("not_found", f"unknown endpoint {endpoint!r}")
+            return await serve(meters, _read_body(body, text))
 
     # -- query path ----------------------------------------------------
 
@@ -417,7 +425,7 @@ class RemosService:
         meters.lkg_entries.set(len(self.lkg))
         return result_body({"invalidated_lkg": evicted, "sites": sites})
 
-    async def _subscribe(self, body: dict[str, Any]) -> dict[str, Any]:
+    async def _subscribe(self, meters: _Meters, body: dict[str, Any]) -> dict[str, Any]:
         # all of it read before anything is watched: a pair no sweep can
         # answer would make every later tick raise
         try:
@@ -459,6 +467,12 @@ class RemosService:
         return published
 
     # -- introspection -------------------------------------------------
+
+    async def _health(self, meters: _Meters, body: dict[str, Any]) -> dict[str, Any]:
+        return result_body(self.health())
+
+    async def _metrics(self, meters: _Meters, body: dict[str, Any]) -> dict[str, Any]:
+        return result_body(self.metrics())
 
     def health(self) -> dict[str, Any]:
         return {

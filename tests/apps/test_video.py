@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.common.units import MBPS
 from repro.netsim.builders import SiteSpec, build_multisite_wan
 from repro.deploy import deploy_wan
@@ -114,3 +115,23 @@ class TestChooseAndStream:
         )
         assert picked == "wide"
         assert results["wide"].frames_received >= results["narrow"].frames_received
+
+    def test_a_degraded_site_loses_a_tie(self):
+        w = build_multisite_wan(
+            [
+                SiteSpec("client", access_bps=100 * MBPS, n_hosts=2),
+                SiteSpec("aaa", access_bps=10 * MBPS, n_hosts=2),
+                SiteSpec("bbb", access_bps=10 * MBPS, n_hosts=2),
+            ]
+        )
+        dep = deploy_wan(w)
+        client = w.host("client", 0)
+        servers = {"aaa": w.host("aaa", 0), "bbb": w.host("bbb", 0)}
+        for server in servers.values():
+            assert dep.session().flow_info(server, client).ok
+        # aaa now answers STALE from last-known-good, at the same rate
+        faults.crash_collector(dep.snmp_collectors["aaa"], 1000.0)
+        picked, _ = choose_and_stream(
+            dep.modeler, w.net, client, servers, VideoSpec(duration_s=1.0)
+        )
+        assert picked == "bbb"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import faults
 from repro.common.errors import QueryError
 from repro.common.units import MBPS
 from repro.deploy import deploy_wan
@@ -125,6 +126,18 @@ class TestSubscriptions:
         w.net.engine.run_until(w.net.now + 100.0)
         assert len(consumer.events) == n
         assert not sub.active
+
+    def test_a_degraded_answer_is_delivered_with_its_status(self, stack):
+        w, dep = stack
+        consumer = CollectingConsumer()
+        ModelerProducer(dep.modeler).subscribe(
+            EVENT_FLOW, consumer, period_s=30.0,
+            src=w.host("a", 0), dst=w.host("b", 0),
+        )
+        w.net.engine.run_until(w.net.now + 40.0)
+        faults.crash_collector(dep.snmp_collectors["b"], 1000.0)
+        w.net.engine.run_until(w.net.now + 60.0)
+        assert [str(e.payload.status) for e in consumer.events] == ["ok", "stale", "stale"]
 
     def test_subscribe_unknown_type_rejected(self, stack):
         w, dep = stack

@@ -1,6 +1,5 @@
 """The tree every invariant reads: the shipped package plus every
-consumer whose references keep an export alive and whose call sites
-the call graph sees."""
+consumer whose references keep an export alive."""
 
 from __future__ import annotations
 
@@ -9,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from .callgraph import CallGraph
+from .modulegraph import ModuleGraph
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 TREES = ("src", "tests", "benchmarks", "examples")
@@ -21,7 +20,7 @@ CATALOGUE = "tests/mutants/catalogue.py"
 def tree() -> Iterator[dict[str, str]]:
     """``{repo-relative path: source}`` of every ``.py`` file under
     :data:`TREES`; the invariants share one parse of it
-    (:meth:`.callgraph.CallGraph.of`), dropped once they have run."""
+    (:meth:`.modulegraph.ModuleGraph.of`), dropped once they have run."""
     sources = {
         f.relative_to(REPO_ROOT).as_posix(): f.read_text()
         for name in TREES
@@ -30,4 +29,4 @@ def tree() -> Iterator[dict[str, str]]:
     }
     assert len(sources) > 200  # the whole tree, not a subset
     yield sources
-    CallGraph.forget()
+    ModuleGraph.forget()

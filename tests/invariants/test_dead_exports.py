@@ -6,9 +6,11 @@ every reader must assume someone imports it.  Either a consumer (or a
 test) exists, or the name is deleted or made private.
 
 Liveness is name-based and deliberately coarse: a ``Name`` load, an
-``x.attr`` access, a ``from m import name``, or an identifier-shaped
-token in a short string (a quoted annotation, ``getattr(x, "name")``,
-an ``__all__`` entry) anywhere keeps a same-named export alive.
+``x.attr`` access, a ``from m import name``, or a name in a string that
+parses as a Python expression (a quoted annotation, ``getattr(x,
+"name")``, an ``__all__`` entry) anywhere keeps a same-named export
+alive.  A string that is not an expression is text, not a reference:
+planted source such as ``"from m import name"`` keeps nothing alive.
 Docstrings are prose and count for nothing, and so does a ``from .x
 import y`` inside an ``__init__.py`` under ``src/repro``: re-exporting
 is plumbing, not use.
@@ -17,20 +19,18 @@ is plumbing, not use.
 from __future__ import annotations
 
 import ast
-import re
 from collections.abc import Iterator, Mapping
 
 import pytest
 
-from .callgraph import CallGraph, in_package, planted
+from .modulegraph import ModuleGraph, in_package, planted
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 #: module-level dunders that are metadata, not exports
 _METADATA = {"__all__", "__version__"}
 
 
 def dead_exports(sources: Mapping[str, str]) -> list[str]:
-    graph = CallGraph.of(sources)
+    graph = ModuleGraph.of(sources)
     used = _used_names(graph)
     return [
         f"{info.path}:{node.lineno}: public {name!r} in {info.name} is never referenced"
@@ -57,7 +57,7 @@ def _exports(tree: ast.Module) -> Iterator[tuple[str, ast.stmt]]:
         )
 
 
-def _used_names(graph: CallGraph) -> set[str]:
+def _used_names(graph: ModuleGraph) -> set[str]:
     used: set[str] = set()
     for info in graph.modules.values():
         reexport_hub = info.path.endswith("__init__.py") and info.path.startswith("src/repro")
@@ -80,11 +80,24 @@ def _used_names(graph: CallGraph) -> set[str]:
             elif (
                 isinstance(node, ast.Constant)
                 and isinstance(node.value, str)
-                and len(node.value) <= 200
                 and id(node) not in docstrings
             ):
-                used.update(_IDENT.findall(node.value))
+                used.update(_names_in_expression(node.value))
     return used
+
+
+def _names_in_expression(text: str) -> frozenset[str]:
+    """The names and attributes of ``text`` read as an expression, or
+    none when it is not one."""
+    try:
+        expr = ast.parse(text, mode="eval")
+    except (SyntaxError, ValueError):  # ValueError: a NUL byte
+        return frozenset()
+    return frozenset(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(expr)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
 
 
 def test_the_committed_tree_holds(tree):
@@ -126,6 +139,12 @@ def test_the_committed_tree_holds(tree):
                 assert make(None) == 0
             """,
     }, [], "", id="quoted_annotation_keeps_export_alive"),
+    pytest.param({
+        "src/repro/util.py": "def stamp():\n    return 0\n",
+        "tests/test_planted.py": '''
+            PLANTED = "from repro.util import stamp\\n\\nstamp()\\n"
+            ''',
+    }, ["src/repro/util.py:1"], "'stamp'", id="planted_source_text_keeps_nothing_alive"),
     pytest.param({
         "src/repro/pkg/__init__.py": "from repro.pkg.mod import orphan\n",
         "src/repro/pkg/mod.py": "def orphan():\n    return 1\n",

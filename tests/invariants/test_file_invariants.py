@@ -28,7 +28,7 @@ from collections.abc import Mapping
 
 import pytest
 
-from .callgraph import CallGraph, planted, under
+from .modulegraph import ModuleGraph, planted, under
 
 #: constructors that are fine *with* a seed argument, banned without one
 SEEDABLE = {
@@ -47,7 +47,7 @@ _DOTTED = re.compile(r"^\.?\d+(\.\d+)+$")
 
 def seeded_rng(sources: Mapping[str, str]) -> list[str]:
     found = []
-    for info in CallGraph.of(sources).modules.values():
+    for info in ModuleGraph.of(sources).modules.values():
         if not under(info.path, ("src/repro",)) or info.path == "src/repro/common/rng.py":
             continue
         for node in ast.walk(info.tree):
@@ -83,7 +83,7 @@ def _only_swallows(body: list[ast.stmt]) -> bool:
 def blind_excepts(sources: Mapping[str, str]) -> list[str]:
     scope = ("src/repro/collectors", "src/repro/snmp", "src/repro/faults.py")
     found = []
-    for info in CallGraph.of(sources).modules.values():
+    for info in ModuleGraph.of(sources).modules.values():
         if not under(info.path, scope):
             continue
         for node in ast.walk(info.tree):
@@ -111,7 +111,7 @@ def _looks_like_oid(text: str) -> bool:
 
 def oid_literals(sources: Mapping[str, str]) -> list[str]:
     found = []
-    for info in CallGraph.of(sources).modules.values():
+    for info in ModuleGraph.of(sources).modules.values():
         if not under(info.path, ("src/repro",)) or info.path == "src/repro/snmp/oid.py":
             continue
         for node in ast.walk(info.tree):

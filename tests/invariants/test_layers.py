@@ -15,7 +15,9 @@ or call time.
 rates.  Tests and benchmarks hold the representation to it; a Modeler,
 collector, service, session or predictor that called it would answer
 from outside the system it stands for, and every accuracy figure
-measured against it would read perfect.
+measured against it would read perfect.  The rule scans for the
+attribute itself, so a ``.what_if`` that is stored and called later is
+found as well as a direct call.
 
 One wall-clock read in a collector decouples a run from its seed, so
 under ``src/repro`` only ``repro.obs`` imports ``time`` or ``datetime``,
@@ -31,11 +33,12 @@ someone places it deliberately.
 
 from __future__ import annotations
 
+import ast
 from collections.abc import Mapping
 
 import pytest
 
-from .callgraph import CallGraph, in_package, planted, under
+from .modulegraph import ModuleGraph, in_package, planted, under
 
 #: layer names, rank 0 (the foundation) upward
 ORDER = [
@@ -72,7 +75,7 @@ def _layer(module: str) -> str | None:
 
 
 def upward_imports(sources: Mapping[str, str]) -> list[str]:
-    graph = CallGraph.of(sources)
+    graph = ModuleGraph.of(sources)
     found = []
     for info in graph.modules.values():
         layer = _layer(info.name)
@@ -139,7 +142,7 @@ CLOCK_MODULES = ("time", "datetime")
 
 
 def clock_imports(sources: Mapping[str, str]) -> list[str]:
-    graph = CallGraph.of(sources)
+    graph = ModuleGraph.of(sources)
     return [
         f"{info.path}:{imp.lineno}: {info.name} imports {imp.target}"
         f"{_LAUNDERED.get(imp.kind, '')}; read clocks through repro.obs"
@@ -197,18 +200,13 @@ NO_GROUND_TRUTH = (
 
 
 def ground_truth_calls(sources: Mapping[str, str]) -> list[str]:
-    graph = CallGraph.of(sources)
-    paths = {info.name: info.path for info in graph.modules.values()}
-    found = []
-    for caller, edges in graph.edges.items():
-        fn = graph.functions.get(caller)
-        path = fn.path if fn is not None else paths[caller.removesuffix(".<module>")]
-        if not under(path, NO_GROUND_TRUTH):
-            continue
-        for edge in edges:
-            if edge.attr == "what_if" or (edge.callee or "").endswith(".what_if"):
-                found.append(f"{path}:{edge.lineno}: {caller} calls what_if")
-    return found
+    return [
+        f"{info.path}:{node.lineno}: {info.name} reads .what_if, the simulator's ground truth"
+        for info in ModuleGraph.of(sources).modules.values()
+        if under(info.path, NO_GROUND_TRUTH)
+        for node in ast.walk(info.tree)
+        if isinstance(node, ast.Attribute) and node.attr == "what_if"
+    ]
 
 
 def test_the_system_never_asks_for_ground_truth(tree):

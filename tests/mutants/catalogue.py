@@ -26,6 +26,7 @@ ALL_SITES = FANOUT + "TestAllSitesFanout::"
 DIRECTORY = FANOUT + "TestFixedQueryAgainstDirectorySize::"
 LITERALS = ALL_SITES + "test_sixteen_site_costs_match_the_recording"
 CLOCK_RULE = "tests/invariants/test_layers.py::test_only_obs_imports_a_clock"
+DEAD_EXPORTS = "tests/invariants/test_dead_exports.py::test_the_committed_tree_holds"
 MIB_TWIN = "tests/snmp/test_mib_deferral.py::test_a_deferred_store_answers_as_its_eager_twin"
 MIB_BULK = "tests/snmp/test_mib_deferral.py::test_a_bulk_read_loads_only_tables_it_could_reach"
 GATEWAY = "tests/collectors/test_gateway_iface.py::"
@@ -110,13 +111,16 @@ MUTANTS = [
         killers=(DIRECTORY + "test_sharded_costs_no_more_than_flat", LITERALS),
         source="§21",
     ),
-    # -- what the static invariants alone used to catch ------------------
+    # -- faults the source rules and the degraded-answer tests catch ------
     Mutant(
         name="service_coroutine_sleeps_in_the_loop",
         file="src/repro/service/app.py",
         before="                    await asyncio.sleep(stall)\n",
         after="                    import time\n\n                    time.sleep(stall)\n",
-        killers=("tests/invariants/test_async_safety.py::test_the_committed_tree_holds", CLOCK_RULE),
+        killers=(
+            CLOCK_RULE,
+            "tests/service/test_loop_trap.py::test_an_armed_service_delay_waits_without_blocking",
+        ),
         source="§22",
     ),
     Mutant(
@@ -187,7 +191,6 @@ MUTANTS = [
         ),
         after="",
         killers=(
-            "tests/invariants/test_status_flow.py::test_the_committed_tree_holds",
             "tests/rps/test_runtime.py::TestSensors::"
             "test_flow_bandwidth_sensor_records_no_failed_answer",
         ),
@@ -205,10 +208,49 @@ MUTANTS = [
         ),
         after="",
         killers=(
-            "tests/invariants/test_status_flow.py::test_the_committed_tree_holds",
             "tests/apps/test_mirror.py::TestMirrorClient::test_a_crashed_site_is_listed_as_degraded",
         ),
         source="§22",
+    ),
+    Mutant(
+        name="video_ranks_a_blind_spot_as_measured",
+        file="src/repro/apps/video.py",
+        before=(
+            "        if ans.degraded:\n"
+            "            # degraded answers already self-report lower bandwidth; the\n"
+            "            # flag only breaks ties so a blind spot never outranks an\n"
+            "            # equally-fast site Remos actually measured\n"
+            "            degraded.add(site)\n"
+        ),
+        after="",
+        killers=("tests/apps/test_video.py::TestChooseAndStream::test_a_degraded_site_loses_a_tie",),
+        source="§35",
+    ),
+    Mutant(
+        name="watcher_publishes_rate_moves_only",
+        file="src/repro/service/subs.py",
+        before="                same_status = prev[0] == signature[0]\n",
+        after="                same_status = True\n",
+        killers=(
+            "tests/service/test_subscriptions.py::TestDeterministicDelivery::"
+            "test_a_status_change_alone_is_published",
+        ),
+        source="§35",
+    ),
+    Mutant(
+        name="gma_withholds_a_degraded_answer",
+        file="src/repro/gma.py",
+        before="        return self._emit(EVENT_FLOW, answer)\n",
+        after=(
+            "        if answer.degraded:\n"
+            "            raise QueryError(f\"degraded answer: {answer.status}\")\n"
+            "        return self._emit(EVENT_FLOW, answer)\n"
+        ),
+        killers=(
+            "tests/integration/test_gma.py::TestSubscriptions::"
+            "test_a_degraded_answer_is_delivered_with_its_status",
+        ),
+        source="§35",
     ),
     Mutant(
         name="unused_public_unit_helper",
@@ -221,8 +263,24 @@ MUTANTS = [
             "def gbps_to_mbps(rate_gbps: float) -> float:\n"
             "    return rate_gbps * GBPS / MBPS\n"
         ),
-        killers=("tests/invariants/test_dead_exports.py::test_the_committed_tree_holds",),
+        killers=(DEAD_EXPORTS,),
         source="§22",
+    ),
+    # the name is in planted source text under tests/ (test_layers.py's
+    # `from repro.helpers import stamp`), which is no reference
+    Mutant(
+        name="public_name_kept_alive_by_a_planted_string",
+        file="src/repro/common/units.py",
+        before='    return f"{rate_bps:.0f} bps"\n',
+        after=(
+            '    return f"{rate_bps:.0f} bps"\n'
+            "\n"
+            "\n"
+            "def stamp() -> float:\n"
+            "    return 0.0\n"
+        ),
+        killers=(DEAD_EXPORTS,),
+        source="§35",
     ),
     Mutant(
         name="module_level_unseeded_draw",

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
+import os
 import random
-import time
 
 from repro.modeler.api import FlowAnswer
 from repro.service.app import RemosService, ServiceConfig, SessionBackend
@@ -37,7 +37,9 @@ class RecordingSession:
 
     def flow_info(self, src: str, dst: str, **kw: object) -> FlowAnswer:
         self.log.append(("enter", _who.get(-1)))
-        time.sleep(0)  # give up the GIL: a call run off the loop would overlap here
+        # give up the GIL (time.sleep would trip the loop trap): a call
+        # run off the loop would overlap here
+        os.sched_yield()
         self.log.append(("exit", _who.get(-1)))
         return FlowAnswer(
             src=src, dst=dst, available_bps=1.0, bottleneck_bps=1.0,

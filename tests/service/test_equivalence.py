@@ -62,9 +62,9 @@ def via_service(coro_fn):
 
     The twin world is built *before* the event loop starts: deploying
     and warming a WAN is seconds of synchronous sim work, and doing it
-    inside a coroutine would block the loop — exactly what the asyncio
-    debug smoke (``REPRO_ASYNCIO_DEBUG=1``, see conftest) exists to
-    catch.  Only the client interaction itself runs under the loop.
+    inside a coroutine would block the loop, which the loop trap every
+    service test runs under (see conftest) fails.  Only the client
+    interaction itself runs under the loop.
     """
     w, dep = build_world()
     service = RemosService.from_deployment(dep, ServiceConfig())

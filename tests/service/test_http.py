@@ -28,10 +28,13 @@ def make_service(config=None):
 
 
 def with_server(coro_fn, config=None):
-    """Run ``coro_fn(port, hosts, service)`` against a live server."""
+    """Run ``coro_fn(port, hosts, service)`` against a live server.
+
+    The world is built before the loop starts: deploying it inside the
+    coroutine would block the loop (see conftest)."""
+    service, hosts = make_service(config)
 
     async def run():
-        service, hosts = make_service(config)
         server = await start_server(service, host="127.0.0.1", port=0)
         port = server.sockets[0].getsockname()[1]
         try:

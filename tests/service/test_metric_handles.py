@@ -15,6 +15,7 @@ from repro import obs
 from repro.modeler.api import FlowAnswer
 from repro.service import DirectClient, ServiceError
 from repro.service.app import RemosService, ServiceConfig, SessionBackend
+from repro.service.wire import WireError
 
 BODY = {"src": "10.0.0.1", "dst": "10.0.0.2"}
 
@@ -117,3 +118,26 @@ def test_a_reset_during_the_backend_call_lands_in_the_reset_registry():
         asyncio.run(DirectClient(service).call("flow_info", BODY))
         assert reg.gauge("service.lkg_entries").value == 1.0
         assert reg.gauge("service.inflight").value == 0.0
+
+
+def test_stray_paths_share_one_counter():
+    """A path that is no endpoint is counted, and its span timed, under
+    ``endpoint="unknown"``: stray paths mint no series of their own."""
+    service = RemosService(SessionBackend(Session()), ServiceConfig())
+
+    async def stray() -> list[str]:
+        codes = []
+        for k in range(3):
+            try:
+                await service.dispatch(f"nope{k}", {})
+            except WireError as exc:
+                codes.append(exc.code)
+        return codes
+
+    with obs.scoped_registry() as reg:
+        assert asyncio.run(stray()) == ["not_found"] * 3
+    snap = obs.export.snapshot(reg)
+    assert {k: v for k, v in snap["counters"].items() if k.startswith("service.requests")} == {
+        "service.requests{endpoint=unknown}": 3.0
+    }
+    assert list(snap["histograms"]) == ["service.request.duration_s{endpoint=unknown}"]

@@ -15,7 +15,7 @@ import asyncio
 
 import pytest
 
-from repro import obs
+from repro import faults, obs
 from repro.common.status import QueryStatus
 from repro.common.units import MBPS
 from repro.deploy import deploy_wan
@@ -114,6 +114,21 @@ class TestDeterministicDelivery:
         assert changed
         assert all(e["payload"]["kind"] == "flow" for e in events)
 
+    def test_a_status_change_alone_is_published(self):
+        w, dep = build_world()
+        hub = SubscriptionHub()
+        watcher = FlowWatcher(dep.session(), epsilon_bps=1.0)
+        for src, dst in watched_pairs(w):
+            watcher.watch(src, dst)
+        watcher.tick(hub)
+        rates = [e["payload"]["available_bps"] for e in hub.events_since(None, 0)]
+        # bbb's collector is down: the same rates, now served STALE
+        faults.crash_collector(dep.snmp_collectors["bbb"], 1000.0)
+        assert watcher.tick(hub) == 3
+        changed = hub.events_since(None, 3)
+        assert [e["payload"]["status"] for e in changed] == ["stale"] * 3
+        assert [e["payload"]["available_bps"] for e in changed] == rates
+
     def test_ring_buffer_reports_lost_resume_points(self):
         hub = SubscriptionHub(capacity=4)
         for i in range(10):
@@ -126,9 +141,10 @@ class TestDeterministicDelivery:
 
 class TestLongPollEndpoint:
     def test_subscribe_round_trip(self):
+        w, dep = build_world()
+        service = RemosService.from_deployment(dep, ServiceConfig())
+
         async def go():
-            w, dep = build_world()
-            service = RemosService.from_deployment(dep, ServiceConfig())
             client = DirectClient(service)
             pairs = watched_pairs(w)[:2]
             first = await client.subscribe(pairs)  # registers the watch
@@ -146,9 +162,10 @@ class TestLongPollEndpoint:
         assert statuses == {"ok"}
 
     def test_long_poll_parks_until_tick(self):
+        w, dep = build_world()
+        service = RemosService.from_deployment(dep, ServiceConfig())
+
         async def go():
-            w, dep = build_world()
-            service = RemosService.from_deployment(dep, ServiceConfig())
             client = DirectClient(service)
             pairs = watched_pairs(w)[:1]
             await client.subscribe(pairs)  # register
@@ -168,10 +185,10 @@ class TestLongPollEndpoint:
     def test_unparseable_pair_is_refused_and_never_watched(self):
         """A pair the query path could never answer is a bad request:
         nothing of the request is watched, so the next sweep still runs."""
+        w, dep = build_world()
+        service = RemosService.from_deployment(dep, ServiceConfig())
 
         async def go():
-            w, dep = build_world()
-            service = RemosService.from_deployment(dep, ServiceConfig())
             good = watched_pairs(w)[0]
             with pytest.raises(ServiceError) as exc:
                 await DirectClient(service).subscribe([good, ("10.0.0.1_0", "nope")])
@@ -191,8 +208,9 @@ class TestShedToStale:
         return w, service
 
     def test_overload_serves_stale_lkg(self):
+        w, service = self.make_overloaded()
+
         async def go():
-            w, service = self.make_overloaded()
             client = DirectClient(service)
             pair = watched_pairs(w)[0]
             live = await client.flow_info(*pair)  # warm the LKG
@@ -214,8 +232,9 @@ class TestShedToStale:
         assert stats["overloaded"] == 0  # nobody saw an error
 
     def test_overload_without_lkg_is_an_error_not_a_queue(self):
+        w, service = self.make_overloaded()
+
         async def go():
-            w, service = self.make_overloaded()
             client = DirectClient(service)
             pair = watched_pairs(w)[0]
             while service.admission.try_admit():
@@ -230,8 +249,9 @@ class TestShedToStale:
         assert stats["overloaded"] == 1
 
     def test_recovery_after_release(self):
+        w, service = self.make_overloaded()
+
         async def go():
-            w, service = self.make_overloaded()
             client = DirectClient(service)
             pair = watched_pairs(w)[0]
             while service.admission.try_admit():
