@@ -19,6 +19,7 @@ Run with::
 
 from repro.collectors.directory import CollectorDirectory
 from repro.collectors.master import MasterCollector
+from repro.collectors.slp import DirectoryAgent
 from repro.common.units import MBPS, fmt_rate
 from repro.deploy import deploy_wan
 from repro.inspect import deployment_report
@@ -41,7 +42,7 @@ def main() -> None:
     # Each application site gets its own Master + Modeler, sharing the
     # same collectors through the same directory.
     def master_for(site: str) -> Modeler:
-        directory = CollectorDirectory()
+        directory = CollectorDirectory(DirectoryAgent(world.net))
         for reg in base.directory.registrations():
             directory.register(
                 reg.collector, [str(p) for p in reg.prefixes], reg.site,

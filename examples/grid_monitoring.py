@@ -8,6 +8,8 @@ Demonstrates the pieces the simpler examples skip:
 * streaming host-load prediction with evaluator-driven refits,
 * a flow bandwidth sensor: a Remos application streaming one
   inter-site flow's answers into its own predictor (paper §3.3),
+* GMA producers (paper §4): the Master and the Modeler advertised in
+  the deployment's SLP directory agent, found there by a consumer,
 * a hierarchical Master (master-of-masters), and
 * the ASCII wire protocol the components speak.
 
@@ -22,8 +24,19 @@ from repro.collectors.base import TopologyRequest
 from repro.collectors.directory import CollectorDirectory
 from repro.collectors.master import MasterCollector
 from repro.collectors.protocol import decode_topology, encode_topology
+from repro.collectors.slp import DirectoryAgent
 from repro.common.units import MBPS, fmt_rate
 from repro.deploy import deploy_wan
+from repro.gma import (
+    EVENT_FLOW,
+    EVENT_TOPOLOGY,
+    CollectingConsumer,
+    CollectorProducer,
+    ModelerProducer,
+    deregister_producer,
+    find_producers,
+    register_producer,
+)
 from repro.netsim import RandomWalkTraffic, SiteSpec, build_multisite_wan
 from repro.netsim.agents import attach_trace
 from repro.rps import (
@@ -108,8 +121,34 @@ def main() -> None:
           f"last {fmt_rate(flow_sensor.series()[-1])}; "
           f"forecast 30 s ahead {fmt_rate(flow_fc[-1])}")
 
-    # 6. hierarchy: a top-level master that delegates to this grid's master
-    top_dir = CollectorDirectory()
+    # 6. GMA: the Master and the Modeler advertise themselves as
+    #    producers in the deployment's directory agent, where the Master
+    #    already finds its collectors; a consumer looks them up by event
+    #    type and subscribes to the Modeler's flow predictions
+    agent = remos.directory.agent
+    register_producer(agent, CollectorProducer(remos.master))
+    modeler_producer = ModelerProducer(remos.modeler)
+    register_producer(agent, modeler_producer)
+    (topo_producer,) = find_producers(agent, EVENT_TOPOLOGY)
+    (flow_producer,) = find_producers(agent, EVENT_FLOW)
+    print(f"\nGMA producers in the directory agent: {topo_producer.name} "
+          f"({EVENT_TOPOLOGY}), {flow_producer.name} ({EVENT_FLOW})")
+    consumer = CollectingConsumer()
+    sub = flow_producer.subscribe(
+        EVENT_FLOW, consumer, period_s=10.0,
+        src=world.host("data", 0), dst=world.host("viz", 0),
+    )
+    world.net.engine.run_until(world.net.now + 30.0)
+    sub.cancel()
+    for ev in consumer.events:
+        print(f"  t={ev.timestamp:7.1f}s {ev.type} from {ev.source}: "
+              f"{fmt_rate(ev.payload.available_bps)} ({ev.payload.status})")
+    deregister_producer(agent, modeler_producer)
+    print(f"after the Modeler withdraws: "
+          f"{len(find_producers(agent, EVENT_FLOW))} {EVENT_FLOW} producers")
+
+    # 7. hierarchy: a top-level master that delegates to this grid's master
+    top_dir = CollectorDirectory(DirectoryAgent(world.net))
     top_dir.register(remos.master, ["10.0.0.0/8", "192.168.0.0/16"],
                      site="grid-a", remote=True)
     top = MasterCollector("top-master", world.net, top_dir)
@@ -119,7 +158,7 @@ def main() -> None:
     print(f"\ntop-level master answered with {len(resp.graph)} nodes, "
           f"{resp.graph.num_edges()} edges")
 
-    # 7. the wire protocol: what actually crosses the TCP socket
+    # 8. the wire protocol: what actually crosses the TCP socket
     wire = encode_topology(resp.graph)
     again = decode_topology(wire)
     print(f"ASCII protocol round-trip: {len(wire.splitlines())} lines, "

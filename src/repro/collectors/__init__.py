@@ -26,7 +26,7 @@ from repro.collectors.bridge_collector import (
 from repro.collectors.directory import CollectorDirectory, Registration
 from repro.collectors.master import MasterCollector
 from repro.collectors.monitor import LinkMonitor, MonitorKey
-from repro.collectors.slp import DirectoryAgent, SlpCollectorDirectory
+from repro.collectors.slp import DirectoryAgent
 from repro.collectors.snmp_collector import SnmpCollector, SnmpCollectorConfig
 from repro.collectors.wireless_collector import CellInfo, WirelessCollector
 
@@ -54,5 +54,4 @@ __all__ = [
     "CellInfo",
     "WirelessCollector",
     "DirectoryAgent",
-    "SlpCollectorDirectory",
 ]

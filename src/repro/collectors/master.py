@@ -7,8 +7,8 @@ revealing that the response was obtained from multiple collectors"
 (paper §2.1, §3.1.4).
 
 * Every queried address is mapped to a registration in the
-  :class:`~repro.collectors.directory.CollectorDirectory` (the SLP-like
-  database).
+  :class:`~repro.collectors.directory.CollectorDirectory` (its view of
+  the SLP directory agent).
 * A site's fragment is requested from its topology collector with the
   site's border router as *anchor*, so the fragment reaches the site
   edge.
@@ -57,10 +57,10 @@ from repro.modeler.graph import TopoEdge, TopologyGraph
 log = obs.get_logger(__name__)
 
 #: a registration's identity for grouping and survival state: (site,
-#: collector name) — stable across re-registration and across
-#: directories that build a fresh ``Registration`` per lookup (SLP),
-#: unlike ``id(reg)``, which the allocator may also hand to a later,
-#: unrelated Registration
+#: collector name) — stable across re-registration (a fresh
+#: ``Registration`` per SrvReg) and across the per-shard directories of
+#: a sharded plane, unlike ``id(reg)``, which the allocator may also
+#: hand to a later, unrelated Registration
 RegKey = tuple[str, str]
 #: a delegate's quarantine key: a :data:`RegKey` for a registration,
 #: the shard index for a shard

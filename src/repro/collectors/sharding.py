@@ -15,11 +15,12 @@ Structure:
 * A deterministic :class:`ConsistentHashRing` assigns every site to one
   of ``n_shards`` shards (virtual nodes keep the split even and
   minimise movement when the shard count changes).
-* Each shard gets its own sub-:class:`CollectorDirectory` (same
-  collector and benchmark objects, re-registered) and one or more
-  ``MasterCollector`` replicas over it.  Replicas are full masters:
-  promotion after a primary crash keeps answers **fresh**, not stale,
-  because the replica re-queries the still-alive site collectors.
+* Each shard gets its own sub-:class:`CollectorDirectory`, in its own
+  directory agent (same collector and benchmark objects,
+  re-registered), and one or more ``MasterCollector`` replicas over it.
+  Replicas are full masters: promotion after a primary crash keeps
+  answers **fresh**, not stale, because the replica re-queries the
+  still-alive site collectors.
 * The ShardedMaster delegates each query's shard groups concurrently
   (``Engine.overlap`` makespan charging, same as flat fan-out), merges
   the shard fragments, and stitches the site pairs itself.  Shard
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from collections import defaultdict
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -61,6 +61,7 @@ from repro.netsim.topology import Network
 from repro.collectors.base import RPC_LOCAL_S, TopologyRequest
 from repro.collectors.directory import CollectorDirectory, Registration
 from repro.collectors.master import Delegate, MasterCollector, RegKey, _reg_key
+from repro.collectors.slp import DirectoryAgent
 from repro.modeler.graph import TopologyGraph
 
 
@@ -270,10 +271,10 @@ def build_sharded_master(
     """Construct a sharded Master plane over an existing directory.
 
     Every site currently registered is hashed onto a shard; each shard
-    gets a sub-directory re-registering the same collector and
-    benchmark objects, and ``1 + config.replicas`` MasterCollector
-    replicas over it.  Every master charges the same RPC costs (the
-    constants of :mod:`repro.collectors.base` and
+    gets a sub-directory, in a directory agent of its own, re-registering
+    the same collector and benchmark objects, and ``1 + config.replicas``
+    MasterCollector replicas over it.  Every master charges the same RPC
+    costs (the constants of :mod:`repro.collectors.base` and
     :mod:`repro.collectors.master`) and runs the one survival policy of
     :mod:`repro.collectors.master`; the root hands them its survival
     state (see :class:`ShardedMaster`).
@@ -289,17 +290,15 @@ def build_sharded_master(
     for site in directory.sites():
         assignment[ring.assign(site)].append(site)
 
-    regs_by_site: dict[str, list[Registration]] = defaultdict(list)
-    for reg in directory.registrations():
-        regs_by_site[reg.site].append(reg)
-
     shards: list[Shard] = []
     for idx in range(cfg.n_shards):
         site_list = assignment[idx]
-        sub = CollectorDirectory()
+        sub = CollectorDirectory(DirectoryAgent(net))
+        # in the top directory's registration order: first-wins holds
+        for reg in directory.registrations():
+            if reg.site in site_list:
+                sub.register(reg.collector, list(reg.prefixes), reg.site, reg.remote)
         for site in site_list:
-            for reg in regs_by_site.get(site, []):
-                sub.register(reg.collector, list(reg.prefixes), site, reg.remote)
             bench = directory.benchmark_for(site)
             if bench is not None:
                 sub.register_benchmark(bench)

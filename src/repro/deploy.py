@@ -2,7 +2,8 @@
 
 This is the "Figure 2" of the reproduction: per site, a Bridge
 Collector (where the LAN is switched), an SNMP Collector, and a
-Benchmark Collector; one Master Collector with the directory; one
+Benchmark Collector; one Master Collector with the directory, filed in
+the deployment's SLP directory agent (``directory.agent``); one
 Modeler bound to the Master.  Helpers build the standard deployments:
 
 * :func:`deploy_lan` — single-site deployment over a
@@ -32,6 +33,7 @@ from repro.collectors.benchmark_collector import BenchmarkCollector, BenchmarkCo
 from repro.collectors.bridge_collector import BridgeCollector
 from repro.collectors.directory import CollectorDirectory
 from repro.collectors.master import MasterCollector
+from repro.collectors.slp import DirectoryAgent
 from repro.collectors.snmp_collector import SnmpCollector, SnmpCollectorConfig
 from repro.modeler.api import Modeler
 
@@ -202,7 +204,7 @@ def deploy_remos(
     if not sites:
         raise ValueError("need at least one site")
     world = instrument_network(net, community=community)
-    directory = CollectorDirectory()
+    directory = CollectorDirectory(DirectoryAgent(net))
     snmp_collectors: dict[str, SnmpCollector] = {}
     bridge_collectors: dict[str, BridgeCollector] = {}
     benchmarks: dict[str, BenchmarkCollector] = {}

@@ -9,8 +9,9 @@ other applications."  This module realises that mapping:
 
 * :class:`GmaEvent` — a typed, timestamped monitoring event.
 * :class:`Producer` — query/response and subscription interfaces.
-* :class:`GmaDirectory` — the GMA directory service: producers register
-  the event types they serve; consumers discover them.
+* The GMA directory service is the deployment's SLP directory agent:
+  :func:`register_producer` files a producer under each event type it
+  serves, and consumers :func:`find_producers` there.
 * :class:`CollectorProducer` — any Remos collector as a producer of
   ``remos.topology`` and ``remos.history`` events (the Master, being a
   Collector, is automatically the "joint consumer/producer").
@@ -24,17 +25,24 @@ streaming half of GMA's producer interface.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, cast
 
 from repro.common.errors import QueryError
+from repro.collectors.base import Collector, HistoryRequest, TopologyRequest
+from repro.collectors.slp import DirectoryAgent
 from repro.netsim.engine import Timer
 from repro.netsim.topology import Network
+
+if TYPE_CHECKING:
+    from repro.modeler.api import Modeler
 
 #: well-known Remos event types
 EVENT_TOPOLOGY = "remos.topology"
 EVENT_HISTORY = "remos.history"
 EVENT_FLOW = "remos.flow"
+#: GMA producers register under the SLP service type ``service:gma:<event type>``
+SERVICE_GMA = "service:gma:"
 
 
 @dataclass
@@ -90,14 +98,14 @@ class Producer(ABC):
     def event_types(self) -> tuple[str, ...]: ...
 
     @abstractmethod
-    def query(self, event_type: str, **params) -> GmaEvent: ...
+    def query(self, event_type: str, **params: Any) -> GmaEvent: ...
 
     def subscribe(
         self,
         event_type: str,
         consumer: Consumer,
         period_s: float,
-        **params,
+        **params: Any,
     ) -> Subscription:
         """Deliver a fresh event every ``period_s`` simulated seconds."""
         if event_type not in self.event_types():
@@ -117,28 +125,21 @@ class Producer(ABC):
         return GmaEvent(event_type, self.name, self.net.now, payload)
 
 
-class GmaDirectory:
-    """The GMA directory service: event type -> producers."""
+def register_producer(agent: DirectoryAgent, producer: Producer) -> None:
+    """Advertise ``producer`` in ``agent``: one SrvReg per event type."""
+    for et in producer.event_types():
+        agent.register(SERVICE_GMA + et, f"{SERVICE_GMA}{et}://{producer.name}", producer)
 
-    def __init__(self) -> None:
-        self._producers: dict[str, list[Producer]] = {}
 
-    def register(self, producer: Producer) -> None:
-        for et in producer.event_types():
-            entries = self._producers.setdefault(et, [])
-            if producer not in entries:
-                entries.append(producer)
+def deregister_producer(agent: DirectoryAgent, producer: Producer) -> None:
+    """Withdraw every advertisement of ``producer`` (idempotent)."""
+    for et in producer.event_types():
+        agent.deregister(f"{SERVICE_GMA}{et}://{producer.name}")
 
-    def unregister(self, producer: Producer) -> None:
-        for entries in self._producers.values():
-            if producer in entries:
-                entries.remove(producer)
 
-    def find(self, event_type: str) -> list[Producer]:
-        return list(self._producers.get(event_type, []))
-
-    def event_types(self) -> list[str]:
-        return sorted(self._producers)
+def find_producers(agent: DirectoryAgent, event_type: str) -> list[Producer]:
+    """The producers of ``event_type`` in ``agent``, in registration order."""
+    return [cast(Producer, e.provider) for e in agent.find(SERVICE_GMA + event_type)]
 
 
 class CollectorProducer(Producer):
@@ -148,16 +149,14 @@ class CollectorProducer(Producer):
     producer": it consumes from the other collectors when queried.
     """
 
-    def __init__(self, collector) -> None:
+    def __init__(self, collector: Collector) -> None:
         super().__init__(f"gma:{collector.name}", collector.net)
         self.collector = collector
 
     def event_types(self) -> tuple[str, ...]:
         return (EVENT_TOPOLOGY, EVENT_HISTORY)
 
-    def query(self, event_type: str, **params) -> GmaEvent:
-        from repro.collectors.base import HistoryRequest, TopologyRequest
-
+    def query(self, event_type: str, **params: Any) -> GmaEvent:
         if event_type == EVENT_TOPOLOGY:
             node_ips = params.get("node_ips")
             if not node_ips:
@@ -178,7 +177,7 @@ class CollectorProducer(Producer):
 class ModelerProducer(Producer):
     """The Modeler as a producer of end-to-end flow predictions."""
 
-    def __init__(self, modeler) -> None:
+    def __init__(self, modeler: Modeler) -> None:
         from repro.session import RemosSession
 
         super().__init__("gma:modeler", modeler.net)
@@ -188,7 +187,7 @@ class ModelerProducer(Producer):
     def event_types(self) -> tuple[str, ...]:
         return (EVENT_FLOW,)
 
-    def query(self, event_type: str, **params) -> GmaEvent:
+    def query(self, event_type: str, **params: Any) -> GmaEvent:
         if event_type != EVENT_FLOW:
             raise QueryError(f"unknown event type {event_type}")
         src, dst = params.get("src"), params.get("dst")

@@ -48,6 +48,8 @@ class DeploymentStats:
     bridge_stations: dict[str, int]
     bridge_moves: dict[str, int]
     directory_sites: list[str]
+    #: live entries in the deployment's SLP directory agent
+    directory_services: int
     modeler_queries: int
 
 
@@ -93,6 +95,7 @@ def deployment_stats(dep: RemosDeployment) -> DeploymentStats:
         bridge_stations=bridge_stations,
         bridge_moves=bridge_moves,
         directory_sites=dep.directory.sites(),
+        directory_services=len(dep.directory.agent),
         modeler_queries=dep.modeler.queries_made,
     )
 
@@ -102,7 +105,8 @@ def deployment_report(dep: RemosDeployment) -> str:
     s = deployment_stats(dep)
     lines = [
         f"Remos deployment status at t={s.now:.1f}s",
-        f"directory sites: {', '.join(s.directory_sites) or '(none)'}",
+        f"directory sites: {', '.join(s.directory_sites) or '(none)'}"
+        f" ({s.directory_services} services in the SLP directory agent)",
         f"modeler queries served: {s.modeler_queries}",
         "",
         "SNMP collectors:",

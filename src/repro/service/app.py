@@ -64,6 +64,9 @@ QUERY_ENDPOINTS: frozenset[str] = frozenset(
 
 #: longest a subscription long-poll may ask to wait
 SUBS_MAX_POLL_S = 30.0
+#: most flow pairs the watcher keeps: every ticker sweep asks for all of
+#: them in one ``flow_info_many``, and a pair once watched is kept
+SUBS_MAX_WATCHED_PAIRS = 256
 
 
 class BackendFaultError(RuntimeError):
@@ -426,8 +429,8 @@ class RemosService:
         return result_body({"invalidated_lkg": evicted, "sites": sites})
 
     async def _subscribe(self, meters: _Meters, body: dict[str, Any]) -> dict[str, Any]:
-        # all of it read before anything is watched: a pair no sweep can
-        # answer would make every later tick raise
+        # all of it read and bounded before anything is watched: a pair
+        # no sweep can answer would make every later tick raise
         try:
             pairs = [(str(p[0]), str(p[1])) for p in body.get("pairs") or []]
             for src, dst in pairs:
@@ -437,6 +440,13 @@ class RemosService:
             timeout_s = min(float(body.get("timeout_s", 0.0)), SUBS_MAX_POLL_S)
         except (LookupError, TypeError, ValueError, OverflowError) as exc:
             raise WireError("bad_request", f"bad subscribe arguments: {exc}") from exc
+        watched = self.watcher.pairs
+        wanted = len(watched) + len(set(pairs).difference(watched))
+        if wanted > SUBS_MAX_WATCHED_PAIRS:
+            raise WireError(
+                "overloaded",
+                f"subscribe would watch {wanted} flow pairs, past {SUBS_MAX_WATCHED_PAIRS}",
+            )
         for src, dst in pairs:
             self.watcher.watch(src, dst)
         channels = [flow_channel(src, dst) for src, dst in pairs] or None

@@ -23,6 +23,8 @@ import asyncio
 from collections import deque
 from typing import Any, Iterable
 
+from repro import obs
+
 __all__ = ["SubscriptionHub", "FlowWatcher", "flow_channel"]
 
 
@@ -136,6 +138,7 @@ class FlowWatcher:
 
     def watch(self, src: str, dst: str) -> None:
         self._pairs.add((str(src), str(dst)))
+        obs.get_registry().gauge("service.subs.watched_pairs").set(len(self._pairs))
 
     @property
     def pairs(self) -> list[tuple[str, str]]:

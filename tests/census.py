@@ -10,7 +10,12 @@ deployment-like runs execute in a temporary copy of the repository:
   --benchmark-disable``: ``benchmark.pedantic`` would switch the
   profiler off while it times);
 * ``benchmarks/e2e/run.py --seed 7 --quick``;
-* ``python -m repro stats``.
+* ``python -m repro stats``;
+* the operator commands of ``python -m repro``: ``scenarios``,
+  ``topology`` on the campus, ``flow --predict`` across the WAN,
+  ``nodes`` on the LAN, ``models``, ``forecast``, and ``flow`` over
+  ``examples/two_routers.json``, a JSON topology spec whose path
+  crosses two routers.
 
 Each run starts with a generated ``sitecustomize.py`` first on
 ``PYTHONPATH``.  It installs ``sys.setprofile`` and
@@ -59,6 +64,14 @@ RUNS = [
     ),
     ("e2e --seed 7 --quick", ["benchmarks/e2e/run.py", "--seed", "7", "--quick"]),
     ("repro stats", ["-m", "repro", "stats"]),
+    ("repro scenarios", ["-m", "repro", "scenarios"]),
+    ("repro topology campus", ["-m", "repro", "topology", "campus", "c0h0", "c2h3"]),
+    ("repro flow wan --predict", ["-m", "repro", "flow", "wan", "cmu-h0", "eth-h0", "--predict"]),
+    ("repro nodes lan", ["-m", "repro", "nodes", "lan", "h0", "h1"]),
+    ("repro models", ["-m", "repro", "models"]),
+    ("repro forecast", ["-m", "repro", "forecast"]),
+    ("repro flow two_routers.json",
+     ["-m", "repro", "flow", "examples/two_routers.json", "h1", "h3"]),
 ]
 #: the run whose exit status is the census's
 GATE = "figure scripts"

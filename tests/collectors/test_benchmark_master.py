@@ -16,6 +16,7 @@ from repro.netsim.address import IPv4Address
 from repro.collectors.base import TopologyRequest
 from repro.collectors.benchmark_collector import BenchmarkCollector, BenchmarkConfig
 from repro.collectors.directory import CollectorDirectory
+from repro.collectors.slp import DirectoryAgent
 from repro.deploy import deploy_wan
 
 
@@ -193,7 +194,7 @@ class TestMasterCollector:
         from repro.collectors.directory import CollectorDirectory
         from repro.collectors.master import MasterCollector
 
-        top_dir = CollectorDirectory()
+        top_dir = CollectorDirectory(DirectoryAgent(wan.net))
         top_dir.register(
             dep.master,
             ["10.0.0.0/8", "192.168.0.0/16"],
@@ -293,7 +294,7 @@ class TestScopedStitch:
         from repro.collectors.master import MasterCollector
 
         dep = deploy_wan(wan)
-        top_dir = CollectorDirectory()
+        top_dir = CollectorDirectory(DirectoryAgent(wan.net))
         top_dir.register(
             dep.master, ["10.0.0.0/8", "192.168.0.0/16"], site="everything", remote=True
         )

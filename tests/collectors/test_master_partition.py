@@ -9,6 +9,7 @@ from repro.netsim.builders import SiteSpec, build_multisite_wan
 from repro.collectors.base import TopologyRequest
 from repro.collectors.directory import CollectorDirectory
 from repro.collectors.master import MasterCollector
+from repro.collectors.slp import DirectoryAgent
 from repro.deploy import deploy_wan
 
 
@@ -69,7 +70,7 @@ class TestPartitioning:
 class TestStackedMasters:
     def _stack(self, wan, extra_prefixes=()):
         dep = deploy_wan(wan)
-        top_dir = CollectorDirectory()
+        top_dir = CollectorDirectory(DirectoryAgent(wan.net))
         top_dir.register(
             dep.master,
             ["10.0.0.0/8", "192.168.0.0/16", *extra_prefixes],

@@ -18,6 +18,7 @@ from repro.collectors import master as master_mod
 from repro.collectors.base import Collector, TopologyRequest, TopologyResponse
 from repro.collectors.directory import CollectorDirectory
 from repro.collectors.sharding import ShardingConfig
+from repro.collectors.slp import DirectoryAgent
 from repro.common.errors import CollectorUnavailableError
 from repro.common.status import QueryStatus
 from repro.common.units import MBPS
@@ -59,7 +60,7 @@ def _reregister(master, site: str, collector: Collector) -> None:
     (a fresh object each time, everything else in its old order)."""
     for m in master.iter_masters():
         old = m.directory
-        new = CollectorDirectory()
+        new = CollectorDirectory(DirectoryAgent(master.net))
         for reg in old.registrations():
             new.register(
                 collector if reg.site == site else reg.collector,

@@ -6,13 +6,9 @@ from repro.common.errors import UnknownHostError
 from repro.common.units import MBPS
 from repro.netsim.builders import SiteSpec, build_multisite_wan
 from repro.collectors.base import TopologyRequest
+from repro.collectors.directory import CollectorDirectory
 from repro.collectors.master import MasterCollector
-from repro.collectors.slp import (
-    SERVICE_BENCHMARK,
-    SERVICE_TOPOLOGY,
-    DirectoryAgent,
-    SlpCollectorDirectory,
-)
+from repro.collectors.slp import SERVICE_BENCHMARK, SERVICE_TOPOLOGY, DirectoryAgent
 from repro.deploy import deploy_wan
 
 
@@ -95,7 +91,7 @@ class TestDirectoryAgent:
 class TestSlpBackedMaster:
     def _slp_master(self, w, dep):
         da = DirectoryAgent(w.net)
-        slp_dir = SlpCollectorDirectory(da)
+        slp_dir = CollectorDirectory(da)
         for site, coll in dep.snmp_collectors.items():
             slp_dir.register(coll, [str(p) for p in coll.config.domains], site)
         for bench in dep.benchmarks.values():
@@ -115,7 +111,7 @@ class TestSlpBackedMaster:
     def test_expired_collector_disappears(self, wan):
         w, dep = wan
         da = DirectoryAgent(w.net)
-        slp_dir = SlpCollectorDirectory(da)
+        slp_dir = CollectorDirectory(da)
         slp_dir.register(
             dep.snmp_collectors["a"],
             [str(p) for p in dep.snmp_collectors["a"].config.domains],

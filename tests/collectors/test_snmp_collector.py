@@ -20,6 +20,7 @@ from repro.collectors.base import TopologyRequest
 from repro.collectors.bridge_collector import BridgeCollector
 from repro.collectors.directory import CollectorDirectory
 from repro.collectors.discovery import DiscoveryState
+from repro.collectors.slp import DirectoryAgent
 from repro.collectors.snmp_collector import (
     COLD_SAMPLE_GAP_S,
     SnmpCollector,
@@ -109,7 +110,7 @@ class TestRoutedDiscovery:
         """Responsibility is the directory's table over the collector's
         configured domains, not a method of the collector."""
         d, coll = _dumbbell_collector()
-        directory = CollectorDirectory()
+        directory = CollectorDirectory(DirectoryAgent(coll.net))
         directory.register(coll, coll.config.domains, "dumbbell")
         assert directory.lookup(IPv4Address("10.1.0.10")).collector is coll
         with pytest.raises(UnknownHostError):

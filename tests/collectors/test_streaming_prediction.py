@@ -172,6 +172,7 @@ class TestMasterForecastFanout:
         from repro.collectors.base import Collector
         from repro.collectors.directory import CollectorDirectory
         from repro.collectors.master import MasterCollector
+        from repro.collectors.slp import DirectoryAgent
         from repro.netsim.address import IPv4Network
         from repro.netsim.topology import Network
 
@@ -184,7 +185,7 @@ class TestMasterForecastFanout:
 
         assert "forecast_edge" not in vars(Plain) and "supports_forecast" not in vars(Plain)
         net = Network()
-        directory = CollectorDirectory()
+        directory = CollectorDirectory(DirectoryAgent(net))
         directory.register(Plain("plain", net), [IPv4Network("10.0.0.0/8")], "lan", remote=True)
         master = MasterCollector("master", net, directory)
         t0 = net.now

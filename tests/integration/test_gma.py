@@ -12,8 +12,10 @@ from repro.gma import (
     EVENT_TOPOLOGY,
     CollectingConsumer,
     CollectorProducer,
-    GmaDirectory,
     ModelerProducer,
+    deregister_producer,
+    find_producers,
+    register_producer,
 )
 from repro.netsim.builders import SiteSpec, build_multisite_wan
 
@@ -80,33 +82,39 @@ class TestProducers:
 
 
 class TestDirectory:
+    """Producers are found through the deployment's SLP directory agent."""
+
     def test_find_by_event_type(self, stack):
         w, dep = stack
-        d = GmaDirectory()
+        agent = dep.directory.agent
         cp = CollectorProducer(dep.master)
         mp = ModelerProducer(dep.modeler)
-        d.register(cp)
-        d.register(mp)
-        assert d.find(EVENT_TOPOLOGY) == [cp]
-        assert d.find(EVENT_FLOW) == [mp]
-        assert d.find("nope") == []
-        assert EVENT_HISTORY in d.event_types()
+        register_producer(agent, cp)
+        register_producer(agent, mp)
+        assert find_producers(agent, EVENT_TOPOLOGY) == [cp]
+        assert find_producers(agent, EVENT_HISTORY) == [cp]
+        assert find_producers(agent, EVENT_FLOW) == [mp]
+        assert find_producers(agent, "nope") == []
+        # the Master's own view of the same agent is untouched
+        assert dep.directory.sites() == ["a", "b"]
 
     def test_unregister(self, stack):
         w, dep = stack
-        d = GmaDirectory()
+        agent = dep.directory.agent
         cp = CollectorProducer(dep.master)
-        d.register(cp)
-        d.unregister(cp)
-        assert d.find(EVENT_TOPOLOGY) == []
+        register_producer(agent, cp)
+        deregister_producer(agent, cp)
+        deregister_producer(agent, cp)  # idempotent
+        assert find_producers(agent, EVENT_TOPOLOGY) == []
+        assert find_producers(agent, EVENT_HISTORY) == []
 
     def test_double_register_no_dup(self, stack):
         w, dep = stack
-        d = GmaDirectory()
+        agent = dep.directory.agent
         cp = CollectorProducer(dep.master)
-        d.register(cp)
-        d.register(cp)
-        assert d.find(EVENT_TOPOLOGY) == [cp]
+        register_producer(agent, cp)
+        register_producer(agent, cp)
+        assert find_producers(agent, EVENT_TOPOLOGY) == [cp]
 
 
 class TestSubscriptions:

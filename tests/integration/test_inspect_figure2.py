@@ -5,6 +5,7 @@ import pytest
 from repro.common.units import MBPS
 from repro.collectors.directory import CollectorDirectory
 from repro.collectors.master import MasterCollector
+from repro.collectors.slp import DirectoryAgent
 from repro.deploy import deploy_lan, deploy_wan
 from repro.inspect import deployment_report, deployment_stats
 from repro.modeler.api import Modeler
@@ -63,7 +64,7 @@ class TestFigure2Shape:
         base = deploy_wan(world)
 
         def session_for(site):
-            directory = CollectorDirectory()
+            directory = CollectorDirectory(DirectoryAgent(world.net))
             for reg in base.directory.registrations():
                 directory.register(
                     reg.collector, [str(p) for p in reg.prefixes], reg.site,

@@ -15,6 +15,7 @@ from repro.common.errors import SnmpError
 from repro.common.status import QueryStatus
 from repro.common.units import MBPS
 from repro.collectors.base import TopologyRequest
+from repro.collectors.slp import SERVICE_BENCHMARK
 from repro.deploy import deploy_lan, deploy_wan
 from repro.netsim.builders import SiteSpec, build_multisite_wan, build_switched_lan
 from repro.netsim.mobility import rehome_host
@@ -183,7 +184,9 @@ class TestBenchmarkFailureModes:
         )
         dep = deploy_wan(w)
         # remove benchmark endpoints
-        dep.directory._benchmarks.clear()
+        agent = dep.directory.agent
+        for entry in agent.find(SERVICE_BENCHMARK):
+            agent.deregister(entry.url)
         ans = dep.session().flow_info(w.host("a", 0), w.host("b", 0))
         assert ans.status == QueryStatus.FAILED
         assert ans.available_bps == 0.0 and ans.path == ()

@@ -309,6 +309,21 @@ MUTANTS = [
         killers=("tests/invariants/test_file_invariants.py::test_the_committed_tree_holds",),
         source="§22",
     ),
+    # -- the directory's view of its SLP agent -----------------------------
+    Mutant(
+        name="directory_view_outlives_an_expired_lease",
+        file="src/repro/collectors/slp.py",
+        before="        if dead:\n            self._generation += 1\n",
+        after="",
+        killers=(
+            "tests/collectors/test_directory_view.py::"
+            "test_lookup_is_the_agents_longest_prefix_match",
+            "tests/collectors/test_directory_view.py::test_one_table_until_the_agent_changes",
+            "tests/collectors/test_slp.py::TestSlpBackedMaster::"
+            "test_expired_collector_disappears",
+        ),
+        source="§36",
+    ),
     Mutant(
         name="raw_if_in_octets_oid",
         file="src/repro/collectors/discovery.py",

@@ -21,6 +21,7 @@ from repro.common.units import MBPS
 from repro.deploy import deploy_wan
 from repro.netsim.builders import SiteSpec, build_multisite_wan
 from repro.service import DirectClient, RemosService, ServiceConfig
+from repro.service.app import SUBS_MAX_WATCHED_PAIRS
 from repro.service.client import ServiceError
 from repro.service.subs import FlowWatcher, SubscriptionHub, flow_channel
 from repro.service.wire import canonical_json
@@ -198,6 +199,35 @@ class TestLongPollEndpoint:
         assert code == "bad_request"
         assert service.watcher.pairs == []
         assert service.tick_subscriptions() == 0
+
+    def test_a_subscribe_past_the_pair_bound_is_refused_whole(self):
+        """The watcher keeps every pair and sweeps them all each tick, so
+        the number it holds is bounded; a request that would pass the
+        bound is refused before any of its pairs is watched."""
+        w, dep = build_world()
+        service = RemosService.from_deployment(dep, ServiceConfig())
+        bound = SUBS_MAX_WATCHED_PAIRS
+        pairs = [("10.99.0.1", f"10.98.{i // 200}.{i % 200 + 1}") for i in range(bound + 1)]
+
+        async def refused(batch):
+            with pytest.raises(ServiceError) as exc:
+                await DirectClient(service).subscribe(batch)
+            return exc.value.code
+
+        async def go():
+            assert await refused(pairs) == "overloaded"
+            assert service.watcher.pairs == []
+            await DirectClient(service).subscribe(pairs[:bound])
+            assert len(service.watcher.pairs) == bound
+            # pairs already watched cost nothing; one new one is too many
+            await DirectClient(service).subscribe(pairs[:2])
+            assert await refused(pairs[bound - 1:]) == "overloaded"
+
+        with obs.scoped_registry() as reg:
+            asyncio.run(go())
+        assert service.watcher.pairs == sorted(pairs[:bound])
+        assert reg.gauge("service.subs.watched_pairs").value == bound
+        assert service.health()["subs"]["watched_pairs"] == bound
 
 
 class TestShedToStale:
