@@ -17,6 +17,7 @@ changes when a sample arrives, so nothing is re-derived per query.
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -147,14 +148,29 @@ class LinkMonitor:
 
     def _jitter_now(self, capacity_bps: float, base_latency_s: float) -> float:
         """Both directions in one pass over the interval ring: the rate
-        columns as one contiguous (2, n) array, one ``std`` per row."""
+        columns as one contiguous (2, n) array, one variance per row.
+
+        The ufuncs are those ``np.clip`` and ``np.std(axis=1)`` run,
+        called directly in the same order on the same operands, so each
+        row's variance is theirs to the bit; ``sqrt`` is monotone, so the
+        root of the larger variance is the larger ``std``.
+        """
         n = len(self._intervals) // 3
         if n < 2:
             return 0.0
-        rates = np.frombuffer(self._intervals).reshape(n, 3)[:, 1:].T.copy()
-        rho = np.clip(rates / capacity_bps, 0.0, 0.95)
-        spreads: list[float] = np.std(base_latency_s * rho / (1.0 - rho), axis=1).tolist()
-        return max(spreads)
+        rho = np.frombuffer(self._intervals).reshape(n, 3)[:, 1:].T.copy()
+        np.true_divide(rho, capacity_bps, out=rho)
+        np.maximum(rho, 0.0, out=rho)
+        np.minimum(rho, 0.95, out=rho)
+        delay = np.multiply(base_latency_s, rho)
+        np.subtract(1.0, rho, out=rho)
+        np.true_divide(delay, rho, out=delay)
+        mean = np.add.reduce(delay, axis=1, keepdims=True)
+        np.true_divide(mean, n, out=mean)
+        np.subtract(delay, mean, out=delay)
+        np.multiply(delay, delay, out=delay)
+        spread_in, spread_out = np.add.reduce(delay, axis=1).tolist()
+        return math.sqrt(max(spread_in, spread_out) / n)
 
     def rate_history(self, direction: str = "out") -> tuple[Series, Series]:
         """(times, rates) series of per-interval rates for prediction.

@@ -37,20 +37,33 @@ Probabilistic faults (rolled per operation):
 =================  ====================================================
 
 Scripted faults (invoked from test/experiment code at a chosen time):
-:func:`crash_collector`, :func:`crash_agent`,
-:func:`spike_link_latency`, :func:`degrade_link`.
+:func:`crash_collector`, :func:`crash_shard`, :func:`crash_agent`,
+:func:`spike_link_latency`, :func:`degrade_link`.  Timed faults of one
+kind on one target overlap cleanly: each restore undoes only its own
+fault, so a target comes back when the last fault in force on it ends.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro import obs
 from repro.common.rng import make_rng
-from repro.netsim.topology import Link, Network
+from repro.netsim.engine import Engine
+from repro.netsim.topology import Link, Network, Node
 
 log = obs.get_logger(__name__)
+
+#: per degraded link: its nominal capacity and the factors of the
+#: degradations in force, oldest first
+_degraded: "weakref.WeakKeyDictionary[Link, tuple[float, list[float]]]" = (
+    weakref.WeakKeyDictionary()
+)
+#: per device whose agent is crashed: whether the agent was reachable
+#: before the first crash in force, and how many are in force
+_agents_down: "weakref.WeakKeyDictionary[Node, list[Any]]" = weakref.WeakKeyDictionary()
 
 
 def _record_fault(kind: str) -> None:
@@ -200,16 +213,35 @@ def crash_collector(collector: Any, down_s: float) -> None:
     On restart it comes back *cold*: discovery caches and counter
     history are flushed, like a real process restart.
     """
-    engine = collector.net.engine
-    collector.crashed_until = engine.now + down_s
-    _record_fault("collector_crash")
-    log.debug("%s crashed until t=%.1f", collector.name, collector.crashed_until)
-
     def _restart() -> None:
-        collector.crashed_until = None
         flush = getattr(collector, "flush_caches", None)
         if callable(flush):
             flush()
+
+    _crash_until(collector, collector.net.engine, down_s, _restart)
+    _record_fault("collector_crash")
+    log.debug("%s crashed until t=%.1f", collector.name, collector.crashed_until)
+
+
+def _crash_until(
+    target: Any, engine: Engine, down_s: float, on_restart: Callable[[], None] | None = None
+) -> None:
+    """Take ``target`` down for ``down_s`` through its ``crashed_until``.
+
+    A crash that overlaps one in force extends the outage, and never
+    shortens it; each crash's end restarts the target (and calls
+    ``on_restart``) only if no later crash is still in force.
+    """
+    until = engine.now + down_s
+    if target.crashed_until is None or target.crashed_until < until:
+        target.crashed_until = until
+
+    def _restart() -> None:
+        if target.crashed_until is None or engine.now < target.crashed_until:
+            return  # a later crash is still in force
+        target.crashed_until = None
+        if on_restart is not None:
+            on_restart()
 
     engine.after(down_s, _restart)
 
@@ -231,12 +263,7 @@ def crash_shard(master: Any, shard_index: int, down_s: float,
     targets = shard.masters if include_replicas else shard.masters[:1]
     engine = master.net.engine
     for m in targets:
-        m.crashed_until = engine.now + down_s
-
-        def _restart(mm: Any = m) -> None:
-            mm.crashed_until = None
-
-        engine.after(down_s, _restart)
+        _crash_until(m, engine, down_s)
     _record_fault("shard_crash")
     log.debug(
         "shard %d crashed (%d master(s)) until t=%.1f",
@@ -245,15 +272,24 @@ def crash_shard(master: Any, shard_index: int, down_s: float,
 
 
 def crash_agent(world: Any, ip: object, down_s: float | None = None) -> None:
-    """Take one SNMP agent down (optionally restoring after ``down_s``)."""
+    """Take one SNMP agent down (optionally restoring after ``down_s``).
+
+    The agent comes back as it was before it went down, once every
+    crash in force on it has ended; one without ``down_s`` never ends.
+    """
     agent = world.agent_at(ip)
     if agent is None:
         raise ValueError(f"no agent at {ip}")
+    down = _agents_down.setdefault(agent.device, [agent.reachable, 0])
+    down[1] += 1
     agent.reachable = False
     _record_fault("agent_crash")
     if down_s is not None:
         def _restore() -> None:
-            agent.reachable = True
+            down[1] -= 1
+            if not down[1]:
+                del _agents_down[agent.device]
+                agent.reachable = down[0]
 
         world.net.engine.after(down_s, _restore)
 
@@ -278,23 +314,31 @@ def degrade_link(
 
     The fluid model has no packets, so sustained packet loss appears as
     goodput reduction: scale the link (and both channels) and
-    re-balance all flows.  ``duration_s`` restores the original
-    capacity afterwards.
+    re-balance all flows (:meth:`FlowManager.set_link_capacity`).
+    Degradations compose: the link runs at its nominal capacity (the
+    one it had before the first degradation in force) times the factors
+    in force, oldest first.  ``duration_s`` ends this degradation
+    afterwards, and the nominal capacity is back once none is in force.
     """
     if not 0.0 < factor <= 1.0:
         raise ValueError("factor must be in (0, 1]")
-    original = link.capacity_bps
+    _, factors = _degraded.setdefault(link, (link.capacity_bps, []))
+    factors.append(factor)
     _record_fault("link_degrade")
-
-    def _scale(cap: float) -> None:
-        now = net.now
-        for ch in link.channels():
-            ch.sync(now)
-        link.capacity_bps = cap
-        for ch in link.channels():
-            ch.capacity_bps = cap
-        net.flows._reallocate(link.channels(), now)
-
-    _scale(original * factor)
+    _set_degraded(net, link)
     if duration_s is not None:
-        net.engine.after(duration_s, lambda: _scale(original))
+        def _restore() -> None:
+            factors.remove(factor)
+            _set_degraded(net, link)
+
+        net.engine.after(duration_s, _restore)
+
+
+def _set_degraded(net: Network, link: Link) -> None:
+    """Give ``link`` its nominal capacity times the factors in force."""
+    cap, factors = _degraded[link]
+    for factor in factors:
+        cap *= factor
+    if not factors:
+        del _degraded[link]
+    net.flows.set_link_capacity(link, cap)

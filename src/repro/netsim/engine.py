@@ -47,6 +47,7 @@ if TYPE_CHECKING:
         Counter | NullCounter,
         Gauge | NullGauge,
         Gauge | NullGauge,
+        Counter | NullCounter,
     ]
 
 
@@ -175,8 +176,11 @@ class Engine:
         self._seq = itertools.count()
         #: number of callbacks dispatched (diagnostics / tests)
         self.dispatched = 0
+        #: periodic ticks skipped because a callback pushed the clock
+        #: past them (see :meth:`every`)
+        self.ticks_skipped = 0
         #: cached (registry, handles...) for _observe — the engine
-        #: advances on every simulated RPC, so re-resolving four metric
+        #: advances on every simulated RPC, so re-resolving five metric
         #: handles per advance would dominate live-registry overhead
         self._obs_handles: _Handles | None = None
 
@@ -214,7 +218,8 @@ class Engine:
 
         The first tick is at ``start`` (default: now + interval).  If a
         long callback pushes the clock past one or more scheduled
-        ticks, those ticks are skipped rather than fired in a burst.
+        ticks, those ticks are skipped rather than fired in a burst, and
+        counted in ``ticks_skipped``.
         """
         if interval <= 0:
             raise ValueError("interval must be > 0")
@@ -230,6 +235,7 @@ class Engine:
             nxt = scheduled + interval
             while nxt <= self._now:  # catch up without a tick burst
                 nxt += interval
+                self.ticks_skipped += 1
             ev = _Event(nxt, next(self._seq), lambda: tick_wrapper(nxt))
             timer._event = ev
             heapq.heappush(self._queue, _entry(ev))
@@ -310,7 +316,7 @@ class Engine:
         The clock finishes exactly at ``t_end`` unless a callback
         overshot it by advancing internally.
         """
-        t0, d0 = self._now, self.dispatched
+        t0, d0, s0 = self._now, self.dispatched, self.ticks_skipped
         while self._queue:
             ev = self._queue[0][2]
             if ev.cancelled:
@@ -321,22 +327,22 @@ class Engine:
             self.step()
         if self._now < t_end:
             self._now = t_end
-        self._observe(t0, d0)
+        self._observe(t0, d0, s0)
 
     def run(self, max_events: int = 1_000_000) -> None:
         """Run until the queue drains (bounded by ``max_events``)."""
-        t0, d0 = self._now, self.dispatched
+        t0, d0, s0 = self._now, self.dispatched, self.ticks_skipped
         for _ in range(max_events):
             if not self.step():
-                self._observe(t0, d0)
+                self._observe(t0, d0, s0)
                 return
         raise RuntimeError(f"engine did not quiesce within {max_events} events")
 
-    def _observe(self, t0: float, d0: int) -> None:
+    def _observe(self, t0: float, d0: int, s0: int) -> None:
         """Report one run's aggregates to the metrics registry.
 
         Aggregated per run rather than per event so the dispatch loop
-        itself carries no instrumentation overhead.  The four handles
+        itself carries no instrumentation overhead.  The five handles
         are cached per registry and its generation (a reset drops them):
         name-based resolution on every advance would cost more than the
         rest of the advance itself.
@@ -351,11 +357,13 @@ class Engine:
                 reg.counter("netsim.engine.sim_advance_s"),
                 reg.gauge("netsim.engine.sim_time_s"),
                 reg.gauge("netsim.engine.queue_depth"),
+                reg.counter("netsim.engine.ticks_skipped"),
             )
         handles[2].inc(self.dispatched - d0)
         handles[3].inc(self._now - t0)
         handles[4].set(self._now)
         handles[5].set(len(self._queue))
+        handles[6].inc(self.ticks_skipped - s0)
 
     def pending(self) -> int:
         """Number of live events still queued."""

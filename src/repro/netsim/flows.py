@@ -37,7 +37,15 @@ when the component holds a finite transfer.  A start also skips the
 walk of the channel index when it can: the index has an epoch, which a
 start or a stop replaces and a quiet stop puts back, so a start over a
 path another start crossed at the same epoch finds the same component
-(see ``FlowManager._start_component``).
+(see ``FlowManager._start_component``).  The second start over such a
+path also keeps the component's *plan* (:func:`_plan`: what a solve
+derives from the paths alone) in that memo entry, so every later start
+over it runs only the filling rounds (:func:`_fill`).  Demands move
+between probe rounds; the shape of a component does not.
+
+A capacity changes only through :meth:`FlowManager.set_link_capacity`,
+which draws a fresh index epoch: a plan holds its constraints'
+capacities, so no plan survives the change.
 
 :meth:`FlowManager.what_if` answers "what rate would these flows get?"
 for ground truth: it solves each component the asked flows would join
@@ -57,12 +65,13 @@ such group (:func:`_binding_channels`).  A probe over six hops of which
 it shares one with cross traffic is a two-constraint problem, not a
 six-constraint one.
 
-:func:`max_min_allocation` solves in one pass: it groups the channels,
-returns the demands untouched when every constraint has room for its
-members' demands (no filling round; ``netsim.maxmin.rounds`` observes
-0), and otherwise runs progressive filling over the constraints with
-their per-round state cached.  Either way the result is bit for bit
-what a scalar progressive-filling loop gives on the reduced paths.
+:func:`max_min_allocation` solves in one pass: it groups the channels
+(or takes the plan it is handed), returns the demands untouched when
+every constraint has room for its members' demands (no filling round;
+``netsim.maxmin.rounds`` observes 0), and otherwise runs progressive
+filling over the constraints with their per-round state cached.
+Either way the result is bit for bit what a scalar progressive-filling
+loop gives on the reduced paths.
 That loop, ``max_min_allocation_reference`` in
 ``tests/netsim/maxmin_reference.py``, is the tests' oracle: they hold
 the solver to it, and feed it the *unreduced* paths as the oracle for
@@ -83,7 +92,7 @@ from repro.netsim.engine import Timer
 from repro.netsim.paths import compute_path, peek_path
 
 if TYPE_CHECKING:
-    from repro.netsim.topology import Channel, Host, Network
+    from repro.netsim.topology import Channel, Host, Link, Network
 
 #: freeze threshold of the progressive-filling solver
 _EPS = 1e-12
@@ -167,6 +176,18 @@ class _Displaced(NamedTuple):
     epoch: int
 
 
+class _Reach(NamedTuple):
+    """What a start over a path found, kept for the next start over it
+    at the same index epoch (see ``FlowManager._start_component``)."""
+
+    #: the component, the started flow left out
+    flows: "list[Flow]"
+    channels: "tuple[Channel, ...]"
+    #: the component's plan with the started flow last, kept by the
+    #: first start that reuses this entry
+    plan: "_Plan | None"
+
+
 class FlowManager:
     """Owns the set of active flows and the max-min allocation."""
 
@@ -187,15 +208,15 @@ class FlowManager:
         #: ``_reallocate`` drops it, so while it stands nothing in the
         #: allocation has changed since that start.
         self._displaced: _Displaced | None = None
-        #: names the state of ``_on_channel``: a start or a stop draws a
-        #: fresh value, and a quiet stop puts back the one its start
-        #: found, since the index is then exactly as it was
+        #: names the state of ``_on_channel`` and of the capacities: a
+        #: start, a stop or a capacity change draws a fresh value, and a
+        #: quiet stop puts back the one its start found, since the index
+        #: is then exactly as it was
         self._epoch = 0
         self._epochs = itertools.count(1)
-        #: path -> the component a start over it found, started flow
-        #: left out, channels as a tuple (a probe mesh keeps one entry per
-        #: path); every entry is of index epoch ``_reach_epoch``
-        self._reach: "dict[tuple[Channel, ...], tuple[list[Flow], tuple[Channel, ...]]]" = {}
+        #: path -> what a start over it found (a probe mesh keeps one
+        #: entry per path); every entry is of index epoch ``_reach_epoch``
+        self._reach: "dict[tuple[Channel, ...], _Reach]" = {}
         self._reach_epoch = 0
 
     # -- public API ------------------------------------------------------
@@ -272,6 +293,23 @@ class FlowManager:
         _settle_to(flow, now)
         flow.demand_bps = demand_bps
         self._reallocate(flow.path, now)
+
+    def set_link_capacity(self, link: "Link", capacity_bps: float) -> None:
+        """Give ``link`` and both its channels ``capacity_bps`` now.
+
+        The channels' counters are synced first, the index epoch is
+        replaced (no memoized component or plan outlives a capacity
+        change) and the flows crossing the link are re-balanced.
+        """
+        now = self.network.now
+        channels = link.channels()
+        for ch in channels:
+            ch.sync(now)
+        link.capacity_bps = capacity_bps
+        for ch in channels:
+            ch.capacity_bps = capacity_bps
+        self._epoch = next(self._epochs)
+        self._reallocate(channels, now)
 
     def active_flows(self) -> list[Flow]:
         return list(self.flows.values())
@@ -368,27 +406,38 @@ class FlowManager:
                         frontier.append(ch)
         return [flows[fid] for fid in sorted(flows)], channels
 
-    def _start_component(self, flow: Flow) -> "tuple[list[Flow], Iterable[Channel]]":
+    def _start_component(
+        self, flow: Flow
+    ) -> "tuple[list[Flow], Iterable[Channel], _Plan | None]":
         """The component of ``flow``, just started over an index of
-        epoch ``_epoch`` plus itself.
+        epoch ``_epoch`` plus itself, and its plan when one is kept.
 
         It is the component of its path on the index before the start,
         with the started flow, whose id is the highest, last.  So a
         start over the same path at the same epoch finds what an earlier
         one found: a probe repeated while the traffic it crosses
-        neither started nor stopped walks the index once.
+        neither started nor stopped walks the index once.  Its paths
+        are then those of the earlier start too, so the first start
+        that reuses the entry keeps their plan in it, and later ones
+        run only the filling rounds.  A path started once at an epoch
+        keeps no plan.
         """
         key = tuple(flow.path)
         if self._reach_epoch == self._epoch:
             known = self._reach.get(key)
             if known is not None:
-                return known[0] + [flow], known[1]
+                flows = known.flows + [flow]
+                plan = known.plan
+                if plan is None:
+                    plan = _plan([f.path for f in flows])
+                    self._reach[key] = known._replace(plan=plan)
+                return flows, known.channels, plan
         else:
             self._reach.clear()
             self._reach_epoch = self._epoch
         flows, channels = self._component(flow.path)
-        self._reach[key] = (flows[:-1], tuple(channels))
-        return flows, channels
+        self._reach[key] = _Reach(flows[:-1], tuple(channels), None)
+        return flows, channels, None
 
     def _reallocate(
         self, changed: "Iterable[Channel]", now: float, started: Flow | None = None
@@ -396,7 +445,8 @@ class FlowManager:
         """Recompute max-min fair rates around the ``changed`` channels.
 
         ``changed`` is the path of the flow that started, stopped or
-        changed demand (or the channels whose capacity changed), and
+        changed demand (or the channels of a link whose capacity
+        changed), and
         ``now`` the clock the change happens at.  Only the connected
         component of flows sharing channels with it, transitively, is
         settled, re-solved and re-armed; max-min allocation decouples
@@ -411,10 +461,11 @@ class FlowManager:
         """
         self.recomputes += 1
         self._displaced = None
+        plan = None
         if started is None:
             flows, channels = self._component(changed)
         else:
-            flows, channels = self._start_component(started)
+            flows, channels, plan = self._start_component(started)
         obs.histogram("netsim.flows.realloc_flows").observe(len(flows))
 
         paths: "list[list[Channel]]" = []
@@ -425,7 +476,7 @@ class FlowManager:
                 finite = True
             paths.append(f.path)
             demands.append(f.demand_bps)
-        rates = max_min_allocation(paths, demands)
+        rates = max_min_allocation(paths, demands, plan)
         if not flows:
             # an empty solve observes nothing; keep one sample per recompute
             obs.histogram("netsim.maxmin.rounds").observe(0)
@@ -515,13 +566,17 @@ def _settle_to(flow: Flow, now: float) -> bool:
 
 
 def max_min_allocation(
-    paths: "Sequence[Sequence[CapacityLike]]", demands: Sequence[float]
+    paths: "Sequence[Sequence[CapacityLike]]",
+    demands: Sequence[float],
+    plan: "_Plan | None" = None,
 ) -> list[float]:
     """Max-min fair rates for flows over shared channels (see
-    :func:`_solve`), recorded: a non-empty solve observes
+    :func:`_fill`), recorded: a non-empty solve observes
     ``netsim.maxmin.constraints`` and ``netsim.maxmin.rounds`` once
-    each, an empty one nothing."""
-    rates, constraints, rounds = _solve(paths, demands)
+    each, an empty one nothing.  ``plan``, when given, is what
+    :func:`_plan` derived from these same paths at the capacities they
+    have now; only the filling rounds run."""
+    rates, constraints, rounds = _fill(_plan(paths) if plan is None else plan, demands)
     if rates:
         obs.histogram("netsim.maxmin.constraints").observe(constraints)
         obs.histogram("netsim.maxmin.rounds").observe(rounds)
@@ -533,20 +588,50 @@ def _solve(
 ) -> tuple[list[float], int, int]:
     """Max-min fair rates for flows over shared channels, unobserved:
     the rates, the constraints handed to the filling and the filling
-    rounds run.
+    rounds run.  The plan of the paths, then its filling rounds."""
+    return _fill(_plan(paths), demands)
 
-    One pass over the problem.  The channels are first grouped by the
-    flows crossing them and each group is cut to its tightest channel
-    (:func:`_binding_channels`); progressive filling then runs over those
-    constraints.  Each constraint carries its active count between
-    rounds (an integer, decremented as members freeze) and its frozen
-    load, which is summed again, with the same builtin ``sum`` over the
-    same member order, only when one of its members has frozen.  So
-    every float operation is one the tests' scalar oracle
+
+class _Plan(NamedTuple):
+    """What a solve derives from the paths alone: the constraints that
+    can bind (:func:`_binding_channels`), as capacities and member
+    lists, and the constraints each flow crosses.  It holds for any
+    demands, and for as long as no constraint's capacity changes."""
+
+    caps: list[float]
+    #: per constraint, the flows crossing it (a flow crossing twice
+    #: is listed twice)
+    members: list[list[int]]
+    #: per flow, the constraints it crosses: none only for a
+    #: zero-length path (src == dst within one node), since every
+    #: channel a flow crosses leaves a constraint the flow is a member of
+    crosses: list[list[int]]
+
+
+def _plan(paths: "Sequence[Sequence[CapacityLike]]") -> _Plan:
+    """The plan of ``paths`` at their channels' current capacities."""
+    constraints = _binding_channels(paths)
+    members = [m for _, m in constraints]
+    crosses: list[list[int]] = [[] for _ in paths]
+    for k, m in enumerate(members):
+        for i in m:
+            crosses[i].append(k)
+    return _Plan([ch.capacity_bps for ch, _ in constraints], members, crosses)
+
+
+def _fill(plan: _Plan, demands: Sequence[float]) -> tuple[list[float], int, int]:
+    """Progressive filling over a plan's constraints, unobserved: the
+    rates, the constraints and the filling rounds run.
+
+    Each constraint carries its active count between rounds (an
+    integer, decremented as members freeze) and its frozen load, which
+    is summed again, with the same builtin ``sum`` over the same member
+    order, only when one of its members has frozen.  So every float
+    operation is one the tests' scalar oracle
     (``tests/netsim/maxmin_reference.py``) performs on the reduced
     paths, in its order, and the result equals it bit for bit — on
     Python 3.12 too, whose float ``sum`` is compensated.  Zero-length
-    paths (src == dst within one node) get their full demand.
+    paths get their full demand.  The plan is read, never changed.
 
     **When the demands fit, they are the answer.**  If every demand is
     finite and non-negative and each constraint's member demands sum to
@@ -565,22 +650,18 @@ def _solve(
     two rounds per flow plus one per constraint, so filling never stops
     short of the demands the shortcut returns.
     """
-    n = len(paths)
-    if n == 0:
-        return [], 0, 0
-    constraints = _binding_channels(paths)
-    budget = 2 * n + len(constraints) + 1  # filling rounds, as the reference allows
+    caps, members, crosses = plan
     if all(0.0 <= d < math.inf for d in demands) and all(
-        sum([demands[i] for i in members]) <= _FIT_SHARE * ch.capacity_bps
-        for ch, members in constraints
+        sum([demands[i] for i in m]) <= _FIT_SHARE * cap for cap, m in zip(caps, members)
     ):
-        return list(demands), len(constraints), 0
+        return list(demands), len(caps), 0
 
+    n = len(demands)
     rates = [0.0] * n
     frozen = [False] * n
     unfrozen: list[int] = []
-    for i, path in enumerate(paths):
-        if path:
+    for i, crossed in enumerate(crosses):
+        if crossed:
             unfrozen.append(i)
         else:
             rates[i] = demands[i] if math.isfinite(demands[i]) else math.inf
@@ -588,19 +669,14 @@ def _solve(
     # Per constraint: its unfrozen members (a flow crossing twice counts
     # twice), kept exact by decrementing; and the sum of its frozen
     # members' rates, taken again only when a member has frozen since.
-    caps = [ch.capacity_bps for ch, _ in constraints]
-    members = [m for _, m in constraints]
     active = [len(m) for m in members]
     load = [0.0] * len(members)
     stale = [False] * len(members)
-    crosses: list[list[int]] = [[] for _ in range(n)]
-    for k, m in enumerate(members):
-        for i in m:
-            crosses[i].append(k)
     ks = range(len(members))
 
     level = 0.0
     rounds = 0
+    budget = 2 * n + len(caps) + 1  # filling rounds, as the reference allows
     for _ in range(budget):
         if not unfrozen:
             break
@@ -657,7 +733,7 @@ def _solve(
         unfrozen = [i for i in unfrozen if not frozen[i]]
     for i in unfrozen:
         rates[i] = min(level, demands[i])
-    return rates, len(constraints), rounds
+    return rates, len(caps), rounds
 
 
 def _binding_channels(

@@ -16,7 +16,8 @@ import dataclasses
 import pytest
 
 from repro import faults, obs
-from repro.common.errors import AgentUnreachableError
+from repro.collectors.sharding import ShardingConfig
+from repro.common.errors import AgentUnreachableError, CollectorUnavailableError
 from repro.common.status import QueryStatus
 from repro.common.units import MBPS
 from repro.deploy import deploy_wan
@@ -384,3 +385,98 @@ class TestTargetedFaults:
             faults.degrade_link(d.net, link, 0.0)
         with pytest.raises(ValueError):
             faults.degrade_link(d.net, link, 1.5)
+
+
+class TestOverlappingFaults:
+    """Timed faults of one kind on one target overlap: each restore
+    undoes only its own fault, so the target comes back when the last
+    fault in force on it ends, not when the first one does."""
+
+    def test_overlapping_degradations_compose_and_end_with_the_last(self):
+        d = build_dumbbell()
+        f = d.net.flows.start_flow(d.h1, d.h2)
+        link = d.h1.interfaces[0].link
+        faults.degrade_link(d.net, link, 0.5, duration_s=10.0)
+        d.net.engine.run_until(d.net.now + 5.0)
+        faults.degrade_link(d.net, link, 0.5, duration_s=10.0)
+        assert link.capacity_bps == 25 * MBPS and f.rate_bps == 25 * MBPS
+        d.net.engine.run_until(d.net.now + 6.0)  # the first has ended
+        assert link.capacity_bps == 50 * MBPS and f.rate_bps == 50 * MBPS
+        d.net.engine.run_until(d.net.now + 5.0)  # and the second
+        assert link.capacity_bps == 100 * MBPS and f.rate_bps == 100 * MBPS
+        assert [ch.capacity_bps for ch in link.channels()] == [100 * MBPS] * 2
+
+    def test_a_timed_degradation_ends_into_a_lasting_one(self):
+        d = build_dumbbell()
+        link = d.h1.interfaces[0].link
+        faults.degrade_link(d.net, link, 0.5)
+        faults.degrade_link(d.net, link, 0.4, duration_s=10.0)
+        assert link.capacity_bps == pytest.approx(20 * MBPS)
+        d.net.engine.run_until(d.net.now + 20.0)
+        assert link.capacity_bps == 50 * MBPS
+
+    def test_a_second_collector_crash_keeps_it_down_until_it_ends(self):
+        w, dep = _wan()
+        coll = dep.snmp_collectors["b"]
+        t0 = w.net.now
+        faults.crash_collector(coll, 10.0)
+        w.net.engine.run_until(t0 + 5.0)
+        faults.crash_collector(coll, 10.0)
+        w.net.engine.run_until(t0 + 11.0)  # the first crash has ended
+        assert coll.crashed_until == t0 + 5.0 + 10.0
+        with pytest.raises(CollectorUnavailableError):
+            coll.check_alive()
+        w.net.engine.run_until(t0 + 16.0)
+        assert coll.crashed_until is None
+        coll.check_alive()
+
+    def test_a_shorter_crash_inside_a_longer_one_ends_nothing(self):
+        w, dep = _wan()
+        coll = dep.snmp_collectors["b"]
+        t0 = w.net.now
+        faults.crash_collector(coll, 20.0)
+        faults.crash_collector(coll, 5.0)
+        w.net.engine.run_until(t0 + 10.0)
+        assert coll.crashed_until == t0 + 20.0
+        w.net.engine.run_until(t0 + 21.0)
+        assert coll.crashed_until is None
+
+    def test_a_second_shard_crash_keeps_it_down_until_it_ends(self):
+        w = build_multisite_wan(
+            [SiteSpec(name, access_bps=10 * MBPS, n_hosts=3) for name in "abc"]
+        )
+        dep = deploy_wan(w, sharding=ShardingConfig(n_shards=2, replicas=1))
+        masters = dep.master.shards[0].masters
+        t0 = w.net.now
+        faults.crash_shard(dep.master, 0, 10.0)
+        w.net.engine.run_until(t0 + 5.0)
+        faults.crash_shard(dep.master, 0, 10.0)
+        w.net.engine.run_until(t0 + 11.0)
+        assert [m.crashed_until for m in masters] == [t0 + 15.0] * len(masters)
+        w.net.engine.run_until(t0 + 16.0)
+        assert [m.crashed_until for m in masters] == [None] * len(masters)
+
+    def test_a_second_agent_crash_keeps_it_down_until_it_ends(self):
+        lan = build_switched_lan(4, fanout=4)
+        world = instrument_network(lan.net)
+        client = SnmpClient(world, lan.hosts[0].ip)
+        ip = lan.switches[0].management_ip
+        engine = lan.net.engine
+        t0 = engine.now
+        faults.crash_agent(world, ip, down_s=30.0)
+        engine.run_until(t0 + 10.0)
+        faults.crash_agent(world, ip, down_s=30.0)
+        engine.run_until(t0 + 35.0)  # the first crash has ended
+        with pytest.raises(AgentUnreachableError):
+            client.get(ip, O.SYS_NAME)
+        engine.run_until(t0 + 45.0)
+        assert client.get(ip, O.SYS_NAME)
+
+    def test_an_agent_crashed_for_good_stays_down(self):
+        lan = build_switched_lan(4, fanout=4)
+        world = instrument_network(lan.net)
+        ip = lan.switches[0].management_ip
+        faults.crash_agent(world, ip, down_s=10.0)
+        faults.crash_agent(world, ip)
+        lan.net.engine.run_until(lan.net.now + 60.0)
+        assert world.agent_at(ip).reachable is False

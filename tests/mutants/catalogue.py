@@ -529,6 +529,31 @@ MUTANTS = [
         source="§31",
     ),
     Mutant(
+        name="plan_kept_across_a_capacity_change",
+        file="src/repro/netsim/flows.py",
+        before=(
+            "            ch.capacity_bps = capacity_bps\n"
+            "        self._epoch = next(self._epochs)\n"
+        ),
+        after="            ch.capacity_bps = capacity_bps\n",
+        killers=(
+            KERNEL + "test_a_degrade_between_probes_re_derives_the_plan_once",
+            KERNEL + "test_the_plan_memo_changes_nothing",
+            KERNEL + "test_probe_rounds_among_changes_leave_a_true_memo",
+        ),
+        source="§37",
+    ),
+    Mutant(
+        name="jitter_mean_summed_exactly",
+        file="src/repro/collectors/monitor.py",
+        before="        mean = np.add.reduce(delay, axis=1, keepdims=True)\n",
+        after="        mean = np.array([[math.fsum(row)] for row in delay.tolist()])\n",
+        killers=(
+            "tests/collectors/test_monitor.py::test_incremental_series_equal_the_batch_derivation",
+        ),
+        source="§37",
+    ),
+    Mutant(
         name="start_keeps_the_epoch",
         file="src/repro/netsim/flows.py",
         before=(
@@ -658,5 +683,78 @@ MUTANTS = [
             "tests/service/test_lkg_key.py::test_a_body_with_number_keys_is_decoded_first",
         ),
         source="§34",
+    ),
+    # -- regressions that failed on their parent commits (§9, §10) ---------
+    Mutant(
+        name="streaming_fed_by_the_ring_size",
+        file="src/repro/rps/streaming.py",
+        before=(
+            "                    self._fed[pkey] = mon.samples_appended - 1\n"
+            "                new = min(mon.samples_appended - self._fed[pkey], rates.size)\n"
+        ),
+        after=(
+            "                    self._fed[pkey] = rates.size - 1\n"
+            "                new = min(rates.size - self._fed[pkey], rates.size)\n"
+        ),
+        killers=(
+            "tests/collectors/test_streaming_prediction.py::TestFeedingPastHistoryLen::"
+            "test_samples_keep_flowing_once_the_ring_is_full",
+        ),
+        source="§9",
+    ),
+    Mutant(
+        name="partitioned_peer_escapes_probe",
+        file="src/repro/collectors/benchmark_collector.py",
+        before="        except TopologyError as exc:\n",
+        after="        except QueryError as exc:\n",
+        killers=(
+            "tests/collectors/test_probe_methods.py::TestPartitionedPeer::"
+            "test_probe_all_skips_the_partitioned_peer",
+            "tests/collectors/test_probe_methods.py::TestPartitionedPeer::"
+            "test_probe_maps_routing_failure_to_query_error",
+        ),
+        source="§9",
+    ),
+    Mutant(
+        name="lapsed_wan_measurement_answers_ok",
+        file="src/repro/collectors/master.py",
+        before=(
+            "        return max((self.net.now - m.measured_at for m in used if m.stale),"
+            " default=0.0)\n"
+        ),
+        after="        return 0.0\n",
+        killers=(
+            "tests/integration/test_chaos.py::TestProbeFaults::"
+            "test_answer_built_on_an_expired_wan_measurement_is_stale",
+        ),
+        source="§10",
+    ),
+    Mutant(
+        name="octet_counters_truncated",
+        file="src/repro/snmp/mib.py",
+        before=(
+            "                lambda i=iface, n=net: round(i.in_octets(n.now)),\n"
+            "                lambda i=iface, n=net: round(i.out_octets(n.now)),\n"
+        ),
+        after=(
+            "                lambda i=iface, n=net: int(i.in_octets(n.now)),\n"
+            "                lambda i=iface, n=net: int(i.out_octets(n.now)),\n"
+        ),
+        killers=(
+            "tests/snmp/test_mib_agent_client.py::TestDeviceMibs::"
+            "test_whole_byte_transfers_count_whole_octets",
+        ),
+        source="§10",
+    ),
+    Mutant(
+        name="measurement_age_judged_on_the_moving_clock",
+        file="src/repro/collectors/benchmark_collector.py",
+        before="            now = self.net.now if as_of is None else as_of\n",
+        after="            now = self.net.now\n",
+        killers=(
+            "tests/collectors/test_benchmark_master.py::TestAgeJudgedWhenTheStitchStarts::"
+            "test_one_lapsed_direction_does_not_cascade",
+        ),
+        source="§10",
     ),
 ]

@@ -128,6 +128,31 @@ def test_periodic_skips_missed_ticks_after_long_callback():
     assert ticks == [5.0, 20.0, 25.0, 30.0]
 
 
+def test_skipped_ticks_are_counted_and_the_cadence_holds():
+    from repro import obs
+
+    eng = Engine()
+    ticks = []
+
+    def tick():
+        ticks.append(eng.now)
+        if len(ticks) == 1:
+            eng.advance(2.5)  # from 1.0 past the ticks at 2.0 and 3.0
+
+    eng.every(1.0, tick)
+    with obs.scoped_registry() as reg:
+        eng.run_until(4.0)
+        counters = {c.name: c.value for c in reg.counters()}
+    assert eng.ticks_skipped == 2
+    assert counters["netsim.engine.ticks_skipped"] == 2
+    assert ticks == [1.0, 4.0]  # the next tick is on the 1 s grid
+    with obs.scoped_registry() as reg:
+        eng.run_until(6.0)  # a run that skips nothing adds nothing
+        counters = {c.name: c.value for c in reg.counters()}
+    assert ticks == [1.0, 4.0, 5.0, 6.0]
+    assert eng.ticks_skipped == 2 and counters["netsim.engine.ticks_skipped"] == 0
+
+
 def test_advance_rejects_negative():
     with pytest.raises(ValueError):
         Engine().advance(-0.1)
@@ -168,5 +193,9 @@ def test_engine_metrics_survive_a_registry_reset():
         engine.run_until(4.0)
         counters = {c.name: c.value for c in reg.counters()}
         gauges = {g.name: g.value for g in reg.gauges()}
-    assert counters == {"netsim.engine.events": 1, "netsim.engine.sim_advance_s": 2.0}
+    assert counters == {
+        "netsim.engine.events": 1,
+        "netsim.engine.sim_advance_s": 2.0,
+        "netsim.engine.ticks_skipped": 0,
+    }
     assert gauges["netsim.engine.sim_time_s"] == 4.0

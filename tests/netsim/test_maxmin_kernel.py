@@ -23,7 +23,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import repro.netsim.flows as flows_mod
-from repro.netsim.flows import _binding_channels, max_min_allocation
+from repro.netsim.flows import _binding_channels, _fill, _plan, _solve, max_min_allocation
 
 from .maxmin_reference import max_min_allocation_reference
 
@@ -279,6 +279,29 @@ class TestOnePassSolver:
         assert max_min_allocation([[link]] * 8, demands) == demands
 
 
+_DEMAND = st.one_of(st.just(math.inf), st.just(0.0), st.floats(0.0, 20.0), st.floats(0.0, 500.0))
+
+
+class TestPlannedSolve:
+    """A plan is what a solve derives from the paths alone: derived
+    once, it is filled under any demands to exactly what a solve from
+    scratch gives, and filling never changes it."""
+
+    @given(st.one_of(_problem(), _redundant_problem()), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_plan_filled_under_fresh_demands_is_a_solve(self, problem, data):
+        paths, demands = problem
+        plan = _plan(paths)
+        kept = repr(plan)
+        for _ in range(3):
+            got = _fill(plan, demands)
+            assert got == _solve(paths, demands)
+            assert got[0] == max_min_allocation_reference(_reduced(paths), demands)
+            assert max_min_allocation(paths, demands, plan) == max_min_allocation(paths, demands)
+            demands = data.draw(st.lists(_DEMAND, min_size=len(paths), max_size=len(paths)))
+        assert repr(plan) == kept
+
+
 class TestReductionEquivalence:
     @given(_redundant_problem())
     @settings(max_examples=300, deadline=None)
@@ -433,8 +456,11 @@ class TestUnprunedTwinOnTheChurnWorld:
         # no member-demand sum fits under -inf times a capacity
         with mock.patch.object(flows_mod, "_FIT_SHARE", -math.inf):
             filled = self._run()
+        # every solve, planned ones included, goes to the reference
         with mock.patch.object(
-            flows_mod, "max_min_allocation", max_min_allocation_reference
+            flows_mod,
+            "max_min_allocation",
+            lambda paths, demands, plan=None: max_min_allocation_reference(paths, demands),
         ):
             unpruned = self._run()
         assert any(entry[0] == "done" for entry in pruned if isinstance(entry, tuple))

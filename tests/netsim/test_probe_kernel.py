@@ -12,21 +12,30 @@ where the kernel's trims found it.
 
 A start over a path that an earlier start crossed, with no flow started
 or stopped since (a quiet stop puts the index back), reuses the
-component that start found.  A twin world whose every start walks the
-channel index must agree with the memoizing one bit for bit after every
-step of generated traffic scripts.
+component that start found, and from the second such start on, its
+plan: only the filling rounds run.  Twin worlds whose every start walks
+the channel index, or derives its plan afresh, must agree with the
+memoizing one bit for bit after every step of generated traffic
+scripts; a capacity change must leave no plan to reuse; and probe
+rounds among topology changes, faults and traffic must leave no probe
+flow, no stale restore record and no memo entry a walk would not find.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.netsim.flows as flows_mod
 from repro import obs
 from repro.collectors.benchmark_collector import BenchmarkCollector, BenchmarkConfig
+from repro.common.errors import TopologyError
 from repro.common.units import MBPS
 from repro.faults import degrade_link
 from repro.netsim.builders import SiteSpec, build_multisite_wan, build_random_wan
-from repro.netsim.flows import FlowManager
+from repro.netsim.failures import fail_link, repair_link
+from repro.netsim.flows import FlowManager, _plan
+from repro.netsim.mobility import rehome_host
+from repro.netsim.paths import peek_path
 
 PINNED = ("netsim.maxmin.rounds", "netsim.maxmin.constraints", "netsim.flows.realloc_flows")
 
@@ -84,7 +93,16 @@ class _WalkingFlowManager(FlowManager):
     """The twin: every start walks the channel index."""
 
     def _start_component(self, flow):
-        return self._component(flow.path)
+        return (*self._component(flow.path), None)
+
+
+class _PlanlessFlowManager(FlowManager):
+    """The plan twin: every start reuses components as shipped, but
+    derives its plan afresh from the paths and capacities it meets."""
+
+    def _start_component(self, flow):
+        flows, channels, _ = super()._start_component(flow)
+        return flows, channels, None
 
 
 N_SITES = 5
@@ -146,18 +164,22 @@ def _step(net, flows, kind, a, b, x):
         fm.set_demand(live[a % len(live)], x * 30 * MBPS)
     elif kind == "degrade":
         degrade_link(net, net.links[a % len(net.links)], 0.5 + 0.5 * x)
+    elif kind == "squeeze" and src is not dst:  # degrade the tightest link from a to b
+        path = peek_path(net, src, dst)
+        degrade_link(net, min(path, key=lambda ch: ch.capacity_bps).link, 0.5 + 0.5 * x)
     elif kind == "advance":
         net.engine.run_until(net.now + 5 * x)
 
 
-@given(st.integers(0, 30), _steps)
-@settings(max_examples=60, deadline=None)
-def test_the_memo_changes_nothing(seed, steps):
+def _agree_with(twin_cls, seed, steps):
+    """Run ``steps`` in a shipped world and in a ``twin_cls`` one; every
+    step must leave both in the same state, bit for bit."""
+
     def build():
         return build_random_wan(N_SITES, seed=seed, hosts_per_site=(2, 3)).net
 
     net, twin = build(), build()
-    twin.flows = _WalkingFlowManager(twin)
+    twin.flows = twin_cls(twin)
     mine, theirs = [], []
     for kind, a, b, x in steps:
         _step(net, mine, kind, a, b, x)
@@ -165,7 +187,37 @@ def test_the_memo_changes_nothing(seed, steps):
         assert _state(net, mine) == _state(twin, theirs)
 
 
-@pytest.mark.parametrize("script", [
+@given(st.integers(0, 30), _steps)
+@settings(max_examples=60, deadline=None)
+def test_the_memo_changes_nothing(seed, steps):
+    _agree_with(_WalkingFlowManager, seed, steps)
+
+
+#: as ``_steps``, with probes repeated over few paths and capacity
+#: changes on the links they cross
+_plan_steps = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["greedy", "cbr", "probe", "probe", "probe", "probe", "stop", "demand",
+             "degrade", "squeeze", "squeeze", "advance"]
+        ),
+        st.integers(0, 1),
+        st.integers(4, 5),
+        st.floats(0.05, 1.0),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@given(st.integers(0, 30), st.one_of(_steps, _plan_steps))
+@settings(max_examples=60, deadline=None)
+def test_the_plan_memo_changes_nothing(seed, steps):
+    _agree_with(_PlanlessFlowManager, seed, steps)
+
+
+#: scripts whose index changes between two probes over one path
+_INDEX_CHANGES = [
     # the probe's component loses a flow between two probes
     [("open", 0, 5, 0.3), ("probe", 0, 6, 0.2), ("stop", 0, 0, 0.0), ("probe", 0, 6, 0.2)],
     [("greedy", 0, 5, 0.3), ("probe", 0, 6, 0.2), ("stop", 0, 0, 0.0), ("probe", 0, 6, 0.2)],
@@ -174,16 +226,134 @@ def test_the_memo_changes_nothing(seed, steps):
     [("probe", 0, 6, 0.2), ("open", 0, 5, 0.3), ("probe", 0, 6, 0.2)],
     # a finite transfer completes in between
     [("finite", 0, 5, 0.01), ("probe", 0, 6, 0.2), ("advance", 0, 0, 1.0), ("probe", 0, 6, 0.2)],
-])
+]
+
+
+@pytest.mark.parametrize("script", _INDEX_CHANGES)
 def test_the_memo_follows_the_index(script):
-    net = build_random_wan(N_SITES, seed=2, hosts_per_site=(2, 3)).net
-    twin = build_random_wan(N_SITES, seed=2, hosts_per_site=(2, 3)).net
-    twin.flows = _WalkingFlowManager(twin)
-    mine, theirs = [], []
-    for kind, a, b, x in script:
-        _step(net, mine, kind, a, b, x)
-        _step(twin, theirs, kind, a, b, x)
-        assert _state(net, mine) == _state(twin, theirs)
+    _agree_with(_WalkingFlowManager, 2, script)
+
+
+@pytest.mark.parametrize("script", _INDEX_CHANGES)
+def test_the_plan_memo_follows_the_index(script):
+    # each probe is run three times, so the second probe over the path
+    # keeps a plan and the third fills it
+    _agree_with(_PlanlessFlowManager, 2, [s for s in script for _ in range(3)])
+
+
+def test_a_degrade_between_probes_re_derives_the_plan_once(shared, monkeypatch):
+    w, a = shared
+    fm = w.net.flows
+    derived = []
+    monkeypatch.setattr(flows_mod, "_plan", lambda paths: derived.append(1) or _plan(paths))
+    path = tuple(peek_path(w.net, w.host("a", 2), w.host("b", 2)))
+    access = min({ch.link for ch in path}, key=lambda ln: ln.capacity_bps)
+
+    def probe():
+        derived.clear()
+        a.probe("b")
+        return len(derived)
+
+    # the first start solves from scratch, the second keeps the plan,
+    # the third only fills it
+    assert [probe(), probe(), probe()] == [1, 1, 0]
+    kept = fm._reach[path].plan
+    degrade_link(w.net, access, 0.5)
+    assert [probe(), probe(), probe()] == [1, 1, 0]
+    # a new plan, kept once, at the new capacity
+    entry = fm._reach[path]
+    assert entry.plan is not kept
+    assert entry.plan == _plan([f.path for f in entry.flows] + [list(path)])
+    assert min(entry.plan.caps) == access.capacity_bps == 5 * MBPS
+
+
+# -- probe rounds among topology changes, faults and traffic ---------------
+
+#: one step: (kind, a, b, x)
+_world_steps = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["round", "round", "round", "round", "start", "stop", "fail", "repair",
+             "rehome", "degrade", "degrade", "advance"]
+        ),
+        st.integers(0, 63),
+        st.integers(0, 63),
+        st.floats(0.05, 1.0),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def _memo_holds(fm):
+    """No probe flow is left, a restore record belongs to a live start,
+    and each memo entry that a start could read is what a walk of the
+    index finds now, with the plan those paths have now."""
+    assert not [f for f in fm.flows.values() if f.label.startswith("bench:")]
+    assert fm._displaced is None or fm._displaced.started.active
+    if fm._reach_epoch != fm._epoch:
+        return  # the next start drops every entry unread
+    for key, entry in fm._reach.items():
+        flows, channels = fm._component(key)
+        assert entry.flows == flows and set(entry.channels) == set(channels)
+        if entry.plan is not None:
+            assert entry.plan == _plan([f.path for f in flows] + [list(key)])
+
+
+@given(st.integers(0, 30), _world_steps)
+@settings(max_examples=40, deadline=None)
+def test_probe_rounds_among_changes_leave_a_true_memo(seed, steps):
+    world = build_random_wan(N_SITES, seed=seed, hosts_per_site=(2, 3), multi_switch_fraction=1.0)
+    net = world.net
+    fm = net.flows
+    sites = sorted(world.sites)
+    benches = [
+        BenchmarkCollector(s, net, world.host(s, 0), BenchmarkConfig(probe_bytes=200_000))
+        for s in sites
+    ]
+    for b in benches:
+        for peer in benches:
+            if peer is not b:
+                b.add_peer(peer)
+    nominal = {ln: ln.capacity_bps for ln in net.links}
+    failed = []
+    for kind, a, b, x in steps:
+        hosts = net.hosts()
+        live = fm.active_flows()
+        try:
+            if kind == "round":  # two collectors, so that rounds repeat
+                benches[a % 2].probe_all()
+            elif kind == "start":
+                src, dst = hosts[a % len(hosts)], hosts[b % len(hosts)]
+                if src is not dst:
+                    fm.start_flow(src, dst, demand_bps=x * 20 * MBPS if b % 2 else float("inf"))
+            elif kind == "stop" and live:
+                fm.stop_flow(live[a % len(live)])
+            elif kind == "fail":
+                link = net.links[a % len(net.links)]
+                fail_link(net, link)
+                failed.append(link)
+            elif kind == "repair" and failed:
+                repair_link(net, failed.pop(a % len(failed)))
+            elif kind == "rehome":
+                name = sites[a % len(sites)]
+                host = world.sites[name].hosts[b % len(world.sites[name].hosts)]
+                switches = [world.extras[name].leaf_switch, net.node(f"{name}-sw")]
+                rehome_host(net, host, switches[b % 2])
+            elif kind == "degrade":  # a link the first two collectors' probes cross
+                src, dst = world.host(sites[a % 2], 0), world.host(sites[b % len(sites)], 0)
+                path = peek_path(net, src, dst) if src is not dst else net.links[0].channels()
+                link = min(path, key=lambda ch: ch.capacity_bps).link  # it binds the probe
+                degrade_link(net, link, 0.5 + 0.5 * x, duration_s=20 * x)
+            elif kind == "advance":
+                net.engine.run_until(net.now + 10 * x)
+        except TopologyError:
+            pass  # a move or a flow the changed topology does not allow
+        _memo_holds(fm)
+    # every degradation was timed: once they have all ended, each link
+    # the world began with is back at its own capacity
+    net.engine.run_until(net.now + 30.0)
+    assert {ln: ln.capacity_bps for ln in nominal} == nominal
 
 
 def test_a_repeated_probe_round_walks_the_index_once_per_path():
